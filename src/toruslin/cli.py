@@ -85,7 +85,7 @@ def _do_check_diophantine(problem, run, outdir):
                        reports.fit_report(fit, enhanced))
     reports.write_text(os.path.join(outdir, "resonances.csv"),
                        reports.resonance_csv(fit))
-    return fit, EXIT_RESONANCE if fit.resonant else EXIT_OK
+    return fit, enhanced, EXIT_RESONANCE if fit.resonant else EXIT_OK
 
 
 def _do_domain_geometry(problem, run, outdir):
@@ -132,7 +132,7 @@ def run_command(argv=None):
     os.makedirs(outdir, exist_ok=True)
 
     if args.verb == "check-diophantine":
-        _, code = _do_check_diophantine(problem, run, outdir)
+        _, _, code = _do_check_diophantine(problem, run, outdir)
         return code
     if args.verb == "domain-geometry":
         _do_domain_geometry(problem, run, outdir)
@@ -144,7 +144,7 @@ def run_command(argv=None):
         _do_certify(problem, run, outdir)
         return EXIT_OK
     if args.verb == "report":
-        fit, code = _do_check_diophantine(problem, run, outdir)
+        fit, enhanced, code = _do_check_diophantine(problem, run, outdir)
         if code == EXIT_RESONANCE:
             geometry = _do_domain_geometry(problem, run, outdir)
             body = reports.combined_report(
@@ -155,8 +155,6 @@ def run_command(argv=None):
             return EXIT_RESONANCE
         geometry = _do_domain_geometry(problem, run, outdir)
         result, cert, cert_body = _do_certify(problem, run, outdir, fit=fit)
-        enhanced = enhanced_bound_check(problem.data, fit, run["pmax"],
-                                        run["qmax"])
         body = reports.combined_report(
             problem, reports.fit_report(fit, enhanced), geometry,
             reports.linearize_report(result), cert_body)

@@ -32,17 +32,34 @@ class LinearizeError(RuntimeError):
     pass
 
 
-@dataclass
 class DeckMapFamily:
-    """The deck maps, their inverses, and the base domain they live on."""
+    """The deck maps, their inverses, and the base domain they live on.
 
-    lattice: object
-    data: MultiplierData
-    maps: list
-    inv_maps: list
-    eps0: float
-    r0: float
-    hband: int
+    ``maps`` is the family itself; ``inv_maps`` is derived data.  Inverses
+    passed to the constructor are used as given; otherwise ``inv_maps`` is
+    computed from ``maps`` with ``invert_map`` on first read and cached.
+
+    The two linearization routes read different lists.  The forward route
+    solves from ``maps`` and conjugates only ``maps``; its degree-2
+    cross-check reads the inverses through degree 2 (``inverses_through``).
+    The inverse route solves from ``inv_maps`` and checks its progress on
+    ``maps``, so it conjugates both lists.
+    """
+
+    def __init__(self, lattice, data, maps, eps0, r0, hband, inv_maps=None):
+        self.lattice = lattice
+        self.data = data
+        self.maps = maps
+        self.eps0 = eps0
+        self.r0 = r0
+        self.hband = hband
+        self._inv_maps = inv_maps
+
+    @property
+    def inv_maps(self):
+        if self._inv_maps is None:
+            self._inv_maps = [invert_map(m) for m in self.maps]
+        return self._inv_maps
 
     @property
     def n(self):
@@ -59,11 +76,33 @@ class DeckMapFamily:
     def pert_scale(self):
         return max((m.pert_scale() for m in self.maps), default=0.0)
 
-    def conjugated(self, G, H=None):
+    def inverses_through(self, degree):
+        """Inverse maps whose vertical parts are exact through ``degree``.
+
+        Inverses already at hand are returned as they are.  Otherwise each
+        map is cut to vertical order ``degree`` and inverted there: the
+        degree <= ``degree`` part of an inverse depends only on that part of
+        the map, and the cut map is far cheaper to invert.  Not cached.
+        """
+        if self._inv_maps is not None:
+            return self._inv_maps
+        return [invert_map(DeckMap(lam=m.lam, mu=m.mu,
+                                   pert_h=m.pert_h.restrict(vmax=degree),
+                                   pert_v=m.pert_v.restrict(vmax=degree)))
+                for m in self.maps]
+
+    def conjugated(self, G, H=None, inverses=False):
+        """The family conjugated by Phi = (h, v + G).
+
+        ``maps`` is always conjugated; ``inv_maps`` only when ``inverses``
+        is set.  Without it the new family derives its inverses from its own
+        maps if they are ever read, so it never carries stale ones.
+        """
         if H is None:
             H = invert_vertical_map(G)
         new_maps = [conjugate_by_vertical(m, G, H) for m in self.maps]
-        new_invs = [conjugate_by_vertical(m, G, H) for m in self.inv_maps]
+        new_invs = [conjugate_by_vertical(m, G, H) for m in self.inv_maps] \
+            if inverses else None
         return DeckMapFamily(lattice=self.lattice, data=self.data,
                              maps=new_maps, inv_maps=new_invs,
                              eps0=self.eps0, r0=self.r0, hband=self.hband)
@@ -97,9 +136,8 @@ def build_family(lattice, data, pert_records, vmax, hband, eps0, r0,
                     + value
         maps.append(DeckMap(lam=data.lam[i], mu=data.mu[i],
                             pert_h=ph, pert_v=pv))
-    inv_maps = [invert_map(m) for m in maps]
     return DeckMapFamily(lattice=lattice, data=data, maps=maps,
-                         inv_maps=inv_maps, eps0=eps0, r0=r0, hband=hband)
+                         eps0=eps0, r0=r0, hband=hband)
 
 
 def decompose_deck_family(raw_maps, lattice, eps0, r0,
@@ -203,34 +241,49 @@ class LinearizationResult:
     step_records: list = field(default_factory=list)
 
 
+def _solve_degree(family, source, m, eps_prev, r_prev, eps_m, r_m, inverse,
+                  constants):
+    """Solve for G_m from the degree-m vertical parts of ``source``.
+
+    ``source`` is ``family.maps`` (forward) or inverse maps (inverse).
+    Returns (G_m, solver certificate); the certificate is None when that
+    part vanishes, and G_m is then zero.
+    """
+    rhs = [mp.pert_v.homogeneous_part(m).scale(-1.0) for mp in source]
+    if all(F.is_zero() for F in rhs):
+        return rhs[0]._like(components=family.d), None
+    kappa = family.lattice.decay_rate()
+    delta = kappa * (eps_prev - eps_m)
+    rho = float(np.log(r_prev / r_m))
+    cert = solve_family(CompatibleFamily(rhs=rhs), family.data,
+                        family.lattice, eps_prev, r_prev, delta, rho,
+                        inverse=inverse, constants=constants)
+    return cert.G, cert
+
+
 def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, route="forward",
                    constants=None, tol=LINEARIZE_TOL):
     """Remove the degree-m vertical perturbation from the family.
 
     Returns (G_m, conjugated family, solver certificate).  The updated
     family agrees with the input below degree m and has vanishing vertical
-    perturbation at every degree <= m.
+    perturbation at every degree <= m.  The forward route solves from and
+    conjugates ``maps`` only; the inverse route solves from ``inv_maps``
+    and conjugates both lists.
     """
     inverse = route == "inverse"
-    source = family.inv_maps if inverse else family.maps
     scale = max(family.pert_scale(), 1e-30)
     below = max(mp.pert_v.up_to_degree(m - 1).max_abs()
                 for mp in family.maps)
     if below > tol * max(scale, 1.0):
         raise LinearizeError("family is not vertically linear below degree %d"
                              " (mass %.3e)" % (m, below))
-    rhs = [mp.pert_v.homogeneous_part(m).scale(-1.0) for mp in source]
-    kappa = family.lattice.decay_rate()
-    delta = kappa * (eps_prev - eps_m)
-    rho = float(np.log(r_prev / r_m))
-    if all(F.is_zero() for F in rhs):
-        G = rhs[0]._like(components=family.d)
+    source = family.inv_maps if inverse else family.maps
+    G, cert = _solve_degree(family, source, m, eps_prev, r_prev, eps_m, r_m,
+                            inverse, constants)
+    if cert is None:
         return G, family, None
-    fam = CompatibleFamily(rhs=rhs)
-    cert = solve_family(fam, family.data, family.lattice, eps_prev, r_prev,
-                        delta, rho, inverse=inverse, constants=constants)
-    G = cert.G
-    updated = family.conjugated(G)
+    updated = family.conjugated(G, inverses=inverse)
     for i, mp in enumerate(updated.maps):
         leftover = mp.pert_v.up_to_degree(m).max_abs()
         if leftover > tol * max(scale, 1.0):
@@ -245,11 +298,21 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
     """Vertically linearize the family up to the given order.
 
     Refuses to run on resonant multiplier data (the offending index is
-    named).  Produces the correction phi_v, the per-degree norm ledger on
-    the scheduled domains, and the intertwining residual table.
+    named) and on an order above the family's vmax.  Produces the
+    correction phi_v, the per-degree norm ledger on the scheduled domains,
+    and the intertwining residual table.
+
+    The forward route solves each degree from ``family.maps`` and
+    conjugates only those maps.  At degree 2 it also solves, without
+    conjugating, from the inverses through degree 2 and requires the same
+    correction.  The inverse route solves from ``inv_maps`` and conjugates
+    both lists; the inverses are derived on demand (see DeckMapFamily).
     """
     if order < 2:
         raise ValueError("order must be >= 2")
+    if order > family.vmax:
+        raise ValueError("order %d exceeds the family's vmax %d"
+                         % (order, family.vmax))
     if route not in ("forward", "inverse"):
         raise ValueError("route must be 'forward' or 'inverse'")
     if fit is None:
@@ -277,25 +340,22 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
     current = family
     step_records = []
     for m in range(2, order + 1):
+        before = current
+        G, current, cert = linearize_step(
+            before, m, float(eps_m[m - 1]), float(r_m[m - 1]),
+            float(eps_m[m]), float(r_m[m]), route=route, constants=constants)
         if m == 2 and route == "forward":
-            # both routes must produce the same degree-2 correction; cheap
-            # cross-check before committing to the forward pipeline
-            G_fwd, _, _ = linearize_step(
-                current, m, float(eps_m[1]), float(r_m[1]),
-                float(eps_m[2]), float(r_m[2]), route="forward",
-                constants=constants)
-            G_inv, _, _ = linearize_step(
-                current, m, float(eps_m[1]), float(r_m[1]),
-                float(eps_m[2]), float(r_m[2]), route="inverse",
-                constants=constants)
-            gap = G_fwd.max_coeff_diff(G_inv)
-            if gap > 1e-10 * max(1.0, G_fwd.max_abs()):
+            # both routes must produce the same degree-2 correction; the
+            # inverse one is only solved for, never used to conjugate
+            G_inv, _ = _solve_degree(
+                before, before.inverses_through(2), m, float(eps_m[1]),
+                float(r_m[1]), float(eps_m[2]), float(r_m[2]), inverse=True,
+                constants=None)
+            gap = G.max_coeff_diff(G_inv)
+            if gap > 1e-10 * max(1.0, G.max_abs()):
                 raise LinearizeError(
                     "degree-2 forward/inverse corrections disagree by %.3e"
                     % gap)
-        G, current, cert = linearize_step(
-            current, m, float(eps_m[m - 1]), float(r_m[m - 1]),
-            float(eps_m[m]), float(r_m[m]), route=route, constants=constants)
         psi = psi.add(substitute_vertical(G, psi)) if not psi.is_zero() \
             else psi.add(G)
         step_records.append({

@@ -336,8 +336,9 @@ class TruncatedSeries:
                                          self.vmax, self.hband)]
         for k, P, Q, c in self.terms():
             fields = [str(k)] + [str(p) for p in P] + [str(q) for q in Q]
-            fields.append(repr(c.real))
-            fields.append(repr(c.imag))
+            # plain floats: repr of a numpy scalar is "np.float64(...)"
+            fields.append(repr(float(c.real)))
+            fields.append(repr(float(c.imag)))
             lines.append(" ".join(fields))
         return "\n".join(lines) + "\n"
 

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import toruslin
+from toruslin import TruncatedSeries
 from toruslin.cli import EXIT_OK, EXIT_RESONANCE, main
+from toruslin.linearize import build_family, linearize
 from toruslin.problem import ProblemParseError, parse_problem, \
     parse_problem_text
 
@@ -129,6 +131,36 @@ class TestVerbs:
         assert len(lines) == 1 + 7  # m = 2..8
         phi = (tmp_path / "out" / "phi_v.tls").read_text()
         assert phi.startswith("TLS 1 1 1 8 ")
+
+    def test_linearize_phi_v_reads_back(self, tmp_path):
+        path = toruslin.reference_problem_path()
+        out = str(tmp_path / "out")
+        assert main(["linearize", path, "--out", out, "--pmax", "12",
+                     "--qmax", "12"]) == EXIT_OK
+        back = TruncatedSeries.from_text(
+            (tmp_path / "out" / "phi_v.tls").read_text())
+        p = parse_problem(path)
+        run = p.run
+        fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
+                           run["hband"], eps0=run["epsilon"],
+                           r0=run["radius"])
+        phi = linearize(fam, run["order"], run["epsilon"], run["radius"],
+                        pmax=12, qmax=12).phi_v
+        assert (back.n, back.d, back.components, back.vmax, back.hband) == \
+            (phi.n, phi.d, phi.components, phi.vmax, phi.hband)
+        assert back.coeffs.keys() == phi.coeffs.keys()
+        for key, c in phi.coeffs.items():
+            assert (back.coeffs[key].real.hex(), back.coeffs[key].imag.hex()) \
+                == (float(c.real).hex(), float(c.imag).hex())
+
+    def test_order_above_vmax_is_an_error(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        code = main(["linearize", toruslin.reference_problem_path(), "--out",
+                     out, "--order", "12", "--pmax", "12", "--qmax", "12"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[error]\ncode ValueError\n")
+        assert "exceeds the family's vmax 8" in err
 
     def test_domain_geometry_artifacts(self, tmp_path):
         prob = write(tmp_path, "ok.prob", MINIMAL)

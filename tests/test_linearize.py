@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+import toruslin
+import toruslin.linearize as linearize_mod
 from toruslin import LatticeSpec, TruncatedSeries
-from toruslin.deckmaps import DeckMap, conjugate_by_vertical
+from toruslin.deckmaps import (DeckMap, compose_maps, conjugate_by_vertical,
+                               invert_map)
 from toruslin.divisors import MultiplierData, ResonanceError
 from toruslin.linearize import (DeckMapFamily, LinearizeError, build_family,
                                 conjugacy_residual, linearize, linearize_step,
                                 residual_table)
+from toruslin.problem import parse_problem
 
 from _fixtures import (GOLDEN, conjugated_family, golden_data, golden_family,
                        golden_lattice, perturbation_records)
@@ -59,6 +63,18 @@ class TestLinearizeStep:
                 new.pert_v.homogeneous_part(2))
             assert max(dh, dv) < 1e-14
 
+    def test_forward_step_derives_fresh_inverses(self):
+        # the forward route conjugates only maps; the inverses of the
+        # conjugated family must then come from its own maps, not the input's
+        rng = np.random.default_rng(5)
+        fam = golden_family(rng, nterms=8)
+        assert len(fam.inv_maps) == 1  # the input's inverses, now cached
+        _, updated, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        comp = compose_maps(updated.maps[0], updated.inv_maps[0], hband=6)
+        scale = max(1.0, updated.inv_maps[0].pert_scale())
+        assert comp.pert_h.max_abs() < 1e-12 * scale
+        assert comp.pert_v.max_abs() < 1e-12 * scale
+
     def test_precondition_guard(self):
         rng = np.random.default_rng(4)
         fam = golden_family(rng, nterms=10, qrange=(2, 2))
@@ -99,6 +115,44 @@ class TestLinearize:
         inv = linearize(fam, order=5, eps1=0.2, r1=0.5, route="inverse",
                         pmax=8, qmax=8)
         assert fwd.phi_v.max_coeff_diff(inv.phi_v) < 1e-10
+
+    def test_order_above_vmax_rejected(self):
+        fam = golden_family(vmax=6)
+        with pytest.raises(ValueError, match="vmax"):
+            linearize(fam, order=7, eps1=0.2, r1=0.5, pmax=6, qmax=6)
+
+    def test_forward_conjugates_maps_once_per_degree(self, monkeypatch):
+        p = parse_problem(toruslin.reference_problem_path())
+        run = p.run
+        fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
+                           run["hband"], eps0=run["epsilon"],
+                           r0=run["radius"])
+        calls = []
+        real = linearize_mod.conjugate_by_vertical
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(linearize_mod, "conjugate_by_vertical", counting)
+        order = run["order"]
+        linearize(fam, order, run["epsilon"], run["radius"], pmax=12, qmax=12)
+        assert len(calls) == (order - 1) * fam.n
+
+    def test_wrong_supplied_inverse_fails_cross_check(self):
+        rng = np.random.default_rng(23)
+        fam = golden_family(rng, vmax=4, hband=4, nterms=6, qrange=(2, 2))
+        invs = [invert_map(m) for m in fam.maps]
+        key = next(iter(invs[0].pert_v.homogeneous_part(2).coeffs))
+        invs[0].pert_v.coeffs[key] *= 2.0
+        bad = DeckMapFamily(lattice=fam.lattice, data=fam.data,
+                            maps=fam.maps, inv_maps=invs,
+                            eps0=fam.eps0, r0=fam.r0, hband=fam.hband)
+        with pytest.raises(LinearizeError, match="degree-2 forward/inverse "
+                           "corrections disagree"):
+            linearize(bad, order=4, eps1=0.2, r1=0.5, pmax=6, qmax=6)
+        # the same maps with derived inverses pass the cross-check
+        linearize(fam, order=4, eps1=0.2, r1=0.5, pmax=6, qmax=6)
 
     def test_resonance_refusal(self):
         lat = golden_lattice()
