@@ -1,43 +1,7 @@
-"""Kernel backend selection.
+"""The hot kernels: coefficient convolution and point evaluation.
 
-The package ships two interchangeable implementations of the coefficient
-convolution and point-evaluation kernels: a compiled Cython extension
-(``ckernels``) and a numpy fallback (``pykernels``).  The compiled one is
-preferred when importable.  Set ``TORUSLIN_KERNELS=py`` or ``=c`` to force a
-backend; forcing ``c`` raises if the extension was not built.
+One implementation, in numpy (``pykernels``); ``BACKEND`` names it and is
+re-exported as ``toruslin.kernel_backend``.
 """
 
-import os
-
-_forced = os.environ.get("TORUSLIN_KERNELS", "").strip().lower()
-if _forced not in ("", "c", "py"):
-    raise RuntimeError(
-        "TORUSLIN_KERNELS must be 'c' or 'py', got %r" % (_forced,)
-    )
-
-if _forced == "py":
-    from . import pykernels as _impl
-else:
-    try:
-        from . import ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        if _forced == "c":
-            raise
-        from . import pykernels as _impl
-
-BACKEND = _impl.BACKEND
-cauchy_product = _impl.cauchy_product
-evaluate = _impl.evaluate
-
-
-def get_backend(name):
-    """Return a specific kernel module ('c' or 'py'), for benchmarks/tests."""
-    if name == "py":
-        from . import pykernels
-
-        return pykernels
-    if name == "c":
-        from . import ckernels  # type: ignore[attr-defined]
-
-        return ckernels
-    raise ValueError("unknown backend %r" % (name,))
+from .pykernels import BACKEND, cauchy_product, evaluate

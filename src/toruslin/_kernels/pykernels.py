@@ -1,13 +1,13 @@
-"""Pure-Python (numpy) implementations of the hot kernels.
+"""The hot kernels, in numpy.
 
-Used when the compiled extension is unavailable or when the environment
-variable ``TORUSLIN_KERNELS=py`` forces the fallback.  Semantics are
-identical to ``ckernels``: coefficient tables are (exps, vals) pairs with
-``exps`` an int64 array of shape (N, n+d) holding the h-exponents first and
-the v-exponents last, and ``vals`` a complex128 array of shape (N,).
-Outputs are sorted by packed exponent key, so both backends emit the same
-coefficients in the same order (values can differ in the last ulp from
-accumulation order).
+Coefficient tables are (exps, vals) pairs with ``exps`` an int64 array of
+shape (N, n+d) holding the h-exponents first and the v-exponents last, and
+``vals`` a complex128 array of shape (N,).  Outputs are sorted by packed
+exponent key.
+
+``cauchy_product`` forms only the pairs that can land inside the vertical
+window, so the ``discarded`` it returns is an upper bound on the absolute
+mass its truncation drops, not that mass itself (see its docstring).
 """
 
 import numpy as np
@@ -37,8 +37,14 @@ def _packing(exps_a, exps_b):
 def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
     """Convolution of two coefficient tables truncated to (vmax, hband).
 
-    Returns (exps, vals, discarded) where ``discarded`` is the summed
-    absolute value of coefficients dropped by the truncation.
+    Returns (exps, vals, discarded).  Only the pairs whose vertical degrees
+    sum to at most ``vmax`` are formed, in the row-major order of the full
+    outer product, so every kept coefficient is the same sum of the same
+    products in the same order as in the full convolution.  ``discarded``
+    is the exact absolute mass of the formed coefficients that fall
+    outside ``hband``, plus ``sum |a_i| |b_j|`` over the pairs not formed:
+    by the triangle inequality an upper bound on the mass those pairs would
+    have put above ``vmax``.
     """
     if len(vals_a) == 0 or len(vals_b) == 0:
         return (
@@ -51,15 +57,14 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
     keys_b = _pack(exps_b, 0, strides)
     base = lo @ strides
 
-    chunks_k = []
-    chunks_v = []
-    for start in range(0, len(keys_a), _CHUNK):
-        ka = keys_a[start : start + _CHUNK]
-        va = vals_a[start : start + _CHUNK]
-        chunks_k.append((ka[:, None] + keys_b[None, :]).ravel())
-        chunks_v.append((va[:, None] * vals_b[None, :]).ravel())
-    keys = np.concatenate(chunks_k) - base
-    vals = np.concatenate(chunks_v)
+    deg_a = exps_a[:, n:].sum(axis=1)
+    deg_b = exps_b[:, n:].sum(axis=1)
+    inside = deg_a[:, None] + deg_b[None, :] <= vmax
+    rows, cols = np.nonzero(inside)  # row-major, like the full outer product
+    bound = float(np.abs(vals_a) @ (~inside @ np.abs(vals_b)))
+
+    keys = keys_a[rows] + keys_b[cols] - base
+    vals = vals_a[rows] * vals_b[cols]
 
     uniq, inv = np.unique(keys, return_inverse=True)
     acc = np.bincount(inv, weights=vals.real, minlength=len(uniq)) + 1j * np.bincount(
@@ -73,12 +78,11 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
         rem -= exps[:, j] * strides[j]
     exps += lo
 
-    keep = np.abs(acc) > prune
+    live = np.abs(acc) > prune
+    keep = live.copy()
     if n:
         keep &= np.abs(exps[:, :n]).max(axis=1) <= hband
-    if d:
-        keep &= exps[:, n:].sum(axis=1) <= vmax
-    discarded = float(np.abs(acc[(np.abs(acc) > prune) & ~keep]).sum())
+    discarded = float(np.abs(acc[live & ~keep]).sum()) + bound
     return exps[keep], acc[keep], discarded
 
 

@@ -7,8 +7,10 @@ with such a map expands the h-part multiplicatively:
     (lam_k h_k + a_k)^p = lam_k^p h_k^p (1 + u_k)^p,
     u_k = a_k / (lam_k h_k),
 
-where (1 + u)^p is a finite binomial sum because ord_v u >= 2 caps the
-number of u factors at vmax // 2, for any integer p (negative included).
+where (1 + u)^p is a finite binomial sum for any integer p (negative
+included): ord_v u >= 2, and the factor v^Q that the h-part multiplies has
+order >= ord_v f, so at most (vmax - ord_v f) // 2 factors of u reach the
+output.
 Products run on a widened horizontal band so the result is the exact
 composition projected to the requested window.
 """
@@ -84,25 +86,31 @@ def compose_with_map(f, m, vmax=None, hband=None):
     Terms are grouped by vertical exponent: the horizontal part of each
     group is a linear combination of cached binomial powers (no products),
     then one product with the cached vertical power attaches v^Q.
+
+    The vertical power has order |Q| >= ord_v f, so only the horizontal
+    factor's terms of degree <= vmax - ord_v f can reach the output: the u
+    powers, the binomial series and the group sums are computed on that
+    window (u powers up to (vmax - ord_v f) // 2) and widened back to vmax
+    before the product with the vertical power.  The terms left out would
+    only have formed pairs above vmax.
     """
     vmax = f.vmax if vmax is None else vmax
     hband = f.hband if hband is None else hband
     n, d = f.n, f.d
     pw = max(m.pert_h.hband + 1, m.pert_v.hband, 1)
     work = max(hband, f.hband) + (vmax // 2) * pw
-    smax = vmax // 2
+    hwin = max(vmax - f.v_order(), 0)
+    smax = hwin // 2
 
-    # u_k = pert_h_k / (lam_k h_k) and its powers
+    # u_k = pert_h_k / (lam_k h_k) and its powers u_k^1 .. u_k^smax
     upow = []
     for k in range(n):
         ek = tuple(-1 if t == k else 0 for t in range(n))
-        u = m.pert_h.component(k).with_window(vmax=vmax, hband=work)
+        u = m.pert_h.component(k).cut(hwin).with_window(vmax=hwin, hband=work)
         u = u.shift_h(ek).scale(1.0 / m.lam[k])
-        table = [None] * (smax + 1)
-        table[0] = None  # constant 1, handled symbolically
-        table[1] = u if smax >= 1 else None
+        table = [None, u]
         for s in range(2, smax + 1):
-            table[s] = table[s - 1].mul(u)
+            table.append(table[-1].mul(u))
         upow.append(table)
 
     # (mu_j v_j + pert_v_j)^q
@@ -125,17 +133,15 @@ def compose_with_map(f, m, vmax=None, hband=None):
     def binom_power_series(P):
         """lam^P h^P prod_k (1 + u_k)^{p_k} as a scalar series."""
         acc = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
-                                       components=1, vmax=vmax, hband=work)
+                                       components=1, vmax=hwin, hband=work)
         lam_fac = 1.0 + 0.0j
         for k, p in enumerate(P):
             lam_fac *= m.lam[k] ** int(p)
-            if p == 0 or upow[k][1] is None:
+            if p == 0 or smax == 0:
                 continue
             piece = acc._like()
             piece.coeffs[(0, (0,) * n, (0,) * d)] = 1.0 + 0.0j
             for s in range(1, smax + 1):
-                if upow[k][s] is None:
-                    break
                 cbin = _gen_binom(int(p), s)
                 if cbin:
                     piece = piece.add(upow[k][s].scale(cbin))
@@ -148,12 +154,12 @@ def compose_with_map(f, m, vmax=None, hband=None):
     for (k, P, Q), c in f.coeffs.items():
         groups.setdefault((k, Q), []).append((P, c))
     for (k, Q), terms in sorted(groups.items()):
-        hpart = TruncatedSeries.zero(n, d, 1, vmax, work, prune=f.prune)
+        hpart = TruncatedSeries.zero(n, d, 1, hwin, work, prune=f.prune)
         for P, c in sorted(terms):
             if P not in hcache:
                 hcache[P] = binom_power_series(P)
             hpart = hpart.add(hcache[P].scale(c))
-        piece = hpart
+        piece = hpart.with_window(vmax=vmax)
         for j, q in enumerate(Q):
             if q:
                 piece = piece.mul(vpow[j][q])
@@ -200,22 +206,40 @@ def compose_maps(m1, m2, vmax=None, hband=None):
 
 
 def invert_map(m, tol=0.0):
-    """The inverse deck map, by fixed-point refinement in the v-filtration."""
+    """The inverse deck map, by fixed-point refinement in the v-filtration.
+
+    Each sweep settles one more vertical degree: the degree-k part of
+    m's perturbations composed with the current inverse reads the
+    inverse's perturbations only below degree k, so sweep s = 0, 1, ... is
+    exact through degree s + 2 and is computed only that far, on m and the
+    current inverse cut there.  What it leaves out is exactly what the next,
+    wider sweep recomputes, and every coefficient it does form is the same
+    sum in the same order as in a full-window sweep.  Once the window
+    reaches vmax, sweeps run on the full window until two agree to ``tol``.
+    """
     n, d = m.n, m.d
     vmax, hband = m.pert_h.vmax, m.pert_h.hband
     inv = DeckMap(lam=1.0 / m.lam, mu=1.0 / m.mu,
                   pert_h=TruncatedSeries.zero(n, d, n, vmax, hband),
                   pert_v=TruncatedSeries.zero(n, d, d, vmax, hband))
-    for _ in range(vmax + 1):
-        a_of = compose_with_map(m.pert_h, inv, vmax=vmax, hband=hband)
-        b_of = compose_with_map(m.pert_v, inv, vmax=vmax, hband=hband)
+    for sweep in range(vmax + 1):
+        window = min(vmax, sweep + 2)
+        cur = DeckMap(lam=inv.lam, mu=inv.mu, pert_h=inv.pert_h.cut(window),
+                      pert_v=inv.pert_v.cut(window))
+        a_of = compose_with_map(m.pert_h.cut(window), cur, vmax=window,
+                                hband=hband)
+        b_of = compose_with_map(m.pert_v.cut(window), cur, vmax=window,
+                                hband=hband)
         new_h = scale_components(a_of, 1.0 / m.lam).scale(-1.0)
         new_v = scale_components(b_of, 1.0 / m.mu).scale(-1.0)
-        if new_h.max_coeff_diff(inv.pert_h) <= tol and \
-           new_v.max_coeff_diff(inv.pert_v) <= tol:
-            inv = DeckMap(lam=inv.lam, mu=inv.mu, pert_h=new_h, pert_v=new_v)
+        done = window == vmax and \
+            new_h.max_coeff_diff(inv.pert_h) <= tol and \
+            new_v.max_coeff_diff(inv.pert_v) <= tol
+        inv = DeckMap(lam=inv.lam, mu=inv.mu,
+                      pert_h=new_h.with_window(vmax=vmax),
+                      pert_v=new_v.with_window(vmax=vmax))
+        if done:
             break
-        inv = DeckMap(lam=inv.lam, mu=inv.mu, pert_h=new_h, pert_v=new_v)
     return inv
 
 

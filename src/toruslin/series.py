@@ -4,8 +4,10 @@ A series is a finite coefficient table
 ``f(h, v) = sum_{P in Z^n, Q in N^d} f[k, P, Q] h^P v^Q`` per output
 component k, truncated to vertical order ``|Q|_1 <= vmax`` and horizontal
 band ``|P|_inf <= hband``.  Operations that push mass outside the truncation
-window drop it, set ``tailflag`` and accumulate the dropped absolute mass in
-``discarded``.
+window drop it, set ``tailflag`` and add to ``discarded`` an upper bound on
+the dropped absolute mass: products never form the pairs that land above
+``vmax`` and count them by the triangle bound ``sum |a_i| |b_j|`` (mass
+dropped outside ``hband`` is counted exactly).
 
 Values are complex doubles.  Series are treated as immutable: every
 operation returns a new instance.
@@ -285,6 +287,19 @@ class TruncatedSeries:
                 out.coeffs[(k, P, Q)] = c
         return out
 
+    def cut(self, vmax):
+        """Working copy on the smaller vertical window ``vmax``, unflagged.
+
+        Unlike ``restrict`` the terms above ``vmax`` leave no trace in
+        ``tailflag`` or ``discarded``: a caller cuts a series only where
+        those terms are recomputed later or cannot reach its output.
+        """
+        out = self._like(vmax=min(vmax, self.vmax))
+        out.coeffs = {key: c for key, c in self.coeffs.items()
+                      if sum(key[2]) <= vmax}
+        out.tailflag, out.discarded = self.tailflag, self.discarded
+        return out
+
     def with_window(self, vmax=None, hband=None):
         """Widen the truncation window (no coefficients change)."""
         vmax = self.vmax if vmax is None else max(self.vmax, vmax)
@@ -516,17 +531,26 @@ def partial_h(f, P0):
 def invert_vertical_map(G, tol=0.0):
     """Series H with H + G(h, v + H) = 0, i.e. the inverse of (h, v + G).
 
-    Fixed-point iteration; one vertical degree is settled per sweep.
+    Fixed-point iteration from H = 0.  With r = ord_v G, the degree-m part
+    of G(h, v + H) reads H only below degree m - r + 2, so each sweep
+    settles r - 1 more degrees: sweep s = 1, 2, ... is exact through degree
+    (s + 1)(r - 1) and is computed only that far, on G and H cut there.
+    The terms it leaves out are exactly the ones the next, wider sweep
+    would recompute, and every coefficient it does form is the same sum in
+    the same order as in a full-window sweep.  Once the window reaches
+    vmax, sweeps run on the full window until two agree to ``tol``.
     """
     if G.components != G.d:
         raise SeriesError("vertical map must have d components")
     if G.v_order() < 2:
         raise SeriesError("vertical map must vanish to order >= 2 in v")
+    settle = G.v_order() - 1
     H = G._like(components=G.d)
-    for _ in range(G.vmax + 1):
-        nxt = substitute_vertical(G, H).scale(-1.0)
-        if nxt.max_coeff_diff(H) <= tol:
-            H = nxt
+    for sweep in range(1, G.vmax + 2):
+        window = min(G.vmax, (sweep + 1) * settle)
+        nxt = substitute_vertical(G.cut(window), H.cut(window)).scale(-1.0)
+        done = window == G.vmax and nxt.max_coeff_diff(H) <= tol
+        H = nxt.with_window(vmax=G.vmax)
+        if done:
             break
-        H = nxt
     return H

@@ -8,7 +8,7 @@ from toruslin.deckmaps import (DeckMap, DeckMapError, compose_maps,
 from toruslin.divisors import MultiplierData
 from toruslin.linearize import check_commutation, decompose_deck_family, \
     DeckMapFamily
-from toruslin.series import substitute_vertical
+from toruslin.series import scale_components, substitute_vertical
 
 from _oracles import random_series
 
@@ -154,6 +154,96 @@ class TestComposeAndInvert:
         scale = max(1.0, m.pert_scale())
         assert back.pert_h.max_coeff_diff(m.pert_h) < 1e-12 * scale
         assert back.pert_v.max_coeff_diff(m.pert_v) < 1e-12 * scale
+
+
+def full_window_invert_map(m, tol=0.0):
+    """The fixed-point map inversion with every sweep on the full window."""
+    n, d = m.n, m.d
+    vmax, hband = m.pert_h.vmax, m.pert_h.hband
+    inv = DeckMap(lam=1.0 / m.lam, mu=1.0 / m.mu,
+                  pert_h=TruncatedSeries.zero(n, d, n, vmax, hband),
+                  pert_v=TruncatedSeries.zero(n, d, d, vmax, hband))
+    for _ in range(vmax + 1):
+        a_of = compose_with_map(m.pert_h, inv, vmax=vmax, hband=hband)
+        b_of = compose_with_map(m.pert_v, inv, vmax=vmax, hband=hband)
+        new_h = scale_components(a_of, 1.0 / m.lam).scale(-1.0)
+        new_v = scale_components(b_of, 1.0 / m.mu).scale(-1.0)
+        done = new_h.max_coeff_diff(inv.pert_h) <= tol and \
+            new_v.max_coeff_diff(inv.pert_v) <= tol
+        inv = DeckMap(lam=inv.lam, mu=inv.mu, pert_h=new_h, pert_v=new_v)
+        if done:
+            break
+    return inv
+
+
+def coeff_bits(f):
+    return (f.vmax, f.hband,
+            [(k, P, Q, c.real.hex(), c.imag.hex()) for k, P, Q, c in f.terms()])
+
+
+class TestWindowedInvertMap:
+    @pytest.mark.parametrize("n,d,vmax", [(1, 1, 5), (1, 1, 7), (2, 1, 5),
+                                          (1, 2, 4)])
+    def test_matches_full_window_loop(self, n, d, vmax):
+        rng = np.random.default_rng(40 + 10 * n + d + vmax)
+        lam = np.exp(2j * np.pi * np.array([MILD_E2, 0.2 + 0.03j][:n]))
+        mu = np.exp(2j * np.pi * np.array([GOLDEN, np.sqrt(2) - 1][:d]))
+        ph = random_series(rng, n, d, components=n, vmax=vmax, hband=2,
+                           nterms=6, min_vdeg=2, scale=1e-3)
+        pv = random_series(rng, n, d, components=d, vmax=vmax, hband=2,
+                           nterms=6, min_vdeg=2, scale=1e-3)
+        m = DeckMap(lam=lam, mu=mu, pert_h=ph.with_window(hband=12),
+                    pert_v=pv.with_window(hband=12))
+        got, want = invert_map(m), full_window_invert_map(m)
+        assert coeff_bits(got.pert_h) == coeff_bits(want.pert_h)
+        assert coeff_bits(got.pert_v) == coeff_bits(want.pert_v)
+        assert got.pert_v.homogeneous_part(vmax).max_abs() > 0
+
+    def test_sweep_windows(self, monkeypatch):
+        # sweep s works through degree s + 2, then one full sweep
+        import toruslin.deckmaps as deckmaps_mod
+        seen = []
+        real = deckmaps_mod.compose_with_map
+
+        def recording(f, m, vmax=None, hband=None):
+            seen.append(vmax)
+            return real(f, m, vmax=vmax, hband=hband)
+
+        monkeypatch.setattr(deckmaps_mod, "compose_with_map", recording)
+        invert_map(mild_map(np.random.default_rng(3), vmax=6, hband=16))
+        assert seen == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 6]
+
+
+class TestComposeWithMapEdges:
+    def test_no_u_power_reaches_output(self):
+        # ord_v f >= vmax - 1: (1 + u)^p contributes only its constant 1
+        rng = np.random.default_rng(12)
+        m = mild_map(rng, vmax=6, hband=16)
+        lam, mu = m.lam[0], m.mu[0]
+        b2 = m.pert_v.homogeneous_part(2)
+        for q in (5, 6):
+            c = 0.4 - 0.3j
+            f = TruncatedSeries.monomial(1, 1, 0, (-2,), (q,), c, vmax=6,
+                                         hband=16)
+            got = compose_with_map(f, m)
+            # c lam^-2 h^-2 (mu^q v^q + q mu^(q-1) v^(q-1) b_2), cut at 6
+            want = TruncatedSeries.monomial(1, 1, 0, (0,), (q,), mu ** q,
+                                            vmax=6, hband=16)
+            if q == 5:
+                vq = TruncatedSeries.monomial(1, 1, 0, (0,), (q - 1,),
+                                              q * mu ** (q - 1), vmax=6,
+                                              hband=16)
+                want = want.add(vq.mul(b2))
+            want = want.shift_h((-2,)).scale(c * lam ** -2)
+            assert got.max_coeff_diff(want) < 1e-15
+
+    def test_zero_series(self):
+        m = mild_map(np.random.default_rng(13), vmax=6, hband=16)
+        zero = TruncatedSeries.zero(1, 1, 1, 6, 8)
+        got = compose_with_map(zero, m, hband=10)
+        assert got.is_zero() and not got.coeffs
+        assert (got.vmax, got.hband) == (6, 10)
+        assert not got.tailflag and got.discarded == 0.0
 
 
 class TestDecompose:

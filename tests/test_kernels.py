@@ -1,17 +1,9 @@
-"""Backend equivalence: compiled and pure-Python kernels must agree bit-wise."""
+"""The numpy kernels against all-pairs references written here."""
 
 import numpy as np
 import pytest
 
-from toruslin._kernels import get_backend
-
-try:
-    get_backend("c")
-    HAVE_C = True
-except ImportError:
-    HAVE_C = False
-
-pytestmark = pytest.mark.skipif(not HAVE_C, reason="compiled kernels not built")
+from toruslin._kernels import cauchy_product, evaluate
 
 
 def random_table(rng, nterms, n, d, hband, vmax):
@@ -24,30 +16,91 @@ def random_table(rng, nterms, n, d, hband, vmax):
     return exps, vals
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_cauchy_product_identical(seed):
+def all_pairs_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband,
+                      prune):
+    """Every pair, row-major, summed per exponent; then cut to the window.
+
+    Returns (exps, vals, dropped): the surviving coefficients sorted by
+    exponent, and the exact absolute mass of the live coefficients that
+    fall outside (vmax, hband).
+    """
+    prods = (vals_a[:, None] * vals_b[None, :]).ravel()
+    acc = {}
+    for t, val in enumerate(prods):
+        i, j = divmod(t, len(vals_b))
+        key = tuple(int(x) for x in exps_a[i] + exps_b[j])
+        acc[key] = acc.get(key, 0.0) + complex(val)
+    kept, dropped = [], 0.0
+    for key in sorted(acc):
+        c = acc[key]
+        if not abs(c) > prune:
+            continue
+        if sum(key[n:]) > vmax or (n and max(map(abs, key[:n])) > hband):
+            dropped += abs(c)
+        else:
+            kept.append((key, c))
+    exps = np.array([k for k, _ in kept], dtype=np.int64).reshape(-1, n + d)
+    vals = np.array([c for _, c in kept], dtype=np.complex128)
+    return exps, vals, dropped
+
+
+CASES = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 0)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_banded_product_matches_all_pairs(seed):
     rng = np.random.default_rng(seed)
-    n, d = (1, 1) if seed % 2 else (2, 1)
-    ea, va = random_table(rng, 40, n, d, 6, 5)
-    eb, vb = random_table(rng, 35, n, d, 6, 5)
-    py = get_backend("py")
-    cc = get_backend("c")
-    ep, vp, dp = py.cauchy_product(ea, va, eb, vb, n, d, 5, 6, 1e-300)
-    ec, vc, dc = cc.cauchy_product(ea, va, eb, vb, n, d, 5, 6, 1e-300)
-    # identical exponent sets in identical (sorted) order; accumulated
-    # values may differ in the last ulp from summation order
-    assert np.array_equal(ep, ec)
-    assert np.allclose(vp, vc, rtol=1e-12, atol=1e-15)
-    assert dp == pytest.approx(dc, rel=1e-12, abs=1e-300)
+    n, d = CASES[seed % len(CASES)]
+    vmax = 5 if seed < 5 else int(rng.integers(0, 4))
+    ea, va = random_table(rng, 40, n, d, 4, 6)
+    eb, vb = random_table(rng, 35, n, d, 4, 6)
+    want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax, 6,
+                                                1e-300)
+    got_e, got_v, discarded = cauchy_product(ea, va, eb, vb, n, d, vmax, 6,
+                                             1e-300)
+    # same keys in the same order, bit for bit the same sums
+    assert np.array_equal(got_e, want_e)
+    assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
+    # an upper bound on the dropped mass (up to rounding in the bound)
+    assert discarded >= dropped * (1 - 1e-12)
+
+
+def test_single_pair_above_vmax_discards_its_mass():
+    # |(3+4i)(-5+12i)| = |-63+16i| = 65 = 5 * 13, exactly
+    ea = np.array([[1, 2]], dtype=np.int64)
+    eb = np.array([[-1, 3]], dtype=np.int64)
+    va, vb = np.array([3 + 4j]), np.array([-5 + 12j])
+    exps, vals, discarded = cauchy_product(ea, va, eb, vb, 1, 1, 4, 6, 1e-300)
+    assert len(vals) == 0 and exps.shape == (0, 2)
+    assert discarded == abs(va[0] * vb[0]) == 65.0
+
+
+def test_single_pair_outside_hband_discards_its_mass():
+    ea = np.array([[5, 1]], dtype=np.int64)
+    eb = np.array([[4, 1]], dtype=np.int64)
+    va, vb = np.array([0.3 - 0.1j]), np.array([-2.0 + 0.7j])
+    exps, vals, discarded = cauchy_product(ea, va, eb, vb, 1, 1, 4, 6, 1e-300)
+    assert len(vals) == 0
+    assert discarded == abs(va[0] * vb[0])
+
+
+def test_no_discard_inside_window():
+    rng = np.random.default_rng(77)
+    ea, va = random_table(rng, 20, 1, 1, 2, 2)
+    eb, vb = random_table(rng, 20, 1, 1, 2, 2)
+    _, _, discarded = cauchy_product(ea, va, eb, vb, 1, 1, 4, 4, 1e-300)
+    assert discarded == 0.0
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_evaluate_close(seed):
+def test_evaluate_matches_termwise_sum(seed):
     rng = np.random.default_rng(100 + seed)
-    n, d = 1, 2
+    n, d = (1, 2) if seed != 1 else (2, 1)
     exps, vals = random_table(rng, 30, n, d, 4, 5)
     logh = rng.uniform(-0.3, 0.3, (16, n)) + 1j * rng.uniform(0, 6.28, (16, n))
     v = 0.4 * np.exp(1j * rng.uniform(0, 6.28, (16, d)))
-    py = get_backend("py").evaluate(exps, vals, logh, v)
-    cc = get_backend("c").evaluate(exps, vals, logh, v)
-    assert np.allclose(py, cc, rtol=1e-13, atol=1e-13)
+    got = evaluate(exps, vals, logh, v)
+    want = np.zeros(len(logh), dtype=np.complex128)
+    for e, c in zip(exps, vals):
+        want += c * np.exp(logh @ e[:n]) * np.prod(v ** e[n:], axis=1)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)

@@ -139,6 +139,19 @@ class TestLinearize:
         linearize(fam, order, run["epsilon"], run["radius"], pmax=12, qmax=12)
         assert len(calls) == (order - 1) * fam.n
 
+    def test_reference_phi_v_has_no_tail(self):
+        # working windows cut inside the degree loop never flag phi_v
+        p = parse_problem(toruslin.reference_problem_path())
+        run = p.run
+        fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
+                           run["hband"], eps0=run["epsilon"],
+                           r0=run["radius"])
+        result = linearize(fam, run["order"], run["epsilon"], run["radius"],
+                           pmax=12, qmax=12)
+        assert result.phi_v.tailflag is False
+        assert result.phi_v.discarded == 0.0
+        assert result.phi_v.homogeneous_part(run["order"]).max_abs() > 0
+
     def test_wrong_supplied_inverse_fails_cross_check(self):
         rng = np.random.default_rng(23)
         fam = golden_family(rng, vmax=4, hband=4, nterms=6, qrange=(2, 2))

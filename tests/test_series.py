@@ -225,6 +225,80 @@ class TestInvertVerticalMap:
             assert comp.max_abs() < 1e-12
 
 
+def full_window_inverse(G, tol=0.0):
+    """The fixed-point inversion with every sweep on the full window."""
+    H = G._like(components=G.d)
+    for _ in range(G.vmax + 1):
+        nxt = substitute_vertical(G, H).scale(-1.0)
+        if nxt.max_coeff_diff(H) <= tol:
+            H = nxt
+            break
+        H = nxt
+    return H
+
+
+def bits(f):
+    """Window, flags and every coefficient as exact bit patterns, in order."""
+    return (f.n, f.d, f.components, f.vmax, f.hband, f.tailflag,
+            [(k, P, Q, c.real.hex(), c.imag.hex()) for k, P, Q, c in f.terms()])
+
+
+def homogeneous_series(rng, n, d, m, vmax, hband, nterms, scale):
+    s = TruncatedSeries(n, d, d, vmax, hband)
+    while len(s.coeffs) < nterms:
+        Q = [0] * d
+        for _ in range(m):
+            Q[int(rng.integers(0, d))] += 1
+        P = tuple(int(x) for x in rng.integers(-hband, hband + 1, size=n))
+        key = (int(rng.integers(0, d)), P, tuple(Q))
+        s.coeffs[key] = scale * complex(rng.standard_normal(),
+                                        rng.standard_normal())
+    return s
+
+
+class TestWindowedInversion:
+    """Windowed sweeps against the full-window loop, bit for bit."""
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_homogeneous(self, n, d, m):
+        rng = np.random.default_rng(100 * n + 10 * d + m)
+        vmax = 7 if d == 1 else 6
+        G = homogeneous_series(rng, n, d, m, vmax, 2, 5, 0.3)
+        H = invert_vertical_map(G)
+        assert bits(H) == bits(full_window_inverse(G))
+        assert H.max_abs() > 0
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_mixed_degree(self, n, d):
+        rng = np.random.default_rng(7 * n + d)
+        vmax = 7 if d == 1 else 6
+        psi = random_series(rng, n, d, components=d, vmax=vmax, hband=2,
+                            nterms=12, min_vdeg=2, scale=0.3)
+        H = invert_vertical_map(psi)
+        assert bits(H) == bits(full_window_inverse(psi))
+        assert H.homogeneous_part(vmax).max_abs() > 0
+
+    @pytest.mark.parametrize("m,vmax,windows", [(2, 6, [2, 3, 4, 5, 6, 6]),
+                                                (3, 7, [4, 6, 7, 7]),
+                                                (5, 7, [7, 7])])
+    def test_sweep_windows(self, monkeypatch, m, vmax, windows):
+        # sweep s works through degree (s + 1)(m - 1), then one full sweep
+        import toruslin.series as series_mod
+        seen = []
+        real = series_mod.substitute_vertical
+
+        def recording(f, phi):
+            seen.append(f.vmax)
+            return real(f, phi)
+
+        monkeypatch.setattr(series_mod, "substitute_vertical", recording)
+        G = homogeneous_series(np.random.default_rng(m), 1, 1, m, vmax, 2, 3,
+                               0.3)
+        invert_vertical_map(G)
+        assert seen == windows
+
+
 class TestRingProperties:
     small = st.integers(-2, 2)
 
