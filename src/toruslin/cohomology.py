@@ -1,12 +1,13 @@
 """Vertical cohomological equations solved by small-divisor division.
 
 The operator attached to generator i acts on a d-component series G by
-``T_i(G) = G o tauhat_i - M_i G`` (or with the inverse diagonal map and
-M_i^{-1}), which on coefficients is multiplication by
-``lambda_i^P mu_i^Q - mu_{i,j}`` in component j.  Solving the family system
-T_i(G) = F_i therefore divides, coefficient by coefficient, by the divisor
-of the generator realizing the largest modulus; compatibility of the right
-hand sides makes the choice immaterial and the solution unique.
+``T_i(G) = G o tauhat_i - M_i G``, which on coefficients is multiplication
+by ``lambda_i^P mu_i^Q - mu_{i,j}`` in component j.  Solving the family
+system T_i(G) = F_i therefore divides, coefficient by coefficient, by the
+divisor of the generator realizing the largest modulus; compatibility of
+the right hand sides makes the choice immaterial and the solution unique.
+The equations of the inverse maps (inverse diagonal map and M_i^{-1}) are
+the same equations on the inverse multipliers, ``MultiplierData.inverse()``.
 """
 
 from dataclasses import dataclass, field
@@ -83,7 +84,7 @@ class CompatibilityReport:
         return self.max_rel <= tol
 
 
-def check_compatibility(family, data, m=None, inverse=False):
+def check_compatibility(family, data, m=None):
     """Residuals of the pairwise coefficient identities.
 
     For every generator pair (a, b) and key (k, Q, P), the cross products
@@ -93,17 +94,15 @@ def check_compatibility(family, data, m=None, inverse=False):
     make coefficient magnitudes span many decades.
     """
     worst_abs, worst_rel, worst_key = 0.0, 0.0, None
-    sgn = -1 if inverse else 1
     for key in family.keys():
         k, P, Q = key
         if m is not None and sum(Q) != m:
             continue
         facs = []
         for a in range(family.n):
-            lam_pow = data.lam_pow([sgn * p for p in P])[a]
-            mu_pow = data.mu_pow([sgn * q for q in Q])[a]
-            target = data.mu[a, k] if sgn > 0 else 1.0 / data.mu[a, k]
-            facs.append(lam_pow * mu_pow - target)
+            lam_pow = data.lam_pow(P)[a]
+            mu_pow = data.mu_pow(Q)[a]
+            facs.append(lam_pow * mu_pow - data.mu[a, k])
         coeffs = [F.coeffs.get(key, 0.0) for F in family.rhs]
         for a in range(family.n):
             for b in range(a + 1, family.n):
@@ -140,40 +139,38 @@ def _theoretical_bound(family, data, lattice, eps, r, delta, rho, constants):
     return max_f * (constants.C1 / delta ** gamma + constants.C1 / rho ** gamma)
 
 
-def solve_family(family, data, lattice, eps, r, delta, rho, inverse=False,
-                 constants=None, compat_tol=COMPAT_TOL):
+def solve_family(family, data, lattice, eps, r, delta, rho, constants=None,
+                 compat_tol=COMPAT_TOL):
     """Solve T_i(G) = F_i for all generators at once.
 
     Each coefficient divides by the divisor of the generator where the
     divisor modulus is largest (smallest index on ties); the result is
-    certified on the shrunk domain (eps - delta/kappa, r e^{-rho}).
+    certified on the shrunk domain (eps - delta/kappa, r e^{-rho}).  For
+    the equations of the inverse maps pass ``data.inverse()``.
     """
     kappa = lattice.decay_rate()
     if not 0 < delta < kappa * eps:
         raise ValueError("need 0 < delta < kappa*eps = %r" % (kappa * eps,))
     if rho <= 0:
         raise ValueError("need rho > 0")
-    report = check_compatibility(family, data, inverse=inverse)
+    report = check_compatibility(family, data)
     if not report.ok(compat_tol):
         raise CompatibilityError(
             "family incompatible: relative residual %.3e exceeds %.3e at %s"
             % (report.max_rel, compat_tol, (report.worst_key,)))
 
-    form = "inverse" if inverse else "weak"
     base = family.rhs[0]
     G = base._like(components=base.d)
     used = {}
     for key in family.keys():
         k, P, Q = key
-        rec = divisor_values(data, P, Q, k, form=form)
+        rec = divisor_values(data, P, Q, k)
         if rec.maxval == 0.0:
             raise ResonanceError(P, Q, k)
         iv = rec.argmax
-        sgn = -1 if inverse else 1
-        lam_pow = data.lam_pow([sgn * p for p in P])[iv]
-        mu_pow = data.mu_pow([sgn * q for q in Q])[iv]
-        target = data.mu[iv, k] if not inverse else 1.0 / data.mu[iv, k]
-        divisor = lam_pow * mu_pow - target
+        lam_pow = data.lam_pow(P)[iv]
+        mu_pow = data.mu_pow(Q)[iv]
+        divisor = lam_pow * mu_pow - data.mu[iv, k]
         c = family.rhs[iv].coeffs.get(key, 0.0)
         if c:
             G.coeffs[key] = c / divisor
@@ -195,7 +192,7 @@ def solve_family(family, data, lattice, eps, r, delta, rho, inverse=False,
     return SolutionCertificate(G=G, domain=dom, bound=bound,
                                composed_bounds=composed,
                                theoretical=theoretical, delta=delta, rho=rho,
-                               inverse=inverse,
+                               inverse=False,
                                compat_residual=report.max_rel,
                                divisors_used=used)
 

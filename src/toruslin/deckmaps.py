@@ -20,8 +20,8 @@ from math import factorial
 
 import numpy as np
 
-from .series import (TruncatedSeries, invert_vertical_map, scale_components,
-                     substitute_vertical)
+from .series import (PRUNE, TruncatedSeries, invert_vertical_map,
+                     scale_components, substitute_vertical)
 
 COMMUTE_TOL = 1e-10
 
@@ -66,9 +66,6 @@ class DeckMap:
     @property
     def d(self):
         return len(self.mu)
-
-    def is_vertically_linear(self, tol=0.0):
-        return self.pert_v.max_abs() <= tol
 
     def pert_scale(self):
         return max(self.pert_h.max_abs(), self.pert_v.max_abs())
@@ -154,7 +151,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
     for (k, P, Q), c in f.coeffs.items():
         groups.setdefault((k, Q), []).append((P, c))
     for (k, Q), terms in sorted(groups.items()):
-        hpart = TruncatedSeries.zero(n, d, 1, hwin, work, prune=f.prune)
+        hpart = TruncatedSeries.zero(n, d, 1, hwin, work)
         for P, c in sorted(terms):
             if P not in hcache:
                 hcache[P] = binom_power_series(P)
@@ -166,7 +163,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
         for (_, Pn, Qn), val in piece.coeffs.items():
             key = (k, Pn, Qn)
             new = out.coeffs.get(key, 0.0) + val
-            if abs(new) > out.prune:
+            if abs(new) > PRUNE:
                 out.coeffs[key] = new
             elif key in out.coeffs:
                 del out.coeffs[key]
@@ -205,7 +202,7 @@ def compose_maps(m1, m2, vmax=None, hband=None):
                    pert_h=pert_h, pert_v=pert_v)
 
 
-def invert_map(m, tol=0.0):
+def invert_map(m):
     """The inverse deck map, by fixed-point refinement in the v-filtration.
 
     Each sweep settles one more vertical degree: the degree-k part of
@@ -215,7 +212,7 @@ def invert_map(m, tol=0.0):
     current inverse cut there.  What it leaves out is exactly what the next,
     wider sweep recomputes, and every coefficient it does form is the same
     sum in the same order as in a full-window sweep.  Once the window
-    reaches vmax, sweeps run on the full window until two agree to ``tol``.
+    reaches vmax, sweeps run on the full window until two agree exactly.
     """
     n, d = m.n, m.d
     vmax, hband = m.pert_h.vmax, m.pert_h.hband
@@ -233,8 +230,8 @@ def invert_map(m, tol=0.0):
         new_h = scale_components(a_of, 1.0 / m.lam).scale(-1.0)
         new_v = scale_components(b_of, 1.0 / m.mu).scale(-1.0)
         done = window == vmax and \
-            new_h.max_coeff_diff(inv.pert_h) <= tol and \
-            new_v.max_coeff_diff(inv.pert_v) <= tol
+            new_h.max_coeff_diff(inv.pert_h) == 0.0 and \
+            new_v.max_coeff_diff(inv.pert_v) == 0.0
         inv = DeckMap(lam=inv.lam, mu=inv.mu,
                       pert_h=new_h.with_window(vmax=vmax),
                       pert_v=new_v.with_window(vmax=vmax))

@@ -54,6 +54,11 @@ class MultiplierData:
     def d(self):
         return self.mu.shape[1]
 
+    def inverse(self):
+        """The multipliers of the inverse maps: 1/lam and 1/mu."""
+        return MultiplierData(1.0 / self.lam, 1.0 / self.mu,
+                              require_unitary=False)
+
     def lam_pow(self, P):
         """lambda_l^P for every row l."""
         return np.prod(self.lam ** np.asarray(P, dtype=np.int64)[None, :], axis=1)

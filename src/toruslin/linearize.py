@@ -39,11 +39,9 @@ class DeckMapFamily:
     passed to the constructor are used as given; otherwise ``inv_maps`` is
     computed from ``maps`` with ``invert_map`` on first read and cached.
 
-    The two linearization routes read different lists.  The forward route
-    solves from ``maps`` and conjugates only ``maps``; its degree-2
-    cross-check reads the inverses through degree 2 (``inverses_through``).
-    The inverse route solves from ``inv_maps`` and checks its progress on
-    ``maps``, so it conjugates both lists.
+    The linearization loop solves from and conjugates ``maps`` only.  The
+    inverse route runs the same loop on ``inverse()``, the family of the
+    inverse maps.
     """
 
     def __init__(self, lattice, data, maps, eps0, r0, hband, inv_maps=None):
@@ -76,35 +74,33 @@ class DeckMapFamily:
     def pert_scale(self):
         return max((m.pert_scale() for m in self.maps), default=0.0)
 
-    def inverses_through(self, degree):
-        """Inverse maps whose vertical parts are exact through ``degree``.
+    def inverse(self, degree=None):
+        """The family of the inverse maps: lists swapped, multipliers inverted.
 
-        Inverses already at hand are returned as they are.  Otherwise each
-        map is cut to vertical order ``degree`` and inverted there: the
-        degree <= ``degree`` part of an inverse depends only on that part of
-        the map, and the cut map is far cheaper to invert.  Not cached.
+        With ``degree`` set and no inverses at hand, each map is cut to
+        vertical order ``degree`` and inverted there, which is far cheaper
+        and exact through ``degree``.  Not cached.
         """
-        if self._inv_maps is not None:
-            return self._inv_maps
-        return [invert_map(DeckMap(lam=m.lam, mu=m.mu,
-                                   pert_h=m.pert_h.restrict(vmax=degree),
-                                   pert_v=m.pert_v.restrict(vmax=degree)))
-                for m in self.maps]
+        if degree is None or self._inv_maps is not None:
+            inv_maps = self.inv_maps
+        else:
+            inv_maps = [invert_map(DeckMap(
+                lam=m.lam, mu=m.mu, pert_h=m.pert_h.restrict(vmax=degree),
+                pert_v=m.pert_v.restrict(vmax=degree))) for m in self.maps]
+        return DeckMapFamily(lattice=self.lattice, data=self.data.inverse(),
+                             maps=inv_maps, inv_maps=self.maps,
+                             eps0=self.eps0, r0=self.r0, hband=self.hband)
 
-    def conjugated(self, G, H=None, inverses=False):
+    def conjugated(self, G):
         """The family conjugated by Phi = (h, v + G).
 
-        ``maps`` is always conjugated; ``inv_maps`` only when ``inverses``
-        is set.  Without it the new family derives its inverses from its own
-        maps if they are ever read, so it never carries stale ones.
+        Only ``maps`` is conjugated; the new family derives its inverses
+        from them if they are ever read.
         """
-        if H is None:
-            H = invert_vertical_map(G)
-        new_maps = [conjugate_by_vertical(m, G, H) for m in self.maps]
-        new_invs = [conjugate_by_vertical(m, G, H) for m in self.inv_maps] \
-            if inverses else None
+        H = invert_vertical_map(G)
         return DeckMapFamily(lattice=self.lattice, data=self.data,
-                             maps=new_maps, inv_maps=new_invs,
+                             maps=[conjugate_by_vertical(m, G, H)
+                                   for m in self.maps],
                              eps0=self.eps0, r0=self.r0, hband=self.hband)
 
 
@@ -241,15 +237,13 @@ class LinearizationResult:
     step_records: list = field(default_factory=list)
 
 
-def _solve_degree(family, source, m, eps_prev, r_prev, eps_m, r_m, inverse,
-                  constants):
-    """Solve for G_m from the degree-m vertical parts of ``source``.
+def _solve_degree(family, m, eps_prev, r_prev, eps_m, r_m, constants):
+    """Solve for G_m from the degree-m vertical parts of ``family.maps``.
 
-    ``source`` is ``family.maps`` (forward) or inverse maps (inverse).
     Returns (G_m, solver certificate); the certificate is None when that
     part vanishes, and G_m is then zero.
     """
-    rhs = [mp.pert_v.homogeneous_part(m).scale(-1.0) for mp in source]
+    rhs = [mp.pert_v.homogeneous_part(m).scale(-1.0) for mp in family.maps]
     if all(F.is_zero() for F in rhs):
         return rhs[0]._like(components=family.d), None
     kappa = family.lattice.decay_rate()
@@ -257,33 +251,31 @@ def _solve_degree(family, source, m, eps_prev, r_prev, eps_m, r_m, inverse,
     rho = float(np.log(r_prev / r_m))
     cert = solve_family(CompatibleFamily(rhs=rhs), family.data,
                         family.lattice, eps_prev, r_prev, delta, rho,
-                        inverse=inverse, constants=constants)
+                        constants=constants)
     return cert.G, cert
 
 
-def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, route="forward",
-                   constants=None, tol=LINEARIZE_TOL):
+def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
+                   tol=LINEARIZE_TOL):
     """Remove the degree-m vertical perturbation from the family.
 
     Returns (G_m, conjugated family, solver certificate).  The updated
     family agrees with the input below degree m and has vanishing vertical
-    perturbation at every degree <= m.  The forward route solves from and
-    conjugates ``maps`` only; the inverse route solves from ``inv_maps``
-    and conjugates both lists.
+    perturbation at every degree <= m.  The step solves from and
+    conjugates ``family.maps`` only; for the inverse maps pass
+    ``family.inverse()``.
     """
-    inverse = route == "inverse"
     scale = max(family.pert_scale(), 1e-30)
     below = max(mp.pert_v.up_to_degree(m - 1).max_abs()
                 for mp in family.maps)
     if below > tol * max(scale, 1.0):
         raise LinearizeError("family is not vertically linear below degree %d"
                              " (mass %.3e)" % (m, below))
-    source = family.inv_maps if inverse else family.maps
-    G, cert = _solve_degree(family, source, m, eps_prev, r_prev, eps_m, r_m,
-                            inverse, constants)
+    G, cert = _solve_degree(family, m, eps_prev, r_prev, eps_m, r_m,
+                            constants)
     if cert is None:
         return G, family, None
-    updated = family.conjugated(G, inverses=inverse)
+    updated = family.conjugated(G)
     for i, mp in enumerate(updated.maps):
         leftover = mp.pert_v.up_to_degree(m).max_abs()
         if leftover > tol * max(scale, 1.0):
@@ -302,11 +294,14 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
     correction phi_v, the per-degree norm ledger on the scheduled domains,
     and the intertwining residual table.
 
-    The forward route solves each degree from ``family.maps`` and
-    conjugates only those maps.  At degree 2 it also solves, without
-    conjugating, from the inverses through degree 2 and requires the same
-    correction.  The inverse route solves from ``inv_maps`` and conjugates
-    both lists; the inverses are derived on demand (see DeckMapFamily).
+    The Diophantine fit, the commutation check, the constants and the
+    domain schedule always come from ``family``.  The forward route then
+    runs the degree loop on ``family``; the inverse route runs the same
+    loop on ``family.inverse()``, so its ``original``, ``linearized`` and
+    ``residuals`` describe the inverse maps.  Both give the same phi_v.  At
+    degree 2 the loop also solves, without conjugating, from the inverse
+    of the family it runs on (through degree 2) and requires the same
+    correction.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -334,6 +329,8 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
     if eps_m[-1] <= eps1 / 2 or r_m[-1] <= r1 / np.e:
         raise LinearizeError("domain schedule exhausted")  # unreachable
 
+    if route == "inverse":
+        family = family.inverse()
     original = family
     psi = TruncatedSeries.zero(family.n, family.d, family.d,
                                family.vmax, family.maps[0].pert_h.hband)
@@ -343,14 +340,13 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
         before = current
         G, current, cert = linearize_step(
             before, m, float(eps_m[m - 1]), float(r_m[m - 1]),
-            float(eps_m[m]), float(r_m[m]), route=route, constants=constants)
-        if m == 2 and route == "forward":
-            # both routes must produce the same degree-2 correction; the
-            # inverse one is only solved for, never used to conjugate
+            float(eps_m[m]), float(r_m[m]), constants=constants)
+        if m == 2:
+            # the inverse family must give the same degree-2 correction; it
+            # is only solved for, never used to conjugate
             G_inv, _ = _solve_degree(
-                before, before.inverses_through(2), m, float(eps_m[1]),
-                float(r_m[1]), float(eps_m[2]), float(r_m[2]), inverse=True,
-                constants=None)
+                before.inverse(2), m, float(eps_m[1]), float(r_m[1]),
+                float(eps_m[2]), float(r_m[2]), constants=None)
             gap = G.max_coeff_diff(G_inv)
             if gap > 1e-10 * max(1.0, G.max_abs()):
                 raise LinearizeError(

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._kernels import cauchy_product, evaluate as _kernel_evaluate
 
-PRUNE_DEFAULT = 1e-300
+# values of modulus at most PRUNE are dropped instead of stored
+PRUNE = 1e-300
 
 
 class SeriesError(ValueError):
@@ -26,16 +27,15 @@ class SeriesError(ValueError):
 
 class TruncatedSeries:
     __slots__ = ("n", "d", "components", "vmax", "hband", "coeffs",
-                 "tailflag", "discarded", "prune")
+                 "tailflag", "discarded")
 
     def __init__(self, n, d, components=1, vmax=8, hband=8, coeffs=None,
-                 tailflag=False, discarded=0.0, prune=PRUNE_DEFAULT):
+                 tailflag=False, discarded=0.0):
         self.n = int(n)
         self.d = int(d)
         self.components = int(components)
         self.vmax = int(vmax)
         self.hband = int(hband)
-        self.prune = float(prune)
         self.tailflag = bool(tailflag)
         self.discarded = float(discarded)
         self.coeffs = {}
@@ -45,7 +45,7 @@ class TruncatedSeries:
 
     # -- construction helpers -------------------------------------------------
 
-    def _insert(self, k, P, Q, c):
+    def _check_key(self, k, P, Q):
         if not (0 <= k < self.components):
             raise SeriesError("component index %d out of range" % k)
         if len(P) != self.n or len(Q) != self.d:
@@ -54,24 +54,26 @@ class TruncatedSeries:
             raise SeriesError("vertical exponents must be nonnegative")
         if sum(Q) > self.vmax or (P and max(abs(p) for p in P) > self.hband):
             raise SeriesError("index outside truncation window")
-        if abs(c) > self.prune:
+
+    def _insert(self, k, P, Q, c):
+        self._check_key(k, P, Q)
+        if abs(c) > PRUNE:
             key = (k, P, Q)
             cur = self.coeffs.get(key)
             new = c if cur is None else cur + c
-            if abs(new) > self.prune:
+            if abs(new) > PRUNE:
                 self.coeffs[key] = new
             elif cur is not None:
                 del self.coeffs[key]
 
     @classmethod
-    def zero(cls, n, d, components=1, vmax=8, hband=8, prune=PRUNE_DEFAULT):
-        return cls(n, d, components, vmax, hband, prune=prune)
+    def zero(cls, n, d, components=1, vmax=8, hband=8):
+        return cls(n, d, components, vmax, hband)
 
     @classmethod
-    def monomial(cls, n, d, k, P, Q, c=1.0, components=None, vmax=8, hband=8,
-                 prune=PRUNE_DEFAULT):
+    def monomial(cls, n, d, k, P, Q, c=1.0, components=None, vmax=8, hband=8):
         components = components if components is not None else k + 1
-        s = cls(n, d, components, vmax, hband, prune=prune)
+        s = cls(n, d, components, vmax, hband)
         s._insert(k, tuple(P), tuple(Q), complex(c))
         return s
 
@@ -80,8 +82,7 @@ class TruncatedSeries:
             self.n, self.d,
             self.components if components is None else components,
             self.vmax if vmax is None else vmax,
-            self.hband if hband is None else hband,
-            prune=self.prune)
+            self.hband if hband is None else hband)
 
     def copy(self):
         out = self._like()
@@ -107,8 +108,8 @@ class TruncatedSeries:
         """Smallest |Q| carrying a coefficient (vmax+1 for the zero series)."""
         return min((sum(Q) for (_, _, Q) in self.coeffs), default=self.vmax + 1)
 
-    def is_zero(self, tol=0.0):
-        return all(abs(c) <= tol for c in self.coeffs.values())
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs.values())
 
     def component(self, k):
         out = self._like(components=1)
@@ -170,7 +171,7 @@ class TruncatedSeries:
                 key = (k, P, Q)
                 cur = out.coeffs.get(key, 0.0)
                 new = cur + c
-                if abs(new) > out.prune:
+                if abs(new) > PRUNE:
                     out.coeffs[key] = new
                 elif key in out.coeffs:
                     del out.coeffs[key]
@@ -181,7 +182,7 @@ class TruncatedSeries:
         out = self._like()
         if c != 0:
             out.coeffs = {key: val * c for key, val in self.coeffs.items()
-                          if abs(val * c) > self.prune}
+                          if abs(val * c) > PRUNE}
         out.tailflag = self.tailflag
         out.discarded = self.discarded * abs(c)
         return out
@@ -221,7 +222,7 @@ class TruncatedSeries:
             ea, va = self._arrays(k if ca > 1 else 0)
             eb, vb = other._arrays(k if cb > 1 else 0)
             exps, vals, dropped = cauchy_product(
-                ea, va, eb, vb, self.n, self.d, out.vmax, out.hband, out.prune)
+                ea, va, eb, vb, self.n, self.d, out.vmax, out.hband, PRUNE)
             if dropped:
                 out.tailflag = True
                 out.discarded += dropped
@@ -237,23 +238,6 @@ class TruncatedSeries:
         return self.scale(other)
 
     __rmul__ = __mul__
-
-    def pow(self, q):
-        if q < 0:
-            raise SeriesError("pow expects a nonnegative exponent")
-        result = None
-        base = self
-        while q:
-            if q & 1:
-                result = base if result is None else result.mul(base)
-            q >>= 1
-            if q:
-                base = base.mul(base)
-        if result is None:
-            one = self._like()
-            one.coeffs[(0, (0,) * self.n, (0,) * self.d)] = 1.0 + 0.0j
-            return one
-        return result
 
     # -- structure maps -------------------------------------------------------
 
@@ -358,21 +342,33 @@ class TruncatedSeries:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text, prune=PRUNE_DEFAULT):
+    def from_text(cls, text):
+        """Read a TLS text, keeping every value exactly as written."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise SeriesError("empty TLS text")
         head = lines[0].split()
-        if head[0] != "TLS" or len(head) != 6:
-            raise SeriesError("bad TLS header: %r" % lines[0])
-        n, d, components, vmax, hband = map(int, head[1:])
-        out = cls(n, d, components, vmax, hband, prune=prune)
+        try:
+            n, d, components, vmax, hband = map(int, head[1:])
+            if head[0] != "TLS" or min(n, d, components, vmax, hband) < 0:
+                raise ValueError
+        except ValueError:
+            raise SeriesError("bad TLS header: %r" % lines[0]) from None
+        out = cls(n, d, components, vmax, hband)
         for ln in lines[1:]:
             parts = ln.split()
-            if len(parts) != 1 + n + d + 2:
-                raise SeriesError("bad TLS record: %r" % ln)
-            k = int(parts[0])
-            P = tuple(int(x) for x in parts[1:1 + n])
-            Q = tuple(int(x) for x in parts[1 + n:1 + n + d])
-            c = complex(float(parts[-2]), float(parts[-1]))
+            try:
+                if len(parts) != 1 + n + d + 2:
+                    raise ValueError
+                k = int(parts[0])
+                P = tuple(int(x) for x in parts[1:1 + n])
+                Q = tuple(int(x) for x in parts[1 + n:1 + n + d])
+                c = complex(float(parts[-2]), float(parts[-1]))
+            except ValueError:
+                raise SeriesError("bad TLS record: %r" % ln) from None
+            out._check_key(k, P, Q)
+            if (k, P, Q) in out.coeffs:
+                raise SeriesError("duplicate TLS record: %r" % ln)
             out.coeffs[(k, P, Q)] = c
         return out
 
@@ -388,7 +384,7 @@ def scale_components(f, factors):
     out = f._like()
     for (k, P, Q), c in f.coeffs.items():
         val = c * factors[k]
-        if abs(val) > out.prune:
+        if abs(val) > PRUNE:
             out.coeffs[(k, P, Q)] = val
     out.tailflag, out.discarded = f.tailflag, f.discarded
     return out
@@ -428,11 +424,11 @@ def _vertical_shift_powers(phi, needed, vmax, hband):
     """Powers (v_j + phi_j)^q for q in needed[j] on the working window."""
     powers = {}
     for j, qs in needed.items():
-        w = TruncatedSeries(phi.n, phi.d, 1, vmax, hband, prune=phi.prune)
+        w = TruncatedSeries(phi.n, phi.d, 1, vmax, hband)
         ej = tuple(1 if l == j else 0 for l in range(phi.d))
         w.coeffs[(0, (0,) * phi.n, ej)] = 1.0 + 0.0j
         w = w.add(phi.component(j).restrict(vmax=vmax).with_window(hband=hband))
-        table = {0: w.pow(0), 1: w}
+        table = {1: w}
         for q in range(2, max(qs) + 1):
             table[q] = table[q - 1].mul(w)
         powers[j] = table
@@ -483,7 +479,7 @@ def substitute_vertical(f, phi):
                 continue
             key = (k, P, (0,) * f.d)
             new = out.coeffs.get(key, 0.0) + c
-            if abs(new) > out.prune:
+            if abs(new) > PRUNE:
                 out.coeffs[key] = new
             elif key in out.coeffs:
                 del out.coeffs[key]
@@ -496,7 +492,7 @@ def substitute_vertical(f, phi):
                 continue
             key = (k, Pn, Qn)
             new = out.coeffs.get(key, 0.0) + c * w
-            if abs(new) > out.prune:
+            if abs(new) > PRUNE:
                 out.coeffs[key] = new
             elif key in out.coeffs:
                 del out.coeffs[key]
@@ -522,13 +518,13 @@ def partial_h(f, P0):
             continue
         Pn = tuple(p - p0 for p, p0 in zip(P, P0))
         val = c * w
-        if abs(val) > out.prune:
+        if abs(val) > PRUNE:
             out.coeffs[(k, Pn, Q)] = val
     out.tailflag, out.discarded = f.tailflag, f.discarded
     return out
 
 
-def invert_vertical_map(G, tol=0.0):
+def invert_vertical_map(G):
     """Series H with H + G(h, v + H) = 0, i.e. the inverse of (h, v + G).
 
     Fixed-point iteration from H = 0.  With r = ord_v G, the degree-m part
@@ -538,7 +534,7 @@ def invert_vertical_map(G, tol=0.0):
     The terms it leaves out are exactly the ones the next, wider sweep
     would recompute, and every coefficient it does form is the same sum in
     the same order as in a full-window sweep.  Once the window reaches
-    vmax, sweeps run on the full window until two agree to ``tol``.
+    vmax, sweeps run on the full window until two agree exactly.
     """
     if G.components != G.d:
         raise SeriesError("vertical map must have d components")
@@ -549,7 +545,7 @@ def invert_vertical_map(G, tol=0.0):
     for sweep in range(1, G.vmax + 2):
         window = min(G.vmax, (sweep + 1) * settle)
         nxt = substitute_vertical(G.cut(window), H.cut(window)).scale(-1.0)
-        done = window == G.vmax and nxt.max_coeff_diff(H) <= tol
+        done = window == G.vmax and nxt.max_coeff_diff(H) == 0.0
         H = nxt.with_window(vmax=G.vmax)
         if done:
             break

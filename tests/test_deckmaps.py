@@ -156,7 +156,7 @@ class TestComposeAndInvert:
         assert back.pert_v.max_coeff_diff(m.pert_v) < 1e-12 * scale
 
 
-def full_window_invert_map(m, tol=0.0):
+def full_window_invert_map(m):
     """The fixed-point map inversion with every sweep on the full window."""
     n, d = m.n, m.d
     vmax, hband = m.pert_h.vmax, m.pert_h.hband
@@ -168,8 +168,8 @@ def full_window_invert_map(m, tol=0.0):
         b_of = compose_with_map(m.pert_v, inv, vmax=vmax, hband=hband)
         new_h = scale_components(a_of, 1.0 / m.lam).scale(-1.0)
         new_v = scale_components(b_of, 1.0 / m.mu).scale(-1.0)
-        done = new_h.max_coeff_diff(inv.pert_h) <= tol and \
-            new_v.max_coeff_diff(inv.pert_v) <= tol
+        done = new_h.max_coeff_diff(inv.pert_h) == 0.0 and \
+            new_v.max_coeff_diff(inv.pert_v) == 0.0
         inv = DeckMap(lam=inv.lam, mu=inv.mu, pert_h=new_h, pert_v=new_v)
         if done:
             break

@@ -42,10 +42,8 @@ class TestLinearizeStep:
         c = 4e-4 + 1e-4j
         fam = build_family(lat, data, [(0, 1, (0,), (2,), c)], 6, 6,
                            eps0=0.3, r0=0.6)
-        Gf, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45,
-                                  route="forward")
-        Gi, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45,
-                                  route="inverse")
+        Gf, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        Gi, _, _ = linearize_step(fam.inverse(), 2, 0.2, 0.5, 0.19, 0.45)
         assert Gf.max_coeff_diff(Gi) < 1e-12 * max(1.0, Gf.max_abs())
 
     def test_lower_degrees_untouched(self):
@@ -74,6 +72,15 @@ class TestLinearizeStep:
         scale = max(1.0, updated.inv_maps[0].pert_scale())
         assert comp.pert_h.max_abs() < 1e-12 * scale
         assert comp.pert_v.max_abs() < 1e-12 * scale
+
+    def test_inverse_family_is_an_involution(self):
+        rng = np.random.default_rng(6)
+        fam = golden_family(rng, nterms=8)
+        inv = fam.inverse()
+        assert inv.maps is fam.inv_maps and inv.inv_maps is fam.maps
+        assert inv.inverse().maps is fam.maps
+        assert np.array_equal(inv.data.lam, 1.0 / fam.data.lam)
+        assert np.array_equal(inv.data.mu, 1.0 / fam.data.mu)
 
     def test_precondition_guard(self):
         rng = np.random.default_rng(4)
@@ -121,7 +128,8 @@ class TestLinearize:
         with pytest.raises(ValueError, match="vmax"):
             linearize(fam, order=7, eps1=0.2, r1=0.5, pmax=6, qmax=6)
 
-    def test_forward_conjugates_maps_once_per_degree(self, monkeypatch):
+    @staticmethod
+    def count_conjugations(monkeypatch, route):
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
@@ -136,8 +144,17 @@ class TestLinearize:
 
         monkeypatch.setattr(linearize_mod, "conjugate_by_vertical", counting)
         order = run["order"]
-        linearize(fam, order, run["epsilon"], run["radius"], pmax=12, qmax=12)
-        assert len(calls) == (order - 1) * fam.n
+        linearize(fam, order, run["epsilon"], run["radius"], route=route,
+                  pmax=12, qmax=12)
+        return len(calls), (order - 1) * fam.n
+
+    def test_forward_conjugates_maps_once_per_degree(self, monkeypatch):
+        calls, want = self.count_conjugations(monkeypatch, "forward")
+        assert calls == want
+
+    def test_inverse_conjugates_one_list_per_degree(self, monkeypatch):
+        calls, want = self.count_conjugations(monkeypatch, "inverse")
+        assert calls == want
 
     def test_reference_phi_v_has_no_tail(self):
         # working windows cut inside the degree loop never flag phi_v
@@ -161,11 +178,14 @@ class TestLinearize:
         bad = DeckMapFamily(lattice=fam.lattice, data=fam.data,
                             maps=fam.maps, inv_maps=invs,
                             eps0=fam.eps0, r0=fam.r0, hband=fam.hband)
-        with pytest.raises(LinearizeError, match="degree-2 forward/inverse "
-                           "corrections disagree"):
-            linearize(bad, order=4, eps1=0.2, r1=0.5, pmax=6, qmax=6)
-        # the same maps with derived inverses pass the cross-check
-        linearize(fam, order=4, eps1=0.2, r1=0.5, pmax=6, qmax=6)
+        for route in ("forward", "inverse"):
+            with pytest.raises(LinearizeError, match="degree-2 forward/"
+                               "inverse corrections disagree"):
+                linearize(bad, order=4, eps1=0.2, r1=0.5, route=route,
+                          pmax=6, qmax=6)
+            # the same maps with derived inverses pass the cross-check
+            linearize(fam, order=4, eps1=0.2, r1=0.5, route=route,
+                      pmax=6, qmax=6)
 
     def test_resonance_refusal(self):
         lat = golden_lattice()

@@ -225,12 +225,12 @@ class TestInvertVerticalMap:
             assert comp.max_abs() < 1e-12
 
 
-def full_window_inverse(G, tol=0.0):
+def full_window_inverse(G):
     """The fixed-point inversion with every sweep on the full window."""
     H = G._like(components=G.d)
     for _ in range(G.vmax + 1):
         nxt = substitute_vertical(G, H).scale(-1.0)
-        if nxt.max_coeff_diff(H) <= tol:
+        if nxt.max_coeff_diff(H) == 0.0:
             H = nxt
             break
         H = nxt
@@ -362,3 +362,36 @@ class TestSerialization:
             TruncatedSeries.from_text("XLS 1 1 1 4 4\n")
         with pytest.raises(SeriesError, match="record"):
             TruncatedSeries.from_text("TLS 1 1 1 4 4\n0 1 2\n")
+
+    def test_component_out_of_range_rejected(self):
+        with pytest.raises(SeriesError, match="component index"):
+            TruncatedSeries.from_text("TLS 1 1 2 4 4\n2 0 2 1.0 0.0\n")
+
+    def test_negative_vertical_exponent_rejected(self):
+        with pytest.raises(SeriesError, match="nonnegative"):
+            TruncatedSeries.from_text("TLS 1 1 1 4 4\n0 0 -1 1.0 0.0\n")
+
+    def test_vertical_degree_above_vmax_rejected(self):
+        with pytest.raises(SeriesError, match="window"):
+            TruncatedSeries.from_text("TLS 1 2 1 4 4\n0 0 3 2 1.0 0.0\n")
+
+    def test_horizontal_exponent_above_hband_rejected(self):
+        with pytest.raises(SeriesError, match="window"):
+            TruncatedSeries.from_text("TLS 1 1 1 4 4\n0 -5 2 1.0 0.0\n")
+
+    def test_duplicate_key_rejected(self):
+        with pytest.raises(SeriesError, match="duplicate"):
+            TruncatedSeries.from_text("TLS 1 1 1 4 4\n0 1 2 1.0 0.0\n"
+                                      "0 1 2 2.0 0.0\n")
+
+    def test_negative_header_field_rejected(self):
+        with pytest.raises(SeriesError, match="header"):
+            TruncatedSeries.from_text("TLS -1 1 1 4 4\n")
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(SeriesError, match="empty"):
+            TruncatedSeries.from_text("\n  \n")
+
+    def test_tiny_values_kept_as_written(self):
+        text = "TLS 1 1 1 4 4\n0 0 2 1e-310 0.0\n"
+        assert TruncatedSeries.from_text(text).to_text() == text
