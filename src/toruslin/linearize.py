@@ -2,11 +2,12 @@
 
 At each vertical degree m the family's degree-m vertical perturbations form
 a compatible right-hand side; solving the cohomological system and
-conjugating by (h, v + G_m) removes that degree without touching lower
-ones.  The accumulated conjugation K = Phi_M o ... o Phi_2 sends the input
-family to a vertically linear one, and Phi := K^{-1} = id + (0, phi_v)
-satisfies the intertwining relation Phi o (linearized) = (original) o Phi,
-whose per-degree residual is the primary acceptance quantity.
+conjugating by Phi_m = (h, v + G_m) removes that degree without touching
+lower ones.  Phi := (Phi_M o ... o Phi_2)^{-1} = id + (0, phi_v) is built
+from the inverses (h, v + H_m) the conjugations use, Phi <- Phi o Phi_m^{-1}
+or phi_v <- H_m + phi_v(h, v + H_m), and satisfies the intertwining relation
+Phi o (linearized) = (original) o Phi, whose per-degree residual is the
+primary acceptance quantity.
 """
 
 from dataclasses import dataclass, field
@@ -91,13 +92,12 @@ class DeckMapFamily:
                              maps=inv_maps, inv_maps=self.maps,
                              eps0=self.eps0, r0=self.r0, hband=self.hband)
 
-    def conjugated(self, G):
-        """The family conjugated by Phi = (h, v + G).
+    def conjugated(self, G, H):
+        """The family conjugated by Phi = (h, v + G); Phi^{-1} = (h, v + H).
 
         Only ``maps`` is conjugated; the new family derives its inverses
         from them if they are ever read.
         """
-        H = invert_vertical_map(G)
         return DeckMapFamily(lattice=self.lattice, data=self.data,
                              maps=[conjugate_by_vertical(m, G, H)
                                    for m in self.maps],
@@ -225,7 +225,6 @@ class LinearizationResult:
     order: int
     route: str
     phi_v: TruncatedSeries
-    psi_v: TruncatedSeries
     per_degree: dict
     residuals: dict
     eps_m: np.ndarray
@@ -259,11 +258,11 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
                    tol=LINEARIZE_TOL):
     """Remove the degree-m vertical perturbation from the family.
 
-    Returns (G_m, conjugated family, solver certificate).  The updated
-    family agrees with the input below degree m and has vanishing vertical
-    perturbation at every degree <= m.  The step solves from and
-    conjugates ``family.maps`` only; for the inverse maps pass
-    ``family.inverse()``.
+    Returns (G_m, H_m, conjugated family, solver certificate), where
+    (h, v + H_m) inverts (h, v + G_m).  The updated family agrees with the
+    input below degree m and has vanishing vertical perturbation at every
+    degree <= m.  The step solves from and conjugates ``family.maps`` only;
+    for the inverse maps pass ``family.inverse()``.
     """
     scale = max(family.pert_scale(), 1e-30)
     below = max(mp.pert_v.up_to_degree(m - 1).max_abs()
@@ -274,15 +273,16 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
     G, cert = _solve_degree(family, m, eps_prev, r_prev, eps_m, r_m,
                             constants)
     if cert is None:
-        return G, family, None
-    updated = family.conjugated(G)
+        return G, G, family, None
+    H = invert_vertical_map(G)
+    updated = family.conjugated(G, H)
     for i, mp in enumerate(updated.maps):
         leftover = mp.pert_v.up_to_degree(m).max_abs()
         if leftover > tol * max(scale, 1.0):
             raise LinearizeError(
                 "degree-%d cleanup failed for generator %d: leftover %.3e"
                 % (m, i + 1, leftover))
-    return G, updated, cert
+    return G, H, updated, cert
 
 
 def linearize(family, order, eps1, r1, route="forward", fit=None,
@@ -332,13 +332,13 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
     if route == "inverse":
         family = family.inverse()
     original = family
-    psi = TruncatedSeries.zero(family.n, family.d, family.d,
-                               family.vmax, family.maps[0].pert_h.hband)
+    phi_v = TruncatedSeries.zero(family.n, family.d, family.d,
+                                 family.vmax, family.maps[0].pert_h.hband)
     current = family
     step_records = []
     for m in range(2, order + 1):
         before = current
-        G, current, cert = linearize_step(
+        G, H, current, cert = linearize_step(
             before, m, float(eps_m[m - 1]), float(r_m[m - 1]),
             float(eps_m[m]), float(r_m[m]), constants=constants)
         if m == 2:
@@ -352,8 +352,7 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
                 raise LinearizeError(
                     "degree-2 forward/inverse corrections disagree by %.3e"
                     % gap)
-        psi = psi.add(substitute_vertical(G, psi)) if not psi.is_zero() \
-            else psi.add(G)
+        phi_v = H.add(substitute_vertical(phi_v, H))
         step_records.append({
             "m": m,
             "gain_bound": None if cert is None else cert.bound.value,
@@ -361,12 +360,11 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
             "compat_residual": 0.0 if cert is None else cert.compat_residual,
         })
 
-    phi_v = invert_vertical_map(psi)
     per_degree = _degree_ledger(phi_v, family.lattice, eps_m, r_m, order,
                                 family.n)
     residuals = conjugacy_residual(phi_v, original, current, order)
     return LinearizationResult(order=order, route=route, phi_v=phi_v,
-                               psi_v=psi, per_degree=per_degree,
+                               per_degree=per_degree,
                                residuals=residuals, eps_m=eps_m, r_m=r_m,
                                linearized=current, original=original,
                                constants=constants, fit=fit,

@@ -11,12 +11,14 @@ The convergence certificate has three layers:
 * the majorant coefficients A_m and B_m^{(i,+-)} solving the functional
   system order by order; dominance of the computed solution norms by
   A_m eta_m (base domain) and B_m eta_m (translated domains) plus a
-  Cauchy-Hadamard diagnostic yields the radius estimate.
+  Cauchy-Hadamard diagnostic yields the radius estimate.  The gains are
+  computed in logs, and a majorant past the double range fails its row.
 
 Every constant is explicit and recorded, so a reviewer can re-derive the
 certificate line by line.
 """
 
+import math
 from dataclasses import dataclass, field
 from math import comb, e as EULER_E
 
@@ -129,15 +131,13 @@ def constants_bundle(lattice, data, fit, family, eps1, r1, margin_grid=9):
                            eta=eta, eta_ratio=ratio, fit=fit, notes=notes)
 
 
-def best_product_table(etas, total, max_part):
-    """best[k] = largest product of gains with degrees summing exactly to k,
-    parts limited to 1..max_part (unbounded repetition)."""
+def log_best_product_table(log_etas, total, max_part):
+    """best[k] = log of the largest product of gains with degrees summing
+    exactly to k, parts limited to 1..max_part (unbounded repetition)."""
     best = np.zeros(total + 1)
-    best[0] = 1.0
     for k in range(1, total + 1):
-        cands = [etas[j] * best[k - j]
-                 for j in range(1, min(k, max_part) + 1) if best[k - j] > 0]
-        best[k] = max(cands) if cands else 0.0
+        best[k] = max(log_etas[j] + best[k - j]
+                      for j in range(1, min(k, max_part) + 1))
     return best
 
 
@@ -147,18 +147,21 @@ def eta_sequence(M, constants):
         eta_m = (C1 / eta^gamma) 2^(m gamma) max over products of lower
                 gains whose degrees sum to at most m,
 
-    computed by a best-product table (the empty product 1 is admissible).
-    Also returns the finite-range envelope constant D_env = max eta_m^(1/m).
+    computed in logs by a best-product table (the empty product 1 is
+    admissible).  Returns (eta_m, D_env = max eta_m^(1/m), log eta_m); eta_m
+    is inf where it leaves the double range.
     """
     gamma = constants.gamma
-    beta = constants.C1 / constants.eta ** gamma
-    etas = np.zeros(M + 1)
-    etas[1] = 1.0
+    log_beta = math.log(constants.C1) - gamma * math.log(constants.eta)
+    log_etas = np.full(M + 1, -np.inf)
+    log_etas[1] = 0.0
     for m in range(2, M + 1):
-        best = best_product_table(etas, m, m - 1)
-        etas[m] = beta * 2.0 ** (m * gamma) * max(1.0, best.max())
-    d_env = max(etas[m] ** (1.0 / m) for m in range(1, M + 1))
-    return etas, d_env
+        best = log_best_product_table(log_etas, m, m - 1)
+        log_etas[m] = log_beta + m * gamma * math.log(2.0) + best.max()
+    with np.errstate(over="ignore"):
+        etas = np.exp(log_etas)
+    d_env = math.exp(max(log_etas[m] / m for m in range(1, M + 1)))
+    return etas, d_env, log_etas
 
 
 def domain_schedule(M, eps1, r1, constants):
@@ -234,34 +237,28 @@ def majorant_coefficients(M, constants, n, d):
     """A_m and B_m^{(i,+-)} from the functional system, order by order.
 
     Degree-m outputs depend only on degrees < m of every unknown, so one
-    forward sweep suffices; all coefficients are nonnegative.
+    forward sweep suffices; all coefficients are nonnegative.  The 2n
+    B^{(i,+-)} share one seed and one recursion: all keys map to one array.
     """
     R = constants.R
     t = np.zeros(M + 1)
     if M >= 1:
         t[1] = 1.0
     A = np.zeros(M + 1)
-    B = {(i, s): np.zeros(M + 1) for i in range(n) for s in (1, -1)}
+    b = np.zeros(M + 1)
+    B = {(i, s): b for i in range(n) for s in (1, -1)}
     seed = _g_of(t, R, d, M)
     A[2] = seed[2]
-    for key in B:
-        B[key][2] = seed[2]
+    b[2] = seed[2]
+
+    def rhs(g, sumB):
+        return g + (constants.C / constants.Cpp ** constants.nu) * \
+            _ser_mul(A + sumB, _coupling(g, constants, n, M), M)
     for m in range(3, M + 1):
         sumB = sum(B.values())
-        gA = _g_of(t + A, R, d, M)
-        rhs_A = gA + (constants.C / constants.Cpp ** constants.nu) * \
-            _ser_mul(A + sumB, _coupling(gA, constants, n, M), M)
-        new_A = rhs_A[m]
-        new_B = {}
-        for key in B:
-            gB = _g_of(t + B[key], R, d, M)
-            rhs_B = gB + (constants.C / constants.Cpp ** constants.nu) * \
-                _ser_mul(A + sumB, _coupling(gB, constants, n, M), M)
-            new_B[key] = rhs_B[m]
-        A[m] = new_A
-        for key in B:
-            B[key][m] = new_B[key]
-    if (A < 0).any() or any((arr < 0).any() for arr in B.values()):
+        b[m] = rhs(_g_of(t + b, R, d, M), sumB)[m]
+        A[m] = rhs(_g_of(t + A, R, d, M), sumB)[m]
+    if (A < 0).any() or (b < 0).any():
         raise ConstantsError("majorant coefficients must be nonnegative")
     return A, B
 
@@ -276,14 +273,15 @@ class MajorantState:
     r_m: np.ndarray
     A: np.ndarray
     B: dict
+    log_etas: np.ndarray  # finite where etas overflows to inf
 
 
 def build_state(M, constants, n, d, eps1, r1):
-    etas, d_env = eta_sequence(M, constants)
+    etas, d_env, log_etas = eta_sequence(M, constants)
     eps_m, r_m = domain_schedule(M, eps1, r1, constants)
     A, B = majorant_coefficients(M, constants, n, d)
     return MajorantState(order=M, constants=constants, etas=etas, d_env=d_env,
-                         eps_m=eps_m, r_m=r_m, A=A, B=B)
+                         eps_m=eps_m, r_m=r_m, A=A, B=B, log_etas=log_etas)
 
 
 def dominance_and_radius(result, state):
@@ -291,6 +289,8 @@ def dominance_and_radius(result, state):
 
     A failed flag downgrades the certificate to inconclusive; it is never an
     error (the smallness hypotheses may simply not hold for the instance).
+    A majorant A_m eta_m or B_m eta_m that is not a finite double fails its
+    row; the radius is taken from log A_m + log eta_m.
     """
     M = state.order
     if result.order != M:
@@ -300,25 +300,27 @@ def dominance_and_radius(result, state):
     all_ok = True
     for m in range(2, M + 1):
         rec = result.per_degree[m]
-        claimed = state.A[m] * state.etas[m]
-        ok = rec["base_norm"] <= claimed
+        # python floats: an overflowing product is inf, without a warning
+        claimed = float(state.A[m]) * float(state.etas[m])
+        ok = math.isfinite(claimed) and rec["base_norm"] <= claimed
         rows.append({"m": m, "domain": "base", "norm": rec["base_norm"],
                      "majorant": claimed, "ok": ok})
         all_ok &= ok
-        goal_ok = rec["goal_norm"] <= claimed
+        goal_ok = math.isfinite(claimed) and rec["goal_norm"] <= claimed
         rows.append({"m": m, "domain": "goal-union", "norm": rec["goal_norm"],
                      "majorant": claimed, "ok": goal_ok})
         all_ok &= goal_ok
         for (i, s), norm in sorted(rec["translated"].items()):
-            claimed_b = state.B[(i, s)][m] * state.etas[m]
-            ok_b = norm <= claimed_b
+            claimed_b = float(state.B[(i, s)][m]) * float(state.etas[m])
+            ok_b = math.isfinite(claimed_b) and norm <= claimed_b
             rows.append({"m": m, "domain": "t%d^%+d-pair" % (i + 1, s),
                          "norm": norm, "majorant": claimed_b, "ok": ok_b})
             all_ok &= ok_b
 
     window = range(max(2, (M + 1) // 2), M + 1)
-    values = [(state.A[m] * state.etas[m]) ** (1.0 / m) for m in window
-              if state.A[m] * state.etas[m] > 0]
+    # (A_m eta_m)^(1/m), taken in logs
+    values = [math.exp((math.log(state.A[m]) + state.log_etas[m]) / m)
+              for m in window if state.A[m] > 0]
     if values:
         radius = 1.0 / max(values)
         stabilization = (max(values) - min(values)) / min(values)

@@ -26,21 +26,9 @@ class NormBound:
 
 
 def sup_norm_bound(f, domain):
-    """Triangle-inequality upper bound for sup |f| over the domain.
-
-    Multi-component series are bounded in the max norm over components.
-    """
-    if domain.lattice.n != f.n:
-        raise ValueError("series and domain live on different tori")
-    worst = 0.0
-    for k in range(f.components):
-        exps, vals = f._arrays(k)
-        if len(vals) == 0:
-            continue
-        sups = domain.sup_monomials(exps[:, :f.n].astype(float))
-        rpow = float(domain.r) ** exps[:, f.n:].sum(axis=1)
-        worst = max(worst, float((np.abs(vals) * sups * rpow).sum()))
-    return NormBound(domain=domain, value=worst, kind=TRIANGLE)
+    """Triangle-inequality upper bound for sup |f| over the domain."""
+    return NormBound(domain=domain, value=sup_norm_bound_union(f, [domain]),
+                     kind=TRIANGLE)
 
 
 def sup_norm_bound_union(f, domains):
@@ -48,7 +36,10 @@ def sup_norm_bound_union(f, domains):
 
     The per-monomial sup over a union is the max of the per-domain sups, so
     this is tighter than the max of the per-domain triangle bounds.
+    Multi-component series are bounded in the max norm over components.
     """
+    if any(dom.lattice.n != f.n for dom in domains):
+        raise ValueError("series and domain live on different tori")
     r = domains[0].r
     if any(dom.r != r for dom in domains):
         raise ValueError("union bound expects a common polydisc radius")

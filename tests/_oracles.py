@@ -1,12 +1,16 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here is deliberately written with plain dict/loop arithmetic and
-no reuse of the library's own code paths, so agreement is meaningful.
+no reuse of the library's own code paths, so agreement is meaningful.  The
+one exception is ``psi_then_invert``, which reuses the library's series
+primitives but builds phi_v along a different route than ``linearize``.
 """
 
 import numpy as np
 
 from toruslin import TruncatedSeries
+from toruslin.linearize import linearize_step
+from toruslin.series import invert_vertical_map, substitute_vertical
 
 
 def dense_poly(series, k=0):
@@ -94,3 +98,25 @@ def random_series(rng, n, d, components=1, vmax=6, hband=4, nterms=12,
         c = scale * complex(rng.standard_normal(), rng.standard_normal())
         s.coeffs[(k, P, Q)] = s.coeffs.get((k, P, Q), 0.0) + c
     return s
+
+
+def psi_then_invert(result):
+    """phi_v as the inverse of the accumulated conjugation K.
+
+    Reruns the degree loop of ``result`` on ``result.original`` with the
+    same schedule and constants, accumulates K = Phi_M o ... o Phi_2 as
+    (h, v + psi) through psi <- psi + G_m(h, v + psi), and inverts psi once
+    at the end, instead of composing the factor inverses H_m as
+    ``linearize`` does.
+    """
+    family = result.original
+    psi = TruncatedSeries.zero(family.n, family.d, family.d, family.vmax,
+                               family.maps[0].pert_h.hband)
+    eps, r = result.eps_m, result.r_m
+    for m in range(2, result.order + 1):
+        G, _, family, _ = linearize_step(
+            family, m, float(eps[m - 1]), float(r[m - 1]), float(eps[m]),
+            float(r[m]), constants=result.constants)
+        psi = psi.add(substitute_vertical(G, psi)) if not psi.is_zero() \
+            else psi.add(G)
+    return invert_vertical_map(psi)

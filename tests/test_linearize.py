@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import toruslin
+import toruslin.deckmaps as deckmaps_mod
 import toruslin.linearize as linearize_mod
 from toruslin import LatticeSpec, TruncatedSeries
 from toruslin.deckmaps import (DeckMap, compose_maps, conjugate_by_vertical,
@@ -14,14 +15,15 @@ from toruslin.problem import parse_problem
 
 from _fixtures import (GOLDEN, conjugated_family, golden_data, golden_family,
                        golden_lattice, perturbation_records)
-from _oracles import random_series
+from _oracles import psi_then_invert, random_series
 
 
 class TestLinearizeStep:
     def test_already_linear_degree(self):
         fam = golden_family()
-        G, updated, cert = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        G, H, updated, cert = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
         assert G.is_zero()
+        assert H is G
         assert cert is None
         assert updated is fam
 
@@ -32,7 +34,7 @@ class TestLinearizeStep:
         c = 4e-4 + 1e-4j
         fam = build_family(lat, data, [(0, 1, (0,), (2,), c)], 6, 6,
                            eps0=0.3, r0=0.6)
-        G, updated, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        G, _, updated, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
         assert G.get(0, (0,), (2,)) == pytest.approx(-c / 2.0)
         assert updated.maps[0].pert_v.homogeneous_part(2).max_abs() < 1e-13
 
@@ -42,8 +44,9 @@ class TestLinearizeStep:
         c = 4e-4 + 1e-4j
         fam = build_family(lat, data, [(0, 1, (0,), (2,), c)], 6, 6,
                            eps0=0.3, r0=0.6)
-        Gf, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
-        Gi, _, _ = linearize_step(fam.inverse(), 2, 0.2, 0.5, 0.19, 0.45)
+        Gf, _, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        Gi, _, _, _ = linearize_step(fam.inverse(), 2, 0.2, 0.5, 0.19,
+                                     0.45)
         assert Gf.max_coeff_diff(Gi) < 1e-12 * max(1.0, Gf.max_abs())
 
     def test_lower_degrees_untouched(self):
@@ -52,7 +55,7 @@ class TestLinearizeStep:
         rng = np.random.default_rng(3)
         fam = golden_family(rng, nterms=10, qrange=(3, 4))
         m = 3
-        G, updated, _ = linearize_step(fam, m, 0.2, 0.5, 0.19, 0.45)
+        G, _, updated, _ = linearize_step(fam, m, 0.2, 0.5, 0.19, 0.45)
         assert not G.is_zero()
         for old, new in ((fam.maps[0], updated.maps[0]),):
             dh = old.pert_h.homogeneous_part(2).max_coeff_diff(
@@ -67,7 +70,7 @@ class TestLinearizeStep:
         rng = np.random.default_rng(5)
         fam = golden_family(rng, nterms=8)
         assert len(fam.inv_maps) == 1  # the input's inverses, now cached
-        _, updated, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        _, _, updated, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
         comp = compose_maps(updated.maps[0], updated.inv_maps[0], hband=6)
         scale = max(1.0, updated.inv_maps[0].pert_scale())
         assert comp.pert_h.max_abs() < 1e-12 * scale
@@ -129,32 +132,57 @@ class TestLinearize:
             linearize(fam, order=7, eps1=0.2, r1=0.5, pmax=6, qmax=6)
 
     @staticmethod
-    def count_conjugations(monkeypatch, route):
+    def count_calls(monkeypatch, route, name):
+        """Calls of ``name`` from linearize and deckmaps, shipped order."""
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
                            run["hband"], eps0=run["epsilon"],
                            r0=run["radius"])
         calls = []
-        real = linearize_mod.conjugate_by_vertical
+        for mod in (linearize_mod, deckmaps_mod):
+            def counting(*args, real=getattr(mod, name), **kw):
+                calls.append(1)
+                return real(*args, **kw)
 
-        def counting(*args, **kw):
-            calls.append(1)
-            return real(*args, **kw)
-
-        monkeypatch.setattr(linearize_mod, "conjugate_by_vertical", counting)
+            monkeypatch.setattr(mod, name, counting)
         order = run["order"]
         linearize(fam, order, run["epsilon"], run["radius"], route=route,
                   pmax=12, qmax=12)
-        return len(calls), (order - 1) * fam.n
+        return len(calls), order, fam.n
 
     def test_forward_conjugates_maps_once_per_degree(self, monkeypatch):
-        calls, want = self.count_conjugations(monkeypatch, "forward")
-        assert calls == want
+        calls, order, n = self.count_calls(monkeypatch, "forward",
+                                           "conjugate_by_vertical")
+        assert calls == (order - 1) * n
 
     def test_inverse_conjugates_one_list_per_degree(self, monkeypatch):
-        calls, want = self.count_conjugations(monkeypatch, "inverse")
-        assert calls == want
+        calls, order, n = self.count_calls(monkeypatch, "inverse",
+                                           "conjugate_by_vertical")
+        assert calls == (order - 1) * n
+
+    @pytest.mark.parametrize("route", ["forward", "inverse"])
+    def test_one_vertical_inversion_per_degree(self, monkeypatch, route):
+        # each conjugating degree inverts its own G_m once; the loop never
+        # inverts an accumulated series
+        calls, order, _ = self.count_calls(monkeypatch, route,
+                                           "invert_vertical_map")
+        assert calls == order - 1
+
+    @pytest.mark.parametrize("order", [8, 12])
+    @pytest.mark.parametrize("route", ["forward", "inverse"])
+    def test_phi_v_matches_psi_then_invert(self, order, route):
+        p = parse_problem(toruslin.reference_problem_path())
+        run = p.run
+        fam = build_family(p.lattice, p.data, p.pert_records, order,
+                           run["hband"], eps0=run["epsilon"],
+                           r0=run["radius"])
+        result = linearize(fam, order, run["epsilon"], run["radius"],
+                           route=route, pmax=12, qmax=12)
+        oracle = psi_then_invert(result)
+        assert result.phi_v.max_abs() > 1e-4
+        assert result.phi_v.max_coeff_diff(oracle) <= 1e-18
+        assert result.phi_v.tailflag is False
 
     def test_reference_phi_v_has_no_tail(self):
         # working windows cut inside the degree loop never flag phi_v

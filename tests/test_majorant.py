@@ -1,15 +1,21 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+import toruslin
 from toruslin import DomainSpec, log_indicatrix
 from toruslin.cohomology import CompatibleFamily, norm_certificate, solve_family
 from toruslin.divisors import MultiplierData, scan_and_fit
-from toruslin.linearize import linearize
+from toruslin.linearize import build_family, linearize
 from toruslin.majorant import (ConstantsBundle, ConstantsError,
-                               best_product_table, build_state,
-                               constants_bundle, domain_schedule,
-                               dominance_and_radius, eta_sequence,
+                               build_state, constants_bundle,
+                               domain_schedule, dominance_and_radius,
+                               eta_sequence, log_best_product_table,
                                majorant_coefficients)
+from toruslin.problem import parse_problem
+from toruslin.reports import certificate_text
 from toruslin.series import TruncatedSeries
 
 from _fixtures import golden_data, golden_family, golden_lattice
@@ -97,7 +103,7 @@ class TestConstantsBundle:
 class TestEtaSequence:
     def test_first_values(self):
         bundle = toy_bundle(C1=2.0, tau=1.0, nu=2, eta=1.0)
-        etas, _ = eta_sequence(6, bundle)
+        etas, _, _ = eta_sequence(6, bundle)
         gamma = 3.0
         assert etas[1] == 1.0
         # eta_2 = (C1/eta^gamma) 4^gamma with best product 1
@@ -107,14 +113,14 @@ class TestEtaSequence:
 
     def test_envelope(self, golden_setup):
         _, _, bundle = golden_setup
-        etas, d_env = eta_sequence(8, bundle)
+        etas, d_env, _ = eta_sequence(8, bundle)
         for m in range(1, 9):
             assert etas[m] <= d_env ** m * (1 + 1e-12)
 
     def test_best_product_monotone_under_refinement(self):
         bundle = toy_bundle()
-        etas, _ = eta_sequence(8, bundle)
-        best = best_product_table(etas, 8, 7)
+        _, _, log_etas = eta_sequence(8, bundle)
+        best = np.exp(log_best_product_table(log_etas, 8, 7))
         for k1 in range(1, 5):
             for k2 in range(1, 9 - k1):
                 assert best[k1] * best[k2] <= best[k1 + k2] * (1 + 1e-12)
@@ -266,6 +272,52 @@ class TestDominance:
         cert = dominance_and_radius(result, state)
         assert not cert["all_dominated"]
         assert cert["status"] == "inconclusive at desk scale"
+
+
+@pytest.fixture(scope="module")
+def reference_o19():
+    """The shipped perturbation at vmax 19, where A_m eta_m leaves the
+    double range."""
+    p = parse_problem(toruslin.reference_problem_path())
+    run = p.run
+    fam = build_family(p.lattice, p.data, p.pert_records, 19, run["hband"],
+                       eps0=run["epsilon"], r0=run["radius"])
+    result = linearize(fam, 19, run["epsilon"], run["radius"],
+                       pmax=run["pmax"], qmax=run["qmax"])
+    return fam, result, run
+
+
+class TestMajorantOverflow:
+    def test_order_19_never_passes_against_infinite_majorant(
+            self, reference_o19):
+        fam, result, run = reference_o19
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = build_state(19, result.constants, fam.n, fam.d,
+                                run["epsilon"], run["radius"])
+            cert = dominance_and_radius(result, state)
+            text = certificate_text(cert, state)
+        infinite = [row for row in cert["rows"]
+                    if not math.isfinite(row["majorant"])]
+        assert infinite  # the order really reaches past the double range
+        assert not any(row["ok"] for row in infinite)
+        assert not cert["all_dominated"]
+        assert cert["status"] == "inconclusive at desk scale"
+        assert 0 < cert["radius"] < math.inf
+        assert math.isfinite(cert["stabilization"])
+        assert "all_dominated no" in text
+
+    def test_log_gains_finite_past_the_double_range(self, reference_o19):
+        _, result, _ = reference_o19
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = build_state(24, result.constants, 1, 1, 0.2, 0.5)
+        assert np.isfinite(state.log_etas[1:]).all()
+        assert state.etas[24] == math.inf  # eta_24 exceeds a double
+        assert math.isfinite(state.d_env)
+        finite = np.isfinite(state.etas)
+        assert np.allclose(np.log(state.etas[1:][finite[1:]]),
+                           state.log_etas[1:][finite[1:]], rtol=1e-14)
 
 
 class TestNormCertificate:
