@@ -70,7 +70,7 @@ class CompatibleFamily:
     def keys(self):
         seen = set()
         for F in self.rhs:
-            seen.update(F.coeffs)
+            seen.update((k, P, Q) for k, P, Q, _ in F.terms())
         return sorted(seen)
 
 
@@ -103,7 +103,7 @@ def check_compatibility(family, data, m=None):
             lam_pow = data.lam_pow(P)[a]
             mu_pow = data.mu_pow(Q)[a]
             facs.append(lam_pow * mu_pow - data.mu[a, k])
-        coeffs = [F.coeffs.get(key, 0.0) for F in family.rhs]
+        coeffs = [F.get(*key) for F in family.rhs]
         for a in range(family.n):
             for b in range(a + 1, family.n):
                 cross_ab = facs[a] * coeffs[b]
@@ -161,7 +161,7 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None,
 
     base = family.rhs[0]
     G = base._like(components=base.d)
-    used = {}
+    used, records = {}, []
     for key in family.keys():
         k, P, Q = key
         rec = divisor_values(data, P, Q, k)
@@ -171,10 +171,11 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None,
         lam_pow = data.lam_pow(P)[iv]
         mu_pow = data.mu_pow(Q)[iv]
         divisor = lam_pow * mu_pow - data.mu[iv, k]
-        c = family.rhs[iv].coeffs.get(key, 0.0)
+        c = family.rhs[iv].get(*key)
         if c:
-            G.coeffs[key] = c / divisor
+            records.append((key, c / divisor))
         used[key] = (iv, divisor)
+    G._accumulate(records)
 
     new_eps = eps - delta / kappa
     new_r = r * float(np.exp(-rho))
@@ -215,9 +216,9 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
         raise ValueError("need 0 < delta < kappa*eps")
 
     G = F_i._like(components=F_i.d)
-    used = {}
-    for key, c in sorted(F_i.coeffs.items()):
-        k, P, Q = key
+    used, records = {}, []
+    for k, P, Q, c in F_i.terms():
+        key = (k, P, Q)
         if sum(Q) < 2:
             raise CompatibilityError("rhs carries |Q| < 2 coefficients")
         sgn = 1 if sign > 0 else -1
@@ -227,8 +228,9 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
         divisor = lam_pow * mu_pow - target
         if divisor == 0.0:
             raise ResonanceError(P, Q, k, i)
-        G.coeffs[key] = c / divisor
+        records.append((key, c / divisor))
         used[key] = (i, divisor)
+    G._accumulate(records)
 
     new_eps = eps - delta / kappa
     new_r = r * float(np.exp(-rho))

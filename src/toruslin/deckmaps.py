@@ -20,8 +20,8 @@ from math import factorial
 
 import numpy as np
 
-from .series import (PRUNE, TruncatedSeries, invert_vertical_map,
-                     scale_components, substitute_vertical)
+from .series import (TruncatedSeries, invert_vertical_map, scale_components,
+                     substitute_vertical)
 
 COMMUTE_TOL = 1e-10
 
@@ -111,8 +111,9 @@ def compose_with_map(f, m, vmax=None, hband=None):
         upow.append(table)
 
     # (mu_j v_j + pert_v_j)^q
+    terms = list(f.terms())
     qmax_needed = {}
-    for (_, _, Q) in f.coeffs:
+    for _, _, Q, _ in terms:
         for j, q in enumerate(Q):
             if q:
                 qmax_needed[j] = max(qmax_needed.get(j, 0), q)
@@ -127,32 +128,35 @@ def compose_with_map(f, m, vmax=None, hband=None):
             table.append(table[-1].mul(w))
         vpow[j] = table
 
+    one = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
+                                   components=1, vmax=hwin, hband=work)
+
     def binom_power_series(P):
         """lam^P h^P prod_k (1 + u_k)^{p_k} as a scalar series."""
-        acc = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
-                                       components=1, vmax=hwin, hband=work)
+        acc = one
         lam_fac = 1.0 + 0.0j
         for k, p in enumerate(P):
             lam_fac *= m.lam[k] ** int(p)
             if p == 0 or smax == 0:
                 continue
-            piece = acc._like()
-            piece.coeffs[(0, (0,) * n, (0,) * d)] = 1.0 + 0.0j
+            piece = one
             for s in range(1, smax + 1):
                 cbin = _gen_binom(int(p), s)
                 if cbin:
                     piece = piece.add(upow[k][s].scale(cbin))
-            acc = acc.mul(piece)
+            # the first factor is taken as is, not multiplied into the unit
+            acc = piece if acc is one else acc.mul(piece)
         return acc.shift_h(P).scale(lam_fac)
 
     hcache = {}
     out = f._like(vmax=vmax, hband=work)
+    out.tailflag, out.discarded = f.tailflag, f.discarded
     groups = {}
-    for (k, P, Q), c in f.coeffs.items():
+    for k, P, Q, c in terms:
         groups.setdefault((k, Q), []).append((P, c))
-    for (k, Q), terms in sorted(groups.items()):
+    for (k, Q), group in sorted(groups.items()):
         hpart = TruncatedSeries.zero(n, d, 1, hwin, work)
-        for P, c in sorted(terms):
+        for P, c in group:
             if P not in hcache:
                 hcache[P] = binom_power_series(P)
             hpart = hpart.add(hcache[P].scale(c))
@@ -160,13 +164,8 @@ def compose_with_map(f, m, vmax=None, hband=None):
         for j, q in enumerate(Q):
             if q:
                 piece = piece.mul(vpow[j][q])
-        for (_, Pn, Qn), val in piece.coeffs.items():
-            key = (k, Pn, Qn)
-            new = out.coeffs.get(key, 0.0) + val
-            if abs(new) > PRUNE:
-                out.coeffs[key] = new
-            elif key in out.coeffs:
-                del out.coeffs[key]
+        out._accumulate(((k, Pn, Qn), val)
+                        for _, Pn, Qn, val in piece.terms())
         out.tailflag |= piece.tailflag
         out.discarded += piece.discarded
     return out.restrict(vmax=vmax, hband=hband)

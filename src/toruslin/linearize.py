@@ -126,10 +126,9 @@ def build_family(lattice, data, pert_records, vmax, hband, eps0, r0,
                 raise LinearizeError("perturbation record outside (vmax, hband)"
                                      " window: P=%s Q=%s" % (P, Q))
             if k < n:
-                ph.coeffs[(k, P, Q)] = ph.coeffs.get((k, P, Q), 0.0) + value
+                ph._accumulate([((k, P, Q), value)])
             else:
-                pv.coeffs[(k - n, P, Q)] = pv.coeffs.get((k - n, P, Q), 0.0) \
-                    + value
+                pv._accumulate([((k - n, P, Q), value)])
         maps.append(DeckMap(lam=data.lam[i], mu=data.mu[i],
                             pert_h=ph, pert_v=pv))
     return DeckMapFamily(lattice=lattice, data=data, maps=maps,
@@ -153,7 +152,7 @@ def decompose_deck_family(raw_maps, lattice, eps0, r0,
     for i, raw in enumerate(raw_maps):
         lam_i = np.zeros(n, dtype=np.complex128)
         mu_i = np.zeros(d, dtype=np.complex128)
-        for (k, P, Q), c in sorted(raw.coeffs.items()):
+        for k, P, Q, c in raw.terms():
             vdeg = sum(Q)
             if k < n:
                 ek = tuple(1 if t == k else 0 for t in range(n))

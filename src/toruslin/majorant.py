@@ -65,7 +65,7 @@ def _perturbation_envelope(family, lattice, eps1, r1):
     for m in family.maps:
         for pert in (m.pert_h, m.pert_v):
             by_q = {}
-            for (k, P, Q), c in pert.coeffs.items():
+            for k, P, Q, c in pert.terms():
                 by_q.setdefault((k, Q), []).append((P, c))
             for (k, Q), terms in by_q.items():
                 if sum(Q) < 2:

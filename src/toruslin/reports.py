@@ -115,7 +115,7 @@ def linearize_report(result):
     lines = ["[linearize]",
              "order %d" % result.order,
              "route %s" % result.route,
-             "phi_terms %d" % len(result.phi_v.coeffs),
+             "phi_terms %d" % result.phi_v.nterms(),
              "tailflag %s" % ("yes" if result.phi_v.tailflag else "no")]
     lines.append("schedule " + " ".join(
         "(%s,%s)" % (_fmt(float(e)), _fmt(float(r)))

@@ -11,6 +11,11 @@ dropped outside ``hband`` is counted exactly).
 
 Values are complex doubles.  Series are treated as immutable: every
 operation returns a new instance.
+
+The coefficient table is known to this module alone.  Other modules read
+it through ``terms()``, ``get()`` and ``nterms()``, and every loop that
+fills a table, here or elsewhere, goes through ``_accumulate``, which
+applies the truncation window and the pruning in one place.
 """
 
 import numpy as np
@@ -40,8 +45,11 @@ class TruncatedSeries:
         self.discarded = float(discarded)
         self.coeffs = {}
         if coeffs:
-            for (k, P, Q), c in coeffs.items():
-                self._insert(k, tuple(P), tuple(Q), complex(c))
+            records = [((k, tuple(P), tuple(Q)), complex(c))
+                       for (k, P, Q), c in coeffs.items()]
+            for key, _ in records:
+                self._check_key(*key)
+            self._accumulate(records)
 
     # -- construction helpers -------------------------------------------------
 
@@ -55,16 +63,27 @@ class TruncatedSeries:
         if sum(Q) > self.vmax or (P and max(abs(p) for p in P) > self.hband):
             raise SeriesError("index outside truncation window")
 
-    def _insert(self, k, P, Q, c):
-        self._check_key(k, P, Q)
-        if abs(c) > PRUNE:
-            key = (k, P, Q)
-            cur = self.coeffs.get(key)
-            new = c if cur is None else cur + c
+    def _accumulate(self, records):
+        """Add ``((k, P, Q), value)`` records to the table, in order.
+
+        This is the one loop that fills a coefficient table.  A record
+        outside the (vmax, hband) window is not stored: it sets
+        ``tailflag`` and adds its modulus to ``discarded``.  A record inside
+        is added to the running sum at its key, and a sum of modulus PRUNE
+        or less is removed.
+        """
+        coeffs, vmax, hband = self.coeffs, self.vmax, self.hband
+        for key, c in records:
+            P = key[1]
+            if sum(key[2]) > vmax or (P and max(map(abs, P)) > hband):
+                self.tailflag = True
+                self.discarded += abs(c)
+                continue
+            new = coeffs.get(key, 0.0) + c
             if abs(new) > PRUNE:
-                self.coeffs[key] = new
-            elif cur is not None:
-                del self.coeffs[key]
+                coeffs[key] = new
+            elif key in coeffs:
+                del coeffs[key]
 
     @classmethod
     def zero(cls, n, d, components=1, vmax=8, hband=8):
@@ -73,9 +92,8 @@ class TruncatedSeries:
     @classmethod
     def monomial(cls, n, d, k, P, Q, c=1.0, components=None, vmax=8, hband=8):
         components = components if components is not None else k + 1
-        s = cls(n, d, components, vmax, hband)
-        s._insert(k, tuple(P), tuple(Q), complex(c))
-        return s
+        return cls(n, d, components, vmax, hband,
+                   {(k, tuple(P), tuple(Q)): c})
 
     def _like(self, components=None, vmax=None, hband=None):
         return TruncatedSeries(
@@ -101,6 +119,10 @@ class TruncatedSeries:
     def get(self, k, P, Q):
         return self.coeffs.get((k, tuple(P), tuple(Q)), 0.0 + 0.0j)
 
+    def nterms(self):
+        """Number of stored coefficients."""
+        return len(self.coeffs)
+
     def max_abs(self):
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
@@ -117,28 +139,6 @@ class TruncatedSeries:
             if kk == k:
                 out.coeffs[(0, P, Q)] = c
         out.tailflag, out.discarded = self.tailflag, self.discarded
-        return out
-
-    @staticmethod
-    def stack(parts):
-        """Join scalar series into one multi-component series."""
-        base = parts[0]
-        out = base._like(components=len(parts),
-                         vmax=min(p.vmax for p in parts),
-                         hband=min(p.hband for p in parts))
-        for k, p in enumerate(parts):
-            if (p.n, p.d) != (base.n, base.d):
-                raise SeriesError("stack: dimension mismatch")
-            if p.components != 1:
-                raise SeriesError("stack expects scalar parts")
-            for (_, P, Q), c in p.coeffs.items():
-                if sum(Q) > out.vmax or (P and max(map(abs, P)) > out.hband):
-                    out.tailflag = True
-                    out.discarded += abs(c)
-                else:
-                    out.coeffs[(k, P, Q)] = c
-            out.tailflag |= p.tailflag
-            out.discarded += p.discarded
         return out
 
     def __repr__(self):
@@ -162,19 +162,8 @@ class TruncatedSeries:
                          hband=min(self.hband, other.hband))
         out.tailflag = self.tailflag or other.tailflag
         out.discarded = self.discarded + other.discarded
-        for src in (self, other):
-            for (k, P, Q), c in src.coeffs.items():
-                if sum(Q) > out.vmax or (P and max(map(abs, P)) > out.hband):
-                    out.tailflag = True
-                    out.discarded += abs(c)
-                    continue
-                key = (k, P, Q)
-                cur = out.coeffs.get(key, 0.0)
-                new = cur + c
-                if abs(new) > PRUNE:
-                    out.coeffs[key] = new
-                elif key in out.coeffs:
-                    del out.coeffs[key]
+        out._accumulate(self.coeffs.items())
+        out._accumulate(other.coeffs.items())
         return out
 
     def scale(self, c):
@@ -263,12 +252,7 @@ class TruncatedSeries:
         out = self._like(vmax=vmax, hband=hband)
         out.tailflag = self.tailflag
         out.discarded = self.discarded
-        for (k, P, Q), c in self.coeffs.items():
-            if sum(Q) > vmax or (P and max(map(abs, P)) > hband):
-                out.tailflag = True
-                out.discarded += abs(c)
-            else:
-                out.coeffs[(k, P, Q)] = c
+        out._accumulate(self.coeffs.items())
         return out
 
     def cut(self, vmax):
@@ -296,13 +280,8 @@ class TruncatedSeries:
     def shift_h(self, P0):
         """Multiply by the monomial h^{P0} (exponent translation)."""
         out = self._like()
-        for (k, P, Q), c in self.coeffs.items():
-            Pn = tuple(p + p0 for p, p0 in zip(P, P0))
-            if Pn and max(map(abs, Pn)) > self.hband:
-                out.tailflag = True
-                out.discarded += abs(c)
-            else:
-                out.coeffs[(k, Pn, Q)] = c
+        out._accumulate(((k, tuple(p + p0 for p, p0 in zip(P, P0)), Q), c)
+                        for (k, P, Q), c in self.coeffs.items())
         out.tailflag |= self.tailflag
         out.discarded += self.discarded
         return out
@@ -382,11 +361,9 @@ def scale_components(f, factors):
     if len(factors) != f.components:
         raise SeriesError("need one factor per component")
     out = f._like()
-    for (k, P, Q), c in f.coeffs.items():
-        val = c * factors[k]
-        if abs(val) > PRUNE:
-            out.coeffs[(k, P, Q)] = val
     out.tailflag, out.discarded = f.tailflag, f.discarded
+    out._accumulate(((k, P, Q), c * factors[k])
+                    for (k, P, Q), c in f.coeffs.items())
     return out
 
 
@@ -424,9 +401,9 @@ def _vertical_shift_powers(phi, needed, vmax, hband):
     """Powers (v_j + phi_j)^q for q in needed[j] on the working window."""
     powers = {}
     for j, qs in needed.items():
-        w = TruncatedSeries(phi.n, phi.d, 1, vmax, hband)
         ej = tuple(1 if l == j else 0 for l in range(phi.d))
-        w.coeffs[(0, (0,) * phi.n, ej)] = 1.0 + 0.0j
+        w = TruncatedSeries.monomial(phi.n, phi.d, 0, (0,) * phi.n, ej,
+                                     components=1, vmax=vmax, hband=hband)
         w = w.add(phi.component(j).restrict(vmax=vmax).with_window(hband=hband))
         table = {1: w}
         for q in range(2, max(qs) + 1):
@@ -473,29 +450,10 @@ def substitute_vertical(f, phi):
                     W = Wj if W is None else W.mul(Wj)
             prod_cache[Q] = W
         if W is None:  # pure h-monomial term
-            if P and max(map(abs, P)) > hband:
-                out.tailflag = True
-                out.discarded += abs(c)
-                continue
-            key = (k, P, (0,) * f.d)
-            new = out.coeffs.get(key, 0.0) + c
-            if abs(new) > PRUNE:
-                out.coeffs[key] = new
-            elif key in out.coeffs:
-                del out.coeffs[key]
-            continue
-        for (_, Pw, Qn), w in W.coeffs.items():
-            Pn = tuple(p + pw for p, pw in zip(P, Pw))
-            if Pn and max(map(abs, Pn)) > hband:
-                out.tailflag = True
-                out.discarded += abs(c * w)
-                continue
-            key = (k, Pn, Qn)
-            new = out.coeffs.get(key, 0.0) + c * w
-            if abs(new) > PRUNE:
-                out.coeffs[key] = new
-            elif key in out.coeffs:
-                del out.coeffs[key]
+            out._accumulate([((k, P, Q), c)])
+        else:
+            out._accumulate(((k, tuple(p + pw for p, pw in zip(P, Pw)), Qn),
+                             c * w) for (_, Pw, Qn), w in W.coeffs.items())
     return out
 
 
@@ -509,18 +467,17 @@ def partial_h(f, P0):
     if len(P0) != f.n or any(p < 0 for p in P0):
         raise SeriesError("P0 must be a nonnegative n-multi-index")
     out = f._like(hband=f.hband + (max(P0) if P0 else 0))
+    out.tailflag, out.discarded = f.tailflag, f.discarded
+    records = []
     for (k, P, Q), c in f.coeffs.items():
         w = 1
         for j in range(f.n):
             for i in range(P0[j]):
                 w *= P[j] - i
-        if w == 0:
-            continue
-        Pn = tuple(p - p0 for p, p0 in zip(P, P0))
-        val = c * w
-        if abs(val) > PRUNE:
-            out.coeffs[(k, Pn, Q)] = val
-    out.tailflag, out.discarded = f.tailflag, f.discarded
+        if w:
+            records.append(((k, tuple(p - p0 for p, p0 in zip(P, P0)), Q),
+                            c * w))
+    out._accumulate(records)
     return out
 
 

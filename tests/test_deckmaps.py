@@ -244,6 +244,14 @@ class TestComposeWithMapEdges:
         assert (got.vmax, got.hband) == (6, 10)
         assert not got.tailflag and got.discarded == 0.0
 
+    def test_keeps_input_truncation_record(self):
+        # mass f already lost bounds the error of f o m as well
+        f = TruncatedSeries(1, 1, 1, 4, 4, {(0, (1,), (2,)): 0.5 - 0.25j},
+                            tailflag=True, discarded=1.0)
+        got = compose_with_map(f, identity_map(1, 1, 4, 4))
+        assert got.max_coeff_diff(f) == 0.0
+        assert got.tailflag and got.discarded == 1.0
+
 
 class TestDecompose:
     def lattice(self, e2=MILD_E2):

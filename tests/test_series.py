@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import toruslin
 from toruslin import TruncatedSeries, compose_diagonal, invert_vertical_map, \
     partial_h, substitute_vertical
 from toruslin.series import SeriesError
@@ -395,3 +398,15 @@ class TestSerialization:
     def test_tiny_values_kept_as_written(self):
         text = "TLS 1 1 1 4 4\n0 0 2 1e-310 0.0\n"
         assert TruncatedSeries.from_text(text).to_text() == text
+
+
+def test_coefficient_table_is_private():
+    # the table's format is known to series.py alone: every other module
+    # goes through terms(), get(), nterms() and the series operations
+    package = Path(toruslin.__file__).parent
+    uses = ["%s:%d" % (path.relative_to(package), num)
+            for path in sorted(package.rglob("*.py"))
+            if path.name != "series.py"
+            for num, line in enumerate(path.read_text().splitlines(), 1)
+            if ".coeffs" in line or "PRUNE" in line]
+    assert not uses
