@@ -8,6 +8,12 @@ exponent key.
 ``cauchy_product`` forms only the pairs that can land inside the vertical
 window, so the ``discarded`` it returns is an upper bound on the absolute
 mass its truncation drops, not that mass itself (see its docstring).
+
+``evaluate`` splits each monomial ``h^P v^Q`` into a modulus, one real
+``exp(P . log|h|)`` per term and point, and a phase gathered from small
+per-variable power tables of ``exp(i arg h_j)`` and ``v_j``.  It does not
+tabulate ``h_j`` itself, whose powers can overflow at an intermediate step
+where the monomial is finite (see its docstring).
 """
 
 import numpy as np
@@ -86,25 +92,56 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
     return exps[keep], acc[keep], discarded
 
 
+def _power_table(z, lo, hi):
+    """Rows z**lo .. z**hi of each point's z, for lo <= 0 <= hi.
+
+    Built by repeated multiplication from the row of ones; negative powers
+    are powers of the reciprocal, which is formed only when ``lo < 0``.
+    """
+    table = np.empty((hi - lo + 1, len(z)), dtype=np.complex128)
+    table[-lo] = 1.0
+    for k in range(1, hi + 1):
+        np.multiply(table[-lo + k - 1], z, out=table[-lo + k])
+    if lo < 0:
+        inv = 1.0 / z
+        for k in range(1, -lo + 1):
+            np.multiply(table[-lo - k + 1], inv, out=table[-lo - k])
+    return table
+
+
 def evaluate(exps, vals, logh, v):
     """Evaluate sum_t vals[t] * exp(P_t . logh) * v^Q_t at many points.
 
     logh: (M, n) complex log of the h coordinates; v: (M, d) complex.
+
+    Each monomial is split into a modulus and a phase.  The modulus
+    ``exp(P_t . Re(logh))`` is one real ``exp`` per term and point.  The
+    phase is a product of gathers from per-variable power tables: one of
+    ``exp(i Im(logh_j))`` for each h variable and one of ``v_j`` for each
+    vertical variable, each built by repeated multiplication.  ``h_j``
+    itself is not tabulated: on a domain far from ``|h| = 1`` a power
+    ``h_j^k`` can overflow (or underflow) at an intermediate step although
+    ``exp(P_t . log|h|)`` is finite, and the table would carry ``inf`` or
+    ``nan`` into the sum.  The unit-modulus phase tables cannot overflow,
+    and the v tables hold powers of ``|v_j| <= r`` with nonnegative
+    exponents in every series this package builds.
     """
-    n = logh.shape[1]
-    m_pts = logh.shape[0]
+    m_pts, n = logh.shape
     out = np.zeros(m_pts, dtype=np.complex128)
     if len(vals) == 0:
         return out
     pexp = exps[:, :n].astype(np.float64)
-    qexp = exps[:, n:]
+    lo = np.minimum(exps.min(axis=0), 0)
+    hi = np.maximum(exps.max(axis=0), 0)
     for start in range(0, m_pts, _CHUNK):
-        lh = logh[start : start + _CHUNK]
-        vv = v[start : start + _CHUNK]
-        mono = np.exp(lh @ pexp.T)
-        if qexp.shape[1]:
-            mono = mono * np.prod(
-                vv[:, None, :] ** qexp[None, :, :], axis=2
-            )
-        out[start : start + _CHUNK] = mono @ vals
+        pts = slice(start, start + _CHUNK)
+        lh = logh[pts]
+        mono = np.exp(pexp @ lh.real.T)
+        for j in range(exps.shape[1]):
+            z = np.exp(1j * lh[:, j].imag) if j < n else v[pts, j - n]
+            # the gather is a fresh array, so the product can go in place
+            factor = _power_table(z, lo[j], hi[j])[exps[:, j] - lo[j]]
+            factor *= mono
+            mono = factor
+        out[pts] = vals @ mono
     return out

@@ -284,13 +284,20 @@ def build_state(M, constants, n, d, eps1, r1):
                          eps_m=eps_m, r_m=r_m, A=A, B=B, log_etas=log_etas)
 
 
+def _log(x):
+    """Natural log of a nonnegative number, -inf at zero."""
+    return math.log(x) if x > 0 else -math.inf
+
+
 def dominance_and_radius(result, state):
     """Per-degree dominance flags plus the Cauchy-Hadamard radius diagnostic.
 
     A failed flag downgrades the certificate to inconclusive; it is never an
     error (the smallness hypotheses may simply not hold for the instance).
     A majorant A_m eta_m or B_m eta_m that is not a finite double fails its
-    row; the radius is taken from log A_m + log eta_m.
+    row; the radius is taken from log A_m + log eta_m.  Each row also
+    carries ``log_majorant``, the natural log of its majorant taken from
+    ``log_etas``, which stays finite where the majorant overflows.
     """
     M = state.order
     if result.order != M:
@@ -303,18 +310,24 @@ def dominance_and_radius(result, state):
         # python floats: an overflowing product is inf, without a warning
         claimed = float(state.A[m]) * float(state.etas[m])
         ok = math.isfinite(claimed) and rec["base_norm"] <= claimed
+        log_claimed = _log(state.A[m]) + float(state.log_etas[m])
         rows.append({"m": m, "domain": "base", "norm": rec["base_norm"],
-                     "majorant": claimed, "ok": ok})
+                     "majorant": claimed, "log_majorant": log_claimed,
+                     "ok": ok})
         all_ok &= ok
         goal_ok = math.isfinite(claimed) and rec["goal_norm"] <= claimed
         rows.append({"m": m, "domain": "goal-union", "norm": rec["goal_norm"],
-                     "majorant": claimed, "ok": goal_ok})
+                     "majorant": claimed, "log_majorant": log_claimed,
+                     "ok": goal_ok})
         all_ok &= goal_ok
         for (i, s), norm in sorted(rec["translated"].items()):
             claimed_b = float(state.B[(i, s)][m]) * float(state.etas[m])
             ok_b = math.isfinite(claimed_b) and norm <= claimed_b
             rows.append({"m": m, "domain": "t%d^%+d-pair" % (i + 1, s),
-                         "norm": norm, "majorant": claimed_b, "ok": ok_b})
+                         "norm": norm, "majorant": claimed_b,
+                         "log_majorant": (_log(state.B[(i, s)][m])
+                                          + float(state.log_etas[m])),
+                         "ok": ok_b})
             all_ok &= ok_b
 
     window = range(max(2, (M + 1) // 2), M + 1)

@@ -56,14 +56,22 @@ def sup_norm_bound_union(f, domains):
 
 
 def sampled_lower_bound(f, domain, points=2048, seed=20260811):
-    """Max modulus over a seeded quasi-random sample of the closed domain."""
+    """Max modulus over a seeded quasi-random sample of the closed domain.
+
+    Raises ValueError if any sampled value is not finite: a ``nan`` maximum
+    compares false against every upper bound and would pass as sound.
+    """
     rng = np.random.default_rng(seed)
     x = domain.sample_log_points(rng, points)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=x.shape)
     logh = x + 1j * theta
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(points, f.d))
     v = domain.r * np.exp(1j * phases)
-    values = f.evaluate(logh, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f.evaluate(logh, v)
+    if not np.isfinite(values).all():
+        raise ValueError("sampled values of the series are not finite on %s"
+                         % domain.describe())
     return NormBound(domain=domain,
                      value=float(np.abs(values).max(initial=0.0)),
                      kind=SAMPLED)

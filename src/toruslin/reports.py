@@ -5,6 +5,7 @@ shortest round-trip ``repr``, all iteration orders are sorted, and no
 timestamps or environment details enter any artifact.
 """
 
+import math
 import os
 
 import numpy as np
@@ -134,6 +135,13 @@ def certificate_csv(cert):
     return "\n".join(lines) + "\n"
 
 
+def _log10_slack(row):
+    """log10(majorant / norm), from the row's log majorant: finite where
+    the majorant itself overflows; inf for a zero norm."""
+    log_norm = math.log(row["norm"]) if row["norm"] > 0 else -math.inf
+    return (row["log_majorant"] - log_norm) / math.log(10)
+
+
 def certificate_text(cert, state):
     c = state.constants
     lines = ["[constants]",
@@ -156,6 +164,10 @@ def certificate_text(cert, state):
               "envelope_d %s" % _fmt(state.d_env)]
     for m in range(1, state.order + 1):
         lines.append("eta_%d %s" % (m, _fmt(float(state.etas[m]))))
+    # finite past the double range, where eta_m prints as inf
+    for m in range(1, state.order + 1):
+        lines.append("log10_eta_%d %s"
+                     % (m, _fmt(float(state.log_etas[m]) / math.log(10))))
     lines += ["",
               "[certificate]",
               "status %s" % cert["status"],
@@ -164,11 +176,11 @@ def certificate_text(cert, state):
               "stabilization %s" % _fmt(cert["stabilization"]),
               "window %d..%d" % cert["window"]]
     lines.append("")
-    lines.append("m domain norm majorant flag")
+    lines.append("m domain norm majorant log10_slack flag")
     for row in cert["rows"]:
-        lines.append("%d %s %s %s %s" % (
+        lines.append("%d %s %s %s %s %s" % (
             row["m"], row["domain"], _fmt(row["norm"]), _fmt(row["majorant"]),
-            "pass" if row["ok"] else "fail"))
+            _fmt(_log10_slack(row)), "pass" if row["ok"] else "fail"))
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toruslin._kernels import cauchy_product, evaluate
+from toruslin._kernels.pykernels import _CHUNK
 
 
 def random_table(rng, nterms, n, d, hband, vmax):
@@ -104,3 +105,48 @@ def test_evaluate_matches_termwise_sum(seed):
     for e, c in zip(exps, vals):
         want += c * np.exp(logh @ e[:n]) * np.prod(v ** e[n:], axis=1)
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def longdouble_termwise(exps, vals, logh, v):
+    """sum_t vals[t] exp(P_t . logh) v^Q_t, term by term in clongdouble."""
+    n = logh.shape[1]
+    logh = logh.astype(np.clongdouble)
+    v = v.astype(np.clongdouble)
+    want = np.zeros(len(logh), dtype=np.clongdouble)
+    for e, c in zip(exps, vals):
+        term = np.exp(logh @ e[:n].astype(np.clongdouble))
+        for j, q in enumerate(e[n:]):
+            term *= v[:, j] ** int(q)
+        want += np.clongdouble(c) * term
+    return want
+
+
+@pytest.mark.parametrize("zero_column", [False, True])
+@pytest.mark.parametrize("n, d", CASES)
+def test_evaluate_matches_longdouble_reference(n, d, zero_column):
+    rng = np.random.default_rng(10 * n + d + 100 * zero_column)
+    # Laurent exponents of both signs in every variable
+    exps = rng.integers(-4, 5, size=(25, n + d)).astype(np.int64)
+    if zero_column:
+        exps[:, -1] = 0
+    exps = np.unique(exps, axis=0)
+    vals = rng.standard_normal(len(exps)) + 1j * rng.standard_normal(len(exps))
+    m_pts = 2 * _CHUNK + 5  # crosses two chunk boundaries
+    logh = (rng.uniform(-0.4, 0.4, (m_pts, n))
+            + 1j * rng.uniform(0, 2 * np.pi, (m_pts, n)))
+    v = rng.uniform(0.3, 0.6, (m_pts, d)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (m_pts, d)))
+    got = evaluate(exps, vals, logh, v)
+    want = longdouble_termwise(exps, vals, logh, v)
+    assert got.shape == (m_pts,) and got.dtype == np.complex128
+    assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, d", CASES)
+def test_evaluate_empty_table(n, d):
+    rng = np.random.default_rng(7)
+    logh = rng.standard_normal((2 * _CHUNK + 5, n)) + 0j
+    v = np.full((2 * _CHUNK + 5, d), 0.5 + 0j)
+    got = evaluate(np.zeros((0, n + d), dtype=np.int64),
+                   np.zeros(0, dtype=np.complex128), logh, v)
+    assert np.array_equal(got, np.zeros(2 * _CHUNK + 5, dtype=np.complex128))

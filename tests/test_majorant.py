@@ -307,6 +307,37 @@ class TestMajorantOverflow:
         assert math.isfinite(cert["stabilization"])
         assert "all_dominated no" in text
 
+    def test_certificate_logs_finite_past_the_double_range(
+            self, reference_o19):
+        fam, result, run = reference_o19
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = build_state(19, result.constants, fam.n, fam.d,
+                                run["epsilon"], run["radius"])
+            cert = dominance_and_radius(result, state)
+            text = certificate_text(cert, state)
+        lines = text.splitlines()
+        log_etas = [float(ln.split()[1]) for ln in lines
+                    if ln.startswith("log10_eta_")]
+        assert np.allclose(log_etas, state.log_etas[1:] / math.log(10),
+                           rtol=1e-15, atol=0)
+        head = lines.index("m domain norm majorant log10_slack flag")
+        table = [ln.split() for ln in lines[head + 1:]]
+        assert len(table) == len(cert["rows"])
+        overflowed = 0
+        for fields, row in zip(table, cert["rows"]):
+            slack = float(fields[4])
+            assert math.isfinite(slack)
+            if math.isfinite(row["majorant"]):
+                assert slack == pytest.approx(
+                    math.log10(row["majorant"] / row["norm"]), rel=1e-12)
+            else:
+                overflowed += 1
+                assert fields[3] == "inf"
+                # log10 of the majorant is past the largest double
+                assert slack + math.log10(row["norm"]) > 308
+        assert overflowed
+
     def test_log_gains_finite_past_the_double_range(self, reference_o19):
         _, result, _ = reference_o19
         with warnings.catch_warnings():

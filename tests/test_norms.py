@@ -70,3 +70,25 @@ def test_unitary_translate_keeps_radius():
     moved = base.translated(0, 2)
     assert sup_norm_bound(f, base).value == pytest.approx(2.0 * 0.5 ** 3)
     assert sup_norm_bound(f, moved).value == pytest.approx(2.0 * 0.5 ** 3)
+
+
+def test_nonfinite_sample_raises():
+    # |h|^-2 overflows a double on this domain: a nan maximum would compare
+    # false against the (infinite) upper bound and pass as sound
+    lat = LatticeSpec(1, 1, [[1.0], [0.3 + 70j]])
+    f = TruncatedSeries.monomial(1, 1, 0, (-2,), (0,), 1.0, components=1)
+    with pytest.raises(ValueError, match="not finite"):
+        sampled_lower_bound(f, DomainSpec(lat, 0.1, 0.5))
+
+
+def test_sampled_bound_finite_where_h_powers_overflow():
+    # log|h_j| reaches about -968 here, so h_j itself underflows to 0 and
+    # h_2^-1 to inf, while h_1 h_2^-1 stays of order one
+    lat = LatticeSpec(2, 1, [[1, 0], [0, 1],
+                             [0.3 + 70j, 0.5 + 70j],
+                             [0.7 + 70.1j, 0.2 + 69j]])
+    f = TruncatedSeries.monomial(2, 1, 0, (1, -1), (0,), 1.0, components=1)
+    dom = DomainSpec(lat, 0.1, 0.5)
+    lower = sampled_lower_bound(f, dom, points=64).value
+    assert lower == pytest.approx(1.8428416968113683, rel=1e-12)
+    assert lower <= sup_norm_bound(f, dom).value
