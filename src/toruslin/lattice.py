@@ -251,11 +251,18 @@ class DomainSpec:
             offset = offset + k * self.lattice.log_gens[i]
         return base.translate(offset).vertices()
 
-    def sup_monomials(self, Ps):
-        """Exact sup of |h^P| over the domain for each row P (vertex max)."""
+    def log_sup_monomials(self, Ps):
+        """Exact sup of log|h^P| over the domain per row P (vertex max)."""
         Ps = np.atleast_2d(np.asarray(Ps, dtype=float))
-        verts = self.log_vertices()
-        return np.exp((verts @ Ps.T).max(axis=0))
+        return (self.log_vertices() @ Ps.T).max(axis=0)
+
+    def sup_monomials(self, Ps):
+        """Exact sup of |h^P| over the domain for each row P (vertex max).
+
+        A sup beyond the double range is ``inf`` (numpy warns); callers that
+        must stay finite use ``log_sup_monomials``.
+        """
+        return np.exp(self.log_sup_monomials(Ps))
 
     def sup_monomial(self, P):
         return float(self.sup_monomials(np.asarray(P, dtype=float)[None, :])[0])

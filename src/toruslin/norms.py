@@ -48,10 +48,21 @@ def sup_norm_bound_union(f, domains):
         exps, vals = f._arrays(k)
         if len(vals) == 0:
             continue
-        sups = np.max([dom.sup_monomials(exps[:, :f.n].astype(float))
-                       for dom in domains], axis=0)
-        rpow = float(r) ** exps[:, f.n:].sum(axis=1)
-        worst = max(worst, float((np.abs(vals) * sups * rpow).sum()))
+        Ps, qdeg = exps[:, :f.n].astype(float), exps[:, f.n:].sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sups = np.max([dom.sup_monomials(Ps) for dom in domains], axis=0)
+            terms = np.abs(vals) * sups * (float(r) ** qdeg)
+        big = ~np.isfinite(terms)
+        if big.any():
+            # a factor overflowed (sup|h^P| far from |h| = 1): take those
+            # terms through log|c| + max<x, P> + |Q| log r instead
+            logs = np.log(np.abs(vals[big])) + np.max(
+                [dom.log_sup_monomials(Ps[big]) for dom in domains], axis=0) \
+                + qdeg[big] * np.log(float(r))
+            with np.errstate(over="ignore"):
+                terms[big] = np.exp(logs)
+        with np.errstate(over="ignore"):  # inf only past the double range
+            worst = max(worst, float(terms.sum()))
     return worst
 
 

@@ -9,8 +9,15 @@ the dropped absolute mass: products never form the pairs that land above
 ``vmax`` and count them by the triangle bound ``sum |a_i| |b_j|`` (mass
 dropped outside ``hband`` is counted exactly).
 
-Values are complex doubles.  Series are treated as immutable: every
-operation returns a new instance.
+Values are complex doubles.  Series are immutable: every operation
+returns a new instance, and nothing may change a series once another
+operation has read it.  This is load-bearing.  ``substitute_vertical(f,
+phi)`` keeps the table of powers ``(v_j + phi_j)^q`` with ``phi`` and
+reuses it for every later series substituted into the same ``phi``, so
+changing ``phi``'s coefficients afterwards would substitute stale powers.
+Every constructor, ``copy`` included, starts with no table.  The one
+in-place operation, ``_iadd``, is for a sum its caller has just started
+and holds alone.
 
 The coefficient table is known to this module alone.  Other modules read
 it through ``terms()``, ``get()`` and ``nterms()``, and every loop that
@@ -32,7 +39,7 @@ class SeriesError(ValueError):
 
 class TruncatedSeries:
     __slots__ = ("n", "d", "components", "vmax", "hband", "coeffs",
-                 "tailflag", "discarded")
+                 "tailflag", "discarded", "_shift")
 
     def __init__(self, n, d, components=1, vmax=8, hband=8, coeffs=None,
                  tailflag=False, discarded=0.0):
@@ -44,6 +51,8 @@ class TruncatedSeries:
         self.tailflag = bool(tailflag)
         self.discarded = float(discarded)
         self.coeffs = {}
+        # powers of (v_j + self_j) per working window; see substitute_vertical
+        self._shift = None
         if coeffs:
             records = [((k, tuple(P), tuple(Q)), complex(c))
                        for (k, P, Q), c in coeffs.items()]
@@ -176,6 +185,24 @@ class TruncatedSeries:
         out.discarded = self.discarded * abs(c)
         return out
 
+    def _iadd(self, other):
+        """``self.add(other)`` in place, for a sum its caller owns alone.
+
+        The same records reach ``_accumulate`` in the same order as in
+        ``add``, so sums, ``tailflag`` and ``discarded`` are bit-identical,
+        but the table built so far is not copied again.  ``other``'s window
+        must contain this one's, where ``add`` would keep this window too.
+        """
+        self._check_compat(other)
+        if self.components != other.components:
+            raise SeriesError("component count mismatch in add")
+        if other.vmax < self.vmax or other.hband < self.hband:
+            raise SeriesError("in-place add cannot narrow the window")
+        self.tailflag = self.tailflag or other.tailflag
+        self.discarded += other.discarded
+        self._accumulate(other.coeffs.items())
+        return self
+
     def __add__(self, other):
         return self.add(other)
 
@@ -186,14 +213,12 @@ class TruncatedSeries:
         return self.scale(-1.0)
 
     def _arrays(self, k):
-        items = sorted((P, Q) for (kk, P, Q) in self.coeffs if kk == k)
-        exps = np.empty((len(items), self.n + self.d), dtype=np.int64)
-        vals = np.empty(len(items), dtype=np.complex128)
-        for i, (P, Q) in enumerate(items):
-            exps[i, :self.n] = P
-            exps[i, self.n:] = Q
-            vals[i] = self.coeffs[(k, P, Q)]
-        return exps, vals
+        """Component k as kernel input: (exps, vals) sorted by (P, Q)."""
+        keys = sorted(key for key in self.coeffs if key[0] == k)
+        exps = np.array([key[1] + key[2] for key in keys], dtype=np.int64)
+        vals = np.array([self.coeffs[key] for key in keys],
+                        dtype=np.complex128)
+        return exps.reshape(len(keys), self.n + self.d), vals
 
     def mul(self, other):
         """Cauchy product on (P, Q); componentwise with scalar broadcast."""
@@ -215,10 +240,11 @@ class TruncatedSeries:
             if dropped:
                 out.tailflag = True
                 out.discarded += dropped
-            for i in range(len(vals)):
-                P = tuple(int(x) for x in exps[i, :self.n])
-                Q = tuple(int(x) for x in exps[i, self.n:])
-                out.coeffs[(k, P, Q)] = complex(vals[i])
+            # tolist() gives Python ints and complexes, in bulk
+            n = self.n
+            out.coeffs.update(zip(
+                [(k, tuple(e[:n]), tuple(e[n:])) for e in exps.tolist()],
+                vals.tolist()))
         return out
 
     def __mul__(self, other):
@@ -397,19 +423,20 @@ def compose_diagonal(f, lam, mu, sign=1):
     return out
 
 
-def _vertical_shift_powers(phi, needed, vmax, hband):
-    """Powers (v_j + phi_j)^q for q in needed[j] on the working window."""
-    powers = {}
-    for j, qs in needed.items():
+def _vertical_shift_powers(phi, vmax, hband):
+    """A new table of the powers (v_j + phi_j)^q on a working window.
+
+    Row j holds ``[None, v_j + phi_j]``; ``substitute_vertical`` extends it
+    on demand as ``row[q] = row[q - 1].mul(row[1])``.
+    """
+    rows = []
+    for j in range(phi.d):
         ej = tuple(1 if l == j else 0 for l in range(phi.d))
         w = TruncatedSeries.monomial(phi.n, phi.d, 0, (0,) * phi.n, ej,
                                      components=1, vmax=vmax, hband=hband)
         w = w.add(phi.component(j).restrict(vmax=vmax).with_window(hband=hband))
-        table = {1: w}
-        for q in range(2, max(qs) + 1):
-            table[q] = table[q - 1].mul(w)
-        powers[j] = table
-    return powers
+        rows.append([None, w])
+    return rows
 
 
 def substitute_vertical(f, phi):
@@ -420,6 +447,13 @@ def substitute_vertical(f, phi):
     horizontal band is widened so the result equals the exact substitution
     projected onto the output window; dropping |Q| > vmax mass early is safe
     because vertical degrees only grow under products.
+
+    The powers (v_j + phi_j)^q are kept with ``phi``, one table per working
+    window, built on the first substitution into ``phi`` and extended as
+    later ones need higher powers.  Every series substituted into the same
+    ``phi`` (a deck map's two perturbations and ``phi_v`` at each degree of
+    the linearization) reuses them, and each power is the same product in
+    the same order as when it was first formed.
     """
     if phi.components != f.d:
         raise SeriesError("phi must have d components")
@@ -431,12 +465,18 @@ def substitute_vertical(f, phi):
     out.tailflag = f.tailflag or phi.tailflag
     out.discarded = f.discarded + phi.discarded
 
-    needed = {}
-    for (_, _, Q) in f.coeffs:
-        for j, q in enumerate(Q):
-            if q:
-                needed.setdefault(j, set()).add(q)
-    powers = _vertical_shift_powers(phi, needed, vmax, work_hband)
+    if phi._shift is None:
+        phi._shift = {}
+    rows = phi._shift.get((vmax, work_hband))
+    if rows is None:
+        rows = phi._shift[(vmax, work_hband)] = _vertical_shift_powers(
+            phi, vmax, work_hband)
+
+    def power(j, q):
+        row = rows[j]
+        while len(row) <= q:
+            row.append(row[-1].mul(row[1]))
+        return row[q]
 
     prod_cache = {}
     for (k, P, Q), c in sorted(f.coeffs.items()):
@@ -446,7 +486,7 @@ def substitute_vertical(f, phi):
             W = None
             for j, q in enumerate(Q):
                 if q:
-                    Wj = powers[j][q]
+                    Wj = power(j, q)
                     W = Wj if W is None else W.mul(Wj)
             prod_cache[Q] = W
         if W is None:  # pure h-monomial term

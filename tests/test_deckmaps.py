@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from toruslin import LatticeSpec, TruncatedSeries
-from toruslin.deckmaps import (DeckMap, DeckMapError, compose_maps,
-                               compose_with_map, conjugate_by_vertical,
-                               identity_map, invert_map)
+from toruslin.deckmaps import (DeckMap, DeckMapError, _gen_binom,
+                               compose_maps, compose_with_map,
+                               conjugate_by_vertical, identity_map,
+                               invert_map)
 from toruslin.divisors import MultiplierData
 from toruslin.linearize import check_commutation, decompose_deck_family, \
     DeckMapFamily
@@ -211,6 +212,104 @@ class TestWindowedInvertMap:
         monkeypatch.setattr(deckmaps_mod, "compose_with_map", recording)
         invert_map(mild_map(np.random.default_rng(3), vmax=6, hband=16))
         assert seen == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 6]
+
+
+def chained_add_compose(f, m, vmax=None, hband=None):
+    """compose_with_map with every sum rebuilt by a chain of ``add``.
+
+    The binomial series and the group sums are formed as
+    ``piece = piece.add(term)``, each step a new series.
+    """
+    vmax = f.vmax if vmax is None else vmax
+    hband = f.hband if hband is None else hband
+    n, d = f.n, f.d
+    pw = max(m.pert_h.hband + 1, m.pert_v.hband, 1)
+    work = max(hband, f.hband) + (vmax // 2) * pw
+    hwin = max(vmax - f.v_order(), 0)
+    smax = hwin // 2
+    upow = []
+    for k in range(n):
+        ek = tuple(-1 if t == k else 0 for t in range(n))
+        u = m.pert_h.component(k).cut(hwin).with_window(vmax=hwin, hband=work)
+        u = u.shift_h(ek).scale(1.0 / m.lam[k])
+        upow.append([None, u])
+        for _ in range(2, smax + 1):
+            upow[k].append(upow[k][-1].mul(u))
+    vpow = []
+    for j in range(d):
+        ej = tuple(1 if t == j else 0 for t in range(d))
+        w = TruncatedSeries.monomial(n, d, 0, (0,) * n, ej, m.mu[j],
+                                     components=1, vmax=vmax, hband=work)
+        w = w.add(m.pert_v.component(j).with_window(vmax=vmax, hband=work))
+        vpow.append([None, w])
+        for _ in range(2, vmax + 1):
+            vpow[j].append(vpow[j][-1].mul(w))
+    one = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
+                                   components=1, vmax=hwin, hband=work)
+
+    def binom_power_series(P):
+        acc, lam_fac = one, 1.0 + 0.0j
+        for k, p in enumerate(P):
+            lam_fac *= m.lam[k] ** int(p)
+            if p == 0 or smax == 0:
+                continue
+            piece = one
+            for s in range(1, smax + 1):
+                if _gen_binom(int(p), s):
+                    piece = piece.add(upow[k][s].scale(_gen_binom(int(p), s)))
+            acc = piece if acc is one else acc.mul(piece)
+        return acc.shift_h(P).scale(lam_fac)
+
+    out = TruncatedSeries(n, d, f.components, vmax, work,
+                          tailflag=f.tailflag, discarded=f.discarded)
+    groups, hcache = {}, {}
+    for k, P, Q, c in f.terms():
+        groups.setdefault((k, Q), []).append((P, c))
+    for (k, Q), group in sorted(groups.items()):
+        hpart = TruncatedSeries.zero(n, d, 1, hwin, work)
+        for P, c in group:
+            if P not in hcache:
+                hcache[P] = binom_power_series(P)
+            hpart = hpart.add(hcache[P].scale(c))
+        piece = hpart.with_window(vmax=vmax)
+        for j, q in enumerate(Q):
+            if q:
+                piece = piece.mul(vpow[j][q])
+        out._accumulate(((k, Pn, Qn), val)
+                        for _, Pn, Qn, val in piece.terms())
+        out.tailflag |= piece.tailflag
+        out.discarded += piece.discarded
+    return out.restrict(vmax=vmax, hband=hband)
+
+
+class TestComposeWithMapInPlaceSums:
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("hband", [None, 3])
+    def test_matches_chained_add(self, n, d, hband):
+        rng = np.random.default_rng(60 + 10 * n + d)
+        vmax = 6
+        lam = np.exp(2j * np.pi * np.array([MILD_E2, 0.2 + 0.03j][:n]))
+        mu = np.exp(2j * np.pi * np.array([GOLDEN, np.sqrt(2) - 1][:d]))
+        ph = random_series(rng, n, d, components=n, vmax=vmax, hband=2,
+                           nterms=6, min_vdeg=2, scale=1e-2)
+        pv = random_series(rng, n, d, components=d, vmax=vmax, hband=2,
+                           nterms=6, min_vdeg=2, scale=1e-2)
+        # a truncation record on pert_h reaches the u powers' discarded
+        ph = TruncatedSeries(n, d, n, vmax, 2, dict(ph.coeffs),
+                             tailflag=True, discarded=1e-9)
+        m = DeckMap(lam=lam, mu=mu, pert_h=ph.with_window(hband=12),
+                    pert_v=pv.with_window(hband=12))
+        f = random_series(rng, n, d, components=2, vmax=vmax, hband=3,
+                          nterms=14)
+        f = f.add(TruncatedSeries.monomial(n, d, 1, (-2,) * n, (0,) * d, 0.5,
+                                           components=2, vmax=vmax, hband=3))
+        assert (vmax - f.v_order()) // 2 >= 2 and not m.pert_h.is_zero()
+        got = compose_with_map(f, m, hband=hband)
+        want = chained_add_compose(f, m, hband=hband)
+        assert coeff_bits(got) == coeff_bits(want)
+        assert (got.tailflag, got.discarded) == (want.tailflag,
+                                                 want.discarded)
+        assert got.discarded > 1e-9
 
 
 class TestComposeWithMapEdges:

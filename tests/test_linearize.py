@@ -169,6 +169,35 @@ class TestLinearize:
                                            "invert_vertical_map")
         assert calls == order - 1
 
+    def test_one_shift_table_per_series(self, monkeypatch):
+        # each conjugating degree substitutes both perturbations of every
+        # map and phi_v into H_m, and the residual substitutes every
+        # perturbation into phi_v: one (v + H)^q table for each
+        import toruslin.series as series_mod
+        built, steps = [], []
+
+        def building(phi, *args, real=series_mod._vertical_shift_powers):
+            built.append(phi)
+            return real(phi, *args)
+
+        def stepping(*args, real=linearize_mod.linearize_step, **kw):
+            steps.append(real(*args, **kw))
+            return steps[-1]
+
+        monkeypatch.setattr(series_mod, "_vertical_shift_powers", building)
+        monkeypatch.setattr(linearize_mod, "linearize_step", stepping)
+        p = parse_problem(toruslin.reference_problem_path())
+        run = p.run
+        fam = build_family(p.lattice, p.data, p.pert_records, 8,
+                           run["hband"], eps0=run["epsilon"],
+                           r0=run["radius"])
+        result = linearize(fam, 8, run["epsilon"], run["radius"], pmax=12,
+                           qmax=12)
+        Hs = [H for _, H, _, cert in steps if cert is not None]
+        assert len(Hs) == 7
+        assert [sum(phi is H for phi in built) for H in Hs] == [1] * 7
+        assert sum(phi is result.phi_v for phi in built) == 1
+
     @pytest.mark.parametrize("order", [8, 12])
     @pytest.mark.parametrize("route", ["forward", "inverse"])
     def test_phi_v_matches_psi_then_invert(self, order, route):

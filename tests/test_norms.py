@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -92,3 +93,19 @@ def test_sampled_bound_finite_where_h_powers_overflow():
     lower = sampled_lower_bound(f, dom, points=64).value
     assert lower == pytest.approx(1.8428416968113683, rel=1e-12)
     assert lower <= sup_norm_bound(f, dom).value
+
+
+def test_certified_bound_finite_where_monomial_sup_overflows():
+    # sup|h^-2| = exp(967.61...) is past the double range on this domain,
+    # but 1e-250 sup|h^-2| is not: that term is formed in logs
+    lat = LatticeSpec(1, 1, [[1.0], [0.3 + 70j]])
+    dom = DomainSpec(lat, 0.1, 0.5)
+    f = TruncatedSeries.monomial(1, 1, 0, (-2,), (0,), 1e-250, components=1)
+    top = mpmath.mpf(float((dom.log_vertices() @ np.array([-2.0])).max()))
+    want = float(mpmath.exp(top) * mpmath.mpf(1e-250))
+    bound = sup_norm_bound(f, dom).value
+    assert bound == pytest.approx(1.690117829592838e170, rel=1e-12)
+    assert bound == pytest.approx(want, rel=1e-12)
+    # the same term at 1e-5 is past the double range itself: inf, silently
+    big = TruncatedSeries.monomial(1, 1, 0, (-2,), (0,), 1e-5, components=1)
+    assert sup_norm_bound(big, dom).value == np.inf

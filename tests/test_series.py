@@ -178,6 +178,71 @@ class TestSubstituteVertical:
         assert base.max_coeff_diff(other) == 0.0
 
 
+class TestShiftTable:
+    """The (v + phi)^q table kept with phi by substitute_vertical."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_reused_table_gives_fresh_results(self, d):
+        # substituting a second series into phi reuses (and extends) the
+        # table built for the first; the result is bit for bit the one a
+        # phi built afresh gives
+        rng = np.random.default_rng(31 + d)
+        phi = random_series(rng, 1, d, components=d, vmax=6, hband=2,
+                            nterms=8, min_vdeg=2, scale=0.3)
+        low = random_series(rng, 1, d, vmax=6, hband=2, nterms=6)
+        high = random_series(rng, 1, d, vmax=6, hband=2, nterms=6,
+                             min_vdeg=5)
+        substitute_vertical(low, phi)
+        fresh = TruncatedSeries(1, d, d, 6, 2, dict(phi.coeffs))
+        assert bits(substitute_vertical(high, phi)) == \
+            bits(substitute_vertical(high, fresh))
+
+    @pytest.mark.parametrize("derive", ["copy", "with_window", "cut"])
+    def test_derived_series_start_without_table(self, derive):
+        # a series derived from a used phi and then changed must not
+        # substitute phi's powers
+        rng = np.random.default_rng(37)
+        f = random_series(rng, 1, 1, vmax=6, hband=2, nterms=10)
+        phi = random_series(rng, 1, 1, vmax=6, hband=2, nterms=8,
+                            min_vdeg=2, scale=0.3)
+        substitute_vertical(f, phi)
+        bumped = getattr(phi, derive)(6) if derive == "cut" else \
+            getattr(phi, derive)()
+        bumped.coeffs[(0, (0,), (2,))] = bumped.get(0, (0,), (2,)) + 0.5
+        fresh = TruncatedSeries(1, 1, 1, 6, 2, dict(bumped.coeffs))
+        got = substitute_vertical(f, bumped)
+        want = substitute_vertical(f, fresh)
+        assert bits(got) == bits(want)
+        assert got.discarded == want.discarded
+
+
+class TestKernelIO:
+    def test_mul_output_is_plain_python(self):
+        # keys of Python ints and values of Python complex, so that no
+        # numpy scalar repr ("np.int64(") can reach to_text
+        rng = np.random.default_rng(41)
+        a = random_series(rng, 2, 1, vmax=5, hband=3, nterms=10)
+        b = random_series(rng, 2, 1, vmax=5, hband=3, nterms=10)
+        prod = a.mul(b)
+        assert prod.nterms() > 0
+        for (k, P, Q), c in prod.coeffs.items():
+            assert type(k) is int and type(c) is complex
+            assert type(P) is tuple and type(Q) is tuple
+            assert all(type(x) is int for x in P + Q)
+        assert "np." not in prod.to_text()
+
+    def test_arrays_layout(self):
+        f = TruncatedSeries(2, 1, 2, 4, 3, {(1, (1, -2), (3,)): 2.0,
+                                            (1, (-1, 0), (0,)): 1j,
+                                            (0, (0, 0), (1,)): 5.0})
+        exps, vals = f._arrays(1)
+        assert exps.dtype == np.int64 and vals.dtype == np.complex128
+        assert exps.tolist() == [[-1, 0, 0], [1, -2, 3]]
+        assert vals.tolist() == [1j, 2.0]
+        exps, vals = TruncatedSeries.zero(2, 1, 1)._arrays(0)
+        assert exps.shape == (0, 3) and vals.shape == (0,)
+
+
 class TestPartialH:
     def test_basic(self):
         assert dense_poly(partial_h(mono(1, 1, (1,), (0,)), (1,))) == \
