@@ -84,8 +84,9 @@ def compose_with_map(f, m, vmax=None, hband=None):
     group is a linear combination of cached binomial powers (no products),
     then one product with the cached vertical power attaches v^Q.  The
     binomial series and the group sums are summed in place into one table
-    each (``_iadd``), not rebuilt by a chain of ``add``: the same records
-    in the same order, so the same sums and ``discarded``.
+    each (``_iadd``, which scales each cached summand as it reads it), not
+    rebuilt by a chain of ``add`` and ``scale``: the same records in the
+    same order, so the same sums and ``discarded``.
 
     The vertical power has order |Q| >= ord_v f, so only the horizontal
     factor's terms of degree <= vmax - ord_v f can reach the output: the u
@@ -146,7 +147,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
             for s in range(1, smax + 1):
                 cbin = _gen_binom(int(p), s)
                 if cbin:
-                    piece._iadd(upow[k][s].scale(cbin))
+                    piece._iadd(upow[k][s], cbin)
             # the first factor is taken as is, not multiplied into the unit
             acc = piece if acc is one else acc.mul(piece)
         return acc.shift_h(P).scale(lam_fac)
@@ -162,7 +163,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
         for P, c in group:
             if P not in hcache:
                 hcache[P] = binom_power_series(P)
-            hpart._iadd(hcache[P].scale(c))
+            hpart._iadd(hcache[P], c)
         piece = hpart.with_window(vmax=vmax)
         for j, q in enumerate(Q):
             if q:

@@ -7,6 +7,18 @@ over the parameter box ]-eps, 1+eps[^n, possibly translated by integer
 combinations of the ``v_i`` (the deck maps act by exactly these
 translations).  Sups of |h^P| over such regions are exponentials of linear
 programs solved at vertices, which keeps all norm bounds exact.
+
+The Hartogs-extended domain is the convex hull of the base parallelotope
+and its +-1, +-2 translates along every generator.  In t = x V^{-1}, with
+V the matrix of rows v_i, the base is the cube [-eps, 1+eps]^n and the
+translates are its shifts by k e_i.  The +-1 shifts lie inside the hull of
+the others, so the hull is conv(cube + {0, +-2 e_i}) = cube + 2 * the
+cross-polytope, a Minkowski sum.  Its normal fan is the common refinement
+of the cube's (the orthants) and the cross-polytope's (which |y_i| is
+largest), so it has a facet for each y in {-1, 0, 1}^n minus 0, with
+normal V^{-1} y in x, and a vertex for each sign vector and axis i: the
+corner of the 2 e_i shift that is far in coordinate i.  The hull is
+therefore written down directly, without a hull algorithm.
 """
 
 from dataclasses import dataclass
@@ -22,7 +34,7 @@ class LatticeError(ValueError):
 
 
 class HullLimitError(RuntimeError):
-    """Hull enumeration refused above the configured dimension limit."""
+    """Hull refused above HULL_DIM_LIMIT (n 2^n vertices, 3^n - 1 facets)."""
 
 
 class LatticeSpec:
@@ -112,30 +124,6 @@ def log_indicatrix(lattice, eps):
                        np.zeros(lattice.n))
 
 
-def hull_of_points(points, dim_limit=HULL_DIM_LIMIT):
-    """Convex hull of a point cloud with halfspace description."""
-    points = np.asarray(points, dtype=float)
-    n = points.shape[1]
-    if n > dim_limit:
-        raise HullLimitError("hull enumeration limited to dimension %d"
-                             % dim_limit)
-    if n == 1:
-        lo, hi = float(points.min()), float(points.max())
-        return HullDescription(
-            vertices=np.array([[lo], [hi]]),
-            normals=np.array([[1.0], [-1.0]]),
-            offsets=np.array([-hi, lo]),
-        )
-    from scipy.spatial import ConvexHull
-
-    hull = ConvexHull(points)
-    verts = points[np.sort(hull.vertices)]
-    order = np.lexsort(verts.T[::-1])
-    eqs = np.unique(hull.equations.round(12), axis=0)
-    return HullDescription(vertices=verts[order],
-                           normals=eqs[:, :-1], offsets=eqs[:, -1])
-
-
 def union_translates(lattice, eps, reach=2):
     """The fundamental polytope plus its +-1..+-reach translates, per axis."""
     base = log_indicatrix(lattice, eps)
@@ -148,18 +136,47 @@ def union_translates(lattice, eps, reach=2):
     return polys
 
 
-def union_and_hull(lattice, eps, dim_limit=HULL_DIM_LIMIT):
-    """Translated parallelotopes and the convex hull of all their vertices."""
+def union_and_hull(lattice, eps):
+    """Translated parallelotopes and the convex hull of all their vertices.
+
+    In t = x V^{-1} the union is the cube [-eps, 1+eps]^n with its copies
+    shifted by +-1 and +-2 along each axis, so its hull is the Minkowski sum
+    of the cube and 2 * the cross-polytope, with support function
+    (1/2 + eps)|y|_1 + 2|y|_inf + (1/2) sum y.  The vertices are the
+    n 2^n corners of the +-2 e_i copies on the far side in coordinate i,
+    taken from those copies' own ``vertices()``; the facet normals are
+    V^{-1} y for the 3^n - 1 sign vectors y in {-1, 0, 1}^n, each tight on
+    the vertex set.  Vertices are sorted row-lexicographically.
+    """
+    n = lattice.n
+    if n > HULL_DIM_LIMIT:
+        raise HullLimitError("hull enumeration limited to dimension %d"
+                             % HULL_DIM_LIMIT)
     polys = union_translates(lattice, eps, reach=2)
-    cloud = np.concatenate([p.vertices() for p in polys], axis=0)
-    return polys, hull_of_points(cloud, dim_limit=dim_limit)
+    # corner r of vertices() sits at t_i = hi iff bit n-1-i of r is set
+    at_hi = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
+    parts = []
+    for i in range(n):
+        # union_translates lists the +2 v_i and -2 v_i copies at 4i+3, 4i+4
+        parts.append(polys[4 * i + 3].vertices()[at_hi[:, i]])
+        parts.append(polys[4 * i + 4].vertices()[~at_hi[:, i]])
+    verts = np.concatenate(parts)
+    verts = verts[np.lexsort(verts.T[::-1])]
+    signs = np.array([y for y in product((-1.0, 0.0, 1.0), repeat=n)
+                      if any(y)])
+    normals = signs @ np.linalg.inv(lattice.log_gens).T
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = -(verts @ normals.T).max(axis=0)
+    return polys, HullDescription(verts, normals, offsets)
 
 
 def max_margin_eta(lattice, eps, tol=1e-9, hull=None):
     """Largest eta with every +-1 translate of the (eps+eta)-domain in the hull.
 
     Bisection on eta with vertex-in-halfspace tests; the hull is the one of
-    the (+-1, +-2)-translate union at the given eps.
+    the (+-1, +-2)-translate union at the given eps.  On that hull the exact
+    answer is 1/n for every lattice and eps (the facet y = (1, ..., 1)
+    binds); the bisection returns it to within ``tol``, from above.
     """
     if eps <= 0:
         raise LatticeError("eps must be positive")

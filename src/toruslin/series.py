@@ -185,22 +185,27 @@ class TruncatedSeries:
         out.discarded = self.discarded * abs(c)
         return out
 
-    def _iadd(self, other):
-        """``self.add(other)`` in place, for a sum its caller owns alone.
+    def _iadd(self, other, c):
+        """``self.add(other.scale(c))`` in place, for a sum its caller owns.
 
-        The same records reach ``_accumulate`` in the same order as in
-        ``add``, so sums, ``tailflag`` and ``discarded`` are bit-identical,
-        but the table built so far is not copied again.  ``other``'s window
-        must contain this one's, where ``add`` would keep this window too.
+        The same records reach ``_accumulate`` in the same order as there
+        (``scale``'s products, with its pruning), so sums, ``tailflag`` and
+        ``discarded`` are bit-identical, but no scaled copy is built and the
+        table summed so far is not copied again.  ``other``'s window must
+        contain this one's, where ``add`` would keep this window too.
         """
         self._check_compat(other)
         if self.components != other.components:
             raise SeriesError("component count mismatch in add")
         if other.vmax < self.vmax or other.hband < self.hband:
             raise SeriesError("in-place add cannot narrow the window")
+        c = complex(c)
         self.tailflag = self.tailflag or other.tailflag
-        self.discarded += other.discarded
-        self._accumulate(other.coeffs.items())
+        self.discarded += other.discarded * abs(c)
+        if c != 0:
+            scaled = ((key, val * c) for key, val in other.coeffs.items())
+            self._accumulate((key, val) for key, val in scaled
+                             if abs(val) > PRUNE)
         return self
 
     def __add__(self, other):

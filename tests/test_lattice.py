@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from toruslin import DomainSpec, LatticeSpec, log_indicatrix, max_margin_eta, \
     union_and_hull
-from toruslin.lattice import HullLimitError, LatticeError, hull_of_points, \
+from toruslin.lattice import HullLimitError, LatticeError, \
     polytope_to_text, union_translates
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def lat1(e2=0.3 + 1.1j):
@@ -20,6 +27,13 @@ def lat2_skew():
     return LatticeSpec(2, 1, [[1, 0], [0, 1],
                               [0.3 + 1.0j, 0.5 + 0.2j],
                               [0.7 + 0.1j, 0.2 + 1.0j]])
+
+
+def random_lattice(rng, n):
+    """Seeded skew lattice: Im e_{n+i} near the unit vectors, any real part."""
+    im = np.eye(n) + rng.uniform(-0.3, 0.3, (n, n))
+    re = rng.uniform(-1.0, 1.0, (n, n))
+    return LatticeSpec(n, 1, np.vstack([np.eye(n), re + 1j * im]))
 
 
 def graham_scan(points):
@@ -153,8 +167,59 @@ class TestUnionAndHull:
                     (i, k)
 
     def test_hull_limit(self):
+        lat5 = LatticeSpec(5, 1, np.vstack([np.eye(5), 1j * np.eye(5)]))
         with pytest.raises(HullLimitError):
-            hull_of_points(np.zeros((3, 7)), dim_limit=4)
+            union_and_hull(lat5, 0.1)
+
+
+class TestClosedFormHull:
+    """The closed-form hull against qhull of the whole translate cloud."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5])
+    def test_matches_qhull(self, n, eps):
+        spatial = pytest.importorskip("scipy.spatial")
+        rng = np.random.default_rng(1000 * n + int(10 * eps))
+        for _ in range(3):
+            lat = random_lattice(rng, n)
+            polys, hull = union_and_hull(lat, eps)
+            cloud = np.concatenate([p.vertices() for p in polys])
+            oracle = spatial.ConvexHull(cloud)
+            want = cloud[np.sort(oracle.vertices)]
+            want = want[np.lexsort(want.T[::-1])]
+            assert np.array_equal(hull.vertices, want)
+            assert len(hull.vertices) == n * 2 ** n
+            # qhull splits each facet into simplices: match facets as sets
+            ours = np.column_stack([hull.normals, hull.offsets])
+            gap = np.abs(oracle.equations[:, None, :]
+                         - ours[None, :, :]).max(axis=2)
+            assert len(ours) == 3 ** n - 1
+            assert gap.min(axis=1).max() <= 1e-12
+            assert gap.min(axis=0).max() <= 1e-12
+
+    def test_no_scipy_in_the_package(self):
+        code = (
+            "import sys\n"
+            "from toruslin import DomainSpec, LatticeSpec, TruncatedSeries, "
+            "max_margin_eta, sampled_lower_bound, sup_norm_bound, "
+            "union_and_hull\n"
+            "lat = LatticeSpec(2, 1, [[1, 0], [0, 1], [0.3 + 1.0j, 0.5 + 0.2j],"
+            " [0.7 + 0.1j, 0.2 + 1.0j]])\n"
+            "union_and_hull(lat, 0.15)\n"
+            "assert abs(max_margin_eta(lat, 0.15) - 0.5) < 1e-9\n"
+            "dom = DomainSpec(lat, 0.12, 0.5, hull=True)\n"
+            "f = TruncatedSeries.monomial(2, 1, 0, (1, -1), (1,), 0.5, vmax=3,"
+            " hband=2)\n"
+            "assert sampled_lower_bound(f, dom, points=200, seed=1).value"
+            " <= sup_norm_bound(f, dom).value\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestMaxMarginEta:
@@ -198,6 +263,15 @@ class TestMaxMarginEta:
         worst = max(hull.max_violation(fat.vertices() + s * lat.log_gens[i])
                     for i in range(2) for s in (1, -1))
         assert worst > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_value_is_one_over_n(self, n):
+        # the closed-form hull binds at the facet y = (1, ..., 1): eta = 1/n
+        rng = np.random.default_rng(70 + n)
+        for eps in (0.05, 0.2, 0.4):
+            lat = random_lattice(rng, n)
+            assert max_margin_eta(lat, eps) == pytest.approx(1.0 / n,
+                                                             abs=1e-9)
 
     def test_monotonicity_probe(self):
         lat = lat2_square()

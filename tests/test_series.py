@@ -243,6 +243,28 @@ class TestKernelIO:
         assert exps.shape == (0, 3) and vals.shape == (0,)
 
 
+class TestScaledInPlaceAdd:
+    @pytest.mark.parametrize("c", [2.5, -0.3j, 1e-300, 0.0])
+    @pytest.mark.parametrize("discarded", [0.0, 1e-7])
+    def test_matches_add_of_scaled_copy(self, c, discarded):
+        # 1e-300 leaves some scaled terms above PRUNE and prunes the rest;
+        # a pruned term outside a's window must not reach ``discarded``
+        rng = np.random.default_rng(17)
+        a = random_series(rng, 2, 1, vmax=5, hband=3, nterms=12)
+        b = random_series(rng, 2, 1, vmax=5, hband=3, nterms=12)
+        b = TruncatedSeries(2, 1, 1, 6, 4, dict(b.coeffs),
+                            tailflag=discarded > 0, discarded=discarded)
+        b.coeffs[(0, (4, 0), (1,))] = 0.5
+        b.coeffs[(0, (0, 0), (6,))] = 2.0 - 1j
+        got = a.copy()._iadd(b, c)
+        want = a.add(b.scale(c))
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert [(v.real.hex(), v.imag.hex()) for v in got.coeffs.values()] \
+            == [(v.real.hex(), v.imag.hex()) for v in want.coeffs.values()]
+        assert (got.tailflag, got.discarded) == (want.tailflag,
+                                                 want.discarded)
+
+
 class TestPartialH:
     def test_basic(self):
         assert dense_poly(partial_h(mono(1, 1, (1,), (0,)), (1,))) == \
