@@ -11,7 +11,7 @@ from ._kernels import BACKEND as kernel_backend
 from .series import TruncatedSeries, compose_diagonal, invert_vertical_map, \
     partial_h, substitute_vertical
 from .lattice import DomainSpec, LatticeSpec, log_indicatrix, max_margin_eta, \
-    sup_abs_monomial, union_and_hull
+    union_and_hull
 from .norms import NormBound, sampled_lower_bound, sup_norm_bound
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
     "TruncatedSeries", "compose_diagonal", "substitute_vertical",
     "partial_h", "invert_vertical_map",
     "LatticeSpec", "DomainSpec", "log_indicatrix", "union_and_hull",
-    "max_margin_eta", "sup_abs_monomial",
+    "max_margin_eta",
     "NormBound", "sup_norm_bound", "sampled_lower_bound",
     "kernel_backend",
 ]

@@ -1,4 +1,7 @@
-"""The hot kernels, in numpy.
+"""The hot kernels, in numpy: coefficient convolution and point evaluation.
+
+One implementation; ``BACKEND`` names it and is re-exported as
+``toruslin.kernel_backend``.
 
 Coefficient tables are (exps, vals) pairs with ``exps`` an int64 array of
 shape (N, n+d) holding the h-exponents first and the v-exponents last, and

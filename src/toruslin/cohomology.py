@@ -14,24 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divisors import ResonanceError, divisor_values
+from .divisors import ResonanceError, divisor_values, is_resonant
 from .lattice import DomainSpec
 from .norms import NormBound, sup_norm_bound
-from .series import TruncatedSeries, compose_diagonal, scale_components
+from .series import TruncatedSeries, compose_diagonal
 
 COMPAT_TOL = 1e-10
 
 
 class CompatibilityError(ValueError):
     pass
-
-
-def apply_vertical_operator(G, data, i, sign=1):
-    """T_{+-i}(G) = G o tauhat_i^{+-1} - M_i^{+-1} G."""
-    lam_i, mu_i = data.lam[i], data.mu[i]
-    composed = compose_diagonal(G, lam_i, mu_i, sign)
-    mu_pow = mu_i if sign > 0 else 1.0 / mu_i
-    return composed - scale_components(G, mu_pow)
 
 
 def compose_power(G, data, i, k):
@@ -80,8 +72,8 @@ class CompatibilityReport:
     max_rel: float
     worst_key: tuple | None
 
-    def ok(self, tol=COMPAT_TOL):
-        return self.max_rel <= tol
+    def ok(self):
+        return self.max_rel <= COMPAT_TOL
 
 
 def check_compatibility(family, data, m=None):
@@ -139,8 +131,7 @@ def _theoretical_bound(family, data, lattice, eps, r, delta, rho, constants):
     return max_f * (constants.C1 / delta ** gamma + constants.C1 / rho ** gamma)
 
 
-def solve_family(family, data, lattice, eps, r, delta, rho, constants=None,
-                 compat_tol=COMPAT_TOL):
+def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
     """Solve T_i(G) = F_i for all generators at once.
 
     Each coefficient divides by the divisor of the generator where the
@@ -154,10 +145,10 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None,
     if rho <= 0:
         raise ValueError("need rho > 0")
     report = check_compatibility(family, data)
-    if not report.ok(compat_tol):
+    if not report.ok():
         raise CompatibilityError(
             "family incompatible: relative residual %.3e exceeds %.3e at %s"
-            % (report.max_rel, compat_tol, (report.worst_key,)))
+            % (report.max_rel, COMPAT_TOL, (report.worst_key,)))
 
     base = family.rhs[0]
     G = base._like(components=base.d)
@@ -165,7 +156,7 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None,
     for key in family.keys():
         k, P, Q = key
         rec = divisor_values(data, P, Q, k)
-        if rec.maxval == 0.0:
+        if is_resonant(rec.maxval, rec.size):
             raise ResonanceError(P, Q, k)
         iv = rec.argmax
         lam_pow = data.lam_pow(P)[iv]
@@ -226,7 +217,7 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
         mu_pow = data.mu_pow([sgn * q for q in Q])[i]
         target = data.mu[i, k] if sgn > 0 else 1.0 / data.mu[i, k]
         divisor = lam_pow * mu_pow - target
-        if divisor == 0.0:
+        if is_resonant(abs(divisor), sum(map(abs, P)) + sum(Q)):
             raise ResonanceError(P, Q, k, i)
         records.append((key, c / divisor))
         used[key] = (i, divisor)
@@ -252,15 +243,3 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
                                inverse=sign < 0, compat_residual=0.0,
                                divisors_used=used)
 
-
-def norm_certificate(cert):
-    """Compare empirical bounds against the constants-based theoretical one."""
-    if cert.theoretical is None:
-        raise ValueError("certificate carries no theoretical bound; "
-                         "pass a constants bundle to the solver")
-    rows = [("solution", cert.bound.value, cert.theoretical,
-             cert.bound.value <= cert.theoretical)]
-    for tag, nb in cert.composed_bounds:
-        rows.append(("composed %s" % (tag,), nb.value, cert.theoretical,
-                     nb.value <= cert.theoretical))
-    return {"rows": rows, "pass": all(r[3] for r in rows)}

@@ -71,12 +71,6 @@ class DeckMap:
         return max(self.pert_h.max_abs(), self.pert_v.max_abs())
 
 
-def identity_map(n, d, vmax, hband):
-    zero_h = TruncatedSeries.zero(n, d, n, vmax, hband)
-    zero_v = TruncatedSeries.zero(n, d, d, vmax, hband)
-    return DeckMap(lam=np.ones(n), mu=np.ones(d), pert_h=zero_h, pert_v=zero_v)
-
-
 def compose_with_map(f, m, vmax=None, hband=None):
     """Exact-then-project composition f o m for a deck map m.
 
@@ -193,9 +187,9 @@ def conjugate_by_vertical(m, G, H=None):
                    pert_v=inner.pert_v.add(lifted))
 
 
-def compose_maps(m1, m2, vmax=None, hband=None):
-    """The deck map m1 o m2 (apply m2 first)."""
-    vmax = m1.pert_h.vmax if vmax is None else vmax
+def compose_maps(m1, m2, hband=None):
+    """The deck map m1 o m2 (apply m2 first), at m1's vmax."""
+    vmax = m1.pert_h.vmax
     hband = m1.pert_h.hband if hband is None else hband
     a1_of = compose_with_map(m1.pert_h, m2, vmax=vmax, hband=hband)
     b1_of = compose_with_map(m1.pert_v, m2, vmax=vmax, hband=hband)

@@ -16,10 +16,16 @@ import numpy as np
 
 TAU_FLOOR = 1e-9
 FORMS = ("weak", "strong", "inverse")
+# Rounding bound on a computed divisor, per unit of |P|_1 + |Q|_1.  Each of
+# the |P|_1 + |Q|_1 factors of lambda^P mu^Q is a multiplier exp(2 pi i z)
+# rounded from its turn z (relative error about (4 pi |z| + 2) units of
+# 2^-52) and multiplied in once more; near a zero the product has the
+# target's unit modulus.  64 units per factor cover turns up to |z| = 4.
+RESONANCE_TOL = 64 * 2.0 ** -52
 
 
 class ResonanceError(ArithmeticError):
-    """An exactly vanishing divisor was hit where a division is required."""
+    """A divisor that rounding cannot tell from zero, where one is divided by."""
 
     def __init__(self, P, Q, j, l=None):
         self.P, self.Q, self.j, self.l = tuple(P), tuple(Q), int(j), l
@@ -65,6 +71,16 @@ class MultiplierData:
 
     def mu_pow(self, Q):
         return np.prod(self.mu ** np.asarray(Q, dtype=np.int64)[None, :], axis=1)
+
+
+def is_resonant(value, size):
+    """Whether a divisor modulus (or an array of them) is zero to rounding.
+
+    True where ``value <= RESONANCE_TOL * size`` with size = |P|_1 + |Q|_1:
+    a resonance in the multipliers' turns that float arithmetic did not
+    land exactly on.  Real small divisors sit many orders above the bound.
+    """
+    return value <= RESONANCE_TOL * size
 
 
 @dataclass(frozen=True)
@@ -187,7 +203,8 @@ def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
     tau is the smallest slope whose log-log line through the smallest-size
     envelope point stays below every non-resonant scanned point; D is the
     corresponding intercept, shaved by 1e-9 so the envelope inequality is
-    strict.  Exact zeros are reported as resonances, never fitted.
+    strict.  Divisors zero to rounding (``is_resonant``) are reported as
+    resonances, never fitted.
     """
     if pmax < 2 or qmax < 2:
         raise ValueError("need pmax, qmax >= 2")
@@ -197,18 +214,19 @@ def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
     resonances = []
     points = []
     for P, Q in iter_indices(data.n, data.d, pmax, qmax):
+        size = sum(map(abs, P)) + sum(Q)
         for j in range(data.d):
             rec = divisor_values(data, P, Q, j, form=form, dps=dps)
             table.records.append(rec)
             if form == "strong":
-                zeros = np.nonzero(rec.perl == 0.0)[0]
+                zeros = np.nonzero(is_resonant(rec.perl, size))[0]
                 if len(zeros):
                     resonances.append((P, Q, j, int(zeros[0])))
                     continue
-            elif rec.maxval == 0.0:
+            elif is_resonant(rec.maxval, size):
                 resonances.append((P, Q, j, None))
                 continue
-            points.append((rec.size, _binding_value(rec, form)))
+            points.append((size, _binding_value(rec, form)))
 
     sizes = np.array([s for s, _ in points], dtype=float)
     vals = np.array([v for _, v in points], dtype=float)
@@ -245,12 +263,12 @@ def enhanced_bound_check(data, fit, pmax, qmax):
     for P, Q in iter_indices(data.n, data.d, pmax, qmax):
         prods = np.abs(data.lam_pow(P) * data.mu_pow(Q))
         t = float(prods.max())
+        s = sum(map(abs, P)) + sum(Q)
         for j in range(data.d):
             rec = divisor_values(data, P, Q, j)
-            if rec.maxval == 0.0:
+            if is_resonant(rec.maxval, s):
                 continue
             checked += 1
-            s = rec.size
             empirical = min(empirical, rec.maxval * s ** fit.tau / t)
             if t < B:
                 ok = rec.maxval >= d_prime_envelope * t / s ** fit.tau

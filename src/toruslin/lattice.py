@@ -111,10 +111,6 @@ class HullDescription:
         slack = points @ self.normals.T + self.offsets
         return bool(np.all(slack <= tol))
 
-    def max_violation(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return float((points @ self.normals.T + self.offsets).max())
-
 
 def log_indicatrix(lattice, eps):
     """Log-modulus image of the fattened fundamental Reinhardt domain."""
@@ -170,45 +166,18 @@ def union_and_hull(lattice, eps):
     return polys, HullDescription(verts, normals, offsets)
 
 
-def max_margin_eta(lattice, eps, tol=1e-9, hull=None):
+def max_margin_eta(lattice, eps):
     """Largest eta with every +-1 translate of the (eps+eta)-domain in the hull.
 
-    Bisection on eta with vertex-in-halfspace tests; the hull is the one of
-    the (+-1, +-2)-translate union at the given eps.  On that hull the exact
-    answer is 1/n for every lattice and eps (the facet y = (1, ..., 1)
-    binds); the bisection returns it to within ``tol``, from above.
+    The hull is the one of the (+-1, +-2)-translate union at eps.  The answer
+    is 1/n for every lattice and eps: in t = x V^{-1} a +-1 translate of the
+    (eps+eta) cube fits under the hull's support function (1/2 + eps)|y|_1 +
+    2|y|_inf + (1/2) sum y iff eta|y|_1 +- y_i <= 2|y|_inf for all y, and
+    y = (1, ..., 1) binds.
     """
     if eps <= 0:
         raise LatticeError("eps must be positive")
-    if hull is None:
-        _, hull = union_and_hull(lattice, eps)
-    scale = max(1.0, float(np.abs(hull.offsets).max()))
-    member_tol = 1e-12 * scale
-
-    def fits(eta):
-        fat = log_indicatrix(lattice, eps + eta)
-        verts = fat.vertices()
-        for i in range(lattice.n):
-            vi = lattice.log_gens[i]
-            for sign in (1.0, -1.0):
-                if not hull.contains(verts + sign * vi, tol=member_tol):
-                    return False
-        return True
-
-    lo, hi = 0.0, 2.0
-    if not fits(lo):
-        raise LatticeError("hull does not even contain the +-1 translates")
-    while fits(hi):
-        hi *= 2.0
-        if hi > 64.0:
-            return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 1.0 / lattice.n
 
 
 @dataclass(frozen=True)
@@ -318,16 +287,6 @@ class DomainSpec:
             tags = ",".join("t%d^%+d" % (i + 1, k) for i, k in self.word)
             return "%s(eps=%r, r=%r)" % (tags, self.eps, self.r)
         return "base(eps=%r, r=%r)" % (self.eps, self.r)
-
-
-def sup_abs_monomial(lattice, eps, P, word=()):
-    """Exact sup of |h^P| over the (optionally translated) fattened domain.
-
-    ``word`` composes deck translations (generator index, exponent) with
-    exponents in -2..2; the sup is a vertex maximum of exp<x, P>.
-    """
-    dom = DomainSpec(lattice, float(eps), 1.0, word=tuple(word))
-    return dom.sup_monomial(np.asarray(P, dtype=float))
 
 
 def polytope_to_text(vertices):

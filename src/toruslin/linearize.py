@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import CompatibleFamily, solve_family
-from .deckmaps import (COMMUTE_TOL, DeckMap, DeckMapError, compose_maps,
-                       compose_with_map, conjugate_by_vertical, invert_map,
-                       map_difference)
-from .divisors import MultiplierData, ResonanceError, scan_and_fit
+from .deckmaps import (COMMUTE_TOL, DeckMap, compose_maps, compose_with_map,
+                       conjugate_by_vertical, invert_map, map_difference)
+from .divisors import ResonanceError, scan_and_fit
 from .lattice import DomainSpec
 from .majorant import constants_bundle, domain_schedule
 from .norms import sup_norm_bound, sup_norm_bound_union
@@ -104,8 +103,7 @@ class DeckMapFamily:
                              eps0=self.eps0, r0=self.r0, hband=self.hband)
 
 
-def build_family(lattice, data, pert_records, vmax, hband, eps0, r0,
-                 work_slack=WORK_BAND_SLACK):
+def build_family(lattice, data, pert_records, vmax, hband, eps0, r0):
     """Assemble a family from multiplier data plus perturbation records.
 
     Records are (i, k, P, Q, value) with generator i and component k
@@ -113,7 +111,7 @@ def build_family(lattice, data, pert_records, vmax, hband, eps0, r0,
     band so conjugation arithmetic is exact far past the reporting band.
     """
     n, d = data.n, data.d
-    work = hband + work_slack * vmax
+    work = hband + WORK_BAND_SLACK * vmax
     maps = []
     for i in range(n):
         ph = TruncatedSeries.zero(n, d, n, vmax, work)
@@ -133,71 +131,6 @@ def build_family(lattice, data, pert_records, vmax, hband, eps0, r0,
                             pert_h=ph, pert_v=pv))
     return DeckMapFamily(lattice=lattice, data=data, maps=maps,
                          eps0=eps0, r0=r0, hband=hband)
-
-
-def decompose_deck_family(raw_maps, lattice, eps0, r0,
-                          work_slack=WORK_BAND_SLACK, tol=1e-12):
-    """Split raw (n+d)-component map series into diagonal part + perturbations.
-
-    The linear part must be exactly diagonal: component k carries
-    lambda_k h_k at vertical order 0 (h rows) or mu_j v_j at vertical order
-    1 (v rows); any other low-order coefficient is a model violation.
-    """
-    base = raw_maps[0]
-    n = lattice.n
-    d = base.d
-    if base.components != n + d:
-        raise DeckMapError("raw maps need n+d components")
-    lam_rows, mu_rows, records = [], [], []
-    for i, raw in enumerate(raw_maps):
-        lam_i = np.zeros(n, dtype=np.complex128)
-        mu_i = np.zeros(d, dtype=np.complex128)
-        for k, P, Q, c in raw.terms():
-            vdeg = sum(Q)
-            if k < n:
-                ek = tuple(1 if t == k else 0 for t in range(n))
-                if vdeg == 0:
-                    if P == ek and Q == (0,) * d:
-                        lam_i[k] = c
-                        continue
-                    raise DeckMapError(
-                        "generator %d: non-diagonal order-0 term %s in h "
-                        "component %d" % (i + 1, (P, Q), k + 1))
-                if vdeg == 1:
-                    if abs(c) > tol:
-                        raise DeckMapError(
-                            "generator %d: order-1 vertical term in h "
-                            "component %d violates the split model"
-                            % (i + 1, k + 1))
-                    continue
-                records.append((i, k, P, Q, c))
-            else:
-                j = k - n
-                ej = tuple(1 if t == j else 0 for t in range(d))
-                if vdeg == 0:
-                    if abs(c) > tol:
-                        raise DeckMapError(
-                            "generator %d: v component %d does not vanish on "
-                            "the zero section" % (i + 1, j + 1))
-                    continue
-                if vdeg == 1:
-                    if P == (0,) * n and Q == ej:
-                        mu_i[j] = c
-                        continue
-                    if abs(c) > tol:
-                        raise DeckMapError(
-                            "generator %d: non-diagonal linear part in v "
-                            "component %d" % (i + 1, j + 1))
-                    continue
-                records.append((i, k, P, Q, c))
-        if np.any(lam_i == 0) or np.any(mu_i == 0):
-            raise DeckMapError("generator %d: missing diagonal multiplier"
-                               % (i + 1,))
-        lam_rows.append(lam_i)
-        mu_rows.append(mu_i)
-    data = MultiplierData(np.array(lam_rows), np.array(mu_rows))
-    return build_family(lattice, data, records, base.vmax, base.hband,
-                        eps0, r0, work_slack=work_slack)
 
 
 def check_commutation(family, order=None):
@@ -253,8 +186,7 @@ def _solve_degree(family, m, eps_prev, r_prev, eps_m, r_m, constants):
     return cert.G, cert
 
 
-def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
-                   tol=LINEARIZE_TOL):
+def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None):
     """Remove the degree-m vertical perturbation from the family.
 
     Returns (G_m, H_m, conjugated family, solver certificate), where
@@ -266,7 +198,7 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
     scale = max(family.pert_scale(), 1e-30)
     below = max(mp.pert_v.up_to_degree(m - 1).max_abs()
                 for mp in family.maps)
-    if below > tol * max(scale, 1.0):
+    if below > LINEARIZE_TOL * max(scale, 1.0):
         raise LinearizeError("family is not vertically linear below degree %d"
                              " (mass %.3e)" % (m, below))
     G, cert = _solve_degree(family, m, eps_prev, r_prev, eps_m, r_m,
@@ -277,7 +209,7 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
     updated = family.conjugated(G, H)
     for i, mp in enumerate(updated.maps):
         leftover = mp.pert_v.up_to_degree(m).max_abs()
-        if leftover > tol * max(scale, 1.0):
+        if leftover > LINEARIZE_TOL * max(scale, 1.0):
             raise LinearizeError(
                 "degree-%d cleanup failed for generator %d: leftover %.3e"
                 % (m, i + 1, leftover))
@@ -285,7 +217,7 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
 
 
 def linearize(family, order, eps1, r1, route="forward", fit=None,
-              constants=None, pmax=12, qmax=12, commute_tol=COMMUTE_TOL):
+              constants=None, pmax=12, qmax=12):
     """Vertically linearize the family up to the given order.
 
     Refuses to run on resonant multiplier data (the offending index is
@@ -318,7 +250,7 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
         table = check_commutation(family, order=order)
         worst = max((r for per in table.values() for r in per.values()),
                     default=0.0)
-        if worst > commute_tol:
+        if worst > COMMUTE_TOL:
             raise LinearizeError("family does not commute: relative "
                                  "commutator %.3e" % worst)
     if constants is None:

@@ -81,13 +81,13 @@ def _perturbation_envelope(family, lattice, eps1, r1):
     return (best if found else 1.0), found
 
 
-def constants_bundle(lattice, data, fit, family, eps1, r1, margin_grid=9):
+def constants_bundle(lattice, data, fit, family, eps1, r1):
     """Assemble every constant the certificate depends on.
 
     kappa comes from the lattice log-geometry; nu = n + d is the
     geometric-series summation exponent; C1 collects the divisor envelope
     with the decay-sum constants (assembly recorded in the notes); eta is
-    the Hartogs margin minimized over [eps1/2, eps1], capped below kappa/2.
+    kappa times the Hartogs margin (1/n at every eps), capped below kappa/2.
     """
     if fit.resonant:
         raise ConstantsError("resonant multiplier data admits no certificate")
@@ -104,12 +104,11 @@ def constants_bundle(lattice, data, fit, family, eps1, r1, margin_grid=9):
                                               1.0) * 6.0 ** nu
     notes.append("C1 = 2^(tau+1)/D * max((2 tau/e)^tau, 1) * 6^nu "
                  "(divisor envelope x decay sums)")
-    grid = np.linspace(eps1 / 2, eps1, margin_grid)
-    margins = [max_margin_eta(lattice, float(t)) for t in grid]
-    ratio = min(min(margins), ETA_RATIO_CAP)
-    if ratio != min(margins):
+    margin = max_margin_eta(lattice, eps1)
+    ratio = min(margin, ETA_RATIO_CAP)
+    if ratio != margin:
         notes.append("margin ratio capped at %r (geometric margin %r)"
-                     % (ETA_RATIO_CAP, min(margins)))
+                     % (ETA_RATIO_CAP, margin))
     eta = kappa * ratio
     R, had_terms = _perturbation_envelope(family, lattice, eps1, r1)
     if not had_terms:

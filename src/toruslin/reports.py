@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 
+from .divisors import RESONANCE_TOL
 from .lattice import log_indicatrix, max_margin_eta, polytope_to_text, \
     union_and_hull
 
@@ -34,6 +35,7 @@ def fit_report(fit, enhanced=None):
              "points %d" % fit.n_points,
              "anchor_size %d" % fit.anchor_size,
              "resonant %s" % ("yes" if fit.resonant else "no"),
+             "resonance_threshold %s * (|P|+|Q|)" % _fmt(RESONANCE_TOL),
              "note desk-scale certificate over the scanned range only"]
     for (P, Q, j, l) in fit.resonances:
         lines.append("resonance P=%s Q=%s j=%d%s"
@@ -64,7 +66,7 @@ def resonance_csv(fit):
 def geometry_report(lattice, eps):
     base = log_indicatrix(lattice, eps)
     polys, hull = union_and_hull(lattice, eps)
-    eta = max_margin_eta(lattice, eps, hull=hull)
+    eta = max_margin_eta(lattice, eps)
     lines = ["[domain-geometry]",
              "n %d" % lattice.n,
              "eps %s" % _fmt(float(eps)),

@@ -2,15 +2,22 @@
 
 Everything here is deliberately written with plain dict/loop arithmetic and
 no reuse of the library's own code paths, so agreement is meaningful.  The
-one exception is ``psi_then_invert``, which reuses the library's series
-primitives but builds phi_v along a different route than ``linearize``.
+exceptions reuse library primitives along another route than the library
+takes: ``psi_then_invert`` builds phi_v differently from ``linearize``;
+``apply_vertical_operator`` applies the operator the solvers invert by
+division; ``translates_fit`` probes the hull that ``max_margin_eta`` answers
+for in closed form; ``norm_certificate`` and ``identity_map`` are test
+helpers.
 """
 
 import numpy as np
 
 from toruslin import TruncatedSeries
+from toruslin.deckmaps import DeckMap
+from toruslin.lattice import log_indicatrix, union_and_hull
 from toruslin.linearize import linearize_step
-from toruslin.series import invert_vertical_map, substitute_vertical
+from toruslin.series import compose_diagonal, invert_vertical_map, \
+    scale_components, substitute_vertical
 
 
 def dense_poly(series, k=0):
@@ -120,3 +127,37 @@ def psi_then_invert(result):
         psi = psi.add(substitute_vertical(G, psi)) if not psi.is_zero() \
             else psi.add(G)
     return invert_vertical_map(psi)
+
+
+def apply_vertical_operator(G, data, i, sign=1):
+    """T_{+-i}(G) = G o tauhat_i^{+-1} - M_i^{+-1} G."""
+    lam_i, mu_i = data.lam[i], data.mu[i]
+    composed = compose_diagonal(G, lam_i, mu_i, sign)
+    mu_pow = mu_i if sign > 0 else 1.0 / mu_i
+    return composed - scale_components(G, mu_pow)
+
+
+def norm_certificate(cert):
+    """Compare a solver certificate's bounds against its theoretical one."""
+    rows = [("solution", cert.bound.value, cert.theoretical,
+             cert.bound.value <= cert.theoretical)]
+    for tag, nb in cert.composed_bounds:
+        rows.append(("composed %s" % (tag,), nb.value, cert.theoretical,
+                     nb.value <= cert.theoretical))
+    return {"rows": rows, "pass": all(r[3] for r in rows)}
+
+
+def identity_map(n, d, vmax, hband):
+    zero_h = TruncatedSeries.zero(n, d, n, vmax, hband)
+    zero_v = TruncatedSeries.zero(n, d, d, vmax, hband)
+    return DeckMap(lam=np.ones(n), mu=np.ones(d), pert_h=zero_h, pert_v=zero_v)
+
+
+def translates_fit(lattice, eps, eta):
+    """Whether every +-1 translate of the (eps+eta)-domain lies in the hull
+    of the (+-1, +-2)-translate union at eps (vertex-in-halfspace tests)."""
+    _, hull = union_and_hull(lattice, eps)
+    tol = 1e-12 * max(1.0, float(np.abs(hull.offsets).max()))
+    verts = log_indicatrix(lattice, eps + eta).vertices()
+    return all(hull.contains(verts + sign * vi, tol=tol)
+               for vi in lattice.log_gens for sign in (1.0, -1.0))

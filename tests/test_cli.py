@@ -33,6 +33,27 @@ qmax 4
 
 RESONANT = MINIMAL.replace("mu_angle 0.6180339887498949", "mu_angle 0.0")
 
+# Resonances in the turns that double arithmetic does not land exactly on:
+# problem text, first resonance as resonances.csv lists it, and as the
+# error block names it.
+with open(toruslin.reference_problem_path()) as fh:
+    SHIPPED = fh.read()
+ROUNDED_RESONANT = {
+    "mu=-1": (SHIPPED.replace("mu_angle 0.6180339887498949", "mu_angle 0.5"),
+              "0,3,1,", "P=(0,), Q=(3,), j=1"),
+    "mu=i": (SHIPPED.replace("mu_angle 0.6180339887498949", "mu_angle 0.25"),
+             "0,5,1,", "P=(0,), Q=(5,), j=1"),
+    "mu^3=1": (SHIPPED.replace("mu_angle 0.6180339887498949",
+                               "mu_angle 0.3333333333333333"),
+               "0,4,1,", "P=(0,), Q=(4,), j=1"),
+    # mu_2 = mu_1^2 to the last bit of the turns, with a record on the key
+    "mu2=mu1^2": (MINIMAL.replace("d 1", "d 2").replace(
+        "mu_angle 0.6180339887498949",
+        "mu_angle 0.6180339887498949 0.2360679774997898")
+        + "\n[perturbation]\np 1 3 0 2 0 0.001 0.0\n",
+        "0,2;0,2,", "P=(0,), Q=(2, 0), j=2"),
+}
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -193,6 +214,31 @@ class TestVerbs:
         assert code == EXIT_RESONANCE
         body = (tmp_path / "out" / "report.txt").read_text()
         assert "skipped resonant instance" in body
+
+    @pytest.mark.parametrize("case", sorted(ROUNDED_RESONANT))
+    @pytest.mark.parametrize("verb", ["check-diophantine", "linearize",
+                                      "report"])
+    def test_rounded_resonance_exits_2(self, tmp_path, capsys, verb, case):
+        text, row, where = ROUNDED_RESONANT[case]
+        prob = write(tmp_path, "near.prob", text)
+        out = tmp_path / "out"
+        assert main([verb, prob, "--out", str(out)]) == EXIT_RESONANCE
+        if verb == "linearize":
+            assert where in capsys.readouterr().err
+        else:
+            rows = (out / "resonances.csv").read_text().splitlines()
+            assert rows[1].startswith(row)
+            assert "resonant yes" in (out / "fit.txt").read_text()
+
+    def test_shipped_instance_not_resonant(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["check-diophantine", toruslin.reference_problem_path(),
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "resonances.csv").read_text() == "p,q,j,l\n"
+        fit = (out / "fit.txt").read_text().splitlines()
+        assert "resonant no" in fit
+        # a key, a number that parses on its own, then its unit
+        assert "resonance_threshold 1.4210854715202004e-14 * (|P|+|Q|)" in fit
 
     def test_extended_precision_scan(self, tmp_path):
         prob = write(tmp_path, "ok.prob", MINIMAL)

@@ -3,12 +3,12 @@ import pytest
 
 from toruslin import LatticeSpec, TruncatedSeries
 from toruslin.cohomology import (CompatibilityError, CompatibleFamily,
-                                 apply_vertical_operator, check_compatibility,
-                                 norm_certificate, solve_family, solve_single)
+                                 check_compatibility, solve_family,
+                                 solve_single)
 from toruslin.divisors import MultiplierData, ResonanceError, divisor_values, \
     scan_and_fit
 
-from _oracles import random_series
+from _oracles import apply_vertical_operator, random_series
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 SQRT2M1 = np.sqrt(2) - 1
@@ -169,6 +169,19 @@ class TestSolveFamily:
                          eps=0.2, r=0.5, delta=0.1, rho=0.5)
         assert err.value.P == (0,) and err.value.Q == (2,) and err.value.j == 0
 
+    def test_rounded_resonance_named(self):
+        # mu^3 - mu is 2.4e-16 in floats for mu = exp(pi i), not 0
+        lat, _ = setup_1d()
+        data = MultiplierData(lat.lam_matrix(), [[np.exp(1j * np.pi)]])
+        F = TruncatedSeries.monomial(1, 1, 0, (0,), (3,), 1.0, components=1)
+        with pytest.raises(ResonanceError) as err:
+            solve_family(CompatibleFamily(rhs=[F]), data, lat,
+                         eps=0.2, r=0.5, delta=0.1, rho=0.5)
+        assert err.value.P == (0,) and err.value.Q == (3,)
+        with pytest.raises(ResonanceError) as err:
+            solve_single(F, 0, data, lat, eps=0.2, r=0.5, delta=0.1, rho=0.5)
+        assert err.value.P == (0,) and err.value.Q == (3,)
+
     def test_incompatible_family_rejected(self):
         rng = np.random.default_rng(11)
         lat, data = setup_2d()
@@ -268,12 +281,3 @@ class TestSolveSingle:
         back = apply_vertical_operator(single.G, data, 1, sign=-1)
         assert back.max_coeff_diff(F) < 1e-12 * max(1.0, F.max_abs())
 
-
-def test_norm_certificate_requires_constants():
-    lat, data = setup_1d()
-    F = TruncatedSeries.monomial(1, 1, 0, (0,), (2,), 1.0, components=1)
-    cert = solve_family(CompatibleFamily(rhs=[F]), data, lat,
-                        eps=0.2, r=0.5, delta=0.1, rho=0.5)
-    assert cert.theoretical is None
-    with pytest.raises(ValueError):
-        norm_certificate(cert)

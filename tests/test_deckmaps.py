@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from toruslin import LatticeSpec, TruncatedSeries
-from toruslin.deckmaps import (DeckMap, DeckMapError, _gen_binom,
-                               compose_maps, compose_with_map,
-                               conjugate_by_vertical, identity_map,
+from toruslin.deckmaps import (DeckMap, _gen_binom, compose_maps,
+                               compose_with_map, conjugate_by_vertical,
                                invert_map)
 from toruslin.divisors import MultiplierData
-from toruslin.linearize import check_commutation, decompose_deck_family, \
-    DeckMapFamily
+from toruslin.linearize import check_commutation, DeckMapFamily
 from toruslin.series import (invert_vertical_map, scale_components,
                              substitute_vertical)
 
-from _oracles import random_series
+from _oracles import identity_map, random_series
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 
@@ -350,67 +348,6 @@ class TestComposeWithMapEdges:
         got = compose_with_map(f, identity_map(1, 1, 4, 4))
         assert got.max_coeff_diff(f) == 0.0
         assert got.tailflag and got.discarded == 1.0
-
-
-class TestDecompose:
-    def lattice(self, e2=MILD_E2):
-        return LatticeSpec(1, 1, [[1.0], [e2]])
-
-    def raw_map(self, lam, mu, extra=()):
-        raw = TruncatedSeries(1, 1, 2, 6, 12)
-        raw.coeffs[(0, (1,), (0,))] = lam
-        raw.coeffs[(1, (0,), (1,))] = mu
-        for (k, P, Q, c) in extra:
-            raw.coeffs[(k, P, Q)] = c
-        return raw
-
-    def test_already_linear(self):
-        lat = self.lattice()
-        lam = np.exp(2j * np.pi * MILD_E2)
-        raw = self.raw_map(lam, np.exp(2j * np.pi * GOLDEN))
-        fam = decompose_deck_family([raw], lat, eps0=0.3, r0=0.6)
-        assert fam.maps[0].pert_h.is_zero()
-        assert fam.maps[0].pert_v.is_zero()
-        assert fam.maps[0].lam[0] == pytest.approx(lam)
-
-    def test_direct_split(self):
-        # tau = (T h + h v^2, M v + v^2): pert_h = h v^2, pert_v = v^2
-        lat = self.lattice()
-        lam = np.exp(2j * np.pi * MILD_E2)
-        raw = self.raw_map(lam, np.exp(2j * np.pi * GOLDEN),
-                           extra=[(0, (1,), (2,), 1.0),
-                                  (1, (0,), (2,), 1.0)])
-        fam = decompose_deck_family([raw], lat, eps0=0.3, r0=0.6)
-        assert fam.maps[0].pert_h.get(0, (1,), (2,)) == pytest.approx(1.0)
-        assert fam.maps[0].pert_v.get(0, (0,), (2,)) == pytest.approx(1.0)
-
-    def test_inverse_computed(self):
-        lat = self.lattice()
-        lam = np.exp(2j * np.pi * MILD_E2)
-        raw = self.raw_map(lam, np.exp(2j * np.pi * GOLDEN),
-                           extra=[(0, (1,), (2,), 0.05),
-                                  (1, (0,), (2,), -0.04)])
-        fam = decompose_deck_family([raw], lat, eps0=0.3, r0=0.6)
-        comp = compose_maps(fam.maps[0], fam.inv_maps[0], hband=6)
-        scale = max(1.0, fam.inv_maps[0].pert_scale())
-        assert comp.pert_h.max_abs() < 1e-12 * scale
-        assert comp.pert_v.max_abs() < 1e-12 * scale
-
-    def test_nondiagonal_rejected(self):
-        lat = self.lattice()
-        lam = np.exp(2j * np.pi * MILD_E2)
-        raw = self.raw_map(lam, np.exp(2j * np.pi * GOLDEN),
-                           extra=[(1, (1,), (1,), 0.3)])  # v-linear cross term
-        with pytest.raises(DeckMapError):
-            decompose_deck_family([raw], lat, eps0=0.3, r0=0.6)
-
-    def test_low_order_vertical_rejected(self):
-        lat = self.lattice()
-        lam = np.exp(2j * np.pi * MILD_E2)
-        raw = self.raw_map(lam, np.exp(2j * np.pi * GOLDEN),
-                           extra=[(0, (2,), (1,), 0.3)])  # order-1 in h comp
-        with pytest.raises(DeckMapError):
-            decompose_deck_family([raw], lat, eps0=0.3, r0=0.6)
 
 
 class TestCommutation:

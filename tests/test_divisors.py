@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from toruslin.divisors import (DiophantineFit, MultiplierData, DivisorTable,
-                               divisor_values, enhanced_bound_check,
+from toruslin.divisors import (FORMS, RESONANCE_TOL, DiophantineFit,
+                               MultiplierData, DivisorTable, divisor_values,
+                               enhanced_bound_check, is_resonant,
                                iter_indices, scan_and_fit)
 
 GOLDEN = (np.sqrt(5) - 1) / 2
@@ -125,6 +126,39 @@ class TestEnhancedBound:
         report = enhanced_bound_check(data, fit, 10, 10)
         assert report["all_pass"]
         assert report["checked"] > 0
+
+
+def minus_one_data():
+    # mu = exp(pi i) = -1 + 1.2e-16 i: mu^3 - mu computes to 2.4e-16, not 0
+    return MultiplierData(golden_data().lam, [[np.exp(2j * np.pi * 0.5)]])
+
+
+class TestResonancePredicate:
+    def test_threshold_grows_with_size(self):
+        assert is_resonant(0.0, 2)
+        assert is_resonant(10 * RESONANCE_TOL, 10)
+        assert not is_resonant(10 * RESONANCE_TOL, 9)
+        assert list(is_resonant(np.array([0.0, 5e-13, 0.216]), 40)) == \
+            [True, True, False]
+
+    def test_rounded_divisor_is_not_exactly_zero(self):
+        assert 0.0 < divisor_values(minus_one_data(), (0,), (3,), 0).maxval
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_rounded_resonances_reported_not_fitted(self, form):
+        table, fit = scan_and_fit(minus_one_data(), 4, 8, form=form)
+        assert fit.resonant
+        assert sorted(Q for _, Q, _, _ in fit.resonances) == \
+            [(3,), (5,), (7,)]
+        assert all(P == (0,) for P, _, _, _ in fit.resonances)
+        assert fit.n_points == len(table.records) - 3
+        assert fit.tau < 10
+
+    def test_enhanced_bound_skips_rounded_resonances(self):
+        data = minus_one_data()
+        _, fit = scan_and_fit(data, 4, 8)
+        report = enhanced_bound_check(data, fit, 4, 8)
+        assert report["checked"] == fit.n_points
 
 
 def test_iter_indices_range():

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from toruslin._kernels import cauchy_product, evaluate
-from toruslin._kernels.pykernels import _CHUNK
+from toruslin._kernels import _CHUNK, cauchy_product, evaluate
 
 
 def random_table(rng, nterms, n, d, hband, vmax):

@@ -10,6 +10,8 @@ from toruslin import DomainSpec, LatticeSpec, log_indicatrix, max_margin_eta, \
 from toruslin.lattice import HullLimitError, LatticeError, \
     polytope_to_text, union_translates
 
+from _oracles import translates_fit
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
@@ -258,20 +260,25 @@ class TestMaxMarginEta:
         lat = lat2_square()
         eps = 0.1
         eta = max_margin_eta(lat, eps)
-        _, hull = union_and_hull(lat, eps)
-        fat = log_indicatrix(lat, eps + eta + 1e-6)
-        worst = max(hull.max_violation(fat.vertices() + s * lat.log_gens[i])
-                    for i in range(2) for s in (1, -1))
-        assert worst > 0
+        assert translates_fit(lat, eps, eta)
+        assert not translates_fit(lat, eps, eta + 1e-6)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_value_is_one_over_n(self, n):
         # the closed-form hull binds at the facet y = (1, ..., 1): eta = 1/n
         rng = np.random.default_rng(70 + n)
         for eps in (0.05, 0.2, 0.4):
             lat = random_lattice(rng, n)
-            assert max_margin_eta(lat, eps) == pytest.approx(1.0 / n,
-                                                             abs=1e-9)
+            assert max_margin_eta(lat, eps) == 1.0 / n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_over_n_is_the_largest_fitting_margin(self, n):
+        # containment probe on the hull itself, independent of the formula
+        rng = np.random.default_rng(80 + n)
+        for eps in (0.05, 0.2, 0.4):
+            lat = random_lattice(rng, n)
+            assert translates_fit(lat, eps, 1.0 / n)
+            assert not translates_fit(lat, eps, 1.0 / n + 1e-6)
 
     def test_monotonicity_probe(self):
         lat = lat2_square()
@@ -311,7 +318,8 @@ class TestSupMonomial:
 
 
 def test_sup_abs_monomial_function():
-    from toruslin import sup_abs_monomial
+    def sup_abs_monomial(lat, eps, P, word=()):
+        return DomainSpec(lat, eps, 1.0, word=word).sup_monomial(P)
 
     lat = lat1()
     assert sup_abs_monomial(lat, 0.2, [0]) == pytest.approx(1.0)

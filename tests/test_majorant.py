@@ -6,7 +6,7 @@ import pytest
 
 import toruslin
 from toruslin import DomainSpec, log_indicatrix
-from toruslin.cohomology import CompatibleFamily, norm_certificate, solve_family
+from toruslin.cohomology import CompatibleFamily, solve_family
 from toruslin.divisors import MultiplierData, scan_and_fit
 from toruslin.linearize import build_family, linearize
 from toruslin.majorant import (ConstantsBundle, ConstantsError,
@@ -19,6 +19,7 @@ from toruslin.reports import certificate_text
 from toruslin.series import TruncatedSeries
 
 from _fixtures import golden_data, golden_family, golden_lattice
+from _oracles import apply_vertical_operator, norm_certificate, random_series
 
 
 @pytest.fixture(scope="module")
@@ -370,11 +371,9 @@ class TestNormCertificate:
         fam, fit, bundle = golden_setup
         rng = np.random.default_rng(7)
         lat, data = golden_data()
-        from _oracles import random_series
         for delta, rho in ((0.1, 0.1), (0.05, 0.05)):
             G0 = random_series(rng, 1, 1, components=1, vmax=5, hband=3,
                                nterms=8, min_vdeg=2)
-            from toruslin.cohomology import apply_vertical_operator
             F = apply_vertical_operator(G0, data, 0)
             cert = solve_family(CompatibleFamily(rhs=[F]), data, lat,
                                 eps=0.2, r=0.5, delta=delta, rho=rho,

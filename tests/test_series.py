@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -497,3 +498,41 @@ def test_coefficient_table_is_private():
             for num, line in enumerate(path.read_text().splitlines(), 1)
             if ".coeffs" in line or "PRUNE" in line]
     assert not uses
+
+
+# Top-level functions of the package that nothing in the package refers to,
+# each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    "reference_problem_path": "package entry point: the shipped problem",
+    "solve_single": "criterion 3's second route, the single-generator solve",
+}
+
+
+def test_every_function_is_used_in_the_package():
+    # a top-level function is referenced elsewhere in the package, exported
+    # in toruslin.__all__, or allowed above; test-only code lives in tests/
+    package = Path(toruslin.__file__).parent
+    defined, used = [], set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname: a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   for a in node.names if a.asname}
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            if owner is not None:
+                defined.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = aliases.get(node.id, node.id)
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:  # a function's own recursion is no use
+                    used.add(name)
+    unused = [name for name in defined if name not in used
+              and name not in toruslin.__all__
+              and name not in UNREFERENCED_ALLOWED]
+    assert not unused
+    assert set(UNREFERENCED_ALLOWED) <= set(defined) - used  # no stale entry
