@@ -10,11 +10,11 @@ The equations of the inverse maps (inverse diagonal map and M_i^{-1}) are
 the same equations on the inverse multipliers, ``MultiplierData.inverse()``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .divisors import ResonanceError, divisor_values, is_resonant
+from .divisors import ResonanceError, is_resonant, small_divisors
 from .lattice import DomainSpec
 from .norms import NormBound, sup_norm_bound
 from .series import TruncatedSeries, compose_diagonal
@@ -36,10 +36,9 @@ def compose_power(G, data, i, k):
 
 @dataclass
 class CompatibleFamily:
-    """Right-hand sides F_1..F_n with their certified domain tags."""
+    """Right-hand sides F_1..F_n of the family system."""
 
     rhs: list
-    domains: list = field(default_factory=list)
 
     def __post_init__(self):
         base = self.rhs[0]
@@ -55,9 +54,6 @@ class CompatibleFamily:
     @property
     def n(self):
         return len(self.rhs)
-
-    def scale(self):
-        return max((F.max_abs() for F in self.rhs), default=0.0)
 
     def keys(self):
         seen = set()
@@ -76,25 +72,25 @@ class CompatibilityReport:
         return self.max_rel <= COMPAT_TOL
 
 
-def check_compatibility(family, data, m=None):
+def _divisors_at(data, keys, form="weak"):
+    """Each generator's divisor at each key (k, P, Q): a (len(keys), n) array."""
+    div = small_divisors(data, [P for _, P, _ in keys],
+                         [Q for _, _, Q in keys], form)
+    return div[np.arange(len(keys)), [k for k, _, _ in keys]]
+
+
+def check_compatibility(family, data):
     """Residuals of the pairwise coefficient identities.
 
     For every generator pair (a, b) and key (k, Q, P), the cross products
-    ``divisor_a * F_b - divisor_b * F_a`` must vanish; degree m restricts the
-    check to |Q| = m.  ``max_rel`` normalizes each residual by the size of
-    the crossed terms, which is the meaningful gate when Laurent multipliers
-    make coefficient magnitudes span many decades.
+    ``divisor_a * F_b - divisor_b * F_a`` must vanish.  ``max_rel``
+    normalizes each residual by the size of the crossed terms, which is the
+    meaningful gate when Laurent multipliers make coefficient magnitudes
+    span many decades.
     """
     worst_abs, worst_rel, worst_key = 0.0, 0.0, None
-    for key in family.keys():
-        k, P, Q = key
-        if m is not None and sum(Q) != m:
-            continue
-        facs = []
-        for a in range(family.n):
-            lam_pow = data.lam_pow(P)[a]
-            mu_pow = data.mu_pow(Q)[a]
-            facs.append(lam_pow * mu_pow - data.mu[a, k])
+    keys = family.keys()
+    for key, facs in zip(keys, _divisors_at(data, keys)):
         coeffs = [F.get(*key) for F in family.rhs]
         for a in range(family.n):
             for b in range(a + 1, family.n):
@@ -113,22 +109,26 @@ def check_compatibility(family, data, m=None):
 @dataclass
 class SolutionCertificate:
     G: TruncatedSeries
-    domain: DomainSpec
     bound: NormBound
     composed_bounds: list
     theoretical: float | None
-    delta: float
-    rho: float
-    inverse: bool
     compat_residual: float
     divisors_used: dict
 
 
-def _theoretical_bound(family, data, lattice, eps, r, delta, rho, constants):
-    dom = DomainSpec(lattice, eps, r)
-    max_f = max(sup_norm_bound(F, dom).value for F in family.rhs)
+def _shrunk_domain(lattice, eps, r, delta, rho):
+    """The domain (eps - delta/kappa, r e^{-rho}) a solution is certified on."""
+    kappa = lattice.decay_rate()
+    if not 0 < delta < kappa * eps:
+        raise ValueError("need 0 < delta < kappa*eps = %r" % (kappa * eps,))
+    if rho <= 0:
+        raise ValueError("need rho > 0")
+    return DomainSpec(lattice, eps - delta / kappa, r * float(np.exp(-rho)))
+
+
+def _theoretical_bound(norm_f, delta, rho, constants):
     gamma = constants.tau_eff + constants.nu
-    return max_f * (constants.C1 / delta ** gamma + constants.C1 / rho ** gamma)
+    return norm_f * (constants.C1 / delta ** gamma + constants.C1 / rho ** gamma)
 
 
 def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
@@ -139,39 +139,32 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
     certified on the shrunk domain (eps - delta/kappa, r e^{-rho}).  For
     the equations of the inverse maps pass ``data.inverse()``.
     """
-    kappa = lattice.decay_rate()
-    if not 0 < delta < kappa * eps:
-        raise ValueError("need 0 < delta < kappa*eps = %r" % (kappa * eps,))
-    if rho <= 0:
-        raise ValueError("need rho > 0")
+    dom = _shrunk_domain(lattice, eps, r, delta, rho)
     report = check_compatibility(family, data)
     if not report.ok():
         raise CompatibilityError(
             "family incompatible: relative residual %.3e exceeds %.3e at %s"
             % (report.max_rel, COMPAT_TOL, (report.worst_key,)))
 
+    keys = family.keys()
+    div = _divisors_at(data, keys)
+    moduli = np.abs(div)
+    sizes = np.array([sum(map(abs, P)) + sum(Q) for _, P, Q in keys])
+    for (k, P, Q), bad in zip(keys, is_resonant(moduli.max(axis=1), sizes)):
+        if bad:
+            raise ResonanceError(P, Q, k)
     base = family.rhs[0]
     G = base._like(components=base.d)
     used, records = {}, []
-    for key in family.keys():
-        k, P, Q = key
-        rec = divisor_values(data, P, Q, k)
-        if is_resonant(rec.maxval, rec.size):
-            raise ResonanceError(P, Q, k)
-        iv = rec.argmax
-        lam_pow = data.lam_pow(P)[iv]
-        mu_pow = data.mu_pow(Q)[iv]
-        divisor = lam_pow * mu_pow - data.mu[iv, k]
+    # the generator with the largest modulus, the smallest index on ties
+    for key, row, iv in zip(keys, div, moduli.argmax(axis=1).tolist()):
+        divisor = row[iv]
         c = family.rhs[iv].get(*key)
         if c:
             records.append((key, c / divisor))
         used[key] = (iv, divisor)
     G._accumulate(records)
 
-    new_eps = eps - delta / kappa
-    new_r = r * float(np.exp(-rho))
-    dom = DomainSpec(lattice, new_eps, new_r)
-    bound = sup_norm_bound(G, dom)
     composed = []
     for i in range(data.n):
         for sign in (1, -1):
@@ -179,12 +172,13 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
             composed.append(((i, sign), sup_norm_bound(Gi, dom)))
     theoretical = None
     if constants is not None:
-        theoretical = _theoretical_bound(family, data, lattice, eps, r,
-                                         delta, rho, constants)
-    return SolutionCertificate(G=G, domain=dom, bound=bound,
+        base_dom = DomainSpec(lattice, eps, r)
+        theoretical = _theoretical_bound(
+            max(sup_norm_bound(F, base_dom).value for F in family.rhs),
+            delta, rho, constants)
+    return SolutionCertificate(G=G, bound=sup_norm_bound(G, dom),
                                composed_bounds=composed,
-                               theoretical=theoretical, delta=delta, rho=rho,
-                               inverse=False,
+                               theoretical=theoretical,
                                compat_residual=report.max_rel,
                                divisors_used=used)
 
@@ -202,30 +196,19 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
         raise CompatibilityError("rhs must vanish to order >= 2 in v")
     if fit is not None and (fit.form != "strong" or fit.resonant):
         raise ValueError("solve_single requires a non-resonant strong fit")
-    kappa = lattice.decay_rate()
-    if not 0 < delta < kappa * eps:
-        raise ValueError("need 0 < delta < kappa*eps")
-
+    dom = _shrunk_domain(lattice, eps, r, delta, rho)
+    terms = list(F_i.terms())
+    div = _divisors_at(data, [(k, P, Q) for k, P, Q, _ in terms],
+                       "weak" if sign > 0 else "inverse")[:, i]
     G = F_i._like(components=F_i.d)
     used, records = {}, []
-    for k, P, Q, c in F_i.terms():
-        key = (k, P, Q)
-        if sum(Q) < 2:
-            raise CompatibilityError("rhs carries |Q| < 2 coefficients")
-        sgn = 1 if sign > 0 else -1
-        lam_pow = data.lam_pow([sgn * p for p in P])[i]
-        mu_pow = data.mu_pow([sgn * q for q in Q])[i]
-        target = data.mu[i, k] if sgn > 0 else 1.0 / data.mu[i, k]
-        divisor = lam_pow * mu_pow - target
+    for (k, P, Q, c), divisor in zip(terms, div):
         if is_resonant(abs(divisor), sum(map(abs, P)) + sum(Q)):
             raise ResonanceError(P, Q, k, i)
-        records.append((key, c / divisor))
-        used[key] = (i, divisor)
+        records.append(((k, P, Q), c / divisor))
+        used[k, P, Q] = (i, divisor)
     G._accumulate(records)
 
-    new_eps = eps - delta / kappa
-    new_r = r * float(np.exp(-rho))
-    dom = DomainSpec(lattice, new_eps, new_r)
     words = ((i, -2), (i, -1)) if sign > 0 else ((i, 2), (i, 1))
     composed = [(word, sup_norm_bound(compose_power(G, data, *word), dom))
                 for word in words]
@@ -233,13 +216,10 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
     if constants is not None:
         ref_dom = DomainSpec(lattice, eps, r,
                              word=((i, -2),) if sign > 0 else ((i, 2),))
-        gamma = constants.tau_eff + constants.nu
-        theoretical = sup_norm_bound(F_i, ref_dom).value * (
-            constants.C1 / delta ** gamma + constants.C1 / rho ** gamma)
-    return SolutionCertificate(G=G, domain=dom,
-                               bound=sup_norm_bound(G, dom),
+        theoretical = _theoretical_bound(sup_norm_bound(F_i, ref_dom).value,
+                                         delta, rho, constants)
+    return SolutionCertificate(G=G, bound=sup_norm_bound(G, dom),
                                composed_bounds=composed,
-                               theoretical=theoretical, delta=delta, rho=rho,
-                               inverse=sign < 0, compat_residual=0.0,
+                               theoretical=theoretical, compat_residual=0.0,
                                divisors_used=used)
 

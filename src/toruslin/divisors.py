@@ -9,7 +9,7 @@ here is a desk-scale certificate over the scanned index range only: the
 report always states the range.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -65,13 +65,6 @@ class MultiplierData:
         return MultiplierData(1.0 / self.lam, 1.0 / self.mu,
                               require_unitary=False)
 
-    def lam_pow(self, P):
-        """lambda_l^P for every row l."""
-        return np.prod(self.lam ** np.asarray(P, dtype=np.int64)[None, :], axis=1)
-
-    def mu_pow(self, Q):
-        return np.prod(self.mu ** np.asarray(Q, dtype=np.int64)[None, :], axis=1)
-
 
 def is_resonant(value, size):
     """Whether a divisor modulus (or an array of them) is zero to rounding.
@@ -83,95 +76,108 @@ def is_resonant(value, size):
     return value <= RESONANCE_TOL * size
 
 
-@dataclass(frozen=True)
-class DivisorRecord:
-    P: tuple
-    Q: tuple
-    j: int
-    perl: np.ndarray
-    maxval: float
-    argmax: int
+def monomials(data, P, Q):
+    """lambda_l^P mu_l^Q for index rows P (N, n), Q (N, d).
 
-    @property
-    def size(self):
-        return sum(abs(p) for p in self.P) + sum(self.Q)
-
-
-def divisor_values(data, P, Q, j, form="weak", dps=None):
-    """Per-generator divisor moduli with max and smallest-index argmax.
-
-    With ``dps`` set, the complex arithmetic runs in mpmath at that many
-    digits (used for divisor-sensitive reruns); values return as floats.
+    Returns an (N, n) array, one column per generator l.  The product of
+    the two factors is formed from real and imaginary parts, each real
+    product and sum rounded once, as scalar complex arithmetic does;
+    numpy's complex multiply loop may fuse them (FMA), depending on the CPU.
     """
-    P, Q = tuple(int(p) for p in P), tuple(int(q) for q in Q)
-    if sum(Q) < 2:
-        raise ValueError("divisors are defined for |Q| >= 2, got Q=%s" % (Q,))
-    if not 0 <= j < data.d:
-        raise ValueError("component index out of range")
+    P, Q = np.asarray(P, dtype=np.int64), np.asarray(Q, dtype=np.int64)
+    a = np.prod(data.lam[None] ** P[:, None, :], axis=2)
+    b = np.prod(data.mu[None] ** Q[:, None, :], axis=2)
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def small_divisors(data, P, Q, form="weak"):
+    """Every divisor lambda_l^P mu_l^Q - mu_{l,j}, indexed [index, j, l].
+
+    P (N, n) and Q (N, d) are index rows with |Q|_1 >= 2; the result is an
+    (N, d, n) complex array.  The inverse form is lambda_l^-P mu_l^-Q -
+    1/mu_{l,j}; weak and strong differ only in how a scan reduces over l.
+    """
     if form not in FORMS:
         raise ValueError("unknown form %r" % (form,))
-    if dps is not None:
-        perl = _divisor_values_mp(data, P, Q, j, form, dps)
-    else:
-        if form == "inverse":
-            prod_l = data.lam_pow([-p for p in P]) * data.mu_pow([-q for q in Q])
-            target = 1.0 / data.mu[:, j]
-        else:
-            prod_l = data.lam_pow(P) * data.mu_pow(Q)
-            target = data.mu[:, j]
-        perl = np.abs(prod_l - target)
-    maxval = float(perl.max())
-    argmax = int(perl.argmax())  # numpy argmax takes the smallest on ties
-    return DivisorRecord(P=P, Q=Q, j=j, perl=perl, maxval=maxval, argmax=argmax)
+    P = np.asarray(P, dtype=np.int64).reshape(-1, data.n)
+    Q = np.asarray(Q, dtype=np.int64).reshape(-1, data.d)
+    if np.any(Q.sum(axis=1) < 2):
+        raise ValueError("divisors are defined for |Q| >= 2")
+    if form == "inverse":
+        return monomials(data, -P, -Q)[:, None, :] - (1.0 / data.mu).T
+    return monomials(data, P, Q)[:, None, :] - data.mu.T
 
 
-def _divisor_values_mp(data, P, Q, j, form, dps):
+def _moduli_mp(data, P, Q, form, dps):
+    """``abs(small_divisors(...))`` with products and moduli in mpmath."""
     import mpmath
 
+    sign = -1 if form == "inverse" else 1
+    out = np.empty((len(P), data.d, data.n))
     with mpmath.workdps(dps):
-        out = []
-        for l in range(data.n):
-            acc = mpmath.mpc(1)
-            for k, p in enumerate(P):
-                acc *= mpmath.mpc(data.lam[l, k]) ** int(-p if form == "inverse" else p)
-            for k, q in enumerate(Q):
-                acc *= mpmath.mpc(data.mu[l, k]) ** int(-q if form == "inverse" else q)
-            target = mpmath.mpc(data.mu[l, j])
-            if form == "inverse":
-                target = 1 / target
-            out.append(float(abs(acc - target)))
-    return np.array(out)
+        for i, (Pi, Qi) in enumerate(zip(P.tolist(), Q.tolist())):
+            for l in range(data.n):
+                acc = mpmath.mpc(1)
+                for k, p in enumerate(Pi):
+                    acc *= mpmath.mpc(data.lam[l, k]) ** (sign * p)
+                for k, q in enumerate(Qi):
+                    acc *= mpmath.mpc(data.mu[l, k]) ** (sign * q)
+                for j in range(data.d):
+                    target = mpmath.mpc(data.mu[l, j])
+                    if sign < 0:
+                        target = 1 / target
+                    out[i, j, l] = float(abs(acc - target))
+    return out
 
 
-def iter_indices(n, d, pmax, qmax):
-    """All (P, Q) with |P|_1 <= pmax and 2 <= |Q|_1 <= qmax, lexicographic."""
-    for P in product(range(-pmax, pmax + 1), repeat=n):
-        if sum(abs(p) for p in P) > pmax:
-            continue
-        for Q in product(range(qmax + 1), repeat=d):
-            if 2 <= sum(Q) <= qmax:
-                yield P, Q
+def scan_indices(n, d, pmax, qmax):
+    """Index rows P (N, n), Q (N, d) with |P|_1 <= pmax, 2 <= |Q|_1 <= qmax.
+
+    The rows run through (P, Q) in lexicographic order.
+    """
+    P = np.array(list(product(range(-pmax, pmax + 1), repeat=n)),
+                 dtype=np.int64).reshape(-1, n)
+    P = P[np.abs(P).sum(axis=1) <= pmax]
+    Q = np.array(list(product(range(qmax + 1), repeat=d)),
+                 dtype=np.int64).reshape(-1, d)
+    Q = Q[(Q.sum(axis=1) >= 2) & (Q.sum(axis=1) <= qmax)]
+    return np.repeat(P, len(Q), axis=0), np.tile(Q, (len(P), 1))
 
 
 @dataclass
 class DivisorTable:
-    form: str
-    pmax: int
-    qmax: int
-    records: list = field(default_factory=list)
+    """One row per scanned (P, Q, j), with the moduli over generators l."""
+
+    P: np.ndarray
+    Q: np.ndarray
+    j: np.ndarray
+    perl: np.ndarray
+
+    @property
+    def size(self):
+        return np.abs(self.P).sum(axis=1) + self.Q.sum(axis=1)
+
+    @property
+    def maxval(self):
+        return self.perl.max(axis=1)
+
+    @property
+    def argmax(self):
+        return self.perl.argmax(axis=1)  # the smallest l on ties
 
     def to_csv(self):
-        if not self.records:
-            return "value,argmax\n"
-        n = len(self.records[0].P)
-        d = len(self.records[0].Q)
+        n, d = self.P.shape[1], self.Q.shape[1]
         head = [*("p_%d" % (i + 1) for i in range(n)),
                 *("q_%d" % (i + 1) for i in range(d)), "j", "value", "argmax"]
         lines = [",".join(head)]
-        for rec in self.records:
-            row = [*map(str, rec.P), *map(str, rec.Q), str(rec.j + 1),
-                   repr(rec.maxval), str(rec.argmax + 1)]
-            lines.append(",".join(row))
+        for P, Q, j, value, l in zip(self.P.tolist(), self.Q.tolist(),
+                                     self.j.tolist(), self.maxval.tolist(),
+                                     self.argmax.tolist()):
+            lines.append(",".join([*map(str, P), *map(str, Q), str(j + 1),
+                                   repr(value), str(l + 1)]))
         return "\n".join(lines) + "\n"
 
 
@@ -187,15 +193,6 @@ class DiophantineFit:
     n_points: int
     anchor_size: int
 
-    def lower_bound(self, size):
-        return self.D / float(size) ** self.tau
-
-
-def _binding_value(rec, form):
-    if form == "strong":
-        return float(rec.perl.min())
-    return rec.maxval
-
 
 def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
     """Enumerate the divisor spectrum and fit envelope constants (D, tau).
@@ -204,32 +201,33 @@ def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
     envelope point stays below every non-resonant scanned point; D is the
     corresponding intercept, shaved by 1e-9 so the envelope inequality is
     strict.  Divisors zero to rounding (``is_resonant``) are reported as
-    resonances, never fitted.
+    resonances, never fitted.  With ``dps`` set, products and moduli run in
+    mpmath at that many digits.
     """
     if pmax < 2 or qmax < 2:
         raise ValueError("need pmax, qmax >= 2")
     if form not in FORMS:
         raise ValueError("unknown form %r" % (form,))
-    table = DivisorTable(form=form, pmax=pmax, qmax=qmax)
-    resonances = []
-    points = []
-    for P, Q in iter_indices(data.n, data.d, pmax, qmax):
-        size = sum(map(abs, P)) + sum(Q)
-        for j in range(data.d):
-            rec = divisor_values(data, P, Q, j, form=form, dps=dps)
-            table.records.append(rec)
-            if form == "strong":
-                zeros = np.nonzero(is_resonant(rec.perl, size))[0]
-                if len(zeros):
-                    resonances.append((P, Q, j, int(zeros[0])))
-                    continue
-            elif is_resonant(rec.maxval, size):
-                resonances.append((P, Q, j, None))
-                continue
-            points.append((size, _binding_value(rec, form)))
-
-    sizes = np.array([s for s, _ in points], dtype=float)
-    vals = np.array([v for _, v in points], dtype=float)
+    P, Q = scan_indices(data.n, data.d, pmax, qmax)
+    perl = np.abs(small_divisors(data, P, Q, form)) if dps is None \
+        else _moduli_mp(data, P, Q, form, dps)
+    table = DivisorTable(P=np.repeat(P, data.d, axis=0),
+                         Q=np.repeat(Q, data.d, axis=0),
+                         j=np.tile(np.arange(data.d), len(P)),
+                         perl=perl.reshape(-1, data.n))
+    size = table.size
+    if form == "strong":
+        zero = is_resonant(table.perl, size[:, None])
+        resonant, binding = zero.any(axis=1), table.perl.min(axis=1)
+    else:
+        resonant, binding = is_resonant(table.maxval, size), table.maxval
+    # each resonance names its first resonant l under the strong form
+    resonances = [(tuple(table.P[r].tolist()), tuple(table.Q[r].tolist()),
+                   int(table.j[r]),
+                   int(zero[r].argmax()) if form == "strong" else None)
+                  for r in np.nonzero(resonant)[0]]
+    sizes = size[~resonant].astype(float)
+    vals = binding[~resonant]
     smin = sizes.min() if len(sizes) else 2.0
     anchor = vals[sizes == smin].min() if len(sizes) else 1.0
     rest = sizes > smin
@@ -243,7 +241,7 @@ def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
     fit = DiophantineFit(form=form, D=float(D), tau=float(tau),
                          pmax=pmax, qmax=qmax,
                          resonances=tuple(resonances),
-                         resonant=bool(resonances), n_points=len(points),
+                         resonant=bool(resonances), n_points=len(vals),
                          anchor_size=int(smin))
     return table, fit
 
@@ -257,31 +255,26 @@ def enhanced_bound_check(data, fit, pmax, qmax):
     """
     B = 2.0 * float(np.abs(data.mu).max())
     d_prime_envelope = fit.D / B
-    empirical = np.inf
-    failures = []
-    checked = 0
-    for P, Q in iter_indices(data.n, data.d, pmax, qmax):
-        prods = np.abs(data.lam_pow(P) * data.mu_pow(Q))
-        t = float(prods.max())
-        s = sum(map(abs, P)) + sum(Q)
-        for j in range(data.d):
-            rec = divisor_values(data, P, Q, j)
-            if is_resonant(rec.maxval, s):
-                continue
-            checked += 1
-            empirical = min(empirical, rec.maxval * s ** fit.tau / t)
-            if t < B:
-                ok = rec.maxval >= d_prime_envelope * t / s ** fit.tau
-                branch = "small-modulus"
-            else:
-                ok = rec.maxval >= t / 2.0
-                branch = "large-modulus"
-            if not ok:
-                failures.append((P, Q, j, branch))
+    P, Q = scan_indices(data.n, data.d, pmax, qmax)
+    s = np.abs(P).sum(axis=1) + Q.sum(axis=1)
+    # Python's float power: numpy's array power may differ in the last ulp
+    s_tau = np.array([float(k) ** fit.tau
+                      for k in range(s.max(initial=0) + 1)])[s]
+    t = np.abs(monomials(data, P, Q)).max(axis=1)
+    maxval = np.abs(small_divisors(data, P, Q)).max(axis=2)
+    kept = ~is_resonant(maxval, s[:, None])
+    small = (t < B)[:, None]
+    ok = np.where(small, maxval >= (d_prime_envelope * t / s_tau)[:, None],
+                  maxval >= (t / 2.0)[:, None])
+    empirical = maxval * s_tau[:, None] / t[:, None]
+    failures = [(tuple(P[i].tolist()), tuple(Q[i].tolist()), int(j),
+                 "small-modulus" if small[i, 0] else "large-modulus")
+                for i, j in zip(*np.nonzero(kept & ~ok))]
+    checked = int(kept.sum())
     return {
         "B": B,
         "d_prime_envelope": d_prime_envelope,
-        "d_prime_empirical": float(empirical if checked else 0.0),
+        "d_prime_empirical": float(empirical[kept].min() if checked else 0.0),
         "checked": checked,
         "failures": failures,
         "all_pass": not failures,

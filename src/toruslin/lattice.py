@@ -93,10 +93,6 @@ class LogPolytope:
         return LogPolytope(self.gens, self.lo, self.hi,
                            self.offset + np.asarray(delta, dtype=float))
 
-    def contains(self, x, tol=1e-9):
-        t = np.linalg.solve(self.gens.T, np.asarray(x, float) - self.offset)
-        return bool(np.all(t >= self.lo - tol) and np.all(t <= self.hi + tol))
-
 
 @dataclass(frozen=True)
 class HullDescription:
@@ -105,11 +101,6 @@ class HullDescription:
     vertices: np.ndarray
     normals: np.ndarray
     offsets: np.ndarray
-
-    def contains(self, points, tol=1e-9):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        slack = points @ self.normals.T + self.offsets
-        return bool(np.all(slack <= tol))
 
 
 def log_indicatrix(lattice, eps):
@@ -213,10 +204,6 @@ class DomainSpec:
     def translated(self, i, k):
         return DomainSpec(self.lattice, self.eps, self.r,
                           self.word + ((i, k),), 0, False)
-
-    def shrunk(self, new_eps, new_r):
-        return DomainSpec(self.lattice, new_eps, new_r, self.word,
-                          self.union_ell, self.hull)
 
     def log_vertices(self):
         """Vertex cloud whose max of <x, P> realizes sup log|h^P|."""

@@ -10,6 +10,8 @@ for in closed form; ``norm_certificate`` and ``identity_map`` are test
 helpers.
 """
 
+from itertools import product
+
 import numpy as np
 
 from toruslin import TruncatedSeries
@@ -159,5 +161,56 @@ def translates_fit(lattice, eps, eta):
     _, hull = union_and_hull(lattice, eps)
     tol = 1e-12 * max(1.0, float(np.abs(hull.offsets).max()))
     verts = log_indicatrix(lattice, eps + eta).vertices()
-    return all(hull.contains(verts + sign * vi, tol=tol)
+    return all(in_hull(hull, verts + sign * vi, tol=tol)
                for vi in lattice.log_gens for sign in (1.0, -1.0))
+
+
+def in_hull(hull, points, tol=1e-9):
+    """Whether every point satisfies the hull's halfspaces A x + b <= tol."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return bool(np.all(points @ hull.normals.T + hull.offsets <= tol))
+
+
+def in_polytope(poly, x, tol=1e-9):
+    """Whether x lies in the log polytope, to tol in its box coordinates."""
+    t = np.linalg.solve(poly.gens.T, np.asarray(x, float) - poly.offset)
+    return bool(np.all(t >= poly.lo - tol) and np.all(t <= poly.hi + tol))
+
+
+def envelope(fit, size):
+    """The fitted lower bound D / size^tau on divisors of index size."""
+    return fit.D / float(size) ** fit.tau
+
+
+def lam_pow(data, P):
+    """lambda_l^P for every generator row l."""
+    return np.prod(data.lam ** np.asarray(P, dtype=np.int64)[None, :], axis=1)
+
+
+def mu_pow(data, Q):
+    """mu_l^Q for every generator row l."""
+    return np.prod(data.mu ** np.asarray(Q, dtype=np.int64)[None, :], axis=1)
+
+
+def divisor_oracle(data, P, Q, j, form="weak"):
+    """The divisors lambda_l^P mu_l^Q - mu_{l,j} over l, one l at a time.
+
+    Each product and difference is one numpy complex128 scalar operation.
+    The inverse form is lambda_l^-P mu_l^-Q - 1/mu_{l,j}.
+    """
+    sgn = -1 if form == "inverse" else 1
+    lp = lam_pow(data, [sgn * p for p in P])
+    mq = mu_pow(data, [sgn * q for q in Q])
+    return np.array([lp[l] * mq[l] - (data.mu[l, j] if sgn > 0
+                                        else 1.0 / data.mu[l, j])
+                     for l in range(data.n)])
+
+
+def iter_indices(n, d, pmax, qmax):
+    """All (P, Q) with |P|_1 <= pmax and 2 <= |Q|_1 <= qmax, lexicographic."""
+    for P in product(range(-pmax, pmax + 1), repeat=n):
+        if sum(abs(p) for p in P) > pmax:
+            continue
+        for Q in product(range(qmax + 1), repeat=d):
+            if 2 <= sum(Q) <= qmax:
+                yield P, Q

@@ -24,7 +24,7 @@ from toruslin.majorant import build_state, dominance_and_radius
 from toruslin.problem import parse_problem
 
 from _fixtures import golden_lattice
-from _oracles import random_series
+from _oracles import in_hull, random_series
 from test_cohomology import compatible_family, dense_lstsq_oracle, setup_2d
 
 
@@ -162,8 +162,8 @@ def test_criterion_6_hartogs_geometry():
 
     def fits(x):
         fat = log_indicatrix(lat, eps + x)
-        return all(hull.contains(fat.vertices() + s * lat.log_gens[i],
-                                 tol=1e-10)
+        return all(in_hull(hull, fat.vertices() + s * lat.log_gens[i],
+                               tol=1e-10)
                    for i in range(2) for s in (1, -1))
 
     lo, hi = 0.0, 2.0

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from toruslin.divisors import (FORMS, RESONANCE_TOL, DiophantineFit,
-                               MultiplierData, DivisorTable, divisor_values,
-                               enhanced_bound_check, is_resonant,
-                               iter_indices, scan_and_fit)
+import toruslin
+from toruslin import LatticeSpec
+from toruslin.divisors import (FORMS, RESONANCE_TOL, MultiplierData,
+                               enhanced_bound_check, is_resonant, monomials,
+                               scan_and_fit, scan_indices, small_divisors)
+from toruslin.problem import parse_problem
+
+from _oracles import divisor_oracle, envelope, iter_indices, lam_pow, mu_pow
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 
@@ -19,42 +23,98 @@ def trivial_data():
     return MultiplierData([[np.exp(2j * np.pi * (0.3 + 1.1j))]], [[1.0]])
 
 
+def tie_data():
+    # two identical generator rows: both l give the same divisor
+    lam = np.exp(2j * np.pi * np.array(
+        [[0.3 + 1.1j, 0.1 + 0.5j], [0.3 + 1.1j, 0.1 + 0.5j]]))
+    mu = np.exp(2j * np.pi * np.array([[GOLDEN], [GOLDEN]]))
+    return MultiplierData(lam, mu)
+
+
+def row(table, P, Q, j):
+    """The table row of index (P, Q) and component j."""
+    hit = (table.P == P).all(axis=1) & (table.Q == Q).all(axis=1) \
+        & (table.j == j)
+    (i,) = np.nonzero(hit)[0]
+    return i
+
+
 class TestDivisorValues:
     def test_minus_one_square(self):
         data = MultiplierData([[0.5]], [[-1.0]])
-        rec = divisor_values(data, (0,), (2,), 0)
-        assert rec.maxval == pytest.approx(2.0)
-        assert rec.argmax == 0
+        div = small_divisors(data, [(0,)], [(2,)])
+        assert div.shape == (1, 1, 1)
+        assert abs(div[0, 0, 0]) == pytest.approx(2.0)
 
     def test_trivial_bundle_resonance(self):
-        rec = divisor_values(trivial_data(), (0,), (2,), 0)
-        assert rec.maxval == 0.0
+        assert small_divisors(trivial_data(), [(0,)], [(2,)])[0, 0, 0] == 0.0
 
     def test_rejects_low_q(self):
         with pytest.raises(ValueError):
-            divisor_values(golden_data(), (0,), (1,), 0)
+            small_divisors(golden_data(), [(0,)], [(1,)])
 
     def test_against_doubled_precision_oracle(self):
         data = golden_data()
-        rec = divisor_values(data, (1,), (2,), 0)
         import mpmath
         with mpmath.workdps(40):
             lam = mpmath.e ** (2j * mpmath.pi * mpmath.mpc(0.3, 1.1))
             mu = mpmath.e ** (2j * mpmath.pi * mpmath.mpf(GOLDEN))
             want = float(abs(lam * mu ** 2 - mu))
-        assert rec.maxval == pytest.approx(want, rel=1e-12)
-        high = divisor_values(data, (1,), (2,), 0, dps=40)
-        assert high.maxval == pytest.approx(want, rel=1e-15)
+        got = abs(small_divisors(data, [(1,)], [(2,)])[0, 0, 0])
+        assert got == pytest.approx(want, rel=1e-12)
+        high, _ = scan_and_fit(data, 2, 2, dps=40)
+        assert high.maxval[row(high, (1,), (2,), 0)] == \
+            pytest.approx(want, rel=1e-15)
 
     def test_argmax_smallest_index_on_tie(self):
-        # two identical generator rows: both l give the same value; pick l=0
-        lam = np.exp(2j * np.pi * np.array(
-            [[0.3 + 1.1j, 0.1 + 0.5j], [0.3 + 1.1j, 0.1 + 0.5j]]))
-        mu = np.exp(2j * np.pi * np.array([[GOLDEN], [GOLDEN]]))
-        data = MultiplierData(lam, mu)
-        rec = divisor_values(data, (1, 1), (2,), 0)
-        assert rec.perl[0] == rec.perl[1]
-        assert rec.argmax == 0
+        table, _ = scan_and_fit(tie_data(), 2, 2)
+        i = row(table, (1, 1), (2,), 0)
+        assert table.perl[i, 0] == table.perl[i, 1]
+        assert table.argmax[i] == 0
+
+
+def shipped_data():
+    return parse_problem(toruslin.reference_problem_path()).data
+
+
+def lattice2_data():
+    lat = LatticeSpec(2, 1, [[1, 0], [0, 1], [0.31 + 0.07j, 0.5 + 0.02j],
+                             [0.7 + 0.01j, 0.2 + 0.09j]])
+    mu = [[np.exp(2j * np.pi * GOLDEN)], [np.exp(2j * np.pi * (np.sqrt(2) - 1))]]
+    return MultiplierData(lat.lam_matrix(), mu)
+
+
+def pair_data():
+    # n = 1, d = 2
+    return MultiplierData(golden_data().lam, [[np.exp(2j * np.pi * GOLDEN),
+                                               np.exp(-2j * np.pi * 0.4142)]])
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("case, pq", [(shipped_data, 20), (lattice2_data, 6),
+                                      (pair_data, 6), (tie_data, 4)])
+def test_table_matches_per_index_oracle(case, pq, form):
+    # every divisor, modulus, argmax and row equals the one-index-at-a-time
+    # computation bit for bit, in the same row order
+    data = case()
+    P, Q = scan_indices(data.n, data.d, pq, pq)
+    div = small_divisors(data, P, Q, form)
+    table, _ = scan_and_fit(data, pq, pq, form=form)
+    oracle_form = "inverse" if form == "inverse" else "weak"
+    r = 0
+    for i, (Pi, Qi) in enumerate(iter_indices(data.n, data.d, pq, pq)):
+        assert (tuple(P[i]), tuple(Q[i])) == (Pi, Qi)
+        for j in range(data.d):
+            want = divisor_oracle(data, Pi, Qi, j, oracle_form)
+            assert (div[i, j] == want).all()
+            assert (tuple(table.P[r]), tuple(table.Q[r]), table.j[r]) == \
+                (Pi, Qi, j)
+            assert (table.perl[r] == np.abs(want)).all()
+            assert table.argmax[r] == np.abs(want).argmax()
+            r += 1
+    assert r == len(table.j)
+    if case is tie_data:
+        assert (table.argmax == 0).all()
 
 
 class TestScanAndFit:
@@ -67,8 +127,8 @@ class TestScanAndFit:
         data = golden_data()
         table, fit = scan_and_fit(data, 12, 12)
         assert not fit.resonant
-        for rec in table.records:
-            assert rec.maxval >= fit.lower_bound(rec.size), (rec.P, rec.Q)
+        for value, size in zip(table.maxval.tolist(), table.size.tolist()):
+            assert value >= envelope(fit, size)
 
     def test_two_scale_stability(self):
         data = golden_data()
@@ -88,20 +148,20 @@ class TestScanAndFit:
         table_s, fit_s = scan_and_fit(data, 8, 8, form="strong")
         table_w, _ = scan_and_fit(data, 8, 8, form="weak")
         assert not fit_s.resonant
-        for rec in table_w.records:
-            assert rec.maxval >= fit_s.lower_bound(rec.size)
+        for value, size in zip(table_w.maxval.tolist(), table_w.size.tolist()):
+            assert value >= envelope(fit_s, size)
 
     def test_strong_nonresonant_means_no_zero_divisor(self):
         data = golden_data()
         table, fit = scan_and_fit(data, 8, 8, form="strong")
         assert not fit.resonant
-        assert all((rec.perl > 0).all() for rec in table.records)
+        assert (table.perl > 0).all()
 
     def test_csv_schema(self):
         table, _ = scan_and_fit(golden_data(), 3, 3)
         lines = table.to_csv().strip().splitlines()
         assert lines[0] == "p_1,q_1,j,value,argmax"
-        assert len(lines) == 1 + len(table.records)
+        assert len(lines) == 1 + len(table.j)
 
 
 class TestEnhancedBound:
@@ -115,10 +175,11 @@ class TestEnhancedBound:
     def test_large_modulus_branch_direct(self):
         data = golden_data()
         # P = -3 makes |lam^P| = e^{6.6 pi} >> B; reverse triangle applies
-        rec = divisor_values(data, (-3,), (2,), 0)
-        t = float(np.abs(data.lam_pow((-3,)) * data.mu_pow((2,))).max())
+        maxval = np.abs(small_divisors(data, [(-3,)], [(2,)])).max()
+        t = float(np.abs(monomials(data, [(-3,)], [(2,)])).max())
+        assert t == float(np.abs(lam_pow(data, (-3,)) * mu_pow(data, (2,))).max())
         assert t >= 2.0
-        assert rec.maxval >= t / 2.0
+        assert maxval >= t / 2.0
 
     def test_full_scan_passes(self):
         data = golden_data()
@@ -142,16 +203,17 @@ class TestResonancePredicate:
             [True, True, False]
 
     def test_rounded_divisor_is_not_exactly_zero(self):
-        assert 0.0 < divisor_values(minus_one_data(), (0,), (3,), 0).maxval
+        div = small_divisors(minus_one_data(), [(0,)], [(3,)])
+        assert 0.0 < abs(div[0, 0, 0])
 
     @pytest.mark.parametrize("form", FORMS)
     def test_rounded_resonances_reported_not_fitted(self, form):
         table, fit = scan_and_fit(minus_one_data(), 4, 8, form=form)
         assert fit.resonant
-        assert sorted(Q for _, Q, _, _ in fit.resonances) == \
-            [(3,), (5,), (7,)]
-        assert all(P == (0,) for P, _, _, _ in fit.resonances)
-        assert fit.n_points == len(table.records) - 3
+        l = 0 if form == "strong" else None
+        assert fit.resonances == (((0,), (3,), 0, l), ((0,), (5,), 0, l),
+                                  ((0,), (7,), 0, l))
+        assert fit.n_points == len(table.j) - 3
         assert fit.tau < 10
 
     def test_enhanced_bound_skips_rounded_resonances(self):
@@ -162,8 +224,11 @@ class TestResonancePredicate:
 
 
 def test_iter_indices_range():
-    pts = list(iter_indices(1, 1, 3, 4))
-    assert all(abs(P[0]) <= 3 and 2 <= Q[0] <= 4 for P, Q in pts)
-    assert len(pts) == 7 * 3
-    # deterministic lexicographic order
-    assert pts == sorted(pts)
+    # scan_indices gives the rows of the one-index-at-a-time enumeration
+    for n, d in ((1, 1), (2, 1), (1, 2)):
+        P, Q = scan_indices(n, d, 3, 4)
+        pts = list(zip(map(tuple, P.tolist()), map(tuple, Q.tolist())))
+        assert all(sum(map(abs, p)) <= 3 and 2 <= sum(q) <= 4 for p, q in pts)
+        # deterministic lexicographic order
+        assert pts == sorted(pts) == list(iter_indices(n, d, 3, 4))
+    assert len(scan_indices(1, 1, 3, 4)[0]) == 7 * 3
