@@ -12,6 +12,18 @@ exponent key.
 window, so the ``discarded`` it returns is an upper bound on the absolute
 mass its truncation drops, not that mass itself (see its docstring).
 
+``segment_sum`` is the bulk form of a running sum into a coefficient table:
+records whose exponent rows are equal are summed, each key's values in
+input order, with ``np.bincount`` on the real and imaginary parts.  That is
+the same sequence of double additions, from +0.0, as a loop adding Python
+complexes to a dict, so the sums are bit for bit those of the loop.
+
+``modulus`` and ``multiply`` are ``abs`` and ``*`` on complex arrays,
+bit for bit Python's scalar ``abs`` (libm ``hypot``) and complex multiply.
+numpy's own complex ``abs`` and multiply may round differently in the last
+ulp, depending on which SIMD loop the CPU selects (the multiply fuses on
+FMA hardware).
+
 ``evaluate`` splits each monomial ``h^P v^Q`` into a modulus, one real
 ``exp(P . log|h|)`` per term and point, and a phase gathered from small
 per-variable power tables of ``exp(i arg h_j)`` and ``v_j``.  It does not
@@ -30,17 +42,41 @@ def _pack(exps, lo, strides):
     return (exps - lo) @ strides
 
 
+def _strides(sizes):
+    """Row-major strides of an exponent grid with the given extents."""
+    strides = [1]
+    for size in sizes.tolist()[:0:-1]:
+        strides.append(strides[-1] * size)
+    if strides[-1] * int(sizes[0]) > 2 ** 62:
+        raise OverflowError("exponent grid too large to pack into int64")
+    return np.array(strides[::-1], dtype=np.int64)
+
+
 def _packing(exps_a, exps_b):
     """Common packing grid for all pairwise exponent sums."""
     lo = exps_a.min(axis=0) + exps_b.min(axis=0)
     hi = exps_a.max(axis=0) + exps_b.max(axis=0)
     sizes = hi - lo + 1
-    if np.log2(sizes.astype(float)).sum() > 62:
-        raise OverflowError("exponent grid too large to pack into int64")
-    strides = np.ones(len(sizes), dtype=np.int64)
-    for j in range(len(sizes) - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-    return lo, sizes, strides
+    return lo, sizes, _strides(sizes)
+
+
+def modulus(z):
+    """``abs`` of a complex array, bit for bit Python's scalar ``abs``."""
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
+def multiply(a, b):
+    """Elementwise ``a * b`` for same-shape arrays, bit for bit Python's
+    scalar complex multiply.
+
+    Each real product and sum is rounded once; numpy's complex multiply
+    loop may fuse them (FMA), depending on the CPU.
+    """
+    out = np.empty(a.shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
@@ -93,6 +129,42 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
         keep &= np.abs(exps[:, :n]).max(axis=1) <= hband
     discarded = float(np.abs(acc[live & ~keep]).sum()) + bound
     return exps[keep], acc[keep], discarded
+
+
+def segment_sum(rows, vals):
+    """Sum the values of equal rows, each row's values in input order.
+
+    rows: (N, m) int64 keys; vals: (N,) complex128.  Returns (first, sums):
+    ``first`` indexes the first occurrence of each distinct row, ascending,
+    so the rows come out in order of first appearance, and ``sums`` holds
+    their sums.  ``np.bincount`` adds the real and the imaginary parts one
+    record at a time, from +0.0, in input order.  No product is formed, so
+    no complex multiply can fuse.
+    """
+    if len(vals) == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128)
+    lo = rows.min(axis=0)
+    keys = _pack(rows, lo, _strides(rows.max(axis=0) - lo + 1))
+    # a stable sort keeps each key's records in input order
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    start = np.empty(len(keys), dtype=bool)
+    start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    del keys
+    first = order[start]
+    # number the keys in order of first appearance
+    appear = first.argsort()
+    rank = np.empty_like(appear)
+    rank[appear] = np.arange(len(appear))
+    group = start.cumsum()
+    group -= 1
+    inv = np.empty_like(order)
+    inv[order] = rank[group]
+    sums = np.empty(len(first), dtype=np.complex128)
+    sums.real = np.bincount(inv, weights=vals.real, minlength=len(first))
+    sums.imag = np.bincount(inv, weights=vals.imag, minlength=len(first))
+    return first[appear], sums
 
 
 def _power_table(z, lo, hi):

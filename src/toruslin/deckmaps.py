@@ -15,13 +15,14 @@ Products run on a widened horizontal band so the result is the exact
 composition projected to the requested window.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
-from .series import (TruncatedSeries, invert_vertical_map, scale_components,
-                     substitute_vertical)
+from .series import (TruncatedSeries, invert_vertical_map,
+                     linear_combinations, scale_components, substitute_vertical)
 
 COMMUTE_TOL = 1e-10
 
@@ -77,10 +78,14 @@ def compose_with_map(f, m, vmax=None, hband=None):
     Terms are grouped by vertical exponent: the horizontal part of each
     group is a linear combination of cached binomial powers (no products),
     then one product with the cached vertical power attaches v^Q.  The
-    binomial series and the group sums are summed in place into one table
-    each (``_iadd``, which scales each cached summand as it reads it), not
-    rebuilt by a chain of ``add`` and ``scale``: the same records in the
-    same order, so the same sums and ``discarded``.
+    binomial series, one per (k, p_k) the terms need, are formed together
+    by one ``linear_combinations`` call (one segment sum over the scaled
+    records of every summand of every sum), and each group sum by another,
+    not by chains of ``add`` and ``scale``: the same records in the same
+    order, so the same sums and ``discarded``.  Where ``u_k`` is exactly
+    zero (no terms, no truncation record), as when ``pert_h`` is zero,
+    ``(1 + u_k)^p`` is the unit and is not formed: multiplying by it would
+    change no bit.
 
     The vertical power has order |Q| >= ord_v f, so only the horizontal
     factor's terms of degree <= vmax - ord_v f can reach the output: the u
@@ -97,12 +102,16 @@ def compose_with_map(f, m, vmax=None, hband=None):
     hwin = max(vmax - f.v_order(), 0)
     smax = hwin // 2
 
-    # u_k = pert_h_k / (lam_k h_k) and its powers u_k^1 .. u_k^smax
+    # u_k = pert_h_k / (lam_k h_k) and its powers u_k^1 .. u_k^smax; None
+    # where u_k is exactly zero, so that (1 + u_k)^p is exactly 1
     upow = []
     for k in range(n):
         ek = tuple(-1 if t == k else 0 for t in range(n))
         u = m.pert_h.component(k).cut(hwin).with_window(vmax=hwin, hband=work)
         u = u.shift_h(ek).scale(1.0 / m.lam[k])
+        if u.nterms() == 0 and not u.tailflag and u.discarded == 0.0:
+            upow.append(None)
+            continue
         table = [None, u]
         for s in range(2, smax + 1):
             table.append(table[-1].mul(u))
@@ -129,35 +138,43 @@ def compose_with_map(f, m, vmax=None, hband=None):
     one = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
                                    components=1, vmax=hwin, hband=work)
 
+    # the binomial series (1 + u_k)^p for every (k, p) the terms need, each
+    # kept until the last horizontal factor that uses it is formed
+    hexps = list(dict.fromkeys(P for _, P, _, _ in terms))
+    uses = Counter((k, p) for P in hexps for k, p in enumerate(P)
+                   if p and smax and upow[k])
+    needed = sorted(uses)
+    binom = dict(zip(needed, linear_combinations(
+        [[(one, 1.0)] + [(upow[k][s], _gen_binom(p, s))
+                         for s in range(1, smax + 1) if _gen_binom(p, s)]
+         for k, p in needed])))
+    del upow  # read by the binomial series alone
+
     def binom_power_series(P):
         """lam^P h^P prod_k (1 + u_k)^{p_k} as a scalar series."""
         acc = one
         lam_fac = 1.0 + 0.0j
         for k, p in enumerate(P):
             lam_fac *= m.lam[k] ** int(p)
-            if p == 0 or smax == 0:
+            if (k, p) not in uses:  # p = 0, smax = 0 or u_k = 0
                 continue
-            piece = one.copy()
-            for s in range(1, smax + 1):
-                cbin = _gen_binom(int(p), s)
-                if cbin:
-                    piece._iadd(upow[k][s], cbin)
+            piece = binom[(k, p)]
+            uses[(k, p)] -= 1
+            if not uses[(k, p)]:
+                del binom[(k, p)]
             # the first factor is taken as is, not multiplied into the unit
             acc = piece if acc is one else acc.mul(piece)
         return acc.shift_h(P).scale(lam_fac)
 
-    hcache = {}
     out = f._like(vmax=vmax, hband=work)
     out.tailflag, out.discarded = f.tailflag, f.discarded
     groups = {}
     for k, P, Q, c in terms:
         groups.setdefault((k, Q), []).append((P, c))
-    for (k, Q), group in sorted(groups.items()):
-        hpart = TruncatedSeries.zero(n, d, 1, hwin, work)
-        for P, c in group:
-            if P not in hcache:
-                hcache[P] = binom_power_series(P)
-            hpart._iadd(hcache[P], c)
+    groups = sorted(groups.items())
+    hcache = {P: binom_power_series(P) for P in hexps}
+    for (k, Q), group in groups:
+        (hpart,) = linear_combinations([[(hcache[P], c) for P, c in group]])
         piece = hpart.with_window(vmax=vmax)
         for j, q in enumerate(Q):
             if q:

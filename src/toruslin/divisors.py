@@ -14,6 +14,8 @@ from itertools import product
 
 import numpy as np
 
+from ._kernels import modulus, multiply
+
 TAU_FLOOR = 1e-9
 FORMS = ("weak", "strong", "inverse")
 # Rounding bound on a computed divisor, per unit of |P|_1 + |Q|_1.  Each of
@@ -80,17 +82,13 @@ def monomials(data, P, Q):
     """lambda_l^P mu_l^Q for index rows P (N, n), Q (N, d).
 
     Returns an (N, n) array, one column per generator l.  The product of
-    the two factors is formed from real and imaginary parts, each real
-    product and sum rounded once, as scalar complex arithmetic does;
-    numpy's complex multiply loop may fuse them (FMA), depending on the CPU.
+    the two factors is rounded as scalar complex arithmetic rounds it
+    (``multiply``).
     """
     P, Q = np.asarray(P, dtype=np.int64), np.asarray(Q, dtype=np.int64)
     a = np.prod(data.lam[None] ** P[:, None, :], axis=2)
     b = np.prod(data.mu[None] ** Q[:, None, :], axis=2)
-    out = np.empty_like(a)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+    return multiply(a, b)
 
 
 def small_divisors(data, P, Q, form="weak"):
@@ -172,12 +170,13 @@ class DivisorTable:
         n, d = self.P.shape[1], self.Q.shape[1]
         head = [*("p_%d" % (i + 1) for i in range(n)),
                 *("q_%d" % (i + 1) for i in range(d)), "j", "value", "argmax"]
-        lines = [",".join(head)]
-        for P, Q, j, value, l in zip(self.P.tolist(), self.Q.tolist(),
-                                     self.j.tolist(), self.maxval.tolist(),
-                                     self.argmax.tolist()):
-            lines.append(",".join([*map(str, P), *map(str, Q), str(j + 1),
-                                   repr(value), str(l + 1)]))
+        # formatted a column at a time: tolist() gives Python ints and floats
+        columns = [*(map(str, col) for col in self.P.T.tolist()),
+                   *(map(str, col) for col in self.Q.T.tolist()),
+                   map(str, (self.j + 1).tolist()),
+                   map(repr, self.maxval.tolist()),
+                   map(str, (self.argmax + 1).tolist())]
+        lines = [",".join(head), *map(",".join, zip(*columns))]
         return "\n".join(lines) + "\n"
 
 
@@ -209,7 +208,7 @@ def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
     if form not in FORMS:
         raise ValueError("unknown form %r" % (form,))
     P, Q = scan_indices(data.n, data.d, pmax, qmax)
-    perl = np.abs(small_divisors(data, P, Q, form)) if dps is None \
+    perl = modulus(small_divisors(data, P, Q, form)) if dps is None \
         else _moduli_mp(data, P, Q, form, dps)
     table = DivisorTable(P=np.repeat(P, data.d, axis=0),
                          Q=np.repeat(Q, data.d, axis=0),
@@ -253,15 +252,15 @@ def enhanced_bound_check(data, fit, pmax, qmax):
     envelope constant D' = D/B applies; otherwise the reverse triangle
     inequality gives half the leading modulus directly.
     """
-    B = 2.0 * float(np.abs(data.mu).max())
+    B = 2.0 * float(modulus(data.mu).max())
     d_prime_envelope = fit.D / B
     P, Q = scan_indices(data.n, data.d, pmax, qmax)
     s = np.abs(P).sum(axis=1) + Q.sum(axis=1)
     # Python's float power: numpy's array power may differ in the last ulp
     s_tau = np.array([float(k) ** fit.tau
                       for k in range(s.max(initial=0) + 1)])[s]
-    t = np.abs(monomials(data, P, Q)).max(axis=1)
-    maxval = np.abs(small_divisors(data, P, Q)).max(axis=2)
+    t = modulus(monomials(data, P, Q)).max(axis=1)
+    maxval = modulus(small_divisors(data, P, Q)).max(axis=2)
     kept = ~is_resonant(maxval, s[:, None])
     small = (t < B)[:, None]
     ok = np.where(small, maxval >= (d_prime_envelope * t / s_tau)[:, None],

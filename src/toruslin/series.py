@@ -11,23 +11,34 @@ dropped outside ``hband`` is counted exactly).
 
 Values are complex doubles.  Series are immutable: every operation
 returns a new instance, and nothing may change a series once another
-operation has read it.  This is load-bearing.  ``substitute_vertical(f,
+operation has read it.  This is load-bearing twice over.  A series keeps
+its kernel arrays once they are built: the sorted per-component ``(exps,
+vals)`` that products and evaluation read, and the terms in table order
+(the order in which the keys were first stored) that the bulk sums read;
+``mul`` stores its kernel output as both.  And ``substitute_vertical(f,
 phi)`` keeps the table of powers ``(v_j + phi_j)^q`` with ``phi`` and
-reuses it for every later series substituted into the same ``phi``, so
-changing ``phi``'s coefficients afterwards would substitute stale powers.
-Every constructor, ``copy`` included, starts with no table.  The one
-in-place operation, ``_iadd``, is for a sum its caller has just started
-and holds alone.
+reuses it for every later series substituted into the same ``phi``.
+Changing a series' coefficients afterwards would hand out stale arrays or
+stale powers.  Every constructor, ``copy`` included, starts with neither.
 
 The coefficient table is known to this module alone.  Other modules read
 it through ``terms()``, ``get()`` and ``nterms()``, and every loop that
 fills a table, here or elsewhere, goes through ``_accumulate``, which
-applies the truncation window and the pruning in one place.
+applies the truncation window and the pruning in one place and drops the
+kept arrays.  Fan-out sums (``substitute_vertical``'s scatter and
+``linear_combinations``) reduce their records per key in one array segment
+sum first and pass only the sums to ``_accumulate``.  They read their
+inputs in table order, as record loops over the table would, so their
+results store their keys, and add up the mass they drop, in the same order
+as those loops.
 """
+
+from itertools import chain, compress, repeat
 
 import numpy as np
 
-from ._kernels import cauchy_product, evaluate as _kernel_evaluate
+from ._kernels import cauchy_product, evaluate as _kernel_evaluate, \
+    modulus, multiply, segment_sum
 
 # values of modulus at most PRUNE are dropped instead of stored
 PRUNE = 1e-300
@@ -39,7 +50,7 @@ class SeriesError(ValueError):
 
 class TruncatedSeries:
     __slots__ = ("n", "d", "components", "vmax", "hband", "coeffs",
-                 "tailflag", "discarded", "_shift")
+                 "tailflag", "discarded", "_shift", "_store")
 
     def __init__(self, n, d, components=1, vmax=8, hband=8, coeffs=None,
                  tailflag=False, discarded=0.0):
@@ -53,6 +64,8 @@ class TruncatedSeries:
         self.coeffs = {}
         # powers of (v_j + self_j) per working window; see substitute_vertical
         self._shift = None
+        # kernel arrays per component; see _arrays
+        self._store = None
         if coeffs:
             records = [((k, tuple(P), tuple(Q)), complex(c))
                        for (k, P, Q), c in coeffs.items()]
@@ -79,8 +92,9 @@ class TruncatedSeries:
         outside the (vmax, hband) window is not stored: it sets
         ``tailflag`` and adds its modulus to ``discarded``.  A record inside
         is added to the running sum at its key, and a sum of modulus PRUNE
-        or less is removed.
+        or less is removed.  The kept kernel arrays are dropped.
         """
+        self._store = None
         coeffs, vmax, hband = self.coeffs, self.vmax, self.hband
         for key, c in records:
             P = key[1]
@@ -88,7 +102,7 @@ class TruncatedSeries:
                 self.tailflag = True
                 self.discarded += abs(c)
                 continue
-            new = coeffs.get(key, 0.0) + c
+            new = coeffs.get(key, 0j) + c
             if abs(new) > PRUNE:
                 coeffs[key] = new
             elif key in coeffs:
@@ -185,29 +199,6 @@ class TruncatedSeries:
         out.discarded = self.discarded * abs(c)
         return out
 
-    def _iadd(self, other, c):
-        """``self.add(other.scale(c))`` in place, for a sum its caller owns.
-
-        The same records reach ``_accumulate`` in the same order as there
-        (``scale``'s products, with its pruning), so sums, ``tailflag`` and
-        ``discarded`` are bit-identical, but no scaled copy is built and the
-        table summed so far is not copied again.  ``other``'s window must
-        contain this one's, where ``add`` would keep this window too.
-        """
-        self._check_compat(other)
-        if self.components != other.components:
-            raise SeriesError("component count mismatch in add")
-        if other.vmax < self.vmax or other.hband < self.hband:
-            raise SeriesError("in-place add cannot narrow the window")
-        c = complex(c)
-        self.tailflag = self.tailflag or other.tailflag
-        self.discarded += other.discarded * abs(c)
-        if c != 0:
-            scaled = ((key, val * c) for key, val in other.coeffs.items())
-            self._accumulate((key, val) for key, val in scaled
-                             if abs(val) > PRUNE)
-        return self
-
     def __add__(self, other):
         return self.add(other)
 
@@ -218,12 +209,61 @@ class TruncatedSeries:
         return self.scale(-1.0)
 
     def _arrays(self, k):
-        """Component k as kernel input: (exps, vals) sorted by (P, Q)."""
-        keys = sorted(key for key in self.coeffs if key[0] == k)
-        exps = np.array([key[1] + key[2] for key in keys], dtype=np.int64)
-        vals = np.array([self.coeffs[key] for key in keys],
-                        dtype=np.complex128)
-        return exps.reshape(len(keys), self.n + self.d), vals
+        """Component k as kernel input: (exps, vals) sorted by (P, Q).
+
+        Built for every component at once and kept, read-only, until
+        ``_accumulate`` writes to the table again.
+        """
+        if self._store is None:
+            self._store = {}
+        if k not in self._store:
+            ks, exps, vals = self._store.get("table") or self._table()
+            # sorted by (k, P, Q): lexsort's last key is the primary one
+            order = np.lexsort([*exps.T[::-1]] + ([] if ks is None else [ks]))
+            self._keep_sorted(None if ks is None else ks[order], exps[order],
+                              vals[order])
+        return self._store[k]
+
+    def _keep_sorted(self, ks, exps, vals):
+        """Keep every term, sorted by (k, P, Q), as the components' arrays
+        (``ks`` is None for a single component)."""
+        exps.flags.writeable = vals.flags.writeable = False
+        if ks is None:
+            self._store[0] = (exps, vals)
+            return
+        cuts = np.searchsorted(ks, range(self.components + 1)).tolist()
+        for j in range(self.components):
+            self._store[j] = (exps[cuts[j]:cuts[j + 1]],
+                              vals[cuts[j]:cuts[j + 1]])
+
+    def _records(self):
+        """Every term as (ks, exps, vals) arrays, in table order; ``ks`` is
+        None for a single component.
+
+        Table order is the order in which the keys were first stored.  The
+        bulk sums read their summands in it, as the record loops they
+        replace read the table, so that their results store their keys,
+        and add up the mass they drop, in the same order.  Kept like the
+        ``_arrays``.
+        """
+        if self._store is None:
+            self._store = {}
+        if "table" not in self._store:
+            self._store["table"] = self._table()
+        return self._store["table"]
+
+    def _table(self):
+        """(ks, exps, vals) of every term, read from the table in its order."""
+        keys = list(self.coeffs)
+        exps = np.array([key[1] + key[2] for key in keys],
+                        dtype=np.int64).reshape(len(keys), self.n + self.d)
+        vals = np.array(list(self.coeffs.values()), dtype=np.complex128)
+        ks = None
+        if self.components > 1:
+            ks = np.array([key[0] for key in keys], dtype=np.int64)
+            ks.flags.writeable = False
+        exps.flags.writeable = vals.flags.writeable = False
+        return ks, exps, vals
 
     def mul(self, other):
         """Cauchy product on (P, Q); componentwise with scalar broadcast."""
@@ -237,6 +277,7 @@ class TruncatedSeries:
                          hband=min(self.hband, other.hband))
         out.tailflag = self.tailflag or other.tailflag
         out.discarded = self.discarded + other.discarded
+        parts = []
         for k in range(comps):
             ea, va = self._arrays(k if ca > 1 else 0)
             eb, vb = other._arrays(k if cb > 1 else 0)
@@ -245,11 +286,21 @@ class TruncatedSeries:
             if dropped:
                 out.tailflag = True
                 out.discarded += dropped
-            # tolist() gives Python ints and complexes, in bulk
-            n = self.n
-            out.coeffs.update(zip(
-                [(k, tuple(e[:n]), tuple(e[n:])) for e in exps.tolist()],
-                vals.tolist()))
+            parts.append((exps, vals))
+        if comps == 1:
+            (exps, vals), ks = parts[0], None
+        else:
+            ks = np.repeat(np.arange(comps), [len(v) for _, v in parts])
+            ks.flags.writeable = False
+            exps = np.concatenate([e for e, _ in parts])
+            vals = np.concatenate([v for _, v in parts])
+        # tolist() gives Python ints and complexes, in bulk
+        out.coeffs = dict(zip(_keys(ks, exps, self.n), vals.tolist()))
+        # the kernel output is sorted by packed key, i.e. by (P, Q), so the
+        # table order is the sorted one
+        out._store = {}
+        out._keep_sorted(ks, exps, vals)
+        out._store["table"] = (ks, exps, vals)
         return out
 
     def __mul__(self, other):
@@ -386,6 +437,14 @@ class TruncatedSeries:
 # -- free functions over series ----------------------------------------------
 
 
+def _keys(ks, exps, n):
+    """Table keys (k, P, Q) of Python ints from components (None for
+    component 0 throughout) and exponent rows."""
+    return zip(repeat(0) if ks is None else ks.tolist(),
+               map(tuple, exps[:, :n].tolist()),
+               map(tuple, exps[:, n:].tolist()))
+
+
 def scale_components(f, factors):
     """Multiply component k by factors[k] (diagonal matrix action on values)."""
     factors = np.asarray(factors, dtype=np.complex128).reshape(-1)
@@ -483,23 +542,176 @@ def substitute_vertical(f, phi):
             row.append(row[-1].mul(row[1]))
         return row[q]
 
-    prod_cache = {}
-    for (k, P, Q), c in sorted(f.coeffs.items()):
-        if Q in prod_cache:
-            W = prod_cache[Q]
-        else:
-            W = None
-            for j, q in enumerate(Q):
-                if q:
-                    Wj = power(j, q)
-                    W = Wj if W is None else W.mul(Wj)
-            prod_cache[Q] = W
-        if W is None:  # pure h-monomial term
-            out._accumulate([((k, P, Q), c)])
-        else:
-            out._accumulate(((k, tuple(p + pw for p, pw in zip(P, Pw)), Qn),
-                             c * w) for (_, Pw, Qn), w in W.coeffs.items())
+    # f's terms in sorted order, each followed by the records of its W_Q =
+    # prod_j (v_j + phi_j)^q_j in table order, gathered by index arithmetic
+    if not f.coeffs:
+        return out
+    if f.components == 1:
+        (fexps, fvals), fk = f._arrays(0), None
+    else:
+        parts = [f._arrays(k) for k in range(f.components)]
+        fk = np.repeat(np.arange(f.components), [len(v) for _, v in parts])
+        fexps = np.concatenate([exps for exps, _ in parts])
+        fvals = np.concatenate([vals for _, vals in parts])
+    n = f.n
+    # the distinct Q, as rows packed into one integer each
+    qkeys = fexps[:, n:] @ (f.vmax + 1) ** np.arange(f.d, dtype=np.int64)
+    _, firsts, which = np.unique(qkeys, return_index=True, return_inverse=True)
+    tables = []
+    for Q in fexps[firsts, n:].tolist():
+        W = None
+        for j, q in enumerate(Q):
+            if q:
+                Wj = power(j, q)
+                W = Wj if W is None else W.mul(Wj)
+        # a pure h-monomial term is its own record; its value is set below
+        tables.append(W._records()[1:] if W is not None else
+                      (np.zeros((1, n + f.d), dtype=np.int64),
+                       np.ones(1, dtype=np.complex128)))
+    lens = np.array([len(vals) for _, vals in tables])
+    wexps = np.concatenate([exps for exps, _ in tables])
+    wvals = np.concatenate([vals for _, vals in tables])
+    count = lens[which]
+    term = np.repeat(np.arange(len(fvals)), count)
+    ends = np.cumsum(count)
+    widx = np.arange(ends[-1]) + np.repeat(
+        np.cumsum(lens)[which] - lens[which] - ends + count, count)
+    exps = wexps[widx]
+    exps[:, :n] += fexps[term, :n]
+    vals = multiply(fvals[term], wvals[widx])
+    direct = (fexps[:, n:].sum(axis=1) == 0)[term]
+    vals[direct] = fvals[term[direct]]
+    _scatter([out], None, None if fk is None else fk[term], exps, vals, [()])
     return out
+
+
+def linear_combinations(sums):
+    """One series sum_i c_i s_i per list of ``(s_i, c_i)`` pairs in ``sums``.
+
+    Each is bit for bit the sum a loop builds by adding ``s_i.scale(c_i)``
+    to a running total in turn (see ``_scatter`` for the one exception):
+    the records of each ``s_i`` times ``c_i``, in ``s_i``'s table order,
+    those of modulus PRUNE or less left out as ``scale`` leaves them out,
+    are summed per key in the order of the pairs.  Each result has the
+    smallest window among its ``s_i``, ``tailflag`` if any of them has it,
+    and ``discarded`` summed in the same order, each ``s_i.discarded *
+    |c_i|`` before the mass its own records lose to the window.  All the
+    sums share one segment sum.
+    """
+    outs, summands, scales, owner = [], [], [], []
+    for pairs in sums:
+        first = pairs[0][0]
+        for s, _ in pairs:
+            first._check_compat(s)
+            if s.components != first.components:
+                raise SeriesError("component count mismatch in add")
+        out = first._like(vmax=min(s.vmax for s, _ in pairs),
+                          hband=min(s.hband for s, _ in pairs))
+        out.tailflag = any(s.tailflag for s, _ in pairs)
+        owner += [len(outs)] * len(pairs)
+        outs.append(out)
+        summands += [s for s, _ in pairs]
+        scales += [complex(c) for _, c in pairs]
+    if not outs:
+        return outs
+    parts = [s._records() for s in summands]
+    counts = [len(vals) for _, _, vals in parts]
+    vals = multiply(np.concatenate([vals for _, _, vals in parts]),
+                    np.repeat(np.array(scales), counts))
+    # products of c = 0 are zero (or nan) and fail the test, as in scale
+    keep = modulus(vals) > PRUNE
+    # each summand's mark goes before its first kept record
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    starts = kept_before[np.cumsum(counts) - counts].tolist()
+    marks = [[] for _ in outs]
+    for o, i, s, c in zip(owner, starts, summands, scales):
+        marks[o].append((i, s.discarded * abs(c)))
+    # the summands' own keys, in table order like their records: the sums
+    # store those and build no new ones
+    keys = chain.from_iterable(s.coeffs for s in summands)
+    if keep.all():
+        keys, keep = list(keys), slice(None)
+    else:
+        keys = list(compress(keys, keep.tolist()))
+    ids = np.repeat(owner, counts)[keep] if len(outs) > 1 else None
+    ks = None
+    if max(s.components for s in summands) > 1:
+        ks = np.concatenate([np.zeros(len(v), dtype=np.int64) if k is None
+                             else k for k, _, v in parts])[keep]
+    _scatter(outs, ids, ks,
+             np.concatenate([exps for _, exps, _ in parts])[keep],
+             vals[keep], marks, keys)
+    return outs
+
+
+def _scatter(outs, ids, ks, exps, vals, marks, keys=None):
+    """Add records ``ids[i]: (ks[i], exps[i]) -> vals[i]`` to empty tables.
+
+    The bulk form of ``outs[ids[i]]._accumulate`` on the records in order,
+    with ``ids`` nondecreasing (None for one table, and ``ks`` None for
+    component 0 throughout): a record outside its table's window sets
+    ``tailflag`` and adds its modulus to ``discarded``, in record order,
+    and each ``(i, amount)`` in ``marks[o]`` adds ``amount`` to
+    ``outs[o].discarded`` just before record i.  The records inside are
+    summed per table and key by ``segment_sum``, in record order, and only
+    the sums go through ``_accumulate``, keys in order of first
+    appearance.  The one difference from the record-by-record loop: that
+    loop drops a running sum whose modulus falls to PRUNE or below before
+    the key's last record.  A sum that cancels to exactly zero restarts
+    from the same 0.0 either way, but its key keeps its first place in the
+    table, where the loop would store it again at the end.  ``keys[i]``,
+    if given, is record i's table key; otherwise the keys are built from
+    ``ks`` and ``exps``.
+    """
+    n = outs[0].n
+    if ids is None:
+        vmax, hband = outs[0].vmax, outs[0].hband
+    else:
+        vmax = np.array([o.vmax for o in outs])[ids]
+        hband = np.array([o.hband for o in outs])[ids]
+    outside = exps[:, n:].sum(axis=1) > vmax
+    if n:
+        outside |= np.abs(exps[:, :n]).max(axis=1) > hband
+    # each table's lost records and marks, in record order: a mark before
+    # record i comes first (marks of 0.0 leave discarded as it is)
+    events = {}
+    for o, mine in enumerate(marks):
+        for i, amount in mine:
+            if amount:
+                events.setdefault(o, []).append((i, 0, amount))
+    lost = outside.any()
+    if lost:
+        at = np.flatnonzero(outside)
+        for i, o, amount in zip(at.tolist(),
+                                repeat(0) if ids is None else ids[at].tolist(),
+                                modulus(vals[at]).tolist()):
+            events.setdefault(o, []).append((i, 1, amount))
+            outs[o].tailflag = True
+    for o, mine in events.items():
+        total = outs[o].discarded
+        # a stable sort: marks at the same record keep their order
+        for _, _, amount in sorted(mine, key=lambda event: event[:2]):
+            total += amount
+        outs[o].discarded = total
+    columns = [col for col in (ids, ks) if col is not None]
+    rows = np.column_stack((*columns, exps)) if columns else exps
+    if lost:
+        inside = np.flatnonzero(~outside)
+        rows, vals = rows[inside], vals[inside]
+    first, sums = segment_sum(rows, vals)
+    rows = rows[first]
+    if keys is None:
+        keys = list(_keys(None if ks is None else rows[:, len(columns) - 1],
+                          rows[:, len(columns):], n))
+    else:
+        keys = [keys[i] for i in (inside[first] if lost else first).tolist()]
+    # first appearances follow the record order, so each table's keys are
+    # one run
+    cuts = [0, len(keys)] if ids is None else \
+        np.searchsorted(rows[:, 0], np.arange(len(outs) + 1)).tolist()
+    sums = sums.tolist()
+    for out, lo, hi in zip(outs, cuts, cuts[1:]):
+        out._accumulate(zip(keys[lo:hi], sums[lo:hi]))
 
 
 def partial_h(f, P0):

@@ -3,7 +3,10 @@
 Everything here is deliberately written with plain dict/loop arithmetic and
 no reuse of the library's own code paths, so agreement is meaningful.  The
 exceptions reuse library primitives along another route than the library
-takes: ``psi_then_invert`` builds phi_v differently from ``linearize``;
+takes: ``chained_add_compose`` and ``substitute_per_record`` add every
+record to its table one at a time, where the library sums them per key in
+one array segment sum; ``psi_then_invert`` builds phi_v differently from
+``linearize``;
 ``apply_vertical_operator`` applies the operator the solvers invert by
 division; ``translates_fit`` probes the hull that ``max_margin_eta`` answers
 for in closed form; ``norm_certificate`` and ``identity_map`` are test
@@ -15,20 +18,31 @@ from itertools import product
 import numpy as np
 
 from toruslin import TruncatedSeries
-from toruslin.deckmaps import DeckMap
+from toruslin.deckmaps import DeckMap, _gen_binom
 from toruslin.lattice import log_indicatrix, union_and_hull
 from toruslin.linearize import linearize_step
-from toruslin.series import compose_diagonal, invert_vertical_map, \
-    scale_components, substitute_vertical
+from toruslin.series import _vertical_shift_powers, compose_diagonal, \
+    invert_vertical_map, scale_components, substitute_vertical
+
+
+def term_dict(series):
+    """The coefficients as a plain dict {(k, P, Q): value}."""
+    return {(k, P, Q): c for k, P, Q, c in series.terms()}
+
+
+def with_terms(series, changes):
+    """A new series with ``series``'s terms, window and truncation record,
+    and the coefficients in ``changes`` {(k, P, Q): value} set."""
+    return TruncatedSeries(series.n, series.d, series.components,
+                           series.vmax, series.hband,
+                           {**term_dict(series), **changes},
+                           tailflag=series.tailflag,
+                           discarded=series.discarded)
 
 
 def dense_poly(series, k=0):
     """Extract component k as a plain dict {(P, Q): coeff}."""
-    out = {}
-    for (kk, P, Q), c in series.coeffs.items():
-        if kk == k:
-            out[(P, Q)] = c
-    return out
+    return {(P, Q): c for kk, P, Q, c in series.terms() if kk == k}
 
 
 def dense_mul(a, b, n, d, vmax=None, hband=None):
@@ -96,7 +110,7 @@ def dense_diff(series_dict, other):
 def random_series(rng, n, d, components=1, vmax=6, hband=4, nterms=12,
                   min_vdeg=0, scale=1.0):
     """Random sparse series with normally distributed complex coefficients."""
-    s = TruncatedSeries(n, d, components, vmax, hband)
+    coeffs = {}
     for _ in range(nterms):
         k = int(rng.integers(0, components))
         P = tuple(int(x) for x in rng.integers(-hband, hband + 1, size=n))
@@ -105,8 +119,112 @@ def random_series(rng, n, d, components=1, vmax=6, hband=4, nterms=12,
             if min_vdeg <= sum(Q) <= vmax:
                 break
         c = scale * complex(rng.standard_normal(), rng.standard_normal())
-        s.coeffs[(k, P, Q)] = s.coeffs.get((k, P, Q), 0.0) + c
-    return s
+        coeffs[(k, P, Q)] = coeffs.get((k, P, Q), 0.0) + c
+    return TruncatedSeries(n, d, components, vmax, hband, coeffs)
+
+
+def substitute_per_record(f, phi):
+    """substitute_vertical with its scatter done one record at a time.
+
+    A fresh power table on the same working window, each power the same
+    product; f's terms in sorted order, each followed by the records of
+    its W_Q in table order (the order of W's dict, which is not sorted for
+    a W_Q = v_j + phi_j built by ``add``), every record added to the
+    output through ``_accumulate``.
+    """
+    vmax, hband = min(f.vmax, phi.vmax), min(f.hband, phi.hband)
+    work_hband = f.hband + phi.hband * max(1, vmax // 2)
+    out = TruncatedSeries(f.n, f.d, f.components, vmax, hband,
+                          tailflag=f.tailflag or phi.tailflag,
+                          discarded=f.discarded + phi.discarded)
+    rows = _vertical_shift_powers(phi, vmax, work_hband)
+
+    def power(j, q):
+        while len(rows[j]) <= q:
+            rows[j].append(rows[j][-1].mul(rows[j][1]))
+        return rows[j][q]
+
+    for k, P, Q, c in f.terms():
+        W = None
+        for j, q in enumerate(Q):
+            if q:
+                W = power(j, q) if W is None else W.mul(power(j, q))
+        if W is None:  # pure h-monomial term
+            out._accumulate([((k, P, Q), c)])
+        else:
+            out._accumulate(((k, tuple(p + pw for p, pw in zip(P, Pw)), Qn),
+                             c * w) for (_, Pw, Qn), w in W.coeffs.items())
+    return out
+
+
+def chained_add_compose(f, m, vmax=None, hband=None):
+    """compose_with_map with every sum rebuilt by a chain of ``add``.
+
+    The binomial series and the group sums are formed as
+    ``piece = piece.add(term)``, each step a new series whose records go
+    through ``_accumulate`` one by one: the record-by-record sums that
+    ``linear_combinations`` replaces by one segment sum.
+    """
+    vmax = f.vmax if vmax is None else vmax
+    hband = f.hband if hband is None else hband
+    n, d = f.n, f.d
+    pw = max(m.pert_h.hband + 1, m.pert_v.hband, 1)
+    work = max(hband, f.hband) + (vmax // 2) * pw
+    hwin = max(vmax - f.v_order(), 0)
+    smax = hwin // 2
+    upow = []
+    for k in range(n):
+        ek = tuple(-1 if t == k else 0 for t in range(n))
+        u = m.pert_h.component(k).cut(hwin).with_window(vmax=hwin, hband=work)
+        u = u.shift_h(ek).scale(1.0 / m.lam[k])
+        upow.append([None, u])
+        for _ in range(2, smax + 1):
+            upow[k].append(upow[k][-1].mul(u))
+    vpow = []
+    for j in range(d):
+        ej = tuple(1 if t == j else 0 for t in range(d))
+        w = TruncatedSeries.monomial(n, d, 0, (0,) * n, ej, m.mu[j],
+                                     components=1, vmax=vmax, hband=work)
+        w = w.add(m.pert_v.component(j).with_window(vmax=vmax, hband=work))
+        vpow.append([None, w])
+        for _ in range(2, vmax + 1):
+            vpow[j].append(vpow[j][-1].mul(w))
+    one = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
+                                   components=1, vmax=hwin, hband=work)
+
+    def binom_power_series(P):
+        acc, lam_fac = one, 1.0 + 0.0j
+        for k, p in enumerate(P):
+            lam_fac *= m.lam[k] ** int(p)
+            if p == 0 or smax == 0:
+                continue
+            piece = one
+            for s in range(1, smax + 1):
+                if _gen_binom(int(p), s):
+                    piece = piece.add(upow[k][s].scale(_gen_binom(int(p), s)))
+            acc = piece if acc is one else acc.mul(piece)
+        return acc.shift_h(P).scale(lam_fac)
+
+    out = TruncatedSeries(n, d, f.components, vmax, work,
+                          tailflag=f.tailflag, discarded=f.discarded)
+    groups, hcache = {}, {}
+    for k, P, Q, c in f.terms():
+        groups.setdefault((k, Q), []).append((P, c))
+    for (k, Q), group in sorted(groups.items()):
+        hpart = TruncatedSeries.zero(n, d, 1, hwin, work)
+        for P, c in group:
+            if P not in hcache:
+                hcache[P] = binom_power_series(P)
+            hpart = hpart.add(hcache[P].scale(c))
+        piece = hpart.with_window(vmax=vmax)
+        for j, q in enumerate(Q):
+            if q:
+                piece = piece.mul(vpow[j][q])
+        out._accumulate(((k, Pn, Qn), val)
+                        for _, Pn, Qn, val in piece.terms())
+        out.tailflag |= piece.tailflag
+        out.discarded += piece.discarded
+    return out.restrict(vmax=vmax, hband=hband)
 
 
 def psi_then_invert(result):

@@ -106,9 +106,9 @@ def test_criterion_4_uniqueness_gluing():
     for i in range(data.n):
         single = solve_single(fam.rhs[i], i, data, lat, eps=0.15, r=0.5,
                               delta=0.05, rho=0.25, fit=fit)
-        for key in fam.rhs[i].coeffs:
-            worst = max(worst, abs(single.G.coeffs.get(key, 0.0)
-                                   - cert.G.coeffs.get(key, 0.0)))
+        for k, P, Q, _ in fam.rhs[i].terms():
+            worst = max(worst, abs(single.G.get(k, P, Q)
+                                   - cert.G.get(k, P, Q)))
     ok = worst <= 1e-12
     report_line(4, ok, "family/single shared-coefficient gap %.3e" % worst)
     assert worst <= 1e-12

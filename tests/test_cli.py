@@ -169,9 +169,11 @@ class TestVerbs:
                         pmax=12, qmax=12).phi_v
         assert (back.n, back.d, back.components, back.vmax, back.hband) == \
             (phi.n, phi.d, phi.components, phi.vmax, phi.hband)
-        assert back.coeffs.keys() == phi.coeffs.keys()
-        for key, c in phi.coeffs.items():
-            assert (back.coeffs[key].real.hex(), back.coeffs[key].imag.hex()) \
+        assert [key for *key, _ in back.terms()] == \
+            [key for *key, _ in phi.terms()]
+        for k, P, Q, c in phi.terms():
+            got = back.get(k, P, Q)
+            assert (got.real.hex(), got.imag.hex()) \
                 == (float(c.real).hex(), float(c.imag).hex())
 
     def test_order_above_vmax_is_an_error(self, tmp_path, capsys):

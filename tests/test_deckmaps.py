@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from toruslin import LatticeSpec, TruncatedSeries
-from toruslin.deckmaps import (DeckMap, _gen_binom, compose_maps,
+from toruslin.deckmaps import (DeckMap, compose_maps,
                                compose_with_map, conjugate_by_vertical,
                                invert_map)
 from toruslin.divisors import MultiplierData
@@ -10,7 +10,8 @@ from toruslin.linearize import check_commutation, DeckMapFamily
 from toruslin.series import (invert_vertical_map, scale_components,
                              substitute_vertical)
 
-from _oracles import identity_map, random_series
+from _oracles import (chained_add_compose, identity_map, random_series,
+                      term_dict, with_terms)
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 
@@ -55,17 +56,16 @@ class TestComposeWithMap:
         f = random_series(rng, 1, 1, vmax=5, hband=3, nterms=10)
         m = mild_map()
         got = compose_with_map(f, m, hband=6)
-        for (k, P, Q), c in f.coeffs.items():
+        for k, P, Q, c in f.terms():
             want = c * m.lam[0] ** P[0] * m.mu[0] ** Q[0]
-            assert got.coeffs.get((k, P, Q), 0.0) == pytest.approx(want)
+            assert got.get(k, P, Q) == pytest.approx(want)
 
     def test_binomial_laurent_expansion(self):
         # f = h^-1 against the closed form
         # (lam h + c h v^2)^-1 = lam^-1 h^-1 sum_s (-c/lam)^s v^{2s}
         lam = np.exp(2j * np.pi * MILD_E2)
         c = 0.01
-        ph = TruncatedSeries.zero(1, 1, 1, 6, 20)
-        ph.coeffs[(0, (1,), (2,))] = c
+        ph = TruncatedSeries(1, 1, 1, 6, 20, {(0, (1,), (2,)): c})
         pv = TruncatedSeries.zero(1, 1, 1, 6, 20)
         m = DeckMap(lam=[lam], mu=[1.0], pert_h=ph, pert_v=pv)
         f = TruncatedSeries.monomial(1, 1, 0, (-1,), (0,), 1.0,
@@ -74,7 +74,7 @@ class TestComposeWithMap:
         for s in range(4):
             want = (1 / lam) * (-c / lam) ** s
             assert comp.get(0, (-1,), (2 * s,)) == pytest.approx(want)
-        assert len(comp.coeffs) == 4
+        assert comp.nterms() == 4
 
     @pytest.mark.parametrize("seed", range(3))
     def test_pointwise_evaluation_oracle(self, seed):
@@ -212,74 +212,6 @@ class TestWindowedInvertMap:
         assert seen == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 6]
 
 
-def chained_add_compose(f, m, vmax=None, hband=None):
-    """compose_with_map with every sum rebuilt by a chain of ``add``.
-
-    The binomial series and the group sums are formed as
-    ``piece = piece.add(term)``, each step a new series.
-    """
-    vmax = f.vmax if vmax is None else vmax
-    hband = f.hband if hband is None else hband
-    n, d = f.n, f.d
-    pw = max(m.pert_h.hband + 1, m.pert_v.hband, 1)
-    work = max(hband, f.hband) + (vmax // 2) * pw
-    hwin = max(vmax - f.v_order(), 0)
-    smax = hwin // 2
-    upow = []
-    for k in range(n):
-        ek = tuple(-1 if t == k else 0 for t in range(n))
-        u = m.pert_h.component(k).cut(hwin).with_window(vmax=hwin, hband=work)
-        u = u.shift_h(ek).scale(1.0 / m.lam[k])
-        upow.append([None, u])
-        for _ in range(2, smax + 1):
-            upow[k].append(upow[k][-1].mul(u))
-    vpow = []
-    for j in range(d):
-        ej = tuple(1 if t == j else 0 for t in range(d))
-        w = TruncatedSeries.monomial(n, d, 0, (0,) * n, ej, m.mu[j],
-                                     components=1, vmax=vmax, hband=work)
-        w = w.add(m.pert_v.component(j).with_window(vmax=vmax, hband=work))
-        vpow.append([None, w])
-        for _ in range(2, vmax + 1):
-            vpow[j].append(vpow[j][-1].mul(w))
-    one = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
-                                   components=1, vmax=hwin, hband=work)
-
-    def binom_power_series(P):
-        acc, lam_fac = one, 1.0 + 0.0j
-        for k, p in enumerate(P):
-            lam_fac *= m.lam[k] ** int(p)
-            if p == 0 or smax == 0:
-                continue
-            piece = one
-            for s in range(1, smax + 1):
-                if _gen_binom(int(p), s):
-                    piece = piece.add(upow[k][s].scale(_gen_binom(int(p), s)))
-            acc = piece if acc is one else acc.mul(piece)
-        return acc.shift_h(P).scale(lam_fac)
-
-    out = TruncatedSeries(n, d, f.components, vmax, work,
-                          tailflag=f.tailflag, discarded=f.discarded)
-    groups, hcache = {}, {}
-    for k, P, Q, c in f.terms():
-        groups.setdefault((k, Q), []).append((P, c))
-    for (k, Q), group in sorted(groups.items()):
-        hpart = TruncatedSeries.zero(n, d, 1, hwin, work)
-        for P, c in group:
-            if P not in hcache:
-                hcache[P] = binom_power_series(P)
-            hpart = hpart.add(hcache[P].scale(c))
-        piece = hpart.with_window(vmax=vmax)
-        for j, q in enumerate(Q):
-            if q:
-                piece = piece.mul(vpow[j][q])
-        out._accumulate(((k, Pn, Qn), val)
-                        for _, Pn, Qn, val in piece.terms())
-        out.tailflag |= piece.tailflag
-        out.discarded += piece.discarded
-    return out.restrict(vmax=vmax, hband=hband)
-
-
 class TestComposeWithMapInPlaceSums:
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
     @pytest.mark.parametrize("hband", [None, 3])
@@ -293,7 +225,7 @@ class TestComposeWithMapInPlaceSums:
         pv = random_series(rng, n, d, components=d, vmax=vmax, hband=2,
                            nterms=6, min_vdeg=2, scale=1e-2)
         # a truncation record on pert_h reaches the u powers' discarded
-        ph = TruncatedSeries(n, d, n, vmax, 2, dict(ph.coeffs),
+        ph = TruncatedSeries(n, d, n, vmax, 2, term_dict(ph),
                              tailflag=True, discarded=1e-9)
         m = DeckMap(lam=lam, mu=mu, pert_h=ph.with_window(hband=12),
                     pert_v=pv.with_window(hband=12))
@@ -308,6 +240,26 @@ class TestComposeWithMapInPlaceSums:
         assert (got.tailflag, got.discarded) == (want.tailflag,
                                                  want.discarded)
         assert got.discarded > 1e-9
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_zero_pert_h(self, record):
+        # a zero u_k skips its binomial series (1 + u_k)^p = 1; one that
+        # carries a truncation record does not
+        rng = np.random.default_rng(64)
+        lam = np.exp(2j * np.pi * np.array([MILD_E2, 0.2 + 0.03j]))
+        mu = np.exp(2j * np.pi * np.array([GOLDEN]))
+        ph = TruncatedSeries(2, 1, 2, 6, 12, tailflag=record,
+                             discarded=1e-9 if record else 0.0)
+        pv = random_series(rng, 2, 1, vmax=6, hband=2, nterms=6,
+                           min_vdeg=2, scale=1e-2).with_window(hband=12)
+        m = DeckMap(lam=lam, mu=mu, pert_h=ph, pert_v=pv)
+        f = random_series(rng, 2, 1, components=2, vmax=6, hband=3,
+                          nterms=14)
+        got = compose_with_map(f, m)
+        want = chained_add_compose(f, m)
+        assert coeff_bits(got) == coeff_bits(want)
+        assert (got.tailflag, got.discarded) == (want.tailflag,
+                                                 want.discarded)
 
 
 class TestComposeWithMapEdges:
@@ -337,7 +289,7 @@ class TestComposeWithMapEdges:
         m = mild_map(np.random.default_rng(13), vmax=6, hband=16)
         zero = TruncatedSeries.zero(1, 1, 1, 6, 8)
         got = compose_with_map(zero, m, hband=10)
-        assert got.is_zero() and not got.coeffs
+        assert got.is_zero() and got.nterms() == 0
         assert (got.vmax, got.hband) == (6, 10)
         assert not got.tailflag and got.discarded == 0.0
 
@@ -371,7 +323,8 @@ class TestCommutation:
                            pert_v=TruncatedSeries.zero(2, 1, 1, 5, 14))
             maps.append(conjugate_by_vertical(diag, psi))
         if fault is not None:
-            maps[0].pert_v.coeffs[(0, (0, 0), (fault,))] = 1e-3
+            maps[0].pert_v = with_terms(maps[0].pert_v,
+                                        {(0, (0, 0), (fault,)): 1e-3})
         invs = [invert_map(m) for m in maps]
         return DeckMapFamily(lattice=lat, data=data, maps=maps, inv_maps=invs,
                              eps0=0.3, r0=0.6, hband=2)

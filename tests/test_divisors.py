@@ -95,7 +95,8 @@ def pair_data():
                                       (pair_data, 6), (tie_data, 4)])
 def test_table_matches_per_index_oracle(case, pq, form):
     # every divisor, modulus, argmax and row equals the one-index-at-a-time
-    # computation bit for bit, in the same row order
+    # computation bit for bit, in the same row order; moduli are Python's
+    # scalar abs, which numpy's array abs need not match
     data = case()
     P, Q = scan_indices(data.n, data.d, pq, pq)
     div = small_divisors(data, P, Q, form)
@@ -109,8 +110,9 @@ def test_table_matches_per_index_oracle(case, pq, form):
             assert (div[i, j] == want).all()
             assert (tuple(table.P[r]), tuple(table.Q[r]), table.j[r]) == \
                 (Pi, Qi, j)
-            assert (table.perl[r] == np.abs(want)).all()
-            assert table.argmax[r] == np.abs(want).argmax()
+            moduli = [abs(complex(w)) for w in want.tolist()]
+            assert table.perl[r].tolist() == moduli
+            assert table.argmax[r] == moduli.index(max(moduli))
             r += 1
     assert r == len(table.j)
     if case is tie_data:

@@ -13,9 +13,12 @@ from toruslin.linearize import (DeckMapFamily, LinearizeError, build_family,
                                 residual_table)
 from toruslin.problem import parse_problem
 
+import toruslin.series as series_mod
 from _fixtures import (GOLDEN, conjugated_family, golden_data, golden_family,
-                       golden_lattice, perturbation_records)
-from _oracles import psi_then_invert, random_series
+                       golden_lattice, lattice2_family, perturbation_records,
+                       shipped_family)
+from _oracles import (chained_add_compose, psi_then_invert, random_series,
+                      substitute_per_record, with_terms)
 
 
 class TestLinearizeStep:
@@ -230,8 +233,8 @@ class TestLinearize:
         rng = np.random.default_rng(23)
         fam = golden_family(rng, vmax=4, hband=4, nterms=6, qrange=(2, 2))
         invs = [invert_map(m) for m in fam.maps]
-        key = next(iter(invs[0].pert_v.homogeneous_part(2).coeffs))
-        invs[0].pert_v.coeffs[key] *= 2.0
+        k, P, Q, c = next(invs[0].pert_v.homogeneous_part(2).terms())
+        invs[0].pert_v = with_terms(invs[0].pert_v, {(k, P, Q): 2.0 * c})
         bad = DeckMapFamily(lattice=fam.lattice, data=fam.data,
                             maps=fam.maps, inv_maps=invs,
                             eps0=fam.eps0, r0=fam.r0, hband=fam.hband)
@@ -316,7 +319,7 @@ class TestLinearize:
             ph = TruncatedSeries.zero(2, 1, 2, 4, work)
             pv = TruncatedSeries.zero(2, 1, 1, 4, work)
             if i == 0:  # a perturbation the other generator does not share
-                pv.coeffs[(0, (0, 0), (2,))] = 1e-3
+                pv = with_terms(pv, {(0, (0, 0), (2,)): 1e-3})
             maps.append(DeckMap(lam=data.lam[i], mu=data.mu[i],
                                 pert_h=ph, pert_v=pv))
         from toruslin.deckmaps import invert_map
@@ -337,3 +340,47 @@ class TestLinearize:
                     "r"} <= set(rec)
             assert rec["eps"] > 0.1 and rec["r"] > 0.5 / np.e
             assert set(rec["translated"]) == {(0, 1), (0, -1)}
+
+
+def exact(f):
+    """Window, truncation record and coefficients as exact bit patterns."""
+    return (f.components, f.vmax, f.hband, f.tailflag, f.discarded.hex(),
+            [(k, P, Q, c.real.hex(), c.imag.hex()) for k, P, Q, c in f.terms()])
+
+
+class TestFanOutSumsInTheLoop:
+    """Every substitution and composition a linearization makes, as one
+    segment sum each, against the record-by-record oracles, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["shipped-12", "lattice2-7"])
+    def test_every_call_matches_per_record_oracle(self, monkeypatch, case):
+        calls = {"substitute": 0, "compose": 0}
+        real_sub = series_mod.substitute_vertical
+        real_comp = deckmaps_mod.compose_with_map
+
+        def substitute(f, phi):
+            got = real_sub(f, phi)
+            assert exact(got) == exact(substitute_per_record(f, phi))
+            calls["substitute"] += 1
+            return got
+
+        def compose(f, m, vmax=None, hband=None):
+            got = real_comp(f, m, vmax=vmax, hband=hband)
+            assert exact(got) == exact(chained_add_compose(f, m, vmax, hband))
+            calls["compose"] += 1
+            return got
+
+        for mod in (series_mod, deckmaps_mod, linearize_mod):
+            monkeypatch.setattr(mod, "substitute_vertical", substitute,
+                                raising=False)
+        for mod in (deckmaps_mod, linearize_mod):
+            monkeypatch.setattr(mod, "compose_with_map", compose)
+        if case == "shipped-12":
+            fam, run = shipped_family(12)
+            linearize(fam, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
+                      qmax=run["qmax"])
+        else:
+            fam, psi = lattice2_family(7)
+            result = linearize(fam, order=8, eps1=0.2, r1=0.5, pmax=6, qmax=6)
+            assert result.phi_v.max_coeff_diff(psi) < 1e-10
+        assert calls["substitute"] > 10 and calls["compose"] > 5

@@ -85,7 +85,7 @@ class TestConstantsBundle:
         for mp in fam.maps:
             for pert in (mp.pert_h, mp.pert_v):
                 by_q = {}
-                for (k, P, Q), c in pert.coeffs.items():
+                for k, P, Q, c in pert.terms():
                     by_q.setdefault((k, Q), 0.0)
                     by_q[(k, Q)] += abs(c) * max(dom_p.sup_monomial(np.array(P, float)),
                                                  dom_m.sup_monomial(np.array(P, float)))

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 import toruslin
 from toruslin import TruncatedSeries, compose_diagonal, invert_vertical_map, \
     partial_h, substitute_vertical
-from toruslin.series import SeriesError
+from toruslin.series import SeriesError, linear_combinations, \
+    scale_components
 
 from _oracles import (dense_diff, dense_mul, dense_poly, dense_substitute,
-                      random_series)
+                      random_series, substitute_per_record, term_dict,
+                      with_terms)
 
 
 def mono(n, d, P, Q, c=1.0, vmax=8, hband=8):
@@ -25,7 +27,7 @@ class TestRingOps:
         a = mono(1, 1, (1,), (2,))
         b = mono(1, 1, (-1,), (3,))
         prod = a.mul(b)
-        assert prod.coeffs == {(0, (0,), (5,)): 1.0 + 0.0j}
+        assert list(prod.terms()) == [(0, (0,), (5,), 1.0 + 0.0j)]
 
     def test_additive_identity(self):
         rng = np.random.default_rng(1)
@@ -41,7 +43,7 @@ class TestRingOps:
         assert prod.get(0, (1,), (2,)) == 0.0
         assert prod.get(0, (0,), (0,)) == 1.0
         assert prod.get(0, (2,), (4,)) == -1.0
-        assert len(prod.coeffs) == 2
+        assert prod.nterms() == 2
 
     def test_mul_against_dense_oracle(self):
         rng = np.random.default_rng(7)
@@ -172,9 +174,8 @@ class TestSubstituteVertical:
         phi = random_series(rng, 1, 1, vmax=6, hband=2, nterms=8, min_vdeg=2)
         m = 4
         base = substitute_vertical(f, phi).homogeneous_part(m)
-        bumped = phi.copy()
-        bumped.coeffs[(0, (0,), (m,))] = bumped.coeffs.get((0, (0,), (m,)), 0.0) + 5.0
-        bumped.coeffs[(0, (1,), (m + 1,))] = 7.0
+        bumped = with_terms(phi, {(0, (0,), (m,)): phi.get(0, (0,), (m,)) + 5.0,
+                                  (0, (1,), (m + 1,)): 7.0})
         other = substitute_vertical(f, bumped).homogeneous_part(m)
         assert base.max_coeff_diff(other) == 0.0
 
@@ -194,7 +195,7 @@ class TestShiftTable:
         high = random_series(rng, 1, d, vmax=6, hband=2, nterms=6,
                              min_vdeg=5)
         substitute_vertical(low, phi)
-        fresh = TruncatedSeries(1, d, d, 6, 2, dict(phi.coeffs))
+        fresh = TruncatedSeries(1, d, d, 6, 2, term_dict(phi))
         assert bits(substitute_vertical(high, phi)) == \
             bits(substitute_vertical(high, fresh))
 
@@ -210,7 +211,7 @@ class TestShiftTable:
         bumped = getattr(phi, derive)(6) if derive == "cut" else \
             getattr(phi, derive)()
         bumped.coeffs[(0, (0,), (2,))] = bumped.get(0, (0,), (2,)) + 0.5
-        fresh = TruncatedSeries(1, 1, 1, 6, 2, dict(bumped.coeffs))
+        fresh = TruncatedSeries(1, 1, 1, 6, 2, term_dict(bumped))
         got = substitute_vertical(f, bumped)
         want = substitute_vertical(f, fresh)
         assert bits(got) == bits(want)
@@ -226,7 +227,7 @@ class TestKernelIO:
         b = random_series(rng, 2, 1, vmax=5, hband=3, nterms=10)
         prod = a.mul(b)
         assert prod.nterms() > 0
-        for (k, P, Q), c in prod.coeffs.items():
+        for k, P, Q, c in prod.terms():
             assert type(k) is int and type(c) is complex
             assert type(P) is tuple and type(Q) is tuple
             assert all(type(x) is int for x in P + Q)
@@ -248,22 +249,279 @@ class TestScaledInPlaceAdd:
     @pytest.mark.parametrize("c", [2.5, -0.3j, 1e-300, 0.0])
     @pytest.mark.parametrize("discarded", [0.0, 1e-7])
     def test_matches_add_of_scaled_copy(self, c, discarded):
-        # 1e-300 leaves some scaled terms above PRUNE and prunes the rest;
-        # a pruned term outside a's window must not reach ``discarded``
+        # linear_combinations([[(a, 1), (b, c)]]) is a.add(b.scale(c)) bit for
+        # bit; 1e-300 leaves some scaled terms above PRUNE and prunes the
+        # rest; a pruned term outside a's window must not reach ``discarded``
         rng = np.random.default_rng(17)
         a = random_series(rng, 2, 1, vmax=5, hband=3, nterms=12)
         b = random_series(rng, 2, 1, vmax=5, hband=3, nterms=12)
-        b = TruncatedSeries(2, 1, 1, 6, 4, dict(b.coeffs),
+        b = TruncatedSeries(2, 1, 1, 6, 4,
+                            {**term_dict(b), (0, (4, 0), (1,)): 0.5,
+                             (0, (0, 0), (6,)): 2.0 - 1j},
                             tailflag=discarded > 0, discarded=discarded)
-        b.coeffs[(0, (4, 0), (1,))] = 0.5
-        b.coeffs[(0, (0, 0), (6,))] = 2.0 - 1j
-        got = a.copy()._iadd(b, c)
+        got = linear_combination([(a, 1.0), (b, c)])
         want = a.add(b.scale(c))
-        assert list(got.coeffs.items()) == list(want.coeffs.items())
-        assert [(v.real.hex(), v.imag.hex()) for v in got.coeffs.values()] \
-            == [(v.real.hex(), v.imag.hex()) for v in want.coeffs.values()]
+        assert bits(got) == bits(want)
         assert (got.tailflag, got.discarded) == (want.tailflag,
                                                  want.discarded)
+        # the keys are stored in the same order too: restrict adds the
+        # moduli of the terms it drops to discarded in table order
+        narrow = want.restrict(hband=1)
+        assert len({abs(c) for _, P, _, c in want.terms()
+                    if max(map(abs, P)) > 1}) >= 3
+        assert exact(got.restrict(hband=1)) == exact(narrow)
+
+    def test_keys_stored_in_the_order_add_stores_them(self):
+        # a's keys in a's table order, then b's new ones: restrict(hband=1)
+        # drops 1, u, u in that order, and 1 + u + u rounds to 1, while the
+        # sorted order u + u + 1 would not (u = 2^-53)
+        u = 2.0 ** -53
+        a = TruncatedSeries(1, 1, 1, 4, 3, {(0, (3,), (1,)): 1.0,
+                                            (0, (-3,), (1,)): u,
+                                            (0, (-2,), (1,)): u,
+                                            (0, (0,), (2,)): 0.5})
+        b = TruncatedSeries(1, 1, 1, 4, 3, {(0, (1,), (2,)): 0.25,
+                                            (0, (0,), (2,)): 0.125})
+        for c in (1.0, -2.0):
+            got = linear_combination([(a, 1.0), (b, c)])
+            want = a.add(b.scale(c))
+            assert want.restrict(hband=1).discarded == 1.0
+            assert exact(got.restrict(hband=1)) == \
+                exact(want.restrict(hband=1))
+
+
+def hexed(x):
+    """A complex value's parts in hex; a row of ints or an int as it is."""
+    return (x.real.hex(), x.imag.hex()) if isinstance(x, complex) else x
+
+
+def exact(f):
+    """``bits`` plus the exact ``discarded``."""
+    return bits(f), f.discarded.hex()
+
+
+def numpy_fuses():
+    """Whether numpy's complex multiply differs from the scalar one here."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    b = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    return (a * b).tolist() != [x * y for x, y in zip(a.tolist(), b.tolist())]
+
+
+def linear_combination(pairs):
+    (out,) = linear_combinations([pairs])
+    return out
+
+
+def chained_sum(pairs):
+    """sum c s over (s, c): each s.scale(c) added in turn to a zero series
+    on the smallest window."""
+    first = pairs[0][0]
+    out = TruncatedSeries.zero(first.n, first.d, first.components,
+                               min(s.vmax for s, _ in pairs),
+                               min(s.hband for s, _ in pairs))
+    for s, c in pairs:
+        out = out.add(s.scale(c))
+    return out
+
+
+class TestFanOutSums:
+    """The segment-sum paths against the record-by-record oracles."""
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_substitute_drops_records_outside_hband(self, n, d):
+        # W_Q lives on a wider band than the output, so Laurent records
+        # fall outside hband: their mass goes to discarded in record order
+        rng = np.random.default_rng(43 + 10 * n + d)
+        f = random_series(rng, n, d, components=2, vmax=6, hband=2,
+                          nterms=14)
+        phi = random_series(rng, n, d, components=d, vmax=6, hband=2,
+                            nterms=8, min_vdeg=2, scale=0.3)
+        got = substitute_vertical(f, phi)
+        assert got.tailflag and got.discarded > 0
+        assert exact(got) == exact(substitute_per_record(f, phi))
+
+    def test_sum_cancelling_to_zero_then_hit_again(self):
+        # key (0, 3): f's v^2 term gives 1 * 2b = 0.5, its v^3 term -0.5,
+        # so the running sum is exactly 0 (the record loop deletes the key)
+        # before the h v^2 term adds 2e through h * h^-1 v^3
+        b, e = 0.25, 0.125
+        phi = TruncatedSeries(1, 1, 1, 6, 2, {(0, (0,), (2,)): b,
+                                              (0, (-1,), (2,)): e})
+        f = TruncatedSeries(1, 1, 1, 6, 2, {(0, (0,), (2,)): 1.0,
+                                            (0, (0,), (3,)): -0.5,
+                                            (0, (1,), (2,)): 1.0})
+        got = substitute_vertical(f, phi)
+        assert got.get(0, (0,), (3,)) == 2 * e
+        assert exact(got) == exact(substitute_per_record(f, phi))
+        s = TruncatedSeries.monomial(1, 1, 0, (0,), (3,), 0.5, vmax=6,
+                                     hband=2)
+        t = TruncatedSeries.monomial(1, 1, 0, (0,), (3,), 0.25, vmax=6,
+                                     hband=2)
+        pairs = [(s, 1.0), (s, -1.0), (t, 1.0), (s, -0.5)]
+        got = linear_combination(pairs)
+        assert got.get(0, (0,), (3,)) == 0.0 and got.nterms() == 0
+        assert exact(got) == exact(chained_sum(pairs))
+        pairs = pairs[:3]
+        assert exact(linear_combination(pairs)) == exact(chained_sum(pairs))
+
+    def test_discarded_in_record_order(self):
+        # each summand's own discarded comes before the mass its records
+        # lose to the smaller window: 1 + u + u rounds to 1, while
+        # u + u + 1 would not (u = 2^-53)
+        u = 2.0 ** -53
+        narrow = TruncatedSeries.monomial(1, 1, 0, (1,), (2,), 1.0, vmax=4,
+                                          hband=2)
+        wide = TruncatedSeries(1, 1, 1, 6, 4, {(0, (3,), (2,)): u,
+                                               (0, (0,), (6,)): u,
+                                               (0, (1,), (2,)): 0.5},
+                               tailflag=True, discarded=1.0)
+        for pairs in ([(narrow, 1.0), (wide, 1.0)],
+                      [(wide, 1.0), (narrow, -1.0), (wide, 2.0)]):
+            got = linear_combination(pairs)
+            assert (got.vmax, got.hband) == (4, 2) and got.tailflag
+            assert exact(got) == exact(chained_sum(pairs))
+        assert got.discarded == 3.0
+
+    def test_batched_sums_match_single_ones(self):
+        # sums over different windows, with truncation records and shared
+        # keys, formed in one call: each as its own chain of add and scale
+        rng = np.random.default_rng(88)
+        a = random_series(rng, 2, 1, vmax=5, hband=3, nterms=12)
+        b = TruncatedSeries(2, 1, 1, 6, 4, term_dict(random_series(
+            rng, 2, 1, vmax=6, hband=4, nterms=12)), tailflag=True,
+            discarded=0.25)
+        c = random_series(rng, 2, 1, vmax=6, hband=4, nterms=12)
+        sums = [[(a, 1.5), (b, -0.5j)], [(b, 2.0)], [(c, 1.0), (b, 0.3),
+                                                     (a, -1.0)], [(c, 0.0)]]
+        got = linear_combinations(sums)
+        assert [exact(g) for g in got] == \
+            [exact(chained_sum(pairs)) for pairs in sums]
+        assert got[0].tailflag and got[0].discarded > 0.125
+
+    def test_negative_zero_parts(self):
+        # values written with -0.0 parts (from_text keeps them) and scales
+        # with -0.0 parts: every sum starts from +0.0 in both paths
+        text = "TLS 1 1 1 6 2\n" + "".join(
+            "0 %d %d %s %s\n" % (p, q, re, im)
+            for p, q, re, im in [(0, 2, "-1.5", "-0.0"), (1, 2, "-0.0", "2.0"),
+                                 (0, 3, "0.75", "-0.0"), (-1, 4, "-0.0", "-0.0"),
+                                 (0, 0, "-0.0", "-0.5")])
+        f = TruncatedSeries.from_text(text)
+        assert "-0.0" in f.to_text()
+        phi = TruncatedSeries.from_text(
+            "TLS 1 1 1 6 2\n0 0 2 0.5 -0.0\n0 -1 3 -0.0 0.25\n")
+        assert exact(substitute_vertical(f, phi)) == \
+            exact(substitute_per_record(f, phi))
+        for c in (complex(-2.0, -0.0), complex(-0.0, 1.0), -1.0):
+            pairs = [(f, c), (phi, 1.0), (f, complex(0.5, -0.0))]
+            assert exact(linear_combination(pairs)) == \
+                exact(chained_sum(pairs))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unfused_products(self, seed):
+        # random values: numpy's complex multiply, where it fuses, rounds
+        # many of these products differently (see the next test)
+        rng = np.random.default_rng(70 + seed)
+        f = random_series(rng, 2, 1, components=2, vmax=6, hband=3,
+                          nterms=16)
+        phi = random_series(rng, 2, 1, vmax=6, hband=3, nterms=8,
+                            min_vdeg=2, scale=0.7)
+        assert exact(substitute_vertical(f, phi)) == \
+            exact(substitute_per_record(f, phi))
+        g = random_series(rng, 2, 1, components=2, vmax=6, hband=3,
+                          nterms=16)
+        pairs = [(f, 0.3 - 1.7j), (g, 1.1 + 0.9j), (f, -2.3 + 0.1j)]
+        assert exact(linear_combination(pairs)) == exact(chained_sum(pairs))
+
+    def test_inputs_tell_fused_from_unfused(self):
+        if not numpy_fuses():
+            pytest.skip("numpy's complex multiply does not fuse on this CPU")
+        rng = np.random.default_rng(70)
+        f = random_series(rng, 2, 1, components=2, vmax=6, hband=3,
+                          nterms=16)
+        vals = [c for *_, c in f.terms()]
+        fused = (np.array(vals) * (0.3 - 1.7j)).tolist()
+        assert fused != [c * (0.3 - 1.7j) for c in vals]
+
+
+class TestKernelArrays:
+    """The sorted (exps, vals) a series keeps for the kernels."""
+
+    @staticmethod
+    def fresh(f, k):
+        return TruncatedSeries(f.n, f.d, f.components, f.vmax, f.hband,
+                               term_dict(f))._arrays(k)
+
+    @pytest.mark.parametrize("ca,cb", [(1, 1), (2, 2), (1, 2), (2, 1)])
+    def test_mul_seeds_what_a_rebuild_gives(self, ca, cb):
+        rng = np.random.default_rng(80 + 3 * ca + cb)
+        a = random_series(rng, 2, 1, components=ca, vmax=5, hband=3,
+                          nterms=12)
+        b = random_series(rng, 2, 1, components=cb, vmax=5, hband=3,
+                          nterms=12)
+        prod = a.mul(b)
+        assert set(prod._store) == {*range(prod.components), "table"}
+        # the records in table order are the ones read back from the dict
+        # (no component column for a single component)
+        for got, want in zip(prod._records(), prod._table()):
+            if want is None:
+                assert got is None and prod.components == 1
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert not got.flags.writeable
+            assert [hexed(x) for x in got.tolist()] == \
+                [hexed(x) for x in want.tolist()]
+        for k in range(prod.components):
+            exps, vals = prod._arrays(k)
+            want_exps, want_vals = self.fresh(prod, k)
+            assert exps.dtype == want_exps.dtype and exps.shape == \
+                want_exps.shape
+            assert exps.tolist() == want_exps.tolist()
+            assert [hexed(c) for c in vals.tolist()] == \
+                [hexed(c) for c in want_vals.tolist()]
+            assert not exps.flags.writeable and not vals.flags.writeable
+
+    def test_empty_product_seeds_empty_arrays(self):
+        a = TruncatedSeries.monomial(1, 1, 0, (0,), (4,), vmax=6, hband=2)
+        prod = a.mul(a)  # v^8 lies above vmax
+        exps, vals = prod._arrays(0)
+        assert exps.shape == (0, 2) and vals.shape == (0,)
+
+    def test_arrays_follow_accumulate(self):
+        rng = np.random.default_rng(85)
+        f = random_series(rng, 1, 1, vmax=5, hband=3, nterms=8)
+        before = f._arrays(0)
+        assert f._arrays(0) is before  # kept, not rebuilt
+        key = (0, (1,), (5,))
+        f._accumulate([(key, 2.0 - 1j)])
+        exps, vals = f._arrays(0)
+        assert exps is not before[0]
+        assert [1, 5] in exps.tolist()
+        assert exps.tolist() == self.fresh(f, 0)[0].tolist()
+        assert vals.tolist() == self.fresh(f, 0)[1].tolist()
+
+    def test_derived_series_start_without_arrays(self):
+        rng = np.random.default_rng(86)
+        f = random_series(rng, 1, 1, components=2, vmax=5, hband=3,
+                          nterms=10, scale=0.5)
+        phi = random_series(rng, 1, 1, vmax=5, hband=3, nterms=4,
+                            min_vdeg=2, scale=0.5)
+        f.mul(f)
+        f.evaluate(np.zeros((1, 1)), np.zeros((1, 1)))
+        assert f._store is not None
+        derived = [f.copy(), f.with_window(vmax=6), f.cut(4), f.component(1),
+                   f.homogeneous_part(2), f.up_to_degree(3), f.restrict(4),
+                   f.scale(2.0), f.shift_h((1,)), f.add(f), f - f, -f,
+                   f._like(), scale_components(f, [1.0, 2.0]),
+                   compose_diagonal(f, [0.5], [1j]), partial_h(f, (1,)),
+                   substitute_vertical(f, phi),
+                   linear_combination([(f, 1.0)]),
+                   TruncatedSeries.from_text(f.to_text()),
+                   TruncatedSeries(1, 1, 2, 5, 3, term_dict(f)),
+                   TruncatedSeries.zero(1, 1), TruncatedSeries.monomial(
+                       1, 1, 0, (0,), (2,))]
+        assert [g._store for g in derived] == [None] * len(derived)
 
 
 class TestPartialH:
@@ -335,16 +593,16 @@ def bits(f):
 
 
 def homogeneous_series(rng, n, d, m, vmax, hband, nterms, scale):
-    s = TruncatedSeries(n, d, d, vmax, hband)
-    while len(s.coeffs) < nterms:
+    coeffs = {}
+    while len(coeffs) < nterms:
         Q = [0] * d
         for _ in range(m):
             Q[int(rng.integers(0, d))] += 1
         P = tuple(int(x) for x in rng.integers(-hband, hband + 1, size=n))
         key = (int(rng.integers(0, d)), P, tuple(Q))
-        s.coeffs[key] = scale * complex(rng.standard_normal(),
-                                        rng.standard_normal())
-    return s
+        coeffs[key] = scale * complex(rng.standard_normal(),
+                                      rng.standard_normal())
+    return TruncatedSeries(n, d, d, vmax, hband, coeffs)
 
 
 class TestWindowedInversion:
@@ -401,13 +659,12 @@ class TestRingProperties:
             st.complex_numbers(max_magnitude=4, allow_nan=False,
                                allow_infinity=False)),
             min_size=0, max_size=6))
-        s = TruncatedSeries(1, 1, 1, 4, 3)
+        coeffs = {}
         for p, q, c in terms:
             key = (0, (p,), (q,))
-            s.coeffs[key] = s.coeffs.get(key, 0.0) + c
-            if s.coeffs[key] == 0:
-                del s.coeffs[key]
-        return s
+            coeffs[key] = coeffs.get(key, 0.0) + c
+        # the constructor drops the sums that cancelled to zero
+        return TruncatedSeries(1, 1, 1, 4, 3, coeffs)
 
     @given(small_series(), small_series())
     @settings(max_examples=40, deadline=None)
@@ -434,16 +691,15 @@ class TestSerialization:
         f = random_series(rng, 2, 1, components=3, vmax=7, hband=5, nterms=40)
         text = f.to_text()
         g = TruncatedSeries.from_text(text)
-        assert g.coeffs == f.coeffs
+        assert list(g.terms()) == list(f.terms())
         assert (g.n, g.d, g.components, g.vmax, g.hband) == \
             (f.n, f.d, f.components, f.vmax, f.hband)
         assert g.to_text() == text
 
     def test_records_sorted(self):
-        f = TruncatedSeries(1, 1, 2, 4, 4)
-        f.coeffs[(1, (2,), (1,))] = 1.0
-        f.coeffs[(0, (-1,), (3,))] = 2.0
-        f.coeffs[(0, (-1,), (1,))] = 3.0
+        f = TruncatedSeries(1, 1, 2, 4, 4, {(1, (2,), (1,)): 1.0,
+                                            (0, (-1,), (3,)): 2.0,
+                                            (0, (-1,), (1,)): 3.0})
         lines = f.to_text().strip().splitlines()[1:]
         assert lines == sorted(lines, key=lambda ln: (
             int(ln.split()[0]), int(ln.split()[1]), int(ln.split()[2])))
@@ -498,6 +754,37 @@ def test_coefficient_table_is_private():
             for num, line in enumerate(path.read_text().splitlines(), 1)
             if ".coeffs" in line or "PRUNE" in line]
     assert not uses
+
+
+# The .coeffs uses tests/ keeps, by (file, function), each with its reason.
+COEFFS_IN_TESTS_ALLOWED = {
+    ("test_series.py", "test_derived_series_start_without_table"):
+        "changes a derived series in place on purpose, to show that it "
+        "does not share phi's power table",
+    ("_oracles.py", "substitute_per_record"):
+        "reads each W_Q's records in the order of its dict, as the record "
+        "loop it stands for did; no other method gives that order",
+}
+
+
+def test_tests_use_the_series_api():
+    # tests read and build series through terms(), get(), nterms() and the
+    # constructors, like the package, so the table's format can change
+    # without them; an attribute named ``coeffs`` is a use
+    here = Path(__file__).parent
+    uses = set()
+    for path in sorted(here.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "coeffs":
+                owner = max((f for f in funcs
+                             if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                uses.add((path.name, owner.name if owner else None))
+    assert uses - set(COEFFS_IN_TESTS_ALLOWED) == set()
+    assert set(COEFFS_IN_TESTS_ALLOWED) - uses == set()
 
 
 # Top-level functions and public methods of the package that nothing in
