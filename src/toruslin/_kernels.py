@@ -90,6 +90,11 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
     outside ``hband``, plus ``sum |a_i| |b_j|`` over the pairs not formed:
     by the triangle inequality an upper bound on the mass those pairs would
     have put above ``vmax``.
+
+    Products are ``multiply``'s and moduli ``modulus``'s, and every sum
+    runs in a fixed order, so each kept value, the prune test and
+    ``discarded`` have the same bits on every CPU: each kept value is bit
+    for bit a loop of Python scalar products and sums over its pairs.
     """
     if len(vals_a) == 0 or len(vals_b) == 0:
         return (
@@ -106,15 +111,20 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
     deg_b = exps_b[:, n:].sum(axis=1)
     inside = deg_a[:, None] + deg_b[None, :] <= vmax
     rows, cols = np.nonzero(inside)  # row-major, like the full outer product
-    bound = float(np.abs(vals_a) @ (~inside @ np.abs(vals_b)))
+    # sum |a_i| |b_j| over the pairs not formed, from the mass of b at or
+    # above each vertical degree; numpy's sums run in a fixed order, where a
+    # matrix product would leave it to the BLAS build
+    above = np.bincount(deg_b, weights=modulus(vals_b))[::-1].cumsum()[::-1]
+    out_from = np.clip(vmax + 1 - deg_a, 0, len(above))
+    bound = float((modulus(vals_a) * np.append(above, 0.0)[out_from]).sum())
 
     keys = keys_a[rows] + keys_b[cols] - base
-    vals = vals_a[rows] * vals_b[cols]
+    vals = multiply(vals_a[rows], vals_b[cols])
 
     uniq, inv = np.unique(keys, return_inverse=True)
-    acc = np.bincount(inv, weights=vals.real, minlength=len(uniq)) + 1j * np.bincount(
-        inv, weights=vals.imag, minlength=len(uniq)
-    )
+    acc = np.empty(len(uniq), dtype=np.complex128)
+    acc.real = np.bincount(inv, weights=vals.real, minlength=len(uniq))
+    acc.imag = np.bincount(inv, weights=vals.imag, minlength=len(uniq))
 
     exps = np.empty((len(uniq), n + d), dtype=np.int64)
     rem = uniq.copy()
@@ -123,11 +133,12 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
         rem -= exps[:, j] * strides[j]
     exps += lo
 
-    live = np.abs(acc) > prune
+    mods = modulus(acc)
+    live = mods > prune
     keep = live.copy()
     if n:
         keep &= np.abs(exps[:, :n]).max(axis=1) <= hband
-    discarded = float(np.abs(acc[live & ~keep]).sum()) + bound
+    discarded = float(mods[live & ~keep].sum()) + bound
     return exps[keep], acc[keep], discarded
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import modulus
 from .divisors import ResonanceError, is_resonant, small_divisors
 from .lattice import DomainSpec
 from .norms import NormBound, sup_norm_bound
@@ -148,7 +149,7 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
 
     keys = family.keys()
     div = _divisors_at(data, keys)
-    moduli = np.abs(div)
+    moduli = modulus(div)
     sizes = np.array([sum(map(abs, P)) + sum(Q) for _, P, Q in keys])
     for (k, P, Q), bad in zip(keys, is_resonant(moduli.max(axis=1), sizes)):
         if bad:
@@ -156,7 +157,8 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
     base = family.rhs[0]
     G = base._like(components=base.d)
     used, records = {}, []
-    # the generator with the largest modulus, the smallest index on ties
+    # the generator with the largest modulus, the smallest index on ties;
+    # scalar-exact moduli decide a near tie the same on every CPU
     for key, row, iv in zip(keys, div, moduli.argmax(axis=1).tolist()):
         divisor = row[iv]
         c = family.rhs[iv].get(*key)

@@ -2,12 +2,17 @@
 
 At each vertical degree m the family's degree-m vertical perturbations form
 a compatible right-hand side; solving the cohomological system and
-conjugating by Phi_m = (h, v + G_m) removes that degree without touching
-lower ones.  Phi := (Phi_M o ... o Phi_2)^{-1} = id + (0, phi_v) is built
-from the inverses (h, v + H_m) the conjugations use, Phi <- Phi o Phi_m^{-1}
-or phi_v <- H_m + phi_v(h, v + H_m), and satisfies the intertwining relation
-Phi o (linearized) = (original) o Phi, whose per-degree residual is the
-primary acceptance quantity.
+conjugating by Phi = (h, v + G_m) removes that degree without touching
+lower ones.  Conjugating by (h, v + G_m) changes the vertical part only
+from degree min(2m - 1, m + 2) up (``pert_h`` vanishes to order 2 in v),
+so from m = 3 on degrees m and m + 1 are both solved from the same family
+and removed by one conjugation with G = G_m + G_(m+1): the degree loop runs
+over the blocks [2], [3, 4], [5, 6], ..., the last one [order] alone when
+order is odd.  Phi := (Phi_last o ... o Phi_first)^{-1} = id + (0, phi_v) is
+built from the inverses (h, v + H) the conjugations use, Phi <- Phi o
+Phi_block^{-1} or phi_v <- H + phi_v(h, v + H), and satisfies the
+intertwining relation Phi o (linearized) = (original) o Phi, whose
+per-degree residual is the primary acceptance quantity.
 """
 
 from dataclasses import dataclass, field
@@ -186,34 +191,51 @@ def _solve_degree(family, m, eps_prev, r_prev, eps_m, r_m, constants):
     return cert.G, cert
 
 
-def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None):
-    """Remove the degree-m vertical perturbation from the family.
+def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
+                   next_domain=None):
+    """Remove the degree-m vertical perturbation from the family, and with
+    ``next_domain = (eps_(m+1), r_(m+1))`` the degree-(m + 1) one too.
 
-    Returns (G_m, H_m, conjugated family, solver certificate), where
-    (h, v + H_m) inverts (h, v + G_m).  The updated family agrees with the
-    input below degree m and has vanishing vertical perturbation at every
-    degree <= m.  The step solves from and conjugates ``family.maps`` only;
-    for the inverse maps pass ``family.inverse()``.
+    Every degree is solved from the input family, each on its own schedule
+    step, and the family is conjugated once by (h, v + G) with G the sum of
+    the corrections.  Two degrees need m >= 3: conjugating by (h, v + G_m)
+    leaves the degree-(m + 1) vertical part alone only from there on.
+
+    Returns (G, H, conjugated family, certificates), where (h, v + H)
+    inverts (h, v + G) and there is one solver certificate per degree,
+    None where that part vanishes.  The updated family agrees with the
+    input below degree m and has vanishing vertical perturbation through
+    the block's last degree.  The step solves from and conjugates
+    ``family.maps`` only; for the inverse maps pass ``family.inverse()``.
     """
+    steps = [(m, eps_prev, r_prev, eps_m, r_m)]
+    if next_domain is not None:
+        if m < 3:
+            raise ValueError("degree %d cannot share a conjugation with %d"
+                             % (m, m + 1))
+        steps.append((m + 1, eps_m, r_m, *next_domain))
     scale = max(family.pert_scale(), 1e-30)
     below = max(mp.pert_v.up_to_degree(m - 1).max_abs()
                 for mp in family.maps)
     if below > LINEARIZE_TOL * max(scale, 1.0):
         raise LinearizeError("family is not vertically linear below degree %d"
                              " (mass %.3e)" % (m, below))
-    G, cert = _solve_degree(family, m, eps_prev, r_prev, eps_m, r_m,
-                            constants)
-    if cert is None:
-        return G, G, family, None
+    solved = [_solve_degree(family, *step, constants) for step in steps]
+    certs = [cert for _, cert in solved]
+    Gs = [G for G, cert in solved if cert is not None]
+    if not Gs:
+        return solved[0][0], solved[0][0], family, certs
+    G = Gs[0] if len(Gs) == 1 else Gs[0].add(Gs[1])
     H = invert_vertical_map(G)
     updated = family.conjugated(G, H)
+    top = steps[-1][0]
     for i, mp in enumerate(updated.maps):
-        leftover = mp.pert_v.up_to_degree(m).max_abs()
+        leftover = mp.pert_v.up_to_degree(top).max_abs()
         if leftover > LINEARIZE_TOL * max(scale, 1.0):
             raise LinearizeError(
                 "degree-%d cleanup failed for generator %d: leftover %.3e"
-                % (m, i + 1, leftover))
-    return G, H, updated, cert
+                % (top, i + 1, leftover))
+    return G, H, updated, certs
 
 
 def linearize(family, order, eps1, r1, route="forward", fit=None,
@@ -267,30 +289,39 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
                                  family.vmax, family.maps[0].pert_h.hband)
     current = family
     step_records = []
-    for m in range(2, order + 1):
-        before = current
-        G, H, current, cert = linearize_step(
-            before, m, float(eps_m[m - 1]), float(r_m[m - 1]),
-            float(eps_m[m]), float(r_m[m]), constants=constants)
+    for m in [2, *range(3, order + 1, 2)]:
+        # degree 2 alone, then two degrees per conjugation
+        top = 2 if m == 2 else min(m + 1, order)
+        G, H, updated, certs = linearize_step(
+            current, m, float(eps_m[m - 1]), float(r_m[m - 1]),
+            float(eps_m[m]), float(r_m[m]), constants=constants,
+            next_domain=((float(eps_m[top]), float(r_m[top]))
+                         if top > m else None))
         if m == 2:
             # the inverse family must give the same degree-2 correction; it
             # is only solved for, never used to conjugate
             G_inv, _ = _solve_degree(
-                before.inverse(2), m, float(eps_m[1]), float(r_m[1]),
+                current.inverse(2), m, float(eps_m[1]), float(r_m[1]),
                 float(eps_m[2]), float(r_m[2]), constants=None)
             gap = G.max_coeff_diff(G_inv)
             if gap > 1e-10 * max(1.0, G.max_abs()):
                 raise LinearizeError(
                     "degree-2 forward/inverse corrections disagree by %.3e"
                     % gap)
+        current = updated
         phi_v = H.add(substitute_vertical(phi_v, H))
-        step_records.append({
-            "m": m,
-            "gain_bound": None if cert is None else cert.bound.value,
-            "theoretical": None if cert is None else cert.theoretical,
-            "compat_residual": 0.0 if cert is None else cert.compat_residual,
-        })
+        for degree, cert in zip(range(m, top + 1), certs):
+            step_records.append({
+                "m": degree,
+                "gain_bound": None if cert is None else cert.bound.value,
+                "theoretical": None if cert is None else cert.theoretical,
+                "compat_residual": (0.0 if cert is None
+                                    else cert.compat_residual),
+            })
 
+    # the residual below is the operation's peak memory: let the last
+    # block's series go first
+    del G, H, certs
     per_degree = _degree_ledger(phi_v, family.lattice, eps_m, r_m, order,
                                 family.n)
     residuals = conjugacy_residual(phi_v, original, current, order)

@@ -6,7 +6,7 @@ exceptions reuse library primitives along another route than the library
 takes: ``chained_add_compose`` and ``substitute_per_record`` add every
 record to its table one at a time, where the library sums them per key in
 one array segment sum; ``psi_then_invert`` builds phi_v differently from
-``linearize``;
+``linearize``, one degree per conjugation;
 ``apply_vertical_operator`` applies the operator the solvers invert by
 division; ``translates_fit`` probes the hull that ``max_margin_eta`` answers
 for in closed form; ``norm_certificate`` and ``identity_map`` are test
@@ -231,10 +231,11 @@ def psi_then_invert(result):
     """phi_v as the inverse of the accumulated conjugation K.
 
     Reruns the degree loop of ``result`` on ``result.original`` with the
-    same schedule and constants, accumulates K = Phi_M o ... o Phi_2 as
-    (h, v + psi) through psi <- psi + G_m(h, v + psi), and inverts psi once
-    at the end, instead of composing the factor inverses H_m as
-    ``linearize`` does.
+    same schedule and constants but one degree per conjugation, accumulates
+    K = Phi_M o ... o Phi_2 as (h, v + psi) through
+    psi <- psi + G_m(h, v + psi), and inverts psi once at the end, instead
+    of conjugating two degrees at a time and composing the factor inverses
+    H as ``linearize`` does.
     """
     family = result.original
     psi = TruncatedSeries.zero(family.n, family.d, family.d, family.vmax,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import toruslin.cohomology as cohomology_mod
 from toruslin import LatticeSpec, TruncatedSeries
 from toruslin.cohomology import (CompatibilityError, CompatibleFamily,
                                  check_compatibility, solve_family,
@@ -213,8 +214,30 @@ class TestSolveFamily:
                             rho=0.25)
         for (k, P, Q), (iv, divisor) in cert.divisors_used.items():
             want = divisor_oracle(data, P, Q, k)
-            assert iv == np.abs(want).argmax()
+            # the largest scalar modulus, the smallest index on ties
+            assert iv == max(range(data.n), key=lambda l: abs(want[l]))
             assert divisor == want[iv]
+
+    def test_generator_chosen_by_scalar_modulus(self, monkeypatch):
+        # scalar abs (libm hypot) puts z[0] one ulp above z[1]; numpy's
+        # complex abs rounds the other way on some CPUs (AVX-512, numpy 2.4)
+        z = [complex(float.fromhex("0x1.8063459af1caap-1"),
+                     float.fromhex("0x1.05b3c461205bep-1")),
+             complex(float.fromhex("0x1.c780c207fb26dp-1"),
+                     float.fromhex("0x1.765c0d4ae8082p-3"))]
+        assert abs(z[0]) > abs(z[1])
+        lat, data = setup_2d()
+        keys = [(0, (p, 0), (2,)) for p in range(-2, 3)]
+        monkeypatch.setattr(cohomology_mod, "_divisors_at",
+                            lambda data, keys, form="weak":
+                            np.array([z] * len(keys)))
+        # F_i = z_i c: compatible with these divisors, solved by G = c
+        fam = CompatibleFamily(rhs=[
+            TruncatedSeries(2, 1, 1, 4, 3, {key: zi * 1e-3 for key in keys})
+            for zi in z])
+        cert = solve_family(fam, data, lat, eps=0.15, r=0.5, delta=0.05,
+                            rho=0.25)
+        assert [iv for iv, _ in cert.divisors_used.values()] == [0] * 5
 
     def test_degree_preservation(self):
         rng = np.random.default_rng(17)

@@ -1,5 +1,7 @@
 """The numpy kernels against all-pairs references written here."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -20,23 +22,23 @@ def all_pairs_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband,
                       prune):
     """Every pair, row-major, summed per exponent; then cut to the window.
 
-    Returns (exps, vals, dropped): the surviving coefficients sorted by
-    exponent, and the exact absolute mass of the live coefficients that
-    fall outside (vmax, hband).
+    A loop of Python scalar products, sums and ``abs``.  Returns (exps,
+    vals, dropped): the surviving coefficients sorted by exponent, and the
+    moduli of the live coefficients that fall outside (vmax, hband), in
+    the same order.
     """
-    prods = (vals_a[:, None] * vals_b[None, :]).ravel()
+    a, b = vals_a.tolist(), vals_b.tolist()
     acc = {}
-    for t, val in enumerate(prods):
-        i, j = divmod(t, len(vals_b))
+    for i, j in product(range(len(a)), range(len(b))):
         key = tuple(int(x) for x in exps_a[i] + exps_b[j])
-        acc[key] = acc.get(key, 0.0) + complex(val)
-    kept, dropped = [], 0.0
+        acc[key] = acc.get(key, 0.0) + a[i] * b[j]
+    kept, dropped = [], []
     for key in sorted(acc):
         c = acc[key]
         if not abs(c) > prune:
             continue
         if sum(key[n:]) > vmax or (n and max(map(abs, key[:n])) > hband):
-            dropped += abs(c)
+            dropped.append(abs(c))
         else:
             kept.append((key, c))
     exps = np.array([k for k, _ in kept], dtype=np.int64).reshape(-1, n + d)
@@ -62,7 +64,31 @@ def test_banded_product_matches_all_pairs(seed):
     assert np.array_equal(got_e, want_e)
     assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
     # an upper bound on the dropped mass (up to rounding in the bound)
-    assert discarded >= dropped * (1 - 1e-12)
+    assert discarded >= sum(dropped) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_bits_do_not_depend_on_the_cpu(seed):
+    # numpy's complex multiply fuses into FMA where the CPU has it, and its
+    # complex abs may round differently from libm's hypot; the kernel's
+    # products, prune test and out-of-band mass are those of the scalar loop
+    rng = np.random.default_rng(200 + seed)
+    n, d = CASES[seed]
+    ea, va = random_table(rng, 60, n, d, 3, 4)
+    eb, vb = random_table(rng, 60, n, d, 3, 4)
+    vmax, hband = 8 * d, 2  # every pair formed; some sums outside the band
+    _, sums, _ = all_pairs_product(ea, va, eb, vb, n, d, vmax, 6, 0.0)
+    # the scalar modulus of one sum: that sum ties with the prune threshold
+    prune = sorted(abs(c) for c in sums.tolist())[len(sums) // 2]
+    want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax,
+                                                hband, prune)
+    got_e, got_v, discarded = cauchy_product(ea, va, eb, vb, n, d, vmax,
+                                             hband, prune)
+    assert len(va) * len(vb) > 500 and dropped
+    assert np.array_equal(got_e, want_e)
+    assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
+    # the same moduli, summed in the same (key) order by the same numpy sum
+    assert discarded == float(np.sum(dropped))
 
 
 def test_single_pair_above_vmax_discards_its_mass():
