@@ -10,7 +10,13 @@ exponent key.
 
 ``cauchy_product`` forms only the pairs that can land inside the vertical
 window, so the ``discarded`` it returns is an upper bound on the absolute
-mass its truncation drops, not that mass itself (see its docstring).
+mass its truncation drops, not that mass itself (see its docstring).  It
+reads, besides each operand's (exps, vals), the operand's ``table_data``:
+vertical degrees, moduli, mass at or above each degree and exponent
+bounds, which a series builds once per component and keeps with its
+arrays.  It sums the products per exponent key after one stable argsort
+of the packed keys, and tests the horizontal band only where the exponent
+bounds say an output can reach past it.
 
 ``segment_sum`` is the bulk form of a running sum into a coefficient table:
 records whose exponent rows are equal are summed, each key's values in
@@ -52,14 +58,6 @@ def _strides(sizes):
     return np.array(strides[::-1], dtype=np.int64)
 
 
-def _packing(exps_a, exps_b):
-    """Common packing grid for all pairwise exponent sums."""
-    lo = exps_a.min(axis=0) + exps_b.min(axis=0)
-    hi = exps_a.max(axis=0) + exps_b.max(axis=0)
-    sizes = hi - lo + 1
-    return lo, sizes, _strides(sizes)
-
-
 def modulus(z):
     """``abs`` of a complex array, bit for bit Python's scalar ``abs``."""
     z = np.asarray(z)
@@ -79,17 +77,41 @@ def multiply(a, b):
     return out
 
 
-def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
+def table_data(exps, vals, n):
+    """What ``cauchy_product`` reads of an operand besides (exps, vals).
+
+    Returns (deg, mods, above, lo, hi): each term's vertical degree and
+    ``modulus``, the mass at or above each vertical degree with a 0.0 for
+    the degree past the last, and the per-column exponent bounds.  Built
+    once per table and passed with it to every product; None for an empty
+    table.
+    """
+    if len(vals) == 0:
+        return None
+    deg = exps[:, n:].sum(axis=1)
+    mods = modulus(vals)
+    # numpy's sums run in a fixed order, where a matrix product would leave
+    # it to the BLAS build
+    above = np.append(np.bincount(deg, weights=mods)[::-1].cumsum()[::-1],
+                      0.0)
+    return deg, mods, above, exps.min(axis=0), exps.max(axis=0)
+
+
+def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune,
+                   data_a, data_b):
     """Convolution of two coefficient tables truncated to (vmax, hband).
 
-    Returns (exps, vals, discarded).  Only the pairs whose vertical degrees
-    sum to at most ``vmax`` are formed, in the row-major order of the full
-    outer product, so every kept coefficient is the same sum of the same
+    ``data_a`` and ``data_b`` are the operands' ``table_data``.  Returns
+    (exps, vals, discarded).  Only the pairs whose vertical degrees sum to
+    at most ``vmax`` are formed, in the row-major order of the full outer
+    product, so every kept coefficient is the same sum of the same
     products in the same order as in the full convolution.  ``discarded``
     is the exact absolute mass of the formed coefficients that fall
     outside ``hband``, plus ``sum |a_i| |b_j|`` over the pairs not formed:
     by the triangle inequality an upper bound on the mass those pairs would
-    have put above ``vmax``.
+    have put above ``vmax``.  When no output exponent can reach past
+    ``hband``, as the operands' exponent bounds tell, the band is not
+    tested.
 
     Products are ``multiply``'s and moduli ``modulus``'s, and every sum
     runs in a fixed order, so each kept value, the prune test and
@@ -102,44 +124,54 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
             np.zeros(0, dtype=np.complex128),
             0.0,
         )
-    lo, sizes, strides = _packing(exps_a, exps_b)
-    keys_a = _pack(exps_a, 0, strides)
-    keys_b = _pack(exps_b, 0, strides)
-    base = lo @ strides
-
-    deg_a = exps_a[:, n:].sum(axis=1)
-    deg_b = exps_b[:, n:].sum(axis=1)
-    inside = deg_a[:, None] + deg_b[None, :] <= vmax
-    rows, cols = np.nonzero(inside)  # row-major, like the full outer product
+    deg_a, mods_a, _, lo_a, hi_a = data_a
+    deg_b, _, above_b, lo_b, hi_b = data_b
     # sum |a_i| |b_j| over the pairs not formed, from the mass of b at or
-    # above each vertical degree; numpy's sums run in a fixed order, where a
-    # matrix product would leave it to the BLAS build
-    above = np.bincount(deg_b, weights=modulus(vals_b))[::-1].cumsum()[::-1]
-    out_from = np.clip(vmax + 1 - deg_a, 0, len(above))
-    bound = float((modulus(vals_a) * np.append(above, 0.0)[out_from]).sum())
+    # above each vertical degree
+    out_from = np.clip(vmax + 1 - deg_a, 0, len(above_b) - 1)
+    bound = float((mods_a * above_b[out_from]).sum())
+    rows, cols = np.nonzero(deg_a[:, None] + deg_b[None, :] <= vmax)
+    if len(rows) == 0:
+        return (
+            np.zeros((0, n + d), dtype=np.int64),
+            np.zeros(0, dtype=np.complex128),
+            bound,
+        )
+    # one packing grid for all pairwise exponent sums, from their bounds
+    lo, hi = lo_a + lo_b, hi_a + hi_b
+    strides = _strides(hi - lo + 1)
+    keys = _pack(exps_a, lo_a, strides)[rows] + \
+        _pack(exps_b, lo_b, strides)[cols]
+    # a stable sort keeps each key's pairs in row-major order, the order in
+    # which bincount adds them up
+    order = keys.argsort(kind="stable")
+    keys = keys[order]
+    start = np.empty(len(keys), dtype=bool)
+    start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    group = start.cumsum()
+    group -= 1
+    vals = multiply(vals_a[rows[order]], vals_b[cols[order]])
+    nkeys = int(group[-1]) + 1
+    acc = np.empty(nkeys, dtype=np.complex128)
+    acc.real = np.bincount(group, weights=vals.real, minlength=nkeys)
+    acc.imag = np.bincount(group, weights=vals.imag, minlength=nkeys)
 
-    keys = keys_a[rows] + keys_b[cols] - base
-    vals = multiply(vals_a[rows], vals_b[cols])
-
-    uniq, inv = np.unique(keys, return_inverse=True)
-    acc = np.empty(len(uniq), dtype=np.complex128)
-    acc.real = np.bincount(inv, weights=vals.real, minlength=len(uniq))
-    acc.imag = np.bincount(inv, weights=vals.imag, minlength=len(uniq))
-
-    exps = np.empty((len(uniq), n + d), dtype=np.int64)
-    rem = uniq.copy()
+    exps = np.empty((nkeys, n + d), dtype=np.int64)
+    rem = keys[start]
     for j in range(n + d):
         exps[:, j] = rem // strides[j]
         rem -= exps[:, j] * strides[j]
     exps += lo
 
     mods = modulus(acc)
-    live = mods > prune
-    keep = live.copy()
-    if n:
+    keep = mods > prune
+    if n and max(-lo[:n].min(), hi[:n].max()) > hband:
+        live = keep.copy()
         keep &= np.abs(exps[:, :n]).max(axis=1) <= hband
-    discarded = float(mods[live & ~keep].sum()) + bound
-    return exps[keep], acc[keep], discarded
+        return exps[keep], acc[keep], \
+            float(mods[live & ~keep].sum()) + bound
+    return exps[keep], acc[keep], bound
 
 
 def segment_sum(rows, vals):

@@ -82,7 +82,11 @@ def compose_with_map(f, m, vmax=None, hband=None):
     by one ``linear_combinations`` call (one segment sum over the scaled
     records of every summand of every sum), and each group sum by another,
     not by chains of ``add`` and ``scale``: the same records in the same
-    order, so the same sums and ``discarded``.  Where ``u_k`` is exactly
+    order, so the same sums and ``discarded``.  In a group sum the factor
+    ``lam^P h^P`` of each term is not formed as a series: its summand is
+    the product of binomial series with the shift ``P`` and the pre-factor
+    ``lam^P``, which the sum applies to its records as ``shift_h`` and
+    ``scale`` would.  Where ``u_k`` is exactly
     zero (no terms, no truncation record), as when ``pert_h`` is zero,
     ``(1 + u_k)^p`` is the unit and is not formed: multiplying by it would
     change no bit.
@@ -151,7 +155,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
     del upow  # read by the binomial series alone
 
     def binom_power_series(P):
-        """lam^P h^P prod_k (1 + u_k)^{p_k} as a scalar series."""
+        """prod_k (1 + u_k)^{p_k} as a scalar series, and lam^P."""
         acc = one
         lam_fac = 1.0 + 0.0j
         for k, p in enumerate(P):
@@ -164,7 +168,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
                 del binom[(k, p)]
             # the first factor is taken as is, not multiplied into the unit
             acc = piece if acc is one else acc.mul(piece)
-        return acc.shift_h(P).scale(lam_fac)
+        return acc, lam_fac
 
     out = f._like(vmax=vmax, hband=work)
     out.tailflag, out.discarded = f.tailflag, f.discarded
@@ -174,7 +178,9 @@ def compose_with_map(f, m, vmax=None, hband=None):
     groups = sorted(groups.items())
     hcache = {P: binom_power_series(P) for P in hexps}
     for (k, Q), group in groups:
-        (hpart,) = linear_combinations([[(hcache[P], c) for P, c in group]])
+        # lam^P h^P prod_k (1 + u_k)^{p_k}, shifted and scaled in the sum
+        (hpart,) = linear_combinations([[(hcache[P][0], c, P, hcache[P][1])
+                                         for P, c in group]])
         piece = hpart.with_window(vmax=vmax)
         for j, q in enumerate(Q):
             if q:

@@ -13,24 +13,28 @@ Values are complex doubles.  Series are immutable: every operation
 returns a new instance, and nothing may change a series once another
 operation has read it.  This is load-bearing twice over.  A series keeps
 its kernel arrays once they are built: the sorted per-component ``(exps,
-vals)`` that products and evaluation read, and the terms in table order
-(the order in which the keys were first stored) that the bulk sums read;
-``mul`` stores its kernel output as both.  And ``substitute_vertical(f,
-phi)`` keeps the table of powers ``(v_j + phi_j)^q`` with ``phi`` and
-reuses it for every later series substituted into the same ``phi``.
-Changing a series' coefficients afterwards would hand out stale arrays or
-stale powers.  Every constructor, ``copy`` included, starts with neither.
+vals)`` that products and evaluation read, with the ``table_data`` that
+products read of each operand (vertical degrees, moduli, mass at or above
+each degree, exponent bounds), and the terms in table order (the order in
+which the keys were first stored) that the bulk sums read; ``mul`` stores
+its kernel output as the sorted arrays and the table-order terms.  And
+``substitute_vertical(f, phi)`` keeps the table of powers ``(v_j +
+phi_j)^q`` with ``phi`` and reuses it for every later series substituted
+into the same ``phi``.  Changing a series' coefficients afterwards would
+hand out stale arrays or stale powers.  Every constructor, ``copy``
+included, starts with neither.
 
 The coefficient table is known to this module alone.  Other modules read
 it through ``terms()``, ``get()`` and ``nterms()``, and every loop that
 fills a table, here or elsewhere, goes through ``_accumulate``, which
 applies the truncation window and the pruning in one place and drops the
-kept arrays.  Fan-out sums (``substitute_vertical``'s scatter and
-``linear_combinations``) reduce their records per key in one array segment
-sum first and pass only the sums to ``_accumulate``.  They read their
-inputs in table order, as record loops over the table would, so their
-results store their keys, and add up the mass they drop, in the same order
-as those loops.
+kept arrays.  The one exception is ``_scatter``, the write of the fan-out
+sums (``substitute_vertical``'s scatter and ``linear_combinations``): they
+reduce their records per key in one array segment sum, after the window
+test, and ``_scatter`` stores the sums into the empty tables in one pass
+with the PRUNE test alone.  They read their inputs in table order, as
+record loops over the table would, so their results store their keys, and
+add up the mass they drop, in the same order as those loops.
 """
 
 from itertools import chain, compress, repeat
@@ -38,7 +42,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from ._kernels import cauchy_product, evaluate as _kernel_evaluate, \
-    modulus, multiply, segment_sum
+    modulus, multiply, segment_sum, table_data
 
 # values of modulus at most PRUNE are dropped instead of stored
 PRUNE = 1e-300
@@ -224,6 +228,15 @@ class TruncatedSeries:
                               vals[order])
         return self._store[k]
 
+    def _operand(self, k):
+        """Component k as a ``cauchy_product`` operand: its ``_arrays`` and
+        their ``table_data``, built once and kept with them."""
+        exps, vals = self._arrays(k)
+        data = self._store.get(("data", k))
+        if data is None:
+            data = self._store[("data", k)] = table_data(exps, vals, self.n)
+        return exps, vals, data
+
     def _keep_sorted(self, ks, exps, vals):
         """Keep every term, sorted by (k, P, Q), as the components' arrays
         (``ks`` is None for a single component)."""
@@ -279,10 +292,11 @@ class TruncatedSeries:
         out.discarded = self.discarded + other.discarded
         parts = []
         for k in range(comps):
-            ea, va = self._arrays(k if ca > 1 else 0)
-            eb, vb = other._arrays(k if cb > 1 else 0)
+            ea, va, da = self._operand(k if ca > 1 else 0)
+            eb, vb, db = other._operand(k if cb > 1 else 0)
             exps, vals, dropped = cauchy_product(
-                ea, va, eb, vb, self.n, self.d, out.vmax, out.hband, PRUNE)
+                ea, va, eb, vb, self.n, self.d, out.vmax, out.hband, PRUNE,
+                da, db)
             if dropped:
                 out.tailflag = True
                 out.discarded += dropped
@@ -461,7 +475,8 @@ def compose_diagonal(f, lam, mu, sign=1):
     """Compose with the diagonal map (h, v) -> (lam h, mu v), or its inverse.
 
     Coefficient at (P, Q) picks up the factor (lam^P mu^Q)^sign; exact
-    coefficient-wise scaling, no truncation loss.
+    coefficient-wise scaling, no truncation loss.  A product of modulus
+    PRUNE or less is dropped, as ``scale`` drops it.
     """
     if sign not in (1, -1):
         raise SeriesError("sign must be +1 or -1")
@@ -482,7 +497,9 @@ def compose_diagonal(f, lam, mu, sign=1):
             if sign < 0:
                 factor = 1.0 / factor
             cache[(P, Q)] = factor
-        out.coeffs[(k, P, Q)] = c * factor
+        val = c * factor
+        if abs(val) > PRUNE:
+            out.coeffs[(k, P, Q)] = val
     out.tailflag, out.discarded = f.tailflag, f.discarded
     return out
 
@@ -517,7 +534,10 @@ def substitute_vertical(f, phi):
     later ones need higher powers.  Every series substituted into the same
     ``phi`` (a deck map's two perturbations and ``phi_v`` at each degree of
     the linearization) reuses them, and each power is the same product in
-    the same order as when it was first formed.
+    the same order as when it was first formed.  A ``phi`` without terms
+    substitutes v for v: ``f`` is re-truncated to the output window, its
+    terms in sorted order (the order the scatter reads them in), and no
+    powers are formed.
     """
     if phi.components != f.d:
         raise SeriesError("phi must have d components")
@@ -528,6 +548,9 @@ def substitute_vertical(f, phi):
     out = f._like(vmax=vmax, hband=hband)
     out.tailflag = f.tailflag or phi.tailflag
     out.discarded = f.discarded + phi.discarded
+    if not phi.coeffs:
+        out._accumulate(((k, P, Q), c) for k, P, Q, c in f.terms())
+        return out
 
     if phi._shift is None:
         phi._shift = {}
@@ -586,61 +609,103 @@ def substitute_vertical(f, phi):
 
 
 def linear_combinations(sums):
-    """One series sum_i c_i s_i per list of ``(s_i, c_i)`` pairs in ``sums``.
+    """One series sum_i c_i s_i per list of summands in ``sums``.
 
-    Each is bit for bit the sum a loop builds by adding ``s_i.scale(c_i)``
-    to a running total in turn (see ``_scatter`` for the one exception):
-    the records of each ``s_i`` times ``c_i``, in ``s_i``'s table order,
-    those of modulus PRUNE or less left out as ``scale`` leaves them out,
-    are summed per key in the order of the pairs.  Each result has the
-    smallest window among its ``s_i``, ``tailflag`` if any of them has it,
-    and ``discarded`` summed in the same order, each ``s_i.discarded *
-    |c_i|`` before the mass its own records lose to the window.  All the
-    sums share one segment sum.
+    A summand is ``(s_i, c_i)``, or ``(s_i, c_i, P_i, p_i)``, which stands
+    for ``s_i.shift_h(P_i).scale(p_i)`` in place of ``s_i``.  Each sum is
+    bit for bit the sum a loop builds by adding ``s_i.scale(c_i)`` to a
+    running total in turn (see ``_scatter`` for the one exception): the
+    records of each ``s_i`` times ``c_i``, in ``s_i``'s table order, those
+    of modulus PRUNE or less left out as ``scale`` leaves them out, are
+    summed per key in the order of the pairs.  Each result has the smallest
+    window among its ``s_i``, ``tailflag`` if any of them has it, and
+    ``discarded`` summed in the same order, each ``s_i.discarded * |c_i|``
+    before the mass its own records lose to the window.  All the sums
+    share one segment sum.
+
+    A shifted summand is formed on the concatenated records, not as a
+    series: its exponents move by ``P_i``; a record that leaves ``s_i``'s
+    ``hband`` drops out, sets ``tailflag`` and adds its modulus to a loss
+    summed from 0.0 in table order, and one of modulus PRUNE or less drops
+    out as ``shift_h`` would not store it; the rest are multiplied by
+    ``p_i``, pruned as ``scale`` prunes, then multiplied by ``c_i``.  Its
+    mark is ``(loss + s_i.discarded) * |p_i| * |c_i|``, the ``discarded``
+    of ``shift_h`` and ``scale`` times ``|c_i|``.
     """
-    outs, summands, scales, owner = [], [], [], []
+    outs, summands, scales, owner, folds = [], [], [], [], []
     for pairs in sums:
         first = pairs[0][0]
-        for s, _ in pairs:
+        for s, *_ in pairs:
             first._check_compat(s)
             if s.components != first.components:
                 raise SeriesError("component count mismatch in add")
-        out = first._like(vmax=min(s.vmax for s, _ in pairs),
-                          hband=min(s.hband for s, _ in pairs))
-        out.tailflag = any(s.tailflag for s, _ in pairs)
+        out = first._like(vmax=min(s.vmax for s, *_ in pairs),
+                          hband=min(s.hband for s, *_ in pairs))
+        out.tailflag = any(s.tailflag for s, *_ in pairs)
         owner += [len(outs)] * len(pairs)
         outs.append(out)
-        summands += [s for s, _ in pairs]
-        scales += [complex(c) for _, c in pairs]
+        for s, c, *fold in pairs:
+            summands.append(s)
+            scales.append(complex(c))
+            folds.append((fold[0], complex(fold[1])) if fold else None)
     if not outs:
         return outs
     parts = [s._records() for s in summands]
     counts = [len(vals) for _, _, vals in parts]
-    vals = multiply(np.concatenate([vals for _, _, vals in parts]),
-                    np.repeat(np.array(scales), counts))
+    exps = np.concatenate([exps for _, exps, _ in parts])
+    vals = np.concatenate([vals for _, _, vals in parts])
+    keep = np.ones(len(vals), dtype=bool)
+    loss = [0.0] * len(summands)
+    folded = any(folds)
+    if folded:
+        n = summands[0].n
+        shifted = np.repeat([fold is not None for fold in folds], counts)
+        if n:
+            exps[:, :n] += np.repeat(
+                np.array([fold[0] if fold else (0,) * n for fold in folds],
+                         dtype=np.int64), counts, axis=0)
+            # only a shifted record can lie outside its own series' band
+            gone = np.abs(exps[:, :n]).max(axis=1) > \
+                np.repeat([s.hband for s in summands], counts)
+            if gone.any():
+                at = np.flatnonzero(gone)
+                whose = np.repeat(np.arange(len(summands)), counts)[at]
+                for i, amount in zip(whose.tolist(),
+                                     modulus(vals[at]).tolist()):
+                    loss[i] += amount
+                    outs[owner[i]].tailflag = True
+                keep = ~gone
+        keep &= ~shifted | (modulus(vals) > PRUNE)
+        pre = np.repeat([fold[1] if fold else 1.0 for fold in folds], counts)
+        vals[shifted] = multiply(vals[shifted], pre[shifted])
+        keep &= ~shifted | (modulus(vals) > PRUNE)
+    vals = multiply(vals, np.repeat(np.array(scales), counts))
     # products of c = 0 are zero (or nan) and fail the test, as in scale
-    keep = modulus(vals) > PRUNE
+    keep &= modulus(vals) > PRUNE
     # each summand's mark goes before its first kept record
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     starts = kept_before[np.cumsum(counts) - counts].tolist()
     marks = [[] for _ in outs]
-    for o, i, s, c in zip(owner, starts, summands, scales):
-        marks[o].append((i, s.discarded * abs(c)))
+    for o, i, s, c, fold, lost in zip(owner, starts, summands, scales, folds,
+                                      loss):
+        own = s.discarded if fold is None else \
+            (lost + s.discarded) * abs(fold[1])
+        marks[o].append((i, own * abs(c)))
     # the summands' own keys, in table order like their records: the sums
-    # store those and build no new ones
-    keys = chain.from_iterable(s.coeffs for s in summands)
+    # store those and build no new ones (shifted records have new keys,
+    # which _scatter builds for the sums alone)
+    keys = None
+    if not folded:
+        keys = chain.from_iterable(s.coeffs for s in summands)
+        keys = list(keys if keep.all() else compress(keys, keep.tolist()))
     if keep.all():
-        keys, keep = list(keys), slice(None)
-    else:
-        keys = list(compress(keys, keep.tolist()))
+        keep = slice(None)
     ids = np.repeat(owner, counts)[keep] if len(outs) > 1 else None
     ks = None
     if max(s.components for s in summands) > 1:
         ks = np.concatenate([np.zeros(len(v), dtype=np.int64) if k is None
                              else k for k, _, v in parts])[keep]
-    _scatter(outs, ids, ks,
-             np.concatenate([exps for _, exps, _ in parts])[keep],
-             vals[keep], marks, keys)
+    _scatter(outs, ids, ks, exps[keep], vals[keep], marks, keys)
     return outs
 
 
@@ -653,15 +718,16 @@ def _scatter(outs, ids, ks, exps, vals, marks, keys=None):
     ``tailflag`` and adds its modulus to ``discarded``, in record order,
     and each ``(i, amount)`` in ``marks[o]`` adds ``amount`` to
     ``outs[o].discarded`` just before record i.  The records inside are
-    summed per table and key by ``segment_sum``, in record order, and only
-    the sums go through ``_accumulate``, keys in order of first
-    appearance.  The one difference from the record-by-record loop: that
-    loop drops a running sum whose modulus falls to PRUNE or below before
-    the key's last record.  A sum that cancels to exactly zero restarts
-    from the same 0.0 either way, but its key keeps its first place in the
-    table, where the loop would store it again at the end.  ``keys[i]``,
-    if given, is record i's table key; otherwise the keys are built from
-    ``ks`` and ``exps``.
+    summed per table and key by ``segment_sum``, in record order, and the
+    sums are stored in one pass, keys in order of first appearance, those
+    of modulus PRUNE or less left out: what ``_accumulate`` would store of
+    them, without testing their window again.  The one difference from the
+    record-by-record loop: that loop drops a running sum whose modulus
+    falls to PRUNE or below before the key's last record.  A sum that
+    cancels to exactly zero restarts from the same 0.0 either way, but its
+    key keeps its first place in the table, where the loop would store it
+    again at the end.  ``keys[i]``, if given, is record i's table key;
+    otherwise the keys are built from ``ks`` and ``exps``.
     """
     n = outs[0].n
     if ids is None:
@@ -699,6 +765,11 @@ def _scatter(outs, ids, ks, exps, vals, marks, keys=None):
         inside = np.flatnonzero(~outside)
         rows, vals = rows[inside], vals[inside]
     first, sums = segment_sum(rows, vals)
+    # a sum starts from +0.0, so it is never -0.0, and adding it to an
+    # empty slot (0j + sum) would change no bit
+    live = modulus(sums) > PRUNE
+    if not live.all():
+        first, sums = first[live], sums[live]
     rows = rows[first]
     if keys is None:
         keys = list(_keys(None if ks is None else rows[:, len(columns) - 1],
@@ -711,7 +782,7 @@ def _scatter(outs, ids, ks, exps, vals, marks, keys=None):
         np.searchsorted(rows[:, 0], np.arange(len(outs) + 1)).tolist()
     sums = sums.tolist()
     for out, lo, hi in zip(outs, cuts, cuts[1:]):
-        out._accumulate(zip(keys[lo:hi], sums[lo:hi]))
+        out.coeffs = dict(zip(keys[lo:hi], sums[lo:hi]))
 
 
 def partial_h(f, P0):

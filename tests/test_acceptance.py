@@ -253,18 +253,27 @@ def test_criterion_9a_radius_positive(certificate):
 def test_criterion_9b_radius_stabilization(certificate):
     state, cert = certificate
     window = range(4, state.order + 1)
-    values = [(state.A[m] * state.etas[m]) ** (1.0 / m) for m in window]
-    variation = (max(values) - min(values)) / min(values)
+
+    def spread(values):
+        return (max(values) - min(values)) / min(values)
+
+    variation = spread([(state.A[m] * state.etas[m]) ** (1.0 / m)
+                        for m in window])
+    eta_alone = spread([state.etas[m] ** (1.0 / m) for m in window])
+    a_alone = spread([state.A[m] ** (1.0 / m) for m in window])
     ok = variation <= 0.10
     report_line(9, ok, "stabilization of (A_m eta_m)^(1/m) over m=4..8: "
                 "%.4g (criterion asks <= 0.10)" % variation)
     assert variation <= 0.10, (
-        "The per-degree gain recursion multiplies by (C1/eta^g) 2^(m g) and "
-        "its best lower-degree product at every step, which makes "
-        "(A_m eta_m)^(1/m) grow roughly like 2^(g (m+1)/2) instead of "
-        "stabilizing; at desk scale the m=4..8 window varies by %.4g, so "
-        "the 10%% stabilization clause cannot hold for this gain sequence."
-        % variation)
+        "Over the m=4..8 window (A_m eta_m)^(1/m) varies by %.4g, and each "
+        "factor varies on its own.  eta_m^(1/m) alone varies by %.4g: the "
+        "per-degree gain recursion multiplies by (C1/eta^g) 2^(m g) and its "
+        "best lower-degree product at every step, so it grows roughly like "
+        "2^(g (m+1)/2) instead of stabilizing.  A_m^(1/m) alone varies by "
+        "%.4g: the majorant coefficients are not geometric from m = 4 on, "
+        "so replacing the gain sequence alone cannot bring the 10%% "
+        "stabilization clause within reach."
+        % (variation, eta_alone, a_alone))
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -1,11 +1,13 @@
 """The numpy kernels against all-pairs references written here."""
 
+import inspect
 from itertools import product
 
 import numpy as np
 import pytest
 
-from toruslin._kernels import _CHUNK, cauchy_product, evaluate
+from toruslin._kernels import _CHUNK, cauchy_product, evaluate, modulus, \
+    table_data
 
 
 def random_table(rng, nterms, n, d, hband, vmax):
@@ -46,6 +48,13 @@ def all_pairs_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband,
     return exps, vals, dropped
 
 
+def kernel_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
+    """``cauchy_product`` with each operand's ``table_data``."""
+    return cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband,
+                          prune, table_data(exps_a, vals_a, n),
+                          table_data(exps_b, vals_b, n))
+
+
 CASES = [(1, 1), (2, 1), (1, 2), (2, 2), (1, 0)]
 
 
@@ -58,7 +67,7 @@ def test_banded_product_matches_all_pairs(seed):
     eb, vb = random_table(rng, 35, n, d, 4, 6)
     want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax, 6,
                                                 1e-300)
-    got_e, got_v, discarded = cauchy_product(ea, va, eb, vb, n, d, vmax, 6,
+    got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax, 6,
                                              1e-300)
     # same keys in the same order, bit for bit the same sums
     assert np.array_equal(got_e, want_e)
@@ -82,7 +91,7 @@ def test_product_bits_do_not_depend_on_the_cpu(seed):
     prune = sorted(abs(c) for c in sums.tolist())[len(sums) // 2]
     want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax,
                                                 hband, prune)
-    got_e, got_v, discarded = cauchy_product(ea, va, eb, vb, n, d, vmax,
+    got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax,
                                              hband, prune)
     assert len(va) * len(vb) > 500 and dropped
     assert np.array_equal(got_e, want_e)
@@ -96,7 +105,7 @@ def test_single_pair_above_vmax_discards_its_mass():
     ea = np.array([[1, 2]], dtype=np.int64)
     eb = np.array([[-1, 3]], dtype=np.int64)
     va, vb = np.array([3 + 4j]), np.array([-5 + 12j])
-    exps, vals, discarded = cauchy_product(ea, va, eb, vb, 1, 1, 4, 6, 1e-300)
+    exps, vals, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 6, 1e-300)
     assert len(vals) == 0 and exps.shape == (0, 2)
     assert discarded == abs(va[0] * vb[0]) == 65.0
 
@@ -105,7 +114,7 @@ def test_single_pair_outside_hband_discards_its_mass():
     ea = np.array([[5, 1]], dtype=np.int64)
     eb = np.array([[4, 1]], dtype=np.int64)
     va, vb = np.array([0.3 - 0.1j]), np.array([-2.0 + 0.7j])
-    exps, vals, discarded = cauchy_product(ea, va, eb, vb, 1, 1, 4, 6, 1e-300)
+    exps, vals, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 6, 1e-300)
     assert len(vals) == 0
     assert discarded == abs(va[0] * vb[0])
 
@@ -114,8 +123,64 @@ def test_no_discard_inside_window():
     rng = np.random.default_rng(77)
     ea, va = random_table(rng, 20, 1, 1, 2, 2)
     eb, vb = random_table(rng, 20, 1, 1, 2, 2)
-    _, _, discarded = cauchy_product(ea, va, eb, vb, 1, 1, 4, 4, 1e-300)
+    _, _, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 4, 1e-300)
     assert discarded == 0.0
+
+
+def test_signature_read_by_the_benchmark_trace():
+    # perfbench/tracing.py's _count_cauchy hook wraps cauchy_product by name
+    # and counts len(args[1]) * len(args[3]) pairs and len(result[1]) kept
+    # terms: the first nine parameters stay positional, in this order, and
+    # the result stays (exps, vals, discarded)
+    names = list(inspect.signature(cauchy_product).parameters)
+    assert names[:9] == ["exps_a", "vals_a", "exps_b", "vals_b", "n", "d",
+                         "vmax", "hband", "prune"]
+    rng = np.random.default_rng(5)
+    ea, va = random_table(rng, 6, 1, 1, 2, 2)
+    eb, vb = random_table(rng, 5, 1, 1, 2, 2)
+    result = kernel_product(ea, va, eb, vb, 1, 1, 4, 4, 1e-300)
+    assert type(result) is tuple and len(result) == 3
+    exps, vals, discarded = result
+    assert exps.shape == (len(vals), 2) and type(discarded) is float
+
+
+def test_no_pair_inside_vmax_returns_the_bound():
+    # every pair lands above vmax = 4, so none is formed, and discarded is
+    # the triangle bound sum |a_i| |b_j| over all of them; the moduli are
+    # whole numbers, so the bound is exact in any order
+    ea = np.array([[0, 2], [1, 3], [-1, 4]], dtype=np.int64)
+    va = np.array([3 + 4j, 5 - 12j, -8 + 15j])  # moduli 5, 13, 17
+    eb = np.array([[2, 3], [0, 5]], dtype=np.int64)
+    vb = np.array([6 + 8j, 7 - 24j])  # moduli 10, 25
+    exps, vals, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 6,
+                                           1e-300)
+    assert exps.shape == (0, 2) and exps.dtype == np.int64
+    assert vals.shape == (0,) and vals.dtype == np.complex128
+    assert discarded == (5 + 13 + 17) * (10 + 25)
+    assert discarded == sum(modulus(va).tolist()) * sum(modulus(vb).tolist())
+
+
+@pytest.mark.parametrize("margin", [-1, 0, 1])
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (2, 2)])
+def test_band_test_where_the_reach_exceeds_hband(n, d, margin):
+    # the operands' exponent bounds reach |P_j| <= reach; the band test is
+    # left out for hband >= reach, and the result is the all-pairs one on
+    # both sides of that edge
+    rng = np.random.default_rng(60 + 10 * n + d + margin)
+    ea, va = random_table(rng, 30, n, d, 3, 3)
+    eb, vb = random_table(rng, 30, n, d, 2, 3)
+    reach = int(np.abs(np.concatenate([
+        ea[:, :n].min(axis=0) + eb[:, :n].min(axis=0),
+        ea[:, :n].max(axis=0) + eb[:, :n].max(axis=0)])).max())
+    hband, vmax = reach + margin, 6 * d  # every pair formed
+    want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax,
+                                                hband, 1e-300)
+    got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax,
+                                             hband, 1e-300)
+    assert bool(dropped) == (margin < 0)
+    assert np.array_equal(got_e, want_e)
+    assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
+    assert discarded == float(np.sum(dropped))
 
 
 @pytest.mark.parametrize("seed", range(3))

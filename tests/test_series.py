@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 import toruslin
 from toruslin import TruncatedSeries, compose_diagonal, invert_vertical_map, \
     partial_h, substitute_vertical
-from toruslin.series import SeriesError, linear_combinations, \
-    scale_components
+from toruslin._kernels import table_data
+from toruslin.series import PRUNE, SeriesError, _scatter, \
+    linear_combinations, scale_components
 
 from _oracles import (dense_diff, dense_mul, dense_poly, dense_substitute,
                       random_series, substitute_per_record, term_dict,
@@ -122,6 +123,19 @@ class TestComposeDiagonal:
         back = compose_diagonal(compose_diagonal(f, lam, mu, +1), lam, mu, -1)
         assert back.max_coeff_diff(f) < 1e-12 * f.max_abs()
 
+    def test_underflowing_factor_is_pruned(self):
+        # 1e-200 * (1e-3)^40 underflows to a subnormal of modulus about
+        # 1e-320, below PRUNE: the term is dropped, as scale drops it
+        f = TruncatedSeries.monomial(1, 1, 0, (40,), (2,), 1e-200, vmax=4,
+                                     hband=40)
+        g = compose_diagonal(f, [1e-3], [1.0])
+        assert g.nterms() == 0 and g.is_zero()
+        assert f.scale(complex(1e-3) ** 40).nterms() == 0
+        # a value above PRUNE is the product c * factor, bit for bit
+        factor = (1.0 + 0.0j) * complex(1e-2) ** 40 * complex(1.0) ** 2
+        kept = compose_diagonal(f, [1e-2], [1.0])
+        assert list(kept.terms()) == [(0, (40,), (2,), (1e-200 + 0j) * factor)]
+
     def test_ring_homomorphism(self):
         rng = np.random.default_rng(13)
         f = random_series(rng, 1, 1, vmax=5, hband=3)
@@ -160,6 +174,40 @@ class TestSubstituteVertical:
                                     [dense_poly(phi, 0), dense_poly(phi, 1)],
                                     1, 2, 6, 3)
             assert dense_diff(got, want) < 1e-12
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
+    def test_zero_phi_retruncates_f(self, n, d):
+        # v <- v + 0 re-truncates f to the smaller window: f's terms in
+        # sorted order, the ones outside leave their moduli in discarded in
+        # that order; no power table is built
+        rng = np.random.default_rng(90 + 10 * n + d)
+        items = list(term_dict(random_series(
+            rng, n, d, components=2, vmax=6, hband=3, nterms=20)).items())
+        f = TruncatedSeries(n, d, 2, 6, 3, dict(
+            items[i] for i in rng.permutation(len(items))),
+            discarded=0.5)
+        zero = TruncatedSeries(n, d, d, 5, 2, tailflag=True, discarded=0.25)
+        assert table_order(f) != table_order(sorted_copy(f))
+        got = substitute_vertical(f, zero)
+        assert zero._shift is None
+        kept, lost = [], (0.5 + 0.25)
+        for k, P, Q, c in f.terms():
+            if sum(Q) > 5 or max(map(abs, P)) > 2:
+                lost += abs(c)
+            else:
+                kept.append((k, P, Q, c))
+        assert lost > 0.75
+        assert bits(got) == bits(TruncatedSeries(
+            n, d, 2, 5, 2, {(k, P, Q): c for k, P, Q, c in kept},
+            tailflag=True))
+        assert got.discarded == lost
+        # the table holds the kept terms in sorted order
+        assert table_order(got) == table_order(sorted_copy(got))
+        # on f's own vertical window, the per-record loop agrees
+        zero = TruncatedSeries(n, d, d, 6, 2)
+        assert exact(substitute_vertical(f, zero)) == \
+            exact(substitute_per_record(f, zero))
+        assert zero._shift is None
 
     def test_rejects_low_order(self):
         f = mono(1, 1, (0,), (2,))
@@ -445,6 +493,101 @@ class TestFanOutSums:
         assert fused != [c * (0.3 - 1.7j) for c in vals]
 
 
+def table_order(f):
+    """Every term in the order its key was first stored, exactly."""
+    ks, exps, vals = f._table()
+    return (None if ks is None else ks.tolist(), exps.tolist(),
+            [hexed(c) for c in vals.tolist()])
+
+
+def sorted_copy(f):
+    """``f``'s terms stored in sorted order."""
+    return TruncatedSeries(f.n, f.d, f.components, f.vmax, f.hband,
+                           term_dict(f))
+
+
+class TestFoldedSummands:
+    """``(s, c, P, p)`` summands against ``(s.shift_h(P).scale(p), c)``."""
+
+    @staticmethod
+    def check(sums):
+        got = linear_combinations(sums)
+        want = linear_combinations(
+            [[(s.shift_h(fold[0]).scale(fold[1]) if fold else s, c)
+              for s, c, *fold in pairs] for pairs in sums])
+        for g, w in zip(got, want):
+            assert exact(g) == exact(w)
+            assert table_order(g) == table_order(w)
+        return got
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_matches_shift_then_scale(self, components):
+        # shifts by up to 2 push records past hband 3, pre-factors of
+        # 1e-300 and 0 prune some or all of the rest, and unshifted
+        # summands and a truncation record ride along
+        rng = np.random.default_rng(300 + components)
+        a = random_series(rng, 2, 1, components=components, vmax=5, hband=3,
+                          nterms=14)
+        b = TruncatedSeries(2, 1, components, 5, 3, term_dict(random_series(
+            rng, 2, 1, components=components, vmax=5, hband=3, nterms=14)),
+            tailflag=True, discarded=0.125)
+        c = random_series(rng, 2, 1, components=components, vmax=6, hband=4,
+                          nterms=10)
+        assert a.shift_h((2, -1)).tailflag and b.shift_h((-2, 2)).tailflag
+        sums = [[(a, 0.7 - 0.2j, (2, -1), 1e-3 + 2e-3j),
+                 (b, 1.0, (0, 0), 1.0),
+                 (c, -1.5),
+                 (a, 2.0, (0, 1), 1e-300)],
+                [(b, 0.3j, (-2, 2), 3.0 - 1.0j), (a, 1.0, (1, 0), 0.0),
+                 (c, 1e-300, (1, 1), 1.0 + 1.0j)],
+                [(c, 2.0, (1, 0), 0.5)]]
+        got = self.check(sums)
+        assert got[0].tailflag and got[1].discarded > 0.125
+
+    def test_record_of_modulus_prune_or_less(self):
+        # from_text keeps a value of modulus below PRUNE, which shift_h does
+        # not store, so the pre-factor 1e20 must not lift it into the sum;
+        # h^3 v^2 is shifted out of the band
+        f = TruncatedSeries.from_text("TLS 1 1 1 4 3\n0 0 2 1e-310 0.0\n"
+                                      "0 3 2 0.5 0.25\n0 -1 3 0.0 -2.0\n")
+        got = self.check([[(f, 2.0, (1,), 1e20), (f, 1.0)]])
+        assert got[0].tailflag and got[0].nterms() == 3
+
+
+class TestScatterWrite:
+    """``_scatter`` stores its sums in one pass, as ``_accumulate`` would."""
+
+    def test_matches_accumulate(self):
+        # two tables and two components; 2 PRUNE - PRUNE is exactly PRUNE,
+        # so one key's sum ends at PRUNE and is left out, like a record of
+        # modulus PRUNE on its own; v^4 lies outside the second table
+        recs = [(0, 0, (1,), (2,), 0.5 - 1j), (0, 1, (1,), (2,), 2 * PRUNE),
+                (0, 0, (0,), (3,), 0.25), (0, 1, (1,), (2,), -PRUNE),
+                (0, 0, (-2,), (2,), 1j * PRUNE), (0, 0, (1,), (2,), 0.5),
+                (1, 1, (0,), (4,), 3.0 + 4.0j), (1, 0, (2,), (3,), 3 * PRUNE),
+                (1, 1, (0,), (2,), -1.5), (1, 0, (2,), (3,), 0.125j),
+                (1, 1, (0,), (2,), 0.75)]
+
+        def empty():
+            return [TruncatedSeries(1, 1, 2, 4, 2),
+                    TruncatedSeries(1, 1, 2, 3, 2)]
+
+        got, want = empty(), empty()
+        _scatter(got, np.array([r[0] for r in recs]),
+                 np.array([r[1] for r in recs]),
+                 np.array([r[2] + r[3] for r in recs], dtype=np.int64),
+                 np.array([r[4] for r in recs], dtype=np.complex128),
+                 [[(0, 0.0)], [(1, 0.5)]])
+        want[1].discarded = 0.5
+        for o, k, P, Q, c in recs:
+            want[o]._accumulate([((k, P, Q), c)])
+        for g, w in zip(got, want):
+            assert exact(g) == exact(w)
+            assert table_order(g) == table_order(w)
+        assert got[0].get(1, (1,), (2,)) == 0 and got[0].nterms() == 2
+        assert got[1].tailflag and got[1].discarded == 5.5
+
+
 class TestKernelArrays:
     """The sorted (exps, vals) a series keeps for the kernels."""
 
@@ -500,6 +643,22 @@ class TestKernelArrays:
         assert [1, 5] in exps.tolist()
         assert exps.tolist() == self.fresh(f, 0)[0].tolist()
         assert vals.tolist() == self.fresh(f, 0)[1].tolist()
+
+    def test_kept_data_follows_accumulate(self):
+        # the table_data kept with the arrays is built once, dropped when
+        # _accumulate writes, and rebuilt from the new table
+        rng = np.random.default_rng(87)
+        f = random_series(rng, 1, 1, components=2, vmax=5, hband=3,
+                          nterms=10)
+        data = f._operand(1)[2]
+        assert f._operand(1)[2] is data
+        f._accumulate([((1, (1,), (5,)), 2.0 - 1j)])
+        assert f._store is None
+        exps, vals, data = f._operand(1)
+        want = table_data(*self.fresh(f, 1), 1)
+        assert [1, 5] in exps.tolist()
+        for got, expected in zip(data, want):
+            assert got.tolist() == expected.tolist()
 
     def test_derived_series_start_without_arrays(self):
         rng = np.random.default_rng(86)
