@@ -18,21 +18,13 @@ from ._kernels import modulus
 from .divisors import ResonanceError, is_resonant, small_divisors
 from .lattice import DomainSpec
 from .norms import NormBound, sup_norm_bound
-from .series import TruncatedSeries, compose_diagonal
+from .series import TruncatedSeries
 
 COMPAT_TOL = 1e-10
 
 
 class CompatibilityError(ValueError):
     pass
-
-
-def compose_power(G, data, i, k):
-    """G composed with tauhat_i^k for integer |k| <= 2."""
-    out = G
-    for _ in range(abs(k)):
-        out = compose_diagonal(out, data.lam[i], data.mu[i], 1 if k > 0 else -1)
-    return out
 
 
 @dataclass
@@ -109,9 +101,11 @@ def check_compatibility(family, data):
 
 @dataclass
 class SolutionCertificate:
+    """G, its bound on the shrunk domain and the solve's records; G composed
+    with tauhat_i^{+-1} is not bounded, as no output reads that bound."""
+
     G: TruncatedSeries
     bound: NormBound
-    composed_bounds: list
     theoretical: float | None
     compat_residual: float
     divisors_used: dict
@@ -136,8 +130,8 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
     """Solve T_i(G) = F_i for all generators at once.
 
     Each coefficient divides by the divisor of the generator where the
-    divisor modulus is largest (smallest index on ties); the result is
-    certified on the shrunk domain (eps - delta/kappa, r e^{-rho}).  For
+    divisor modulus is largest (smallest index on ties); G alone is
+    certified, on the shrunk domain (eps - delta/kappa, r e^{-rho}).  For
     the equations of the inverse maps pass ``data.inverse()``.
     """
     dom = _shrunk_domain(lattice, eps, r, delta, rho)
@@ -167,11 +161,6 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
         used[key] = (iv, divisor)
     G._accumulate(records)
 
-    composed = []
-    for i in range(data.n):
-        for sign in (1, -1):
-            Gi = compose_diagonal(G, data.lam[i], data.mu[i], sign)
-            composed.append(((i, sign), sup_norm_bound(Gi, dom)))
     theoretical = None
     if constants is not None:
         base_dom = DomainSpec(lattice, eps, r)
@@ -179,7 +168,6 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
             max(sup_norm_bound(F, base_dom).value for F in family.rhs),
             delta, rho, constants)
     return SolutionCertificate(G=G, bound=sup_norm_bound(G, dom),
-                               composed_bounds=composed,
                                theoretical=theoretical,
                                compat_residual=report.max_rel,
                                divisors_used=used)
@@ -211,9 +199,6 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
         used[k, P, Q] = (i, divisor)
     G._accumulate(records)
 
-    words = ((i, -2), (i, -1)) if sign > 0 else ((i, 2), (i, 1))
-    composed = [(word, sup_norm_bound(compose_power(G, data, *word), dom))
-                for word in words]
     theoretical = None
     if constants is not None:
         ref_dom = DomainSpec(lattice, eps, r,
@@ -221,7 +206,6 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
         theoretical = _theoretical_bound(sup_norm_bound(F_i, ref_dom).value,
                                          delta, rho, constants)
     return SolutionCertificate(G=G, bound=sup_norm_bound(G, dom),
-                               composed_bounds=composed,
                                theoretical=theoretical, compat_residual=0.0,
                                divisors_used=used)
 

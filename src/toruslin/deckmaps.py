@@ -21,7 +21,7 @@ from math import factorial
 
 import numpy as np
 
-from .series import (TruncatedSeries, invert_vertical_map,
+from .series import (TruncatedSeries, _scatter, invert_vertical_map,
                      linear_combinations, scale_components, substitute_vertical)
 
 COMMUTE_TOL = 1e-10
@@ -86,10 +86,12 @@ def compose_with_map(f, m, vmax=None, hband=None):
     ``lam^P h^P`` of each term is not formed as a series: its summand is
     the product of binomial series with the shift ``P`` and the pre-factor
     ``lam^P``, which the sum applies to its records as ``shift_h`` and
-    ``scale`` would.  Where ``u_k`` is exactly
-    zero (no terms, no truncation record), as when ``pert_h`` is zero,
-    ``(1 + u_k)^p`` is the unit and is not formed: multiplying by it would
-    change no bit.
+    ``scale`` would.  The group pieces go into the output in one
+    ``_scatter``, each piece's ``discarded`` after its records: the sums
+    and ``discarded`` of adding them one group at a time.  Where ``u_k`` is
+    exactly zero (no terms, no truncation record), as when ``pert_h`` is
+    zero, ``(1 + u_k)^p`` is the unit and is not formed: multiplying by it
+    would change no bit.
 
     The vertical power has order |Q| >= ord_v f, so only the horizontal
     factor's terms of degree <= vmax - ord_v f can reach the output: the u
@@ -177,6 +179,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
         groups.setdefault((k, Q), []).append((P, c))
     groups = sorted(groups.items())
     hcache = {P: binom_power_series(P) for P in hexps}
+    pieces = []
     for (k, Q), group in groups:
         # lam^P h^P prod_k (1 + u_k)^{p_k}, shifted and scaled in the sum
         (hpart,) = linear_combinations([[(hcache[P][0], c, P, hcache[P][1])
@@ -185,10 +188,14 @@ def compose_with_map(f, m, vmax=None, hband=None):
         for j, q in enumerate(Q):
             if q:
                 piece = piece.mul(vpow[j][q])
-        out._accumulate(((k, Pn, Qn), val)
-                        for _, Pn, Qn, val in piece.terms())
+        pieces.append((k, *piece._arrays(0), piece.discarded))
         out.tailflag |= piece.tailflag
-        out.discarded += piece.discarded
+    if pieces:
+        ks, exps, vals, lost = zip(*pieces)
+        counts = [len(v) for v in vals]
+        _scatter([out], None, np.repeat(ks, counts) if f.components > 1
+                 else None, np.concatenate(exps), np.concatenate(vals),
+                 [list(zip(np.cumsum(counts).tolist(), lost))])
     return out.restrict(vmax=vmax, hband=hband)
 
 

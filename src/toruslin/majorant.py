@@ -238,25 +238,24 @@ def majorant_coefficients(M, constants, n, d):
     Degree-m outputs depend only on degrees < m of every unknown, so one
     forward sweep suffices; all coefficients are nonnegative.  The 2n
     B^{(i,+-)} share one seed and one recursion: all keys map to one array.
+    Degree m is read off series cut at m: the same sums in the same order
+    as on series carried to M, whose terms past m add exact zeros below.
     """
     R = constants.R
     t = np.zeros(M + 1)
-    if M >= 1:
-        t[1] = 1.0
+    t[1] = 1.0
     A = np.zeros(M + 1)
     b = np.zeros(M + 1)
     B = {(i, s): b for i in range(n) for s in (1, -1)}
-    seed = _g_of(t, R, d, M)
-    A[2] = seed[2]
-    b[2] = seed[2]
+    A[2] = b[2] = _g_of(t, R, d, 2)[2]
 
-    def rhs(g, sumB):
+    def rhs(g, sumB, m):
         return g + (constants.C / constants.Cpp ** constants.nu) * \
-            _ser_mul(A + sumB, _coupling(g, constants, n, M), M)
+            _ser_mul(A + sumB, _coupling(g, constants, n, m), m)
     for m in range(3, M + 1):
         sumB = sum(B.values())
-        b[m] = rhs(_g_of(t + b, R, d, M), sumB)[m]
-        A[m] = rhs(_g_of(t + A, R, d, M), sumB)[m]
+        b[m] = rhs(_g_of(t + b, R, d, m), sumB, m)[m]
+        A[m] = rhs(_g_of(t + A, R, d, m), sumB, m)[m]
     if (A < 0).any() or (b < 0).any():
         raise ConstantsError("majorant coefficients must be nonnegative")
     return A, B

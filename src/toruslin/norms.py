@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import modulus
 from .lattice import DomainSpec
 
 TRIANGLE = "coefficient-triangle-bound"
@@ -51,12 +52,12 @@ def sup_norm_bound_union(f, domains):
         Ps, qdeg = exps[:, :f.n].astype(float), exps[:, f.n:].sum(axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             sups = np.max([dom.sup_monomials(Ps) for dom in domains], axis=0)
-            terms = np.abs(vals) * sups * (float(r) ** qdeg)
+            terms = modulus(vals) * sups * (float(r) ** qdeg)
         big = ~np.isfinite(terms)
         if big.any():
             # a factor overflowed (sup|h^P| far from |h| = 1): take those
             # terms through log|c| + max<x, P> + |Q| log r instead
-            logs = np.log(np.abs(vals[big])) + np.max(
+            logs = np.log(modulus(vals[big])) + np.max(
                 [dom.log_sup_monomials(Ps[big]) for dom in domains], axis=0) \
                 + qdeg[big] * np.log(float(r))
             with np.errstate(over="ignore"):

@@ -29,10 +29,10 @@ it through ``terms()``, ``get()`` and ``nterms()``, and every loop that
 fills a table, here or elsewhere, goes through ``_accumulate``, which
 applies the truncation window and the pruning in one place and drops the
 kept arrays.  The one exception is ``_scatter``, the write of the fan-out
-sums (``substitute_vertical``'s scatter and ``linear_combinations``): they
-reduce their records per key in one array segment sum, after the window
-test, and ``_scatter`` stores the sums into the empty tables in one pass
-with the PRUNE test alone.  They read their inputs in table order, as
+sums (``substitute_vertical``, ``linear_combinations``, ``compose_with_map``):
+they reduce their records per key in one array segment sum, after the
+window test, and ``_scatter`` stores the sums into the empty tables in one
+pass with the PRUNE test alone.  They read their inputs in table order, as
 record loops over the table would, so their results store their keys, and
 add up the mass they drop, in the same order as those loops.
 """
@@ -529,6 +529,11 @@ def substitute_vertical(f, phi):
     projected onto the output window; dropping |Q| > vmax mass early is safe
     because vertical degrees only grow under products.
 
+    W_Q = prod_j (v_j + phi_j)^q_j is v^Q plus terms of degree >= |Q| +
+    ord_v phi - 1, so a term with |Q| > vmax - ord_v phi + 1 is its own
+    record, as a pure h-monomial term is (above the output vmax it goes to
+    ``discarded``), and no power past that degree is formed.
+
     The powers (v_j + phi_j)^q are kept with ``phi``, one table per working
     window, built on the first substitution into ``phi`` and extended as
     later ones need higher powers.  Every series substituted into the same
@@ -541,7 +546,8 @@ def substitute_vertical(f, phi):
     """
     if phi.components != f.d:
         raise SeriesError("phi must have d components")
-    if phi.v_order() < 2:
+    order = phi.v_order()
+    if order < 2:
         raise SeriesError("phi must vanish to order >= 2 in v")
     vmax, hband = min(f.vmax, phi.vmax), min(f.hband, phi.hband)
     work_hband = f.hband + phi.hband * max(1, vmax // 2)
@@ -577,19 +583,21 @@ def substitute_vertical(f, phi):
         fexps = np.concatenate([exps for exps, _ in parts])
         fvals = np.concatenate([vals for _, vals in parts])
     n = f.n
+    limit = vmax - order + 1
     # the distinct Q, as rows packed into one integer each
     qkeys = fexps[:, n:] @ (f.vmax + 1) ** np.arange(f.d, dtype=np.int64)
     _, firsts, which = np.unique(qkeys, return_index=True, return_inverse=True)
     tables = []
     for Q in fexps[firsts, n:].tolist():
         W = None
-        for j, q in enumerate(Q):
-            if q:
-                Wj = power(j, q)
-                W = Wj if W is None else W.mul(Wj)
-        # a pure h-monomial term is its own record; its value is set below
+        if sum(Q) <= limit:
+            for j, q in enumerate(Q):
+                if q:
+                    Wj = power(j, q)
+                    W = Wj if W is None else W.mul(Wj)
+        # a pure h-monomial term, or one past limit: its value is set below
         tables.append(W._records()[1:] if W is not None else
-                      (np.zeros((1, n + f.d), dtype=np.int64),
+                      (np.array([[0] * n + Q], dtype=np.int64),
                        np.ones(1, dtype=np.complex128)))
     lens = np.array([len(vals) for _, vals in tables])
     wexps = np.concatenate([exps for exps, _ in tables])
@@ -602,7 +610,8 @@ def substitute_vertical(f, phi):
     exps = wexps[widx]
     exps[:, :n] += fexps[term, :n]
     vals = multiply(fvals[term], wvals[widx])
-    direct = (fexps[:, n:].sum(axis=1) == 0)[term]
+    degree = fexps[:, n:].sum(axis=1)
+    direct = ((degree == 0) | (degree > limit))[term]
     vals[direct] = fvals[term[direct]]
     _scatter([out], None, None if fk is None else fk[term], exps, vals, [()])
     return out

@@ -140,6 +140,30 @@ class TestSolveFamily:
         assert cert.G.max_coeff_diff(oracle) < 1e-12
         assert cert.G.max_coeff_diff(G0) < 1e-12
 
+    def test_forms_no_composed_solution(self, monkeypatch):
+        # no output reads G composed with the diagonal maps tauhat_i^{+-1}:
+        # neither solver forms it
+        import toruslin.series as series_mod
+        rng = np.random.default_rng(31)
+        lat, data = setup_2d()
+        _, fam = compatible_family(rng, data, vmax=5, hband=2)
+        calls = []
+
+        def counting(*args, real=series_mod.compose_diagonal, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(series_mod, "compose_diagonal", counting)
+        monkeypatch.setattr(cohomology_mod, "compose_diagonal", counting,
+                            raising=False)
+        cert = solve_family(fam, data, lat, eps=0.15, r=0.5, delta=0.05,
+                            rho=0.25)
+        single = solve_single(fam.rhs[1], 1, data, lat, eps=0.15, r=0.5,
+                              delta=0.05, rho=0.25)
+        assert calls == []
+        assert cert.G.nterms() and single.G.nterms()
+        assert not hasattr(cert, "composed_bounds")
+
     def test_plugback_residual(self):
         rng = np.random.default_rng(7)
         lat, data = setup_2d()

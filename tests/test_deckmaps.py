@@ -262,6 +262,64 @@ class TestComposeWithMapInPlaceSums:
                                                  want.discarded)
 
 
+def table_bits(f):
+    """Window, truncation record and every term in table order, exactly."""
+    ks, exps, vals = f._table()
+    return (f.vmax, f.hband, f.tailflag, f.discarded.hex(),
+            None if ks is None else ks.tolist(), exps.tolist(),
+            [(c.real.hex(), c.imag.hex()) for c in vals.tolist()])
+
+
+class TestComposeWithMapOneScatter:
+    """All groups' pieces go into the output in one scatter, each piece's
+    discarded marked after its records: the table, its order and the
+    truncation record of adding the pieces one group at a time."""
+
+    @staticmethod
+    def mixed_map(rng, n, d, vmax=6):
+        lam = np.exp(2j * np.pi * np.array([MILD_E2, 0.2 + 0.03j][:n]))
+        mu = np.exp(2j * np.pi * np.array([GOLDEN, np.sqrt(2) - 1][:d]))
+        ph = random_series(rng, n, d, components=n, vmax=vmax, hband=2,
+                           nterms=6, min_vdeg=2, scale=1e-1)
+        pv = random_series(rng, n, d, components=d, vmax=vmax, hband=2,
+                           nterms=6, min_vdeg=2, scale=1e-1)
+        return DeckMap(lam=lam, mu=mu, pert_h=ph.with_window(hband=12),
+                       pert_v=pv.with_window(hband=12))
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
+    def test_multi_component(self, n, d):
+        rng = np.random.default_rng(70 + 10 * n + d)
+        m = self.mixed_map(rng, n, d)
+        f = random_series(rng, n, d, components=3, vmax=6, hband=3,
+                          nterms=24, min_vdeg=2)
+        f = TruncatedSeries(n, d, 3, 6, 3, term_dict(f), tailflag=True,
+                            discarded=2.0 ** -40)
+        assert len({(k, Q) for k, _, Q, _ in f.terms()}) > 6
+        got = compose_with_map(f, m, hband=2)
+        assert table_bits(got) == table_bits(chained_add_compose(f, m,
+                                                                 hband=2))
+        assert got.discarded > f.discarded
+
+    def test_single_group(self):
+        rng = np.random.default_rng(77)
+        m = self.mixed_map(rng, 2, 1)
+        f = TruncatedSeries(2, 1, 2, 6, 3, {
+            (1, (p, q), (2,)): complex(rng.standard_normal(),
+                                       rng.standard_normal())
+            for p, q in ((0, 0), (1, -1), (-3, 2), (2, 3))})
+        got = compose_with_map(f, m)
+        assert table_bits(got) == table_bits(chained_add_compose(f, m))
+        assert got.tailflag and got.discarded > 0
+
+    def test_no_terms(self):
+        m = self.mixed_map(np.random.default_rng(78), 1, 1)
+        f = TruncatedSeries(1, 1, 2, 6, 3, tailflag=True, discarded=0.25)
+        got = compose_with_map(f, m, hband=2)
+        assert table_bits(got) == table_bits(chained_add_compose(f, m,
+                                                                 hband=2))
+        assert (got.nterms(), got.discarded, got.hband) == (0, 0.25, 2)
+
+
 class TestComposeWithMapEdges:
     def test_no_u_power_reaches_output(self):
         # ord_v f >= vmax - 1: (1 + u)^p contributes only its constant 1

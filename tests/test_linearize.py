@@ -206,6 +206,11 @@ class TestLinearize:
         assert len(Hs) == 4
         assert [sum(phi is H for phi in built) for H in Hs] == [1] * 4
         assert sum(phi is result.phi_v for phi in built) == 1
+        # no row goes past vmax - ord phi + 1, where (v + phi)^q holds v^q
+        # alone inside the window
+        for phi in built:
+            for (vmax, _), rows in phi._shift.items():
+                assert max(map(len, rows)) - 1 <= vmax - phi.v_order() + 1
 
     @pytest.mark.parametrize("order", [8, 12])
     @pytest.mark.parametrize("route", ["forward", "inverse"])

@@ -19,7 +19,8 @@ from toruslin.reports import certificate_text
 from toruslin.series import TruncatedSeries
 
 from _fixtures import golden_data, golden_family, golden_lattice
-from _oracles import apply_vertical_operator, norm_certificate, random_series
+from _oracles import (apply_vertical_operator, full_window_majorant,
+                      norm_certificate, random_series)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +228,19 @@ class TestMajorantCoefficients:
         for key in B:
             assert np.allclose(B[key], Bo[key], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("M", [2, 3, 8, 12, 20, 30])
+    def test_bits_of_the_full_window_recursion(self, golden_setup, M, n, d):
+        # degree m is solved on series cut at m: A and every B bit for bit
+        # as when each degree reads series carried to degree M
+        for bundle in (golden_setup[2], toy_bundle(R=0.5)):
+            A, B = majorant_coefficients(M, bundle, n, d)
+            Ao, Bo = full_window_majorant(M, bundle, n, d)
+            assert A[M] > 0
+            assert A.tobytes() == Ao.tobytes()
+            assert B.keys() == Bo.keys()
+            assert all(B[key].tobytes() == Bo[key].tobytes() for key in B)
+
     def test_well_founded(self):
         bundle = toy_bundle(R=0.5)
         A6, B6 = majorant_coefficients(6, bundle, n=1, d=1)
@@ -364,7 +378,8 @@ class TestNormCertificate:
                             constants=bundle)
         # empirical |c|/2 r'^2 against C1-form theoretical with C1 >= 1/2
         assert bundle.C1 >= 0.5
-        report = norm_certificate(cert)
+        report = norm_certificate(cert, data)
+        assert len(report["rows"]) == 1 + 2 * data.n
         assert report["pass"]
 
     def test_sweep(self, golden_setup):
@@ -378,5 +393,6 @@ class TestNormCertificate:
             cert = solve_family(CompatibleFamily(rhs=[F]), data, lat,
                                 eps=0.2, r=0.5, delta=delta, rho=rho,
                                 constants=bundle)
-            report = norm_certificate(cert)
+            report = norm_certificate(cert, data)
+            assert len(report["rows"]) == 1 + 2 * data.n
             assert report["pass"]

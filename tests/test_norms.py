@@ -109,3 +109,30 @@ def test_certified_bound_finite_where_monomial_sup_overflows():
     # the same term at 1e-5 is past the double range itself: inf, silently
     big = TruncatedSeries.monomial(1, 1, 0, (-2,), (0,), 1e-5, components=1)
     assert sup_norm_bound(big, dom).value == np.inf
+
+
+def scalar_abs_values(rng, count):
+    """Complex values, first those whose numpy ``abs`` differs from the
+    scalar one on this CPU (numpy's SIMD loop rounds some of them
+    differently), then others."""
+    vals = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) \
+        * 10.0 ** rng.uniform(-6, 6, 4000)
+    vals = vals.tolist()
+    differ = [c for c, a in zip(vals, np.abs(vals).tolist()) if abs(c) != a]
+    return (differ + vals)[:count]
+
+
+def test_bound_takes_the_scalar_modulus():
+    # each term contributes |c| as Python's scalar abs gives it, bit for
+    # bit, whatever numpy's complex abs does on this CPU
+    rng = np.random.default_rng(2027)
+    dom = DomainSpec(lat2(), 0.2, 0.5)
+    sup = float(dom.sup_monomials(np.array([[1.0, -2.0]]))[0])
+    for c in scalar_abs_values(rng, 60):
+        flat = TruncatedSeries.monomial(2, 1, 0, (0, 0), (0,), c,
+                                        components=1)
+        assert sup_norm_bound(flat, dom).value == abs(c)
+        mixed = TruncatedSeries.monomial(2, 1, 0, (1, -2), (3,), c,
+                                         components=1)
+        assert sup_norm_bound(mixed, dom).value == abs(c) * sup * 0.5 ** 3
+

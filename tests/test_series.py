@@ -266,6 +266,54 @@ class TestShiftTable:
         assert got.discarded == want.discarded
 
 
+class TestPowersWithinReach:
+    """Past |Q| = vmax - ord phi + 1, W_Q = prod_j (v_j + phi_j)^q_j holds
+    only v^Q inside the window: such a term is its own record and no power
+    row is built for it."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_matches_per_record_oracle(self, order):
+        rng = np.random.default_rng(120 + order)
+        vmax = 7
+        limit = vmax - order + 1
+        f = random_series(rng, 1, 2, components=2, vmax=vmax, hband=2,
+                          nterms=24)
+        f = f.add(TruncatedSeries(1, 2, 2, vmax, 2, {
+            (0, (1,), (limit, 0)): 0.5 - 0.25j,
+            (1, (0,), (3, vmax - 3)): 1.5,
+            (1, (-1,), (0, limit + 1)): 0.75j}))
+        phi = random_series(rng, 1, 2, components=2, vmax=vmax, hband=2,
+                            nterms=8, min_vdeg=order, scale=0.3)
+        phi = phi.add(TruncatedSeries.monomial(
+            1, 2, 1, (1,), (order - 1, 1), 0.25, components=2, vmax=vmax,
+            hband=2))
+        assert phi.v_order() == order
+        assert {sum(Q) for _, _, Q, _ in f.terms()} >= {limit, limit + 1}
+        got = substitute_vertical(f, phi)
+        want = substitute_per_record(f, phi)
+        assert exact(got) == exact(want)
+        assert table_order(got) == table_order(want)
+        # the rows reach limit, and no further
+        (rows,) = phi._shift.values()
+        assert max(len(row) for row in rows) - 1 == limit
+
+    def test_terms_above_the_output_window_are_discarded(self):
+        # f on vmax 6, phi on vmax 5: f's v^6 term is past the output
+        # window and leaves its modulus in discarded
+        f = TruncatedSeries(1, 1, 1, 6, 2, {(0, (1,), (2,)): 0.5,
+                                            (0, (0,), (6,)): 2.0})
+        phi = mono(1, 1, (0,), (2,), 0.25, vmax=5, hband=2)
+        got = substitute_vertical(f, phi)
+        assert (got.vmax, got.tailflag, got.discarded) == (5, True, 2.0)
+        # 0.5 h (v + v^2 / 4)^2 = 0.5 h v^2 + 0.25 h v^3 + 0.03125 h v^4
+        assert term_dict(got) == {(0, (1,), (2,)): 0.5,
+                                  (0, (1,), (3,)): 0.25,
+                                  (0, (1,), (4,)): 0.03125}
+        assert exact(got) == exact(substitute_per_record(f, phi))
+        (rows,) = phi._shift.values()
+        assert [len(row) for row in rows] == [3]
+
+
 class TestKernelIO:
     def test_mul_output_is_plain_python(self):
         # keys of Python ints and values of Python complex, so that no
