@@ -20,9 +20,11 @@ bounds say an output can reach past it.
 
 ``segment_sum`` is the bulk form of a running sum into a coefficient table:
 records whose exponent rows are equal are summed, each key's values in
-input order, with ``np.bincount`` on the real and imaginary parts.  That is
-the same sequence of double additions, from +0.0, as a loop adding Python
-complexes to a dict, so the sums are bit for bit those of the loop.
+input order, and the keys come out in ascending order.  Both kernels sum
+per key in ``_sum_runs``, with ``np.bincount`` on the real and imaginary
+parts of the values in stable key order.  That is the same sequence of
+double additions, from +0.0, as a loop adding Python complexes to a dict,
+so the sums are bit for bit those of the loop.
 
 ``modulus`` and ``multiply`` are ``abs`` and ``*`` on complex arrays,
 bit for bit Python's scalar ``abs`` (libm ``hypot``) and complex multiply.
@@ -143,21 +145,13 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune,
     keys = _pack(exps_a, lo_a, strides)[rows] + \
         _pack(exps_b, lo_b, strides)[cols]
     # a stable sort keeps each key's pairs in row-major order, the order in
-    # which bincount adds them up
+    # which they are summed
     order = keys.argsort(kind="stable")
     keys = keys[order]
-    start = np.empty(len(keys), dtype=bool)
-    start[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=start[1:])
-    group = start.cumsum()
-    group -= 1
-    vals = multiply(vals_a[rows[order]], vals_b[cols[order]])
-    nkeys = int(group[-1]) + 1
-    acc = np.empty(nkeys, dtype=np.complex128)
-    acc.real = np.bincount(group, weights=vals.real, minlength=nkeys)
-    acc.imag = np.bincount(group, weights=vals.imag, minlength=nkeys)
+    start, acc = _sum_runs(keys, multiply(vals_a[rows[order]],
+                                          vals_b[cols[order]]))
 
-    exps = np.empty((nkeys, n + d), dtype=np.int64)
+    exps = np.empty((len(acc), n + d), dtype=np.int64)
     rem = keys[start]
     for j in range(n + d):
         exps[:, j] = rem // strides[j]
@@ -174,15 +168,33 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune,
     return exps[keep], acc[keep], bound
 
 
+def _sum_runs(keys, vals):
+    """Sum the runs of equal values in sorted ``keys``, each run's ``vals``
+    in order.
+
+    Returns (start, sums): ``start`` marks the first entry of each run and
+    ``sums`` holds the runs' sums.  ``np.bincount`` adds the real and the
+    imaginary parts one entry at a time, from +0.0, in array order.
+    """
+    start = np.empty(len(keys), dtype=bool)
+    start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    group = start.cumsum()
+    group -= 1
+    nkeys = int(group[-1]) + 1
+    sums = np.empty(nkeys, dtype=np.complex128)
+    sums.real = np.bincount(group, weights=vals.real, minlength=nkeys)
+    sums.imag = np.bincount(group, weights=vals.imag, minlength=nkeys)
+    return start, sums
+
+
 def segment_sum(rows, vals):
     """Sum the values of equal rows, each row's values in input order.
 
     rows: (N, m) int64 keys; vals: (N,) complex128.  Returns (first, sums):
-    ``first`` indexes the first occurrence of each distinct row, ascending,
-    so the rows come out in order of first appearance, and ``sums`` holds
-    their sums.  ``np.bincount`` adds the real and the imaginary parts one
-    record at a time, from +0.0, in input order.  No product is formed, so
-    no complex multiply can fuse.
+    ``first`` indexes the first occurrence of each distinct row, the rows
+    in ascending (lexicographic) order, and ``sums`` holds their sums.  No
+    product is formed, so no complex multiply can fuse.
     """
     if len(vals) == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128)
@@ -190,24 +202,8 @@ def segment_sum(rows, vals):
     keys = _pack(rows, lo, _strides(rows.max(axis=0) - lo + 1))
     # a stable sort keeps each key's records in input order
     order = keys.argsort(kind="stable")
-    keys = keys[order]
-    start = np.empty(len(keys), dtype=bool)
-    start[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=start[1:])
-    del keys
-    first = order[start]
-    # number the keys in order of first appearance
-    appear = first.argsort()
-    rank = np.empty_like(appear)
-    rank[appear] = np.arange(len(appear))
-    group = start.cumsum()
-    group -= 1
-    inv = np.empty_like(order)
-    inv[order] = rank[group]
-    sums = np.empty(len(first), dtype=np.complex128)
-    sums.real = np.bincount(inv, weights=vals.real, minlength=len(first))
-    sums.imag = np.bincount(inv, weights=vals.imag, minlength=len(first))
-    return first[appear], sums
+    start, sums = _sum_runs(keys[order], vals[order])
+    return order[start], sums
 
 
 def _power_table(z, lo, hi):

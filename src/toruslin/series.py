@@ -12,17 +12,16 @@ dropped outside ``hband`` is counted exactly).
 Values are complex doubles.  Series are immutable: every operation
 returns a new instance, and nothing may change a series once another
 operation has read it.  This is load-bearing twice over.  A series keeps
-its kernel arrays once they are built: the sorted per-component ``(exps,
-vals)`` that products and evaluation read, with the ``table_data`` that
-products read of each operand (vertical degrees, moduli, mass at or above
-each degree, exponent bounds), and the terms in table order (the order in
-which the keys were first stored) that the bulk sums read; ``mul`` stores
-its kernel output as the sorted arrays and the table-order terms.  And
-``substitute_vertical(f, phi)`` keeps the table of powers ``(v_j +
-phi_j)^q`` with ``phi`` and reuses it for every later series substituted
-into the same ``phi``.  Changing a series' coefficients afterwards would
-hand out stale arrays or stale powers.  Every constructor, ``copy``
-included, starts with neither.
+its kernel arrays once they are built: every term sorted by (k, P, Q), the
+one order in which the kernels and the bulk sums read a series, sliced
+into per-component ``(exps, vals)``, with the ``table_data`` that products
+read of each operand (vertical degrees, moduli, mass at or above each
+degree, exponent bounds); ``mul`` and the fan-out sums store their output
+as these arrays.  And ``substitute_vertical(f, phi)`` keeps the table of
+powers ``(v_j + phi_j)^q`` with ``phi`` and reuses it for every later
+series substituted into the same ``phi``.  Changing a series'
+coefficients afterwards would hand out stale arrays or stale powers.
+Every constructor, ``copy`` included, starts with neither.
 
 The coefficient table is known to this module alone.  Other modules read
 it through ``terms()``, ``get()`` and ``nterms()``, and every loop that
@@ -32,12 +31,14 @@ kept arrays.  The one exception is ``_scatter``, the write of the fan-out
 sums (``substitute_vertical``, ``linear_combinations``, ``compose_with_map``):
 they reduce their records per key in one array segment sum, after the
 window test, and ``_scatter`` stores the sums into the empty tables in one
-pass with the PRUNE test alone.  They read their inputs in table order, as
-record loops over the table would, so their results store their keys, and
-add up the mass they drop, in the same order as those loops.
+pass with the PRUNE test alone, keys sorted.  Each input of a fan-out sum
+gives at most one record per key, so the order in which an input's terms
+are read decides only the order in which the mass they drop is added up;
+reading every input in sorted order makes results independent of the
+order in which any table stores its keys.
 """
 
-from itertools import chain, compress, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -212,20 +213,32 @@ class TruncatedSeries:
     def __neg__(self):
         return self.scale(-1.0)
 
-    def _arrays(self, k):
-        """Component k as kernel input: (exps, vals) sorted by (P, Q).
+    def _sorted(self):
+        """Every term as (ks, exps, vals) arrays sorted by (k, P, Q); ``ks``
+        is None for a single component.
 
-        Built for every component at once and kept, read-only, until
-        ``_accumulate`` writes to the table again.
+        The one order in which the kernels and the bulk sums read a series.
+        Built once and kept, read-only, with the components' ``_arrays``,
+        until ``_accumulate`` writes to the table again.
         """
         if self._store is None:
-            self._store = {}
-        if k not in self._store:
-            ks, exps, vals = self._store.get("table") or self._table()
-            # sorted by (k, P, Q): lexsort's last key is the primary one
+            keys = list(self.coeffs)
+            exps = np.array([key[1] + key[2] for key in keys],
+                            dtype=np.int64).reshape(len(keys), self.n + self.d)
+            vals = np.array(list(self.coeffs.values()), dtype=np.complex128)
+            ks = None
+            if self.components > 1:
+                ks = np.array([key[0] for key in keys], dtype=np.int64)
+            # lexsort's last key is the primary one
             order = np.lexsort([*exps.T[::-1]] + ([] if ks is None else [ks]))
             self._keep_sorted(None if ks is None else ks[order], exps[order],
                               vals[order])
+        return self._store["sorted"]
+
+    def _arrays(self, k):
+        """Component k as kernel input: its (exps, vals) slice of
+        ``_sorted``, sorted by (P, Q)."""
+        self._sorted()
         return self._store[k]
 
     def _operand(self, k):
@@ -238,9 +251,12 @@ class TruncatedSeries:
         return exps, vals, data
 
     def _keep_sorted(self, ks, exps, vals):
-        """Keep every term, sorted by (k, P, Q), as the components' arrays
-        (``ks`` is None for a single component)."""
-        exps.flags.writeable = vals.flags.writeable = False
+        """Keep every term, sorted by (k, P, Q), as ``_sorted`` and the
+        components' ``_arrays`` (``ks`` is None for a single component)."""
+        for array in (ks, exps, vals):
+            if array is not None:
+                array.flags.writeable = False
+        self._store = {"sorted": (ks, exps, vals)}
         if ks is None:
             self._store[0] = (exps, vals)
             return
@@ -248,35 +264,6 @@ class TruncatedSeries:
         for j in range(self.components):
             self._store[j] = (exps[cuts[j]:cuts[j + 1]],
                               vals[cuts[j]:cuts[j + 1]])
-
-    def _records(self):
-        """Every term as (ks, exps, vals) arrays, in table order; ``ks`` is
-        None for a single component.
-
-        Table order is the order in which the keys were first stored.  The
-        bulk sums read their summands in it, as the record loops they
-        replace read the table, so that their results store their keys,
-        and add up the mass they drop, in the same order.  Kept like the
-        ``_arrays``.
-        """
-        if self._store is None:
-            self._store = {}
-        if "table" not in self._store:
-            self._store["table"] = self._table()
-        return self._store["table"]
-
-    def _table(self):
-        """(ks, exps, vals) of every term, read from the table in its order."""
-        keys = list(self.coeffs)
-        exps = np.array([key[1] + key[2] for key in keys],
-                        dtype=np.int64).reshape(len(keys), self.n + self.d)
-        vals = np.array(list(self.coeffs.values()), dtype=np.complex128)
-        ks = None
-        if self.components > 1:
-            ks = np.array([key[0] for key in keys], dtype=np.int64)
-            ks.flags.writeable = False
-        exps.flags.writeable = vals.flags.writeable = False
-        return ks, exps, vals
 
     def mul(self, other):
         """Cauchy product on (P, Q); componentwise with scalar broadcast."""
@@ -305,16 +292,12 @@ class TruncatedSeries:
             (exps, vals), ks = parts[0], None
         else:
             ks = np.repeat(np.arange(comps), [len(v) for _, v in parts])
-            ks.flags.writeable = False
             exps = np.concatenate([e for e, _ in parts])
             vals = np.concatenate([v for _, v in parts])
         # tolist() gives Python ints and complexes, in bulk
         out.coeffs = dict(zip(_keys(ks, exps, self.n), vals.tolist()))
-        # the kernel output is sorted by packed key, i.e. by (P, Q), so the
-        # table order is the sorted one
-        out._store = {}
+        # the kernel output is sorted by packed key, i.e. by (P, Q)
         out._keep_sorted(ks, exps, vals)
-        out._store["table"] = (ks, exps, vals)
         return out
 
     def __mul__(self, other):
@@ -571,17 +554,11 @@ def substitute_vertical(f, phi):
             row.append(row[-1].mul(row[1]))
         return row[q]
 
-    # f's terms in sorted order, each followed by the records of its W_Q =
-    # prod_j (v_j + phi_j)^q_j in table order, gathered by index arithmetic
+    # f's terms, each followed by the records of its W_Q = prod_j (v_j +
+    # phi_j)^q_j, both in sorted order, gathered by index arithmetic
     if not f.coeffs:
         return out
-    if f.components == 1:
-        (fexps, fvals), fk = f._arrays(0), None
-    else:
-        parts = [f._arrays(k) for k in range(f.components)]
-        fk = np.repeat(np.arange(f.components), [len(v) for _, v in parts])
-        fexps = np.concatenate([exps for exps, _ in parts])
-        fvals = np.concatenate([vals for _, vals in parts])
+    fk, fexps, fvals = f._sorted()
     n = f.n
     limit = vmax - order + 1
     # the distinct Q, as rows packed into one integer each
@@ -596,7 +573,7 @@ def substitute_vertical(f, phi):
                     Wj = power(j, q)
                     W = Wj if W is None else W.mul(Wj)
         # a pure h-monomial term, or one past limit: its value is set below
-        tables.append(W._records()[1:] if W is not None else
+        tables.append(W._arrays(0) if W is not None else
                       (np.array([[0] * n + Q], dtype=np.int64),
                        np.ones(1, dtype=np.complex128)))
     lens = np.array([len(vals) for _, vals in tables])
@@ -623,19 +600,19 @@ def linear_combinations(sums):
     A summand is ``(s_i, c_i)``, or ``(s_i, c_i, P_i, p_i)``, which stands
     for ``s_i.shift_h(P_i).scale(p_i)`` in place of ``s_i``.  Each sum is
     bit for bit the sum a loop builds by adding ``s_i.scale(c_i)`` to a
-    running total in turn (see ``_scatter`` for the one exception): the
-    records of each ``s_i`` times ``c_i``, in ``s_i``'s table order, those
-    of modulus PRUNE or less left out as ``scale`` leaves them out, are
-    summed per key in the order of the pairs.  Each result has the smallest
-    window among its ``s_i``, ``tailflag`` if any of them has it, and
-    ``discarded`` summed in the same order, each ``s_i.discarded * |c_i|``
-    before the mass its own records lose to the window.  All the sums
-    share one segment sum.
+    running total in turn (see ``_scatter`` for the one exception), with
+    the terms of each ``s_i`` stored sorted: the records of each ``s_i``
+    times ``c_i``, in sorted order, those of modulus PRUNE or less left
+    out as ``scale`` leaves them out, are summed per key in the order of
+    the pairs.  Each result has the smallest window among its ``s_i``,
+    ``tailflag`` if any of them has it, and ``discarded`` summed in the
+    same order, each ``s_i.discarded * |c_i|`` before the mass its own
+    records lose to the window.  All the sums share one segment sum.
 
     A shifted summand is formed on the concatenated records, not as a
     series: its exponents move by ``P_i``; a record that leaves ``s_i``'s
     ``hband`` drops out, sets ``tailflag`` and adds its modulus to a loss
-    summed from 0.0 in table order, and one of modulus PRUNE or less drops
+    summed from 0.0 in sorted order, and one of modulus PRUNE or less drops
     out as ``shift_h`` would not store it; the rest are multiplied by
     ``p_i``, pruned as ``scale`` prunes, then multiplied by ``c_i``.  Its
     mark is ``(loss + s_i.discarded) * |p_i| * |c_i|``, the ``discarded``
@@ -659,14 +636,13 @@ def linear_combinations(sums):
             folds.append((fold[0], complex(fold[1])) if fold else None)
     if not outs:
         return outs
-    parts = [s._records() for s in summands]
+    parts = [s._sorted() for s in summands]
     counts = [len(vals) for _, _, vals in parts]
     exps = np.concatenate([exps for _, exps, _ in parts])
     vals = np.concatenate([vals for _, _, vals in parts])
     keep = np.ones(len(vals), dtype=bool)
     loss = [0.0] * len(summands)
-    folded = any(folds)
-    if folded:
+    if any(folds):
         n = summands[0].n
         shifted = np.repeat([fold is not None for fold in folds], counts)
         if n:
@@ -700,13 +676,6 @@ def linear_combinations(sums):
         own = s.discarded if fold is None else \
             (lost + s.discarded) * abs(fold[1])
         marks[o].append((i, own * abs(c)))
-    # the summands' own keys, in table order like their records: the sums
-    # store those and build no new ones (shifted records have new keys,
-    # which _scatter builds for the sums alone)
-    keys = None
-    if not folded:
-        keys = chain.from_iterable(s.coeffs for s in summands)
-        keys = list(keys if keep.all() else compress(keys, keep.tolist()))
     if keep.all():
         keep = slice(None)
     ids = np.repeat(owner, counts)[keep] if len(outs) > 1 else None
@@ -714,11 +683,11 @@ def linear_combinations(sums):
     if max(s.components for s in summands) > 1:
         ks = np.concatenate([np.zeros(len(v), dtype=np.int64) if k is None
                              else k for k, _, v in parts])[keep]
-    _scatter(outs, ids, ks, exps[keep], vals[keep], marks, keys)
+    _scatter(outs, ids, ks, exps[keep], vals[keep], marks)
     return outs
 
 
-def _scatter(outs, ids, ks, exps, vals, marks, keys=None):
+def _scatter(outs, ids, ks, exps, vals, marks):
     """Add records ``ids[i]: (ks[i], exps[i]) -> vals[i]`` to empty tables.
 
     The bulk form of ``outs[ids[i]]._accumulate`` on the records in order,
@@ -728,15 +697,12 @@ def _scatter(outs, ids, ks, exps, vals, marks, keys=None):
     and each ``(i, amount)`` in ``marks[o]`` adds ``amount`` to
     ``outs[o].discarded`` just before record i.  The records inside are
     summed per table and key by ``segment_sum``, in record order, and the
-    sums are stored in one pass, keys in order of first appearance, those
-    of modulus PRUNE or less left out: what ``_accumulate`` would store of
-    them, without testing their window again.  The one difference from the
-    record-by-record loop: that loop drops a running sum whose modulus
+    sums of modulus above PRUNE are stored in sorted key order, without
+    testing their window again, and kept as the tables' ``_sorted``
+    arrays.  The one difference from the record-by-record loop, besides
+    the order of the keys: that loop drops a running sum whose modulus
     falls to PRUNE or below before the key's last record.  A sum that
-    cancels to exactly zero restarts from the same 0.0 either way, but its
-    key keeps its first place in the table, where the loop would store it
-    again at the end.  ``keys[i]``, if given, is record i's table key;
-    otherwise the keys are built from ``ks`` and ``exps``.
+    cancels to exactly zero restarts from the same 0.0 either way.
     """
     n = outs[0].n
     if ids is None:
@@ -754,14 +720,17 @@ def _scatter(outs, ids, ks, exps, vals, marks, keys=None):
         for i, amount in mine:
             if amount:
                 events.setdefault(o, []).append((i, 0, amount))
-    lost = outside.any()
-    if lost:
+    if outside.any():
         at = np.flatnonzero(outside)
         for i, o, amount in zip(at.tolist(),
                                 repeat(0) if ids is None else ids[at].tolist(),
                                 modulus(vals[at]).tolist()):
             events.setdefault(o, []).append((i, 1, amount))
             outs[o].tailflag = True
+        inside = ~outside
+        ids = None if ids is None else ids[inside]
+        ks = None if ks is None else ks[inside]
+        exps, vals = exps[inside], vals[inside]
     for o, mine in events.items():
         total = outs[o].discarded
         # a stable sort: marks at the same record keep their order
@@ -770,28 +739,25 @@ def _scatter(outs, ids, ks, exps, vals, marks, keys=None):
         outs[o].discarded = total
     columns = [col for col in (ids, ks) if col is not None]
     rows = np.column_stack((*columns, exps)) if columns else exps
-    if lost:
-        inside = np.flatnonzero(~outside)
-        rows, vals = rows[inside], vals[inside]
     first, sums = segment_sum(rows, vals)
     # a sum starts from +0.0, so it is never -0.0, and adding it to an
     # empty slot (0j + sum) would change no bit
     live = modulus(sums) > PRUNE
     if not live.all():
         first, sums = first[live], sums[live]
-    rows = rows[first]
-    if keys is None:
-        keys = list(_keys(None if ks is None else rows[:, len(columns) - 1],
-                          rows[:, len(columns):], n))
-    else:
-        keys = [keys[i] for i in (inside[first] if lost else first).tolist()]
-    # first appearances follow the record order, so each table's keys are
-    # one run
-    cuts = [0, len(keys)] if ids is None else \
-        np.searchsorted(rows[:, 0], np.arange(len(outs) + 1)).tolist()
-    sums = sums.tolist()
+    # the sums come in ascending key order, the table index first, so each
+    # table's keys are one sorted run
+    ids = None if ids is None else ids[first]
+    ks = None if ks is None else ks[first]
+    exps = exps[first]
+    cuts = [0, len(sums)] if ids is None else \
+        np.searchsorted(ids, np.arange(len(outs) + 1)).tolist()
+    keys = list(_keys(ks, exps, n))
+    values = sums.tolist()
     for out, lo, hi in zip(outs, cuts, cuts[1:]):
-        out.coeffs = dict(zip(keys[lo:hi], sums[lo:hi]))
+        out.coeffs = dict(zip(keys[lo:hi], values[lo:hi]))
+        out._keep_sorted(None if ks is None or out.components == 1
+                         else ks[lo:hi], exps[lo:hi], sums[lo:hi])
 
 
 def partial_h(f, P0):

@@ -45,6 +45,31 @@ def with_terms(series, changes):
                            discarded=series.discarded)
 
 
+def sorted_copy(series):
+    """``series`` with its terms stored in sorted order: every value (tiny
+    ones and -0.0 parts included), window and truncation record exactly
+    as they are."""
+    out = TruncatedSeries.from_text(series.to_text())
+    out.tailflag, out.discarded = series.tailflag, series.discarded
+    return out
+
+
+def shuffled_copy(series, rng):
+    """``series`` with its terms stored in a random order."""
+    items = list(term_dict(series).items())
+    return TruncatedSeries(series.n, series.d, series.components,
+                           series.vmax, series.hband,
+                           dict(items[i] for i in rng.permutation(len(items))),
+                           tailflag=series.tailflag,
+                           discarded=series.discarded)
+
+
+def stores_sorted(series):
+    """Whether the table stores its keys in sorted order."""
+    keys = list(series.coeffs)
+    return keys == sorted(keys)
+
+
 def dense_poly(series, k=0):
     """Extract component k as a plain dict {(P, Q): coeff}."""
     return {(P, Q): c for kk, P, Q, c in series.terms() if kk == k}
@@ -132,10 +157,9 @@ def substitute_per_record(f, phi):
     """substitute_vertical with its scatter done one record at a time.
 
     A fresh power table on the same working window, each power the same
-    product; f's terms in sorted order, each followed by the records of
-    its W_Q in table order (the order of W's dict, which is not sorted for
-    a W_Q = v_j + phi_j built by ``add``), every record added to the
-    output through ``_accumulate``.  A term with |Q| past
+    product; f's terms, each followed by the records of its W_Q, both in
+    sorted order, every record added to the output through
+    ``_accumulate``.  A term with |Q| past
     ``vmax - ord phi + 1``, where W_Q holds v^Q alone inside the window, is
     its own record, like a pure h-monomial term; one above the output
     ``vmax`` thus leaves its modulus in ``discarded``.
@@ -162,7 +186,7 @@ def substitute_per_record(f, phi):
             out._accumulate([((k, P, Q), c)])
         else:
             out._accumulate(((k, tuple(p + pw for p, pw in zip(P, Pw)), Qn),
-                             c * w) for (_, Pw, Qn), w in W.coeffs.items())
+                             c * w) for _, Pw, Qn, w in W.terms())
     return out
 
 
@@ -172,7 +196,10 @@ def chained_add_compose(f, m, vmax=None, hband=None):
     The binomial series and the group sums are formed as
     ``piece = piece.add(term)``, each step a new series whose records go
     through ``_accumulate`` one by one: the record-by-record sums that
-    ``linear_combinations`` replaces by one segment sum.
+    ``linear_combinations`` replaces by one segment sum.  Where a step
+    reads a table in its stored order (``shift_h`` of a binomial product,
+    the final ``restrict``), it reads a sorted copy, as the library reads
+    every sum's inputs in sorted order and stores its sums sorted.
     """
     vmax = f.vmax if vmax is None else vmax
     hband = f.hband if hband is None else hband
@@ -212,7 +239,7 @@ def chained_add_compose(f, m, vmax=None, hband=None):
                 if _gen_binom(int(p), s):
                     piece = piece.add(upow[k][s].scale(_gen_binom(int(p), s)))
             acc = piece if acc is one else acc.mul(piece)
-        return acc.shift_h(P).scale(lam_fac)
+        return sorted_copy(acc).shift_h(P).scale(lam_fac)
 
     out = TruncatedSeries(n, d, f.components, vmax, work,
                           tailflag=f.tailflag, discarded=f.discarded)
@@ -233,7 +260,7 @@ def chained_add_compose(f, m, vmax=None, hband=None):
                         for _, Pn, Qn, val in piece.terms())
         out.tailflag |= piece.tailflag
         out.discarded += piece.discarded
-    return out.restrict(vmax=vmax, hband=hband)
+    return sorted_copy(out).restrict(vmax=vmax, hband=hband)
 
 
 def psi_then_invert(result):

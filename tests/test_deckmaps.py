@@ -11,7 +11,7 @@ from toruslin.series import (invert_vertical_map, scale_components,
                              substitute_vertical)
 
 from _oracles import (chained_add_compose, identity_map, random_series,
-                      term_dict, with_terms)
+                      shuffled_copy, stores_sorted, term_dict, with_terms)
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 
@@ -262,18 +262,17 @@ class TestComposeWithMapInPlaceSums:
                                                  want.discarded)
 
 
-def table_bits(f):
-    """Window, truncation record and every term in table order, exactly."""
-    ks, exps, vals = f._table()
-    return (f.vmax, f.hband, f.tailflag, f.discarded.hex(),
-            None if ks is None else ks.tolist(), exps.tolist(),
-            [(c.real.hex(), c.imag.hex()) for c in vals.tolist()])
+def sorted_bits(f):
+    """Window, truncation record and every term, exactly, of a table that
+    stores its keys in sorted order."""
+    assert stores_sorted(f)
+    return coeff_bits(f), f.tailflag, f.discarded.hex()
 
 
 class TestComposeWithMapOneScatter:
     """All groups' pieces go into the output in one scatter, each piece's
-    discarded marked after its records: the table, its order and the
-    truncation record of adding the pieces one group at a time."""
+    discarded marked after its records: the table and the truncation
+    record of adding the pieces one group at a time, keys stored sorted."""
 
     @staticmethod
     def mixed_map(rng, n, d, vmax=6):
@@ -296,8 +295,8 @@ class TestComposeWithMapOneScatter:
                             discarded=2.0 ** -40)
         assert len({(k, Q) for k, _, Q, _ in f.terms()}) > 6
         got = compose_with_map(f, m, hband=2)
-        assert table_bits(got) == table_bits(chained_add_compose(f, m,
-                                                                 hband=2))
+        assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m,
+                                                                  hband=2))
         assert got.discarded > f.discarded
 
     def test_single_group(self):
@@ -308,15 +307,35 @@ class TestComposeWithMapOneScatter:
                                        rng.standard_normal())
             for p, q in ((0, 0), (1, -1), (-3, 2), (2, 3))})
         got = compose_with_map(f, m)
-        assert table_bits(got) == table_bits(chained_add_compose(f, m))
+        assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m))
         assert got.tailflag and got.discarded > 0
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
+    def test_insertion_order_is_not_an_input(self, n, d):
+        # f and both perturbations stored in shuffled orders give the same
+        # result, bit for bit, stored sorted; the final restrict to hband 2
+        # drops terms in stored order
+        rng = np.random.default_rng(90 + 10 * n + d)
+        m = self.mixed_map(rng, n, d)
+        f = random_series(rng, n, d, components=3, vmax=6, hband=3,
+                          nterms=24, min_vdeg=2)
+        want = sorted_bits(compose_with_map(f, m, hband=2))
+        assert want == sorted_bits(chained_add_compose(f, m, hband=2))
+        for seed in range(4):
+            order = np.random.default_rng(seed)
+            got = compose_with_map(
+                shuffled_copy(f, order),
+                DeckMap(lam=m.lam, mu=m.mu,
+                        pert_h=shuffled_copy(m.pert_h, order),
+                        pert_v=shuffled_copy(m.pert_v, order)), hband=2)
+            assert sorted_bits(got) == want
 
     def test_no_terms(self):
         m = self.mixed_map(np.random.default_rng(78), 1, 1)
         f = TruncatedSeries(1, 1, 2, 6, 3, tailflag=True, discarded=0.25)
         got = compose_with_map(f, m, hband=2)
-        assert table_bits(got) == table_bits(chained_add_compose(f, m,
-                                                                 hband=2))
+        assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m,
+                                                                  hband=2))
         assert (got.nterms(), got.discarded, got.hband) == (0, 0.25, 2)
 
 

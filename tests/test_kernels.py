@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toruslin._kernels import _CHUNK, cauchy_product, evaluate, modulus, \
-    table_data
+    segment_sum, table_data
 
 
 def random_table(rng, nterms, n, d, hband, vmax):
@@ -240,3 +240,64 @@ def test_evaluate_empty_table(n, d):
     got = evaluate(np.zeros((0, n + d), dtype=np.int64),
                    np.zeros(0, dtype=np.complex128), logh, v)
     assert np.array_equal(got, np.zeros(2 * _CHUNK + 5, dtype=np.complex128))
+
+
+def loop_sums(rows, vals):
+    """{row: sum} of each distinct row's values, added one at a time in
+    input order to a Python complex 0j."""
+    acc = {}
+    for row, c in zip(map(tuple, rows.tolist()), vals.tolist()):
+        acc[row] = acc.get(row, 0j) + c
+    return acc
+
+
+def bit_pairs(values):
+    return [(c.real.hex(), c.imag.hex()) for c in values]
+
+
+def check_segment_sum(rows, vals):
+    """segment_sum against ``loop_sums``: every distinct row once, in
+    ascending order, at its first occurrence, with the loop's sum."""
+    first, sums = segment_sum(rows, vals)
+    keys = [tuple(row) for row in rows[first].tolist()]
+    want = loop_sums(rows, vals)
+    assert keys == sorted(want)
+    assert first.tolist() == [list(map(tuple, rows.tolist())).index(key)
+                              for key in keys]
+    assert bit_pairs(sums.tolist()) == bit_pairs(want[key] for key in keys)
+    return keys, sums
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_segment_sum_matches_a_scalar_loop(seed):
+    # few distinct rows, many records each, magnitudes over 16 decades:
+    # the sums depend on the order their records are added in
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=(300, 3))
+    vals = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) \
+        * 10.0 ** rng.integers(-8, 9, size=300)
+    check_segment_sum(rows, vals)
+    backwards = loop_sums(rows[::-1], vals[::-1])
+    assert any(bit_pairs([c]) != bit_pairs([backwards[key]])
+               for key, c in loop_sums(rows, vals).items())
+
+
+def test_segment_sum_cancellation_and_negative_zero():
+    # row 5 cancels to exactly 0.0 and is hit again; row -1 holds only
+    # -0.0 parts, which sum to +0.0 from the +0.0 start; row 2 keeps a
+    # -0.0 imaginary part of each record
+    rows = np.array([[5], [2], [5], [-1], [2], [5], [-1]], dtype=np.int64)
+    vals = np.array([1.5 + 0.25j, complex(-2.0, -0.0), -1.5 - 0.25j,
+                     complex(-0.0, -0.0), complex(0.5, -0.0), 0.125j,
+                     complex(-0.0, 0.0)])
+    keys, sums = check_segment_sum(rows, vals)
+    assert keys == [(-1,), (2,), (5,)]
+    assert bit_pairs(sums.tolist()) == bit_pairs(
+        [0j, complex(-1.5, 0.0), 0.125j])
+
+
+def test_segment_sum_empty():
+    first, sums = segment_sum(np.zeros((0, 2), dtype=np.int64),
+                              np.zeros(0, dtype=np.complex128))
+    assert first.shape == (0,) and sums.shape == (0,)
+    assert sums.dtype == np.complex128

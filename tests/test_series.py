@@ -9,11 +9,13 @@ import toruslin
 from toruslin import TruncatedSeries, compose_diagonal, invert_vertical_map, \
     partial_h, substitute_vertical
 from toruslin._kernels import table_data
+from toruslin.deckmaps import DeckMap, compose_with_map
 from toruslin.series import PRUNE, SeriesError, _scatter, \
     linear_combinations, scale_components
 
 from _oracles import (dense_diff, dense_mul, dense_poly, dense_substitute,
-                      random_series, substitute_per_record, term_dict,
+                      random_series, shuffled_copy, sorted_copy,
+                      stores_sorted, substitute_per_record, term_dict,
                       with_terms)
 
 
@@ -187,7 +189,7 @@ class TestSubstituteVertical:
             items[i] for i in rng.permutation(len(items))),
             discarded=0.5)
         zero = TruncatedSeries(n, d, d, 5, 2, tailflag=True, discarded=0.25)
-        assert table_order(f) != table_order(sorted_copy(f))
+        assert not stores_sorted(f)
         got = substitute_vertical(f, zero)
         assert zero._shift is None
         kept, lost = [], (0.5 + 0.25)
@@ -202,7 +204,7 @@ class TestSubstituteVertical:
             tailflag=True))
         assert got.discarded == lost
         # the table holds the kept terms in sorted order
-        assert table_order(got) == table_order(sorted_copy(got))
+        assert stores_sorted(got)
         # on f's own vertical window, the per-record loop agrees
         zero = TruncatedSeries(n, d, d, 6, 2)
         assert exact(substitute_vertical(f, zero)) == \
@@ -292,7 +294,7 @@ class TestPowersWithinReach:
         got = substitute_vertical(f, phi)
         want = substitute_per_record(f, phi)
         assert exact(got) == exact(want)
-        assert table_order(got) == table_order(want)
+        assert stores_sorted(got)
         # the rows reach limit, and no further
         (rows,) = phi._shift.values()
         assert max(len(row) for row in rows) - 1 == limit
@@ -360,17 +362,18 @@ class TestScaledInPlaceAdd:
         assert bits(got) == bits(want)
         assert (got.tailflag, got.discarded) == (want.tailflag,
                                                  want.discarded)
-        # the keys are stored in the same order too: restrict adds the
-        # moduli of the terms it drops to discarded in table order
-        narrow = want.restrict(hband=1)
+        # the keys are stored sorted: restrict adds the moduli of the
+        # terms it drops to discarded in the stored order
         assert len({abs(c) for _, P, _, c in want.terms()
                     if max(map(abs, P)) > 1}) >= 3
-        assert exact(got.restrict(hband=1)) == exact(narrow)
+        assert exact(got.restrict(hband=1)) == \
+            exact(sorted_copy(want).restrict(hband=1))
 
-    def test_keys_stored_in_the_order_add_stores_them(self):
-        # a's keys in a's table order, then b's new ones: restrict(hband=1)
-        # drops 1, u, u in that order, and 1 + u + u rounds to 1, while the
-        # sorted order u + u + 1 would not (u = 2^-53)
+    def test_keys_stored_in_sorted_order(self):
+        # the sum stores its keys sorted, not as add stores them (a's keys
+        # in a's order, then b's new ones): restrict(hband=1) drops u, u, 1
+        # in that order, and u + u + 1 does not round to 1, while add's
+        # order 1 + u + u would (u = 2^-53)
         u = 2.0 ** -53
         a = TruncatedSeries(1, 1, 1, 4, 3, {(0, (3,), (1,)): 1.0,
                                             (0, (-3,), (1,)): u,
@@ -381,9 +384,11 @@ class TestScaledInPlaceAdd:
         for c in (1.0, -2.0):
             got = linear_combination([(a, 1.0), (b, c)])
             want = a.add(b.scale(c))
+            assert exact(got) == exact(want)
             assert want.restrict(hband=1).discarded == 1.0
+            assert got.restrict(hband=1).discarded == 1.0 + 2.0 ** -52
             assert exact(got.restrict(hband=1)) == \
-                exact(want.restrict(hband=1))
+                exact(sorted_copy(want).restrict(hband=1))
 
 
 def hexed(x):
@@ -410,14 +415,14 @@ def linear_combination(pairs):
 
 
 def chained_sum(pairs):
-    """sum c s over (s, c): each s.scale(c) added in turn to a zero series
-    on the smallest window."""
+    """sum c s over (s, c): each s.scale(c), its terms stored sorted, added
+    in turn to a zero series on the smallest window."""
     first = pairs[0][0]
     out = TruncatedSeries.zero(first.n, first.d, first.components,
                                min(s.vmax for s, _ in pairs),
                                min(s.hband for s, _ in pairs))
     for s, c in pairs:
-        out = out.add(s.scale(c))
+        out = out.add(sorted_copy(s).scale(c))
     return out
 
 
@@ -541,31 +546,19 @@ class TestFanOutSums:
         assert fused != [c * (0.3 - 1.7j) for c in vals]
 
 
-def table_order(f):
-    """Every term in the order its key was first stored, exactly."""
-    ks, exps, vals = f._table()
-    return (None if ks is None else ks.tolist(), exps.tolist(),
-            [hexed(c) for c in vals.tolist()])
-
-
-def sorted_copy(f):
-    """``f``'s terms stored in sorted order."""
-    return TruncatedSeries(f.n, f.d, f.components, f.vmax, f.hband,
-                           term_dict(f))
-
-
 class TestFoldedSummands:
-    """``(s, c, P, p)`` summands against ``(s.shift_h(P).scale(p), c)``."""
+    """``(s, c, P, p)`` summands against ``(s.shift_h(P).scale(p), c)``,
+    shifted from ``s``'s terms in sorted order."""
 
     @staticmethod
     def check(sums):
         got = linear_combinations(sums)
         want = linear_combinations(
-            [[(s.shift_h(fold[0]).scale(fold[1]) if fold else s, c)
-              for s, c, *fold in pairs] for pairs in sums])
+            [[(sorted_copy(s).shift_h(fold[0]).scale(fold[1]) if fold else s,
+               c) for s, c, *fold in pairs] for pairs in sums])
         for g, w in zip(got, want):
             assert exact(g) == exact(w)
-            assert table_order(g) == table_order(w)
+            assert stores_sorted(g)
         return got
 
     @pytest.mark.parametrize("components", [1, 2])
@@ -602,6 +595,76 @@ class TestFoldedSummands:
         assert got[0].tailflag and got[0].nterms() == 3
 
 
+class TestInsertionOrder:
+    """The order in which a table stores its keys is not an input: the
+    bulk operations read every series in sorted order, so inputs stored in
+    any order give the same bits, ``tailflag`` and ``discarded``, and the
+    results store their keys sorted."""
+
+    @staticmethod
+    def inputs():
+        # the moduli 1, u, u (u = 2^-53) add up to 1 + 2u in sorted order
+        # and to 1 in any order that does not put 1 last: b's are lost to
+        # a's smaller window, e's are shifted out of its band by (1, 0),
+        # and phi's times g's h v leave hband 2
+        u = 2.0 ** -53
+        rng = np.random.default_rng(400)
+        a = random_series(rng, 2, 1, components=2, vmax=5, hband=3,
+                          nterms=16)
+        b = TruncatedSeries(2, 1, 2, 6, 4, {
+            **term_dict(random_series(rng, 2, 1, components=2, vmax=5,
+                                      hband=3, nterms=16)),
+            (0, (-4, 0), (1,)): u, (0, (0, 0), (6,)): u,
+            (1, (4, 1), (2,)): 1.0})
+        e = TruncatedSeries(2, 1, 1, 5, 3, {
+            **term_dict(random_series(rng, 2, 1, vmax=5, hband=2,
+                                      nterms=12)),
+            (0, (3, -2), (2,)): u, (0, (3, -1), (3,)): u,
+            (0, (3, 2), (2,)): 1.0})
+        # f has Laurent terms past the output hband 2 and terms of degree
+        # 6, above phi's vmax 5
+        f = random_series(rng, 2, 1, components=2, vmax=6, hband=3,
+                          nterms=16)
+        phi = TruncatedSeries(2, 1, 1, 5, 2, {
+            **term_dict(random_series(rng, 2, 1, vmax=5, hband=1, nterms=6,
+                                      min_vdeg=2, scale=0.3)),
+            (0, (2, -2), (2,)): u, (0, (2, -1), (3,)): u,
+            (0, (2, 2), (2,)): 1.0})
+        g = TruncatedSeries.monomial(2, 1, 0, (1, 0), (1,), vmax=5, hband=2)
+        return dict(a=a, b=b, e=e, f=f, phi=phi, g=g)
+
+    CASES = {
+        "mul": lambda s: [s["a"].mul(s["e"]), s["e"].mul(s["b"]),
+                          s["e"].mul(s["e"])],
+        "sum": lambda s: linear_combinations([[(s["a"], 1.0),
+                                               (s["b"], 1.0)]]),
+        "folded": lambda s: linear_combinations(
+            [[(s["e"], 1.0, (1, 0), 1.0),
+              (s["e"], 0.5, (0, -1), 0.25 - 1j)]]),
+        "several sums": lambda s: linear_combinations(
+            [[(s["a"], 1.5), (s["b"], -0.5j)], [(s["e"], 1.0, (1, 0), 1.0)],
+             [(s["b"], 1.0)], [(s["a"], 1.0), (s["a"], -1.0)],
+             [(s["e"], 2.0), (s["e"], 1.0, (-1, 1), 0.5)]]),
+        "substitute": lambda s: [substitute_vertical(s[name], s["phi"])
+                                 for name in ("g", "f", "a")],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_shuffled_inputs_give_the_same_bits(self, case):
+        op = self.CASES[case]
+        series = self.inputs()
+        want = op({name: sorted_copy(s) for name, s in series.items()})
+        assert all(stores_sorted(w) for w in want)
+        if case != "mul":
+            assert want[0].tailflag
+        for seed in range(6):
+            order = np.random.default_rng(seed)
+            got = op({name: shuffled_copy(s, order)
+                      for name, s in series.items()})
+            assert [exact(g) for g in got] == [exact(w) for w in want]
+            assert all(stores_sorted(g) for g in got)
+
+
 class TestScatterWrite:
     """``_scatter`` stores its sums in one pass, as ``_accumulate`` would."""
 
@@ -631,7 +694,7 @@ class TestScatterWrite:
             want[o]._accumulate([((k, P, Q), c)])
         for g, w in zip(got, want):
             assert exact(g) == exact(w)
-            assert table_order(g) == table_order(w)
+            assert stores_sorted(g)
         assert got[0].get(1, (1,), (2,)) == 0 and got[0].nterms() == 2
         assert got[1].tailflag and got[1].discarded == 5.5
 
@@ -641,8 +704,35 @@ class TestKernelArrays:
 
     @staticmethod
     def fresh(f, k):
-        return TruncatedSeries(f.n, f.d, f.components, f.vmax, f.hband,
-                               term_dict(f))._arrays(k)
+        return sorted_copy(f)._arrays(k)
+
+    @classmethod
+    def check_kept(cls, f, seeded=True):
+        """``f``'s kernel arrays, kept from its making when ``seeded``, are
+        bit for bit what a rebuild from the table gives, read-only, and
+        ``_accumulate`` drops them."""
+        if seeded:
+            assert set(f._store) == {*range(f.components), "sorted"}
+        # (no component column for a single component)
+        for got, want in zip(f._sorted(), sorted_copy(f)._sorted()):
+            if want is None:
+                assert got is None and f.components == 1
+                continue
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert not got.flags.writeable
+            assert [hexed(x) for x in got.tolist()] == \
+                [hexed(x) for x in want.tolist()]
+        for k in range(f.components):
+            exps, vals = f._arrays(k)
+            want_exps, want_vals = cls.fresh(f, k)
+            assert exps.dtype == want_exps.dtype and exps.shape == \
+                want_exps.shape
+            assert exps.tolist() == want_exps.tolist()
+            assert [hexed(c) for c in vals.tolist()] == \
+                [hexed(c) for c in want_vals.tolist()]
+            assert not exps.flags.writeable and not vals.flags.writeable
+        f._accumulate([])
+        assert f._store is None
 
     @pytest.mark.parametrize("ca,cb", [(1, 1), (2, 2), (1, 2), (2, 1)])
     def test_mul_seeds_what_a_rebuild_gives(self, ca, cb):
@@ -651,27 +741,42 @@ class TestKernelArrays:
                           nterms=12)
         b = random_series(rng, 2, 1, components=cb, vmax=5, hband=3,
                           nterms=12)
-        prod = a.mul(b)
-        assert set(prod._store) == {*range(prod.components), "table"}
-        # the records in table order are the ones read back from the dict
-        # (no component column for a single component)
-        for got, want in zip(prod._records(), prod._table()):
-            if want is None:
-                assert got is None and prod.components == 1
-                continue
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert not got.flags.writeable
-            assert [hexed(x) for x in got.tolist()] == \
-                [hexed(x) for x in want.tolist()]
-        for k in range(prod.components):
-            exps, vals = prod._arrays(k)
-            want_exps, want_vals = self.fresh(prod, k)
-            assert exps.dtype == want_exps.dtype and exps.shape == \
-                want_exps.shape
-            assert exps.tolist() == want_exps.tolist()
-            assert [hexed(c) for c in vals.tolist()] == \
-                [hexed(c) for c in want_vals.tolist()]
-            assert not exps.flags.writeable and not vals.flags.writeable
+        self.check_kept(a.mul(b))
+
+    def test_sums_seed_what_a_rebuild_gives(self):
+        # plain, folded and batched sums over one and two components, with
+        # records lost to the window and a sum that cancels
+        rng = np.random.default_rng(81)
+        a, b = (random_series(rng, 2, 1, components=2, vmax=5, hband=3,
+                              nterms=14) for _ in range(2))
+        c = random_series(rng, 2, 1, vmax=6, hband=4, nterms=12)
+        for out in linear_combinations([
+                [(a, 1.0), (b, -0.5j), (a, -1.0)],
+                [(a, 0.25, (1, -1), 2.0), (b, 1.0)],
+                [(c, 1.5)], [(c, 1.0), (c, -1.0)]]):
+            self.check_kept(out)
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_substitution_seeds_what_a_rebuild_gives(self, components):
+        rng = np.random.default_rng(82 + components)
+        f = random_series(rng, 2, 1, components=components, vmax=6, hband=2,
+                          nterms=14)
+        phi = random_series(rng, 2, 1, vmax=5, hband=2, nterms=6,
+                            min_vdeg=2, scale=0.3)
+        self.check_kept(substitute_vertical(f, phi))
+
+    def test_composition_keeps_what_a_rebuild_gives(self):
+        # compose_with_map ends with restrict, which writes through
+        # _accumulate: its result builds its arrays on first read
+        rng = np.random.default_rng(84)
+        zero_h = TruncatedSeries.zero(1, 1, 1, 6, 12)
+        pv = random_series(rng, 1, 1, vmax=6, hband=2, nterms=6,
+                           min_vdeg=2, scale=0.1).with_window(hband=12)
+        m = DeckMap(lam=[np.exp(0.3j)], mu=[np.exp(1.1j)], pert_h=zero_h,
+                    pert_v=pv)
+        f = random_series(rng, 1, 1, components=3, vmax=6, hband=3,
+                          nterms=20)
+        self.check_kept(compose_with_map(f, m, hband=2), seeded=False)
 
     def test_empty_product_seeds_empty_arrays(self):
         a = TruncatedSeries.monomial(1, 1, 0, (0,), (4,), vmax=6, hband=2)
@@ -712,8 +817,6 @@ class TestKernelArrays:
         rng = np.random.default_rng(86)
         f = random_series(rng, 1, 1, components=2, vmax=5, hband=3,
                           nterms=10, scale=0.5)
-        phi = random_series(rng, 1, 1, vmax=5, hband=3, nterms=4,
-                            min_vdeg=2, scale=0.5)
         f.mul(f)
         f.evaluate(np.zeros((1, 1)), np.zeros((1, 1)))
         assert f._store is not None
@@ -722,8 +825,6 @@ class TestKernelArrays:
                    f.scale(2.0), f.shift_h((1,)), f.add(f), f - f, -f,
                    f._like(), scale_components(f, [1.0, 2.0]),
                    compose_diagonal(f, [0.5], [1j]), partial_h(f, (1,)),
-                   substitute_vertical(f, phi),
-                   linear_combination([(f, 1.0)]),
                    TruncatedSeries.from_text(f.to_text()),
                    TruncatedSeries(1, 1, 2, 5, 3, term_dict(f)),
                    TruncatedSeries.zero(1, 1), TruncatedSeries.monomial(
@@ -968,9 +1069,9 @@ COEFFS_IN_TESTS_ALLOWED = {
     ("test_series.py", "test_derived_series_start_without_table"):
         "changes a derived series in place on purpose, to show that it "
         "does not share phi's power table",
-    ("_oracles.py", "substitute_per_record"):
-        "reads each W_Q's records in the order of its dict, as the record "
-        "loop it stands for did; no other method gives that order",
+    ("_oracles.py", "stores_sorted"):
+        "reads the order in which a table stores its keys, which the bulk "
+        "sums store sorted; no method exposes that order",
 }
 
 
