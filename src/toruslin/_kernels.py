@@ -67,8 +67,8 @@ def modulus(z):
 
 
 def multiply(a, b):
-    """Elementwise ``a * b`` for same-shape arrays, bit for bit Python's
-    scalar complex multiply.
+    """Elementwise ``a * b`` for same-shape arrays, or an array and a
+    scalar, bit for bit Python's scalar complex multiply.
 
     Each real product and sum is rounded once; numpy's complex multiply
     loop may fuse them (FMA), depending on the CPU.

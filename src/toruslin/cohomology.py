@@ -149,17 +149,16 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
         if bad:
             raise ResonanceError(P, Q, k)
     base = family.rhs[0]
-    G = base._like(components=base.d)
-    used, records = {}, []
+    used, coeffs = {}, {}
     # the generator with the largest modulus, the smallest index on ties;
     # scalar-exact moduli decide a near tie the same on every CPU
     for key, row, iv in zip(keys, div, moduli.argmax(axis=1).tolist()):
         divisor = row[iv]
         c = family.rhs[iv].get(*key)
         if c:
-            records.append((key, c / divisor))
+            coeffs[key] = c / divisor
         used[key] = (iv, divisor)
-    G._accumulate(records)
+    G = TruncatedSeries(base.n, base.d, base.d, base.vmax, base.hband, coeffs)
 
     theoretical = None
     if constants is not None:
@@ -190,14 +189,13 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
     terms = list(F_i.terms())
     div = _divisors_at(data, [(k, P, Q) for k, P, Q, _ in terms],
                        "weak" if sign > 0 else "inverse")[:, i]
-    G = F_i._like(components=F_i.d)
-    used, records = {}, []
+    used, coeffs = {}, {}
     for (k, P, Q, c), divisor in zip(terms, div):
         if is_resonant(abs(divisor), sum(map(abs, P)) + sum(Q)):
             raise ResonanceError(P, Q, k, i)
-        records.append(((k, P, Q), c / divisor))
+        coeffs[k, P, Q] = c / divisor
         used[k, P, Q] = (i, divisor)
-    G._accumulate(records)
+    G = TruncatedSeries(F_i.n, F_i.d, F_i.d, F_i.vmax, F_i.hband, coeffs)
 
     theoretical = None
     if constants is not None:

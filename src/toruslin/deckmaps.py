@@ -113,11 +113,12 @@ def compose_with_map(f, m, vmax=None, hband=None):
     upow = []
     for k in range(n):
         ek = tuple(-1 if t == k else 0 for t in range(n))
-        u = m.pert_h.component(k).cut(hwin).with_window(vmax=hwin, hband=work)
-        u = u.shift_h(ek).scale(1.0 / m.lam[k])
+        u = m.pert_h.component(k).cut(hwin)
         if u.nterms() == 0 and not u.tailflag and u.discarded == 0.0:
             upow.append(None)
             continue
+        u = u.with_window(vmax=hwin, hband=work).shift_h(ek).scale(
+            1.0 / m.lam[k])
         table = [None, u]
         for s in range(2, smax + 1):
             table.append(table[-1].mul(u))

@@ -119,8 +119,7 @@ def build_family(lattice, data, pert_records, vmax, hband, eps0, r0):
     work = hband + WORK_BAND_SLACK * vmax
     maps = []
     for i in range(n):
-        ph = TruncatedSeries.zero(n, d, n, vmax, work)
-        pv = TruncatedSeries.zero(n, d, d, vmax, work)
+        ph, pv = {}, {}
         for (gi, k, P, Q, value) in pert_records:
             if gi != i or not value:
                 continue
@@ -128,12 +127,12 @@ def build_family(lattice, data, pert_records, vmax, hband, eps0, r0):
             if max(map(abs, P), default=0) > hband or sum(Q) > vmax:
                 raise LinearizeError("perturbation record outside (vmax, hband)"
                                      " window: P=%s Q=%s" % (P, Q))
-            if k < n:
-                ph._accumulate([((k, P, Q), value)])
-            else:
-                pv._accumulate([((k - n, P, Q), value)])
+            # repeated records add up, in record order
+            table, key = (ph, (k, P, Q)) if k < n else (pv, (k - n, P, Q))
+            table[key] = table.get(key, 0j) + value
         maps.append(DeckMap(lam=data.lam[i], mu=data.mu[i],
-                            pert_h=ph, pert_v=pv))
+                            pert_h=TruncatedSeries(n, d, n, vmax, work, ph),
+                            pert_v=TruncatedSeries(n, d, d, vmax, work, pv)))
     return DeckMapFamily(lattice=lattice, data=data, maps=maps,
                          eps0=eps0, r0=r0, hband=hband)
 

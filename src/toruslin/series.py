@@ -11,31 +11,23 @@ dropped outside ``hband`` is counted exactly).
 
 Values are complex doubles.  Series are immutable: every operation
 returns a new instance, and nothing may change a series once another
-operation has read it.  This is load-bearing twice over.  A series keeps
-its kernel arrays once they are built: every term sorted by (k, P, Q), the
-one order in which the kernels and the bulk sums read a series, sliced
-into per-component ``(exps, vals)``, with the ``table_data`` that products
-read of each operand (vertical degrees, moduli, mass at or above each
-degree, exponent bounds); ``mul`` and the fan-out sums store their output
-as these arrays.  And ``substitute_vertical(f, phi)`` keeps the table of
-powers ``(v_j + phi_j)^q`` with ``phi`` and reuses it for every later
-series substituted into the same ``phi``.  Changing a series'
-coefficients afterwards would hand out stale arrays or stale powers.
-Every constructor, ``copy`` included, starts with neither.
+operation has read it.  What an operation returns is stored as its kept
+arrays (``_sorted``): every term sorted by (k, P, Q), the one order in
+which the kernels and the bulk sums read a series, sliced per component,
+with the ``table_data`` products read.  ``mul`` keeps the kernel's
+output, selections and ``scale`` are masks, and every sum or re-truncation
+is one ``_scatter``: its records are tested against the window, summed per
+key in record order and pruned, keys sorted.  ``substitute_vertical(f,
+phi)`` keeps the powers ``(v_j + phi_j)^q`` with ``phi`` for later use.
 
-The coefficient table is known to this module alone.  Other modules read
-it through ``terms()``, ``get()`` and ``nterms()``, and every loop that
-fills a table, here or elsewhere, goes through ``_accumulate``, which
-applies the truncation window and the pruning in one place and drops the
-kept arrays.  The one exception is ``_scatter``, the write of the fan-out
-sums (``substitute_vertical``, ``linear_combinations``, ``compose_with_map``):
-they reduce their records per key in one array segment sum, after the
-window test, and ``_scatter`` stores the sums into the empty tables in one
-pass with the PRUNE test alone, keys sorted.  Each input of a fan-out sum
-gives at most one record per key, so the order in which an input's terms
-are read decides only the order in which the mass they drop is added up;
-reading every input in sorted order makes results independent of the
-order in which any table stores its keys.
+The coefficient dict is a view known to this module alone: other modules
+read terms through ``terms()``, ``get()`` (which keeps the dict beside the
+arrays once built) and ``nterms()``.  The public ``coeffs`` is the
+writable handle: reading it drops the kept arrays and powers, so the dict
+is the store again and a write is seen by every later read.  Constructors,
+``copy``, ``from_text``, ``partial_h`` and ``compose_diagonal`` fill a
+dict, constructors and ``partial_h`` through ``_accumulate``, the
+record-by-record loop that applies the window and the pruning.
 """
 
 from itertools import repeat
@@ -54,8 +46,8 @@ class SeriesError(ValueError):
 
 
 class TruncatedSeries:
-    __slots__ = ("n", "d", "components", "vmax", "hband", "coeffs",
-                 "tailflag", "discarded", "_shift", "_store")
+    __slots__ = ("n", "d", "components", "vmax", "hband", "tailflag",
+                 "discarded", "_shift", "_store", "_table")
 
     def __init__(self, n, d, components=1, vmax=8, hband=8, coeffs=None,
                  tailflag=False, discarded=0.0):
@@ -66,10 +58,11 @@ class TruncatedSeries:
         self.hband = int(hband)
         self.tailflag = bool(tailflag)
         self.discarded = float(discarded)
-        self.coeffs = {}
+        # the coefficient dict, None until built from the arrays; see _lookup
+        self._table = {}
         # powers of (v_j + self_j) per working window; see substitute_vertical
         self._shift = None
-        # kernel arrays per component; see _arrays
+        # kernel arrays per component; see _sorted
         self._store = None
         if coeffs:
             records = [((k, tuple(P), tuple(Q)), complex(c))
@@ -90,17 +83,32 @@ class TruncatedSeries:
         if sum(Q) > self.vmax or (P and max(abs(p) for p in P) > self.hband):
             raise SeriesError("index outside truncation window")
 
+    @property
+    def coeffs(self):
+        """The coefficient dict {(k, P, Q): value}, handed out for writing:
+        it drops the kept arrays and powers, so every later read sees it."""
+        table = self._lookup()
+        self._store = self._shift = None
+        return table
+
+    def _lookup(self):
+        """The coefficient dict, read-only: built from the kept arrays on
+        first need and kept beside them."""
+        if self._table is None:
+            ks, exps, vals = self._store["sorted"]
+            self._table = dict(zip(_keys(ks, exps, self.n), vals.tolist()))
+        return self._table
+
     def _accumulate(self, records):
         """Add ``((k, P, Q), value)`` records to the table, in order.
 
-        This is the one loop that fills a coefficient table.  A record
-        outside the (vmax, hband) window is not stored: it sets
+        A record outside the (vmax, hband) window is not stored: it sets
         ``tailflag`` and adds its modulus to ``discarded``.  A record inside
         is added to the running sum at its key, and a sum of modulus PRUNE
         or less is removed.  The kept kernel arrays are dropped.
         """
+        coeffs, vmax, hband = self._lookup(), self.vmax, self.hband
         self._store = None
-        coeffs, vmax, hband = self.coeffs, self.vmax, self.hband
         for key, c in records:
             P = key[1]
             if sum(key[2]) > vmax or (P and max(map(abs, P)) > hband):
@@ -132,40 +140,55 @@ class TruncatedSeries:
 
     def copy(self):
         out = self._like()
-        out.coeffs = dict(self.coeffs)
-        out.tailflag = self.tailflag
-        out.discarded = self.discarded
+        out._table = dict(self._lookup())
+        out.tailflag, out.discarded = self.tailflag, self.discarded
+        return out
+
+    def _rows(self, keep=None, vmax=None, hband=None):
+        """The rows ``keep`` of ``_sorted()`` (a mask, or None: all, sharing
+        what is kept) as a series on the given window, flags clear."""
+        ks, exps, vals = self._sorted()
+        out = self._like(vmax=vmax, hband=hband)
+        if keep is None:
+            out._store, out._table = self._store, None
+        else:
+            out._keep_sorted(None if ks is None else ks[keep], exps[keep],
+                             vals[keep])
         return out
 
     # -- inspection -----------------------------------------------------------
 
     def terms(self):
         """Sorted (k, P, Q, value) records."""
-        for key in sorted(self.coeffs):
-            yield key[0], key[1], key[2], self.coeffs[key]
+        ks, exps, vals = self._sorted()
+        for (k, P, Q), c in zip(_keys(ks, exps, self.n), vals.tolist()):
+            yield k, P, Q, c
 
     def get(self, k, P, Q):
-        return self.coeffs.get((k, tuple(P), tuple(Q)), 0.0 + 0.0j)
+        return self._lookup().get((k, tuple(P), tuple(Q)), 0.0 + 0.0j)
 
     def nterms(self):
         """Number of stored coefficients."""
-        return len(self.coeffs)
+        return len(self._sorted()[2])
 
     def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        vals = self._sorted()[2]
+        return float(modulus(vals).max()) if len(vals) else 0.0
+
+    def _degrees(self):
+        return self._sorted()[1][:, self.n:].sum(axis=1)
 
     def v_order(self):
         """Smallest |Q| carrying a coefficient (vmax+1 for the zero series)."""
-        return min((sum(Q) for (_, _, Q) in self.coeffs), default=self.vmax + 1)
+        deg = self._degrees()
+        return int(deg.min()) if len(deg) else self.vmax + 1
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs.values())
+        return not self._sorted()[2].any()
 
     def component(self, k):
         out = self._like(components=1)
-        for (kk, P, Q), c in self.coeffs.items():
-            if kk == k:
-                out.coeffs[(0, P, Q)] = c
+        out._keep_sorted(None, *self._arrays(k))
         out.tailflag, out.discarded = self.tailflag, self.discarded
         return out
 
@@ -173,7 +196,7 @@ class TruncatedSeries:
         return ("TruncatedSeries(n=%d, d=%d, components=%d, vmax=%d, "
                 "hband=%d, terms=%d%s)" % (
                     self.n, self.d, self.components, self.vmax, self.hband,
-                    len(self.coeffs), ", tail" if self.tailflag else ""))
+                    self.nterms(), ", tail" if self.tailflag else ""))
 
     # -- ring operations ------------------------------------------------------
 
@@ -183,6 +206,7 @@ class TruncatedSeries:
                               % (self.n, self.d, other.n, other.d))
 
     def add(self, other):
+        """``_accumulate`` of self's records, then other's, as one write."""
         self._check_compat(other)
         if self.components != other.components:
             raise SeriesError("component count mismatch in add")
@@ -190,16 +214,28 @@ class TruncatedSeries:
                          hband=min(self.hband, other.hband))
         out.tailflag = self.tailflag or other.tailflag
         out.discarded = self.discarded + other.discarded
-        out._accumulate(self.coeffs.items())
-        out._accumulate(other.coeffs.items())
+        ka, ea, va = self._sorted()
+        kb, eb, vb = other._sorted()
+        # _accumulate drops a first record of modulus PRUNE or less inside
+        # the window before the other's record at its key arrives
+        keep = modulus(va) > PRUNE
+        if not keep.all():
+            keep |= _outside(ea, self.n, out.vmax, out.hband)
+        _scatter([out], None, None if ka is None else
+                 np.concatenate((ka[keep], kb)),
+                 np.concatenate((ea[keep], eb)),
+                 np.concatenate((va[keep], vb)), [[]])
         return out
 
     def scale(self, c):
         c = complex(c)
+        ks, exps, vals = self._sorted()
+        vals = multiply(vals, c)
+        # products of c = 0 are zero (or nan) and fail the test
+        keep = modulus(vals) > PRUNE
         out = self._like()
-        if c != 0:
-            out.coeffs = {key: val * c for key, val in self.coeffs.items()
-                          if abs(val * c) > PRUNE}
+        out._keep_sorted(None if ks is None else ks[keep], exps[keep],
+                         vals[keep])
         out.tailflag = self.tailflag
         out.discarded = self.discarded * abs(c)
         return out
@@ -217,22 +253,24 @@ class TruncatedSeries:
         """Every term as (ks, exps, vals) arrays sorted by (k, P, Q); ``ks``
         is None for a single component.
 
-        The one order in which the kernels and the bulk sums read a series.
-        Built once and kept, read-only, with the components' ``_arrays``,
-        until ``_accumulate`` writes to the table again.
+        The store of record of every series an operation returns, and the
+        one order in which the kernels and the bulk sums read a series.
+        Built from the dict once, when the dict is the store, and kept,
+        read-only, with the components' ``_arrays``, until ``_accumulate``
+        or the ``coeffs`` handle drops them.
         """
         if self._store is None:
-            keys = list(self.coeffs)
+            keys = list(self._table)
             exps = np.array([key[1] + key[2] for key in keys],
                             dtype=np.int64).reshape(len(keys), self.n + self.d)
-            vals = np.array(list(self.coeffs.values()), dtype=np.complex128)
+            vals = np.array(list(self._table.values()), dtype=np.complex128)
             ks = None
             if self.components > 1:
                 ks = np.array([key[0] for key in keys], dtype=np.int64)
             # lexsort's last key is the primary one
             order = np.lexsort([*exps.T[::-1]] + ([] if ks is None else [ks]))
             self._keep_sorted(None if ks is None else ks[order], exps[order],
-                              vals[order])
+                              vals[order], self._table)
         return self._store["sorted"]
 
     def _arrays(self, k):
@@ -250,12 +288,14 @@ class TruncatedSeries:
             data = self._store[("data", k)] = table_data(exps, vals, self.n)
         return exps, vals, data
 
-    def _keep_sorted(self, ks, exps, vals):
+    def _keep_sorted(self, ks, exps, vals, table=None):
         """Keep every term, sorted by (k, P, Q), as ``_sorted`` and the
-        components' ``_arrays`` (``ks`` is None for a single component)."""
+        components' ``_arrays`` (``ks`` is None for a single component),
+        with ``table`` as the dict (None: built on demand)."""
         for array in (ks, exps, vals):
             if array is not None:
                 array.flags.writeable = False
+        self._table = table
         self._store = {"sorted": (ks, exps, vals)}
         if ks is None:
             self._store[0] = (exps, vals)
@@ -294,8 +334,6 @@ class TruncatedSeries:
             ks = np.repeat(np.arange(comps), [len(v) for _, v in parts])
             exps = np.concatenate([e for e, _ in parts])
             vals = np.concatenate([v for _, v in parts])
-        # tolist() gives Python ints and complexes, in bulk
-        out.coeffs = dict(zip(_keys(ks, exps, self.n), vals.tolist()))
         # the kernel output is sorted by packed key, i.e. by (P, Q)
         out._keep_sorted(ks, exps, vals)
         return out
@@ -311,18 +349,10 @@ class TruncatedSeries:
 
     def homogeneous_part(self, m):
         """Terms of vertical degree exactly m."""
-        out = self._like()
-        for (k, P, Q), c in self.coeffs.items():
-            if sum(Q) == m:
-                out.coeffs[(k, P, Q)] = c
-        return out
+        return self._rows(self._degrees() == m)
 
     def up_to_degree(self, m):
-        out = self._like()
-        for (k, P, Q), c in self.coeffs.items():
-            if sum(Q) <= m:
-                out.coeffs[(k, P, Q)] = c
-        return out
+        return self._rows(self._degrees() <= m)
 
     def restrict(self, vmax=None, hband=None):
         """Re-truncate to a smaller window, flagging discarded mass."""
@@ -331,7 +361,7 @@ class TruncatedSeries:
         out = self._like(vmax=vmax, hband=hband)
         out.tailflag = self.tailflag
         out.discarded = self.discarded
-        out._accumulate(self.coeffs.items())
+        _scatter([out], None, *self._sorted(), [[]], one_per_key=True)
         return out
 
     def cut(self, vmax):
@@ -341,9 +371,8 @@ class TruncatedSeries:
         ``tailflag`` or ``discarded``: a caller cuts a series only where
         those terms are recomputed later or cannot reach its output.
         """
-        out = self._like(vmax=min(vmax, self.vmax))
-        out.coeffs = {key: c for key, c in self.coeffs.items()
-                      if sum(key[2]) <= vmax}
+        keep = None if vmax >= self.vmax else self._degrees() <= vmax
+        out = self._rows(keep, vmax=min(vmax, self.vmax))
         out.tailflag, out.discarded = self.tailflag, self.discarded
         return out
 
@@ -351,23 +380,25 @@ class TruncatedSeries:
         """Widen the truncation window (no coefficients change)."""
         vmax = self.vmax if vmax is None else max(self.vmax, vmax)
         hband = self.hband if hband is None else max(self.hband, hband)
-        out = self._like(vmax=vmax, hband=hband)
-        out.coeffs = dict(self.coeffs)
+        out = self._rows(vmax=vmax, hband=hband)
         out.tailflag, out.discarded = self.tailflag, self.discarded
         return out
 
     def shift_h(self, P0):
         """Multiply by the monomial h^{P0} (exponent translation)."""
+        ks, exps, vals = self._sorted()
         out = self._like()
-        out._accumulate(((k, tuple(p + p0 for p, p0 in zip(P, P0)), Q), c)
-                        for (k, P, Q), c in self.coeffs.items())
+        _scatter([out], None, ks, exps + np.array([*P0] + [0] * self.d,
+                                                  dtype=np.int64),
+                 vals, [[]], one_per_key=True)
         out.tailflag |= self.tailflag
         out.discarded += self.discarded
         return out
 
     def max_coeff_diff(self, other):
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(self.coeffs.get(key, 0.0) - other.coeffs.get(key, 0.0))
+        mine, theirs = self._lookup(), other._lookup()
+        keys = set(mine) | set(theirs)
+        return max((abs(mine.get(key, 0.0) - theirs.get(key, 0.0))
                     for key in keys), default=0.0)
 
     # -- evaluation -----------------------------------------------------------
@@ -425,9 +456,9 @@ class TruncatedSeries:
             except ValueError:
                 raise SeriesError("bad TLS record: %r" % ln) from None
             out._check_key(k, P, Q)
-            if (k, P, Q) in out.coeffs:
+            if (k, P, Q) in out._table:
                 raise SeriesError("duplicate TLS record: %r" % ln)
-            out.coeffs[(k, P, Q)] = c
+            out._table[(k, P, Q)] = c
         return out
 
 
@@ -447,11 +478,21 @@ def scale_components(f, factors):
     factors = np.asarray(factors, dtype=np.complex128).reshape(-1)
     if len(factors) != f.components:
         raise SeriesError("need one factor per component")
+    ks, exps, vals = f._sorted()
     out = f._like()
     out.tailflag, out.discarded = f.tailflag, f.discarded
-    out._accumulate(((k, P, Q), c * factors[k])
-                    for (k, P, Q), c in f.coeffs.items())
+    _scatter([out], None, ks, exps,
+             multiply(vals, factors[0] if ks is None else factors[ks]), [[]],
+             one_per_key=True)
     return out
+
+
+def _outside(exps, n, vmax, hband):
+    """Rows outside the window (vmax, hband), which may be per-row arrays."""
+    outside = exps[:, n:].sum(axis=1) > vmax
+    if n:
+        outside |= np.abs(exps[:, :n]).max(axis=1) > hband
+    return outside
 
 
 def compose_diagonal(f, lam, mu, sign=1):
@@ -469,7 +510,7 @@ def compose_diagonal(f, lam, mu, sign=1):
         raise SeriesError("multiplier arity mismatch")
     out = f._like()
     cache = {}
-    for (k, P, Q), c in f.coeffs.items():
+    for k, P, Q, c in f.terms():
         factor = cache.get((P, Q))
         if factor is None:
             factor = 1.0 + 0.0j
@@ -482,7 +523,7 @@ def compose_diagonal(f, lam, mu, sign=1):
             cache[(P, Q)] = factor
         val = c * factor
         if abs(val) > PRUNE:
-            out.coeffs[(k, P, Q)] = val
+            out._table[(k, P, Q)] = val
     out.tailflag, out.discarded = f.tailflag, f.discarded
     return out
 
@@ -537,8 +578,8 @@ def substitute_vertical(f, phi):
     out = f._like(vmax=vmax, hband=hband)
     out.tailflag = f.tailflag or phi.tailflag
     out.discarded = f.discarded + phi.discarded
-    if not phi.coeffs:
-        out._accumulate(((k, P, Q), c) for k, P, Q, c in f.terms())
+    if not phi.nterms():
+        _scatter([out], None, *f._sorted(), [[]], one_per_key=True)
         return out
 
     if phi._shift is None:
@@ -556,7 +597,7 @@ def substitute_vertical(f, phi):
 
     # f's terms, each followed by the records of its W_Q = prod_j (v_j +
     # phi_j)^q_j, both in sorted order, gathered by index arithmetic
-    if not f.coeffs:
+    if not f.nterms():
         return out
     fk, fexps, fvals = f._sorted()
     n = f.n
@@ -687,8 +728,9 @@ def linear_combinations(sums):
     return outs
 
 
-def _scatter(outs, ids, ks, exps, vals, marks):
-    """Add records ``ids[i]: (ks[i], exps[i]) -> vals[i]`` to empty tables.
+def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
+    """Add records ``ids[i]: (ks[i], exps[i]) -> vals[i]`` to empty
+    tables: the one write of every sum and every re-truncation.
 
     The bulk form of ``outs[ids[i]]._accumulate`` on the records in order,
     with ``ids`` nondecreasing (None for one table, and ``ks`` None for
@@ -702,7 +744,8 @@ def _scatter(outs, ids, ks, exps, vals, marks):
     arrays.  The one difference from the record-by-record loop, besides
     the order of the keys: that loop drops a running sum whose modulus
     falls to PRUNE or below before the key's last record.  A sum that
-    cancels to exactly zero restarts from the same 0.0 either way.
+    cancels to exactly zero restarts from the same 0.0 either way.  Records
+    ``one_per_key``, sorted, have nothing to sum: each is ``0j + c``.
     """
     n = outs[0].n
     if ids is None:
@@ -710,9 +753,7 @@ def _scatter(outs, ids, ks, exps, vals, marks):
     else:
         vmax = np.array([o.vmax for o in outs])[ids]
         hband = np.array([o.hband for o in outs])[ids]
-    outside = exps[:, n:].sum(axis=1) > vmax
-    if n:
-        outside |= np.abs(exps[:, :n]).max(axis=1) > hband
+    outside = _outside(exps, n, vmax, hband)
     # each table's lost records and marks, in record order: a mark before
     # record i comes first (marks of 0.0 leave discarded as it is)
     events = {}
@@ -737,9 +778,12 @@ def _scatter(outs, ids, ks, exps, vals, marks):
         for _, _, amount in sorted(mine, key=lambda event: event[:2]):
             total += amount
         outs[o].discarded = total
-    columns = [col for col in (ids, ks) if col is not None]
-    rows = np.column_stack((*columns, exps)) if columns else exps
-    first, sums = segment_sum(rows, vals)
+    if one_per_key:
+        first, sums = np.arange(len(vals)), vals + 0j
+    else:
+        columns = [col for col in (ids, ks) if col is not None]
+        rows = np.column_stack((*columns, exps)) if columns else exps
+        first, sums = segment_sum(rows, vals)
     # a sum starts from +0.0, so it is never -0.0, and adding it to an
     # empty slot (0j + sum) would change no bit
     live = modulus(sums) > PRUNE
@@ -752,10 +796,7 @@ def _scatter(outs, ids, ks, exps, vals, marks):
     exps = exps[first]
     cuts = [0, len(sums)] if ids is None else \
         np.searchsorted(ids, np.arange(len(outs) + 1)).tolist()
-    keys = list(_keys(ks, exps, n))
-    values = sums.tolist()
     for out, lo, hi in zip(outs, cuts, cuts[1:]):
-        out.coeffs = dict(zip(keys[lo:hi], values[lo:hi]))
         out._keep_sorted(None if ks is None or out.components == 1
                          else ks[lo:hi], exps[lo:hi], sums[lo:hi])
 
@@ -772,7 +813,7 @@ def partial_h(f, P0):
     out = f._like(hband=f.hband + (max(P0) if P0 else 0))
     out.tailflag, out.discarded = f.tailflag, f.discarded
     records = []
-    for (k, P, Q), c in f.coeffs.items():
+    for k, P, Q, c in f.terms():
         w = 1
         for j in range(f.n):
             for i in range(P0[j]):

@@ -3,10 +3,12 @@
 Everything here is deliberately written with plain dict/loop arithmetic and
 no reuse of the library's own code paths, so agreement is meaningful.  The
 exceptions reuse library primitives along another route than the library
-takes: ``chained_add_compose`` and ``substitute_per_record`` add every
-record to its table one at a time, where the library sums them per key in
-one array segment sum (and ``substitute_per_record`` forms the powers
-past ``vmax - ord phi + 1`` that the library skips); ``psi_then_invert`` builds phi_v differently from
+takes: ``chained_add_compose`` forms every sum as a chain of pairwise
+``add`` and writes its output one record at a time, and
+``substitute_per_record`` adds every record to its table one at a time,
+where the library sums them per key in one array segment sum (and
+``substitute_per_record`` forms the powers past ``vmax - ord phi + 1``
+that the library skips); ``psi_then_invert`` builds phi_v differently from
 ``linearize``, one degree per conjugation; ``full_window_majorant`` solves
 every majorant degree on series carried to the full order M, where the
 library truncates them at that degree; ``apply_vertical_operator`` applies
@@ -194,9 +196,9 @@ def chained_add_compose(f, m, vmax=None, hband=None):
     """compose_with_map with every sum rebuilt by a chain of ``add``.
 
     The binomial series and the group sums are formed as
-    ``piece = piece.add(term)``, each step a new series whose records go
-    through ``_accumulate`` one by one: the record-by-record sums that
-    ``linear_combinations`` replaces by one segment sum.  Where a step
+    ``piece = piece.add(term)``, one pairwise sum after another, where
+    ``linear_combinations`` forms each in one segment sum, and the group
+    pieces go into the output through ``_accumulate``.  Where a step
     reads a table in its stored order (``shift_h`` of a binomial product,
     the final ``restrict``), it reads a sorted copy, as the library reads
     every sum's inputs in sorted order and stores its sums sorted.

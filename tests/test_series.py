@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toruslin
-from toruslin import TruncatedSeries, compose_diagonal, invert_vertical_map, \
+from toruslin import DomainSpec, LatticeSpec, TruncatedSeries, \
+    compose_diagonal, invert_vertical_map, sup_norm_bound, \
     partial_h, substitute_vertical
 from toruslin._kernels import table_data
 from toruslin.deckmaps import DeckMap, compose_with_map
@@ -260,12 +261,93 @@ class TestShiftTable:
         substitute_vertical(f, phi)
         bumped = getattr(phi, derive)(6) if derive == "cut" else \
             getattr(phi, derive)()
-        bumped.coeffs[(0, (0,), (2,))] = bumped.get(0, (0,), (2,)) + 0.5
+        value = bumped.get(0, (0,), (2,)) + 0.5
+        bumped.coeffs[(0, (0,), (2,))] = value
         fresh = TruncatedSeries(1, 1, 1, 6, 2, term_dict(bumped))
+        assert fresh.get(0, (0,), (2,)) == value
         got = substitute_vertical(f, bumped)
         want = substitute_vertical(f, fresh)
         assert bits(got) == bits(want)
         assert got.discarded == want.discarded
+        assert bits(got) != bits(substitute_vertical(f, phi))
+
+
+class TestCoeffsHandle:
+    """``coeffs`` hands out the dict for writing; every later read, of the
+    terms or through an operation, sees what was written."""
+
+    KEY = (0, (1,), (3,))
+
+    @staticmethod
+    def derived(rng):
+        a = random_series(rng, 1, 1, vmax=6, hband=2, nterms=8, min_vdeg=1)
+        b = random_series(rng, 1, 1, vmax=6, hband=2, nterms=8, min_vdeg=1)
+        prod = a.mul(b)
+        return {"mul": prod, "cut": prod.cut(5),
+                "with_window": prod.with_window(vmax=7, hband=3)}
+
+    @pytest.mark.parametrize("derive", ["mul", "cut", "with_window"])
+    def test_write_is_seen(self, derive):
+        rng = np.random.default_rng(43)
+        s = self.derived(rng)[derive]
+        # the series keeps arrays, and get() has built its dict beside them
+        assert s._store is not None and s.nterms() > 0
+        value = s.get(*self.KEY) + 0.5 - 0.25j
+        want = with_terms(s, {self.KEY: value})
+        s.coeffs[self.KEY] = value
+        other = random_series(rng, 1, 1, vmax=6, hband=2, nterms=8)
+        phi = random_series(rng, 1, 1, vmax=6, hband=2, nterms=6,
+                            min_vdeg=2, scale=0.3)
+        assert term_dict(s) == term_dict(want)
+        assert s.get(*self.KEY) == value
+        assert exact(s.mul(other)) == exact(want.mul(other))
+        assert exact(other.mul(s)) == exact(other.mul(want))
+        assert exact(s.add(other)) == exact(want.add(other))
+        assert exact(other.add(s)) == exact(other.add(want))
+        points = (np.array([[0.1 + 0.2j], [-0.3j]]),
+                  np.array([[0.2], [0.1 - 0.3j]]))
+        assert s.evaluate(*points).tolist() == want.evaluate(*points).tolist()
+        assert exact(substitute_vertical(s, phi)) == \
+            exact(substitute_vertical(want, phi))
+
+    def test_write_into_phi_is_seen(self):
+        # a phi whose powers are kept: the write reaches the substitution
+        rng = np.random.default_rng(44)
+        f = random_series(rng, 1, 1, vmax=6, hband=2, nterms=10)
+        phi = random_series(rng, 1, 1, vmax=6, hband=2, nterms=6,
+                            min_vdeg=2, scale=0.3).mul(
+            TruncatedSeries.monomial(1, 1, 0, (0,), (0,), 2.0, vmax=6,
+                                     hband=2))
+        before = substitute_vertical(f, phi)
+        want = with_terms(phi, {(0, (0,), (2,)): phi.get(0, (0,), (2,)) + 1})
+        phi.coeffs[(0, (0,), (2,))] = phi.get(0, (0,), (2,)) + 1
+        got = substitute_vertical(f, phi)
+        assert exact(got) == exact(substitute_vertical(f, want))
+        assert exact(got) != exact(before)
+
+    def test_benchmark_write_pattern(self):
+        # perfbench's workloads write into a fresh series' coeffs, then
+        # widen, multiply and bound it: the same bits as the constructor
+        rng = np.random.default_rng(45)
+        written = TruncatedSeries(2, 1, 1, 5, 2)
+        terms = {}
+        while len(written.coeffs) < 9:
+            key = (0, tuple(int(x) for x in rng.integers(-2, 3, size=2)),
+                   (int(rng.integers(0, 6)),))
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            written.coeffs[key] = terms[key] = c
+        built = TruncatedSeries(2, 1, 1, 5, 2, terms)
+        assert exact(written) == exact(built)
+        wide, wide_built = (s.with_window(hband=6) for s in (written, built))
+        assert exact(wide) == exact(wide_built)
+        assert exact(wide.mul(written)) == exact(wide_built.mul(built))
+        lat = LatticeSpec(2, 1, [[1, 0], [0, 1], [0.3 + 1.0j, 0.5 + 0.2j],
+                                 [0.7 + 0.1j, 0.2 + 1.0j]])
+        for dom in (DomainSpec(lat, 0.15, 0.45),
+                    DomainSpec(lat, 0.1, 0.5, word=((0, 1),))):
+            got, want = (sup_norm_bound(s, dom).value for s in (written,
+                                                                 built))
+            assert got.hex() == want.hex()
 
 
 class TestPowersWithinReach:
@@ -370,10 +452,9 @@ class TestScaledInPlaceAdd:
             exact(sorted_copy(want).restrict(hband=1))
 
     def test_keys_stored_in_sorted_order(self):
-        # the sum stores its keys sorted, not as add stores them (a's keys
-        # in a's order, then b's new ones): restrict(hband=1) drops u, u, 1
-        # in that order, and u + u + 1 does not round to 1, while add's
-        # order 1 + u + u would (u = 2^-53)
+        # the sum, and add, store their keys sorted, not in a's order:
+        # restrict(hband=1) drops u, u, 1 in that order, and u + u + 1
+        # does not round to 1, while a's order 1 + u + u would (u = 2^-53)
         u = 2.0 ** -53
         a = TruncatedSeries(1, 1, 1, 4, 3, {(0, (3,), (1,)): 1.0,
                                             (0, (-3,), (1,)): u,
@@ -385,7 +466,7 @@ class TestScaledInPlaceAdd:
             got = linear_combination([(a, 1.0), (b, c)])
             want = a.add(b.scale(c))
             assert exact(got) == exact(want)
-            assert want.restrict(hband=1).discarded == 1.0
+            assert want.restrict(hband=1).discarded == 1.0 + 2.0 ** -52
             assert got.restrict(hband=1).discarded == 1.0 + 2.0 ** -52
             assert exact(got.restrict(hband=1)) == \
                 exact(sorted_copy(want).restrict(hband=1))
@@ -698,6 +779,23 @@ class TestScatterWrite:
         assert got[0].get(1, (1,), (2,)) == 0 and got[0].nterms() == 2
         assert got[1].tailflag and got[1].discarded == 5.5
 
+    def test_add_matches_accumulate(self):
+        # add is a's records, then b's, through _accumulate.  a's tiny
+        # record at v^2 is dropped before b's 1.5e-300 arrives, so the sum
+        # is b's value alone; a's tiny v^4 lies outside the sum's window
+        # and is lost mass all the same
+        a = TruncatedSeries.from_text("TLS 1 1 1 4 2\n0 0 2 1e-310 0.0\n"
+                                      "0 1 4 0.0 1e-310\n0 0 1 0.5 0.0\n")
+        b = TruncatedSeries(1, 1, 1, 3, 2, {(0, (0,), (2,)): 1.5e-300,
+                                            (0, (0,), (1,)): 0.25})
+        for x, y in ((a, b), (b, a)):
+            want = TruncatedSeries(1, 1, 1, 3, 2)
+            for s in (x, y):
+                want._accumulate(((k, P, Q), c) for k, P, Q, c in s.terms())
+            assert exact(x.add(y)) == exact(want)
+        assert a.add(b).get(0, (0,), (2,)) == 1.5e-300
+        assert a.add(b).tailflag and a.add(b).discarded == 1e-310
+
 
 class TestKernelArrays:
     """The sorted (exps, vals) a series keeps for the kernels."""
@@ -712,7 +810,9 @@ class TestKernelArrays:
         bit for bit what a rebuild from the table gives, read-only, and
         ``_accumulate`` drops them."""
         if seeded:
-            assert set(f._store) == {*range(f.components), "sorted"}
+            # kept from the making; with_window shares its source's store,
+            # with what was kept beside the arrays
+            assert {*range(f.components), "sorted"} <= set(f._store)
         # (no component column for a single component)
         for got, want in zip(f._sorted(), sorted_copy(f)._sorted()):
             if want is None:
@@ -766,8 +866,8 @@ class TestKernelArrays:
         self.check_kept(substitute_vertical(f, phi))
 
     def test_composition_keeps_what_a_rebuild_gives(self):
-        # compose_with_map ends with restrict, which writes through
-        # _accumulate: its result builds its arrays on first read
+        # compose_with_map ends with restrict, one _scatter that keeps the
+        # re-truncated arrays
         rng = np.random.default_rng(84)
         zero_h = TruncatedSeries.zero(1, 1, 1, 6, 12)
         pv = random_series(rng, 1, 1, vmax=6, hband=2, nterms=6,
@@ -776,7 +876,7 @@ class TestKernelArrays:
                     pert_v=pv)
         f = random_series(rng, 1, 1, components=3, vmax=6, hband=3,
                           nterms=20)
-        self.check_kept(compose_with_map(f, m, hband=2), seeded=False)
+        self.check_kept(compose_with_map(f, m, hband=2))
 
     def test_empty_product_seeds_empty_arrays(self):
         a = TruncatedSeries.monomial(1, 1, 0, (0,), (4,), vmax=6, hband=2)
@@ -813,18 +913,32 @@ class TestKernelArrays:
         for got, expected in zip(data, want):
             assert got.tolist() == expected.tolist()
 
-    def test_derived_series_start_without_arrays(self):
+    @staticmethod
+    def used_series():
         rng = np.random.default_rng(86)
         f = random_series(rng, 1, 1, components=2, vmax=5, hband=3,
                           nterms=10, scale=0.5)
         f.mul(f)
         f.evaluate(np.zeros((1, 1)), np.zeros((1, 1)))
         assert f._store is not None
-        derived = [f.copy(), f.with_window(vmax=6), f.cut(4), f.component(1),
-                   f.homogeneous_part(2), f.up_to_degree(3), f.restrict(4),
-                   f.scale(2.0), f.shift_h((1,)), f.add(f), f - f, -f,
-                   f._like(), scale_components(f, [1.0, 2.0]),
-                   compose_diagonal(f, [0.5], [1j]), partial_h(f, (1,)),
+        return f
+
+    def test_operation_results_keep_arrays(self):
+        # selections, sums, re-truncations and scalings store arrays, bit
+        # for bit what a rebuild from a sorted copy gives, read-only
+        f = self.used_series()
+        g = f.add(TruncatedSeries(1, 1, 2, 5, 3, {(1, (3,), (1,)): -1e-3}))
+        for out in [f.with_window(vmax=6), f.cut(4), f.component(1),
+                    f.homogeneous_part(2), f.up_to_degree(3), f.restrict(4),
+                    f.restrict(3, 1), f.scale(2.0), f.scale(1e-299),
+                    f.shift_h((1,)), f.shift_h((-2,)), f.add(f), f - f, -f,
+                    f.add(g), g.add(f), scale_components(f, [1.0, -2j])]:
+            self.check_kept(out)
+
+    def test_constructed_series_start_without_arrays(self):
+        f = self.used_series()
+        derived = [f.copy(), f._like(), compose_diagonal(f, [0.5], [1j]),
+                   partial_h(f, (1,)),
                    TruncatedSeries.from_text(f.to_text()),
                    TruncatedSeries(1, 1, 2, 5, 3, term_dict(f)),
                    TruncatedSeries.zero(1, 1), TruncatedSeries.monomial(
@@ -1064,11 +1178,54 @@ def test_coefficient_table_is_private():
     assert not uses
 
 
+def test_package_writes_series_in_series_py():
+    # the coeffs handle drops a series' kept arrays, and _accumulate and
+    # the stores are the series layer's own: no other package module
+    # touches them, so no internal reader writes or drops a store
+    package = Path(toruslin.__file__).parent
+    private = {"coeffs", "_store", "_table", "_accumulate"}
+    uses = ["%s:%d" % (path.relative_to(package), node.lineno)
+            for path in sorted(package.rglob("*.py"))
+            if path.name != "series.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not uses
+
+
+def test_records_streamed_one_at_a_time(monkeypatch):
+    # an order-12 linearization of the shipped family sends only the
+    # records of its constructors through _accumulate (208 when pinned),
+    # where every sum and re-truncation once streamed 12,030
+    from _fixtures import shipped_family
+    from toruslin.linearize import linearize
+    count = []
+    accumulate = TruncatedSeries._accumulate
+
+    def counted(self, records):
+        records = list(records)
+        count.append(len(records))
+        accumulate(self, records)
+
+    monkeypatch.setattr(TruncatedSeries, "_accumulate", counted)
+    family, run = shipped_family(12)
+    linearize(family, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
+              qmax=run["qmax"])
+    assert 0 < sum(count) <= 250
+
+
 # The .coeffs uses tests/ keeps, by (file, function), each with its reason.
 COEFFS_IN_TESTS_ALLOWED = {
     ("test_series.py", "test_derived_series_start_without_table"):
         "changes a derived series in place on purpose, to show that it "
         "does not share phi's power table",
+    ("test_series.py", "test_write_is_seen"):
+        "writes into a series that keeps arrays, to show every later read "
+        "sees the write",
+    ("test_series.py", "test_write_into_phi_is_seen"):
+        "writes into a phi whose powers are kept, to show the "
+        "substitution sees the write",
+    ("test_series.py", "test_benchmark_write_pattern"):
+        "repeats perfbench's writes into a fresh series' coeffs",
     ("_oracles.py", "stores_sorted"):
         "reads the order in which a table stores its keys, which the bulk "
         "sums store sorted; no method exposes that order",
