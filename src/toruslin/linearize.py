@@ -8,11 +8,16 @@ from degree min(2m - 1, m + 2) up (``pert_h`` vanishes to order 2 in v),
 so from m = 3 on degrees m and m + 1 are both solved from the same family
 and removed by one conjugation with G = G_m + G_(m+1): the degree loop runs
 over the blocks [2], [3, 4], [5, 6], ..., the last one [order] alone when
-order is odd.  Phi := (Phi_last o ... o Phi_first)^{-1} = id + (0, phi_v) is
-built from the inverses (h, v + H) the conjugations use, Phi <- Phi o
-Phi_block^{-1} or phi_v <- H + phi_v(h, v + H), and satisfies the
-intertwining relation Phi o (linearized) = (original) o Phi, whose
-per-degree residual is the primary acceptance quantity.
+order is odd.  After each block the family is exactly linear through the
+block's last degree, ``(lam h + a, mu v)`` there: what the conjugation
+leaves at those degrees is the rounding residue of the solves, which is
+checked against LINEARIZE_TOL and dropped, so that no later conjugation
+multiplies through it and the intertwining residual below carries it.
+Phi := (Phi_last o ... o Phi_first)^{-1} = id + (0, phi_v) is built from
+the inverses (h, v + H) the conjugations use, Phi <- Phi o Phi_block^{-1}
+or phi_v <- H + phi_v(h, v + H), and satisfies the intertwining relation
+Phi o (linearized) = (original) o Phi, whose per-degree residual is the
+primary acceptance quantity.
 """
 
 from dataclasses import dataclass, field
@@ -96,16 +101,26 @@ class DeckMapFamily:
                              maps=inv_maps, inv_maps=self.maps,
                              eps0=self.eps0, r0=self.r0, hband=self.hband)
 
+    def _with_maps(self, maps):
+        """This family with ``maps`` in place of its own; the new family
+        derives its inverses from them if they are ever read."""
+        return DeckMapFamily(lattice=self.lattice, data=self.data, maps=maps,
+                             eps0=self.eps0, r0=self.r0, hband=self.hband)
+
     def conjugated(self, G, H):
         """The family conjugated by Phi = (h, v + G); Phi^{-1} = (h, v + H).
 
-        Only ``maps`` is conjugated; the new family derives its inverses
-        from them if they are ever read.
+        Only ``maps`` is conjugated.
         """
-        return DeckMapFamily(lattice=self.lattice, data=self.data,
-                             maps=[conjugate_by_vertical(m, G, H)
-                                   for m in self.maps],
-                             eps0=self.eps0, r0=self.r0, hband=self.hband)
+        return self._with_maps([conjugate_by_vertical(m, G, H)
+                                for m in self.maps])
+
+    def vertically_linear_through(self, top):
+        """The family with every vertical perturbation term of degree at
+        most ``top`` dropped (truncation records kept)."""
+        return self._with_maps([DeckMap(lam=m.lam, mu=m.mu, pert_h=m.pert_h,
+                                        pert_v=m.pert_v.above_degree(top))
+                                for m in self.maps])
 
 
 def build_family(lattice, data, pert_records, vmax, hband, eps0, r0):
@@ -200,12 +215,18 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
     the corrections.  Two degrees need m >= 3: conjugating by (h, v + G_m)
     leaves the degree-(m + 1) vertical part alone only from there on.
 
-    Returns (G, H, conjugated family, certificates), where (h, v + H)
-    inverts (h, v + G) and there is one solver certificate per degree,
-    None where that part vanishes.  The updated family agrees with the
-    input below degree m and has vanishing vertical perturbation through
-    the block's last degree.  The step solves from and conjugates
-    ``family.maps`` only; for the inverse maps pass ``family.inverse()``.
+    Returns (G, H, updated family, certificates, leftovers), where
+    (h, v + H) inverts (h, v + G), and there are one solver certificate
+    (None where that part vanishes) and one leftover per degree.  The
+    conjugated family's vertical perturbation through the block's last
+    degree ``top`` is the rounding residue of the solves; a guard fails the
+    step if it exceeds LINEARIZE_TOL, and a degree's leftover is the
+    largest modulus the guard read at that degree.  The updated family is
+    the conjugated one with that residue dropped: exactly linear through
+    ``top``, ``(lam h + a, mu v)`` there, and the residue goes to the
+    intertwining residual, where ``conjugacy_residual`` measures it.  The
+    step solves from and conjugates ``family.maps`` only; for the inverse
+    maps pass ``family.inverse()``.
     """
     steps = [(m, eps_prev, r_prev, eps_m, r_m)]
     if next_domain is not None:
@@ -222,19 +243,26 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
     solved = [_solve_degree(family, *step, constants) for step in steps]
     certs = [cert for _, cert in solved]
     Gs = [G for G, cert in solved if cert is not None]
-    if not Gs:
-        return solved[0][0], solved[0][0], family, certs
-    G = Gs[0] if len(Gs) == 1 else Gs[0].add(Gs[1])
-    H = invert_vertical_map(G)
-    updated = family.conjugated(G, H)
+    if Gs:
+        G = Gs[0] if len(Gs) == 1 else Gs[0].add(Gs[1])
+        H = invert_vertical_map(G)
+        family = family.conjugated(G, H)
+    else:
+        G = H = solved[0][0]
     top = steps[-1][0]
-    for i, mp in enumerate(updated.maps):
-        leftover = mp.pert_v.up_to_degree(top).max_abs()
+    lows = [mp.pert_v.up_to_degree(top) for mp in family.maps]
+    for i, low in enumerate(lows):
+        leftover = low.max_abs()
         if leftover > LINEARIZE_TOL * max(scale, 1.0):
             raise LinearizeError(
                 "degree-%d cleanup failed for generator %d: leftover %.3e"
                 % (top, i + 1, leftover))
-    return G, H, updated, certs
+    leftovers = [max(low.homogeneous_part(degree).max_abs() for low in lows)
+                 for degree, *_ in steps]
+    # with nothing to drop, the family is kept with any inverses it holds
+    if any(low.nterms() for low in lows):
+        family = family.vertically_linear_through(top)
+    return G, H, family, certs, leftovers
 
 
 def linearize(family, order, eps1, r1, route="forward", fit=None,
@@ -291,7 +319,7 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
     for m in [2, *range(3, order + 1, 2)]:
         # degree 2 alone, then two degrees per conjugation
         top = 2 if m == 2 else min(m + 1, order)
-        G, H, updated, certs = linearize_step(
+        G, H, updated, certs, leftovers = linearize_step(
             current, m, float(eps_m[m - 1]), float(r_m[m - 1]),
             float(eps_m[m]), float(r_m[m]), constants=constants,
             next_domain=((float(eps_m[top]), float(r_m[top]))
@@ -309,13 +337,15 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
                     % gap)
         current = updated
         phi_v = H.add(substitute_vertical(phi_v, H))
-        for degree, cert in zip(range(m, top + 1), certs):
+        for degree, cert, leftover in zip(range(m, top + 1), certs,
+                                          leftovers):
             step_records.append({
                 "m": degree,
                 "gain_bound": None if cert is None else cert.bound.value,
                 "theoretical": None if cert is None else cert.theoretical,
                 "compat_residual": (0.0 if cert is None
                                     else cert.compat_residual),
+                "leftover": leftover,
             })
 
     # the residual below is the operation's peak memory: let the last

@@ -58,7 +58,8 @@ class TruncatedSeries:
         self.hband = int(hband)
         self.tailflag = bool(tailflag)
         self.discarded = float(discarded)
-        # the coefficient dict, None until built from the arrays; see _lookup
+        # the coefficient dict, filled by the constructors; a series that an
+        # operation returns holds None here until _lookup builds the dict
         self._table = {}
         # powers of (v_j + self_j) per working window; see substitute_vertical
         self._shift = None
@@ -354,6 +355,13 @@ class TruncatedSeries:
     def up_to_degree(self, m):
         return self._rows(self._degrees() <= m)
 
+    def above_degree(self, m):
+        """Terms of vertical degree above m, the complement of
+        ``up_to_degree``, with the truncation record kept."""
+        out = self._rows(self._degrees() > m)
+        out.tailflag, out.discarded = self.tailflag, self.discarded
+        return out
+
     def restrict(self, vmax=None, hband=None):
         """Re-truncate to a smaller window, flagging discarded mass."""
         vmax = self.vmax if vmax is None else vmax
@@ -396,10 +404,20 @@ class TruncatedSeries:
         return out
 
     def max_coeff_diff(self, other):
-        mine, theirs = self._lookup(), other._lookup()
-        keys = set(mine) | set(theirs)
-        return max((abs(mine.get(key, 0.0) - theirs.get(key, 0.0))
-                    for key in keys), default=0.0)
+        """The largest ``abs(a - b)`` over the keys of either series, a
+        missing coefficient read as 0, 0.0 when both are empty.
+
+        One ``segment_sum`` over self's records, then other's negated: each
+        sum is ``0.0 + a + (-b)``, which is ``a - b`` up to the sign of a
+        zero part, so the moduli are bit for bit those of the differences.
+        """
+        self._check_compat(other)
+        mine, theirs = self._sorted(), other._sorted()
+        rows = np.concatenate([np.column_stack((
+            np.zeros(len(vals), dtype=np.int64) if ks is None else ks, exps))
+            for ks, exps, vals in (mine, theirs)])
+        _, sums = segment_sum(rows, np.concatenate((mine[2], -theirs[2])))
+        return float(modulus(sums).max()) if len(sums) else 0.0
 
     # -- evaluation -----------------------------------------------------------
 

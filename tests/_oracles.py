@@ -14,10 +14,11 @@ every majorant degree on series carried to the full order M, where the
 library truncates them at that degree; ``apply_vertical_operator`` applies
 the operator the solvers invert by division; ``translates_fit`` probes the
 hull that ``max_margin_eta`` answers for in closed form;
-``compose_power``, ``norm_certificate`` and ``identity_map`` are test
-helpers.
+``compose_power``, ``norm_certificate``, ``identity_map`` and
+``result_digest`` are test helpers.
 """
 
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -280,12 +281,47 @@ def psi_then_invert(result):
                                family.maps[0].pert_h.hband)
     eps, r = result.eps_m, result.r_m
     for m in range(2, result.order + 1):
-        G, _, family, _ = linearize_step(
+        G, _, family, _, _ = linearize_step(
             family, m, float(eps[m - 1]), float(r[m - 1]), float(eps[m]),
             float(r[m]), constants=result.constants)
         psi = psi.add(substitute_vertical(G, psi)) if not psi.is_zero() \
             else psi.add(G)
     return invert_vertical_map(psi)
+
+
+def _spelled(value):
+    """Text for nested results that spells every float by its bits: a
+    series by its window, flags, ``discarded`` and sorted terms, a dict by
+    its items in sorted order."""
+    if isinstance(value, TruncatedSeries):
+        return _spelled((value.components, value.vmax, value.hband,
+                         value.tailflag, value.discarded,
+                         list(value.terms())))
+    if isinstance(value, dict):
+        return "{%s}" % ",".join(sorted(
+            "%s:%s" % (_spelled(k), _spelled(v)) for k, v in value.items()))
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ",".join(map(_spelled, value))
+    if isinstance(value, (complex, np.complexfloating)):
+        return "(%s,%s)" % (float(value.real).hex(), float(value.imag).hex())
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return repr(value)
+
+
+def result_digest(result, certificate):
+    """sha256 of a linearization's outputs, every float by its bits: the
+    coefficients, flags and ``discarded`` of phi_v, of the original and
+    linearized maps and of the residual series, plus ``per_degree``,
+    ``step_records`` and the certificate rows of ``dominance_and_radius``.
+    Equal digests from two trees say that these outputs are bit for bit
+    the same."""
+    maps = [(m.pert_h, m.pert_v) for family in (result.original,
+                                                result.linearized)
+            for m in family.maps]
+    text = _spelled([result.phi_v, maps, result.residuals, result.per_degree,
+                     result.step_records, certificate["rows"]])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def apply_vertical_operator(G, data, i, sign=1):

@@ -339,6 +339,56 @@ class TestComposeWithMapOneScatter:
         assert (got.nterms(), got.discarded, got.hband) == (0, 0.25, 2)
 
 
+class TestComposeWithMapByVerticalOrder:
+    """Once solved degrees leave the family as exact zeros, a map's vertical
+    perturbation b_j starts high or is empty: the composition still matches
+    the chained oracle bit for bit for every vertical order of b_j."""
+
+    VMAX = 6
+
+    @classmethod
+    def deck_map(cls, rng, n, d, order):
+        """pert_v's component 0 of vertical order ``order`` (None: no
+        terms), every other component of order 2, with a truncation
+        record."""
+        vmax = cls.VMAX
+        lam = np.exp(2j * np.pi * np.array([MILD_E2, 0.2 + 0.03j][:n]))
+        mu = np.exp(2j * np.pi * np.array([GOLDEN, np.sqrt(2) - 1][:d]))
+        coeffs = {}
+        for j in range(d):
+            low = order if j == 0 else 2
+            if low is None:
+                continue
+            part = random_series(rng, n, d, vmax=vmax, hband=2, nterms=5,
+                                 min_vdeg=low, scale=0.2)
+            coeffs.update({(j, P, Q): c for _, P, Q, c in part.terms()})
+            coeffs[(j, (1,) * n, (low,) + (0,) * (d - 1))] = 0.3 - 0.1j
+        pv = TruncatedSeries(n, d, d, vmax, 2, coeffs, tailflag=True,
+                             discarded=2.0 ** -35)
+        ph = random_series(rng, n, d, components=n, vmax=vmax, hband=2,
+                           nterms=4, min_vdeg=2, scale=0.1)
+        return DeckMap(lam=lam, mu=mu, pert_h=ph.with_window(hband=12),
+                       pert_v=pv.with_window(hband=12))
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("order", [2, 3, 5, None],
+                             ids=["ord2", "ord3", "ord-vmax-1", "empty"])
+    def test_composition_matches_the_chain(self, n, d, order):
+        rng = np.random.default_rng(150 + 10 * n + d)
+        m = self.deck_map(rng, n, d, order)
+        vmax = self.VMAX
+        assert m.pert_v.component(0).v_order() == (
+            vmax + 1 if order is None else order)
+        # every power of every component, through the composition
+        f = TruncatedSeries(n, d, 2, vmax, 3, {
+            (q % 2, (q % 3 - 1,) * n, Q): complex(q, 1 - j)
+            for j in range(d) for q in range(1, vmax + 1)
+            for Q in [tuple(q if t == j else 0 for t in range(d))]})
+        got = compose_with_map(f, m)
+        assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m))
+        assert got.tailflag and got.discarded > 0
+
+
 class TestComposeWithMapEdges:
     def test_no_u_power_reaches_output(self):
         # ord_v f >= vmax - 1: (1 + u)^p contributes only its constant 1

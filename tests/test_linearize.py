@@ -11,6 +11,7 @@ from toruslin.divisors import MultiplierData, ResonanceError
 from toruslin.linearize import (DeckMapFamily, LinearizeError, build_family,
                                 conjugacy_residual, linearize, linearize_step,
                                 residual_table)
+from toruslin.majorant import build_state, dominance_and_radius
 from toruslin.problem import parse_problem
 from toruslin.series import substitute_vertical
 
@@ -19,16 +20,17 @@ from _fixtures import (GOLDEN, conjugated_family, golden_data, golden_family,
                        golden_lattice, lattice2_family, perturbation_records,
                        shipped_family)
 from _oracles import (chained_add_compose, psi_then_invert, random_series,
-                      substitute_per_record, with_terms)
+                      result_digest, substitute_per_record, with_terms)
 
 
 class TestLinearizeStep:
     def test_already_linear_degree(self):
         fam = golden_family()
-        G, H, updated, certs = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        G, H, updated, certs, leftovers = linearize_step(fam, 2, 0.2, 0.5,
+                                                         0.19, 0.45)
         assert G.is_zero()
         assert H is G
-        assert certs == [None]
+        assert certs == [None] and leftovers == [0.0]
         assert updated is fam
 
     def test_hand_computed_degree_two(self):
@@ -38,7 +40,7 @@ class TestLinearizeStep:
         c = 4e-4 + 1e-4j
         fam = build_family(lat, data, [(0, 1, (0,), (2,), c)], 6, 6,
                            eps0=0.3, r0=0.6)
-        G, _, updated, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        G, _, updated, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
         assert G.get(0, (0,), (2,)) == pytest.approx(-c / 2.0)
         assert updated.maps[0].pert_v.homogeneous_part(2).max_abs() < 1e-13
 
@@ -48,9 +50,8 @@ class TestLinearizeStep:
         c = 4e-4 + 1e-4j
         fam = build_family(lat, data, [(0, 1, (0,), (2,), c)], 6, 6,
                            eps0=0.3, r0=0.6)
-        Gf, _, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
-        Gi, _, _, _ = linearize_step(fam.inverse(), 2, 0.2, 0.5, 0.19,
-                                     0.45)
+        Gf, *_ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        Gi, *_ = linearize_step(fam.inverse(), 2, 0.2, 0.5, 0.19, 0.45)
         assert Gf.max_coeff_diff(Gi) < 1e-12 * max(1.0, Gf.max_abs())
 
     def test_lower_degrees_untouched(self):
@@ -59,7 +60,7 @@ class TestLinearizeStep:
         rng = np.random.default_rng(3)
         fam = golden_family(rng, nterms=10, qrange=(3, 4))
         m = 3
-        G, _, updated, _ = linearize_step(fam, m, 0.2, 0.5, 0.19, 0.45)
+        G, _, updated, _, _ = linearize_step(fam, m, 0.2, 0.5, 0.19, 0.45)
         assert not G.is_zero()
         for old, new in ((fam.maps[0], updated.maps[0]),):
             dh = old.pert_h.homogeneous_part(2).max_coeff_diff(
@@ -74,7 +75,7 @@ class TestLinearizeStep:
         rng = np.random.default_rng(5)
         fam = golden_family(rng, nterms=8)
         assert len(fam.inv_maps) == 1  # the input's inverses, now cached
-        _, _, updated, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
+        _, _, updated, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
         comp = compose_maps(updated.maps[0], updated.inv_maps[0], hband=6)
         scale = max(1.0, updated.inv_maps[0].pert_scale())
         assert comp.pert_h.max_abs() < 1e-12 * scale
@@ -201,7 +202,7 @@ class TestLinearize:
                            r0=run["radius"])
         result = linearize(fam, 8, run["epsilon"], run["radius"], pmax=12,
                            qmax=12)
-        Hs = [H for _, H, _, certs in steps
+        Hs = [H for _, H, _, certs, _ in steps
               if any(c is not None for c in certs)]
         assert len(Hs) == 4
         assert [sum(phi is H for phi in built) for H in Hs] == [1] * 4
@@ -376,7 +377,7 @@ class TestDegreeBlocks:
         scale = family.pert_scale()
         moved = {}
         for m in range(2, result.order):
-            G, _, updated, _ = linearize_step(
+            G, _, updated, _, _ = linearize_step(
                 family, m, float(eps[m - 1]), float(r[m - 1]),
                 float(eps[m]), float(r[m]), constants=result.constants)
             for q in (m + 1, m + 2):
@@ -433,8 +434,8 @@ class TestDegreeBlocks:
         # family is vertically linear through degree 4 afterwards
         rng = np.random.default_rng(3)
         fam = golden_family(rng, nterms=10, qrange=(3, 4))
-        G, H, updated, certs = linearize_step(fam, 3, 0.2, 0.5, 0.19, 0.45,
-                                              next_domain=(0.18, 0.4))
+        G, H, updated, certs, _ = linearize_step(fam, 3, 0.2, 0.5, 0.19,
+                                                 0.45, next_domain=(0.18, 0.4))
         assert len(certs) == 2 and None not in certs
         for cert, q in zip(certs, (3, 4)):
             assert cert.G.max_coeff_diff(G.homogeneous_part(q)) == 0.0
@@ -514,3 +515,98 @@ class TestFanOutSumsInTheLoop:
             result = linearize(fam, order=8, eps1=0.2, r1=0.5, pmax=6, qmax=6)
             assert result.phi_v.max_coeff_diff(psi) < 1e-10
         assert calls["substitute"] > 10 and calls["compose"] > 5
+
+
+def run_case(case, route="forward"):
+    """The linearization of a named family: the shipped perturbation at
+    order 8 or 12, or ``lattice2_family(seed)`` at order 8."""
+    if case.startswith("shipped"):
+        order = int(case.split("-")[1])
+        fam, run = shipped_family(order)
+        return linearize(fam, order, run["epsilon"], run["radius"],
+                         route=route, pmax=run["pmax"], qmax=run["qmax"])
+    fam, _ = lattice2_family(int(case.split("-")[1]))
+    return linearize(fam, order=8, eps1=0.2, r1=0.5, route=route, pmax=6,
+                     qmax=6)
+
+
+class TestExactlyLinearThroughEachBlock:
+    """Each block leaves the family with no vertical perturbation term
+    through its last degree; the residue it drops is what the guard read,
+    recorded per degree, and goes to the residual."""
+
+    @pytest.mark.parametrize("route", ["forward", "inverse"])
+    @pytest.mark.parametrize("case", ["shipped-12", "lattice2-7"])
+    def test_no_term_through_the_block(self, monkeypatch, case, route):
+        dropped = []
+
+        def stepping(family, m, *args, real=linearize_mod.linearize_step,
+                     **kw):
+            top = m if kw.get("next_domain") is None else m + 1
+            G, H, updated, certs, leftovers = real(family, m, *args, **kw)
+            for mp in updated.maps:
+                assert mp.pert_v.up_to_degree(top).nterms() == 0, (m, top)
+            # what the step dropped, per degree, is what it recorded
+            assert leftovers == [max(mp.pert_v.homogeneous_part(q).max_abs()
+                                     for mp in dropped[-1].maps)
+                                 for q in range(m, top + 1)]
+            return G, H, updated, certs, leftovers
+
+        def truncating(family, top,
+                       real=DeckMapFamily.vertically_linear_through):
+            dropped.append(family)
+            return real(family, top)
+
+        monkeypatch.setattr(linearize_mod, "linearize_step", stepping)
+        monkeypatch.setattr(DeckMapFamily, "vertically_linear_through",
+                            truncating)
+        result = run_case(case, route)
+        assert len(dropped) == (6 if case == "shipped-12" else 4)
+        assert all(mp.pert_v.nterms() == 0 for mp in result.linearized.maps)
+        leftovers = [rec["leftover"] for rec in result.step_records]
+        assert len(leftovers) == result.order - 1
+        scale = max(result.original.pert_scale(), 1.0)
+        assert 0 < max(leftovers) <= linearize_mod.LINEARIZE_TOL * scale
+
+    def test_residue_is_rounding(self):
+        # what each block drops, and the residual that now carries it, stay
+        # within a few ulps of the perturbation's size (at most 9.5e-16 of
+        # it when pinned, at m = 8)
+        result = run_case("shipped-8")
+        scale = result.original.pert_scale()
+        worst = dict(residual_table(result))
+        for rec in result.step_records:
+            assert rec["leftover"] <= 1e-14 * scale, rec["m"]
+            assert worst[rec["m"]] <= 1e-14 * scale, rec["m"]
+
+    def test_kernel_pairs_per_linearization(self, monkeypatch):
+        # the pairs of operand terms the product kernel examines in a
+        # forward order-12 shipped linearization: 708,202 when pinned,
+        # 1,120,431 while the solves' residue stayed in the family and every
+        # later conjugation multiplied through it
+        pairs = []
+        real = series_mod.cauchy_product
+
+        def counted(exps_a, vals_a, exps_b, vals_b, *args):
+            pairs.append(len(vals_a) * len(vals_b))
+            return real(exps_a, vals_a, exps_b, vals_b, *args)
+
+        monkeypatch.setattr(series_mod, "cauchy_product", counted)
+        run_case("shipped-12")
+        assert 0 < sum(pairs) <= 800_000
+
+
+def test_result_digest_is_reproducible():
+    # two runs from fresh families give the same digest, and it changes
+    # with the route
+    def digest(route):
+        fam, run = shipped_family(8)
+        result = linearize(fam, 8, run["epsilon"], run["radius"],
+                           route=route, pmax=run["pmax"], qmax=run["qmax"])
+        state = build_state(8, result.constants, 1, 1, run["epsilon"],
+                            run["radius"])
+        return result_digest(result, dominance_and_radius(result, state))
+
+    first = digest("forward")
+    assert len(first) == 64 and first == digest("forward")
+    assert digest("inverse") != first

@@ -102,6 +102,63 @@ class TestHomogeneousPart:
         assert direct.max_coeff_diff(pieces) < 1e-12 * max(1.0, direct.max_abs())
 
 
+class TestAboveDegree:
+    def test_complement_of_up_to_degree(self):
+        rng = np.random.default_rng(31)
+        f = random_series(rng, 2, 1, components=2, vmax=6, hband=3,
+                          nterms=30)
+        f = TruncatedSeries(2, 1, 2, 6, 3, term_dict(f), tailflag=True,
+                            discarded=0.125)
+        for m in range(-1, 8):
+            high, low = f.above_degree(m), f.up_to_degree(m)
+            assert all(sum(Q) > m for _, _, Q, _ in high.terms())
+            assert high.nterms() + low.nterms() == f.nterms()
+            assert high.add(low).max_coeff_diff(f) == 0.0
+            # the truncation record stays with the terms that are kept
+            assert (high.tailflag, high.discarded) == (True, 0.125)
+            assert (high.vmax, high.hband) == (f.vmax, f.hband)
+        assert f.above_degree(-1).max_coeff_diff(f) == 0.0
+        assert f.above_degree(6).nterms() == 0
+
+
+class TestMaxCoeffDiff:
+    """One segment sum over both series' records against the dict formula
+    max |a - b| over the union of keys, bit for bit."""
+
+    @pytest.mark.parametrize("n,d,components", [(1, 1, 1), (2, 1, 3),
+                                                (1, 2, 2)])
+    def test_matches_dict_oracle(self, n, d, components):
+        rng = np.random.default_rng(40 + 7 * n + d + components)
+        a = random_series(rng, n, d, components, vmax=5, hband=3, nterms=25)
+        b = random_series(rng, n, d, components, vmax=5, hband=3, nterms=25)
+        # shared keys with other values, and a key with a -0.0 part
+        shared = with_terms(b, {key: c * (1 + 2.0 ** -40) + 1e-3
+                                for key, c in list(term_dict(a).items())[:8]})
+        shared = with_terms(shared, {(0, (0,) * n, (1,) + (0,) * (d - 1)):
+                                     complex(-0.0, 1.0)})
+        empty = TruncatedSeries.zero(n, d, components, 5, 3)
+        near = with_terms(a, {key: c + 2.0 ** -45 for key, c in
+                              list(term_dict(a).items())[::3]})
+        for x, y in ((a, b), (a, shared), (shared, a), (a, empty),
+                     (empty, b), (empty, empty), (a, a), (a, near)):
+            want = dense_diff(term_dict(x), term_dict(y))
+            got = x.max_coeff_diff(y)
+            assert type(got) is float
+            assert got.hex() == float(want).hex()
+        assert a.max_coeff_diff(a) == 0.0 and empty.max_coeff_diff(a) > 0
+
+    def test_disjoint_keys(self):
+        a = TruncatedSeries(1, 1, 2, 4, 2, {(0, (1,), (2,)): 3 + 4j,
+                                            (1, (0,), (0,)): 0.5})
+        b = TruncatedSeries(1, 1, 2, 4, 2, {(1, (1,), (2,)): -6.0,
+                                            (0, (0,), (0,)): 1j})
+        assert a.max_coeff_diff(b) == 6.0
+        assert b.max_coeff_diff(a) == 6.0
+        # the same key in another component is another key
+        c = TruncatedSeries(1, 1, 2, 4, 2, {(1, (1,), (2,)): 3 + 4j})
+        assert a.max_coeff_diff(c) == 5.0
+
+
 class TestComposeDiagonal:
     def test_unit_square(self):
         # mu = -1: v^2 picks up (-1)^2 = 1
