@@ -46,10 +46,6 @@ BACKEND = "py"
 _CHUNK = 2048
 
 
-def _pack(exps, lo, strides):
-    return (exps - lo) @ strides
-
-
 def _strides(sizes):
     """Row-major strides of an exponent grid with the given extents."""
     strides = [1]
@@ -139,24 +135,19 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune,
             np.zeros(0, dtype=np.complex128),
             bound,
         )
-    # one packing grid for all pairwise exponent sums, from their bounds
+    # one packing grid for all pairwise exponent sums, from their bounds;
+    # packing without the offset lo shifts every key by the same lo @
+    # strides, which keeps their order and equality
     lo, hi = lo_a + lo_b, hi_a + hi_b
     strides = _strides(hi - lo + 1)
-    keys = _pack(exps_a, lo_a, strides)[rows] + \
-        _pack(exps_b, lo_b, strides)[cols]
+    keys = (exps_a @ strides)[rows] + (exps_b @ strides)[cols]
     # a stable sort keeps each key's pairs in row-major order, the order in
     # which they are summed
     order = keys.argsort(kind="stable")
-    keys = keys[order]
-    start, acc = _sum_runs(keys, multiply(vals_a[rows[order]],
-                                          vals_b[cols[order]]))
-
-    exps = np.empty((len(acc), n + d), dtype=np.int64)
-    rem = keys[start]
-    for j in range(n + d):
-        exps[:, j] = rem // strides[j]
-        rem -= exps[:, j] * strides[j]
-    exps += lo
+    rows, cols = rows[order], cols[order]
+    start, acc = _sum_runs(keys[order], multiply(vals_a[rows], vals_b[cols]))
+    # each output's exponent row is that of the first pair of its run
+    exps = exps_a[rows[start]] + exps_b[cols[start]]
 
     mods = modulus(acc)
     keep = mods > prune
@@ -199,7 +190,7 @@ def segment_sum(rows, vals):
     if len(vals) == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128)
     lo = rows.min(axis=0)
-    keys = _pack(rows, lo, _strides(rows.max(axis=0) - lo + 1))
+    keys = (rows - lo) @ _strides(rows.max(axis=0) - lo + 1)
     # a stable sort keeps each key's records in input order
     order = keys.argsort(kind="stable")
     start, sums = _sum_runs(keys[order], vals[order])

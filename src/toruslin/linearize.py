@@ -30,7 +30,7 @@ from .deckmaps import (COMMUTE_TOL, DeckMap, compose_maps, compose_with_map,
 from .divisors import ResonanceError, scan_and_fit
 from .lattice import DomainSpec
 from .majorant import constants_bundle, domain_schedule
-from .norms import sup_norm_bound, sup_norm_bound_union
+from .norms import sup_norm_bounds
 from .series import (TruncatedSeries, invert_vertical_map, scale_components,
                      substitute_vertical)
 
@@ -363,30 +363,35 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
 
 
 def _degree_ledger(phi_v, lattice, eps_m, r_m, order, n):
-    """Triangle norms of each homogeneous part on the scheduled domains."""
+    """Triangle norms of each homogeneous part on the scheduled domains.
+
+    At each degree the base domain, the +-1 unions and the word domains
+    ``base.translated(i, k)``, k = +-1, +-2, are built once, and one
+    ``sup_norm_bounds`` call gives every norm of the degree: the base
+    norm, the goal norm on the union of the +-1 unions, each translated
+    pair on the union of words (i, s) and (i, 2s), and each single word.
+    The pairs and the single words share their word domains, whose
+    monomial sups are computed once.
+    """
     ledger = {}
+    pairs = [(i, s) for i in range(n) for s in (1, -1)]
     for m in range(2, order + 1):
         part = phi_v.homogeneous_part(m)
         eps, r = float(eps_m[m]), float(r_m[m])
         base = DomainSpec(lattice, eps, r)
-        goal = sup_norm_bound_union(
-            part, [DomainSpec(lattice, eps, r, union_ell=1),
-                   DomainSpec(lattice, eps, r, union_ell=-1)])
-        translated = {}
-        singles = {}
-        for i in range(n):
-            for s in (1, -1):
-                translated[(i, s)] = sup_norm_bound_union(
-                    part, [DomainSpec(lattice, eps, r, word=((i, s),)),
-                           DomainSpec(lattice, eps, r, word=((i, 2 * s),))])
-            for k in (1, 2, -1, -2):
-                singles[(i, k)] = sup_norm_bound(
-                    part, DomainSpec(lattice, eps, r, word=((i, k),))).value
+        words = {(i, k): base.translated(i, k)
+                 for i in range(n) for k in (1, 2, -1, -2)}
+        base_norm, goal, *norms = sup_norm_bounds(part, [
+            [base],
+            [DomainSpec(lattice, eps, r, union_ell=1),
+             DomainSpec(lattice, eps, r, union_ell=-1)],
+            *([words[(i, s)], words[(i, 2 * s)]] for i, s in pairs),
+            *([dom] for dom in words.values())])
         ledger[m] = {
-            "base_norm": sup_norm_bound(part, base).value,
+            "base_norm": base_norm,
             "goal_norm": goal,
-            "translated": {k: v for k, v in translated.items()},
-            "word_norms": singles,
+            "translated": dict(zip(pairs, norms[:len(pairs)])),
+            "word_norms": dict(zip(words, norms[len(pairs):])),
             "eps": eps,
             "r": r,
         }

@@ -39,31 +39,46 @@ def sup_norm_bound_union(f, domains):
     this is tighter than the max of the per-domain triangle bounds.
     Multi-component series are bounded in the max norm over components.
     """
-    if any(dom.lattice.n != f.n for dom in domains):
-        raise ValueError("series and domain live on different tori")
-    r = domains[0].r
-    if any(dom.r != r for dom in domains):
-        raise ValueError("union bound expects a common polydisc radius")
-    worst = 0.0
+    return sup_norm_bounds(f, [domains])[0]
+
+
+def sup_norm_bounds(f, unions):
+    """``sup_norm_bound_union`` of f over each of several unions, as a list.
+
+    A domain that appears in several unions (equal ``DomainSpec``s) has its
+    monomial sups computed once per component and shared by all of them.
+    """
+    for domains in unions:
+        if any(dom.lattice.n != f.n for dom in domains):
+            raise ValueError("series and domain live on different tori")
+        if any(dom.r != domains[0].r for dom in domains):
+            raise ValueError("union bound expects a common polydisc radius")
+    distinct = dict.fromkeys(dom for domains in unions for dom in domains)
+    worst = [0.0] * len(unions)
     for k in range(f.components):
         exps, vals = f._arrays(k)
         if len(vals) == 0:
             continue
         Ps, qdeg = exps[:, :f.n].astype(float), exps[:, f.n:].sum(axis=1)
+        mods = modulus(vals)
         with np.errstate(over="ignore", invalid="ignore"):
-            sups = np.max([dom.sup_monomials(Ps) for dom in domains], axis=0)
-            terms = modulus(vals) * sups * (float(r) ** qdeg)
-        big = ~np.isfinite(terms)
-        if big.any():
-            # a factor overflowed (sup|h^P| far from |h| = 1): take those
-            # terms through log|c| + max<x, P> + |Q| log r instead
-            logs = np.log(modulus(vals[big])) + np.max(
-                [dom.log_sup_monomials(Ps[big]) for dom in domains], axis=0) \
-                + qdeg[big] * np.log(float(r))
-            with np.errstate(over="ignore"):
-                terms[big] = np.exp(logs)
-        with np.errstate(over="ignore"):  # inf only past the double range
-            worst = max(worst, float(terms.sum()))
+            sups = {dom: dom.sup_monomials(Ps) for dom in distinct}
+        for u, domains in enumerate(unions):
+            r = float(domains[0].r)
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = mods * np.max([sups[dom] for dom in domains],
+                                      axis=0) * (r ** qdeg)
+            big = ~np.isfinite(terms)
+            if big.any():
+                # a factor overflowed (sup|h^P| far from |h| = 1): take those
+                # terms through log|c| + max<x, P> + |Q| log r instead
+                logs = np.log(mods[big]) + np.max(
+                    [dom.log_sup_monomials(Ps[big]) for dom in domains],
+                    axis=0) + qdeg[big] * np.log(r)
+                with np.errstate(over="ignore"):
+                    terms[big] = np.exp(logs)
+            with np.errstate(over="ignore"):  # inf only past the double range
+                worst[u] = max(worst[u], float(terms.sum()))
     return worst
 
 

@@ -852,8 +852,11 @@ def invert_vertical_map(G):
     (s + 1)(r - 1) and is computed only that far, on G and H cut there.
     The terms it leaves out are exactly the ones the next, wider sweep
     would recompute, and every coefficient it does form is the same sum in
-    the same order as in a full-window sweep.  Once the window reaches
-    vmax, sweeps run on the full window until two agree exactly.
+    the same order as in a full-window sweep.  The first sweep on the full
+    vmax window is the last: it reads H only through degree vmax - settle,
+    which the sweep before it has settled (the start H = 0 is exact below
+    degree r), so a further sweep would give the same coefficients and
+    tailflag bit for bit.
     """
     if G.components != G.d:
         raise SeriesError("vertical map must have d components")
@@ -863,9 +866,8 @@ def invert_vertical_map(G):
     H = G._like(components=G.d)
     for sweep in range(1, G.vmax + 2):
         window = min(G.vmax, (sweep + 1) * settle)
-        nxt = substitute_vertical(G.cut(window), H.cut(window)).scale(-1.0)
-        done = window == G.vmax and nxt.max_coeff_diff(H) == 0.0
-        H = nxt.with_window(vmax=G.vmax)
-        if done:
+        H = substitute_vertical(G.cut(window), H.cut(window)).scale(-1.0) \
+            .with_window(vmax=G.vmax)
+        if window == G.vmax:
             break
     return H

@@ -11,7 +11,9 @@ where the library sums them per key in one array segment sum (and
 that the library skips); ``psi_then_invert`` builds phi_v differently from
 ``linearize``, one degree per conjugation; ``full_window_majorant`` solves
 every majorant degree on series carried to the full order M, where the
-library truncates them at that degree; ``apply_vertical_operator`` applies
+library truncates them at that degree; ``per_call_ledger`` makes one norm
+call per ledger entry, where the library shares each degree's domains
+among all of them in one call; ``apply_vertical_operator`` applies
 the operator the solvers invert by division; ``translates_fit`` probes the
 hull that ``max_margin_eta`` answers for in closed form;
 ``compose_power``, ``norm_certificate``, ``identity_map`` and
@@ -23,12 +25,12 @@ from itertools import product
 
 import numpy as np
 
-from toruslin import TruncatedSeries
+from toruslin import DomainSpec, TruncatedSeries
 from toruslin.deckmaps import DeckMap, _gen_binom
 from toruslin.lattice import log_indicatrix, union_and_hull
 from toruslin.linearize import linearize_step
 from toruslin.majorant import _coupling, _g_of, _ser_mul
-from toruslin.norms import sup_norm_bound
+from toruslin.norms import sup_norm_bound, sup_norm_bound_union
 from toruslin.series import _vertical_shift_powers, compose_diagonal, \
     invert_vertical_map, scale_components, substitute_vertical
 
@@ -374,6 +376,39 @@ def full_window_majorant(M, constants, n, d):
         b[m] = rhs(_g_of(t + b, R, d, M), sumB)[m]
         A[m] = rhs(_g_of(t + A, R, d, M), sumB)[m]
     return A, {(i, s): b for i in range(n) for s in (1, -1)}
+
+
+def per_call_ledger(phi_v, lattice, eps_m, r_m, order, n):
+    """``linearize``'s norm ledger with one norm call per entry: each call
+    builds the vertex clouds of its own domains, so the word domains
+    (i, +-1) and (i, +-2) are built twice per degree."""
+    ledger = {}
+    for m in range(2, order + 1):
+        part = phi_v.homogeneous_part(m)
+        eps, r = float(eps_m[m]), float(r_m[m])
+        base = DomainSpec(lattice, eps, r)
+        goal = sup_norm_bound_union(
+            part, [DomainSpec(lattice, eps, r, union_ell=1),
+                   DomainSpec(lattice, eps, r, union_ell=-1)])
+        translated = {}
+        singles = {}
+        for i in range(n):
+            for s in (1, -1):
+                translated[(i, s)] = sup_norm_bound_union(
+                    part, [DomainSpec(lattice, eps, r, word=((i, s),)),
+                           DomainSpec(lattice, eps, r, word=((i, 2 * s),))])
+            for k in (1, 2, -1, -2):
+                singles[(i, k)] = sup_norm_bound(
+                    part, DomainSpec(lattice, eps, r, word=((i, k),))).value
+        ledger[m] = {
+            "base_norm": sup_norm_bound(part, base).value,
+            "goal_norm": goal,
+            "translated": translated,
+            "word_norms": singles,
+            "eps": eps,
+            "r": r,
+        }
+    return ledger
 
 
 def identity_map(n, d, vmax, hband):

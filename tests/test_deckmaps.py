@@ -180,9 +180,11 @@ def coeff_bits(f):
 
 
 class TestWindowedInvertMap:
-    @pytest.mark.parametrize("n,d,vmax", [(1, 1, 5), (1, 1, 7), (2, 1, 5),
-                                          (1, 2, 4)])
-    def test_matches_full_window_loop(self, n, d, vmax):
+    cases = pytest.mark.parametrize("n,d,vmax", [(1, 1, 5), (1, 1, 7),
+                                                 (2, 1, 5), (1, 2, 4)])
+
+    @staticmethod
+    def case(n, d, vmax):
         rng = np.random.default_rng(40 + 10 * n + d + vmax)
         lam = np.exp(2j * np.pi * np.array([MILD_E2, 0.2 + 0.03j][:n]))
         mu = np.exp(2j * np.pi * np.array([GOLDEN, np.sqrt(2) - 1][:d]))
@@ -190,15 +192,37 @@ class TestWindowedInvertMap:
                            nterms=6, min_vdeg=2, scale=1e-3)
         pv = random_series(rng, n, d, components=d, vmax=vmax, hband=2,
                            nterms=6, min_vdeg=2, scale=1e-3)
-        m = DeckMap(lam=lam, mu=mu, pert_h=ph.with_window(hband=12),
-                    pert_v=pv.with_window(hband=12))
+        return DeckMap(lam=lam, mu=mu, pert_h=ph.with_window(hband=12),
+                       pert_v=pv.with_window(hband=12))
+
+    @cases
+    def test_matches_full_window_loop(self, n, d, vmax):
+        m = self.case(n, d, vmax)
         got, want = invert_map(m), full_window_invert_map(m)
         assert coeff_bits(got.pert_h) == coeff_bits(want.pert_h)
         assert coeff_bits(got.pert_v) == coeff_bits(want.pert_v)
         assert got.pert_v.homogeneous_part(vmax).max_abs() > 0
 
+    @cases
+    def test_one_more_sweep_changes_nothing(self, n, d, vmax):
+        # the inversion stops after its first full-window sweep; a further
+        # sweep from its result moves no coefficient bit and no tailflag
+        m = self.case(n, d, vmax)
+        inv = invert_map(m)
+        hband = m.pert_h.hband
+        again = (scale_components(compose_with_map(m.pert_h, inv, vmax=vmax,
+                                                   hband=hband),
+                                  1.0 / m.lam).scale(-1.0),
+                 scale_components(compose_with_map(m.pert_v, inv, vmax=vmax,
+                                                   hband=hband),
+                                  1.0 / m.mu).scale(-1.0))
+        for new, old in zip(again, (inv.pert_h, inv.pert_v)):
+            assert coeff_bits(new) == coeff_bits(old)
+            assert new.tailflag == old.tailflag
+
     def test_sweep_windows(self, monkeypatch):
-        # sweep s works through degree s + 2, then one full sweep
+        # sweep s works through degree s + 2; the first sweep on the full
+        # window is the last
         import toruslin.deckmaps as deckmaps_mod
         seen = []
         real = deckmaps_mod.compose_with_map
@@ -209,7 +233,7 @@ class TestWindowedInvertMap:
 
         monkeypatch.setattr(deckmaps_mod, "compose_with_map", recording)
         invert_map(mild_map(np.random.default_rng(3), vmax=6, hband=16))
-        assert seen == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 6, 6]
+        assert seen == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
 
 
 class TestComposeWithMapInPlaceSums:

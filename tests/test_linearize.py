@@ -19,8 +19,9 @@ import toruslin.series as series_mod
 from _fixtures import (GOLDEN, conjugated_family, golden_data, golden_family,
                        golden_lattice, lattice2_family, perturbation_records,
                        shipped_family)
-from _oracles import (chained_add_compose, psi_then_invert, random_series,
-                      result_digest, substitute_per_record, with_terms)
+from _oracles import (chained_add_compose, per_call_ledger, psi_then_invert,
+                      random_series, result_digest, substitute_per_record,
+                      with_terms)
 
 
 class TestLinearizeStep:
@@ -352,6 +353,39 @@ class TestLinearize:
                     "r"} <= set(rec)
             assert rec["eps"] > 0.1 and rec["r"] > 0.5 / np.e
             assert set(rec["translated"]) == {(0, 1), (0, -1)}
+
+
+def ledger_bits(ledger):
+    """Every entry of a norm ledger, floats by their bits, in key order."""
+    def spell(value):
+        if isinstance(value, dict):
+            return [(key, spell(v)) for key, v in value.items()]
+        return float(value).hex()
+    return spell(ledger)
+
+
+class TestSharedLedgerGeometry:
+    @pytest.mark.parametrize("route", ["forward", "inverse"])
+    @pytest.mark.parametrize("case", ["shipped-12", "lattice2-7",
+                                      "lattice2-11"])
+    def test_matches_per_call_ledger(self, case, route):
+        # one norm call per degree over shared domains gives the ledger of
+        # one call per entry bit for bit, with 2n translated pairs and 4n
+        # word norms per degree
+        if case == "shipped-12":
+            fam, run = shipped_family(12)
+            result = linearize(fam, 12, run["epsilon"], run["radius"],
+                               route=route, pmax=run["pmax"],
+                               qmax=run["qmax"])
+        else:
+            fam, _ = lattice2_family(int(case.split("-")[1]))
+            result = linearize(fam, 8, 0.2, 0.5, route=route, pmax=6, qmax=6)
+        want = per_call_ledger(result.phi_v, fam.lattice, result.eps_m,
+                               result.r_m, result.order, fam.n)
+        assert ledger_bits(result.per_degree) == ledger_bits(want)
+        assert len(result.per_degree[2]["translated"]) == 2 * fam.n
+        assert len(result.per_degree[2]["word_norms"]) == 4 * fam.n
+        assert result.per_degree[result.order]["base_norm"] > 0
 
 
 class TestDegreeBlocks:

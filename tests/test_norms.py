@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from toruslin import DomainSpec, LatticeSpec, sampled_lower_bound, sup_norm_bound
+from toruslin.norms import sup_norm_bound_union, sup_norm_bounds
 from toruslin.series import TruncatedSeries
 
 from _oracles import random_series
@@ -109,6 +110,30 @@ def test_certified_bound_finite_where_monomial_sup_overflows():
     # the same term at 1e-5 is past the double range itself: inf, silently
     big = TruncatedSeries.monomial(1, 1, 0, (-2,), (0,), 1e-5, components=1)
     assert sup_norm_bound(big, dom).value == np.inf
+
+
+def test_domains_shared_by_unions_are_computed_once(monkeypatch):
+    # each union's bound is its sup_norm_bound_union bit for bit, and a
+    # domain in several unions, given twice as equal specs included, has
+    # its monomial sups computed once per component
+    rng = np.random.default_rng(41)
+    f = random_series(rng, 2, 1, components=2, vmax=5, hband=3, nterms=20)
+    base = DomainSpec(lat2(), 0.2, 0.5)
+    one, two, back = (base.translated(1, k) for k in (1, 2, -1))
+    unions = [[base], [one, two], [two, back], [one],
+              [DomainSpec(lat2(), 0.2, 0.5, union_ell=1), base],
+              [DomainSpec(base.lattice, 0.2, 0.5, word=((1, 1),))]]
+    want = [sup_norm_bound_union(f, u).hex() for u in unions]
+    calls = []
+    sups = DomainSpec.sup_monomials
+
+    def counted(dom, Ps):
+        calls.append(dom)
+        return sups(dom, Ps)
+
+    monkeypatch.setattr(DomainSpec, "sup_monomials", counted)
+    assert [x.hex() for x in sup_norm_bounds(f, unions)] == want
+    assert len(calls) == 5 * f.components
 
 
 def scalar_abs_values(rng, count):

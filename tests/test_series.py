@@ -1087,31 +1087,50 @@ def homogeneous_series(rng, n, d, m, vmax, hband, nterms, scale):
 class TestWindowedInversion:
     """Windowed sweeps against the full-window loop, bit for bit."""
 
+    @staticmethod
+    def homogeneous_case(n, d, m):
+        rng = np.random.default_rng(100 * n + 10 * d + m)
+        vmax = 7 if d == 1 else 6
+        return homogeneous_series(rng, n, d, m, vmax, 2, 5, 0.3)
+
+    @staticmethod
+    def mixed_case(n, d):
+        rng = np.random.default_rng(7 * n + d)
+        vmax = 7 if d == 1 else 6
+        return random_series(rng, n, d, components=d, vmax=vmax, hband=2,
+                             nterms=12, min_vdeg=2, scale=0.3)
+
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_homogeneous(self, n, d, m):
-        rng = np.random.default_rng(100 * n + 10 * d + m)
-        vmax = 7 if d == 1 else 6
-        G = homogeneous_series(rng, n, d, m, vmax, 2, 5, 0.3)
+        G = self.homogeneous_case(n, d, m)
         H = invert_vertical_map(G)
         assert bits(H) == bits(full_window_inverse(G))
         assert H.max_abs() > 0
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_mixed_degree(self, n, d):
-        rng = np.random.default_rng(7 * n + d)
-        vmax = 7 if d == 1 else 6
-        psi = random_series(rng, n, d, components=d, vmax=vmax, hband=2,
-                            nterms=12, min_vdeg=2, scale=0.3)
+        psi = self.mixed_case(n, d)
         H = invert_vertical_map(psi)
         assert bits(H) == bits(full_window_inverse(psi))
-        assert H.homogeneous_part(vmax).max_abs() > 0
+        assert H.homogeneous_part(psi.vmax).max_abs() > 0
 
-    @pytest.mark.parametrize("m,vmax,windows", [(2, 6, [2, 3, 4, 5, 6, 6]),
-                                                (3, 7, [4, 6, 7, 7]),
-                                                (5, 7, [7, 7])])
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("m", [2, 3, 4, None])
+    def test_one_more_sweep_changes_nothing(self, n, d, m):
+        # the inversion stops after its first full-window sweep; a further
+        # sweep from its result moves no coefficient bit and no tailflag
+        G = self.mixed_case(n, d) if m is None else \
+            self.homogeneous_case(n, d, m)
+        H = invert_vertical_map(G)
+        assert bits(substitute_vertical(G, H).scale(-1.0)) == bits(H)
+
+    @pytest.mark.parametrize("m,vmax,windows", [(2, 6, [2, 3, 4, 5, 6]),
+                                                (3, 7, [4, 6, 7]),
+                                                (5, 7, [7])])
     def test_sweep_windows(self, monkeypatch, m, vmax, windows):
-        # sweep s works through degree (s + 1)(m - 1), then one full sweep
+        # sweep s works through degree (s + 1)(m - 1); the first sweep on
+        # the full window is the last
         import toruslin.series as series_mod
         seen = []
         real = series_mod.substitute_vertical
@@ -1268,6 +1287,36 @@ def test_records_streamed_one_at_a_time(monkeypatch):
     linearize(family, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
               qmax=run["qmax"])
     assert 0 < sum(count) <= 250
+
+
+def test_inversions_stop_at_the_first_full_window_sweep(monkeypatch):
+    # each inversion ends with its first sweep on the full window: an
+    # order-12 forward linearization of the shipped family substitutes 21
+    # times inside invert_vertical_map, and the degree-2 inverse family
+    # composes twice per map
+    from _fixtures import shipped_family
+    import toruslin.deckmaps as deckmaps_mod
+    import toruslin.series as series_mod
+    from toruslin.linearize import linearize
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(series_mod, "substitute_vertical")
+    counting(deckmaps_mod, "compose_with_map")
+    family, run = shipped_family(12)
+    family.inverse(2)
+    assert calls == ["compose_with_map"] * 2 * family.n
+    calls.clear()
+    linearize(family, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
+              qmax=run["qmax"])
+    assert calls.count("substitute_vertical") == 21
 
 
 # The .coeffs uses tests/ keeps, by (file, function), each with its reason.
