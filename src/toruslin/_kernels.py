@@ -15,8 +15,7 @@ reads, besides each operand's (exps, vals), the operand's ``table_data``:
 vertical degrees, moduli, mass at or above each degree and exponent
 bounds, which a series builds once per component and keeps with its
 arrays.  It sums the products per exponent key after one stable argsort
-of the packed keys, and tests the horizontal band only where the exponent
-bounds say an output can reach past it.
+of the packed keys.
 
 ``segment_sum`` is the bulk form of a running sum into a coefficient table:
 records whose exponent rows are equal are summed, each key's values in
@@ -95,21 +94,19 @@ def table_data(exps, vals, n):
     return deg, mods, above, exps.min(axis=0), exps.max(axis=0)
 
 
-def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune,
+def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune,
                    data_a, data_b):
-    """Convolution of two coefficient tables truncated to (vmax, hband).
+    """Convolution of two coefficient tables truncated to vertical order vmax.
 
     ``data_a`` and ``data_b`` are the operands' ``table_data``.  Returns
     (exps, vals, discarded).  Only the pairs whose vertical degrees sum to
     at most ``vmax`` are formed, in the row-major order of the full outer
     product, so every kept coefficient is the same sum of the same
     products in the same order as in the full convolution.  ``discarded``
-    is the exact absolute mass of the formed coefficients that fall
-    outside ``hband``, plus ``sum |a_i| |b_j|`` over the pairs not formed:
-    by the triangle inequality an upper bound on the mass those pairs would
-    have put above ``vmax``.  When no output exponent can reach past
-    ``hband``, as the operands' exponent bounds tell, the band is not
-    tested.
+    is ``sum |a_i| |b_j|`` over the pairs not formed: by the triangle
+    inequality an upper bound on the mass those pairs would have put above
+    ``vmax``.  Sums of modulus ``prune`` or less are dropped and not
+    counted.
 
     Products are ``multiply``'s and moduli ``modulus``'s, and every sum
     runs in a fixed order, so each kept value, the prune test and
@@ -149,13 +146,7 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune,
     # each output's exponent row is that of the first pair of its run
     exps = exps_a[rows[start]] + exps_b[cols[start]]
 
-    mods = modulus(acc)
-    keep = mods > prune
-    if n and max(-lo[:n].min(), hi[:n].max()) > hband:
-        live = keep.copy()
-        keep &= np.abs(exps[:, :n]).max(axis=1) <= hband
-        return exps[keep], acc[keep], \
-            float(mods[live & ~keep].sum()) + bound
+    keep = modulus(acc) > prune
     return exps[keep], acc[keep], bound
 
 

@@ -71,8 +71,7 @@ def _dps(run):
 
 def _family(problem, run):
     return build_family(problem.lattice, problem.data, problem.pert_records,
-                        run["vmax"], run["hband"], eps0=run["epsilon"],
-                        r0=run["radius"])
+                        run["vmax"], eps0=run["epsilon"], r0=run["radius"])
 
 
 def _do_check_diophantine(problem, run, outdir):

@@ -158,7 +158,7 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
         if c:
             coeffs[key] = c / divisor
         used[key] = (iv, divisor)
-    G = TruncatedSeries(base.n, base.d, base.d, base.vmax, base.hband, coeffs)
+    G = TruncatedSeries(base.n, base.d, base.d, base.vmax, coeffs=coeffs)
 
     theoretical = None
     if constants is not None:
@@ -195,7 +195,7 @@ def solve_single(F_i, i, data, lattice, eps, r, delta, rho, sign=1,
             raise ResonanceError(P, Q, k, i)
         coeffs[k, P, Q] = c / divisor
         used[k, P, Q] = (i, divisor)
-    G = TruncatedSeries(F_i.n, F_i.d, F_i.d, F_i.vmax, F_i.hband, coeffs)
+    G = TruncatedSeries(F_i.n, F_i.d, F_i.d, F_i.vmax, coeffs=coeffs)
 
     theoretical = None
     if constants is not None:

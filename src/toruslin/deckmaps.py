@@ -10,9 +10,8 @@ with such a map expands the h-part multiplicatively:
 where (1 + u)^p is a finite binomial sum for any integer p (negative
 included): ord_v u >= 2, and the factor v^Q that the h-part multiplies has
 order >= ord_v f, so at most (vmax - ord_v f) // 2 factors of u reach the
-output.
-Products run on a widened horizontal band so the result is the exact
-composition projected to the requested window.
+output.  Every product is thus a finite Laurent polynomial in h, and the
+result is the exact composition truncated at the requested vmax.
 """
 
 from collections import Counter
@@ -72,8 +71,8 @@ class DeckMap:
         return max(self.pert_h.max_abs(), self.pert_v.max_abs())
 
 
-def compose_with_map(f, m, vmax=None, hband=None):
-    """Exact-then-project composition f o m for a deck map m.
+def compose_with_map(f, m, vmax=None):
+    """The composition f o m for a deck map m, truncated at ``vmax``.
 
     Terms are grouped by vertical exponent: the horizontal part of each
     group is a linear combination of cached binomial powers (no products),
@@ -101,10 +100,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
     only have formed pairs above vmax.
     """
     vmax = f.vmax if vmax is None else vmax
-    hband = f.hband if hband is None else hband
     n, d = f.n, f.d
-    pw = max(m.pert_h.hband + 1, m.pert_v.hband, 1)
-    work = max(hband, f.hband) + (vmax // 2) * pw
     hwin = max(vmax - f.v_order(), 0)
     smax = hwin // 2
 
@@ -117,8 +113,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
         if u.nterms() == 0 and not u.tailflag and u.discarded == 0.0:
             upow.append(None)
             continue
-        u = u.with_window(vmax=hwin, hband=work).shift_h(ek).scale(
-            1.0 / m.lam[k])
+        u = u.with_window(vmax=hwin).shift_h(ek).scale(1.0 / m.lam[k])
         table = [None, u]
         for s in range(2, smax + 1):
             table.append(table[-1].mul(u))
@@ -135,15 +130,15 @@ def compose_with_map(f, m, vmax=None, hband=None):
     for j, qm in qmax_needed.items():
         ej = tuple(1 if t == j else 0 for t in range(d))
         w = TruncatedSeries.monomial(n, d, 0, (0,) * n, ej, m.mu[j],
-                                     components=1, vmax=vmax, hband=work)
-        w = w.add(m.pert_v.component(j).with_window(vmax=vmax, hband=work))
+                                     components=1, vmax=vmax)
+        w = w.add(m.pert_v.component(j).with_window(vmax=vmax))
         table = [None, w]
         for q in range(2, qm + 1):
             table.append(table[-1].mul(w))
         vpow[j] = table
 
     one = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
-                                   components=1, vmax=hwin, hband=work)
+                                   components=1, vmax=hwin)
 
     # the binomial series (1 + u_k)^p for every (k, p) the terms need, each
     # kept until the last horizontal factor that uses it is formed
@@ -173,7 +168,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
             acc = piece if acc is one else acc.mul(piece)
         return acc, lam_fac
 
-    out = f._like(vmax=vmax, hband=work)
+    out = f._like(vmax=vmax)
     out.tailflag, out.discarded = f.tailflag, f.discarded
     groups = {}
     for k, P, Q, c in terms:
@@ -197,7 +192,7 @@ def compose_with_map(f, m, vmax=None, hband=None):
         _scatter([out], None, np.repeat(ks, counts) if f.components > 1
                  else None, np.concatenate(exps), np.concatenate(vals),
                  [list(zip(np.cumsum(counts).tolist(), lost))])
-    return out.restrict(vmax=vmax, hband=hband)
+    return out
 
 
 def substitute_into_map(m, H):
@@ -213,19 +208,18 @@ def conjugate_by_vertical(m, G, H=None):
     if H is None:
         H = invert_vertical_map(G)
     inner = substitute_into_map(m, H)
-    lifted = compose_with_map(G, inner, vmax=G.vmax, hband=inner.pert_v.hband)
+    lifted = compose_with_map(G, inner, vmax=G.vmax)
     return DeckMap(lam=m.lam, mu=m.mu, pert_h=inner.pert_h,
                    pert_v=inner.pert_v.add(lifted))
 
 
-def compose_maps(m1, m2, hband=None):
+def compose_maps(m1, m2):
     """The deck map m1 o m2 (apply m2 first), at m1's vmax."""
     vmax = m1.pert_h.vmax
-    hband = m1.pert_h.hband if hband is None else hband
-    a1_of = compose_with_map(m1.pert_h, m2, vmax=vmax, hband=hband)
-    b1_of = compose_with_map(m1.pert_v, m2, vmax=vmax, hband=hband)
-    pert_h = scale_components(m2.pert_h, m1.lam).restrict(vmax, hband).add(a1_of)
-    pert_v = scale_components(m2.pert_v, m1.mu).restrict(vmax, hband).add(b1_of)
+    a1_of = compose_with_map(m1.pert_h, m2, vmax=vmax)
+    b1_of = compose_with_map(m1.pert_v, m2, vmax=vmax)
+    pert_h = scale_components(m2.pert_h, m1.lam).restrict(vmax).add(a1_of)
+    pert_v = scale_components(m2.pert_v, m1.mu).restrict(vmax).add(b1_of)
     return DeckMap(lam=m1.lam * m2.lam, mu=m1.mu * m2.mu,
                    pert_h=pert_h, pert_v=pert_v)
 
@@ -246,17 +240,15 @@ def invert_map(m):
     the same coefficients and tailflags bit for bit.
     """
     n, d = m.n, m.d
-    vmax, hband = m.pert_h.vmax, m.pert_h.hband
+    vmax = m.pert_h.vmax
     inv = DeckMap(lam=1.0 / m.lam, mu=1.0 / m.mu,
-                  pert_h=TruncatedSeries.zero(n, d, n, vmax, hband),
-                  pert_v=TruncatedSeries.zero(n, d, d, vmax, hband))
+                  pert_h=TruncatedSeries.zero(n, d, n, vmax),
+                  pert_v=TruncatedSeries.zero(n, d, d, vmax))
     for window in range(min(vmax, 2), vmax + 1):
         cur = DeckMap(lam=inv.lam, mu=inv.mu, pert_h=inv.pert_h.cut(window),
                       pert_v=inv.pert_v.cut(window))
-        a_of = compose_with_map(m.pert_h.cut(window), cur, vmax=window,
-                                hband=hband)
-        b_of = compose_with_map(m.pert_v.cut(window), cur, vmax=window,
-                                hband=hband)
+        a_of = compose_with_map(m.pert_h.cut(window), cur, vmax=window)
+        b_of = compose_with_map(m.pert_v.cut(window), cur, vmax=window)
         new_h = scale_components(a_of, 1.0 / m.lam).scale(-1.0)
         new_v = scale_components(b_of, 1.0 / m.mu).scale(-1.0)
         inv = DeckMap(lam=inv.lam, mu=inv.mu,

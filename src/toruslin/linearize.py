@@ -35,7 +35,6 @@ from .series import (TruncatedSeries, invert_vertical_map, scale_components,
                      substitute_vertical)
 
 LINEARIZE_TOL = 1e-8
-WORK_BAND_SLACK = 4
 
 
 class LinearizeError(RuntimeError):
@@ -51,16 +50,17 @@ class DeckMapFamily:
 
     The linearization loop solves from and conjugates ``maps`` only.  The
     inverse route runs the same loop on ``inverse()``, the family of the
-    inverse maps.
+    inverse maps.  ``hband``, the retired horizontal band, is accepted and
+    ignored: the benchmark under ``perfbench/`` still passes it.
     """
 
-    def __init__(self, lattice, data, maps, eps0, r0, hband, inv_maps=None):
+    def __init__(self, lattice, data, maps, eps0, r0, hband=None,
+                 inv_maps=None):
         self.lattice = lattice
         self.data = data
         self.maps = maps
         self.eps0 = eps0
         self.r0 = r0
-        self.hband = hband
         self._inv_maps = inv_maps
 
     @property
@@ -99,13 +99,13 @@ class DeckMapFamily:
                 pert_v=m.pert_v.restrict(vmax=degree))) for m in self.maps]
         return DeckMapFamily(lattice=self.lattice, data=self.data.inverse(),
                              maps=inv_maps, inv_maps=self.maps,
-                             eps0=self.eps0, r0=self.r0, hband=self.hband)
+                             eps0=self.eps0, r0=self.r0)
 
     def _with_maps(self, maps):
         """This family with ``maps`` in place of its own; the new family
         derives its inverses from them if they are ever read."""
         return DeckMapFamily(lattice=self.lattice, data=self.data, maps=maps,
-                             eps0=self.eps0, r0=self.r0, hband=self.hband)
+                             eps0=self.eps0, r0=self.r0)
 
     def conjugated(self, G, H):
         """The family conjugated by Phi = (h, v + G); Phi^{-1} = (h, v + H).
@@ -123,15 +123,16 @@ class DeckMapFamily:
                                 for m in self.maps])
 
 
-def build_family(lattice, data, pert_records, vmax, hband, eps0, r0):
+def build_family(lattice, data, pert_records, vmax, hband=None, *, eps0,
+                 r0):
     """Assemble a family from multiplier data plus perturbation records.
 
     Records are (i, k, P, Q, value) with generator i and component k
-    0-based, h components first.  Series are carried on a widened working
-    band so conjugation arithmetic is exact far past the reporting band.
+    0-based, h components first.  ``hband``, the retired horizontal band,
+    is accepted and ignored: the benchmark under ``perfbench/`` still
+    passes it.
     """
     n, d = data.n, data.d
-    work = hband + WORK_BAND_SLACK * vmax
     maps = []
     for i in range(n):
         ph, pv = {}, {}
@@ -139,17 +140,14 @@ def build_family(lattice, data, pert_records, vmax, hband, eps0, r0):
             if gi != i or not value:
                 continue
             P, Q = tuple(P), tuple(Q)
-            if max(map(abs, P), default=0) > hband or sum(Q) > vmax:
-                raise LinearizeError("perturbation record outside (vmax, hband)"
-                                     " window: P=%s Q=%s" % (P, Q))
             # repeated records add up, in record order
             table, key = (ph, (k, P, Q)) if k < n else (pv, (k - n, P, Q))
             table[key] = table.get(key, 0j) + value
         maps.append(DeckMap(lam=data.lam[i], mu=data.mu[i],
-                            pert_h=TruncatedSeries(n, d, n, vmax, work, ph),
-                            pert_v=TruncatedSeries(n, d, d, vmax, work, pv)))
+                            pert_h=TruncatedSeries(n, d, n, vmax, coeffs=ph),
+                            pert_v=TruncatedSeries(n, d, d, vmax, coeffs=pv)))
     return DeckMapFamily(lattice=lattice, data=data, maps=maps,
-                         eps0=eps0, r0=r0, hband=hband)
+                         eps0=eps0, r0=r0)
 
 
 def check_commutation(family, order=None):
@@ -312,8 +310,7 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
     if route == "inverse":
         family = family.inverse()
     original = family
-    phi_v = TruncatedSeries.zero(family.n, family.d, family.d,
-                                 family.vmax, family.maps[0].pert_h.hband)
+    phi_v = TruncatedSeries.zero(family.n, family.d, family.d, family.vmax)
     current = family
     step_records = []
     for m in [2, *range(3, order + 1, 2)]:
@@ -412,8 +409,7 @@ def conjugacy_residual(phi_v, original, linearized, order):
         tilde = linearized.maps[i]
         dh = tilde.pert_h - substitute_vertical(tau.pert_h, phi_v)
         dv = tilde.pert_v \
-            .add(compose_with_map(phi_v, tilde, vmax=phi_v.vmax,
-                                  hband=tilde.pert_v.hband)) \
+            .add(compose_with_map(phi_v, tilde, vmax=phi_v.vmax)) \
             - scale_components(phi_v, tau.mu) \
             - substitute_vertical(tau.pert_v, phi_v)
         per_degree = {}

@@ -2,12 +2,13 @@
 
 A series is a finite coefficient table
 ``f(h, v) = sum_{P in Z^n, Q in N^d} f[k, P, Q] h^P v^Q`` per output
-component k, truncated to vertical order ``|Q|_1 <= vmax`` and horizontal
-band ``|P|_inf <= hband``.  Operations that push mass outside the truncation
-window drop it, set ``tailflag`` and add to ``discarded`` an upper bound on
-the dropped absolute mass: products never form the pairs that land above
-``vmax`` and count them by the triangle bound ``sum |a_i| |b_j|`` (mass
-dropped outside ``hband`` is counted exactly).
+component k, truncated to vertical order ``|Q|_1 <= vmax``.  The vertical
+cut is the only truncation: every input is a Laurent polynomial in h, and
+products, compositions and the binomial series ``(1 + u)^p`` stay finite in
+P because ``u`` has positive vertical order.  Operations that push mass
+above ``vmax`` drop it, set ``tailflag`` and add to ``discarded`` an upper
+bound on the dropped absolute mass: products never form the pairs that land
+above ``vmax`` and count them by the triangle bound ``sum |a_i| |b_j|``.
 
 Values are complex doubles.  Series are immutable: every operation
 returns a new instance, and nothing may change a series once another
@@ -16,7 +17,7 @@ arrays (``_sorted``): every term sorted by (k, P, Q), the one order in
 which the kernels and the bulk sums read a series, sliced per component,
 with the ``table_data`` products read.  ``mul`` keeps the kernel's
 output, selections and ``scale`` are masks, and every sum or re-truncation
-is one ``_scatter``: its records are tested against the window, summed per
+is one ``_scatter``: its records are tested against ``vmax``, summed per
 key in record order and pruned, keys sorted.  ``substitute_vertical(f,
 phi)`` keeps the powers ``(v_j + phi_j)^q`` with ``phi`` for later use.
 
@@ -25,8 +26,8 @@ read terms through ``terms()``, ``get()`` (which keeps the dict beside the
 arrays once built) and ``nterms()``.  The public ``coeffs`` is the
 writable handle: reading it drops the kept arrays and powers, so the dict
 is the store again and a write is seen by every later read.  Constructors,
-``copy``, ``from_text``, ``partial_h`` and ``compose_diagonal`` fill a
-dict, constructors and ``partial_h`` through ``_accumulate``, the
+``from_text``, ``partial_h`` and ``compose_diagonal`` fill a dict,
+constructors and ``partial_h`` through ``_accumulate``, the
 record-by-record loop that applies the window and the pruning.
 """
 
@@ -46,16 +47,17 @@ class SeriesError(ValueError):
 
 
 class TruncatedSeries:
-    __slots__ = ("n", "d", "components", "vmax", "hband", "tailflag",
-                 "discarded", "_shift", "_store", "_table")
+    __slots__ = ("n", "d", "components", "vmax", "tailflag", "discarded",
+                 "_shift", "_store", "_table")
 
-    def __init__(self, n, d, components=1, vmax=8, hband=8, coeffs=None,
+    def __init__(self, n, d, components=1, vmax=8, hband=None, coeffs=None,
                  tailflag=False, discarded=0.0):
+        """``hband``, the retired horizontal band, is accepted and ignored:
+        the benchmark under ``perfbench/`` still passes it."""
         self.n = int(n)
         self.d = int(d)
         self.components = int(components)
         self.vmax = int(vmax)
-        self.hband = int(hband)
         self.tailflag = bool(tailflag)
         self.discarded = float(discarded)
         # the coefficient dict, filled by the constructors; a series that an
@@ -81,7 +83,7 @@ class TruncatedSeries:
             raise SeriesError("multi-index arity mismatch")
         if any(q < 0 for q in Q):
             raise SeriesError("vertical exponents must be nonnegative")
-        if sum(Q) > self.vmax or (P and max(abs(p) for p in P) > self.hband):
+        if sum(Q) > self.vmax:
             raise SeriesError("index outside truncation window")
 
     @property
@@ -103,16 +105,15 @@ class TruncatedSeries:
     def _accumulate(self, records):
         """Add ``((k, P, Q), value)`` records to the table, in order.
 
-        A record outside the (vmax, hband) window is not stored: it sets
-        ``tailflag`` and adds its modulus to ``discarded``.  A record inside
-        is added to the running sum at its key, and a sum of modulus PRUNE
-        or less is removed.  The kept kernel arrays are dropped.
+        A record above ``vmax`` is not stored: it sets ``tailflag`` and adds
+        its modulus to ``discarded``.  A record inside is added to the
+        running sum at its key, and a sum of modulus PRUNE or less is
+        removed.  The kept kernel arrays are dropped.
         """
-        coeffs, vmax, hband = self._lookup(), self.vmax, self.hband
+        coeffs, vmax = self._lookup(), self.vmax
         self._store = None
         for key, c in records:
-            P = key[1]
-            if sum(key[2]) > vmax or (P and max(map(abs, P)) > hband):
+            if sum(key[2]) > vmax:
                 self.tailflag = True
                 self.discarded += abs(c)
                 continue
@@ -123,33 +124,27 @@ class TruncatedSeries:
                 del coeffs[key]
 
     @classmethod
-    def zero(cls, n, d, components=1, vmax=8, hband=8):
-        return cls(n, d, components, vmax, hband)
+    def zero(cls, n, d, components=1, vmax=8, hband=None):
+        """The zero series; ``hband`` is ignored, as by the constructor."""
+        return cls(n, d, components, vmax)
 
     @classmethod
-    def monomial(cls, n, d, k, P, Q, c=1.0, components=None, vmax=8, hband=8):
+    def monomial(cls, n, d, k, P, Q, c=1.0, components=None, vmax=8):
         components = components if components is not None else k + 1
-        return cls(n, d, components, vmax, hband,
-                   {(k, tuple(P), tuple(Q)): c})
+        return cls(n, d, components, vmax,
+                   coeffs={(k, tuple(P), tuple(Q)): c})
 
-    def _like(self, components=None, vmax=None, hband=None):
+    def _like(self, components=None, vmax=None):
         return TruncatedSeries(
             self.n, self.d,
             self.components if components is None else components,
-            self.vmax if vmax is None else vmax,
-            self.hband if hband is None else hband)
+            self.vmax if vmax is None else vmax)
 
-    def copy(self):
-        out = self._like()
-        out._table = dict(self._lookup())
-        out.tailflag, out.discarded = self.tailflag, self.discarded
-        return out
-
-    def _rows(self, keep=None, vmax=None, hband=None):
+    def _rows(self, keep=None, vmax=None):
         """The rows ``keep`` of ``_sorted()`` (a mask, or None: all, sharing
         what is kept) as a series on the given window, flags clear."""
         ks, exps, vals = self._sorted()
-        out = self._like(vmax=vmax, hband=hband)
+        out = self._like(vmax=vmax)
         if keep is None:
             out._store, out._table = self._store, None
         else:
@@ -195,8 +190,8 @@ class TruncatedSeries:
 
     def __repr__(self):
         return ("TruncatedSeries(n=%d, d=%d, components=%d, vmax=%d, "
-                "hband=%d, terms=%d%s)" % (
-                    self.n, self.d, self.components, self.vmax, self.hband,
+                "terms=%d%s)" % (
+                    self.n, self.d, self.components, self.vmax,
                     self.nterms(), ", tail" if self.tailflag else ""))
 
     # -- ring operations ------------------------------------------------------
@@ -211,8 +206,7 @@ class TruncatedSeries:
         self._check_compat(other)
         if self.components != other.components:
             raise SeriesError("component count mismatch in add")
-        out = self._like(vmax=min(self.vmax, other.vmax),
-                         hband=min(self.hband, other.hband))
+        out = self._like(vmax=min(self.vmax, other.vmax))
         out.tailflag = self.tailflag or other.tailflag
         out.discarded = self.discarded + other.discarded
         ka, ea, va = self._sorted()
@@ -221,7 +215,7 @@ class TruncatedSeries:
         # the window before the other's record at its key arrives
         keep = modulus(va) > PRUNE
         if not keep.all():
-            keep |= _outside(ea, self.n, out.vmax, out.hband)
+            keep |= _outside(ea, self.n, out.vmax)
         _scatter([out], None, None if ka is None else
                  np.concatenate((ka[keep], kb)),
                  np.concatenate((ea[keep], eb)),
@@ -314,8 +308,7 @@ class TruncatedSeries:
             raise SeriesError("component counts incompatible for product")
         comps = max(ca, cb)
         out = self._like(components=comps,
-                         vmax=min(self.vmax, other.vmax),
-                         hband=min(self.hband, other.hband))
+                         vmax=min(self.vmax, other.vmax))
         out.tailflag = self.tailflag or other.tailflag
         out.discarded = self.discarded + other.discarded
         parts = []
@@ -323,8 +316,7 @@ class TruncatedSeries:
             ea, va, da = self._operand(k if ca > 1 else 0)
             eb, vb, db = other._operand(k if cb > 1 else 0)
             exps, vals, dropped = cauchy_product(
-                ea, va, eb, vb, self.n, self.d, out.vmax, out.hband, PRUNE,
-                da, db)
+                ea, va, eb, vb, self.n, self.d, out.vmax, PRUNE, da, db)
             if dropped:
                 out.tailflag = True
                 out.discarded += dropped
@@ -362,11 +354,9 @@ class TruncatedSeries:
         out.tailflag, out.discarded = self.tailflag, self.discarded
         return out
 
-    def restrict(self, vmax=None, hband=None):
+    def restrict(self, vmax=None):
         """Re-truncate to a smaller window, flagging discarded mass."""
-        vmax = self.vmax if vmax is None else vmax
-        hband = self.hband if hband is None else hband
-        out = self._like(vmax=vmax, hband=hband)
+        out = self._like(vmax=vmax)
         out.tailflag = self.tailflag
         out.discarded = self.discarded
         _scatter([out], None, *self._sorted(), [[]], one_per_key=True)
@@ -385,10 +375,12 @@ class TruncatedSeries:
         return out
 
     def with_window(self, vmax=None, hband=None):
-        """Widen the truncation window (no coefficients change)."""
+        """Widen the truncation window (no coefficients change).
+
+        ``hband`` is accepted and ignored: the benchmark under
+        ``perfbench/`` still passes it."""
         vmax = self.vmax if vmax is None else max(self.vmax, vmax)
-        hband = self.hband if hband is None else max(self.hband, hband)
-        out = self._rows(vmax=vmax, hband=hband)
+        out = self._rows(vmax=vmax)
         out.tailflag, out.discarded = self.tailflag, self.discarded
         return out
 
@@ -438,8 +430,12 @@ class TruncatedSeries:
     # -- serialization (TLS format) -------------------------------------------
 
     def to_text(self):
+        """The TLS text: a header ``TLS n d components vmax pmax``, with
+        ``pmax`` the largest ``|P|_inf`` of a term (0 without terms), then
+        one record per term in sorted order."""
+        pmax = int(np.abs(self._sorted()[1][:, :self.n]).max(initial=0))
         lines = ["TLS %d %d %d %d %d" % (self.n, self.d, self.components,
-                                         self.vmax, self.hband)]
+                                         self.vmax, pmax)]
         for k, P, Q, c in self.terms():
             fields = [str(k)] + [str(p) for p in P] + [str(q) for q in Q]
             # plain floats: repr of a numpy scalar is "np.float64(...)"
@@ -450,18 +446,22 @@ class TruncatedSeries:
 
     @classmethod
     def from_text(cls, text):
-        """Read a TLS text, keeping every value exactly as written."""
+        """Read a TLS text, keeping every value exactly as written.
+
+        The header's fifth field must be a nonnegative int and is otherwise
+        ignored: ``to_text`` writes the terms' largest ``|P|_inf`` there,
+        and older writers wrote the retired horizontal band."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise SeriesError("empty TLS text")
         head = lines[0].split()
         try:
-            n, d, components, vmax, hband = map(int, head[1:])
-            if head[0] != "TLS" or min(n, d, components, vmax, hband) < 0:
+            n, d, components, vmax, pmax = map(int, head[1:])
+            if head[0] != "TLS" or min(n, d, components, vmax, pmax) < 0:
                 raise ValueError
         except ValueError:
             raise SeriesError("bad TLS header: %r" % lines[0]) from None
-        out = cls(n, d, components, vmax, hband)
+        out = cls(n, d, components, vmax)
         for ln in lines[1:]:
             parts = ln.split()
             try:
@@ -505,12 +505,9 @@ def scale_components(f, factors):
     return out
 
 
-def _outside(exps, n, vmax, hband):
-    """Rows outside the window (vmax, hband), which may be per-row arrays."""
-    outside = exps[:, n:].sum(axis=1) > vmax
-    if n:
-        outside |= np.abs(exps[:, :n]).max(axis=1) > hband
-    return outside
+def _outside(exps, n, vmax):
+    """Rows above ``vmax``, which may be a per-row array."""
+    return exps[:, n:].sum(axis=1) > vmax
 
 
 def compose_diagonal(f, lam, mu, sign=1):
@@ -546,8 +543,8 @@ def compose_diagonal(f, lam, mu, sign=1):
     return out
 
 
-def _vertical_shift_powers(phi, vmax, hband):
-    """A new table of the powers (v_j + phi_j)^q on a working window.
+def _vertical_shift_powers(phi, vmax):
+    """A new table of the powers (v_j + phi_j)^q on the window ``vmax``.
 
     Row j holds ``[None, v_j + phi_j]``; ``substitute_vertical`` extends it
     on demand as ``row[q] = row[q - 1].mul(row[1])``.
@@ -556,8 +553,8 @@ def _vertical_shift_powers(phi, vmax, hband):
     for j in range(phi.d):
         ej = tuple(1 if l == j else 0 for l in range(phi.d))
         w = TruncatedSeries.monomial(phi.n, phi.d, 0, (0,) * phi.n, ej,
-                                     components=1, vmax=vmax, hband=hband)
-        w = w.add(phi.component(j).restrict(vmax=vmax).with_window(hband=hband))
+                                     components=1, vmax=vmax)
+        w = w.add(phi.component(j).restrict(vmax=vmax))
         rows.append([None, w])
     return rows
 
@@ -566,18 +563,17 @@ def substitute_vertical(f, phi):
     """Substitute v <- v + phi(h, v) with ord_v phi >= 2.
 
     The substitution is filtered by vertical degree: the degree-m part of
-    the result only involves parts of phi of degree < m.  Internally the
-    horizontal band is widened so the result equals the exact substitution
-    projected onto the output window; dropping |Q| > vmax mass early is safe
-    because vertical degrees only grow under products.
+    the result only involves parts of phi of degree < m.  Dropping
+    |Q| > vmax mass early is safe because vertical degrees only grow under
+    products.
 
     W_Q = prod_j (v_j + phi_j)^q_j is v^Q plus terms of degree >= |Q| +
     ord_v phi - 1, so a term with |Q| > vmax - ord_v phi + 1 is its own
     record, as a pure h-monomial term is (above the output vmax it goes to
     ``discarded``), and no power past that degree is formed.
 
-    The powers (v_j + phi_j)^q are kept with ``phi``, one table per working
-    window, built on the first substitution into ``phi`` and extended as
+    The powers (v_j + phi_j)^q are kept with ``phi``, one table per output
+    ``vmax``, built on the first substitution into ``phi`` and extended as
     later ones need higher powers.  Every series substituted into the same
     ``phi`` (a deck map's two perturbations and ``phi_v`` at each degree of
     the linearization) reuses them, and each power is the same product in
@@ -591,9 +587,8 @@ def substitute_vertical(f, phi):
     order = phi.v_order()
     if order < 2:
         raise SeriesError("phi must vanish to order >= 2 in v")
-    vmax, hband = min(f.vmax, phi.vmax), min(f.hband, phi.hband)
-    work_hband = f.hband + phi.hband * max(1, vmax // 2)
-    out = f._like(vmax=vmax, hband=hband)
+    vmax = min(f.vmax, phi.vmax)
+    out = f._like(vmax=vmax)
     out.tailflag = f.tailflag or phi.tailflag
     out.discarded = f.discarded + phi.discarded
     if not phi.nterms():
@@ -602,10 +597,9 @@ def substitute_vertical(f, phi):
 
     if phi._shift is None:
         phi._shift = {}
-    rows = phi._shift.get((vmax, work_hband))
+    rows = phi._shift.get(vmax)
     if rows is None:
-        rows = phi._shift[(vmax, work_hband)] = _vertical_shift_powers(
-            phi, vmax, work_hband)
+        rows = phi._shift[vmax] = _vertical_shift_powers(phi, vmax)
 
     def power(j, q):
         row = rows[j]
@@ -669,13 +663,11 @@ def linear_combinations(sums):
     records lose to the window.  All the sums share one segment sum.
 
     A shifted summand is formed on the concatenated records, not as a
-    series: its exponents move by ``P_i``; a record that leaves ``s_i``'s
-    ``hband`` drops out, sets ``tailflag`` and adds its modulus to a loss
-    summed from 0.0 in sorted order, and one of modulus PRUNE or less drops
-    out as ``shift_h`` would not store it; the rest are multiplied by
-    ``p_i``, pruned as ``scale`` prunes, then multiplied by ``c_i``.  Its
-    mark is ``(loss + s_i.discarded) * |p_i| * |c_i|``, the ``discarded``
-    of ``shift_h`` and ``scale`` times ``|c_i|``.
+    series: its exponents move by ``P_i``; a record of modulus PRUNE or
+    less drops out as ``shift_h`` would not store it; the rest are
+    multiplied by ``p_i``, pruned as ``scale`` prunes, then multiplied by
+    ``c_i``.  Its mark is ``s_i.discarded * |p_i| * |c_i|``, the
+    ``discarded`` of ``shift_h`` and ``scale`` times ``|c_i|``.
     """
     outs, summands, scales, owner, folds = [], [], [], [], []
     for pairs in sums:
@@ -684,8 +676,7 @@ def linear_combinations(sums):
             first._check_compat(s)
             if s.components != first.components:
                 raise SeriesError("component count mismatch in add")
-        out = first._like(vmax=min(s.vmax for s, *_ in pairs),
-                          hband=min(s.hband for s, *_ in pairs))
+        out = first._like(vmax=min(s.vmax for s, *_ in pairs))
         out.tailflag = any(s.tailflag for s, *_ in pairs)
         owner += [len(outs)] * len(pairs)
         outs.append(out)
@@ -700,25 +691,12 @@ def linear_combinations(sums):
     exps = np.concatenate([exps for _, exps, _ in parts])
     vals = np.concatenate([vals for _, _, vals in parts])
     keep = np.ones(len(vals), dtype=bool)
-    loss = [0.0] * len(summands)
     if any(folds):
         n = summands[0].n
         shifted = np.repeat([fold is not None for fold in folds], counts)
-        if n:
-            exps[:, :n] += np.repeat(
-                np.array([fold[0] if fold else (0,) * n for fold in folds],
-                         dtype=np.int64), counts, axis=0)
-            # only a shifted record can lie outside its own series' band
-            gone = np.abs(exps[:, :n]).max(axis=1) > \
-                np.repeat([s.hband for s in summands], counts)
-            if gone.any():
-                at = np.flatnonzero(gone)
-                whose = np.repeat(np.arange(len(summands)), counts)[at]
-                for i, amount in zip(whose.tolist(),
-                                     modulus(vals[at]).tolist()):
-                    loss[i] += amount
-                    outs[owner[i]].tailflag = True
-                keep = ~gone
+        exps[:, :n] += np.repeat(
+            np.array([fold[0] if fold else (0,) * n for fold in folds],
+                     dtype=np.int64), counts, axis=0)
         keep &= ~shifted | (modulus(vals) > PRUNE)
         pre = np.repeat([fold[1] if fold else 1.0 for fold in folds], counts)
         vals[shifted] = multiply(vals[shifted], pre[shifted])
@@ -730,10 +708,8 @@ def linear_combinations(sums):
     kept_before = np.concatenate(([0], np.cumsum(keep)))
     starts = kept_before[np.cumsum(counts) - counts].tolist()
     marks = [[] for _ in outs]
-    for o, i, s, c, fold, lost in zip(owner, starts, summands, scales, folds,
-                                      loss):
-        own = s.discarded if fold is None else \
-            (lost + s.discarded) * abs(fold[1])
+    for o, i, s, c, fold in zip(owner, starts, summands, scales, folds):
+        own = s.discarded if fold is None else s.discarded * abs(fold[1])
         marks[o].append((i, own * abs(c)))
     if keep.all():
         keep = slice(None)
@@ -766,12 +742,9 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
     ``one_per_key``, sorted, have nothing to sum: each is ``0j + c``.
     """
     n = outs[0].n
-    if ids is None:
-        vmax, hband = outs[0].vmax, outs[0].hband
-    else:
-        vmax = np.array([o.vmax for o in outs])[ids]
-        hband = np.array([o.hband for o in outs])[ids]
-    outside = _outside(exps, n, vmax, hband)
+    vmax = outs[0].vmax if ids is None else \
+        np.array([o.vmax for o in outs])[ids]
+    outside = _outside(exps, n, vmax)
     # each table's lost records and marks, in record order: a mark before
     # record i comes first (marks of 0.0 leave discarded as it is)
     events = {}
@@ -820,15 +793,11 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
 
 
 def partial_h(f, P0):
-    """Derivative d^{P0}/dh^{P0}; falling-factorial weights, exponents shift.
-
-    The horizontal band widens by max(P0) so no Laurent term is lost to the
-    shift.
-    """
+    """Derivative d^{P0}/dh^{P0}; falling-factorial weights, exponents shift."""
     P0 = tuple(int(p) for p in P0)
     if len(P0) != f.n or any(p < 0 for p in P0):
         raise SeriesError("P0 must be a nonnegative n-multi-index")
-    out = f._like(hband=f.hband + (max(P0) if P0 else 0))
+    out = f._like()
     out.tailflag, out.discarded = f.tailflag, f.discarded
     records = []
     for k, P, Q, c in f.terms():

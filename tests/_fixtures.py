@@ -35,19 +35,17 @@ def perturbation_records(rng, nterms=8, bound=1e-3, pmax=1, qrange=(2, 3)):
     return recs
 
 
-def golden_family(rng=None, vmax=6, hband=6, **kw):
+def golden_family(rng=None, vmax=6, **kw):
     lat, data = golden_data()
     recs = [] if rng is None else perturbation_records(rng, **kw)
-    return build_family(lat, data, recs, vmax, hband, eps0=0.3, r0=0.6)
+    return build_family(lat, data, recs, vmax, eps0=0.3, r0=0.6)
 
 
-def conjugated_family(psi, vmax=6, hband=6):
+def conjugated_family(psi, vmax=6):
     """Family Psi o diag o Psi^{-1}; its unique linearization is psi itself."""
     lat, data = golden_data()
-    work = hband + 4 * vmax
-    psi = psi.with_window(hband=work)
-    zero_h = TruncatedSeries.zero(1, 1, 1, vmax, work)
-    zero_v = TruncatedSeries.zero(1, 1, 1, vmax, work)
+    zero_h = TruncatedSeries.zero(1, 1, 1, vmax)
+    zero_v = TruncatedSeries.zero(1, 1, 1, vmax)
     maps, invs = [], []
     for i in range(1):
         diag = DeckMap(lam=data.lam[i], mu=data.mu[i],
@@ -57,18 +55,18 @@ def conjugated_family(psi, vmax=6, hband=6):
         maps.append(conjugate_by_vertical(diag, psi))
         invs.append(conjugate_by_vertical(diag_inv, psi))
     return DeckMapFamily(lattice=lat, data=data, maps=maps, inv_maps=invs,
-                         eps0=0.3, r0=0.6, hband=hband), psi
+                         eps0=0.3, r0=0.6), psi
 
 
 def shipped_family(vmax):
     """The shipped perturbation's family at ``vmax``, and its run settings."""
     p = parse_problem(toruslin.reference_problem_path())
     run = p.run
-    return build_family(p.lattice, p.data, p.pert_records, vmax, run["hband"],
+    return build_family(p.lattice, p.data, p.pert_records, vmax,
                         eps0=run["epsilon"], r0=run["radius"]), run
 
 
-def lattice2_family(seed, vmax=8, hband=2, work=10):
+def lattice2_family(seed, vmax=8):
     """The n = 2 family psi o diag o psi^-1 on a fixed support of psi.
 
     One term of psi per vertical degree 2..vmax; the seed draws the
@@ -89,9 +87,9 @@ def lattice2_family(seed, vmax=8, hband=2, work=10):
         P = (q % 3 - 1, (q + 1) % 3 - 1)
         coeffs[(0, P, (q,))] = 1e-3 * rng.uniform(0.5, 1.0) \
             * complex(np.exp(2j * np.pi * rng.uniform()))
-    psi = TruncatedSeries(2, 1, 1, vmax, 1, coeffs).with_window(hband=work)
-    zero_h = TruncatedSeries.zero(2, 1, 2, vmax, work)
-    zero_v = TruncatedSeries.zero(2, 1, 1, vmax, work)
+    psi = TruncatedSeries(2, 1, 1, vmax, coeffs=coeffs)
+    zero_h = TruncatedSeries.zero(2, 1, 2, vmax)
+    zero_v = TruncatedSeries.zero(2, 1, 1, vmax)
     maps, invs = [], []
     for i in range(2):
         diag = DeckMap(lam=data.lam[i], mu=data.mu[i],
@@ -101,4 +99,4 @@ def lattice2_family(seed, vmax=8, hband=2, work=10):
         maps.append(conjugate_by_vertical(diag, psi))
         invs.append(conjugate_by_vertical(diag_inv, psi))
     return DeckMapFamily(lattice=lat, data=data, maps=maps, inv_maps=invs,
-                         eps0=0.3, r0=0.6, hband=hband), psi
+                         eps0=0.3, r0=0.6), psi

@@ -44,8 +44,7 @@ def with_terms(series, changes):
     """A new series with ``series``'s terms, window and truncation record,
     and the coefficients in ``changes`` {(k, P, Q): value} set."""
     return TruncatedSeries(series.n, series.d, series.components,
-                           series.vmax, series.hband,
-                           {**term_dict(series), **changes},
+                           series.vmax, coeffs={**term_dict(series), **changes},
                            tailflag=series.tailflag,
                            discarded=series.discarded)
 
@@ -63,8 +62,8 @@ def shuffled_copy(series, rng):
     """``series`` with its terms stored in a random order."""
     items = list(term_dict(series).items())
     return TruncatedSeries(series.n, series.d, series.components,
-                           series.vmax, series.hband,
-                           dict(items[i] for i in rng.permutation(len(items))),
+                           series.vmax, coeffs=dict(
+                               items[i] for i in rng.permutation(len(items))),
                            tailflag=series.tailflag,
                            discarded=series.discarded)
 
@@ -80,7 +79,7 @@ def dense_poly(series, k=0):
     return {(P, Q): c for kk, P, Q, c in series.terms() if kk == k}
 
 
-def dense_mul(a, b, n, d, vmax=None, hband=None):
+def dense_mul(a, b, n, d, vmax=None):
     """Schoolbook convolution of dict polynomials, optional truncation."""
     out = {}
     for (Pa, Qa), ca in a.items():
@@ -88,8 +87,6 @@ def dense_mul(a, b, n, d, vmax=None, hband=None):
             P = tuple(x + y for x, y in zip(Pa, Pb))
             Q = tuple(x + y for x, y in zip(Qa, Qb))
             if vmax is not None and sum(Q) > vmax:
-                continue
-            if hband is not None and P and max(map(abs, P)) > hband:
                 continue
             out[(P, Q)] = out.get((P, Q), 0.0) + ca * cb
     return {key: c for key, c in out.items() if c != 0.0}
@@ -106,19 +103,16 @@ def dense_scale(a, c):
     return {key: val * c for key, val in a.items()}
 
 
-def dense_pow(a, q, n, d, vmax=None, hband=None):
+def dense_pow(a, q, n, d, vmax=None):
     out = {((0,) * n, (0,) * d): 1.0 + 0.0j}
     for _ in range(q):
-        out = dense_mul(out, a, n, d, vmax, hband)
+        out = dense_mul(out, a, n, d, vmax)
     return out
 
 
-def dense_substitute(f, phis, n, d, vmax, hband):
-    """Substitute v_j <- v_j + phis[j] into dict polynomial f.
-
-    Products are exact in the h exponents; the band truncation is applied
-    once to the final result (projection semantics, matching the library).
-    """
+def dense_substitute(f, phis, n, d, vmax):
+    """Substitute v_j <- v_j + phis[j] into dict polynomial f, truncated at
+    vertical order vmax."""
     out = {}
     shifted = []
     for j in range(d):
@@ -129,11 +123,10 @@ def dense_substitute(f, phis, n, d, vmax, hband):
         term = {(P, (0,) * d): c}
         for j, q in enumerate(Q):
             if q:
-                term = dense_mul(term, dense_pow(shifted[j], q, n, d, vmax, None),
-                                 n, d, vmax, None)
+                term = dense_mul(term, dense_pow(shifted[j], q, n, d, vmax),
+                                 n, d, vmax)
         out = dense_add(out, term)
-    return {key: val for key, val in out.items()
-            if val != 0.0 and not (key[0] and max(map(abs, key[0])) > hband)}
+    return {key: val for key, val in out.items() if val != 0.0}
 
 
 def dense_diff(series_dict, other):
@@ -142,26 +135,27 @@ def dense_diff(series_dict, other):
                default=0.0)
 
 
-def random_series(rng, n, d, components=1, vmax=6, hband=4, nterms=12,
+def random_series(rng, n, d, components=1, vmax=6, pmax=4, nterms=12,
                   min_vdeg=0, scale=1.0):
-    """Random sparse series with normally distributed complex coefficients."""
+    """Random sparse series with normally distributed complex coefficients,
+    h-exponents drawn from [-pmax, pmax]."""
     coeffs = {}
     for _ in range(nterms):
         k = int(rng.integers(0, components))
-        P = tuple(int(x) for x in rng.integers(-hband, hband + 1, size=n))
+        P = tuple(int(x) for x in rng.integers(-pmax, pmax + 1, size=n))
         while True:
             Q = tuple(int(x) for x in rng.integers(0, vmax + 1, size=d))
             if min_vdeg <= sum(Q) <= vmax:
                 break
         c = scale * complex(rng.standard_normal(), rng.standard_normal())
         coeffs[(k, P, Q)] = coeffs.get((k, P, Q), 0.0) + c
-    return TruncatedSeries(n, d, components, vmax, hband, coeffs)
+    return TruncatedSeries(n, d, components, vmax, coeffs=coeffs)
 
 
 def substitute_per_record(f, phi):
     """substitute_vertical with its scatter done one record at a time.
 
-    A fresh power table on the same working window, each power the same
+    A fresh power table on the same window, each power the same
     product; f's terms, each followed by the records of its W_Q, both in
     sorted order, every record added to the output through
     ``_accumulate``.  A term with |Q| past
@@ -169,13 +163,12 @@ def substitute_per_record(f, phi):
     its own record, like a pure h-monomial term; one above the output
     ``vmax`` thus leaves its modulus in ``discarded``.
     """
-    vmax, hband = min(f.vmax, phi.vmax), min(f.hband, phi.hband)
+    vmax = min(f.vmax, phi.vmax)
     limit = vmax - phi.v_order() + 1
-    work_hband = f.hband + phi.hband * max(1, vmax // 2)
-    out = TruncatedSeries(f.n, f.d, f.components, vmax, hband,
+    out = TruncatedSeries(f.n, f.d, f.components, vmax,
                           tailflag=f.tailflag or phi.tailflag,
                           discarded=f.discarded + phi.discarded)
-    rows = _vertical_shift_powers(phi, vmax, work_hband)
+    rows = _vertical_shift_powers(phi, vmax)
 
     def power(j, q):
         while len(rows[j]) <= q:
@@ -195,28 +188,25 @@ def substitute_per_record(f, phi):
     return out
 
 
-def chained_add_compose(f, m, vmax=None, hband=None):
+def chained_add_compose(f, m, vmax=None):
     """compose_with_map with every sum rebuilt by a chain of ``add``.
 
     The binomial series and the group sums are formed as
     ``piece = piece.add(term)``, one pairwise sum after another, where
     ``linear_combinations`` forms each in one segment sum, and the group
     pieces go into the output through ``_accumulate``.  Where a step
-    reads a table in its stored order (``shift_h`` of a binomial product,
-    the final ``restrict``), it reads a sorted copy, as the library reads
-    every sum's inputs in sorted order and stores its sums sorted.
+    reads a table in its stored order (``shift_h`` of a binomial product),
+    it reads a sorted copy, as the library reads every sum's inputs in
+    sorted order and stores its sums sorted; the output is stored sorted.
     """
     vmax = f.vmax if vmax is None else vmax
-    hband = f.hband if hband is None else hband
     n, d = f.n, f.d
-    pw = max(m.pert_h.hband + 1, m.pert_v.hband, 1)
-    work = max(hband, f.hband) + (vmax // 2) * pw
     hwin = max(vmax - f.v_order(), 0)
     smax = hwin // 2
     upow = []
     for k in range(n):
         ek = tuple(-1 if t == k else 0 for t in range(n))
-        u = m.pert_h.component(k).cut(hwin).with_window(vmax=hwin, hband=work)
+        u = m.pert_h.component(k).cut(hwin).with_window(vmax=hwin)
         u = u.shift_h(ek).scale(1.0 / m.lam[k])
         upow.append([None, u])
         for _ in range(2, smax + 1):
@@ -225,13 +215,13 @@ def chained_add_compose(f, m, vmax=None, hband=None):
     for j in range(d):
         ej = tuple(1 if t == j else 0 for t in range(d))
         w = TruncatedSeries.monomial(n, d, 0, (0,) * n, ej, m.mu[j],
-                                     components=1, vmax=vmax, hband=work)
-        w = w.add(m.pert_v.component(j).with_window(vmax=vmax, hband=work))
+                                     components=1, vmax=vmax)
+        w = w.add(m.pert_v.component(j).with_window(vmax=vmax))
         vpow.append([None, w])
         for _ in range(2, vmax + 1):
             vpow[j].append(vpow[j][-1].mul(w))
     one = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
-                                   components=1, vmax=hwin, hband=work)
+                                   components=1, vmax=hwin)
 
     def binom_power_series(P):
         acc, lam_fac = one, 1.0 + 0.0j
@@ -246,13 +236,13 @@ def chained_add_compose(f, m, vmax=None, hband=None):
             acc = piece if acc is one else acc.mul(piece)
         return sorted_copy(acc).shift_h(P).scale(lam_fac)
 
-    out = TruncatedSeries(n, d, f.components, vmax, work,
+    out = TruncatedSeries(n, d, f.components, vmax,
                           tailflag=f.tailflag, discarded=f.discarded)
     groups, hcache = {}, {}
     for k, P, Q, c in f.terms():
         groups.setdefault((k, Q), []).append((P, c))
     for (k, Q), group in sorted(groups.items()):
-        hpart = TruncatedSeries.zero(n, d, 1, hwin, work)
+        hpart = TruncatedSeries.zero(n, d, 1, hwin)
         for P, c in group:
             if P not in hcache:
                 hcache[P] = binom_power_series(P)
@@ -265,7 +255,7 @@ def chained_add_compose(f, m, vmax=None, hband=None):
                         for _, Pn, Qn, val in piece.terms())
         out.tailflag |= piece.tailflag
         out.discarded += piece.discarded
-    return sorted_copy(out).restrict(vmax=vmax, hband=hband)
+    return sorted_copy(out)
 
 
 def psi_then_invert(result):
@@ -279,8 +269,7 @@ def psi_then_invert(result):
     H as ``linearize`` does.
     """
     family = result.original
-    psi = TruncatedSeries.zero(family.n, family.d, family.d, family.vmax,
-                               family.maps[0].pert_h.hband)
+    psi = TruncatedSeries.zero(family.n, family.d, family.d, family.vmax)
     eps, r = result.eps_m, result.r_m
     for m in range(2, result.order + 1):
         G, _, family, _, _ = linearize_step(
@@ -296,7 +285,7 @@ def _spelled(value):
     series by its window, flags, ``discarded`` and sorted terms, a dict by
     its items in sorted order."""
     if isinstance(value, TruncatedSeries):
-        return _spelled((value.components, value.vmax, value.hband,
+        return _spelled((value.components, value.vmax,
                          value.tailflag, value.discarded,
                          list(value.terms())))
     if isinstance(value, dict):
@@ -411,9 +400,9 @@ def per_call_ledger(phi_v, lattice, eps_m, r_m, order, n):
     return ledger
 
 
-def identity_map(n, d, vmax, hband):
-    zero_h = TruncatedSeries.zero(n, d, n, vmax, hband)
-    zero_v = TruncatedSeries.zero(n, d, d, vmax, hband)
+def identity_map(n, d, vmax):
+    zero_h = TruncatedSeries.zero(n, d, n, vmax)
+    zero_v = TruncatedSeries.zero(n, d, d, vmax)
     return DeckMap(lam=np.ones(n), mu=np.ones(d), pert_h=zero_h, pert_v=zero_v)
 
 

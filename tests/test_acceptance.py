@@ -37,7 +37,7 @@ def reference():
     problem = parse_problem(toruslin.reference_problem_path())
     run = problem.run
     family = build_family(problem.lattice, problem.data,
-                          problem.pert_records, run["vmax"], run["hband"],
+                          problem.pert_records, run["vmax"],
                           eps0=run["epsilon"], r0=run["radius"])
     start = time.perf_counter()
     _, fit = scan_and_fit(problem.data, run["pmax"], run["qmax"])
@@ -68,7 +68,7 @@ def test_criterion_2_solver_oracle_equivalence():
         rng = np.random.default_rng(1000 + seed)
         # one family near the size cap, the rest moderate
         nterms = 420 if seed == 0 else 25
-        G0, fam = compatible_family(rng, data, vmax=5, hband=2, nterms=nterms)
+        G0, fam = compatible_family(rng, data, vmax=5, pmax=2, nterms=nterms)
         unknowns = len(fam.keys())
         assert unknowns <= 500
         largest = max(largest, unknowns)
@@ -100,7 +100,7 @@ def test_criterion_4_uniqueness_gluing():
     _, fit = scan_and_fit(data, 8, 8, form="strong")
     assert not fit.resonant
     rng = np.random.default_rng(77)
-    _, fam = compatible_family(rng, data, vmax=5, hband=2, nterms=20)
+    _, fam = compatible_family(rng, data, vmax=5, pmax=2, nterms=20)
     cert = solve_family(fam, data, lat, eps=0.15, r=0.5, delta=0.05, rho=0.25)
     worst = 0.0
     for i in range(data.n):
@@ -125,7 +125,7 @@ def test_criterion_5_norm_bound_soundness():
     for idx in range(100):
         lat = lat1 if idx % 2 else lat2
         n = lat.n
-        f = random_series(rng, n, 1, components=1, vmax=5, hband=3,
+        f = random_series(rng, n, 1, components=1, vmax=5, pmax=3,
                           nterms=15)
         domains = [
             DomainSpec(lat, 0.15, 0.45),

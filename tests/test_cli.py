@@ -163,12 +163,11 @@ class TestVerbs:
         p = parse_problem(path)
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
-                           run["hband"], eps0=run["epsilon"],
-                           r0=run["radius"])
+                           eps0=run["epsilon"], r0=run["radius"])
         phi = linearize(fam, run["order"], run["epsilon"], run["radius"],
                         pmax=12, qmax=12).phi_v
-        assert (back.n, back.d, back.components, back.vmax, back.hband) == \
-            (phi.n, phi.d, phi.components, phi.vmax, phi.hband)
+        assert (back.n, back.d, back.components, back.vmax) == \
+            (phi.n, phi.d, phi.components, phi.vmax)
         assert [key for *key, _ in back.terms()] == \
             [key for *key, _ in phi.terms()]
         for k, P, Q, c in phi.terms():

@@ -31,10 +31,10 @@ def setup_2d():
     return lat, data
 
 
-def compatible_family(rng, data, vmax=6, hband=3, nterms=14, scale=1.0):
+def compatible_family(rng, data, vmax=6, pmax=3, nterms=14, scale=1.0):
     """Family built from a random potential: F_i := T_i(G0); solution is G0."""
     n, d = data.n, data.d
-    G0 = random_series(rng, n, d, components=d, vmax=vmax, hband=hband,
+    G0 = random_series(rng, n, d, components=d, vmax=vmax, pmax=pmax,
                        nterms=nterms, min_vdeg=2, scale=scale)
     rhs = [apply_vertical_operator(G0, data, i) for i in range(n)]
     return G0, CompatibleFamily(rhs=rhs)
@@ -59,7 +59,7 @@ def dense_lstsq_oracle(family, data):
             b[row] = family.rhs[a].get(*key)
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
     F = family.rhs[0]
-    return TruncatedSeries(F.n, F.d, F.d, F.vmax, F.hband,
+    return TruncatedSeries(F.n, F.d, F.d, F.vmax, coeffs=
                            {key: sol[t] for key, t in index.items()
                             if sol[t] != 0})
 
@@ -123,7 +123,7 @@ class TestSolveFamily:
 
     def test_zero_rhs(self):
         lat, data = setup_1d()
-        Z = TruncatedSeries.zero(1, 1, 1, 6, 4)
+        Z = TruncatedSeries.zero(1, 1, 1, 6)
         cert = solve_family(CompatibleFamily(rhs=[Z]), data, lat,
                             eps=0.2, r=0.5, delta=0.1, rho=0.5)
         assert cert.G.is_zero()
@@ -133,7 +133,7 @@ class TestSolveFamily:
     def test_against_dense_oracle(self, seed):
         rng = np.random.default_rng(50 + seed)
         lat, data = setup_2d()
-        G0, fam = compatible_family(rng, data, vmax=5, hband=2, nterms=20)
+        G0, fam = compatible_family(rng, data, vmax=5, pmax=2, nterms=20)
         cert = solve_family(fam, data, lat, eps=0.15, r=0.5, delta=0.05,
                             rho=0.25)
         oracle = dense_lstsq_oracle(fam, data)
@@ -146,7 +146,7 @@ class TestSolveFamily:
         import toruslin.series as series_mod
         rng = np.random.default_rng(31)
         lat, data = setup_2d()
-        _, fam = compatible_family(rng, data, vmax=5, hband=2)
+        _, fam = compatible_family(rng, data, vmax=5, pmax=2)
         calls = []
 
         def counting(*args, real=series_mod.compose_diagonal, **kw):
@@ -179,7 +179,7 @@ class TestSolveFamily:
         rng = np.random.default_rng(9)
         lat, data = setup_2d()
         n, d = data.n, data.d
-        G0 = random_series(rng, n, d, components=d, vmax=5, hband=2,
+        G0 = random_series(rng, n, d, components=d, vmax=5, pmax=2,
                            nterms=12, min_vdeg=2)
         rhs = [apply_vertical_operator(G0, data, i, sign=-1) for i in range(n)]
         fam = CompatibleFamily(rhs=rhs)
@@ -257,7 +257,7 @@ class TestSolveFamily:
                             np.array([z] * len(keys)))
         # F_i = z_i c: compatible with these divisors, solved by G = c
         fam = CompatibleFamily(rhs=[
-            TruncatedSeries(2, 1, 1, 4, 3, {key: zi * 1e-3 for key in keys})
+            TruncatedSeries(2, 1, 1, 4, coeffs={key: zi * 1e-3 for key in keys})
             for zi in z])
         cert = solve_family(fam, data, lat, eps=0.15, r=0.5, delta=0.05,
                             rho=0.25)
@@ -294,7 +294,7 @@ class TestSolveFamily:
             if c:
                 alt[key] = c / div[lmin]
         F = fam.rhs[0]
-        alt = TruncatedSeries(F.n, F.d, F.d, F.vmax, F.hband, alt)
+        alt = TruncatedSeries(F.n, F.d, F.d, F.vmax, coeffs=alt)
         assert cert.G.max_coeff_diff(alt) < 1e-10 * max(1.0, family_scale(fam))
 
 
@@ -314,7 +314,7 @@ class TestSolveSingle:
         lat, data = setup_2d()
         _, fit = scan_and_fit(data, 8, 8, form="strong")
         assert not fit.resonant
-        _, fam = compatible_family(rng, data, vmax=5, hband=2)
+        _, fam = compatible_family(rng, data, vmax=5, pmax=2)
         cert = solve_family(fam, data, lat, eps=0.15, r=0.5, delta=0.05,
                             rho=0.25)
         for i in range(data.n):
@@ -328,7 +328,7 @@ class TestSolveSingle:
     def test_inverse_sign_plugback(self):
         rng = np.random.default_rng(29)
         lat, data = setup_2d()
-        F = random_series(rng, 2, 1, components=1, vmax=5, hband=2,
+        F = random_series(rng, 2, 1, components=1, vmax=5, pmax=2,
                           nterms=10, min_vdeg=2)
         single = solve_single(F, 1, data, lat, eps=0.15, r=0.5, delta=0.05,
                               rho=0.25, sign=-1)

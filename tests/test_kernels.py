@@ -10,9 +10,9 @@ from toruslin._kernels import _CHUNK, cauchy_product, evaluate, modulus, \
     segment_sum, table_data
 
 
-def random_table(rng, nterms, n, d, hband, vmax):
+def random_table(rng, nterms, n, d, pmax, vmax):
     exps = np.column_stack([
-        rng.integers(-hband, hband + 1, size=(nterms, n)),
+        rng.integers(-pmax, pmax + 1, size=(nterms, n)),
         rng.integers(0, vmax + 1, size=(nterms, d)),
     ]).astype(np.int64)
     exps = np.unique(exps, axis=0)
@@ -20,14 +20,12 @@ def random_table(rng, nterms, n, d, hband, vmax):
     return exps, vals
 
 
-def all_pairs_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband,
-                      prune):
-    """Every pair, row-major, summed per exponent; then cut to the window.
+def all_pairs_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune):
+    """Every pair, row-major, summed per exponent; then cut at vmax.
 
     A loop of Python scalar products, sums and ``abs``.  Returns (exps,
     vals, dropped): the surviving coefficients sorted by exponent, and the
-    moduli of the live coefficients that fall outside (vmax, hband), in
-    the same order.
+    moduli of the live coefficients above vmax, in the same order.
     """
     a, b = vals_a.tolist(), vals_b.tolist()
     acc = {}
@@ -39,7 +37,7 @@ def all_pairs_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband,
         c = acc[key]
         if not abs(c) > prune:
             continue
-        if sum(key[n:]) > vmax or (n and max(map(abs, key[:n])) > hband):
+        if sum(key[n:]) > vmax:
             dropped.append(abs(c))
         else:
             kept.append((key, c))
@@ -48,10 +46,10 @@ def all_pairs_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband,
     return exps, vals, dropped
 
 
-def kernel_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband, prune):
+def kernel_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune):
     """``cauchy_product`` with each operand's ``table_data``."""
-    return cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, hband,
-                          prune, table_data(exps_a, vals_a, n),
+    return cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune,
+                          table_data(exps_a, vals_a, n),
                           table_data(exps_b, vals_b, n))
 
 
@@ -65,9 +63,9 @@ def test_banded_product_matches_all_pairs(seed):
     vmax = 5 if seed < 5 else int(rng.integers(0, 4))
     ea, va = random_table(rng, 40, n, d, 4, 6)
     eb, vb = random_table(rng, 35, n, d, 4, 6)
-    want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax, 6,
+    want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax,
                                                 1e-300)
-    got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax, 6,
+    got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax,
                                              1e-300)
     # same keys in the same order, bit for bit the same sums
     assert np.array_equal(got_e, want_e)
@@ -80,24 +78,23 @@ def test_banded_product_matches_all_pairs(seed):
 def test_product_bits_do_not_depend_on_the_cpu(seed):
     # numpy's complex multiply fuses into FMA where the CPU has it, and its
     # complex abs may round differently from libm's hypot; the kernel's
-    # products, prune test and out-of-band mass are those of the scalar loop
+    # products and prune test are those of the scalar loop
     rng = np.random.default_rng(200 + seed)
     n, d = CASES[seed]
     ea, va = random_table(rng, 60, n, d, 3, 4)
     eb, vb = random_table(rng, 60, n, d, 3, 4)
-    vmax, hband = 8 * d, 2  # every pair formed; some sums outside the band
-    _, sums, _ = all_pairs_product(ea, va, eb, vb, n, d, vmax, 6, 0.0)
+    vmax = 8 * d  # every pair formed
+    _, sums, _ = all_pairs_product(ea, va, eb, vb, n, d, vmax, 0.0)
     # the scalar modulus of one sum: that sum ties with the prune threshold
     prune = sorted(abs(c) for c in sums.tolist())[len(sums) // 2]
     want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax,
-                                                hband, prune)
+                                                prune)
     got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax,
-                                             hband, prune)
-    assert len(va) * len(vb) > 500 and dropped
+                                             prune)
+    assert len(va) * len(vb) > 500 and len(want_v) < len(sums)
     assert np.array_equal(got_e, want_e)
     assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
-    # the same moduli, summed in the same (key) order by the same numpy sum
-    assert discarded == float(np.sum(dropped))
+    assert not dropped and discarded == 0.0
 
 
 def test_single_pair_above_vmax_discards_its_mass():
@@ -105,40 +102,31 @@ def test_single_pair_above_vmax_discards_its_mass():
     ea = np.array([[1, 2]], dtype=np.int64)
     eb = np.array([[-1, 3]], dtype=np.int64)
     va, vb = np.array([3 + 4j]), np.array([-5 + 12j])
-    exps, vals, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 6, 1e-300)
+    exps, vals, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 1e-300)
     assert len(vals) == 0 and exps.shape == (0, 2)
     assert discarded == abs(va[0] * vb[0]) == 65.0
-
-
-def test_single_pair_outside_hband_discards_its_mass():
-    ea = np.array([[5, 1]], dtype=np.int64)
-    eb = np.array([[4, 1]], dtype=np.int64)
-    va, vb = np.array([0.3 - 0.1j]), np.array([-2.0 + 0.7j])
-    exps, vals, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 6, 1e-300)
-    assert len(vals) == 0
-    assert discarded == abs(va[0] * vb[0])
 
 
 def test_no_discard_inside_window():
     rng = np.random.default_rng(77)
     ea, va = random_table(rng, 20, 1, 1, 2, 2)
     eb, vb = random_table(rng, 20, 1, 1, 2, 2)
-    _, _, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 4, 1e-300)
+    _, _, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 1e-300)
     assert discarded == 0.0
 
 
 def test_signature_read_by_the_benchmark_trace():
     # perfbench/tracing.py's _count_cauchy hook wraps cauchy_product by name
     # and counts len(args[1]) * len(args[3]) pairs and len(result[1]) kept
-    # terms: the first nine parameters stay positional, in this order, and
+    # terms: the first eight parameters stay positional, in this order, and
     # the result stays (exps, vals, discarded)
     names = list(inspect.signature(cauchy_product).parameters)
-    assert names[:9] == ["exps_a", "vals_a", "exps_b", "vals_b", "n", "d",
-                         "vmax", "hband", "prune"]
+    assert names[:8] == ["exps_a", "vals_a", "exps_b", "vals_b", "n", "d",
+                         "vmax", "prune"]
     rng = np.random.default_rng(5)
     ea, va = random_table(rng, 6, 1, 1, 2, 2)
     eb, vb = random_table(rng, 5, 1, 1, 2, 2)
-    result = kernel_product(ea, va, eb, vb, 1, 1, 4, 4, 1e-300)
+    result = kernel_product(ea, va, eb, vb, 1, 1, 4, 1e-300)
     assert type(result) is tuple and len(result) == 3
     exps, vals, discarded = result
     assert exps.shape == (len(vals), 2) and type(discarded) is float
@@ -152,35 +140,11 @@ def test_no_pair_inside_vmax_returns_the_bound():
     va = np.array([3 + 4j, 5 - 12j, -8 + 15j])  # moduli 5, 13, 17
     eb = np.array([[2, 3], [0, 5]], dtype=np.int64)
     vb = np.array([6 + 8j, 7 - 24j])  # moduli 10, 25
-    exps, vals, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 6,
-                                           1e-300)
+    exps, vals, discarded = kernel_product(ea, va, eb, vb, 1, 1, 4, 1e-300)
     assert exps.shape == (0, 2) and exps.dtype == np.int64
     assert vals.shape == (0,) and vals.dtype == np.complex128
     assert discarded == (5 + 13 + 17) * (10 + 25)
     assert discarded == sum(modulus(va).tolist()) * sum(modulus(vb).tolist())
-
-
-@pytest.mark.parametrize("margin", [-1, 0, 1])
-@pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (2, 2)])
-def test_band_test_where_the_reach_exceeds_hband(n, d, margin):
-    # the operands' exponent bounds reach |P_j| <= reach; the band test is
-    # left out for hband >= reach, and the result is the all-pairs one on
-    # both sides of that edge
-    rng = np.random.default_rng(60 + 10 * n + d + margin)
-    ea, va = random_table(rng, 30, n, d, 3, 3)
-    eb, vb = random_table(rng, 30, n, d, 2, 3)
-    reach = int(np.abs(np.concatenate([
-        ea[:, :n].min(axis=0) + eb[:, :n].min(axis=0),
-        ea[:, :n].max(axis=0) + eb[:, :n].max(axis=0)])).max())
-    hband, vmax = reach + margin, 6 * d  # every pair formed
-    want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax,
-                                                hband, 1e-300)
-    got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax,
-                                             hband, 1e-300)
-    assert bool(dropped) == (margin < 0)
-    assert np.array_equal(got_e, want_e)
-    assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
-    assert discarded == float(np.sum(dropped))
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -210,8 +210,8 @@ class TestClosedFormHull:
             "union_and_hull(lat, 0.15)\n"
             "assert abs(max_margin_eta(lat, 0.15) - 0.5) < 1e-9\n"
             "dom = DomainSpec(lat, 0.12, 0.5, hull=True)\n"
-            "f = TruncatedSeries.monomial(2, 1, 0, (1, -1), (1,), 0.5, vmax=3,"
-            " hband=2)\n"
+            "f = TruncatedSeries.monomial(2, 1, 0, (1, -1), (1,), 0.5, vmax=3)"
+            "\n"
             "assert sampled_lower_bound(f, dom, points=200, seed=1).value"
             " <= sup_norm_bound(f, dom).value\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

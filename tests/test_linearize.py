@@ -77,7 +77,7 @@ class TestLinearizeStep:
         fam = golden_family(rng, nterms=8)
         assert len(fam.inv_maps) == 1  # the input's inverses, now cached
         _, _, updated, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
-        comp = compose_maps(updated.maps[0], updated.inv_maps[0], hband=6)
+        comp = compose_maps(updated.maps[0], updated.inv_maps[0])
         scale = max(1.0, updated.inv_maps[0].pert_scale())
         assert comp.pert_h.max_abs() < 1e-12 * scale
         assert comp.pert_v.max_abs() < 1e-12 * scale
@@ -108,15 +108,15 @@ class TestLinearize:
 
     def test_recovers_known_conjugation(self):
         rng = np.random.default_rng(7)
-        psi = random_series(rng, 1, 1, components=1, vmax=6, hband=1,
+        psi = random_series(rng, 1, 1, components=1, vmax=6, pmax=1,
                             nterms=6, min_vdeg=2, scale=1e-3)
-        fam, psi_w = conjugated_family(psi, vmax=6, hband=6)
+        fam, psi_w = conjugated_family(psi, vmax=6)
         result = linearize(fam, order=6, eps1=0.2, r1=0.5, pmax=8, qmax=8)
         assert result.phi_v.max_coeff_diff(psi_w) < 1e-10
 
     def test_residuals_small_random_family(self):
         rng = np.random.default_rng(11)
-        fam = golden_family(rng, vmax=6, hband=6, nterms=8)
+        fam = golden_family(rng, vmax=6, nterms=8)
         result = linearize(fam, order=6, eps1=0.2, r1=0.5, pmax=8, qmax=8)
         for m, worst in residual_table(result):
             assert worst <= 1e-9, (m, worst)
@@ -126,7 +126,7 @@ class TestLinearize:
 
     def test_dual_route_agreement(self):
         rng = np.random.default_rng(13)
-        fam = golden_family(rng, vmax=5, hband=5, nterms=6)
+        fam = golden_family(rng, vmax=5, nterms=6)
         fwd = linearize(fam, order=5, eps1=0.2, r1=0.5, pmax=8, qmax=8)
         inv = linearize(fam, order=5, eps1=0.2, r1=0.5, route="inverse",
                         pmax=8, qmax=8)
@@ -143,8 +143,7 @@ class TestLinearize:
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
-                           run["hband"], eps0=run["epsilon"],
-                           r0=run["radius"])
+                           eps0=run["epsilon"], r0=run["radius"])
         calls = []
         for mod in (linearize_mod, deckmaps_mod):
             def counting(*args, real=getattr(mod, name), **kw):
@@ -199,8 +198,7 @@ class TestLinearize:
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, 8,
-                           run["hband"], eps0=run["epsilon"],
-                           r0=run["radius"])
+                           eps0=run["epsilon"], r0=run["radius"])
         result = linearize(fam, 8, run["epsilon"], run["radius"], pmax=12,
                            qmax=12)
         Hs = [H for _, H, _, certs, _ in steps
@@ -211,7 +209,7 @@ class TestLinearize:
         # no row goes past vmax - ord phi + 1, where (v + phi)^q holds v^q
         # alone inside the window
         for phi in built:
-            for (vmax, _), rows in phi._shift.items():
+            for vmax, rows in phi._shift.items():
                 assert max(map(len, rows)) - 1 <= vmax - phi.v_order() + 1
 
     @pytest.mark.parametrize("order", [8, 12])
@@ -220,8 +218,7 @@ class TestLinearize:
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, order,
-                           run["hband"], eps0=run["epsilon"],
-                           r0=run["radius"])
+                           eps0=run["epsilon"], r0=run["radius"])
         result = linearize(fam, order, run["epsilon"], run["radius"],
                            route=route, pmax=12, qmax=12)
         oracle = psi_then_invert(result)
@@ -234,8 +231,7 @@ class TestLinearize:
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
-                           run["hband"], eps0=run["epsilon"],
-                           r0=run["radius"])
+                           eps0=run["epsilon"], r0=run["radius"])
         result = linearize(fam, run["order"], run["epsilon"], run["radius"],
                            pmax=12, qmax=12)
         assert result.phi_v.tailflag is False
@@ -244,13 +240,13 @@ class TestLinearize:
 
     def test_wrong_supplied_inverse_fails_cross_check(self):
         rng = np.random.default_rng(23)
-        fam = golden_family(rng, vmax=4, hband=4, nterms=6, qrange=(2, 2))
+        fam = golden_family(rng, vmax=4, nterms=6, qrange=(2, 2))
         invs = [invert_map(m) for m in fam.maps]
         k, P, Q, c = next(invs[0].pert_v.homogeneous_part(2).terms())
         invs[0].pert_v = with_terms(invs[0].pert_v, {(k, P, Q): 2.0 * c})
         bad = DeckMapFamily(lattice=fam.lattice, data=fam.data,
                             maps=fam.maps, inv_maps=invs,
-                            eps0=fam.eps0, r0=fam.r0, hband=fam.hband)
+                            eps0=fam.eps0, r0=fam.r0)
         for route in ("forward", "inverse"):
             with pytest.raises(LinearizeError, match="degree-2 forward/"
                                "inverse corrections disagree"):
@@ -266,20 +262,20 @@ class TestLinearize:
         fam = DeckMapFamily(
             lattice=lat, data=data,
             maps=golden_family().maps, inv_maps=golden_family().inv_maps,
-            eps0=0.3, r0=0.6, hband=6)
+            eps0=0.3, r0=0.6)
         with pytest.raises(ResonanceError) as err:
             linearize(fam, order=4, eps1=0.2, r1=0.5, pmax=4, qmax=4)
         assert err.value.Q == (2,) and err.value.P == (0,)
 
     def test_residual_identity_case(self):
         fam = golden_family()
-        zero = TruncatedSeries.zero(1, 1, 1, 6, 6)
+        zero = TruncatedSeries.zero(1, 1, 1, 6)
         res = conjugacy_residual(zero, fam, fam, 6)
         assert max(res[0]["per_degree"].values()) == 0.0
 
     def test_ablation_truncated_phi(self):
         rng = np.random.default_rng(17)
-        fam = golden_family(rng, vmax=6, hband=6, nterms=8)
+        fam = golden_family(rng, vmax=6, nterms=8)
         result = linearize(fam, order=6, eps1=0.2, r1=0.5, pmax=8, qmax=8)
         cut = result.phi_v.up_to_degree(4)
         res = conjugacy_residual(cut, result.original, result.linearized, 6)
@@ -297,12 +293,11 @@ class TestLinearize:
               [np.exp(2j * np.pi * (np.sqrt(2) - 1))]]
         data = MultiplierData(lat.lam_matrix(), mu)
         rng = np.random.default_rng(31)
-        vmax, hband, work = 4, 2, 10
-        psi = random_series(rng, 2, 1, components=1, vmax=vmax, hband=1,
+        vmax = 4
+        psi = random_series(rng, 2, 1, components=1, vmax=vmax, pmax=1,
                             nterms=5, min_vdeg=2, scale=1e-3)
-        psi = psi.with_window(hband=work)
-        zero_h = TruncatedSeries.zero(2, 1, 2, vmax, work)
-        zero_v = TruncatedSeries.zero(2, 1, 1, vmax, work)
+        zero_h = TruncatedSeries.zero(2, 1, 2, vmax)
+        zero_v = TruncatedSeries.zero(2, 1, 1, vmax)
         maps, invs = [], []
         for i in range(2):
             diag = DeckMap(lam=data.lam[i], mu=data.mu[i],
@@ -312,7 +307,7 @@ class TestLinearize:
             maps.append(conjugate_by_vertical(diag, psi))
             invs.append(conjugate_by_vertical(diag_inv, psi))
         fam = DeckMapFamily(lattice=lat, data=data, maps=maps, inv_maps=invs,
-                            eps0=0.3, r0=0.6, hband=hband)
+                            eps0=0.3, r0=0.6)
         result = linearize(fam, order=4, eps1=0.2, r1=0.5, pmax=6, qmax=6)
         assert result.phi_v.max_coeff_diff(psi) < 1e-10
         assert max(w for _, w in residual_table(result)) < 1e-12
@@ -326,11 +321,10 @@ class TestLinearize:
         mu = [[np.exp(2j * np.pi * GOLDEN)],
               [np.exp(2j * np.pi * (np.sqrt(2) - 1))]]
         data = MultiplierData(lat.lam_matrix(), mu)
-        work = 10
         maps = []
         for i in range(2):
-            ph = TruncatedSeries.zero(2, 1, 2, 4, work)
-            pv = TruncatedSeries.zero(2, 1, 1, 4, work)
+            ph = TruncatedSeries.zero(2, 1, 2, 4)
+            pv = TruncatedSeries.zero(2, 1, 1, 4)
             if i == 0:  # a perturbation the other generator does not share
                 pv = with_terms(pv, {(0, (0, 0), (2,)): 1e-3})
             maps.append(DeckMap(lam=data.lam[i], mu=data.mu[i],
@@ -339,13 +333,13 @@ class TestLinearize:
 
         fam = DeckMapFamily(lattice=lat, data=data, maps=maps,
                             inv_maps=[invert_map(m) for m in maps],
-                            eps0=0.3, r0=0.6, hband=2)
+                            eps0=0.3, r0=0.6)
         with pytest.raises(LinearizeError, match="commute"):
             linearize(fam, order=3, eps1=0.2, r1=0.5, pmax=6, qmax=6)
 
     def test_ledger_schema(self):
         rng = np.random.default_rng(19)
-        fam = golden_family(rng, vmax=5, hband=5, nterms=5)
+        fam = golden_family(rng, vmax=5, nterms=5)
         result = linearize(fam, order=4, eps1=0.2, r1=0.5, pmax=6, qmax=6)
         for m in range(2, 5):
             rec = result.per_degree[m]
@@ -509,7 +503,7 @@ class TestDegreeBlocks:
 
 def exact(f):
     """Window, truncation record and coefficients as exact bit patterns."""
-    return (f.components, f.vmax, f.hband, f.tailflag, f.discarded.hex(),
+    return (f.components, f.vmax, f.tailflag, f.discarded.hex(),
             [(k, P, Q, c.real.hex(), c.imag.hex()) for k, P, Q, c in f.terms()])
 
 
@@ -529,9 +523,9 @@ class TestFanOutSumsInTheLoop:
             calls["substitute"] += 1
             return got
 
-        def compose(f, m, vmax=None, hband=None):
-            got = real_comp(f, m, vmax=vmax, hband=hband)
-            assert exact(got) == exact(chained_add_compose(f, m, vmax, hband))
+        def compose(f, m, vmax=None):
+            got = real_comp(f, m, vmax=vmax)
+            assert exact(got) == exact(chained_add_compose(f, m, vmax))
             calls["compose"] += 1
             return got
 

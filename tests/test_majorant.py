@@ -26,7 +26,7 @@ from _oracles import (apply_vertical_operator, full_window_majorant,
 @pytest.fixture(scope="module")
 def golden_setup():
     rng = np.random.default_rng(101)
-    fam = golden_family(rng, vmax=6, hband=6, nterms=8)
+    fam = golden_family(rng, vmax=6, nterms=8)
     _, fit = scan_and_fit(fam.data, 10, 10)
     bundle = constants_bundle(fam.lattice, fam.data, fit, fam,
                               eps1=0.2, r1=0.5)
@@ -295,7 +295,7 @@ def reference_o19():
     double range."""
     p = parse_problem(toruslin.reference_problem_path())
     run = p.run
-    fam = build_family(p.lattice, p.data, p.pert_records, 19, run["hband"],
+    fam = build_family(p.lattice, p.data, p.pert_records, 19,
                        eps0=run["epsilon"], r0=run["radius"])
     result = linearize(fam, 19, run["epsilon"], run["radius"],
                        pmax=run["pmax"], qmax=run["qmax"])
@@ -387,7 +387,7 @@ class TestNormCertificate:
         rng = np.random.default_rng(7)
         lat, data = golden_data()
         for delta, rho in ((0.1, 0.1), (0.05, 0.05)):
-            G0 = random_series(rng, 1, 1, components=1, vmax=5, hband=3,
+            G0 = random_series(rng, 1, 1, components=1, vmax=5, pmax=3,
                                nterms=8, min_vdeg=2)
             F = apply_vertical_operator(G0, data, 0)
             cert = solve_family(CompatibleFamily(rhs=[F]), data, lat,

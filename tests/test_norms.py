@@ -38,7 +38,7 @@ def test_mixed_monomial_vertex_formula():
 def test_cauchy_coefficient_inequality():
     # every stored term's |c| sup|h^P| r^|Q| is below the triangle bound
     rng = np.random.default_rng(5)
-    f = random_series(rng, 1, 1, vmax=6, hband=4, nterms=25)
+    f = random_series(rng, 1, 1, vmax=6, pmax=4, nterms=25)
     dom = DomainSpec(lat1(), 0.15, 0.7)
     total = sup_norm_bound(f, dom).value
     for _, P, Q, c in f.terms():
@@ -51,7 +51,7 @@ def test_soundness_random_domains(seed):
     rng = np.random.default_rng(100 + seed)
     lat = lat2() if seed % 2 else lat1()
     n = lat.n
-    f = random_series(rng, n, 1, components=2, vmax=5, hband=3, nterms=20)
+    f = random_series(rng, n, 1, components=2, vmax=5, pmax=3, nterms=20)
     domains = [
         DomainSpec(lat, 0.1, 0.4),
         DomainSpec(lat, 0.2, 0.6, word=((0, 1),)),
@@ -117,7 +117,7 @@ def test_domains_shared_by_unions_are_computed_once(monkeypatch):
     # domain in several unions, given twice as equal specs included, has
     # its monomial sups computed once per component
     rng = np.random.default_rng(41)
-    f = random_series(rng, 2, 1, components=2, vmax=5, hband=3, nterms=20)
+    f = random_series(rng, 2, 1, components=2, vmax=5, pmax=3, nterms=20)
     base = DomainSpec(lat2(), 0.2, 0.5)
     one, two, back = (base.translated(1, k) for k in (1, 2, -1))
     unions = [[base], [one, two], [two, back], [one],
