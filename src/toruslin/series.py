@@ -32,6 +32,7 @@ record-by-record loop that applies the window and the pruning.
 """
 
 from itertools import repeat
+from math import fsum
 
 import numpy as np
 
@@ -572,6 +573,14 @@ def substitute_vertical(f, phi):
     record, as a pure h-monomial term is (above the output vmax it goes to
     ``discarded``), and no power past that degree is formed.
 
+    The mass the substitution drops above vmax is carried: a term c h^P v^Q
+    adds ``|c| * W_Q.discarded`` to ``discarded`` and W_Q's ``tailflag`` to
+    the result's, and a term past vmax - ord_v phi + 1, whose row is not
+    formed, adds the triangle bound of that row,
+    ``|c| * (prod_j (1 + |phi_j|_1)^q_j - 1)`` with ``|phi_j|_1`` the sum
+    of phi_j's moduli.  Each term's amount goes into ``discarded`` just
+    before its records, in sorted term order.
+
     The powers (v_j + phi_j)^q are kept with ``phi``, one table per output
     ``vmax``, built on the first substitution into ``phi`` and extended as
     later ones need higher powers.  Every series substituted into the same
@@ -617,7 +626,8 @@ def substitute_vertical(f, phi):
     # the distinct Q, as rows packed into one integer each
     qkeys = fexps[:, n:] @ (f.vmax + 1) ** np.arange(f.d, dtype=np.int64)
     _, firsts, which = np.unique(qkeys, return_index=True, return_inverse=True)
-    tables = []
+    norms = [fsum(modulus(phi._arrays(j)[1]).tolist()) for j in range(f.d)]
+    tables, lost = [], []
     for Q in fexps[firsts, n:].tolist():
         W = None
         if sum(Q) <= limit:
@@ -625,10 +635,19 @@ def substitute_vertical(f, phi):
                 if q:
                     Wj = power(j, q)
                     W = Wj if W is None else W.mul(Wj)
+        if W is not None:
+            tables.append(W._arrays(0))
+            lost.append(W.discarded)
+            out.tailflag |= W.tailflag
+            continue
         # a pure h-monomial term, or one past limit: its value is set below
-        tables.append(W._arrays(0) if W is not None else
-                      (np.array([[0] * n + Q], dtype=np.int64),
+        tables.append((np.array([[0] * n + Q], dtype=np.int64),
                        np.ones(1, dtype=np.complex128)))
+        grow = 1.0
+        for norm, q in zip(norms, Q):
+            grow *= (1.0 + norm) ** q
+        lost.append(grow - 1.0)
+        out.tailflag |= grow > 1.0
     lens = np.array([len(vals) for _, vals in tables])
     wexps = np.concatenate([exps for exps, _ in tables])
     wvals = np.concatenate([vals for _, vals in tables])
@@ -643,7 +662,9 @@ def substitute_vertical(f, phi):
     degree = fexps[:, n:].sum(axis=1)
     direct = ((degree == 0) | (degree > limit))[term]
     vals[direct] = fvals[term[direct]]
-    _scatter([out], None, None if fk is None else fk[term], exps, vals, [()])
+    amounts = modulus(fvals) * np.array(lost)[which]
+    _scatter([out], None, None if fk is None else fk[term], exps, vals,
+             [list(zip((ends - count).tolist(), amounts.tolist()))])
     return out
 
 
@@ -824,8 +845,8 @@ def invert_vertical_map(G):
     the same order as in a full-window sweep.  The first sweep on the full
     vmax window is the last: it reads H only through degree vmax - settle,
     which the sweep before it has settled (the start H = 0 is exact below
-    degree r), so a further sweep would give the same coefficients and
-    tailflag bit for bit.
+    degree r), so a further sweep would give the same coefficients bit for
+    bit; its truncation record would add what it drops above vmax.
     """
     if G.components != G.d:
         raise SeriesError("vertical map must have d components")

@@ -21,6 +21,7 @@ hull that ``max_margin_eta`` answers for in closed form;
 """
 
 import hashlib
+import math
 from itertools import product
 
 import numpy as np
@@ -161,7 +162,11 @@ def substitute_per_record(f, phi):
     ``_accumulate``.  A term with |Q| past
     ``vmax - ord phi + 1``, where W_Q holds v^Q alone inside the window, is
     its own record, like a pure h-monomial term; one above the output
-    ``vmax`` thus leaves its modulus in ``discarded``.
+    ``vmax`` thus leaves its modulus in ``discarded``.  Before its records
+    each term adds what its row loses above ``vmax`` to ``discarded``:
+    ``|c|`` times W_Q's ``discarded`` (and W_Q's ``tailflag``), or, for a
+    term past that degree, ``|c|`` times the triangle bound
+    ``prod_j (1 + |phi_j|_1)^q_j - 1`` of the row it does not form.
     """
     vmax = min(f.vmax, phi.vmax)
     limit = vmax - phi.v_order() + 1
@@ -169,6 +174,8 @@ def substitute_per_record(f, phi):
                           tailflag=f.tailflag or phi.tailflag,
                           discarded=f.discarded + phi.discarded)
     rows = _vertical_shift_powers(phi, vmax)
+    norms = [math.fsum(abs(c) for k, _, _, c in phi.terms() if k == j)
+             for j in range(phi.d)]
 
     def power(j, q):
         while len(rows[j]) <= q:
@@ -181,8 +188,15 @@ def substitute_per_record(f, phi):
             if q:
                 W = power(j, q) if W is None else W.mul(power(j, q))
         if W is None or sum(Q) > limit:
+            grow = 1.0
+            for norm, q in zip(norms, Q):
+                grow *= (1.0 + norm) ** q
+            out.tailflag |= grow > 1.0
+            out.discarded += abs(c) * (grow - 1.0)
             out._accumulate([((k, P, Q), c)])
         else:
+            out.tailflag |= W.tailflag
+            out.discarded += abs(c) * W.discarded
             out._accumulate(((k, tuple(p + pw for p, pw in zip(P, Pw)), Qn),
                              c * w) for _, Pw, Qn, w in W.terms())
     return out

@@ -224,18 +224,19 @@ class TestLinearize:
         oracle = psi_then_invert(result)
         assert result.phi_v.max_abs() > 1e-4
         assert result.phi_v.max_coeff_diff(oracle) <= 1e-18
-        assert result.phi_v.tailflag is False
+        assert result.phi_v.tailflag is True and result.phi_v.discarded > 0
 
-    def test_reference_phi_v_has_no_tail(self):
-        # working windows cut inside the degree loop never flag phi_v
+    def test_reference_phi_v_records_its_tail(self):
+        # phi_v <- H + phi_v(h, v + H) drops what its power products put
+        # above vmax, and the truncation record says so
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
                            eps0=run["epsilon"], r0=run["radius"])
         result = linearize(fam, run["order"], run["epsilon"], run["radius"],
                            pmax=12, qmax=12)
-        assert result.phi_v.tailflag is False
-        assert result.phi_v.discarded == 0.0
+        assert result.phi_v.tailflag is True
+        assert 0 < result.phi_v.discarded < result.phi_v.max_abs()
         assert result.phi_v.homogeneous_part(run["order"]).max_abs() > 0
 
     def test_wrong_supplied_inverse_fails_cross_check(self):

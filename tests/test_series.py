@@ -405,6 +405,39 @@ class TestCoeffsHandle:
             assert got.hex() == want.hex()
 
 
+class TestSubstitutionLoss:
+    """What a substitution drops above vmax goes to its truncation record:
+    the losses of the power products W_Q, and the triangle bound of each
+    row that is not formed."""
+
+    def test_power_product_loss_is_recorded(self):
+        # (v + v^2 / 4)^2 = v^2 + v^3 / 2 + v^4 / 16: v^4 lies above vmax 3
+        f = mono(1, 1, (0,), (2,), vmax=3)
+        phi = mono(1, 1, (0,), (2,), 0.25, vmax=3)
+        got = substitute_vertical(f, phi)
+        assert term_dict(got) == {(0, (0,), (2,)): 1.0, (0, (0,), (3,)): 0.5}
+        assert got.tailflag and got.discarded >= 0.0625
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
+    def test_rows_not_formed_are_bounded(self, n, d):
+        # every term of f lies past vmax - ord phi + 1, so no row is formed
+        # and each adds its triangle bound: the same substitution on a
+        # window that keeps every term has at most that mass above vmax
+        rng = np.random.default_rng(500 + 10 * n + d)
+        f = random_series(rng, n, d, components=2, vmax=5, pmax=2,
+                          nterms=8, min_vdeg=5)
+        phi = random_series(rng, n, d, components=d, vmax=5, pmax=2,
+                            nterms=6, min_vdeg=2, scale=0.3)
+        got = substitute_vertical(f, phi)
+        assert [len(row) for row in phi._shift[5]] == [2] * d
+        wide = substitute_vertical(f.with_window(vmax=30),
+                                   phi.with_window(vmax=30))
+        assert not wide.tailflag and wide.discarded == 0.0
+        above = sum(abs(c) for _, _, Q, c in wide.terms() if sum(Q) > 5)
+        assert got.tailflag and 0 < above <= got.discarded
+        assert got.max_coeff_diff(wide.restrict(vmax=5)) == 0.0
+
+
 class TestPowersWithinReach:
     """Past |Q| = vmax - ord phi + 1, W_Q = prod_j (v_j + phi_j)^q_j holds
     only v^Q inside the window: such a term is its own record and no power
@@ -442,7 +475,10 @@ class TestPowersWithinReach:
                                             (0, (0,), (6,)): 2.0})
         phi = mono(1, 1, (0,), (2,), 0.25, vmax=5)
         got = substitute_vertical(f, phi)
-        assert (got.vmax, got.tailflag, got.discarded) == (5, True, 2.0)
+        # before it, the triangle bound of the row (v + v^2 / 4)^6 - v^6,
+        # all of it above the window
+        assert (got.vmax, got.tailflag, got.discarded) == \
+            (5, True, 2.0 * (1.25 ** 6 - 1.0) + 2.0)
         # 0.5 h (v + v^2 / 4)^2 = 0.5 h v^2 + 0.25 h v^3 + 0.03125 h v^4
         assert term_dict(got) == {(0, (1,), (2,)): 0.5,
                                   (0, (1,), (3,)): 0.25,
@@ -1049,6 +1085,12 @@ def bits(f):
             [(k, P, Q, c.real.hex(), c.imag.hex()) for k, P, Q, c in f.terms()])
 
 
+def unflagged_bits(f):
+    """``bits`` without the tailflag."""
+    flagged = bits(f)
+    return flagged[:4] + flagged[5:]
+
+
 def homogeneous_series(rng, n, d, m, vmax, pmax, nterms, scale):
     coeffs = {}
     while len(coeffs) < nterms:
@@ -1083,8 +1125,13 @@ class TestWindowedInversion:
     def test_homogeneous(self, n, d, m):
         G = self.homogeneous_case(n, d, m)
         H = invert_vertical_map(G)
-        assert bits(H) == bits(full_window_inverse(G))
+        full = full_window_inverse(G)
+        assert unflagged_bits(H) == unflagged_bits(full)
         assert H.max_abs() > 0
+        # a sweep records what it drops above vmax; where the first sweep,
+        # from H = 0, is already on the full window, it drops nothing
+        single = 2 * (m - 1) >= G.vmax
+        assert H.tailflag == (full.tailflag and not single)
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_mixed_degree(self, n, d):
@@ -1097,11 +1144,14 @@ class TestWindowedInversion:
     @pytest.mark.parametrize("m", [2, 3, 4, None])
     def test_one_more_sweep_changes_nothing(self, n, d, m):
         # the inversion stops after its first full-window sweep; a further
-        # sweep from its result moves no coefficient bit and no tailflag
+        # sweep from its result moves no coefficient bit, and its truncation
+        # record can only grow by what that sweep drops above vmax
         G = self.mixed_case(n, d) if m is None else \
             self.homogeneous_case(n, d, m)
         H = invert_vertical_map(G)
-        assert bits(substitute_vertical(G, H).scale(-1.0)) == bits(H)
+        again = substitute_vertical(G, H).scale(-1.0)
+        assert unflagged_bits(again) == unflagged_bits(H)
+        assert again.tailflag >= H.tailflag
 
     @pytest.mark.parametrize("m,vmax,windows", [(2, 6, [2, 3, 4, 5, 6]),
                                                 (3, 7, [4, 6, 7]),
