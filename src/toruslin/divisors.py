@@ -191,6 +191,9 @@ class DiophantineFit:
     resonant: bool
     n_points: int
     anchor_size: int
+    # (P, Q, j, size, value) of the point whose slope sets tau; None where
+    # TAU_FLOOR does
+    tau_point: tuple | None = None
 
 
 def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
@@ -199,7 +202,8 @@ def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
     tau is the smallest slope whose log-log line through the smallest-size
     envelope point stays below every non-resonant scanned point; D is the
     corresponding intercept, shaved by 1e-9 so the envelope inequality is
-    strict.  Divisors zero to rounding (``is_resonant``) are reported as
+    strict.  The fit keeps the point whose slope sets tau (the first in
+    scan order on a tie) as ``tau_point``.  Divisors zero to rounding (``is_resonant``) are reported as
     resonances, never fitted.  With ``dps`` set, products and moduli run in
     mpmath at that many digits.
     """
@@ -230,18 +234,23 @@ def scan_and_fit(data, pmax, qmax, form="weak", dps=None):
     smin = sizes.min() if len(sizes) else 2.0
     anchor = vals[sizes == smin].min() if len(sizes) else 1.0
     rest = sizes > smin
+    tau, tau_point = TAU_FLOOR, None
     if rest.any():
         slopes = (np.log(anchor) - np.log(vals[rest])) / \
             (np.log(sizes[rest]) - np.log(smin))
-        tau = max(float(slopes.max()), TAU_FLOOR)
-    else:
-        tau = TAU_FLOOR
+        steepest = int(slopes.argmax())
+        if slopes[steepest] > TAU_FLOOR:
+            tau = float(slopes[steepest])
+            r = np.flatnonzero(~resonant)[rest][steepest]
+            tau_point = (tuple(table.P[r].tolist()),
+                         tuple(table.Q[r].tolist()), int(table.j[r]),
+                         int(size[r]), float(binding[r]))
     D = anchor * smin ** tau * (1.0 - 1e-9)
     fit = DiophantineFit(form=form, D=float(D), tau=float(tau),
                          pmax=pmax, qmax=qmax,
                          resonances=tuple(resonances),
                          resonant=bool(resonances), n_points=len(vals),
-                         anchor_size=int(smin))
+                         anchor_size=int(smin), tau_point=tau_point)
     return table, fit
 
 

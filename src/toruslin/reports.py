@@ -31,6 +31,10 @@ def fit_report(fit, enhanced=None):
              "form %s" % fit.form,
              "D %s" % _fmt(fit.D),
              "tau %s" % _fmt(fit.tau),
+             "tau_point floor" if fit.tau_point is None else
+             "tau_point P=%s Q=%s j=%d size=%d value=%s" % (
+                 *fit.tau_point[:2], fit.tau_point[2] + 1,
+                 fit.tau_point[3], _fmt(fit.tau_point[4])),
              "scan pmax=%d qmax=%d" % (fit.pmax, fit.qmax),
              "points %d" % fit.n_points,
              "anchor_size %d" % fit.anchor_size,

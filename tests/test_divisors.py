@@ -3,7 +3,8 @@ import pytest
 
 import toruslin
 from toruslin import LatticeSpec
-from toruslin.divisors import (FORMS, RESONANCE_TOL, MultiplierData,
+from toruslin.divisors import (FORMS, RESONANCE_TOL, TAU_FLOOR,
+                               MultiplierData,
                                enhanced_bound_check, is_resonant, monomials,
                                scan_and_fit, scan_indices, small_divisors)
 from toruslin.problem import parse_problem
@@ -158,6 +159,35 @@ class TestScanAndFit:
         table, fit = scan_and_fit(data, 8, 8, form="strong")
         assert not fit.resonant
         assert (table.perl > 0).all()
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_tau_point_sets_tau(self, form):
+        # the kept point's slope through the smallest-size anchor is tau,
+        # and the envelope passes through it up to D's 1e-9 shave
+        table, fit = scan_and_fit(golden_data(), 12, 12, form=form)
+        P, Q, j, size, value = fit.tau_point
+        i = row(table, P, Q, j)
+        assert size == table.size[i] > fit.anchor_size
+        binding = table.perl[i].min() if form == "strong" else \
+            table.maxval[i]
+        assert value == binding
+        assert envelope(fit, size) == pytest.approx(value, rel=1e-8)
+        assert envelope(fit, size) < value
+
+    def test_tau_point_on_the_shipped_instance(self):
+        # not a small divisor: 1 - |lam| at P = 1, Q = 2
+        data = parse_problem(toruslin.reference_problem_path()).data
+        _, fit = scan_and_fit(data, 20, 20)
+        P, Q, j, size, value = fit.tau_point
+        assert (P, Q, j, size) == ((1,), (2,), 0, 3)
+        assert value == pytest.approx(1 - abs(data.lam[0, 0]), abs=1e-3)
+
+    def test_floor_sets_tau_without_a_point(self):
+        # mu = 1 makes every P = 0 divisor resonant; the smallest of the
+        # rest, |2^-1 - 1| at size 3, lies below the larger sizes' |2^P - 1|,
+        # so no slope is positive and TAU_FLOOR sets tau
+        _, fit = scan_and_fit(MultiplierData([[2.0]], [[1.0]]), 2, 2)
+        assert fit.tau == TAU_FLOOR and fit.tau_point is None
 
     def test_csv_schema(self):
         table, _ = scan_and_fit(golden_data(), 3, 3)
