@@ -579,7 +579,10 @@ def substitute_vertical(f, phi):
     formed, adds the triangle bound of that row,
     ``|c| * (prod_j (1 + |phi_j|_1)^q_j - 1)`` with ``|phi_j|_1`` the sum
     of phi_j's moduli.  Each term's amount goes into ``discarded`` just
-    before its records, in sorted term order.
+    before its records, in sorted term order.  phi's own truncation record
+    is added only where f has a term of positive degree, the only terms
+    that read phi: substituting into an f without such terms and without a
+    record is exact.
 
     The powers (v_j + phi_j)^q are kept with ``phi``, one table per output
     ``vmax``, built on the first substitution into ``phi`` and extended as
@@ -598,8 +601,10 @@ def substitute_vertical(f, phi):
         raise SeriesError("phi must vanish to order >= 2 in v")
     vmax = min(f.vmax, phi.vmax)
     out = f._like(vmax=vmax)
-    out.tailflag = f.tailflag or phi.tailflag
-    out.discarded = f.discarded + phi.discarded
+    # phi reaches the result only through f's terms of positive degree
+    reads_phi = bool((f._degrees() > 0).any())
+    out.tailflag = f.tailflag or (reads_phi and phi.tailflag)
+    out.discarded = f.discarded + (phi.discarded if reads_phi else 0.0)
     if not phi.nterms():
         _scatter([out], None, *f._sorted(), [[]], one_per_key=True)
         return out

@@ -167,12 +167,15 @@ def substitute_per_record(f, phi):
     ``|c|`` times W_Q's ``discarded`` (and W_Q's ``tailflag``), or, for a
     term past that degree, ``|c|`` times the triangle bound
     ``prod_j (1 + |phi_j|_1)^q_j - 1`` of the row it does not form.
+    phi's own record counts only where some term has positive degree.
     """
     vmax = min(f.vmax, phi.vmax)
     limit = vmax - phi.v_order() + 1
+    reads_phi = any(sum(Q) for _, _, Q, _ in f.terms())
     out = TruncatedSeries(f.n, f.d, f.components, vmax,
-                          tailflag=f.tailflag or phi.tailflag,
-                          discarded=f.discarded + phi.discarded)
+                          tailflag=f.tailflag or (reads_phi and phi.tailflag),
+                          discarded=f.discarded + (phi.discarded if reads_phi
+                                                   else 0.0))
     rows = _vertical_shift_powers(phi, vmax)
     norms = [math.fsum(abs(c) for k, _, _, c in phi.terms() if k == j)
              for j in range(phi.d)]

@@ -418,6 +418,27 @@ class TestSubstitutionLoss:
         assert term_dict(got) == {(0, (0,), (2,)): 1.0, (0, (0,), (3,)): 0.5}
         assert got.tailflag and got.discarded >= 0.0625
 
+    def test_phi_record_reaches_only_terms_that_read_phi(self):
+        # f without terms of positive degree does not read phi: the
+        # substitution is exact, whatever phi has dropped
+        phi = TruncatedSeries(1, 1, 1, 4, coeffs={(0, (1,), (2,)): 0.5},
+                              tailflag=True, discarded=0.25)
+        for f in (TruncatedSeries.zero(1, 1, 1, 4),
+                  mono(1, 1, (2,), (0,), 3.0, vmax=4)):
+            got = substitute_vertical(f, phi)
+            assert (got.tailflag, got.discarded) == (False, 0.0)
+            assert term_dict(got) == term_dict(f)
+            assert exact(got) == exact(substitute_per_record(f, phi))
+        got = substitute_vertical(mono(1, 1, (0,), (1,), vmax=4), phi)
+        assert got.tailflag and got.discarded >= 0.25
+        # so a deck map without pert_h keeps it exactly zero under
+        # conjugation, and compositions with it form no binomial series
+        from _fixtures import lattice2_family
+
+        family, _ = lattice2_family(7)
+        assert all(m.pert_h.nterms() == 0 and not m.pert_h.tailflag
+                   and m.pert_h.discarded == 0.0 for m in family.maps)
+
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
     def test_rows_not_formed_are_bounded(self, n, d):
         # every term of f lies past vmax - ord phi + 1, so no row is formed
