@@ -126,7 +126,8 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, n, d, components=1, vmax=8, hband=None):
-        """The zero series; ``hband`` is ignored, as by the constructor."""
+        """The zero series.  ``hband`` is accepted and ignored, as by the
+        constructor: the benchmark under ``perfbench/`` still passes it."""
         return cls(n, d, components, vmax)
 
     @classmethod
