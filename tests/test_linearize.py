@@ -639,3 +639,36 @@ def test_result_digest_is_reproducible():
     first = digest("forward")
     assert len(first) == 64 and first == digest("forward")
     assert digest("inverse") != first
+
+
+# result_digest of each run_case case and route.  A change that leaves the
+# outputs bit for bit the same keeps these; one that moves a coefficient,
+# a flag, a ``discarded`` or a certificate row by one bit does not.
+PINNED_DIGESTS = {
+    ("shipped-8", "forward"):
+        "22b2645177754b153eae0eb62daa04bdf4f953e9762d852692fdc697a28ffa28",
+    ("shipped-8", "inverse"):
+        "6e5e2f8bf05a34d8fedc0abe5c401035fe7214732b4831535435b6fb1de260ca",
+    ("shipped-12", "forward"):
+        "6020b25ea008ea060c9695b158ad736bdc9bb6faf6d16756a6ef42080ecfaebf",
+    ("shipped-12", "inverse"):
+        "6b7844513a182ceaf5659a8853d138108817c774f9d64b02f5d75317a23cf84e",
+    ("lattice2-7", "forward"):
+        "03c7011c5d9fbd71da52965ecbb27d1a7f8153fc92ecb499e3d286fe83a9cc29",
+    ("lattice2-7", "inverse"):
+        "7bd222c1aa6e17798e2ddaffdb390fb062512e439e136aeb108342c63cb4ca7a",
+    ("lattice2-11", "forward"):
+        "b2c2b17a2837288e7b4819073c8fbaa0d1df8f067b1f267f83e9ea0a05f1c11d",
+    ("lattice2-11", "inverse"):
+        "56502ed52b00429be321538289416dcda0576a4cae20cc69c22122e316df2b46",
+}
+
+
+@pytest.mark.parametrize("case,route", sorted(PINNED_DIGESTS))
+def test_outputs_are_pinned(case, route):
+    result = run_case(case, route)
+    state = build_state(result.order, result.constants, result.phi_v.n,
+                        result.phi_v.d, float(result.eps_m[1]),
+                        float(result.r_m[1]))
+    digest = result_digest(result, dominance_and_radius(result, state))
+    assert digest == PINNED_DIGESTS[case, route]
