@@ -94,11 +94,18 @@ class ProblemFile:
         return "\n".join(lines) + "\n"
 
 
-def _floats(fields, lineno, what):
+def _numbers(fields, lineno, what, kind=float):
     try:
-        return [float(x) for x in fields]
+        return [kind(x) for x in fields]
     except ValueError:
         raise ProblemParseError("bad %s value" % what, lineno)
+
+
+def _value(fields, lineno, kind):
+    """The one value of a ``key value`` line, as ``kind``."""
+    if len(fields) != 2:
+        raise ProblemParseError("%s needs one value" % fields[0], lineno)
+    return _numbers(fields[1:], lineno, fields[0], kind)[0]
 
 
 def parse_problem_text(text, source=""):
@@ -126,11 +133,11 @@ def parse_problem_text(text, source=""):
     for lineno, fields in sections["lattice"]:
         key = fields[0]
         if key == "n":
-            n = int(fields[1])
+            n = _value(fields, lineno, int)
         elif key == "d":
-            d = int(fields[1])
+            d = _value(fields, lineno, int)
         elif key == "e":
-            vals = _floats(fields[1:], lineno, "generator")
+            vals = _numbers(fields[1:], lineno, "generator")
             if n is None or len(vals) != 2 * n:
                 raise ProblemParseError(
                     "generator row needs %s re/im pairs" % n, lineno)
@@ -153,7 +160,7 @@ def parse_problem_text(text, source=""):
     mu_rows, mu_angles, lam_rows = [], [], []
     for lineno, fields in sections["multipliers"]:
         key = fields[0]
-        vals = _floats(fields[1:], lineno, "multiplier")
+        vals = _numbers(fields[1:], lineno, "multiplier")
         if key == "mu_angle":
             if len(vals) != d:
                 raise ProblemParseError("mu_angle row needs %d turns" % d,
@@ -209,21 +216,19 @@ def parse_problem_text(text, source=""):
         if len(fields) != want:
             raise ProblemParseError("perturbation row needs %d fields" % want,
                                     lineno)
-        i = int(fields[1]) - 1
-        k = int(fields[2]) - 1
+        i, k, *PQ = _numbers(fields[1:3 + n + d], lineno, "index", int)
+        i, k, P, Q = i - 1, k - 1, tuple(PQ[:n]), tuple(PQ[n:])
         if not 0 <= i < n:
             raise ProblemParseError("generator index out of range", lineno)
         if not 0 <= k < n + d:
             raise ProblemParseError("component index out of range", lineno)
-        P = tuple(int(x) for x in fields[3:3 + n])
-        Q = tuple(int(x) for x in fields[3 + n:3 + n + d])
         if any(q < 0 for q in Q):
             raise ProblemParseError("vertical exponents must be >= 0", lineno)
         if sum(Q) < 2:
             raise ProblemParseError(
                 "perturbation records must vanish to order >= 2 in v "
                 "(split tangent bundle)", lineno)
-        re, im = _floats(fields[3 + n + d:], lineno, "coefficient")
+        re, im = _numbers(fields[3 + n + d:], lineno, "coefficient")
         records.append((i, k, P, Q, complex(re, im)))
 
     # run parameters
@@ -232,12 +237,8 @@ def parse_problem_text(text, source=""):
         key = fields[0]
         if key not in RUN_DEFAULTS:
             raise ProblemParseError("unknown run key %r" % key, lineno)
-        if key in _RUN_INT:
-            run[key] = int(fields[1])
-        elif key in _RUN_FLOAT:
-            run[key] = float(fields[1])
-        else:
-            run[key] = fields[1]
+        run[key] = _value(fields, lineno, int if key in _RUN_INT else
+                          float if key in _RUN_FLOAT else str)
     if run["precision"] not in ("double", "extended"):
         raise ProblemParseError("precision must be double or extended")
     for (i, k, P, Q, _) in records:

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import os
 
 import numpy as np
@@ -97,6 +98,21 @@ class TestParsing:
         bad = MINIMAL.replace("e 0.3 1.1", "e 0.3")
         with pytest.raises(ProblemParseError, match=r"line \d+"):
             parse_problem_text(bad)
+
+    @pytest.mark.parametrize("old,line,message", [
+        ("vmax 4", "vmax", "vmax needs one value"),
+        ("order 3", "order x", "bad order value"),
+        ("n 1", "n one", "bad n value"),
+        ("[run]", "p x 2 0 2 1e-4 0.0", "bad index value"),
+        ("[run]", "p 1 2 0 2.5 1e-4 0.0", "bad index value"),
+    ])
+    def test_bad_field_names_its_line(self, old, line, message):
+        # a perturbation row goes into its own section before [run]
+        new = line if old != "[run]" else "[perturbation]\n%s\n\n[run]" % line
+        bad = MINIMAL.replace(old, new, 1)
+        with pytest.raises(ProblemParseError, match=message) as err:
+            parse_problem_text(bad)
+        assert err.value.lineno == bad.splitlines().index(line) + 1
 
     def test_low_order_perturbation_rejected(self):
         bad = MINIMAL.replace(
@@ -267,3 +283,49 @@ class TestVerbs:
                                                    shallow=False)
         assert mismatch == [] and errors == []
         assert "report.txt" in match
+
+
+# sha256 of each artifact ``toruslin report`` writes for the shipped problem
+# at its own settings; criterion 10 compares two runs, this compares every
+# run with the bytes the report has always written.
+PINNED_REPORT = {
+    "base_polytope.txt":
+        "dbbc85143b51a9caac072e2b1ecba13fbe7c09d48d1a7cfa56b57dd24539a7cc",
+    "certificate.csv":
+        "db619f30c41d83ccf74117b31592eb9df2d1da6aaa38affc814e47a8a4032bc2",
+    "certificate.txt":
+        "19ce79c6729334854011862f2c176751cc94315c61d0d7e2daf5ff3c7e885dc5",
+    "divisors.csv":
+        "52bbbc6d4b8c3d7e609349f9180513c9840b1e8fd453709f34e17ef15a76f49f",
+    "fit.txt":
+        "e83cae85a96e1da0e49cd292cd8a6827c31de5e178ced182b42e63de553f52e8",
+    "geometry.txt":
+        "c46d76113fabaa7d7b33dad2a61c6aceb456edbac87238d1d4797e450f15559c",
+    "hull_vertices.txt":
+        "d13205c6c9fc9e43d337e9eaec06a48dee21ce271556f72798744722b5311cfd",
+    "ledger.csv":
+        "f23418ace00a690bec3a508f179a6e9dd8b609b5e87724b9826db2e0270e66ba",
+    "linearize.txt":
+        "9b5ea198d126c1cbd38ffb36d78558c47de2f8de8c4139cb6925a14fca1a600c",
+    "phi_v.tls":
+        "e01a9179c5666615a22fc687b5ee0d25622d4671350b33e1541782035443cf9b",
+    "report.txt":
+        "00a92f479e84f109d77d1602669ee25e06ccd4c53a1e6223c151d37e0eef45a6",
+    "residuals.csv":
+        "baa75c7378647df2b1c1bb9301a56d178d6f2ef283f737c5580795c610237a53",
+    "resonances.csv":
+        "5bd5f060893f28472a9e786f04134edf3363cc8edc979bdc61f0c7b8cbbd926d",
+    "translates.txt":
+        "ef717b35ef6101ec6c37ff33a9b81c4d7019cbb40b65dc170688d9863e6e9e73",
+}
+
+
+def test_report_artifacts_are_pinned(tmp_path):
+    # report.txt names the problem file by its base name
+    prob = write(tmp_path, "ref.prob",
+                 open(toruslin.reference_problem_path()).read())
+    out = tmp_path / "out"
+    assert main(["report", prob, "--out", str(out)]) == EXIT_OK
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in out.iterdir()}
+    assert got == PINNED_REPORT
