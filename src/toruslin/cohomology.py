@@ -49,10 +49,18 @@ class CompatibleFamily:
         return len(self.rhs)
 
     def keys(self):
-        seen = set()
-        for F in self.rhs:
-            seen.update((k, P, Q) for k, P, Q, _ in F.terms())
-        return sorted(seen)
+        return self._coefficients()[0]
+
+    def _coefficients(self):
+        """Every key of the right-hand sides, sorted, and at each key the
+        coefficient of every F_i (0 where it has none): each F_i's terms
+        read once."""
+        table = {}
+        for i, F in enumerate(self.rhs):
+            for k, P, Q, c in F.terms():
+                table.setdefault((k, P, Q), [0j] * self.n)[i] = c
+        keys = sorted(table)
+        return keys, [table[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,8 @@ def check_compatibility(family, data):
     span many decades.
     """
     worst_abs, worst_rel, worst_key = 0.0, 0.0, None
-    keys = family.keys()
-    for key, facs in zip(keys, _divisors_at(data, keys)):
-        coeffs = [F.get(*key) for F in family.rhs]
+    keys, values = family._coefficients()
+    for key, coeffs, facs in zip(keys, values, _divisors_at(data, keys)):
         for a in range(family.n):
             for b in range(a + 1, family.n):
                 cross_ab = facs[a] * coeffs[b]
@@ -141,7 +148,7 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
             "family incompatible: relative residual %.3e exceeds %.3e at %s"
             % (report.max_rel, COMPAT_TOL, (report.worst_key,)))
 
-    keys = family.keys()
+    keys, values = family._coefficients()
     div = _divisors_at(data, keys)
     moduli = modulus(div)
     sizes = np.array([sum(map(abs, P)) + sum(Q) for _, P, Q in keys])
@@ -152,9 +159,10 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
     used, coeffs = {}, {}
     # the generator with the largest modulus, the smallest index on ties;
     # scalar-exact moduli decide a near tie the same on every CPU
-    for key, row, iv in zip(keys, div, moduli.argmax(axis=1).tolist()):
+    for key, cs, row, iv in zip(keys, values, div,
+                                moduli.argmax(axis=1).tolist()):
         divisor = row[iv]
-        c = family.rhs[iv].get(*key)
+        c = cs[iv]
         if c:
             coeffs[key] = c / divisor
         used[key] = (iv, divisor)

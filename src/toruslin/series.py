@@ -12,23 +12,22 @@ above ``vmax`` and count them by the triangle bound ``sum |a_i| |b_j|``.
 
 Values are complex doubles.  Series are immutable: every operation
 returns a new instance, and nothing may change a series once another
-operation has read it.  What an operation returns is stored as its kept
-arrays (``_sorted``): every term sorted by (k, P, Q), the one order in
-which the kernels and the bulk sums read a series, sliced per component,
-with the ``table_data`` products read.  ``mul`` keeps the kernel's
-output, selections and ``scale`` are masks, and every sum or re-truncation
-is one ``_scatter``: its records are tested against ``vmax``, summed per
-key in record order and pruned, keys sorted.  ``substitute_vertical(f,
-phi)`` keeps the powers ``(v_j + phi_j)^q`` with ``phi`` for later use.
+operation has read it.  A series is stored as its kept arrays
+(``_sorted``): every term sorted by (k, P, Q), the one order in which the
+kernels and the bulk sums read a series, sliced per component, with the
+``table_data`` products read.  ``mul`` keeps the kernel's output,
+selections and ``scale`` are masks, and every sum or re-truncation is one
+``_scatter``: its records are tested against ``vmax``, summed per key in
+record order and pruned, keys sorted.  ``substitute_vertical(f, phi)``
+keeps the powers ``(v_j + phi_j)^q`` with ``phi`` for later use.
 
-The coefficient dict is a view known to this module alone: other modules
-read terms through ``terms()``, ``get()`` (which keeps the dict beside the
-arrays once built) and ``nterms()``.  The public ``coeffs`` is the
-writable handle: reading it drops the kept arrays and powers, so the dict
-is the store again and a write is seen by every later read.  Constructors,
-``from_text``, ``partial_h`` and ``compose_diagonal`` fill a dict,
-constructors and ``partial_h`` through ``_accumulate``, the
-record-by-record loop that applies the window and the pruning.
+A coefficient dict exists only as a pending buffer, filled by the
+constructors, ``from_text`` and ``compose_diagonal``, and converted to the
+arrays and dropped by the first read.  Other modules read terms through
+``terms()``, ``get()`` and ``nterms()``.  The public ``coeffs`` is the
+writable handle: it hands out the pending dict, or one built from the
+arrays, and drops the arrays and powers, so a write is seen by every
+later read.
 """
 
 from itertools import repeat
@@ -61,19 +60,18 @@ class TruncatedSeries:
         self.vmax = int(vmax)
         self.tailflag = bool(tailflag)
         self.discarded = float(discarded)
-        # the coefficient dict, filled by the constructors; a series that an
-        # operation returns holds None here until _lookup builds the dict
+        # the pending coefficient dict, None once _sorted has converted it
         self._table = {}
         # powers of (v_j + self_j) per working window; see substitute_vertical
         self._shift = None
         # kernel arrays per component; see _sorted
         self._store = None
-        if coeffs:
-            records = [((k, tuple(P), tuple(Q)), complex(c))
-                       for (k, P, Q), c in coeffs.items()]
-            for key, _ in records:
-                self._check_key(*key)
-            self._accumulate(records)
+        for (k, P, Q), c in (coeffs or {}).items():
+            key = (k, tuple(P), tuple(Q))
+            self._check_key(*key)
+            c = 0j + complex(c)
+            if abs(c) > PRUNE:
+                self._table[key] = c
 
     # -- construction helpers -------------------------------------------------
 
@@ -90,39 +88,13 @@ class TruncatedSeries:
     @property
     def coeffs(self):
         """The coefficient dict {(k, P, Q): value}, handed out for writing:
-        it drops the kept arrays and powers, so every later read sees it."""
-        table = self._lookup()
-        self._store = self._shift = None
-        return table
-
-    def _lookup(self):
-        """The coefficient dict, read-only: built from the kept arrays on
-        first need and kept beside them."""
+        the pending dict, or one built from the kept arrays, which it drops
+        with the powers, so every later read sees the writes."""
         if self._table is None:
             ks, exps, vals = self._store["sorted"]
             self._table = dict(zip(_keys(ks, exps, self.n), vals.tolist()))
+        self._store = self._shift = None
         return self._table
-
-    def _accumulate(self, records):
-        """Add ``((k, P, Q), value)`` records to the table, in order.
-
-        A record above ``vmax`` is not stored: it sets ``tailflag`` and adds
-        its modulus to ``discarded``.  A record inside is added to the
-        running sum at its key, and a sum of modulus PRUNE or less is
-        removed.  The kept kernel arrays are dropped.
-        """
-        coeffs, vmax = self._lookup(), self.vmax
-        self._store = None
-        for key, c in records:
-            if sum(key[2]) > vmax:
-                self.tailflag = True
-                self.discarded += abs(c)
-                continue
-            new = coeffs.get(key, 0j) + c
-            if abs(new) > PRUNE:
-                coeffs[key] = new
-            elif key in coeffs:
-                del coeffs[key]
 
     @classmethod
     def zero(cls, n, d, components=1, vmax=8, hband=None):
@@ -163,7 +135,9 @@ class TruncatedSeries:
             yield k, P, Q, c
 
     def get(self, k, P, Q):
-        return self._lookup().get((k, tuple(P), tuple(Q)), 0.0 + 0.0j)
+        key = (k, tuple(P), tuple(Q))
+        return next((c for *term, c in self.terms() if tuple(term) == key),
+                    0.0 + 0.0j)
 
     def nterms(self):
         """Number of stored coefficients."""
@@ -204,7 +178,7 @@ class TruncatedSeries:
                               % (self.n, self.d, other.n, other.d))
 
     def add(self, other):
-        """``_accumulate`` of self's records, then other's, as one write."""
+        """One ``_scatter`` of self's records, then other's."""
         self._check_compat(other)
         if self.components != other.components:
             raise SeriesError("component count mismatch in add")
@@ -213,15 +187,8 @@ class TruncatedSeries:
         out.discarded = self.discarded + other.discarded
         ka, ea, va = self._sorted()
         kb, eb, vb = other._sorted()
-        # _accumulate drops a first record of modulus PRUNE or less inside
-        # the window before the other's record at its key arrives
-        keep = modulus(va) > PRUNE
-        if not keep.all():
-            keep |= _outside(ea, self.n, out.vmax)
-        _scatter([out], None, None if ka is None else
-                 np.concatenate((ka[keep], kb)),
-                 np.concatenate((ea[keep], eb)),
-                 np.concatenate((va[keep], vb)), [[]])
+        _scatter([out], None, None if ka is None else np.concatenate((ka, kb)),
+                 np.concatenate((ea, eb)), np.concatenate((va, vb)), [[]])
         return out
 
     def scale(self, c):
@@ -250,11 +217,10 @@ class TruncatedSeries:
         """Every term as (ks, exps, vals) arrays sorted by (k, P, Q); ``ks``
         is None for a single component.
 
-        The store of record of every series an operation returns, and the
-        one order in which the kernels and the bulk sums read a series.
-        Built from the dict once, when the dict is the store, and kept,
-        read-only, with the components' ``_arrays``, until ``_accumulate``
-        or the ``coeffs`` handle drops them.
+        The store of every series, and the one order in which the kernels
+        and the bulk sums read a series.  Built once from a pending dict,
+        which it drops, and kept, read-only, with the components'
+        ``_arrays``, until the ``coeffs`` handle drops them.
         """
         if self._store is None:
             keys = list(self._table)
@@ -267,7 +233,7 @@ class TruncatedSeries:
             # lexsort's last key is the primary one
             order = np.lexsort([*exps.T[::-1]] + ([] if ks is None else [ks]))
             self._keep_sorted(None if ks is None else ks[order], exps[order],
-                              vals[order], self._table)
+                              vals[order])
         return self._store["sorted"]
 
     def _arrays(self, k):
@@ -285,14 +251,14 @@ class TruncatedSeries:
             data = self._store[("data", k)] = table_data(exps, vals, self.n)
         return exps, vals, data
 
-    def _keep_sorted(self, ks, exps, vals, table=None):
+    def _keep_sorted(self, ks, exps, vals):
         """Keep every term, sorted by (k, P, Q), as ``_sorted`` and the
         components' ``_arrays`` (``ks`` is None for a single component),
-        with ``table`` as the dict (None: built on demand)."""
+        in place of a pending dict."""
         for array in (ks, exps, vals):
             if array is not None:
                 array.flags.writeable = False
-        self._table = table
+        self._table = None
         self._store = {"sorted": (ks, exps, vals)}
         if ks is None:
             self._store[0] = (exps, vals)
@@ -680,11 +646,11 @@ def linear_combinations(sums):
     A summand is ``(s_i, c_i)``, or ``(s_i, c_i, P_i, p_i)``, which stands
     for ``s_i.shift_h(P_i).scale(p_i)`` in place of ``s_i``.  Each sum is
     bit for bit the sum a loop builds by adding ``s_i.scale(c_i)`` to a
-    running total in turn (see ``_scatter`` for the one exception), with
-    the terms of each ``s_i`` stored sorted: the records of each ``s_i``
-    times ``c_i``, in sorted order, those of modulus PRUNE or less left
-    out as ``scale`` leaves them out, are summed per key in the order of
-    the pairs.  Each result has the smallest window among its ``s_i``,
+    running total in turn, except where the loop drops a running total of
+    modulus PRUNE or less that a later summand adds to: the records of
+    each ``s_i`` times ``c_i``, in sorted order, those of modulus PRUNE or
+    less left out as ``scale`` leaves them out, are summed per key in the
+    order of the pairs.  Each result has the smallest window among its ``s_i``,
     ``tailflag`` if any of them has it, and ``discarded`` summed in the
     same order, each ``s_i.discarded * |c_i|`` before the mass its own
     records lose to the window.  All the sums share one segment sum.
@@ -750,23 +716,19 @@ def linear_combinations(sums):
 
 
 def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
-    """Add records ``ids[i]: (ks[i], exps[i]) -> vals[i]`` to empty
-    tables: the one write of every sum and every re-truncation.
+    """Write records ``ids[i]: (ks[i], exps[i]) -> vals[i]`` into the
+    empty series ``outs``: the one write of every sum and every
+    re-truncation.
 
-    The bulk form of ``outs[ids[i]]._accumulate`` on the records in order,
-    with ``ids`` nondecreasing (None for one table, and ``ks`` None for
-    component 0 throughout): a record outside its table's window sets
+    ``ids`` is nondecreasing (None for one series, and ``ks`` None for
+    component 0 throughout).  A record outside its series' window sets
     ``tailflag`` and adds its modulus to ``discarded``, in record order,
     and each ``(i, amount)`` in ``marks[o]`` adds ``amount`` to
     ``outs[o].discarded`` just before record i.  The records inside are
-    summed per table and key by ``segment_sum``, in record order, and the
-    sums of modulus above PRUNE are stored in sorted key order, without
-    testing their window again, and kept as the tables' ``_sorted``
-    arrays.  The one difference from the record-by-record loop, besides
-    the order of the keys: that loop drops a running sum whose modulus
-    falls to PRUNE or below before the key's last record.  A sum that
-    cancels to exactly zero restarts from the same 0.0 either way.  Records
-    ``one_per_key``, sorted, have nothing to sum: each is ``0j + c``.
+    summed per series and key by ``segment_sum``, from 0.0 and in record
+    order, and the sums of modulus above PRUNE are kept, in sorted key
+    order, as the series' ``_sorted`` arrays.  Records ``one_per_key``,
+    sorted, have nothing to sum: each is ``0j + c``.
     """
     n = outs[0].n
     vmax = outs[0].vmax if ids is None else \
@@ -824,19 +786,16 @@ def partial_h(f, P0):
     P0 = tuple(int(p) for p in P0)
     if len(P0) != f.n or any(p < 0 for p in P0):
         raise SeriesError("P0 must be a nonnegative n-multi-index")
-    out = f._like()
-    out.tailflag, out.discarded = f.tailflag, f.discarded
-    records = []
+    coeffs = {}
     for k, P, Q, c in f.terms():
         w = 1
         for j in range(f.n):
             for i in range(P0[j]):
                 w *= P[j] - i
         if w:
-            records.append(((k, tuple(p - p0 for p, p0 in zip(P, P0)), Q),
-                            c * w))
-    out._accumulate(records)
-    return out
+            coeffs[k, tuple(p - p0 for p, p0 in zip(P, P0)), Q] = c * w
+    return TruncatedSeries(f.n, f.d, f.components, f.vmax, coeffs=coeffs,
+                           tailflag=f.tailflag, discarded=f.discarded)
 
 
 def invert_vertical_map(G):

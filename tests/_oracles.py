@@ -3,9 +3,10 @@
 Everything here is deliberately written with plain dict/loop arithmetic and
 no reuse of the library's own code paths, so agreement is meaningful.  The
 exceptions reuse library primitives along another route than the library
-takes: ``chained_add_compose`` forms every sum as a chain of pairwise
-``add`` and writes its output one record at a time, and
-``substitute_per_record`` adds every record to its table one at a time,
+takes: ``accumulate`` adds records to a series one at a time through its
+``coeffs`` handle; ``chained_add_compose`` forms every sum as a chain of
+pairwise ``add`` and writes its output through ``accumulate``, and
+``substitute_per_record`` writes every record through ``accumulate``,
 where the library sums them per key in one array segment sum (and
 ``substitute_per_record`` forms the powers past ``vmax - ord phi + 1``
 that the library skips); ``psi_then_invert`` builds phi_v differently from
@@ -32,8 +33,9 @@ from toruslin.lattice import log_indicatrix, union_and_hull
 from toruslin.linearize import linearize_step
 from toruslin.majorant import _coupling, _g_of, _ser_mul
 from toruslin.norms import sup_norm_bound, sup_norm_bound_union
-from toruslin.series import _vertical_shift_powers, compose_diagonal, \
-    invert_vertical_map, scale_components, substitute_vertical
+from toruslin.series import PRUNE, _vertical_shift_powers, \
+    compose_diagonal, invert_vertical_map, scale_components, \
+    substitute_vertical
 
 
 def term_dict(series):
@@ -67,6 +69,30 @@ def shuffled_copy(series, rng):
                                items[i] for i in rng.permutation(len(items))),
                            tailflag=series.tailflag,
                            discarded=series.discarded)
+
+
+def accumulate(series, records):
+    """Add ``((k, P, Q), value)`` records to ``series`` through its
+    ``coeffs`` handle, one at a time and in order.
+
+    A record above ``vmax`` is not stored: it sets ``tailflag`` and adds its
+    modulus to ``discarded``.  A record inside is added to the running sum
+    at its key, and a sum of modulus PRUNE or less is removed.  The
+    library's ``_scatter`` is the bulk form of this loop, except that it
+    carries a running sum of modulus PRUNE or less on to the key's later
+    records, where this loop drops it.
+    """
+    coeffs = series.coeffs
+    for key, c in records:
+        if sum(key[2]) > series.vmax:
+            series.tailflag = True
+            series.discarded += abs(c)
+            continue
+        new = coeffs.get(key, 0j) + c
+        if abs(new) > PRUNE:
+            coeffs[key] = new
+        elif key in coeffs:
+            del coeffs[key]
 
 
 def stores_sorted(series):
@@ -159,7 +185,7 @@ def substitute_per_record(f, phi):
     A fresh power table on the same window, each power the same
     product; f's terms, each followed by the records of its W_Q, both in
     sorted order, every record added to the output through
-    ``_accumulate``.  A term with |Q| past
+    ``accumulate``.  A term with |Q| past
     ``vmax - ord phi + 1``, where W_Q holds v^Q alone inside the window, is
     its own record, like a pure h-monomial term; one above the output
     ``vmax`` thus leaves its modulus in ``discarded``.  Before its records
@@ -196,12 +222,12 @@ def substitute_per_record(f, phi):
                 grow *= (1.0 + norm) ** q
             out.tailflag |= grow > 1.0
             out.discarded += abs(c) * (grow - 1.0)
-            out._accumulate([((k, P, Q), c)])
+            accumulate(out, [((k, P, Q), c)])
         else:
             out.tailflag |= W.tailflag
             out.discarded += abs(c) * W.discarded
-            out._accumulate(((k, tuple(p + pw for p, pw in zip(P, Pw)), Qn),
-                             c * w) for _, Pw, Qn, w in W.terms())
+            accumulate(out, (((k, tuple(p + pw for p, pw in zip(P, Pw)), Qn),
+                              c * w) for _, Pw, Qn, w in W.terms()))
     return out
 
 
@@ -211,7 +237,7 @@ def chained_add_compose(f, m, vmax=None):
     The binomial series and the group sums are formed as
     ``piece = piece.add(term)``, one pairwise sum after another, where
     ``linear_combinations`` forms each in one segment sum, and the group
-    pieces go into the output through ``_accumulate``.  Where a step
+    pieces go into the output through ``accumulate``.  Where a step
     reads a table in its stored order (``shift_h`` of a binomial product),
     it reads a sorted copy, as the library reads every sum's inputs in
     sorted order and stores its sums sorted; the output is stored sorted.
@@ -268,8 +294,8 @@ def chained_add_compose(f, m, vmax=None):
         for j, q in enumerate(Q):
             if q:
                 piece = piece.mul(vpow[j][q])
-        out._accumulate(((k, Pn, Qn), val)
-                        for _, Pn, Qn, val in piece.terms())
+        accumulate(out, (((k, Pn, Qn), val)
+                         for _, Pn, Qn, val in piece.terms()))
         out.tailflag |= piece.tailflag
         out.discarded += piece.discarded
     return sorted_copy(out)

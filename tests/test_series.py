@@ -14,10 +14,10 @@ from toruslin.deckmaps import DeckMap, compose_with_map
 from toruslin.series import PRUNE, SeriesError, _scatter, \
     linear_combinations, scale_components
 
-from _oracles import (dense_diff, dense_mul, dense_poly, dense_substitute,
-                      random_series, shuffled_copy, sorted_copy,
-                      stores_sorted, substitute_per_record, term_dict,
-                      with_terms)
+from _oracles import (accumulate, dense_diff, dense_mul, dense_poly,
+                      dense_substitute, random_series, shuffled_copy,
+                      sorted_copy, stores_sorted, substitute_per_record,
+                      term_dict, with_terms)
 
 
 def mono(n, d, P, Q, c=1.0, vmax=8):
@@ -839,7 +839,7 @@ class TestInsertionOrder:
 
 
 class TestScatterWrite:
-    """``_scatter`` stores its sums in one pass, as ``_accumulate`` would."""
+    """``_scatter`` stores its sums in one pass, as ``accumulate`` would."""
 
     def test_matches_accumulate(self):
         # two tables and two components; 2 PRUNE - PRUNE is exactly PRUNE,
@@ -864,7 +864,7 @@ class TestScatterWrite:
                  [[(0, 0.0)], [(1, 0.5)]])
         want[1].discarded = 0.5
         for o, k, P, Q, c in recs:
-            want[o]._accumulate([((k, P, Q), c)])
+            accumulate(want[o], [((k, P, Q), c)])
         for g, w in zip(got, want):
             assert exact(g) == exact(w)
             assert stores_sorted(g)
@@ -872,20 +872,23 @@ class TestScatterWrite:
         assert got[1].tailflag and got[1].discarded == 5.5
 
     def test_add_matches_accumulate(self):
-        # add is a's records, then b's, through _accumulate.  a's tiny
-        # record at v^2 is dropped before b's 1.5e-300 arrives, so the sum
-        # is b's value alone; a's tiny v^4 lies outside the sum's window
-        # and is lost mass all the same
+        # add is one _scatter of a's records, then b's: the record loop's
+        # sums, and a's tiny v^4 lies outside the sum's window and is lost
+        # mass all the same.  The one difference: the loop drops a's tiny
+        # record at v^2 before b's 1.5e-300 arrives, where add sums the two
+        # (tiny records come only from from_text or a coeffs write)
         a = TruncatedSeries.from_text("TLS 1 1 1 4 2\n0 0 2 1e-310 0.0\n"
                                       "0 1 4 0.0 1e-310\n0 0 1 0.5 0.0\n")
         b = TruncatedSeries(1, 1, 1, 3, coeffs={(0, (0,), (2,)): 1.5e-300,
                                             (0, (0,), (1,)): 0.25})
+        total = 1e-310 + 1.5e-300
+        assert total != 1.5e-300
         for x, y in ((a, b), (b, a)):
             want = TruncatedSeries(1, 1, 1, 3)
             for s in (x, y):
-                want._accumulate(((k, P, Q), c) for k, P, Q, c in s.terms())
+                accumulate(want, (((k, P, Q), c) for k, P, Q, c in s.terms()))
+            want = with_terms(want, {(0, (0,), (2,)): total})
             assert exact(x.add(y)) == exact(want)
-        assert a.add(b).get(0, (0,), (2,)) == 1.5e-300
         assert a.add(b).tailflag and a.add(b).discarded == 1e-310
 
 
@@ -900,7 +903,7 @@ class TestKernelArrays:
     def check_kept(cls, f, seeded=True):
         """``f``'s kernel arrays, kept from its making when ``seeded``, are
         bit for bit what a rebuild from the table gives, read-only, and
-        ``_accumulate`` drops them."""
+        a write through ``accumulate`` drops them."""
         if seeded:
             # kept from the making; with_window shares its source's store,
             # with what was kept beside the arrays
@@ -923,7 +926,7 @@ class TestKernelArrays:
             assert [hexed(c) for c in vals.tolist()] == \
                 [hexed(c) for c in want_vals.tolist()]
             assert not exps.flags.writeable and not vals.flags.writeable
-        f._accumulate([])
+        accumulate(f, [])
         assert f._store is None
 
     @pytest.mark.parametrize("ca,cb", [(1, 1), (2, 2), (1, 2), (2, 1)])
@@ -982,7 +985,7 @@ class TestKernelArrays:
         before = f._arrays(0)
         assert f._arrays(0) is before  # kept, not rebuilt
         key = (0, (1,), (5,))
-        f._accumulate([(key, 2.0 - 1j)])
+        accumulate(f, [(key, 2.0 - 1j)])
         exps, vals = f._arrays(0)
         assert exps is not before[0]
         assert [1, 5] in exps.tolist()
@@ -991,13 +994,13 @@ class TestKernelArrays:
 
     def test_kept_data_follows_accumulate(self):
         # the table_data kept with the arrays is built once, dropped when
-        # _accumulate writes, and rebuilt from the new table
+        # accumulate writes, and rebuilt from the new table
         rng = np.random.default_rng(87)
         f = random_series(rng, 1, 1, components=2, vmax=5, pmax=3,
                           nterms=10)
         data = f._operand(1)[2]
         assert f._operand(1)[2] is data
-        f._accumulate([((1, (1,), (5,)), 2.0 - 1j)])
+        accumulate(f, [((1, (1,), (5,)), 2.0 - 1j)])
         assert f._store is None
         exps, vals, data = f._operand(1)
         want = table_data(*self.fresh(f, 1), 1)
@@ -1315,11 +1318,11 @@ def test_coefficient_table_is_private():
 
 
 def test_package_writes_series_in_series_py():
-    # the coeffs handle drops a series' kept arrays, and _accumulate and
-    # the stores are the series layer's own: no other package module
-    # touches them, so no internal reader writes or drops a store
+    # the coeffs handle drops a series' kept arrays, and the stores are the
+    # series layer's own: no other package module touches them, so no
+    # internal reader writes or drops a store
     package = Path(toruslin.__file__).parent
-    private = {"coeffs", "_store", "_table", "_accumulate"}
+    private = {"coeffs", "_store", "_table"}
     uses = ["%s:%d" % (path.relative_to(package), node.lineno)
             for path in sorted(package.rglob("*.py"))
             if path.name != "series.py"
@@ -1328,25 +1331,40 @@ def test_package_writes_series_in_series_py():
     assert not uses
 
 
-def test_records_streamed_one_at_a_time(monkeypatch):
-    # an order-12 linearization of the shipped family sends only the
-    # records of its constructors through _accumulate (208 when pinned),
-    # where every sum and re-truncation once streamed 12,030
+def test_pending_dicts_converted_once(monkeypatch):
+    # building the shipped family and linearizing it at order 12 converts
+    # a pending dict to arrays 64 times (when pinned), each in a different
+    # series made by a constructor; every other series is stored as arrays
+    # from the start, and no series holds a dict beside its arrays
     from _fixtures import shipped_family
     from toruslin.linearize import linearize
-    count = []
-    accumulate = TruncatedSeries._accumulate
+    conversions, both = [], []
+    real_sorted = TruncatedSeries._sorted
+    real_keep = TruncatedSeries._keep_sorted
 
-    def counted(self, records):
-        records = list(records)
-        count.append(len(records))
-        accumulate(self, records)
+    def checked(self):
+        both.append(self._table is not None and self._store is not None)
 
-    monkeypatch.setattr(TruncatedSeries, "_accumulate", counted)
+    def spied_sorted(self):
+        checked(self)
+        if self._store is None:
+            conversions.append(self)
+        out = real_sorted(self)
+        checked(self)
+        return out
+
+    def spied_keep(self, *arrays):
+        real_keep(self, *arrays)
+        checked(self)
+
+    monkeypatch.setattr(TruncatedSeries, "_sorted", spied_sorted)
+    monkeypatch.setattr(TruncatedSeries, "_keep_sorted", spied_keep)
     family, run = shipped_family(12)
     linearize(family, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
               qmax=run["qmax"])
-    assert 0 < sum(count) <= 250
+    assert len(conversions) == 64
+    assert len({id(s) for s in conversions}) == len(conversions)
+    assert both and not any(both)
 
 
 def test_inversions_stop_at_the_first_full_window_sweep(monkeypatch):
@@ -1392,6 +1410,9 @@ COEFFS_IN_TESTS_ALLOWED = {
         "substitution sees the write",
     ("test_series.py", "test_benchmark_write_pattern"):
         "repeats perfbench's writes into a fresh series' coeffs",
+    ("_oracles.py", "accumulate"):
+        "the record loop that the _scatter tests compare against; writing "
+        "one record at a time needs the writable dict",
     ("_oracles.py", "stores_sorted"):
         "reads the order in which a table stores its keys, which the bulk "
         "sums store sorted; no method exposes that order",
