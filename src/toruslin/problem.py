@@ -216,8 +216,9 @@ def parse_problem_text(text, source=""):
         if len(fields) != want:
             raise ProblemParseError("perturbation row needs %d fields" % want,
                                     lineno)
-        i, k, *PQ = _numbers(fields[1:3 + n + d], lineno, "index", int)
-        i, k, P, Q = i - 1, k - 1, tuple(PQ[:n]), tuple(PQ[n:])
+        index = _numbers(fields[1:3 + n + d], lineno, "index", int)
+        i, k = index[0] - 1, index[1] - 1
+        P, Q = tuple(index[2:2 + n]), tuple(index[2 + n:])
         if not 0 <= i < n:
             raise ProblemParseError("generator index out of range", lineno)
         if not 0 <= k < n + d:

@@ -73,7 +73,9 @@ def lattice2_family(seed, vmax=8):
     coefficients.  Its linearization is psi itself.  This is the family of
     the ``lattice2-o8`` benchmark workload (``Lattice2`` in
     ``perfbench/workloads.py``), built the same way with the same draws;
-    a change to either construction belongs in both.
+    a change to either construction belongs in both, and
+    ``test_lattice2_workload_builds_the_fixture_family`` checks that the
+    two agree bit for bit.
     """
     lat = LatticeSpec(2, 1, [[1, 0], [0, 1],
                              [0.31 + 0.07j, 0.5 + 0.02j],
