@@ -17,8 +17,8 @@ call per ledger entry, where the library shares each degree's domains
 among all of them in one call; ``apply_vertical_operator`` applies
 the operator the solvers invert by division; ``translates_fit`` probes the
 hull that ``max_margin_eta`` answers for in closed form;
-``compose_power``, ``norm_certificate``, ``identity_map`` and
-``result_digest`` are test helpers.
+``compose_power``, ``norm_certificate``, ``identity_map``,
+``result_digest`` and ``coefficient_digest`` are test helpers.
 """
 
 import hashlib
@@ -323,19 +323,22 @@ def psi_then_invert(result):
     return invert_vertical_map(psi)
 
 
-def _spelled(value):
+def _spelled(value, record=True):
     """Text for nested results that spells every float by its bits: a
-    series by its window, flags, ``discarded`` and sorted terms, a dict by
-    its items in sorted order."""
+    series by its window, flags and ``discarded`` (left out unless
+    ``record``) and sorted terms, a dict by its items in sorted order."""
     if isinstance(value, TruncatedSeries):
-        return _spelled((value.components, value.vmax,
-                         value.tailflag, value.discarded,
-                         list(value.terms())))
+        spelled = (value.components, value.vmax, list(value.terms()))
+        if record:
+            spelled = spelled[:2] + (value.tailflag, value.discarded) + \
+                spelled[2:]
+        return _spelled(spelled, record)
     if isinstance(value, dict):
         return "{%s}" % ",".join(sorted(
-            "%s:%s" % (_spelled(k), _spelled(v)) for k, v in value.items()))
+            "%s:%s" % (_spelled(k, record), _spelled(v, record))
+            for k, v in value.items()))
     if isinstance(value, (list, tuple)):
-        return "[%s]" % ",".join(map(_spelled, value))
+        return "[%s]" % ",".join(_spelled(v, record) for v in value)
     if isinstance(value, (complex, np.complexfloating)):
         return "(%s,%s)" % (float(value.real).hex(), float(value.imag).hex())
     if isinstance(value, (float, np.floating)):
@@ -343,7 +346,7 @@ def _spelled(value):
     return repr(value)
 
 
-def result_digest(result, certificate):
+def result_digest(result, certificate, record=True):
     """sha256 of a linearization's outputs, every float by its bits: the
     coefficients, flags and ``discarded`` of phi_v, of the original and
     linearized maps and of the residual series, plus ``per_degree``,
@@ -354,8 +357,15 @@ def result_digest(result, certificate):
                                                 result.linearized)
             for m in family.maps]
     text = _spelled([result.phi_v, maps, result.residuals, result.per_degree,
-                     result.step_records, certificate["rows"]])
+                     result.step_records, certificate["rows"]], record)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def coefficient_digest(result, certificate):
+    """``result_digest`` without any series' truncation record: equal
+    digests say the coefficients and every other output are bit for bit
+    the same, whatever the series record as dropped above ``vmax``."""
+    return result_digest(result, certificate, record=False)
 
 
 def apply_vertical_operator(G, data, i, sign=1):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,9 @@ import toruslin.series as series_mod
 from _fixtures import (GOLDEN, conjugated_family, golden_data, golden_family,
                        golden_lattice, lattice2_family, perturbation_records,
                        shipped_family)
-from _oracles import (chained_add_compose, per_call_ledger, psi_then_invert,
-                      random_series, result_digest, substitute_per_record,
-                      with_terms)
+from _oracles import (chained_add_compose, coefficient_digest,
+                      per_call_ledger, psi_then_invert, random_series,
+                      result_digest, substitute_per_record, with_terms)
 
 
 class TestLinearizeStep:
@@ -664,11 +666,48 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case,route", sorted(PINNED_DIGESTS))
-def test_outputs_are_pinned(case, route):
+# coefficient_digest of the same cases: the outputs without any series'
+# truncation record.  A change to what a series records as dropped above
+# vmax keeps these; one that moves a coefficient or a certificate row by one
+# bit does not.
+PINNED_COEFFICIENT_DIGESTS = {
+    ("shipped-8", "forward"):
+        "dd0ad45da237cc64bdaf9df9f5114ba832f5da9cf255e61b932c89f4c69e9c12",
+    ("shipped-8", "inverse"):
+        "9a343b5708fa42ce650f3ad832748d90895c663cf37d968f8799155ffef5186c",
+    ("shipped-12", "forward"):
+        "c7ba69a1ca2e49699461b683f18bd671f5388df61b1f1da5bb02b307cf91b954",
+    ("shipped-12", "inverse"):
+        "5a69711e6e62243fbfa2bc07ab2bce756956835670e27bbd7b8c89656558aeae",
+    ("lattice2-7", "forward"):
+        "29834edde4d33f5e1bf7a12677be4cc9bc516348c92bfe10de8f3be6356b785e",
+    ("lattice2-7", "inverse"):
+        "d0bad8c8fe3917d18b6b7fb01591d8367aba9ca0e76c12a8bd2bd3f3020bee05",
+    ("lattice2-11", "forward"):
+        "2f9cb2d415d2bff747b47ca782e499890b2e08110fdb08da0ceeafcb4ae97070",
+    ("lattice2-11", "inverse"):
+        "999fe34ced25639993b8df23fa8c681ff2c425dde11cbb566a001118d51e420b",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def case_digests(case, route):
+    """The result_digest and coefficient_digest of a run_case case."""
     result = run_case(case, route)
     state = build_state(result.order, result.constants, result.phi_v.n,
                         result.phi_v.d, float(result.eps_m[1]),
                         float(result.r_m[1]))
-    digest = result_digest(result, dominance_and_radius(result, state))
-    assert digest == PINNED_DIGESTS[case, route]
+    certificate = dominance_and_radius(result, state)
+    return (result_digest(result, certificate),
+            coefficient_digest(result, certificate))
+
+
+@pytest.mark.parametrize("case,route", sorted(PINNED_DIGESTS))
+def test_outputs_are_pinned(case, route):
+    assert case_digests(case, route)[0] == PINNED_DIGESTS[case, route]
+
+
+@pytest.mark.parametrize("case,route", sorted(PINNED_COEFFICIENT_DIGESTS))
+def test_coefficients_are_pinned(case, route):
+    assert case_digests(case, route)[1] == \
+        PINNED_COEFFICIENT_DIGESTS[case, route]
