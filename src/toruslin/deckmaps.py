@@ -110,7 +110,7 @@ def compose_with_map(f, m, vmax=None):
     for k in range(n):
         ek = tuple(-1 if t == k else 0 for t in range(n))
         u = m.pert_h.component(k).cut(hwin)
-        if u.nterms() == 0 and not u.tailflag and u.discarded == 0.0:
+        if u.nterms() == 0 and not u.discarded:
             upow.append(None)
             continue
         u = u.with_window(vmax=hwin).shift_h(ek).scale(1.0 / m.lam[k])
@@ -169,7 +169,7 @@ def compose_with_map(f, m, vmax=None):
         return acc, lam_fac
 
     out = f._like(vmax=vmax)
-    out.tailflag, out.discarded = f.tailflag, f.discarded
+    out.discarded = f.discarded
     groups = {}
     for k, P, Q, c in terms:
         groups.setdefault((k, Q), []).append((P, c))
@@ -185,7 +185,6 @@ def compose_with_map(f, m, vmax=None):
             if q:
                 piece = piece.mul(vpow[j][q])
         pieces.append((k, *piece._arrays(0), piece.discarded))
-        out.tailflag |= piece.tailflag
     if pieces:
         ks, exps, vals, lost = zip(*pieces)
         counts = [len(v) for v in vals]
@@ -237,7 +236,7 @@ def invert_map(m):
     the full vmax window is the last: it reads the inverse only through
     degree vmax - 1, which the sweep before it has settled (the start, no
     perturbation, is exact below degree 2), so a further sweep would give
-    the same coefficients and tailflags bit for bit.
+    the same coefficients and truncation records bit for bit.
     """
     n, d = m.n, m.d
     vmax = m.pert_h.vmax

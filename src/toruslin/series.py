@@ -6,9 +6,11 @@ component k, truncated to vertical order ``|Q|_1 <= vmax``.  The vertical
 cut is the only truncation: every input is a Laurent polynomial in h, and
 products, compositions and the binomial series ``(1 + u)^p`` stay finite in
 P because ``u`` has positive vertical order.  Operations that push mass
-above ``vmax`` drop it, set ``tailflag`` and add to ``discarded`` an upper
-bound on the dropped absolute mass: products never form the pairs that land
-above ``vmax`` and count them by the triangle bound ``sum |a_i| |b_j|``.
+above ``vmax`` drop it and add to ``discarded`` an upper bound on the
+dropped absolute mass: products never form the pairs that land above
+``vmax`` and count them by the triangle bound ``sum |a_i| |b_j|``.
+``discarded`` is a series' one truncation record; ``tailflag`` is read
+from it, as ``discarded > 0``.
 
 Values are complex doubles.  Series are immutable: every operation
 returns a new instance, and nothing may change a series once another
@@ -47,18 +49,17 @@ class SeriesError(ValueError):
 
 
 class TruncatedSeries:
-    __slots__ = ("n", "d", "components", "vmax", "tailflag", "discarded",
+    __slots__ = ("n", "d", "components", "vmax", "discarded",
                  "_shift", "_store", "_table")
 
     def __init__(self, n, d, components=1, vmax=8, hband=None, coeffs=None,
-                 tailflag=False, discarded=0.0):
+                 discarded=0.0):
         """``hband``, the retired horizontal band, is accepted and ignored:
         the benchmark under ``perfbench/`` still passes it."""
         self.n = int(n)
         self.d = int(d)
         self.components = int(components)
         self.vmax = int(vmax)
-        self.tailflag = bool(tailflag)
         self.discarded = float(discarded)
         # the pending coefficient dict, None once _sorted has converted it
         self._table = {}
@@ -84,6 +85,11 @@ class TruncatedSeries:
             raise SeriesError("vertical exponents must be nonnegative")
         if sum(Q) > self.vmax:
             raise SeriesError("index outside truncation window")
+
+    @property
+    def tailflag(self):
+        """Whether the truncation dropped anything: ``discarded > 0``."""
+        return self.discarded > 0
 
     @property
     def coeffs(self):
@@ -116,7 +122,8 @@ class TruncatedSeries:
 
     def _rows(self, keep=None, vmax=None):
         """The rows ``keep`` of ``_sorted()`` (a mask, or None: all, sharing
-        what is kept) as a series on the given window, flags clear."""
+        what is kept) as a series on the given window, with no truncation
+        record."""
         ks, exps, vals = self._sorted()
         out = self._like(vmax=vmax)
         if keep is None:
@@ -161,7 +168,7 @@ class TruncatedSeries:
     def component(self, k):
         out = self._like(components=1)
         out._keep_sorted(None, *self._arrays(k))
-        out.tailflag, out.discarded = self.tailflag, self.discarded
+        out.discarded = self.discarded
         return out
 
     def __repr__(self):
@@ -183,7 +190,6 @@ class TruncatedSeries:
         if self.components != other.components:
             raise SeriesError("component count mismatch in add")
         out = self._like(vmax=min(self.vmax, other.vmax))
-        out.tailflag = self.tailflag or other.tailflag
         out.discarded = self.discarded + other.discarded
         ka, ea, va = self._sorted()
         kb, eb, vb = other._sorted()
@@ -200,7 +206,6 @@ class TruncatedSeries:
         out = self._like()
         out._keep_sorted(None if ks is None else ks[keep], exps[keep],
                          vals[keep])
-        out.tailflag = self.tailflag
         out.discarded = self.discarded * abs(c)
         return out
 
@@ -277,7 +282,6 @@ class TruncatedSeries:
         comps = max(ca, cb)
         out = self._like(components=comps,
                          vmax=min(self.vmax, other.vmax))
-        out.tailflag = self.tailflag or other.tailflag
         out.discarded = self.discarded + other.discarded
         parts = []
         for k in range(comps):
@@ -285,9 +289,7 @@ class TruncatedSeries:
             eb, vb, db = other._operand(k if cb > 1 else 0)
             exps, vals, dropped = cauchy_product(
                 ea, va, eb, vb, self.n, self.d, out.vmax, PRUNE, da, db)
-            if dropped:
-                out.tailflag = True
-                out.discarded += dropped
+            out.discarded += dropped
             parts.append((exps, vals))
         if comps == 1:
             (exps, vals), ks = parts[0], None
@@ -319,27 +321,26 @@ class TruncatedSeries:
         """Terms of vertical degree above m, the complement of
         ``up_to_degree``, with the truncation record kept."""
         out = self._rows(self._degrees() > m)
-        out.tailflag, out.discarded = self.tailflag, self.discarded
+        out.discarded = self.discarded
         return out
 
     def restrict(self, vmax=None):
-        """Re-truncate to a smaller window, flagging discarded mass."""
+        """Re-truncate to a smaller window, recording the mass it drops."""
         out = self._like(vmax=vmax)
-        out.tailflag = self.tailflag
         out.discarded = self.discarded
         _scatter([out], None, *self._sorted(), [[]], one_per_key=True)
         return out
 
     def cut(self, vmax):
-        """Working copy on the smaller vertical window ``vmax``, unflagged.
+        """Working copy on the smaller vertical window ``vmax``.
 
         Unlike ``restrict`` the terms above ``vmax`` leave no trace in
-        ``tailflag`` or ``discarded``: a caller cuts a series only where
+        ``discarded``: a caller cuts a series only where
         those terms are recomputed later or cannot reach its output.
         """
         keep = None if vmax >= self.vmax else self._degrees() <= vmax
         out = self._rows(keep, vmax=min(vmax, self.vmax))
-        out.tailflag, out.discarded = self.tailflag, self.discarded
+        out.discarded = self.discarded
         return out
 
     def with_window(self, vmax=None, hband=None):
@@ -349,18 +350,17 @@ class TruncatedSeries:
         ``perfbench/`` still passes it."""
         vmax = self.vmax if vmax is None else max(self.vmax, vmax)
         out = self._rows(vmax=vmax)
-        out.tailflag, out.discarded = self.tailflag, self.discarded
+        out.discarded = self.discarded
         return out
 
     def shift_h(self, P0):
         """Multiply by the monomial h^{P0} (exponent translation)."""
         ks, exps, vals = self._sorted()
         out = self._like()
+        out.discarded = self.discarded
         _scatter([out], None, ks, exps + np.array([*P0] + [0] * self.d,
                                                   dtype=np.int64),
                  vals, [[]], one_per_key=True)
-        out.tailflag |= self.tailflag
-        out.discarded += self.discarded
         return out
 
     def max_coeff_diff(self, other):
@@ -466,7 +466,7 @@ def scale_components(f, factors):
         raise SeriesError("need one factor per component")
     ks, exps, vals = f._sorted()
     out = f._like()
-    out.tailflag, out.discarded = f.tailflag, f.discarded
+    out.discarded = f.discarded
     _scatter([out], None, ks, exps,
              multiply(vals, factors[0] if ks is None else factors[ks]), [[]],
              one_per_key=True)
@@ -507,7 +507,7 @@ def compose_diagonal(f, lam, mu, sign=1):
         val = c * factor
         if abs(val) > PRUNE:
             out._table[(k, P, Q)] = val
-    out.tailflag, out.discarded = f.tailflag, f.discarded
+    out.discarded = f.discarded
     return out
 
 
@@ -541,9 +541,8 @@ def substitute_vertical(f, phi):
     ``discarded``), and no power past that degree is formed.
 
     The mass the substitution drops above vmax is carried: a term c h^P v^Q
-    adds ``|c| * W_Q.discarded`` to ``discarded`` and W_Q's ``tailflag`` to
-    the result's, and a term past vmax - ord_v phi + 1, whose row is not
-    formed, adds the triangle bound of that row,
+    adds ``|c| * W_Q.discarded`` to ``discarded``, and a term past
+    vmax - ord_v phi + 1, whose row is not formed, adds the triangle bound of that row,
     ``|c| * (prod_j (1 + |phi_j|_1)^q_j - 1)`` with ``|phi_j|_1`` the sum
     of phi_j's moduli.  Each term's amount goes into ``discarded`` just
     before its records, in sorted term order.  phi's own truncation record
@@ -570,7 +569,6 @@ def substitute_vertical(f, phi):
     out = f._like(vmax=vmax)
     # phi reaches the result only through f's terms of positive degree
     reads_phi = bool((f._degrees() > 0).any())
-    out.tailflag = f.tailflag or (reads_phi and phi.tailflag)
     out.discarded = f.discarded + (phi.discarded if reads_phi else 0.0)
     if not phi.nterms():
         _scatter([out], None, *f._sorted(), [[]], one_per_key=True)
@@ -610,7 +608,6 @@ def substitute_vertical(f, phi):
         if W is not None:
             tables.append(W._arrays(0))
             lost.append(W.discarded)
-            out.tailflag |= W.tailflag
             continue
         # a pure h-monomial term, or one past limit: its value is set below
         tables.append((np.array([[0] * n + Q], dtype=np.int64),
@@ -619,7 +616,6 @@ def substitute_vertical(f, phi):
         for norm, q in zip(norms, Q):
             grow *= (1.0 + norm) ** q
         lost.append(grow - 1.0)
-        out.tailflag |= grow > 1.0
     lens = np.array([len(vals) for _, vals in tables])
     wexps = np.concatenate([exps for exps, _ in tables])
     wvals = np.concatenate([vals for _, vals in tables])
@@ -650,9 +646,8 @@ def linear_combinations(sums):
     modulus PRUNE or less that a later summand adds to: the records of
     each ``s_i`` times ``c_i``, in sorted order, those of modulus PRUNE or
     less left out as ``scale`` leaves them out, are summed per key in the
-    order of the pairs.  Each result has the smallest window among its ``s_i``,
-    ``tailflag`` if any of them has it, and ``discarded`` summed in the
-    same order, each ``s_i.discarded * |c_i|`` before the mass its own
+    order of the pairs.  Each result has the smallest window among its
+    ``s_i``, and ``discarded`` summed in the same order, each ``s_i.discarded * |c_i|`` before the mass its own
     records lose to the window.  All the sums share one segment sum.
 
     A shifted summand is formed on the concatenated records, not as a
@@ -670,7 +665,6 @@ def linear_combinations(sums):
             if s.components != first.components:
                 raise SeriesError("component count mismatch in add")
         out = first._like(vmax=min(s.vmax for s, *_ in pairs))
-        out.tailflag = any(s.tailflag for s, *_ in pairs)
         owner += [len(outs)] * len(pairs)
         outs.append(out)
         for s, c, *fold in pairs:
@@ -721,8 +715,8 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
     re-truncation.
 
     ``ids`` is nondecreasing (None for one series, and ``ks`` None for
-    component 0 throughout).  A record outside its series' window sets
-    ``tailflag`` and adds its modulus to ``discarded``, in record order,
+    component 0 throughout).  A record outside its series' window adds its
+    modulus to ``discarded``, in record order,
     and each ``(i, amount)`` in ``marks[o]`` adds ``amount`` to
     ``outs[o].discarded`` just before record i.  The records inside are
     summed per series and key by ``segment_sum``, from 0.0 and in record
@@ -747,7 +741,6 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
                                 repeat(0) if ids is None else ids[at].tolist(),
                                 modulus(vals[at]).tolist()):
             events.setdefault(o, []).append((i, 1, amount))
-            outs[o].tailflag = True
         inside = ~outside
         ids = None if ids is None else ids[inside]
         ks = None if ks is None else ks[inside]
@@ -795,7 +788,7 @@ def partial_h(f, P0):
         if w:
             coeffs[k, tuple(p - p0 for p, p0 in zip(P, P0)), Q] = c * w
     return TruncatedSeries(f.n, f.d, f.components, f.vmax, coeffs=coeffs,
-                           tailflag=f.tailflag, discarded=f.discarded)
+                           discarded=f.discarded)
 
 
 def invert_vertical_map(G):

@@ -48,7 +48,6 @@ def with_terms(series, changes):
     and the coefficients in ``changes`` {(k, P, Q): value} set."""
     return TruncatedSeries(series.n, series.d, series.components,
                            series.vmax, coeffs={**term_dict(series), **changes},
-                           tailflag=series.tailflag,
                            discarded=series.discarded)
 
 
@@ -57,7 +56,7 @@ def sorted_copy(series):
     ones and -0.0 parts included), window and truncation record exactly
     as they are."""
     out = TruncatedSeries.from_text(series.to_text())
-    out.tailflag, out.discarded = series.tailflag, series.discarded
+    out.discarded = series.discarded
     return out
 
 
@@ -67,7 +66,6 @@ def shuffled_copy(series, rng):
     return TruncatedSeries(series.n, series.d, series.components,
                            series.vmax, coeffs=dict(
                                items[i] for i in rng.permutation(len(items))),
-                           tailflag=series.tailflag,
                            discarded=series.discarded)
 
 
@@ -75,8 +73,8 @@ def accumulate(series, records):
     """Add ``((k, P, Q), value)`` records to ``series`` through its
     ``coeffs`` handle, one at a time and in order.
 
-    A record above ``vmax`` is not stored: it sets ``tailflag`` and adds its
-    modulus to ``discarded``.  A record inside is added to the running sum
+    A record above ``vmax`` is not stored: it adds its modulus to
+    ``discarded``.  A record inside is added to the running sum
     at its key, and a sum of modulus PRUNE or less is removed.  The
     library's ``_scatter`` is the bulk form of this loop, except that it
     carries a running sum of modulus PRUNE or less on to the key's later
@@ -85,7 +83,6 @@ def accumulate(series, records):
     coeffs = series.coeffs
     for key, c in records:
         if sum(key[2]) > series.vmax:
-            series.tailflag = True
             series.discarded += abs(c)
             continue
         new = coeffs.get(key, 0j) + c
@@ -190,16 +187,15 @@ def substitute_per_record(f, phi):
     its own record, like a pure h-monomial term; one above the output
     ``vmax`` thus leaves its modulus in ``discarded``.  Before its records
     each term adds what its row loses above ``vmax`` to ``discarded``:
-    ``|c|`` times W_Q's ``discarded`` (and W_Q's ``tailflag``), or, for a
-    term past that degree, ``|c|`` times the triangle bound
-    ``prod_j (1 + |phi_j|_1)^q_j - 1`` of the row it does not form.
+    ``|c|`` times W_Q's ``discarded``, or, for a term past that degree,
+    ``|c|`` times the triangle bound ``prod_j (1 + |phi_j|_1)^q_j - 1`` of
+    the row it does not form.
     phi's own record counts only where some term has positive degree.
     """
     vmax = min(f.vmax, phi.vmax)
     limit = vmax - phi.v_order() + 1
     reads_phi = any(sum(Q) for _, _, Q, _ in f.terms())
     out = TruncatedSeries(f.n, f.d, f.components, vmax,
-                          tailflag=f.tailflag or (reads_phi and phi.tailflag),
                           discarded=f.discarded + (phi.discarded if reads_phi
                                                    else 0.0))
     rows = _vertical_shift_powers(phi, vmax)
@@ -220,11 +216,9 @@ def substitute_per_record(f, phi):
             grow = 1.0
             for norm, q in zip(norms, Q):
                 grow *= (1.0 + norm) ** q
-            out.tailflag |= grow > 1.0
             out.discarded += abs(c) * (grow - 1.0)
             accumulate(out, [((k, P, Q), c)])
         else:
-            out.tailflag |= W.tailflag
             out.discarded += abs(c) * W.discarded
             accumulate(out, (((k, tuple(p + pw for p, pw in zip(P, Pw)), Qn),
                               c * w) for _, Pw, Qn, w in W.terms()))
@@ -280,7 +274,7 @@ def chained_add_compose(f, m, vmax=None):
         return sorted_copy(acc).shift_h(P).scale(lam_fac)
 
     out = TruncatedSeries(n, d, f.components, vmax,
-                          tailflag=f.tailflag, discarded=f.discarded)
+                          discarded=f.discarded)
     groups, hcache = {}, {}
     for k, P, Q, c in f.terms():
         groups.setdefault((k, Q), []).append((P, c))
@@ -296,7 +290,6 @@ def chained_add_compose(f, m, vmax=None):
                 piece = piece.mul(vpow[j][q])
         accumulate(out, (((k, Pn, Qn), val)
                          for _, Pn, Qn, val in piece.terms()))
-        out.tailflag |= piece.tailflag
         out.discarded += piece.discarded
     return sorted_copy(out)
 

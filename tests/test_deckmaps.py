@@ -242,7 +242,7 @@ class TestComposeWithMapInPlaceSums:
                            nterms=6, min_vdeg=2, scale=1e-2)
         # a truncation record on pert_h reaches the u powers' discarded
         ph = TruncatedSeries(n, d, n, vmax, coeffs=term_dict(ph),
-                             tailflag=True, discarded=1e-9)
+                             discarded=1e-9)
         m = DeckMap(lam=lam, mu=mu, pert_h=ph, pert_v=pv)
         f = random_series(rng, n, d, components=2, vmax=vmax, pmax=3,
                           nterms=14)
@@ -263,8 +263,7 @@ class TestComposeWithMapInPlaceSums:
         rng = np.random.default_rng(64)
         lam = np.exp(2j * np.pi * np.array([MILD_E2, 0.2 + 0.03j]))
         mu = np.exp(2j * np.pi * np.array([GOLDEN]))
-        ph = TruncatedSeries(2, 1, 2, 6, tailflag=record,
-                             discarded=1e-9 if record else 0.0)
+        ph = TruncatedSeries(2, 1, 2, 6, discarded=1e-9 if record else 0.0)
         pv = random_series(rng, 2, 1, vmax=6, pmax=2, nterms=6,
                            min_vdeg=2, scale=1e-2)
         m = DeckMap(lam=lam, mu=mu, pert_h=ph, pert_v=pv)
@@ -305,7 +304,7 @@ class TestComposeWithMapOneScatter:
         m = self.mixed_map(rng, n, d)
         f = random_series(rng, n, d, components=3, vmax=6, pmax=3,
                           nterms=24, min_vdeg=2)
-        f = TruncatedSeries(n, d, 3, 6, coeffs=term_dict(f), tailflag=True,
+        f = TruncatedSeries(n, d, 3, 6, coeffs=term_dict(f),
                             discarded=2.0 ** -40)
         assert len({(k, Q) for k, _, Q, _ in f.terms()}) > 6
         got = compose_with_map(f, m)
@@ -344,7 +343,7 @@ class TestComposeWithMapOneScatter:
 
     def test_no_terms(self):
         m = self.mixed_map(np.random.default_rng(78), 1, 1)
-        f = TruncatedSeries(1, 1, 2, 6, tailflag=True, discarded=0.25)
+        f = TruncatedSeries(1, 1, 2, 6, discarded=0.25)
         got = compose_with_map(f, m)
         assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m))
         assert (got.nterms(), got.discarded) == (0, 0.25)
@@ -374,7 +373,7 @@ class TestComposeWithMapByVerticalOrder:
                                  min_vdeg=low, scale=0.2)
             coeffs.update({(j, P, Q): c for _, P, Q, c in part.terms()})
             coeffs[(j, (1,) * n, (low,) + (0,) * (d - 1))] = 0.3 - 0.1j
-        pv = TruncatedSeries(n, d, d, vmax, coeffs=coeffs, tailflag=True,
+        pv = TruncatedSeries(n, d, d, vmax, coeffs=coeffs,
                              discarded=2.0 ** -35)
         ph = random_series(rng, n, d, components=n, vmax=vmax, pmax=2,
                            nterms=4, min_vdeg=2, scale=0.1)
@@ -431,7 +430,7 @@ class TestComposeWithMapEdges:
     def test_keeps_input_truncation_record(self):
         # mass f already lost bounds the error of f o m as well
         f = TruncatedSeries(1, 1, 1, 4, coeffs={(0, (1,), (2,)): 0.5 - 0.25j},
-                            tailflag=True, discarded=1.0)
+                            discarded=1.0)
         got = compose_with_map(f, identity_map(1, 1, 4))
         assert got.max_coeff_diff(f) == 0.0
         assert got.tailflag and got.discarded == 1.0

@@ -71,6 +71,18 @@ class TestRingOps:
         assert prod.discarded == pytest.approx(9.0)
         assert prod.is_zero()
 
+    def test_tailflag_is_read_from_discarded(self):
+        # discarded is the one truncation record: a series that records no
+        # mass carries no flag, as a truncated series scaled by 0 records
+        # none
+        f = TruncatedSeries(1, 1, 1, 4, discarded=0.5)
+        assert f.tailflag and not f.scale(0.0).tailflag
+        assert not TruncatedSeries.zero(1, 1).tailflag
+        with pytest.raises(AttributeError):
+            f.tailflag = False
+        with pytest.raises(TypeError):
+            TruncatedSeries(1, 1, tailflag=True)
+
 
 class TestHomogeneousPart:
     def test_examples(self):
@@ -107,8 +119,7 @@ class TestAboveDegree:
         rng = np.random.default_rng(31)
         f = random_series(rng, 2, 1, components=2, vmax=6, pmax=3,
                           nterms=30)
-        f = TruncatedSeries(2, 1, 2, 6, coeffs=term_dict(f), tailflag=True,
-                            discarded=0.125)
+        f = TruncatedSeries(2, 1, 2, 6, coeffs=term_dict(f), discarded=0.125)
         for m in range(-1, 8):
             high, low = f.above_degree(m), f.up_to_degree(m)
             assert all(sum(Q) > m for _, _, Q, _ in high.terms())
@@ -245,7 +256,7 @@ class TestSubstituteVertical:
         f = TruncatedSeries(n, d, 2, 6, coeffs=dict(
             items[i] for i in rng.permutation(len(items))),
             discarded=0.5)
-        zero = TruncatedSeries(n, d, d, 5, tailflag=True, discarded=0.25)
+        zero = TruncatedSeries(n, d, d, 5, discarded=0.25)
         assert not stores_sorted(f)
         got = substitute_vertical(f, zero)
         assert zero._shift is None
@@ -258,7 +269,7 @@ class TestSubstituteVertical:
         assert lost > 0.75
         assert bits(got) == bits(TruncatedSeries(
             n, d, 2, 5, coeffs={(k, P, Q): c for k, P, Q, c in kept},
-            tailflag=True))
+            discarded=lost))
         assert got.discarded == lost
         # the table holds the kept terms in sorted order
         assert stores_sorted(got)
@@ -422,7 +433,7 @@ class TestSubstitutionLoss:
         # f without terms of positive degree does not read phi: the
         # substitution is exact, whatever phi has dropped
         phi = TruncatedSeries(1, 1, 1, 4, coeffs={(0, (1,), (2,)): 0.5},
-                              tailflag=True, discarded=0.25)
+                              discarded=0.25)
         for f in (TruncatedSeries.zero(1, 1, 1, 4),
                   mono(1, 1, (2,), (0,), 3.0, vmax=4)):
             got = substitute_vertical(f, phi)
@@ -549,7 +560,7 @@ class TestScaledInPlaceAdd:
         b = TruncatedSeries(2, 1, 1, 6, coeffs=
                             {**term_dict(b), (0, (4, 0), (1,)): 0.5,
                              (0, (0, 0), (6,)): 2.0 - 1j},
-                            tailflag=discarded > 0, discarded=discarded)
+                            discarded=discarded)
         got = linear_combination([(a, 1.0), (b, c)])
         want = a.add(b.scale(c))
         assert bits(got) == bits(want)
@@ -651,7 +662,7 @@ class TestFanOutSums:
         wide = TruncatedSeries(1, 1, 1, 6, coeffs={(0, (3,), (5,)): u,
                                                    (0, (0,), (6,)): u,
                                                    (0, (1,), (2,)): 0.5},
-                               tailflag=True, discarded=1.0)
+                               discarded=1.0)
         for pairs in ([(narrow, 1.0), (wide, 1.0)],
                       [(wide, 1.0), (narrow, -1.0), (wide, 2.0)]):
             got = linear_combination(pairs)
@@ -665,8 +676,7 @@ class TestFanOutSums:
         rng = np.random.default_rng(88)
         a = random_series(rng, 2, 1, vmax=5, pmax=3, nterms=12)
         b = TruncatedSeries(2, 1, 1, 6, coeffs=term_dict(random_series(
-            rng, 2, 1, vmax=6, pmax=4, nterms=12)), tailflag=True,
-            discarded=0.25)
+            rng, 2, 1, vmax=6, pmax=4, nterms=12)), discarded=0.25)
         c = random_series(rng, 2, 1, vmax=6, pmax=4, nterms=12)
         sums = [[(a, 1.5), (b, -0.5j)], [(b, 2.0)], [(c, 1.0), (b, 0.3),
                                                      (a, -1.0)], [(c, 0.0)]]
@@ -746,7 +756,7 @@ class TestFoldedSummands:
                           nterms=14)
         b = TruncatedSeries(2, 1, components, 5, coeffs=term_dict(random_series(
             rng, 2, 1, components=components, vmax=5, pmax=3, nterms=14)),
-            tailflag=True, discarded=0.125)
+            discarded=0.125)
         c = random_series(rng, 2, 1, components=components, vmax=6, pmax=4,
                           nterms=10)
         sums = [[(a, 0.7 - 0.2j, (2, -1), 1e-3 + 2e-3j),
