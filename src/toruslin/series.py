@@ -206,7 +206,7 @@ class TruncatedSeries:
         out = self._like()
         out._keep_sorted(None if ks is None else ks[keep], exps[keep],
                          vals[keep])
-        out.discarded = self.discarded * abs(c)
+        out.discarded = _carried(self.discarded, abs(c))
         return out
 
     def __add__(self, other):
@@ -256,6 +256,13 @@ class TruncatedSeries:
             data = self._store[("data", k)] = table_data(exps, vals, self.n)
         return exps, vals, data
 
+    def _mass(self):
+        """``|self|_1``, the sum of the term moduli over all components:
+        each component's ``table_data`` mass at or above degree 0."""
+        return sum(float(data[2][0]) for data in (
+            self._operand(k)[2] for k in range(self.components))
+            if data is not None)
+
     def _keep_sorted(self, ks, exps, vals):
         """Keep every term, sorted by (k, P, Q), as ``_sorted`` and the
         components' ``_arrays`` (``ks`` is None for a single component),
@@ -274,7 +281,14 @@ class TruncatedSeries:
                               vals[cuts[j]:cuts[j + 1]])
 
     def mul(self, other):
-        """Cauchy product on (P, Q); componentwise with scalar broadcast."""
+        """Cauchy product on (P, Q); componentwise with scalar broadcast.
+
+        A part dA that self has lost reaches the exact product as
+        ``dA (B + dB)``, and a part dB that other has lost as ``A dB``, so
+        the product records ``dA (|B|_1 + dB) + |A|_1 dB``, with ``|A|_1``
+        the sum of A's term moduli over all components, and then the bound
+        of the pairs it does not form, component by component.
+        """
         self._check_compat(other)
         ca, cb = self.components, other.components
         if ca != cb and 1 not in (ca, cb):
@@ -282,7 +296,10 @@ class TruncatedSeries:
         comps = max(ca, cb)
         out = self._like(components=comps,
                          vmax=min(self.vmax, other.vmax))
-        out.discarded = self.discarded + other.discarded
+        if self.discarded or other.discarded:
+            out.discarded = _carried(self.discarded,
+                                     other._mass() + other.discarded) + \
+                _carried(other.discarded, self._mass())
         parts = []
         for k in range(comps):
             ea, va, da = self._operand(k if ca > 1 else 0)
@@ -457,6 +474,13 @@ def _keys(ks, exps, n):
     return zip(repeat(0) if ks is None else ks.tolist(),
                map(tuple, exps[:, :n].tolist()),
                map(tuple, exps[:, n:].tolist()))
+
+
+def _carried(lost, factor):
+    """The record ``lost`` carried through a factor of size ``factor``:
+    ``lost * factor``, and 0.0 where either is 0, also where the other has
+    overflowed to inf (a zero factor multiplies the lost part away)."""
+    return lost * factor if lost and factor else 0.0
 
 
 def scale_components(f, factors):
@@ -696,8 +720,9 @@ def linear_combinations(sums):
     starts = kept_before[np.cumsum(counts) - counts].tolist()
     marks = [[] for _ in outs]
     for o, i, s, c, fold in zip(owner, starts, summands, scales, folds):
-        own = s.discarded if fold is None else s.discarded * abs(fold[1])
-        marks[o].append((i, own * abs(c)))
+        own = s.discarded if fold is None else \
+            _carried(s.discarded, abs(fold[1]))
+        marks[o].append((i, _carried(own, abs(c))))
     if keep.all():
         keep = slice(None)
     ids = np.repeat(owner, counts)[keep] if len(outs) > 1 else None

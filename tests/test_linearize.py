@@ -648,21 +648,21 @@ def test_result_digest_is_reproducible():
 # a flag, a ``discarded`` or a certificate row by one bit does not.
 PINNED_DIGESTS = {
     ("shipped-8", "forward"):
-        "22b2645177754b153eae0eb62daa04bdf4f953e9762d852692fdc697a28ffa28",
+        "f857c933bb8315800750f23c1ad63ac0d08dfbdf8e63af86455b65713406d2c6",
     ("shipped-8", "inverse"):
-        "6e5e2f8bf05a34d8fedc0abe5c401035fe7214732b4831535435b6fb1de260ca",
+        "b2581f684c0d36d5962586e5837c80db64a1b097d1d423924d4d659c33ffad2f",
     ("shipped-12", "forward"):
-        "6020b25ea008ea060c9695b158ad736bdc9bb6faf6d16756a6ef42080ecfaebf",
+        "c3bb422a74970ca25c8c017f30a36d0486a47feb822984d3b93d91c9cfe9441b",
     ("shipped-12", "inverse"):
-        "6b7844513a182ceaf5659a8853d138108817c774f9d64b02f5d75317a23cf84e",
+        "e355ab113ad5afaf99f9b4d092d47a824c01ad05935a9794960b0db3c5faee55",
     ("lattice2-7", "forward"):
-        "03c7011c5d9fbd71da52965ecbb27d1a7f8153fc92ecb499e3d286fe83a9cc29",
+        "21fee3e120e7518e4e124f7b7bee81e8daba08fe549f094b7269392710c2dc67",
     ("lattice2-7", "inverse"):
-        "7bd222c1aa6e17798e2ddaffdb390fb062512e439e136aeb108342c63cb4ca7a",
+        "f14a36049f2eacbeb39e2bffeb174f54632d2df03c4d1e4b51a653275e699bcf",
     ("lattice2-11", "forward"):
-        "b2c2b17a2837288e7b4819073c8fbaa0d1df8f067b1f267f83e9ea0a05f1c11d",
+        "faff7f049ee78cfcb1fed383a7607660a385b1a87c22b8652e9abddb7ce22d11",
     ("lattice2-11", "inverse"):
-        "56502ed52b00429be321538289416dcda0576a4cae20cc69c22122e316df2b46",
+        "4caf8f337f5039cc3dc189dfc37d83d38324222ebf39390b6d220f8c51cf9965",
 }
 
 

@@ -83,6 +83,23 @@ class TestRingOps:
         with pytest.raises(TypeError):
             TruncatedSeries(1, 1, tailflag=True)
 
+    def test_product_scales_its_operands_records(self):
+        # a part dA lost by A reaches A B as dA (B + dB), and a part dB lost
+        # by B as A dB: |A|_1 = 3 + 4 = 7 over both components, |B|_1 = 2
+        A = TruncatedSeries(1, 1, 2, 4, coeffs={(0, (1,), (1,)): 3.0,
+                                                (1, (0,), (2,)): 4.0j},
+                            discarded=0.5)
+        B = TruncatedSeries(1, 1, 1, 4, coeffs={(0, (-1,), (1,)): 2.0},
+                            discarded=0.25)
+        assert A.mul(B).discarded == 0.5 * (2.0 + 0.25) + 7.0 * 0.25
+        assert B.mul(A).discarded == 0.25 * (7.0 + 0.5) + 2.0 * 0.5
+        # a zero factor multiplies the lost part away, also a record that
+        # has overflowed to inf
+        lost = TruncatedSeries(1, 1, 1, 4, discarded=float("inf"))
+        zero = TruncatedSeries.zero(1, 1, 1, 4)
+        for got in (lost.mul(zero), zero.mul(lost), lost.scale(0.0)):
+            assert got.discarded == 0.0 and not got.tailflag
+
 
 class TestHomogeneousPart:
     def test_examples(self):
@@ -428,6 +445,23 @@ class TestSubstitutionLoss:
         got = substitute_vertical(f, phi)
         assert term_dict(got) == {(0, (0,), (2,)): 1.0, (0, (0,), (3,)): 0.5}
         assert got.tailflag and got.discarded >= 0.0625
+
+    def test_record_bounds_the_mass_above_vmax(self):
+        # the power products W_Q carry their factors' records scaled by
+        # the other factor's mass, so the substitution records at least
+        # what the same substitution on a wide window holds above vmax
+        # (201.3 here; 137.4 while mul added its operands' records unscaled)
+        rng = np.random.default_rng(512)
+        f = random_series(rng, 1, 2, components=2, vmax=5, pmax=2,
+                          nterms=12)
+        phi = random_series(rng, 1, 2, components=2, vmax=5, pmax=2,
+                            nterms=6, min_vdeg=2, scale=0.3)
+        wide = substitute_vertical(f.with_window(vmax=30),
+                                   phi.with_window(vmax=30))
+        assert not wide.tailflag
+        above = sum(abs(c) for _, _, Q, c in wide.terms() if sum(Q) > 5)
+        assert above > 200
+        assert substitute_vertical(f, phi).discarded >= above
 
     def test_phi_record_reaches_only_terms_that_read_phi(self):
         # f without terms of positive degree does not read phi: the
