@@ -826,10 +826,15 @@ def invert_vertical_map(G):
     The terms it leaves out are exactly the ones the next, wider sweep
     would recompute, and every coefficient it does form is the same sum in
     the same order as in a full-window sweep.  The first sweep on the full
-    vmax window is the last: it reads H only through degree vmax - settle,
-    which the sweep before it has settled (the start H = 0 is exact below
-    degree r), so a further sweep would give the same coefficients bit for
-    bit; its truncation record would add what it drops above vmax.
+    vmax window that substitutes a nonzero H is the last: it reads H only
+    through degree vmax - settle, which the sweep before it has settled
+    (the start H = 0 is exact below degree r), so a further sweep would
+    give the same coefficients bit for bit, and its record holds what the
+    substitution of that H drops above vmax.  Where the first sweep, from
+    H = 0, is already on the full window (2 (r - 1) >= vmax), it records
+    nothing of that loss, so one more sweep substitutes H = -G: every term
+    of G lies past vmax - r + 1, so it forms no product and moves no
+    coefficient, and it records the triangle bound of each term's row.
     """
     if G.components != G.d:
         raise SeriesError("vertical map must have d components")
@@ -839,8 +844,10 @@ def invert_vertical_map(G):
     H = G._like(components=G.d)
     for sweep in range(1, G.vmax + 2):
         window = min(G.vmax, (sweep + 1) * settle)
+        reads_H = not H.is_zero()
         H = substitute_vertical(G.cut(window), H.cut(window)).scale(-1.0) \
             .with_window(vmax=G.vmax)
-        if window == G.vmax:
+        # a G without terms gives H = 0 at every sweep
+        if window == G.vmax and (reads_H or H.is_zero()):
             break
     return H

@@ -648,21 +648,21 @@ def test_result_digest_is_reproducible():
 # a flag, a ``discarded`` or a certificate row by one bit does not.
 PINNED_DIGESTS = {
     ("shipped-8", "forward"):
-        "f857c933bb8315800750f23c1ad63ac0d08dfbdf8e63af86455b65713406d2c6",
+        "e2b02802be5aca48787c69d7c060ca8fe4c4c9d6d853f7442bce990eb386f7f8",
     ("shipped-8", "inverse"):
-        "b2581f684c0d36d5962586e5837c80db64a1b097d1d423924d4d659c33ffad2f",
+        "41b9628eb1e7ecbe13d3cce807fd56f77743bb017900ff9e87b14f7957bcced6",
     ("shipped-12", "forward"):
-        "c3bb422a74970ca25c8c017f30a36d0486a47feb822984d3b93d91c9cfe9441b",
+        "4cd9e5c188a809ff0ae0ef37bbc863cca26e80261081db6bc78e88581d5106cc",
     ("shipped-12", "inverse"):
-        "e355ab113ad5afaf99f9b4d092d47a824c01ad05935a9794960b0db3c5faee55",
+        "d094c2e5da1cc653825c6b91f3f92b46a06e7b82637df5d8597f56e5c6cda9a5",
     ("lattice2-7", "forward"):
-        "21fee3e120e7518e4e124f7b7bee81e8daba08fe549f094b7269392710c2dc67",
+        "e5e6463955866961c20a0710aeeaa49a9932741db5152de343dd19dfad5d15c4",
     ("lattice2-7", "inverse"):
-        "f14a36049f2eacbeb39e2bffeb174f54632d2df03c4d1e4b51a653275e699bcf",
+        "103cb61f99d4ece3eb7cfceb4e07771037a49a51a6a34d2265bc5e443645ec3d",
     ("lattice2-11", "forward"):
-        "faff7f049ee78cfcb1fed383a7607660a385b1a87c22b8652e9abddb7ce22d11",
+        "67e022e52adfea210e186443f2d27761c11f97e244e87e80f970b667d21faf46",
     ("lattice2-11", "inverse"):
-        "4caf8f337f5039cc3dc189dfc37d83d38324222ebf39390b6d220f8c51cf9965",
+        "a56eb1d34498e18240e6bb040823e02363df78af7b76fd0535fc688d187ed208",
 }
 
 

@@ -1197,9 +1197,9 @@ class TestWindowedInversion:
         assert unflagged_bits(H) == unflagged_bits(full)
         assert H.max_abs() > 0
         # a sweep records what it drops above vmax; where the first sweep,
-        # from H = 0, is already on the full window, it drops nothing
-        single = 2 * (m - 1) >= G.vmax
-        assert H.tailflag == (full.tailflag and not single)
+        # from H = 0, is already on the full window, one more sweep records
+        # what the substitution of H = -G drops
+        assert H.tailflag == full.tailflag
 
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_mixed_degree(self, n, d):
@@ -1223,10 +1223,11 @@ class TestWindowedInversion:
 
     @pytest.mark.parametrize("m,vmax,windows", [(2, 6, [2, 3, 4, 5, 6]),
                                                 (3, 7, [4, 6, 7]),
-                                                (5, 7, [7])])
+                                                (5, 7, [7, 7])])
     def test_sweep_windows(self, monkeypatch, m, vmax, windows):
         # sweep s works through degree (s + 1)(m - 1); the first sweep on
-        # the full window is the last
+        # the full window that substitutes a nonzero H is the last, so a
+        # first sweep from H = 0 on the full window is followed by one more
         import toruslin.series as series_mod
         seen = []
         real = series_mod.substitute_vertical
@@ -1377,9 +1378,11 @@ def test_package_writes_series_in_series_py():
 
 def test_pending_dicts_converted_once(monkeypatch):
     # building the shipped family and linearizing it at order 12 converts
-    # a pending dict to arrays 64 times (when pinned), each in a different
-    # series made by a constructor; every other series is stored as arrays
-    # from the start, and no series holds a dict beside its arrays
+    # a pending dict to arrays 67 times (when pinned; 64 before each
+    # inversion whose first sweep is on the full window took one more),
+    # each in a different series made by a constructor; every other series
+    # is stored as arrays from the start, and no series holds a dict beside
+    # its arrays
     from _fixtures import shipped_family
     from toruslin.linearize import linearize
     conversions, both = [], []
@@ -1407,16 +1410,18 @@ def test_pending_dicts_converted_once(monkeypatch):
     family, run = shipped_family(12)
     linearize(family, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
               qmax=run["qmax"])
-    assert len(conversions) == 64
+    assert len(conversions) == 67
     assert len({id(s) for s in conversions}) == len(conversions)
     assert not both
 
 
 def test_inversions_stop_at_the_first_full_window_sweep(monkeypatch):
-    # each inversion ends with its first sweep on the full window: an
-    # order-12 forward linearization of the shipped family substitutes 21
-    # times inside invert_vertical_map, and the degree-2 inverse family
-    # composes twice per map
+    # each inversion ends with its first sweep on the full window that
+    # substitutes a nonzero H: an order-12 forward linearization of the
+    # shipped family substitutes 24 times inside invert_vertical_map (21
+    # before the blocks at degrees 7, 9 and 11, whose first sweep is on the
+    # full window, took one more), and the degree-2 inverse family composes
+    # twice per map
     from _fixtures import shipped_family
     import toruslin.deckmaps as deckmaps_mod
     import toruslin.series as series_mod
@@ -1439,7 +1444,7 @@ def test_inversions_stop_at_the_first_full_window_sweep(monkeypatch):
     calls.clear()
     linearize(family, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
               qmax=run["qmax"])
-    assert calls.count("substitute_vertical") == 21
+    assert calls.count("substitute_vertical") == 24
 
 
 # The .coeffs uses tests/ keeps, by (file, function), each with its reason.
