@@ -26,6 +26,7 @@ import pytest
 import toruslin
 from toruslin import LatticeSpec, TruncatedSeries
 from toruslin.deckmaps import DeckMap
+from toruslin.divisors import MultiplierData
 from toruslin.linearize import DeckMapFamily, build_family, linearize
 from toruslin.problem import parse_problem, parse_problem_text
 
@@ -138,3 +139,52 @@ def test_complex_conjugation(route):
     base, mirrored = results
     assert base.phi_v.nterms() > 10
     assert term_bits(mirrored.phi_v) == term_bits(base.phi_v, conj=True)
+
+
+def swapped_series(f, h_components=False):
+    """``f`` with the two ``h`` coordinates swapped: every ``P`` reversed,
+    and, for an ``h``-perturbation, its two components swapped."""
+    return TruncatedSeries(f.n, f.d, f.components, f.vmax, coeffs={
+        (1 - k if h_components else k, P[::-1], Q): c
+        for k, P, Q, c in f.terms()})
+
+
+def swapped_family(family):
+    """An ``n = 2`` family with its two generators swapped: the lattice rows
+    and the ``h`` coordinates (both columns and rows of ``lam``), ``mu``,
+    and the maps and inverse maps, each written in the swapped
+    coordinates."""
+    gens = family.lattice.generators[[1, 0, 3, 2]][:, ::-1]
+    data = MultiplierData(family.data.lam[::-1, ::-1], family.data.mu[::-1])
+
+    def swapped(maps):
+        return [DeckMap(lam=m.lam[::-1], mu=m.mu,
+                        pert_h=swapped_series(m.pert_h, h_components=True),
+                        pert_v=swapped_series(m.pert_v))
+                for m in maps[::-1]]
+    return DeckMapFamily(
+        lattice=LatticeSpec(2, family.d, gens), data=data,
+        maps=swapped(family.maps), inv_maps=swapped(family.inv_maps),
+        eps0=family.eps0, r0=family.r0)
+
+
+@pytest.mark.parametrize("route", ["forward", "inverse"])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_generator_swap(seed, route):
+    # relabelling the two generators of an n = 2 family, and with them the
+    # two h coordinates, relabels phi_v: with P swapped back it is the same
+    # series up to the order of its sums (at most 2.9e-16 of max |phi_m|
+    # when measured)
+    family, _ = lattice2_family(seed)
+    swapped = swapped_family(family)
+    assert np.array_equal(swapped.data.lam,
+                          swapped.lattice.lam_matrix())
+    results = [linearize(fam, 8, 0.2, 0.5, route=route, pmax=6, qmax=6)
+               for fam in (family, swapped)]
+    base, other = (result.phi_v for result in results)
+    back = swapped_series(other)
+    assert back.nterms() == base.nterms() > 10
+    for m in range(2, 9):
+        part = base.homogeneous_part(m)
+        assert part.max_coeff_diff(back.homogeneous_part(m)) <= \
+            1e-15 * part.max_abs(), m
