@@ -257,11 +257,9 @@ class TruncatedSeries:
         return exps, vals, data
 
     def _mass(self):
-        """``|self|_1``, the sum of the term moduli over all components:
-        each component's ``table_data`` mass at or above degree 0."""
+        """The sum of the term moduli over all components."""
         return sum(float(data[2][0]) for data in (
-            self._operand(k)[2] for k in range(self.components))
-            if data is not None)
+            self._operand(k)[2] for k in range(self.components)) if data)
 
     def _keep_sorted(self, ks, exps, vals):
         """Keep every term, sorted by (k, P, Q), as ``_sorted`` and the
@@ -352,8 +350,8 @@ class TruncatedSeries:
         """Working copy on the smaller vertical window ``vmax``.
 
         Unlike ``restrict`` the terms above ``vmax`` leave no trace in
-        ``discarded``: a caller cuts a series only where
-        those terms are recomputed later or cannot reach its output.
+        ``discarded``: a caller cuts a series only where those terms are
+        recomputed later or cannot reach its output.
         """
         keep = None if vmax >= self.vmax else self._degrees() <= vmax
         out = self._rows(keep, vmax=min(vmax, self.vmax))
@@ -566,13 +564,13 @@ def substitute_vertical(f, phi):
 
     The mass the substitution drops above vmax is carried: a term c h^P v^Q
     adds ``|c| * W_Q.discarded`` to ``discarded``, and a term past
-    vmax - ord_v phi + 1, whose row is not formed, adds the triangle bound of that row,
-    ``|c| * (prod_j (1 + |phi_j|_1)^q_j - 1)`` with ``|phi_j|_1`` the sum
-    of phi_j's moduli.  Each term's amount goes into ``discarded`` just
-    before its records, in sorted term order.  phi's own truncation record
-    is added only where f has a term of positive degree, the only terms
-    that read phi: substituting into an f without such terms and without a
-    record is exact.
+    vmax - ord_v phi + 1, whose row is not formed, adds the triangle bound
+    of that row, ``|c| * (prod_j (1 + |phi_j|_1)^q_j - 1)`` with
+    ``|phi_j|_1`` the sum of phi_j's moduli.  Each term's amount goes into
+    ``discarded`` just before its records, in sorted term order.  phi's own
+    truncation record is added only where f has a term of positive degree,
+    the only terms that read phi: substituting into an f without such terms
+    and without a record is exact.
 
     The powers (v_j + phi_j)^q are kept with ``phi``, one table per output
     ``vmax``, built on the first substitution into ``phi`` and extended as
@@ -671,8 +669,9 @@ def linear_combinations(sums):
     each ``s_i`` times ``c_i``, in sorted order, those of modulus PRUNE or
     less left out as ``scale`` leaves them out, are summed per key in the
     order of the pairs.  Each result has the smallest window among its
-    ``s_i``, and ``discarded`` summed in the same order, each ``s_i.discarded * |c_i|`` before the mass its own
-    records lose to the window.  All the sums share one segment sum.
+    ``s_i``, and ``discarded`` summed in the same order, each
+    ``s_i.discarded * |c_i|`` before the mass its own records lose to the
+    window.  All the sums share one segment sum.
 
     A shifted summand is formed on the concatenated records, not as a
     series: its exponents move by ``P_i``; a record of modulus PRUNE or
@@ -741,9 +740,9 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
 
     ``ids`` is nondecreasing (None for one series, and ``ks`` None for
     component 0 throughout).  A record outside its series' window adds its
-    modulus to ``discarded``, in record order,
-    and each ``(i, amount)`` in ``marks[o]`` adds ``amount`` to
-    ``outs[o].discarded`` just before record i.  The records inside are
+    modulus to ``discarded``, in record order, and each ``(i, amount)`` in
+    ``marks[o]`` adds ``amount`` to ``outs[o].discarded`` just before
+    record i.  The records inside are
     summed per series and key by ``segment_sum``, from 0.0 and in record
     order, and the sums of modulus above PRUNE are kept, in sorted key
     order, as the series' ``_sorted`` arrays.  Records ``one_per_key``,
