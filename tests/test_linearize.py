@@ -626,6 +626,23 @@ class TestExactlyLinearThroughEachBlock:
         run_case("shipped-12")
         assert 0 < sum(pairs) <= 800_000
 
+    def test_kernel_calls_per_linearization(self, monkeypatch):
+        # the products and segment sums of a forward order-12 shipped
+        # linearization: a change that makes each call cheaper keeps both
+        calls = {"cauchy_product": 0, "segment_sum": 0}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(series_mod, name,
+                                counting(name, getattr(series_mod, name)))
+        run_case("shipped-12")
+        assert calls == {"cauchy_product": 145, "segment_sum": 138}
+
 
 def test_result_digest_is_reproducible():
     # two runs from fresh families give the same digest, and it changes
