@@ -12,18 +12,30 @@ exponent key.
 window, so the ``discarded`` it returns is an upper bound on the absolute
 mass its truncation drops, not that mass itself (see its docstring).  It
 reads, besides each operand's (exps, vals), the operand's ``table_data``:
-vertical degrees, moduli, mass at or above each degree and exponent
-bounds, which a series builds once per component and keeps with its
-arrays.  It sums the products per exponent key after one stable argsort
-of the packed keys.
+vertical degrees, moduli, mass at or above each degree and packed keys,
+which a series builds once per component and keeps with its arrays.  It
+sums the products per exponent key after one stable argsort of the pair
+keys.
+
+Product keys have one fixed layout: a row of ``m = n + d`` exponents packs
+into one int64, column j in its own field of ``62 // m`` bits, column 0
+the most significant.  Each field holds its exponent plus ``2^(62 // m -
+2)``, which leaves one bit of headroom, so the keys of two rows add field
+by field without a carry into the key of their sum.  Key order is then the
+lexicographic order of the rows, and equal keys mean equal rows.  A
+product operand with an exponent of magnitude ``2^(62 // m - 2)`` or more
+cannot be packed, and ``table_data`` raises ``OverflowError``: the limit
+is 2^29, 2^18 and 2^13 for ``n + d`` = 2, 3 and 4.
 
 ``segment_sum`` is the bulk form of a running sum into a coefficient table:
 records whose exponent rows are equal are summed, each key's values in
-input order, and the keys come out in ascending order.  Both kernels sum
-per key in ``_sum_runs``, with ``np.bincount`` on the real and imaginary
-parts of the values in stable key order.  That is the same sequence of
-double additions, from +0.0, as a loop adding Python complexes to a dict,
-so the sums are bit for bit those of the loop.
+input order, and the keys come out in ascending order.  Its rows pack by
+shifts into a layout of their own, each column offset by its minimum in a
+field as wide as its range needs.  Both kernels sum per key in
+``_sum_runs``, with ``np.bincount`` on the real and imaginary parts of the
+values in stable key order.  That is the same sequence of double
+additions, from +0.0, as a loop adding Python complexes to a dict, so the
+sums are bit for bit those of the loop.
 
 ``modulus`` and ``multiply`` are ``abs`` and ``*`` on complex arrays,
 bit for bit Python's scalar ``abs`` (libm ``hypot``) and complex multiply.
@@ -45,16 +57,6 @@ BACKEND = "py"
 _CHUNK = 2048
 
 
-def _strides(sizes):
-    """Row-major strides of an exponent grid with the given extents."""
-    strides = [1]
-    for size in sizes.tolist()[:0:-1]:
-        strides.append(strides[-1] * size)
-    if strides[-1] * int(sizes[0]) > 2 ** 62:
-        raise OverflowError("exponent grid too large to pack into int64")
-    return np.array(strides[::-1], dtype=np.int64)
-
-
 def modulus(z):
     """``abs`` of a complex array, bit for bit Python's scalar ``abs``."""
     z = np.asarray(z)
@@ -74,24 +76,58 @@ def multiply(a, b):
     return out
 
 
+def vertical_degrees(exps, n):
+    """Each row's vertical degree: the sum of its columns past ``n``, added
+    column by column."""
+    cols = exps.T[n:]
+    if len(cols) == 0:
+        return np.zeros(len(exps), dtype=np.int64)
+    deg = cols[0].copy()
+    for col in cols[1:]:
+        deg += col
+    return deg
+
+
+def _product_keys(exps):
+    """Each row packed into one int64 in the fixed product layout (see the
+    module docstring)."""
+    m = exps.shape[1]
+    width = 62 // m
+    limit = 1 << (width - 2)
+    if np.abs(exps).max() >= limit:
+        raise OverflowError(
+            "product operand exponents must be below 2^%d in magnitude "
+            "for n + d = %d" % (width - 2, m))
+    cols = exps.T
+    keys = cols[0] + limit
+    for col in cols[1:]:
+        keys <<= width
+        keys += col
+        keys += limit
+    return keys
+
+
 def table_data(exps, vals, n):
     """What ``cauchy_product`` reads of an operand besides (exps, vals).
 
-    Returns (deg, mods, above, lo, hi): each term's vertical degree and
+    Returns (deg, mods, above, keys): each term's vertical degree and
     ``modulus``, the mass at or above each vertical degree with a 0.0 for
-    the degree past the last, and the per-column exponent bounds.  Built
-    once per table and passed with it to every product; None for an empty
-    table.
+    the degree past the last, and each term's packed key in the fixed
+    product layout.  Built once per table and passed with it to every
+    product; None for an empty table.  Raises ``OverflowError`` for an
+    exponent of magnitude ``2^(62 // (n + d) - 2)`` or more, which that
+    layout cannot hold.
     """
     if len(vals) == 0:
         return None
-    deg = exps[:, n:].sum(axis=1)
+    keys = _product_keys(exps)
+    deg = vertical_degrees(exps, n)
     mods = modulus(vals)
     # numpy's sums run in a fixed order, where a matrix product would leave
     # it to the BLAS build
     above = np.append(np.bincount(deg, weights=mods)[::-1].cumsum()[::-1],
                       0.0)
-    return deg, mods, above, exps.min(axis=0), exps.max(axis=0)
+    return deg, mods, above, keys
 
 
 def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune,
@@ -108,6 +144,11 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune,
     ``vmax``.  Sums of modulus ``prune`` or less are dropped and not
     counted.
 
+    Each pair's key is the sum of its operands' packed keys, which is the
+    packed key of its exponent row, so no exponent is packed here.  The
+    operands' exponents are below the layout's limit, 2^29, 2^18 and 2^13
+    for ``n + d`` = 2, 3 and 4, or ``table_data`` would have raised.
+
     Products are ``multiply``'s and moduli ``modulus``'s, and every sum
     runs in a fixed order, so each kept value, the prune test and
     ``discarded`` have the same bits on every CPU: each kept value is bit
@@ -119,25 +160,23 @@ def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune,
             np.zeros(0, dtype=np.complex128),
             0.0,
         )
-    deg_a, mods_a, _, lo_a, hi_a = data_a
-    deg_b, _, above_b, lo_b, hi_b = data_b
+    deg_a, mods_a, _, keys_a = data_a
+    deg_b, _, above_b, keys_b = data_b
     # sum |a_i| |b_j| over the pairs not formed, from the mass of b at or
     # above each vertical degree
-    out_from = np.clip(vmax + 1 - deg_a, 0, len(above_b) - 1)
+    room = vmax - deg_a
+    out_from = np.minimum(np.maximum(room + 1, 0), len(above_b) - 1)
     bound = float((mods_a * above_b[out_from]).sum())
-    rows, cols = np.nonzero(deg_a[:, None] + deg_b[None, :] <= vmax)
+    rows, cols = np.nonzero(deg_b[None, :] <= room[:, None])
     if len(rows) == 0:
         return (
             np.zeros((0, n + d), dtype=np.int64),
             np.zeros(0, dtype=np.complex128),
             bound,
         )
-    # one packing grid for all pairwise exponent sums, from their bounds;
-    # packing without the offset lo shifts every key by the same lo @
-    # strides, which keeps their order and equality
-    lo, hi = lo_a + lo_b, hi_a + hi_b
-    strides = _strides(hi - lo + 1)
-    keys = (exps_a @ strides)[rows] + (exps_b @ strides)[cols]
+    # the fields of two keys add without a carry: the sum is the key of
+    # the pair's exponent row
+    keys = keys_a[rows] + keys_b[cols]
     # a stable sort keeps each key's pairs in row-major order, the order in
     # which they are summed
     order = keys.argsort(kind="stable")
@@ -177,11 +216,27 @@ def segment_sum(rows, vals):
     ``first`` indexes the first occurrence of each distinct row, the rows
     in ascending (lexicographic) order, and ``sums`` holds their sums.  No
     product is formed, so no complex multiply can fuse.
+
+    The rows pack by shifts into one int64 key each, column 0 the most
+    significant: each column, less its minimum, in a field of the bits its
+    range needs.  Raises ``OverflowError`` where the fields need more than
+    63 bits together.
     """
     if len(vals) == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.complex128)
-    lo = rows.min(axis=0)
-    keys = (rows - lo) @ _strides(rows.max(axis=0) - lo + 1)
+    keys = np.zeros(len(vals), dtype=np.int64)
+    width = 0
+    for col in rows.T:
+        lo = int(col.min())
+        bits = (int(col.max()) - lo).bit_length()
+        width += bits
+        if width > 63:
+            raise OverflowError("rows too wide to pack into int64")
+        # a column of one value adds nothing to any key
+        if bits:
+            keys <<= bits
+            keys += col
+            keys -= lo
     # a stable sort keeps each key's records in input order
     order = keys.argsort(kind="stable")
     start, sums = _sum_runs(keys[order], vals[order])

@@ -191,12 +191,15 @@ def domain_schedule(M, eps1, r1, constants):
 
 
 def _ser_mul(a, b, M):
-    out = np.zeros(M + 1)
-    for i, ai in enumerate(a[:M + 1]):
+    """The product of a and b to degree M: each ``out[i + j]`` adds
+    ``a[i] * b[j]`` in order of increasing i, on Python floats."""
+    b = b[:M + 1].tolist()
+    out = [0.0] * (M + 1)
+    for i, ai in enumerate(a[:M + 1].tolist()):
         if ai:
-            hi = M + 1 - i
-            out[i:i + len(b[:hi])] += ai * b[:hi]
-    return out
+            for k, bj in enumerate(b[:M + 1 - i], i):
+                out[k] += ai * bj
+    return np.array(out)
 
 
 def _ser_pow(a, q, M):

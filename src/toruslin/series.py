@@ -38,7 +38,7 @@ from math import fsum
 import numpy as np
 
 from ._kernels import cauchy_product, evaluate as _kernel_evaluate, \
-    modulus, multiply, segment_sum, table_data
+    modulus, multiply, segment_sum, table_data, vertical_degrees
 
 # values of modulus at most PRUNE are dropped instead of stored
 PRUNE = 1e-300
@@ -155,7 +155,7 @@ class TruncatedSeries:
         return float(modulus(vals).max()) if len(vals) else 0.0
 
     def _degrees(self):
-        return self._sorted()[1][:, self.n:].sum(axis=1)
+        return vertical_degrees(self._sorted()[1], self.n)
 
     def v_order(self):
         """Smallest |Q| carrying a coefficient (vmax+1 for the zero series)."""
@@ -482,13 +482,16 @@ def _carried(lost, factor):
 
 
 def scale_components(f, factors):
-    """Multiply component k by factors[k] (diagonal matrix action on values)."""
+    """Multiply component k by factors[k] (diagonal matrix action on values).
+
+    The truncation record is carried through the largest ``|factors[k]|``,
+    a bound over every component."""
     factors = np.asarray(factors, dtype=np.complex128).reshape(-1)
     if len(factors) != f.components:
         raise SeriesError("need one factor per component")
     ks, exps, vals = f._sorted()
     out = f._like()
-    out.discarded = f.discarded
+    out.discarded = _carried(f.discarded, float(modulus(factors).max()))
     _scatter([out], None, ks, exps,
              multiply(vals, factors[0] if ks is None else factors[ks]), [[]],
              one_per_key=True)
@@ -497,7 +500,7 @@ def scale_components(f, factors):
 
 def _outside(exps, n, vmax):
     """Rows above ``vmax``, which may be a per-row array."""
-    return exps[:, n:].sum(axis=1) > vmax
+    return vertical_degrees(exps, n) > vmax
 
 
 def compose_diagonal(f, lam, mu, sign=1):
@@ -649,7 +652,7 @@ def substitute_vertical(f, phi):
     exps = wexps[widx]
     exps[:, :n] += fexps[term, :n]
     vals = multiply(fvals[term], wvals[widx])
-    degree = fexps[:, n:].sum(axis=1)
+    degree = vertical_degrees(fexps, n)
     direct = ((degree == 0) | (degree > limit))[term]
     vals[direct] = fvals[term[direct]]
     amounts = modulus(fvals) * np.array(lost)[which]

@@ -12,7 +12,9 @@ where the library sums them per key in one array segment sum (and
 that the library skips); ``psi_then_invert`` builds phi_v differently from
 ``linearize``, one degree per conjugation; ``full_window_majorant`` solves
 every majorant degree on series carried to the full order M, where the
-library truncates them at that degree; ``per_call_ledger`` makes one norm
+library truncates them at that degree; ``ser_mul_slices`` adds each
+``a[i] * b`` as one numpy slice, where ``_ser_mul`` loops over Python
+floats; ``per_call_ledger`` makes one norm
 call per ledger entry, where the library shares each degree's domains
 among all of them in one call; ``apply_vertical_operator`` applies
 the operator the solvers invert by division; ``translates_fit`` probes the
@@ -390,6 +392,17 @@ def norm_certificate(cert, data):
             rows.append(("composed %s" % ((i, sign),), value,
                          cert.theoretical, value <= cert.theoretical))
     return {"rows": rows, "pass": all(r[3] for r in rows)}
+
+
+def ser_mul_slices(a, b, M):
+    """The product of two dense series to degree M, one numpy slice
+    ``out[i:] += a[i] * b`` per nonzero ``a[i]``."""
+    out = np.zeros(M + 1)
+    for i, ai in enumerate(a[:M + 1]):
+        if ai:
+            hi = M + 1 - i
+            out[i:i + len(b[:hi])] += ai * b[:hi]
+    return out
 
 
 def full_window_majorant(M, constants, n, d):

@@ -265,3 +265,84 @@ def test_segment_sum_empty():
                               np.zeros(0, dtype=np.complex128))
     assert first.shape == (0,) and sums.shape == (0,)
     assert sums.dtype == np.complex128
+
+
+def test_segment_sum_packs_columns_of_their_own_widths():
+    # negative entries, a column of one value and columns whose ranges
+    # need 1, 20 and 40 bits: each packs in a field of its own width, and
+    # the keys keep the rows' lexicographic order
+    rng = np.random.default_rng(11)
+    distinct = np.column_stack([
+        rng.integers(-1, 1, size=40),
+        np.full(40, -7),
+        rng.integers(-2 ** 19, 2 ** 19, size=40),
+        rng.integers(-2 ** 39, 2 ** 39, size=40),
+    ])
+    # rows that differ only in a low column, and only in a high one
+    distinct[1, 2:] = distinct[0, 2:]
+    distinct[3, :3] = distinct[2, :3]
+    rows = distinct[rng.integers(0, 40, size=300)]
+    vals = (rng.standard_normal(300) + 1j * rng.standard_normal(300)) \
+        * 10.0 ** rng.integers(-8, 9, size=300)
+    keys, _ = check_segment_sum(rows, vals)
+    assert len(keys) > 30
+
+
+def test_segment_sum_rows_too_wide_to_pack():
+    # three columns that need 22 bits each: 66 bits in all
+    rows = np.array([[0, 0, 0], [2 ** 21, 2 ** 21, 2 ** 21]], dtype=np.int64)
+    with pytest.raises(OverflowError):
+        segment_sum(rows, np.ones(2, dtype=np.complex128))
+
+
+# the product key layout's exponent limit, 2^(62 // (n + d) - 2), per (n, d)
+LIMITS = {(1, 1): 2 ** 29, (2, 1): 2 ** 18, (1, 2): 2 ** 18, (2, 2): 2 ** 13}
+
+
+@pytest.mark.parametrize("n, d", sorted(LIMITS))
+def test_product_with_exponents_just_under_the_limit(n, d):
+    # h exponents of both signs up to one under the limit, and, where the
+    # degree table stays small, v exponents up to it too: no field of a
+    # pair's key carries into the next
+    limit = LIMITS[n, d]
+    rng = np.random.default_rng(n + 10 * d)
+    hs = [-(limit - 1), -(limit - 2), -1, 0, 1, limit - 2, limit - 1]
+    vs = [0, 1, 2, 3] if limit > 2 ** 18 else [0, 1, limit - 2, limit - 1]
+    vmax = 4 if limit > 2 ** 18 else limit + 2
+
+    def table(nterms):
+        exps = np.unique(np.column_stack(
+            [rng.choice(hs, size=nterms) for _ in range(n)]
+            + [rng.choice(vs, size=nterms) for _ in range(d)]), axis=0)
+        return exps, rng.standard_normal(len(exps)) \
+            + 1j * rng.standard_normal(len(exps))
+
+    ea, va = table(40)
+    eb, vb = table(35)
+    assert np.abs(ea).max() == limit - 1
+    want_e, want_v, dropped = all_pairs_product(ea, va, eb, vb, n, d, vmax,
+                                                1e-300)
+    got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax,
+                                             1e-300)
+    assert len(want_v) > 50
+    assert np.array_equal(got_e, want_e)
+    assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
+    assert discarded >= sum(dropped) * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n, d", sorted(LIMITS))
+def test_product_key_limit(n, d, sign):
+    # an exponent of magnitude at the limit, in an h or a v column, cannot
+    # be packed; the message names the limit
+    limit = LIMITS[n, d]
+    vals = np.ones(2, dtype=np.complex128)
+    for col in range(n + d) if sign > 0 else range(n):
+        exps = np.zeros((2, n + d), dtype=np.int64)
+        exps[1, col] = sign * limit
+        with pytest.raises(OverflowError,
+                           match=r"2\^%d " % (limit.bit_length() - 1)):
+            table_data(exps, vals, n)
+        exps[1, col] = sign * (limit - 1)
+        if col < n:  # a v exponent under the limit: a large degree table
+            assert table_data(exps, vals, n) is not None

@@ -13,14 +13,14 @@ from toruslin.majorant import (ConstantsBundle, ConstantsError,
                                build_state, constants_bundle,
                                domain_schedule, dominance_and_radius,
                                eta_sequence, log_best_product_table,
-                               majorant_coefficients)
+                               majorant_coefficients, _ser_mul)
 from toruslin.problem import parse_problem
 from toruslin.reports import certificate_text
 from toruslin.series import TruncatedSeries
 
 from _fixtures import golden_data, golden_family, golden_lattice
 from _oracles import (apply_vertical_operator, full_window_majorant,
-                      norm_certificate, random_series)
+                      norm_certificate, random_series, ser_mul_slices)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +248,24 @@ class TestMajorantCoefficients:
         assert np.allclose(A6, A8[:7])
         for key in B6:
             assert np.allclose(B6[key], B8[key][:7])
+
+    @pytest.mark.parametrize("case", ["random", "zeros", "short"])
+    def test_ser_mul_bits_of_the_slice_loop(self, case):
+        # the loop on Python floats adds the same products in the same order
+        # as one numpy slice per term of a; magnitudes over 16 decades make
+        # the sums depend on that order
+        rng = np.random.default_rng(["random", "zeros", "short"].index(case))
+        for _ in range(30):
+            a, b = (rng.uniform(0.0, 1.0, size) * 10.0 ** rng.integers(
+                -8, 9, size) for size in rng.integers(3, 16, size=2))
+            if case == "zeros":
+                a[rng.random(len(a)) < 0.4] = 0.0
+                b[rng.random(len(b)) < 0.4] = 0.0
+            M = int(rng.integers(0, min(len(a), len(b)) - 1)) \
+                if case == "short" else len(a) + len(b)
+            got = _ser_mul(a, b, M)
+            assert got.dtype == np.float64 and got.shape == (M + 1,)
+            assert got.tobytes() == ser_mul_slices(a, b, M).tobytes()
 
 
 class TestDominance:

@@ -100,6 +100,17 @@ class TestRingOps:
         for got in (lost.mul(zero), zero.mul(lost), lost.scale(0.0)):
             assert got.discarded == 0.0 and not got.tailflag
 
+    def test_scale_components_scales_its_record(self):
+        # a = h v^2 at vmax 3: a^2 drops h^2 v^4 and records 1.0, which the
+        # factor 1000 makes 1000; the largest |factor| bounds every component
+        a = mono(1, 1, (1,), (2,), vmax=3)
+        p = a.mul(a)
+        assert p.discarded == 1.0
+        assert scale_components(p, [1000]).discarded == 1000.0
+        two = TruncatedSeries(1, 1, 2, 3, discarded=2.0)
+        assert scale_components(two, [0.5, -4j]).discarded == 8.0
+        assert scale_components(two, [0.0, 0.0]).discarded == 0.0
+
 
 class TestHomogeneousPart:
     def test_examples(self):
