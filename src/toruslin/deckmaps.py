@@ -12,16 +12,24 @@ included): ord_v u >= 2, and the factor v^Q that the h-part multiplies has
 order >= ord_v f, so at most (vmax - ord_v f) // 2 factors of u reach the
 output.  Every product is thus a finite Laurent polynomial in h, and the
 result is the exact composition truncated at the requested vmax.
+
+The degree loop conjugates every deck map of a family and checks every
+pair for commutation, so the calculus works on lists: ``compose_with_maps``
+composes many (series, map, window) jobs in one pass, and
+``conjugate_maps``, ``substitute_into_maps`` and ``compose_map_pairs``
+hand it, and ``substitute_verticals``, all their maps at once.  The
+one-job forms ``compose_with_map``, ``conjugate_by_vertical`` and
+``compose_maps`` call them with a list of one.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
-from .series import (TruncatedSeries, _scatter, invert_vertical_map,
-                     linear_combinations, scale_components, substitute_vertical)
+from .series import (TruncatedSeries, _scatter_each, invert_vertical_map,
+                     linear_combinations, products, scale_components,
+                     substitute_verticals)
 
 COMMUTE_TOL = 1e-10
 
@@ -72,155 +80,247 @@ class DeckMap:
 
 
 def compose_with_map(f, m, vmax=None):
-    """The composition f o m for a deck map m, truncated at ``vmax``.
+    """The composition f o m for a deck map m, truncated at ``vmax``:
+    ``compose_with_maps`` of this one job."""
+    return compose_with_maps([(f, m, vmax)])[0]
+
+
+def compose_with_maps(jobs):
+    """The composition f o m truncated at ``vmax`` (f's own window where it
+    is None) for every job (f, m, vmax), in one pass.
 
     Terms are grouped by vertical exponent: the horizontal part of each
-    group is a linear combination of cached binomial powers (no products),
-    then one product with the cached vertical power attaches v^Q.  The
-    binomial series, one per (k, p_k) the terms need, are formed together
-    by one ``linear_combinations`` call (one segment sum over the scaled
-    records of every summand of every sum), and each group sum by another,
-    not by chains of ``add`` and ``scale``: the same records in the same
-    order, so the same sums and ``discarded``.  In a group sum the factor
-    ``lam^P h^P`` of each term is not formed as a series: its summand is
-    the product of binomial series with the shift ``P`` and the pre-factor
-    ``lam^P``, which the sum applies to its records as ``shift_h`` and
-    ``scale`` would.  The group pieces go into the output in one
-    ``_scatter``, each piece's ``discarded`` after its records: the sums
-    and ``discarded`` of adding them one group at a time.  Where ``u_k`` is
-    exactly zero (no terms, no truncation record), as when ``pert_h`` is
-    zero, ``(1 + u_k)^p`` is the unit and is not formed: multiplying by it
-    would change no bit.
+    group is a linear combination of binomial powers (no products), then
+    products with the vertical powers attach v^Q.  The binomial series, one
+    per (k, p_k) the terms need, are formed together by one
+    ``linear_combinations`` call (one segment sum over the scaled records
+    of every summand of every sum), and the group sums of every job by
+    another, not by chains of ``add`` and ``scale``: the same records in
+    the same order, so the same sums and ``discarded``.  In a group sum the
+    factor ``lam^P h^P`` of each term is not formed as a series: its
+    summand is the product of binomial series with the shift ``P`` and the
+    pre-factor ``lam^P``, which the sum applies to its records as
+    ``shift_h`` and ``scale`` would.  Each job's group pieces go into its
+    output, each piece's ``discarded`` after its records: the sums and
+    ``discarded`` of adding them one group at a time.  All outputs are
+    written by one ``_scatter``.  Where ``u_k`` is exactly zero (no terms,
+    no truncation record), as when ``pert_h`` is zero, ``(1 + u_k)^p`` is
+    the unit and is not formed: multiplying by it would change no bit.
 
     The vertical power has order |Q| >= ord_v f, so only the horizontal
     factor's terms of degree <= vmax - ord_v f can reach the output: the u
     powers, the binomial series and the group sums are computed on that
     window (u powers up to (vmax - ord_v f) // 2) and widened back to vmax
-    before the product with the vertical power.  The terms left out would
-    only have formed pairs above vmax.
+    before the products with the vertical powers.  The terms left out
+    would only have formed pairs above vmax.
+
+    The products of all jobs go in lockstep, one ``products`` call per
+    step: per power of the u and the vertical power chains, per factor of
+    the products of binomial series, and per vertical coordinate of the
+    group products.  Jobs that share a map and a window share its u
+    powers, binomial series and vertical powers, and each power is formed
+    only as far as some term reads it.  Every series is the same product,
+    in the same order, as when each job is composed alone.
     """
-    vmax = f.vmax if vmax is None else vmax
-    n, d = f.n, f.d
-    hwin = max(vmax - f.v_order(), 0)
-    smax = hwin // 2
+    jobs = [(f, m, f.vmax if vmax is None else vmax) for f, m, vmax in jobs]
+    if not jobs:
+        return []
+    n, d = jobs[0][0].n, jobs[0][0].d
+    # per job: its map and horizontal window, the key of its horizontal
+    # tables; its (k, Q) groups and the distinct P of its terms, shared by
+    # the jobs of one series and window
+    plans, seen = [], {}
+    for f, m, vmax in jobs:
+        hwin = max(vmax - f.v_order(), 0)
+        if (id(f), hwin) not in seen:
+            terms = list(f.terms())
+            groups = {}
+            for k, P, Q, c in terms:
+                groups.setdefault((k, Q), []).append((P, c))
+            hexps = list(dict.fromkeys(P for _, P, _, _ in terms))
+            seen[id(f), hwin] = (sorted(groups.items()), hexps)
+        plans.append(((id(m), hwin), *seen[id(f), hwin]))
 
-    # u_k = pert_h_k / (lam_k h_k) and its powers u_k^1 .. u_k^smax; None
-    # where u_k is exactly zero, so that (1 + u_k)^p is exactly 1
-    upow = []
-    for k in range(n):
-        ek = tuple(-1 if t == k else 0 for t in range(n))
-        u = m.pert_h.component(k).cut(hwin)
-        if u.nterms() == 0 and not u.discarded:
-            upow.append(None)
-            continue
-        u = u.with_window(vmax=hwin).shift_h(ek).scale(1.0 / m.lam[k])
-        table = [None, u]
-        for s in range(2, smax + 1):
-            table.append(table[-1].mul(u))
-        upow.append(table)
-
-    # (mu_j v_j + pert_v_j)^q
-    terms = list(f.terms())
-    qmax_needed = {}
-    for _, _, Q, _ in terms:
-        for j, q in enumerate(Q):
-            if q:
-                qmax_needed[j] = max(qmax_needed.get(j, 0), q)
-    vpow = {}
-    for j, qm in qmax_needed.items():
-        ej = tuple(1 if t == j else 0 for t in range(d))
-        w = TruncatedSeries.monomial(n, d, 0, (0,) * n, ej, m.mu[j],
-                                     components=1, vmax=vmax)
-        w = w.add(m.pert_v.component(j).with_window(vmax=vmax))
-        table = [None, w]
-        for q in range(2, qm + 1):
-            table.append(table[-1].mul(w))
-        vpow[j] = table
-
-    one = TruncatedSeries.monomial(n, d, 0, (0,) * n, (0,) * d, 1.0,
-                                   components=1, vmax=hwin)
-
-    # the binomial series (1 + u_k)^p for every (k, p) the terms need, each
-    # kept until the last horizontal factor that uses it is formed
-    hexps = list(dict.fromkeys(P for _, P, _, _ in terms))
-    uses = Counter((k, p) for P in hexps for k, p in enumerate(P)
-                   if p and smax and upow[k])
-    needed = sorted(uses)
-    binom = dict(zip(needed, linear_combinations(
-        [[(one, 1.0)] + [(upow[k][s], _gen_binom(p, s))
-                         for s in range(1, smax + 1) if _gen_binom(p, s)]
-         for k, p in needed])))
-    del upow  # read by the binomial series alone
-
-    def binom_power_series(P):
-        """prod_k (1 + u_k)^{p_k} as a scalar series, and lam^P."""
-        acc = one
-        lam_fac = 1.0 + 0.0j
-        for k, p in enumerate(P):
-            lam_fac *= m.lam[k] ** int(p)
-            if (k, p) not in uses:  # p = 0, smax = 0 or u_k = 0
+    # u_k = pert_h_k / (lam_k h_k) per (map, window, k), as far as a term
+    # reads its powers: (1 + u)^p reads u^s up to smax = window // 2, and
+    # for p > 0 only up to p.  None where u_k is exactly zero, so that
+    # (1 + u_k)^p is exactly 1.  (mu_j v_j + pert_v_j)^q per (map, vmax,
+    # j), up to the largest q_j of a term.
+    upow, vpow, tops = {}, {}, {}
+    for (_, m, vmax), ((mid, hwin), groups, hexps) in zip(jobs, plans):
+        for k in range(n):
+            top = max((hwin // 2 if P[k] < 0 else min(P[k], hwin // 2)
+                       for P in hexps if P[k]), default=0)
+            if not top:
                 continue
-            piece = binom[(k, p)]
-            uses[(k, p)] -= 1
-            if not uses[(k, p)]:
-                del binom[(k, p)]
-            # the first factor is taken as is, not multiplied into the unit
-            acc = piece if acc is one else acc.mul(piece)
-        return acc, lam_fac
+            key = (mid, hwin, k)
+            if key not in upow:
+                u = m.pert_h.component(k).cut(hwin)
+                upow[key] = None
+                if u.nterms() or u.discarded:
+                    ek = tuple(-1 if t == k else 0 for t in range(n))
+                    upow[key] = [None, u.with_window(vmax=hwin).shift_h(ek)
+                                 .scale(1.0 / m.lam[k])]
+            if upow[key]:
+                tops["u", *key] = max(tops.get(("u", *key), 0), top)
+        for (_, Q), _ in groups:
+            for j, q in enumerate(Q):
+                if not q:
+                    continue
+                key = (mid, vmax, j)
+                if key not in vpow:
+                    ej = tuple(1 if t == j else 0 for t in range(d))
+                    w = TruncatedSeries.monomial(n, d, 0, (0,) * n, ej,
+                                                 m.mu[j], components=1,
+                                                 vmax=vmax)
+                    vpow[key] = [None, w.add(m.pert_v.component(j)
+                                             .with_window(vmax=vmax))]
+                tops["v", *key] = max(tops.get(("v", *key), 0), q)
+    # every chain one power further per products call
+    chains = [((upow if key[0] == "u" else vpow)[key[1:]], top)
+              for key, top in tops.items()]
+    while True:
+        grow = [table for table, top in chains if len(table) <= top]
+        if not grow:
+            break
+        for table, power in zip(grow, products(
+                [(table[-1], table[1]) for table in grow])):
+            table.append(power)
 
-    out = f._like(vmax=vmax)
-    out.discarded = f.discarded
-    groups = {}
-    for k, P, Q, c in terms:
-        groups.setdefault((k, Q), []).append((P, c))
-    groups = sorted(groups.items())
-    hcache = {P: binom_power_series(P) for P in hexps}
-    pieces = []
-    for (k, Q), group in groups:
-        # lam^P h^P prod_k (1 + u_k)^{p_k}, shifted and scaled in the sum
-        (hpart,) = linear_combinations([[(hcache[P][0], c, P, hcache[P][1])
-                                         for P, c in group]])
-        piece = hpart.with_window(vmax=vmax)
-        for j, q in enumerate(Q):
-            if q:
-                piece = piece.mul(vpow[j][q])
-        pieces.append((k, *piece._arrays(0), piece.discarded))
-    if pieces:
-        ks, exps, vals, lost = zip(*pieces)
-        counts = [len(v) for v in vals]
-        _scatter([out], None, np.repeat(ks, counts) if f.components > 1
-                 else None, np.concatenate(exps), np.concatenate(vals),
-                 [list(zip(np.cumsum(counts).tolist(), lost))])
-    return out
+    ones = {}
+    for _, hwin in (key for key, _, _ in plans):
+        if hwin not in ones:
+            ones[hwin] = TruncatedSeries.monomial(
+                n, d, 0, (0,) * n, (0,) * d, 1.0, components=1, vmax=hwin)
+    # the binomial series (1 + u_k)^p for every (map, window, k, p) a term
+    # needs, all in one sum call
+    needed = sorted({(mid, hwin, k, P[k])
+                     for (mid, hwin), _, hexps in plans
+                     for P in hexps for k in range(n)
+                     if P[k] and hwin // 2 and upow[mid, hwin, k]})
+    binom = dict(zip(needed, linear_combinations(
+        [[(ones[hwin], 1.0)] + [(upow[mid, hwin, k][s], _gen_binom(p, s))
+                                for s in range(1, hwin // 2 + 1)
+                                if _gen_binom(p, s)]
+         for mid, hwin, k, p in needed])))
+    del upow, chains
+
+    # prod_k (1 + u_k)^{p_k} and lam^P per (map, window, P), the first
+    # factor taken as is, not multiplied into the unit; one products call
+    # per further factor
+    hcache, factors = {}, {}
+    for (_, m, _), ((mid, hwin), _, hexps) in zip(jobs, plans):
+        for P in hexps:
+            if (mid, hwin, P) in hcache:
+                continue
+            lam_fac = 1.0 + 0.0j
+            for lam, p in zip(m.lam, P):
+                lam_fac *= lam ** int(p)
+            row = [binom[mid, hwin, k, p] for k, p in enumerate(P)
+                   if (mid, hwin, k, p) in binom]
+            factors[mid, hwin, P] = row
+            hcache[mid, hwin, P] = [row[0] if row else ones[hwin], lam_fac]
+    for step in range(1, max(map(len, factors.values()), default=0)):
+        keys = [key for key, row in factors.items() if len(row) > step]
+        for key, prod in zip(keys, products(
+                [(hcache[key][0], factors[key][step]) for key in keys])):
+            hcache[key][0] = prod
+    del binom, factors
+
+    # lam^P h^P prod_k (1 + u_k)^{p_k} per group of every job, shifted and
+    # scaled in one sum call, widened to vmax, then multiplied by each
+    # v_j^q_j, one products call per j
+    owners = [(mid, vmax, Q) for (_, _, vmax), ((mid, _), groups, _)
+              in zip(jobs, plans) for (_, Q), _ in groups]
+    sums = linear_combinations(
+        [[(hcache[mid, hwin, P][0], c, P, hcache[mid, hwin, P][1])
+          for P, c in group]
+         for (mid, hwin), groups, _ in plans for _, group in groups])
+    del hcache
+    pieces = [hpart.with_window(vmax=vmax)
+              for hpart, (_, vmax, _) in zip(sums, owners)]
+    for j in range(d):
+        at = [g for g, (_, _, Q) in enumerate(owners) if Q[j]]
+        powers = [vpow[mid, vmax, j][Q[j]] for mid, vmax, Q in owners if Q[j]]
+        for g, piece in zip(at, products(
+                [(pieces[g], power) for g, power in zip(at, powers)])):
+            pieces[g] = piece
+
+    # each job's pieces into its output, each piece's discarded after its
+    # records
+    outs, records, marks = [], [], []
+    first = 0
+    for (f, _, vmax), (_, groups, _) in zip(jobs, plans):
+        out = f._like(vmax=vmax)
+        out.discarded = f.discarded
+        outs.append(out)
+        mine = pieces[first:first + len(groups)]
+        ks = [k for (k, _), _ in groups]
+        first += len(groups)
+        counts = [piece.nterms() for piece in mine]
+        records.append((
+            np.repeat(ks, counts).astype(np.int64) if f.components > 1
+            else None,
+            np.concatenate([piece._arrays(0)[0] for piece in mine]
+                           or [np.zeros((0, n + d), dtype=np.int64)]),
+            np.concatenate([piece._arrays(0)[1] for piece in mine]
+                           or [np.zeros(0, dtype=np.complex128)])))
+        marks.append(list(zip(np.cumsum(counts).tolist(),
+                              [piece.discarded for piece in mine])))
+    _scatter_each(outs, records, marks)
+    return outs
 
 
-def substitute_into_map(m, H):
-    """The map m o (h, v + H): vertical pre-composition."""
-    pert_h = substitute_vertical(m.pert_h, H)
-    shifted_b = substitute_vertical(m.pert_v, H)
-    pert_v = scale_components(H, m.mu).add(shifted_b)
-    return DeckMap(lam=m.lam, mu=m.mu, pert_h=pert_h, pert_v=pert_v)
+def substitute_into_maps(maps, H):
+    """The maps m o (h, v + H), vertical pre-composition: both
+    perturbations of every map substituted into ``H`` by one
+    ``substitute_verticals`` call."""
+    subs = substitute_verticals(
+        [pert for m in maps for pert in (m.pert_h, m.pert_v)], H)
+    return [DeckMap(lam=m.lam, mu=m.mu, pert_h=pert_h,
+                    pert_v=scale_components(H, m.mu).add(shifted_b))
+            for m, pert_h, shifted_b in zip(maps, subs[::2], subs[1::2])]
+
+
+def conjugate_maps(maps, G, H=None):
+    """Phi o m o Phi^{-1} for Phi = (h, v + G) and every m in ``maps``;
+    H = the inverse's perturbation, optionally precomputed.  Every map's
+    substitution and composition goes into one call each."""
+    if H is None:
+        H = invert_vertical_map(G)
+    inner = substitute_into_maps(maps, H)
+    lifted = compose_with_maps([(G, m, G.vmax) for m in inner])
+    return [DeckMap(lam=m.lam, mu=m.mu, pert_h=i.pert_h,
+                    pert_v=i.pert_v.add(lift))
+            for m, i, lift in zip(maps, inner, lifted)]
 
 
 def conjugate_by_vertical(m, G, H=None):
-    """Phi o m o Phi^{-1} for Phi = (h, v + G); H optionally precomputed."""
-    if H is None:
-        H = invert_vertical_map(G)
-    inner = substitute_into_map(m, H)
-    lifted = compose_with_map(G, inner, vmax=G.vmax)
-    return DeckMap(lam=m.lam, mu=m.mu, pert_h=inner.pert_h,
-                   pert_v=inner.pert_v.add(lifted))
+    """Phi o m o Phi^{-1} for Phi = (h, v + G): ``conjugate_maps`` of this
+    one map."""
+    return conjugate_maps([m], G, H)[0]
+
+
+def compose_map_pairs(pairs):
+    """The deck map m1 o m2 (apply m2 first), at m1's vmax, for every pair
+    (m1, m2); every composition goes into one ``compose_with_maps`` call."""
+    composed = compose_with_maps(
+        [(pert, m2, m1.pert_h.vmax) for m1, m2 in pairs
+         for pert in (m1.pert_h, m1.pert_v)])
+    out = []
+    for (m1, m2), a1_of, b1_of in zip(pairs, composed[::2], composed[1::2]):
+        vmax = m1.pert_h.vmax
+        pert_h = scale_components(m2.pert_h, m1.lam).restrict(vmax).add(a1_of)
+        pert_v = scale_components(m2.pert_v, m1.mu).restrict(vmax).add(b1_of)
+        out.append(DeckMap(lam=m1.lam * m2.lam, mu=m1.mu * m2.mu,
+                           pert_h=pert_h, pert_v=pert_v))
+    return out
 
 
 def compose_maps(m1, m2):
-    """The deck map m1 o m2 (apply m2 first), at m1's vmax."""
-    vmax = m1.pert_h.vmax
-    a1_of = compose_with_map(m1.pert_h, m2, vmax=vmax)
-    b1_of = compose_with_map(m1.pert_v, m2, vmax=vmax)
-    pert_h = scale_components(m2.pert_h, m1.lam).restrict(vmax).add(a1_of)
-    pert_v = scale_components(m2.pert_v, m1.mu).restrict(vmax).add(b1_of)
-    return DeckMap(lam=m1.lam * m2.lam, mu=m1.mu * m2.mu,
-                   pert_h=pert_h, pert_v=pert_v)
+    """The deck map m1 o m2 (apply m2 first), at m1's vmax:
+    ``compose_map_pairs`` of this one pair."""
+    return compose_map_pairs([(m1, m2)])[0]
 
 
 def invert_map(m):
@@ -246,8 +346,8 @@ def invert_map(m):
     for window in range(min(vmax, 2), vmax + 1):
         cur = DeckMap(lam=inv.lam, mu=inv.mu, pert_h=inv.pert_h.cut(window),
                       pert_v=inv.pert_v.cut(window))
-        a_of = compose_with_map(m.pert_h.cut(window), cur, vmax=window)
-        b_of = compose_with_map(m.pert_v.cut(window), cur, vmax=window)
+        a_of, b_of = compose_with_maps([(m.pert_h.cut(window), cur, window),
+                                        (m.pert_v.cut(window), cur, window)])
         new_h = scale_components(a_of, 1.0 / m.lam).scale(-1.0)
         new_v = scale_components(b_of, 1.0 / m.mu).scale(-1.0)
         inv = DeckMap(lam=inv.lam, mu=inv.mu,

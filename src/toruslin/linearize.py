@@ -25,14 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import CompatibleFamily, solve_family
-from .deckmaps import (COMMUTE_TOL, DeckMap, compose_maps, compose_with_map,
-                       conjugate_by_vertical, invert_map, map_difference)
+from .deckmaps import (COMMUTE_TOL, DeckMap, compose_map_pairs,
+                       compose_with_maps, conjugate_maps, invert_map,
+                       map_difference)
 from .divisors import ResonanceError, scan_and_fit
 from .lattice import DomainSpec
 from .majorant import constants_bundle, domain_schedule
 from .norms import sup_norm_bounds
 from .series import (TruncatedSeries, invert_vertical_map, scale_components,
-                     substitute_vertical)
+                     substitute_vertical, substitute_verticals)
 
 LINEARIZE_TOL = 1e-8
 
@@ -110,10 +111,10 @@ class DeckMapFamily:
     def conjugated(self, G, H):
         """The family conjugated by Phi = (h, v + G); Phi^{-1} = (h, v + H).
 
-        Only ``maps`` is conjugated.
+        Only ``maps`` is conjugated, all of them by one ``conjugate_maps``
+        call.
         """
-        return self._with_maps([conjugate_by_vertical(m, G, H)
-                                for m in self.maps])
+        return self._with_maps(conjugate_maps(self.maps, G, H))
 
     def vertically_linear_through(self, top):
         """The family with every vertical perturbation term of degree at
@@ -151,21 +152,21 @@ def build_family(lattice, data, pert_records, vmax, hband=None, *, eps0,
 
 
 def check_commutation(family, order=None):
-    """Pairwise commutators per vertical degree (relative residual table)."""
+    """Pairwise commutators per vertical degree (relative residual table).
+
+    Both orders of every pair are composed by one ``compose_map_pairs``
+    call."""
     order = family.vmax if order is None else order
     scale = max(family.pert_scale(), 1.0)
+    pairs = [(i, j) for i in range(family.n) for j in range(i + 1, family.n)]
+    maps = family.maps
+    composed = compose_map_pairs([both for i, j in pairs for both in (
+        (maps[i], maps[j]), (maps[j], maps[i]))])
     table = {}
-    for i in range(family.n):
-        for j in range(i + 1, family.n):
-            ij = compose_maps(family.maps[i], family.maps[j])
-            ji = compose_maps(family.maps[j], family.maps[i])
-            dh, dv = map_difference(ij, ji)
-            per_degree = {}
-            for m in range(order + 1):
-                res = max(dh.homogeneous_part(m).max_abs(),
-                          dv.homogeneous_part(m).max_abs())
-                per_degree[m] = res / scale
-            table[(i, j)] = per_degree
+    for (i, j), ij, ji in zip(pairs, composed[::2], composed[1::2]):
+        dh, dv = map_difference(ij, ji)
+        table[(i, j)] = {m: max(h, v) / scale for m, (h, v) in enumerate(
+            zip(dh.degree_maxima(order), dv.degree_maxima(order)))}
     return table
 
 
@@ -255,8 +256,8 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
             raise LinearizeError(
                 "degree-%d cleanup failed for generator %d: leftover %.3e"
                 % (top, i + 1, leftover))
-    leftovers = [max(low.homogeneous_part(degree).max_abs() for low in lows)
-                 for degree, *_ in steps]
+    maxima = [low.degree_maxima(top) for low in lows]
+    leftovers = [max(per[degree] for per in maxima) for degree, *_ in steps]
     # with nothing to drop, the family is kept with any inverses it holds
     if any(low.nterms() for low in lows):
         family = family.vertically_linear_through(top)
@@ -403,19 +404,17 @@ def conjugacy_residual(phi_v, original, linearized, order):
             - M_i phi_v - (original pert_v)(h, v + phi_v).
     Returns per-degree max coefficient magnitudes and the residual series.
     """
+    subs = substitute_verticals([pert for tau in original.maps
+                                 for pert in (tau.pert_h, tau.pert_v)], phi_v)
+    lifted = compose_with_maps([(phi_v, tilde, phi_v.vmax)
+                                for tilde in linearized.maps])
     out = {}
-    for i in range(len(original.maps)):
-        tau = original.maps[i]
-        tilde = linearized.maps[i]
-        dh = tilde.pert_h - substitute_vertical(tau.pert_h, phi_v)
-        dv = tilde.pert_v \
-            .add(compose_with_map(phi_v, tilde, vmax=phi_v.vmax)) \
-            - scale_components(phi_v, tau.mu) \
-            - substitute_vertical(tau.pert_v, phi_v)
-        per_degree = {}
-        for m in range(2, order + 1):
-            per_degree[m] = max(dh.homogeneous_part(m).max_abs(),
-                                dv.homogeneous_part(m).max_abs())
+    for i, (tau, tilde) in enumerate(zip(original.maps, linearized.maps)):
+        dh = tilde.pert_h - subs[2 * i]
+        dv = tilde.pert_v.add(lifted[i]) \
+            - scale_components(phi_v, tau.mu) - subs[2 * i + 1]
+        per_degree = {m: max(h, v) for m, (h, v) in enumerate(
+            zip(dh.degree_maxima(order), dv.degree_maxima(order))) if m >= 2}
         out[i] = {"per_degree": per_degree, "series_h": dh, "series_v": dv}
     return out
 

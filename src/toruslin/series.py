@@ -16,12 +16,16 @@ Values are complex doubles.  Series are immutable: every operation
 returns a new instance, and nothing may change a series once another
 operation has read it.  A series is stored as its kept arrays
 (``_sorted``): every term sorted by (k, P, Q), the one order in which the
-kernels and the bulk sums read a series, sliced per component, with the
-``table_data`` products read.  ``mul`` keeps the kernel's output,
-selections and ``scale`` are masks, and every sum or re-truncation is one
-``_scatter``: its records are tested against ``vmax``, summed per key in
-record order and pruned, keys sorted.  ``substitute_vertical(f, phi)``
-keeps the powers ``(v_j + phi_j)^q`` with ``phi`` for later use.
+kernels and the bulk sums read a series, sliced per component, with what
+is read of them computed once and kept beside them: the terms' vertical
+degrees, the sum of their moduli, and the ``table_data`` products read.
+``products`` forms the products of many pairs in one kernel call (``mul``
+is one pair) and keeps the kernel's output, selections and ``scale`` are
+masks, and every sum or re-truncation is one ``_scatter``: its records
+are tested against ``vmax``, summed per key in record order and pruned,
+keys sorted.  ``substitute_verticals(fs, phi)`` substitutes many series
+into one ``phi`` through one scatter and keeps the powers ``(v_j +
+phi_j)^q`` with ``phi`` for later use.
 
 A coefficient dict exists only as a pending buffer, filled by the
 constructors, ``from_text`` and ``compose_diagonal``, and converted to the
@@ -32,12 +36,12 @@ arrays, and drops the arrays and powers, so a write is seen by every
 later read.
 """
 
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import fsum
 
 import numpy as np
 
-from ._kernels import cauchy_product, evaluate as _kernel_evaluate, \
+from ._kernels import cauchy_products, evaluate as _kernel_evaluate, \
     modulus, multiply, segment_sum, table_data, vertical_degrees
 
 # values of modulus at most PRUNE are dropped instead of stored
@@ -155,7 +159,24 @@ class TruncatedSeries:
         return float(modulus(vals).max()) if len(vals) else 0.0
 
     def _degrees(self):
-        return vertical_degrees(self._sorted()[1], self.n)
+        """Each term's vertical degree, in ``_sorted`` order; computed once
+        and kept with the arrays."""
+        self._sorted()
+        deg = self._store.get("deg")
+        if deg is None:
+            deg = self._store["deg"] = vertical_degrees(
+                self._store["sorted"][1], self.n)
+        return deg
+
+    def degree_maxima(self, top):
+        """The largest coefficient modulus at each vertical degree 0..top,
+        0.0 where there is no term: ``homogeneous_part(m).max_abs()`` for
+        every m at once."""
+        deg = self._degrees()
+        inside = deg <= top
+        out = np.zeros(top + 1)
+        np.maximum.at(out, deg[inside], modulus(self._sorted()[2][inside]))
+        return out.tolist()
 
     def v_order(self):
         """Smallest |Q| carrying a coefficient (vmax+1 for the zero series)."""
@@ -248,18 +269,26 @@ class TruncatedSeries:
         return self._store[k]
 
     def _operand(self, k):
-        """Component k as a ``cauchy_product`` operand: its ``_arrays`` and
+        """Component k as a ``cauchy_products`` operand: its ``_arrays`` and
         their ``table_data``, built once and kept with them."""
         exps, vals = self._arrays(k)
         data = self._store.get(("data", k))
         if data is None:
-            data = self._store[("data", k)] = table_data(exps, vals, self.n)
+            lo, hi = self._store["cuts"][k:k + 2]
+            data = self._store[("data", k)] = table_data(
+                exps, vals, self._degrees()[lo:hi])
         return exps, vals, data
 
     def _mass(self):
-        """The sum of the term moduli over all components."""
-        return sum(float(data[2][0]) for data in (
-            self._operand(k)[2] for k in range(self.components)) if data)
+        """The sum of the term moduli over all components, summed once."""
+        self._sorted()
+        mass = self._store.get("mass")
+        if mass is None:
+            mass = self._store["mass"] = sum(
+                float(data[2][0]) for data in (
+                    self._operand(k)[2] for k in range(self.components))
+                if data)
+        return mass
 
     def _keep_sorted(self, ks, exps, vals):
         """Keep every term, sorted by (k, P, Q), as ``_sorted`` and the
@@ -272,49 +301,18 @@ class TruncatedSeries:
         self._store = {"sorted": (ks, exps, vals)}
         if ks is None:
             self._store[0] = (exps, vals)
+            self._store["cuts"] = [0, len(vals)]
             return
         cuts = np.searchsorted(ks, range(self.components + 1)).tolist()
+        self._store["cuts"] = cuts
         for j in range(self.components):
             self._store[j] = (exps[cuts[j]:cuts[j + 1]],
                               vals[cuts[j]:cuts[j + 1]])
 
     def mul(self, other):
-        """Cauchy product on (P, Q); componentwise with scalar broadcast.
-
-        A part dA that self has lost reaches the exact product as
-        ``dA (B + dB)``, and a part dB that other has lost as ``A dB``, so
-        the product records ``dA (|B|_1 + dB) + |A|_1 dB``, with ``|A|_1``
-        the sum of A's term moduli over all components, and then the bound
-        of the pairs it does not form, component by component.
-        """
-        self._check_compat(other)
-        ca, cb = self.components, other.components
-        if ca != cb and 1 not in (ca, cb):
-            raise SeriesError("component counts incompatible for product")
-        comps = max(ca, cb)
-        out = self._like(components=comps,
-                         vmax=min(self.vmax, other.vmax))
-        if self.discarded or other.discarded:
-            out.discarded = _carried(self.discarded,
-                                     other._mass() + other.discarded) + \
-                _carried(other.discarded, self._mass())
-        parts = []
-        for k in range(comps):
-            ea, va, da = self._operand(k if ca > 1 else 0)
-            eb, vb, db = other._operand(k if cb > 1 else 0)
-            exps, vals, dropped = cauchy_product(
-                ea, va, eb, vb, self.n, self.d, out.vmax, PRUNE, da, db)
-            out.discarded += dropped
-            parts.append((exps, vals))
-        if comps == 1:
-            (exps, vals), ks = parts[0], None
-        else:
-            ks = np.repeat(np.arange(comps), [len(v) for _, v in parts])
-            exps = np.concatenate([e for e, _ in parts])
-            vals = np.concatenate([v for _, v in parts])
-        # the kernel output is sorted by packed key, i.e. by (P, Q)
-        out._keep_sorted(ks, exps, vals)
-        return out
+        """Cauchy product on (P, Q); componentwise with scalar broadcast:
+        ``products`` of this one pair."""
+        return products([(self, other)])[0]
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -481,6 +479,49 @@ def _carried(lost, factor):
     return lost * factor if lost and factor else 0.0
 
 
+def products(pairs):
+    """``a.mul(b)`` for every pair (a, b), all formed by one
+    ``cauchy_products`` call.
+
+    Each product is componentwise, with a single component broadcast.  A
+    part dA that a has lost reaches the exact product as ``dA (B + dB)``,
+    and a part dB that b has lost as ``A dB``, so the product records
+    ``dA (|B|_1 + dB) + |A|_1 dB``, with ``|A|_1`` the sum of A's term
+    moduli over all components, and then the bound of the pairs it does
+    not form, component by component.  The kernel output of each component
+    is sorted by packed key, i.e. by (P, Q), and is kept as it is.
+    """
+    outs, jobs = [], []
+    for a, b in pairs:
+        a._check_compat(b)
+        ca, cb = a.components, b.components
+        if ca != cb and 1 not in (ca, cb):
+            raise SeriesError("component counts incompatible for product")
+        out = a._like(components=max(ca, cb), vmax=min(a.vmax, b.vmax))
+        if a.discarded or b.discarded:
+            out.discarded = _carried(a.discarded, b._mass() + b.discarded) \
+                + _carried(b.discarded, a._mass())
+        for k in range(out.components):
+            ea, va, da = a._operand(k if ca > 1 else 0)
+            eb, vb, db = b._operand(k if cb > 1 else 0)
+            jobs.append((ea, va, eb, vb, out.vmax, da, db))
+        outs.append(out)
+    parts = iter(cauchy_products(jobs, PRUNE))
+    for out in outs:
+        mine = [next(parts) for _ in range(out.components)]
+        for _, _, dropped in mine:
+            out.discarded += dropped
+        if out.components == 1:
+            (exps, vals, _), ks = mine[0], None
+        else:
+            ks = np.repeat(np.arange(out.components),
+                           [len(vals) for _, vals, _ in mine])
+            exps = np.concatenate([exps for exps, _, _ in mine])
+            vals = np.concatenate([vals for _, vals, _ in mine])
+        out._keep_sorted(ks, exps, vals)
+    return outs
+
+
 def scale_components(f, factors):
     """Multiply component k by factors[k] (diagonal matrix action on values).
 
@@ -553,7 +594,14 @@ def _vertical_shift_powers(phi, vmax):
 
 
 def substitute_vertical(f, phi):
-    """Substitute v <- v + phi(h, v) with ord_v phi >= 2.
+    """Substitute v <- v + phi(h, v) into f: ``substitute_verticals`` of
+    this one series."""
+    return substitute_verticals([f], phi)[0]
+
+
+def substitute_verticals(fs, phi):
+    """Substitute v <- v + phi(h, v) with ord_v phi >= 2 into each f in
+    ``fs``; all the results are written by one ``_scatter``.
 
     The substitution is filtered by vertical degree: the degree-m part of
     the result only involves parts of phi of degree < m.  Dropping
@@ -580,85 +628,136 @@ def substitute_vertical(f, phi):
     later ones need higher powers.  Every series substituted into the same
     ``phi`` (a deck map's two perturbations and ``phi_v`` at each degree of
     the linearization) reuses them, and each power is the same product in
-    the same order as when it was first formed.  A ``phi`` without terms
-    substitutes v for v: ``f`` is re-truncated to the output window, its
-    terms in sorted order (the order the scatter reads them in), and no
+    the same order as when it was first formed.  The powers and the W_Q
+    every series of ``fs`` needs are formed together: one ``products``
+    call per power and one per factor of W_Q after the first, each W_Q
+    once per window for all of ``fs``.  A ``phi`` without terms
+    substitutes v for v: each ``f`` is re-truncated to its output window,
+    its terms in sorted order (the order the scatter reads them in), and no
     powers are formed.
     """
-    if phi.components != f.d:
-        raise SeriesError("phi must have d components")
+    for f in fs:
+        if phi.components != f.d:
+            raise SeriesError("phi must have d components")
     order = phi.v_order()
     if order < 2:
         raise SeriesError("phi must vanish to order >= 2 in v")
-    vmax = min(f.vmax, phi.vmax)
-    out = f._like(vmax=vmax)
-    # phi reaches the result only through f's terms of positive degree
-    reads_phi = bool((f._degrees() > 0).any())
-    out.discarded = f.discarded + (phi.discarded if reads_phi else 0.0)
+    outs = []
+    for f in fs:
+        out = f._like(vmax=min(f.vmax, phi.vmax))
+        # phi reaches the result only through f's terms of positive degree
+        reads_phi = bool((f._degrees() > 0).any())
+        out.discarded = f.discarded + (phi.discarded if reads_phi else 0.0)
+        outs.append(out)
+    if not outs:
+        return outs
     if not phi.nterms():
-        _scatter([out], None, *f._sorted(), [[]], one_per_key=True)
-        return out
+        _scatter_each(outs, [f._sorted() for f in fs], [[] for _ in fs],
+                      one_per_key=True)
+        return outs
 
     if phi._shift is None:
         phi._shift = {}
-    rows = phi._shift.get(vmax)
-    if rows is None:
-        rows = phi._shift[vmax] = _vertical_shift_powers(phi, vmax)
-
-    def power(j, q):
-        row = rows[j]
-        while len(row) <= q:
-            row.append(row[-1].mul(row[1]))
-        return row[q]
-
-    # f's terms, each followed by the records of its W_Q = prod_j (v_j +
-    # phi_j)^q_j, both in sorted order, gathered by index arithmetic
-    if not f.nterms():
-        return out
-    fk, fexps, fvals = f._sorted()
-    n = f.n
-    limit = vmax - order + 1
-    # the distinct Q, as rows packed into one integer each
-    qkeys = fexps[:, n:] @ (f.vmax + 1) ** np.arange(f.d, dtype=np.int64)
-    _, firsts, which = np.unique(qkeys, return_index=True, return_inverse=True)
-    norms = [fsum(modulus(phi._arrays(j)[1]).tolist()) for j in range(f.d)]
-    tables, lost = [], []
-    for Q in fexps[firsts, n:].tolist():
-        W = None
-        if sum(Q) <= limit:
-            for j, q in enumerate(Q):
-                if q:
-                    Wj = power(j, q)
-                    W = Wj if W is None else W.mul(Wj)
-        if W is not None:
-            tables.append(W._arrays(0))
-            lost.append(W.discarded)
+    for out in outs:
+        if out.vmax not in phi._shift:
+            phi._shift[out.vmax] = _vertical_shift_powers(phi, out.vmax)
+    # each f's distinct Q, and the W_Q they need, per output window
+    n = phi.n
+    plans, needed = [], {}
+    for f, out in zip(fs, outs):
+        fk, fexps, fvals = f._sorted()
+        if not len(fvals):
+            plans.append(None)
             continue
-        # a pure h-monomial term, or one past limit: its value is set below
-        tables.append((np.array([[0] * n + Q], dtype=np.int64),
-                       np.ones(1, dtype=np.complex128)))
-        grow = 1.0
-        for norm, q in zip(norms, Q):
-            grow *= (1.0 + norm) ** q
-        lost.append(grow - 1.0)
-    lens = np.array([len(vals) for _, vals in tables])
-    wexps = np.concatenate([exps for exps, _ in tables])
-    wvals = np.concatenate([vals for _, vals in tables])
-    count = lens[which]
-    term = np.repeat(np.arange(len(fvals)), count)
-    ends = np.cumsum(count)
-    widx = np.arange(ends[-1]) + np.repeat(
-        np.cumsum(lens)[which] - lens[which] - ends + count, count)
-    exps = wexps[widx]
-    exps[:, :n] += fexps[term, :n]
-    vals = multiply(fvals[term], wvals[widx])
-    degree = vertical_degrees(fexps, n)
-    direct = ((degree == 0) | (degree > limit))[term]
-    vals[direct] = fvals[term[direct]]
-    amounts = modulus(fvals) * np.array(lost)[which]
-    _scatter([out], None, None if fk is None else fk[term], exps, vals,
-             [list(zip((ends - count).tolist(), amounts.tolist()))])
-    return out
+        limit = out.vmax - order + 1
+        # the distinct Q, as rows packed into one integer each
+        qkeys = fexps[:, n:] @ (f.vmax + 1) ** np.arange(f.d, dtype=np.int64)
+        _, firsts, which = np.unique(qkeys, return_index=True,
+                                     return_inverse=True)
+        Qs = [tuple(Q) for Q in fexps[firsts, n:].tolist()]
+        for Q in Qs:
+            if 0 < sum(Q) <= limit:
+                needed[out.vmax, Q] = None
+        plans.append((limit, Qs, which))
+    W = _vertical_products(phi, needed)
+    norms = [fsum(modulus(phi._arrays(j)[1]).tolist()) for j in range(phi.d)]
+
+    records, marks = [], []
+    for f, out, plan in zip(fs, outs, plans):
+        if plan is None:
+            records.append(f._sorted())
+            marks.append([])
+            continue
+        # f's terms, each followed by the records of its W_Q, both in
+        # sorted order, gathered by index arithmetic
+        limit, Qs, which = plan
+        fk, fexps, fvals = f._sorted()
+        tables, lost = [], []
+        for Q in Qs:
+            if 0 < sum(Q) <= limit:
+                tables.append(W[out.vmax, Q]._arrays(0))
+                lost.append(W[out.vmax, Q].discarded)
+                continue
+            # a pure h-monomial term, or one past limit: its value is set
+            # below
+            tables.append((np.array([[0] * n + list(Q)], dtype=np.int64),
+                           np.ones(1, dtype=np.complex128)))
+            grow = 1.0
+            for norm, q in zip(norms, Q):
+                grow *= (1.0 + norm) ** q
+            lost.append(grow - 1.0)
+        lens = np.array([len(vals) for _, vals in tables])
+        wexps = np.concatenate([exps for exps, _ in tables])
+        wvals = np.concatenate([vals for _, vals in tables])
+        count = lens[which]
+        term = np.repeat(np.arange(len(fvals)), count)
+        ends = np.cumsum(count)
+        widx = np.arange(ends[-1]) + np.repeat(
+            np.cumsum(lens)[which] - lens[which] - ends + count, count)
+        exps = wexps[widx]
+        exps[:, :n] += fexps[term, :n]
+        vals = multiply(fvals[term], wvals[widx])
+        degree = f._degrees()
+        direct = ((degree == 0) | (degree > limit))[term]
+        vals[direct] = fvals[term[direct]]
+        amounts = modulus(fvals) * np.array(lost)[which]
+        records.append((None if fk is None else fk[term], exps, vals))
+        marks.append(list(zip((ends - count).tolist(), amounts.tolist())))
+    _scatter_each(outs, records, marks)
+    return outs
+
+
+def _vertical_products(phi, needed):
+    """W_Q = prod_j (v_j + phi_j)^q_j for each (vmax, Q) in ``needed``,
+    from the power tables kept with ``phi``.
+
+    The power rows grow in lockstep, ``row[q] = row[q - 1].mul(row[1])``,
+    one ``products`` call per power; each W_Q multiplies its factors in
+    order of j, the first taken as is, one ``products`` call per factor.
+    """
+    rows = phi._shift
+    top = {}
+    for vmax, Q in needed:
+        for j, q in enumerate(Q):
+            if q:
+                top[vmax, j] = max(top.get((vmax, j), 0), q)
+    while True:
+        grow = [(vmax, j) for (vmax, j), q in top.items()
+                if len(rows[vmax][j]) <= q]
+        if not grow:
+            break
+        for (vmax, j), power in zip(grow, products(
+                [(rows[vmax][j][-1], rows[vmax][j][1]) for vmax, j in grow])):
+            rows[vmax][j].append(power)
+    factors = {(vmax, Q): [rows[vmax][j][q] for j, q in enumerate(Q) if q]
+               for vmax, Q in needed}
+    W = {key: row[0] for key, row in factors.items()}
+    for step in range(1, max(map(len, factors.values()), default=0)):
+        keys = [key for key, row in factors.items() if len(row) > step]
+        for key, prod in zip(keys, products([(W[key], factors[key][step])
+                                             for key in keys])):
+            W[key] = prod
+    return W
 
 
 def linear_combinations(sums):
@@ -799,6 +898,30 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
     for out, lo, hi in zip(outs, cuts, cuts[1:]):
         out._keep_sorted(None if ks is None or out.components == 1
                          else ks[lo:hi], exps[lo:hi], sums[lo:hi])
+
+
+def _scatter_each(outs, records, marks, one_per_key=False):
+    """``_scatter`` of each series' own records into the empty ``outs``,
+    all in one call.
+
+    ``records[o]`` is ``(ks, exps, vals)`` for ``outs[o]`` (``ks`` None for
+    component 0 throughout), and ``marks[o]`` its ``(i, amount)`` marks,
+    ``i`` counted in its own records.  A single series' records go to
+    ``_scatter`` as they are.
+    """
+    if len(outs) == 1:
+        _scatter(outs, None, *records[0], marks, one_per_key)
+        return
+    counts = [len(vals) for _, _, vals in records]
+    ks = None
+    if any(k is not None for k, _, _ in records):
+        ks = np.concatenate([np.zeros(len(vals), dtype=np.int64)
+                             if k is None else k for k, _, vals in records])
+    _scatter(outs, np.repeat(np.arange(len(outs)), counts), ks,
+             np.concatenate([exps for _, exps, _ in records]),
+             np.concatenate([vals for _, _, vals in records]),
+             [[(start + i, amount) for i, amount in mine] for start, mine
+              in zip(accumulate([0] + counts[:-1]), marks)], one_per_key)
 
 
 def partial_h(f, P0):

@@ -3,8 +3,8 @@ import pytest
 
 from toruslin import LatticeSpec, TruncatedSeries
 from toruslin.deckmaps import (DeckMap, compose_maps,
-                               compose_with_map, conjugate_by_vertical,
-                               invert_map)
+                               compose_with_map, compose_with_maps,
+                               conjugate_by_vertical, invert_map)
 from toruslin.divisors import MultiplierData
 from toruslin.linearize import check_commutation, DeckMapFamily
 from toruslin.series import (invert_vertical_map, scale_components,
@@ -215,18 +215,19 @@ class TestWindowedInvertMap:
 
     def test_sweep_windows(self, monkeypatch):
         # sweep s works through degree s + 2; the first sweep on the full
-        # window is the last
+        # window is the last.  Each sweep composes both perturbations with
+        # the current inverse in one call.
         import toruslin.deckmaps as deckmaps_mod
         seen = []
-        real = deckmaps_mod.compose_with_map
+        real = deckmaps_mod.compose_with_maps
 
-        def recording(f, m, vmax=None):
-            seen.append(vmax)
-            return real(f, m, vmax=vmax)
+        def recording(jobs):
+            seen.append([vmax for _, _, vmax in jobs])
+            return real(jobs)
 
-        monkeypatch.setattr(deckmaps_mod, "compose_with_map", recording)
+        monkeypatch.setattr(deckmaps_mod, "compose_with_maps", recording)
         invert_map(mild_map(np.random.default_rng(3), vmax=6))
-        assert seen == [2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+        assert seen == [[2, 2], [3, 3], [4, 4], [5, 5], [6, 6]]
 
 
 class TestComposeWithMapInPlaceSums:
@@ -347,6 +348,41 @@ class TestComposeWithMapOneScatter:
         got = compose_with_map(f, m)
         assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m))
         assert (got.nterms(), got.discarded) == (0, 0.25)
+
+
+class TestComposeWithMaps:
+    """Several compositions in one pass: every job bit for bit what it
+    gives composed alone, and what the chained-add oracle gives."""
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_jobs_match_one_at_a_time(self, n, d):
+        rng = np.random.default_rng(110 + 10 * n + d)
+        m1 = TestComposeWithMapOneScatter.mixed_map(rng, n, d)
+        m2 = TestComposeWithMapOneScatter.mixed_map(rng, n, d)
+        f1 = random_series(rng, n, d, components=n, vmax=6, pmax=3,
+                           nterms=14, min_vdeg=2)
+        f2 = random_series(rng, n, d, components=d, vmax=6, pmax=3,
+                           nterms=14)
+        f2 = TruncatedSeries(n, d, d, 6, coeffs=term_dict(f2),
+                             discarded=2.0 ** -30)
+        empty = TruncatedSeries(n, d, 1, 6, discarded=1e-9)
+        # m1 at several windows, each series with both maps, and jobs
+        # that repeat a series, a map and a window; the oracle composes
+        # series whose terms lie inside the output window, and the last
+        # job's do not
+        jobs = [(f1, m1, 6), (f2.cut(4), m1, 4), (f1, m2, None),
+                (f2, m1, 6), (f1.cut(4), m1, 4), (empty, m2, 5),
+                (f2.cut(3), m2, 3), (f1, m1, 6), (f2, m1, 4)]
+        assert f2.v_order() < f1.v_order()
+        got = compose_with_maps(jobs)
+        assert len(got) == len(jobs)
+        for i, ((f, m, vmax), out) in enumerate(zip(jobs, got)):
+            assert sorted_bits(out) == sorted_bits(
+                compose_with_map(f, m, vmax=vmax))
+            if i < len(jobs) - 1:
+                assert sorted_bits(out) == sorted_bits(
+                    chained_add_compose(f, m, vmax))
+        assert compose_with_maps([]) == []
 
 
 class TestComposeWithMapByVerticalOrder:

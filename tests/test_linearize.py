@@ -140,37 +140,47 @@ class TestLinearize:
             linearize(fam, order=7, eps1=0.2, r1=0.5, pmax=6, qmax=6)
 
     @staticmethod
-    def count_calls(monkeypatch, route, name):
-        """Calls of ``name`` from linearize and deckmaps, shipped order."""
+    def record_calls(monkeypatch, route, name):
+        """The first argument of each call of ``name`` from linearize and
+        deckmaps, shipped order."""
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
         fam = build_family(p.lattice, p.data, p.pert_records, run["vmax"],
                            eps0=run["epsilon"], r0=run["radius"])
         calls = []
         for mod in (linearize_mod, deckmaps_mod):
-            def counting(*args, real=getattr(mod, name), **kw):
-                calls.append(1)
-                return real(*args, **kw)
+            def counting(first, *args, real=getattr(mod, name), **kw):
+                calls.append(first)
+                return real(first, *args, **kw)
 
             monkeypatch.setattr(mod, name, counting)
         order = run["order"]
         linearize(fam, order, run["epsilon"], run["radius"], route=route,
                   pmax=12, qmax=12)
+        return calls, order, fam
+
+    @classmethod
+    def count_calls(cls, monkeypatch, route, name):
+        """Calls of ``name`` from linearize and deckmaps, shipped order."""
+        calls, order, fam = cls.record_calls(monkeypatch, route, name)
         return len(calls), order, fam.n
 
     # at the shipped order 8 the degree loop conjugates once per block
     # [2], [3, 4], [5, 6], [7, 8]: 4 times, where one degree per
-    # conjugation took 7
+    # conjugation took 7, and each time it conjugates the family's maps in
+    # one call
 
     def test_forward_conjugates_maps_once_per_degree(self, monkeypatch):
-        calls, order, n = self.count_calls(monkeypatch, "forward",
-                                           "conjugate_by_vertical")
-        assert (order, calls) == (8, 4 * n)
+        calls, order, fam = self.record_calls(monkeypatch, "forward",
+                                              "conjugate_maps")
+        assert (order, [len(maps) for maps in calls]) == (8, [fam.n] * 4)
+        # the first block conjugates the family's own maps
+        assert all(a is b for a, b in zip(calls[0], fam.maps))
 
     def test_inverse_conjugates_one_list_per_degree(self, monkeypatch):
-        calls, order, n = self.count_calls(monkeypatch, "inverse",
-                                           "conjugate_by_vertical")
-        assert (order, calls) == (8, 4 * n)
+        calls, order, fam = self.record_calls(monkeypatch, "inverse",
+                                              "conjugate_maps")
+        assert (order, [len(maps) for maps in calls]) == (8, [fam.n] * 4)
 
     @pytest.mark.parametrize("route", ["forward", "inverse"])
     def test_one_vertical_inversion_per_degree(self, monkeypatch, route):
@@ -440,20 +450,19 @@ class TestDegreeBlocks:
                         else [m, m + 1])
             return real(family, m, *args, **kw)
 
-        def conjugating(*args, real=linearize_mod.conjugate_by_vertical):
-            conjugations.append(len(seen))
-            return real(*args)
+        def conjugating(maps, *args, real=linearize_mod.conjugate_maps):
+            conjugations.append((len(seen), len(maps)))
+            return real(maps, *args)
 
         monkeypatch.setattr(linearize_mod, "linearize_step", stepping)
-        monkeypatch.setattr(linearize_mod, "conjugate_by_vertical",
-                            conjugating)
+        monkeypatch.setattr(linearize_mod, "conjugate_maps", conjugating)
         fam, run = shipped_family(order)
         result = linearize(fam, order, run["epsilon"], run["radius"],
                            pmax=run["pmax"], qmax=run["qmax"])
         assert seen == blocks
-        # every block conjugates each map once
-        assert conjugations == [k for k in range(1, len(blocks) + 1)
-                                for _ in range(fam.n)]
+        # every block conjugates each map once, all maps in one call
+        assert conjugations == [(k, fam.n)
+                                for k in range(1, len(blocks) + 1)]
         assert len(result.step_records) == order - 1
         for k, rec in enumerate(result.step_records):
             assert rec["m"] == k + 2
@@ -517,26 +526,29 @@ class TestFanOutSumsInTheLoop:
     @pytest.mark.parametrize("case", ["shipped-12", "lattice2-7"])
     def test_every_call_matches_per_record_oracle(self, monkeypatch, case):
         calls = {"substitute": 0, "compose": 0}
-        real_sub = series_mod.substitute_vertical
-        real_comp = deckmaps_mod.compose_with_map
+        real_sub = series_mod.substitute_verticals
+        real_comp = deckmaps_mod.compose_with_maps
 
-        def substitute(f, phi):
-            got = real_sub(f, phi)
-            assert exact(got) == exact(substitute_per_record(f, phi))
-            calls["substitute"] += 1
+        def substitute(fs, phi):
+            got = real_sub(fs, phi)
+            assert len(got) == len(fs)
+            for f, out in zip(fs, got):
+                assert exact(out) == exact(substitute_per_record(f, phi))
+                calls["substitute"] += 1
             return got
 
-        def compose(f, m, vmax=None):
-            got = real_comp(f, m, vmax=vmax)
-            assert exact(got) == exact(chained_add_compose(f, m, vmax))
-            calls["compose"] += 1
+        def compose(jobs):
+            got = real_comp(jobs)
+            assert len(got) == len(jobs)
+            for (f, m, vmax), out in zip(jobs, got):
+                assert exact(out) == exact(chained_add_compose(f, m, vmax))
+                calls["compose"] += 1
             return got
 
         for mod in (series_mod, deckmaps_mod, linearize_mod):
-            monkeypatch.setattr(mod, "substitute_vertical", substitute,
-                                raising=False)
+            monkeypatch.setattr(mod, "substitute_verticals", substitute)
         for mod in (deckmaps_mod, linearize_mod):
-            monkeypatch.setattr(mod, "compose_with_map", compose)
+            monkeypatch.setattr(mod, "compose_with_maps", compose)
         if case == "shipped-12":
             fam, run = shipped_family(12)
             linearize(fam, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
@@ -545,7 +557,11 @@ class TestFanOutSumsInTheLoop:
             fam, psi = lattice2_family(7)
             result = linearize(fam, order=8, eps1=0.2, r1=0.5, pmax=6, qmax=6)
             assert result.phi_v.max_coeff_diff(psi) < 1e-10
-        assert calls["substitute"] > 10 and calls["compose"] > 5
+        # every substitution and composition of the run, as when each was
+        # its own call
+        assert calls == ({"substitute": 44, "compose": 9}
+                         if case == "shipped-12"
+                         else {"substitute": 74, "compose": 18})
 
 
 def run_case(case, route="forward"):
@@ -612,36 +628,50 @@ class TestExactlyLinearThroughEachBlock:
 
     def test_kernel_pairs_per_linearization(self, monkeypatch):
         # the pairs of operand terms the product kernel examines in a
-        # forward order-12 shipped linearization: 708,202 when pinned,
-        # 1,120,431 while the solves' residue stayed in the family and every
-        # later conjugation multiplied through it
+        # forward order-12 shipped linearization: 616,016 when pinned
+        # (616,017 while each composition formed every u power up to its
+        # window, read or not), 708,202 before the u cut, 1,120,431 while
+        # the solves' residue stayed in the family and every later
+        # conjugation multiplied through it
         pairs = []
-        real = series_mod.cauchy_product
+        real = series_mod.cauchy_products
 
-        def counted(exps_a, vals_a, exps_b, vals_b, *args):
-            pairs.append(len(vals_a) * len(vals_b))
-            return real(exps_a, vals_a, exps_b, vals_b, *args)
+        def counted(jobs, *args):
+            pairs.extend(len(job[1]) * len(job[3]) for job in jobs)
+            return real(jobs, *args)
 
-        monkeypatch.setattr(series_mod, "cauchy_product", counted)
+        monkeypatch.setattr(series_mod, "cauchy_products", counted)
         run_case("shipped-12")
-        assert 0 < sum(pairs) <= 800_000
+        assert 0 < sum(pairs) <= 616_016
 
-    def test_kernel_calls_per_linearization(self, monkeypatch):
-        # the products and segment sums of a forward order-12 shipped
-        # linearization: a change that makes each call cheaper keeps both
-        calls = {"cauchy_product": 0, "segment_sum": 0}
+    @pytest.mark.parametrize("case, counts", [
+        ("shipped-12", {"cauchy_products": 117, "products": 144,
+                        "segment_sum": 114}),
+        ("lattice2-7", {"cauchy_products": 185, "products": 275,
+                        "segment_sum": 172}),
+    ])
+    def test_kernel_calls_per_linearization(self, monkeypatch, case, counts):
+        # the product-kernel calls, the products they form and the segment
+        # sums of a forward linearization: a change that makes each call
+        # cheaper keeps all three, and one that stops batching independent
+        # products raises the first.  Before the batched kernel, one call
+        # formed one product: shipped-12 made 145 calls and 138 segment
+        # sums, lattice2-7 275 calls and 238 segment sums
+        calls = dict.fromkeys(counts, 0)
 
         def counting(name, real):
             def counted(*args):
                 calls[name] += 1
+                if name == "cauchy_products":
+                    calls["products"] += len(args[0])
                 return real(*args)
             return counted
 
-        for name in calls:
+        for name in ("cauchy_products", "segment_sum"):
             monkeypatch.setattr(series_mod, name,
                                 counting(name, getattr(series_mod, name)))
-        run_case("shipped-12")
-        assert calls == {"cauchy_product": 145, "segment_sum": 138}
+        run_case(case)
+        assert calls == counts
 
 
 def test_result_digest_is_reproducible():

@@ -9,10 +9,10 @@ import toruslin
 from toruslin import DomainSpec, LatticeSpec, TruncatedSeries, \
     compose_diagonal, invert_vertical_map, sup_norm_bound, \
     partial_h, substitute_vertical
-from toruslin._kernels import table_data
+from toruslin._kernels import table_data, vertical_degrees
 from toruslin.deckmaps import DeckMap, compose_with_map
 from toruslin.series import PRUNE, SeriesError, _scatter, \
-    linear_combinations, scale_components
+    linear_combinations, products, scale_components, substitute_verticals
 
 from _oracles import (accumulate, dense_diff, dense_mul, dense_poly,
                       dense_substitute, random_series, shuffled_copy,
@@ -242,6 +242,85 @@ class TestComposeDiagonal:
         lhs = compose_diagonal(f.mul(g), lam, mu)
         rhs = compose_diagonal(f, lam, mu).mul(compose_diagonal(g, lam, mu))
         assert lhs.max_coeff_diff(rhs) < 1e-10 * max(1.0, lhs.max_abs())
+
+
+class TestSubstituteVerticals:
+    """Several series substituted into one phi in one pass: each bit for
+    bit what it gives alone and what the per-record loop gives."""
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_series_match_one_at_a_time(self, n, d):
+        rng = np.random.default_rng(130 + 10 * n + d)
+        phi = random_series(rng, n, d, components=d, vmax=6, pmax=2,
+                            nterms=8, min_vdeg=2, scale=0.1)
+        phi = TruncatedSeries(n, d, d, 6, coeffs=term_dict(phi),
+                              discarded=1e-12)
+        fs = [random_series(rng, n, d, components=n, vmax=6, pmax=3,
+                            nterms=14),
+              random_series(rng, n, d, components=d, vmax=5, pmax=3,
+                            nterms=10, min_vdeg=1),
+              TruncatedSeries(n, d, 1, 6, discarded=0.5),
+              random_series(rng, n, d, components=1, vmax=4, pmax=2,
+                            nterms=6)]
+        fs.append(fs[0])
+        # on a narrower phi, terms above its window leave their moduli in
+        # discarded between the amounts marked before each term
+        narrow = TruncatedSeries(n, d, d, 4, coeffs=term_dict(phi.cut(4)),
+                                 discarded=1e-12)
+        for phi in (phi, narrow):
+            got = substitute_verticals(fs, phi)
+            assert len(got) == len(fs)
+            for f, out in zip(fs, got):
+                assert exact(out) == exact(substitute_per_record(f, phi))
+                assert exact(out) == exact(substitute_vertical(f, phi))
+        # a phi without terms re-truncates every series
+        zero = TruncatedSeries(n, d, d, 5, discarded=0.25)
+        for f, out in zip(fs, substitute_verticals(fs, zero)):
+            assert exact(out) == exact(substitute_vertical(f, zero))
+        assert substitute_verticals([], phi) == []
+
+
+class TestProducts:
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_pairs_match_one_at_a_time(self, n, d):
+        # several products in one kernel call, with componentwise and
+        # broadcast pairs, truncation records and windows of their own:
+        # each bit for bit the product formed alone, and the dense product
+        rng = np.random.default_rng(150 + 10 * n + d)
+
+        def series(components, vmax, record=0.0):
+            f = random_series(rng, n, d, components=components, vmax=vmax,
+                              pmax=3, nterms=12)
+            return TruncatedSeries(n, d, components, vmax,
+                                   coeffs=term_dict(f), discarded=record)
+
+        a, b = series(2, 6, 1e-9), series(2, 5)
+        c, e = series(1, 6), series(1, 4, 2.0 ** -20)
+        pairs = [(a, b), (c, a), (b, c), (e, e), (c, c), (a, b),
+                 (TruncatedSeries(n, d, 2, 6), a)]
+        got = products(pairs)
+        assert len(got) == len(pairs)
+        for (x, y), out in zip(pairs, got):
+            alone = products([(x, y)])[0]
+            assert exact(out) == exact(alone) and stores_sorted(out)
+            for k in range(out.components):
+                want = dense_mul(dense_poly(x, k if x.components > 1 else 0),
+                                 dense_poly(y, k if y.components > 1 else 0),
+                                 n, d, out.vmax)
+                assert dense_diff(dense_poly(out, k), want) < 1e-12
+        assert products([]) == []
+
+
+class TestDegreeMaxima:
+    def test_maxima_are_the_homogeneous_parts_largest(self):
+        rng = np.random.default_rng(170)
+        f = random_series(rng, 2, 2, components=3, vmax=6, pmax=3,
+                          nterms=40)
+        for top in (0, 3, 6, 9):
+            got = f.degree_maxima(top)
+            assert got == [f.homogeneous_part(m).max_abs()
+                           for m in range(top + 1)]
+        assert TruncatedSeries(1, 1, 1, 4).degree_maxima(2) == [0.0] * 3
 
 
 class TestSubstituteVertical:
@@ -1058,7 +1137,9 @@ class TestKernelArrays:
         accumulate(f, [((1, (1,), (5,)), 2.0 - 1j)])
         assert f._store is None
         exps, vals, data = f._operand(1)
-        want = table_data(*self.fresh(f, 1), 1)
+        fresh_exps, fresh_vals = self.fresh(f, 1)
+        want = table_data(fresh_exps, fresh_vals,
+                          vertical_degrees(fresh_exps, 1))
         assert [1, 5] in exps.tolist()
         for got, expected in zip(data, want):
             assert got.tolist() == expected.tolist()
@@ -1389,11 +1470,13 @@ def test_package_writes_series_in_series_py():
 
 def test_pending_dicts_converted_once(monkeypatch):
     # building the shipped family and linearizing it at order 12 converts
-    # a pending dict to arrays 67 times (when pinned; 64 before each
-    # inversion whose first sweep is on the full window took one more),
-    # each in a different series made by a constructor; every other series
-    # is stored as arrays from the start, and no series holds a dict beside
-    # its arrays
+    # a pending dict to arrays 64 times (when pinned; 67 while the two
+    # compositions of an inversion sweep each made their own unit and
+    # vertical power, and a substitution into a series without terms left
+    # its result a pending dict; 64 before each inversion whose first
+    # sweep is on the full window took one more), each in a different
+    # series made by a constructor; every other series is stored as arrays
+    # from the start, and no series holds a dict beside its arrays
     from _fixtures import shipped_family
     from toruslin.linearize import linearize
     conversions, both = [], []
@@ -1421,7 +1504,7 @@ def test_pending_dicts_converted_once(monkeypatch):
     family, run = shipped_family(12)
     linearize(family, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
               qmax=run["qmax"])
-    assert len(conversions) == 67
+    assert len(conversions) == 64
     assert len({id(s) for s in conversions}) == len(conversions)
     assert not both
 
@@ -1432,7 +1515,7 @@ def test_inversions_stop_at_the_first_full_window_sweep(monkeypatch):
     # shipped family substitutes 24 times inside invert_vertical_map (21
     # before the blocks at degrees 7, 9 and 11, whose first sweep is on the
     # full window, took one more), and the degree-2 inverse family composes
-    # twice per map
+    # both perturbations of each map in one call per sweep
     from _fixtures import shipped_family
     import toruslin.deckmaps as deckmaps_mod
     import toruslin.series as series_mod
@@ -1442,16 +1525,17 @@ def test_inversions_stop_at_the_first_full_window_sweep(monkeypatch):
     def counting(module, name):
         real = getattr(module, name)
 
-        def counted(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
+        def counted(first, *args, **kwargs):
+            calls.append(name if name == "substitute_vertical"
+                         else (name, len(first)))
+            return real(first, *args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
     counting(series_mod, "substitute_vertical")
-    counting(deckmaps_mod, "compose_with_map")
+    counting(deckmaps_mod, "compose_with_maps")
     family, run = shipped_family(12)
     family.inverse(2)
-    assert calls == ["compose_with_map"] * 2 * family.n
+    assert calls == [("compose_with_maps", 2)] * family.n
     calls.clear()
     linearize(family, 12, run["epsilon"], run["radius"], pmax=run["pmax"],
               qmax=run["qmax"])
@@ -1507,6 +1591,16 @@ UNREFERENCED_ALLOWED = {
     "solve_single": "criterion 3's second route, the single-generator solve",
     "TruncatedSeries.from_text": "the TLS reader that phi_v.tls round-trips "
                                  "through",
+    "cauchy_product": "the one-product form of cauchy_products, which "
+                      "perfbench/tracing.py hooks by name and signature",
+    "conjugate_by_vertical": "the one-map form of conjugate_maps, through "
+                             "which the lattice2-o8 benchmark workload "
+                             "(perfbench/workloads.py) builds its family",
+    "compose_with_map": "the one-job form of compose_with_maps, which the "
+                        "benchmark's trace names as a span and the "
+                        "deck-map tests compose through",
+    "compose_maps": "the one-pair form of compose_map_pairs, m1 o m2, "
+                    "through which the deck-map tests check inverses",
 }
 
 
