@@ -19,7 +19,7 @@ degrees, moduli, mass at or above each degree and packed keys, which a
 series builds once per component and keeps with its arrays.  Each job's
 pairs are ordered by one stable argsort of their keys; then the pairs of
 the jobs, one job after another, are multiplied, summed per (job, key)
-and pruned in one pass, at most ``_PAIR_BLOCK`` pairs to a pass, so every
+and pruned in one pass, at most ``PASS_LIMIT`` pairs to a pass, so every
 job's output is bit for bit the one it gives alone.
 
 Product keys have one fixed layout: a row of ``m = n + d`` exponents packs
@@ -62,10 +62,11 @@ import numpy as np
 BACKEND = "py"
 
 _CHUNK = 2048
-# pairs that the products of one ``cauchy_products`` call sum in one pass,
-# at most: a larger batch is cut, so that the pass's arrays stay small
-# enough for a core's cache
-_PAIR_BLOCK = 1 << 14
+# the most pairs, or records, that the batched calls (``cauchy_products``
+# and, in ``series``, the sums and scatters of many series) sum in one
+# pass: a larger batch is cut into passes, so that batching saves calls
+# without making a pass's arrays larger than those of its largest part
+PASS_LIMIT = 1 << 12
 
 
 def modulus(z):
@@ -187,7 +188,7 @@ def cauchy_products(jobs, prune):
         if not count:
             out.append(_no_terms(exps_a, bound))
             continue
-        if block and size + count > _PAIR_BLOCK:
+        if block and size + count > PASS_LIMIT:
             _sum_block(jobs, out, block, prune)
             block, size = [], 0
         # the fields of two keys add without a carry: the sum is the key

@@ -290,9 +290,9 @@ def conjugate_maps(maps, G, H=None):
         H = invert_vertical_map(G)
     inner = substitute_into_maps(maps, H)
     lifted = compose_with_maps([(G, m, G.vmax) for m in inner])
-    return [DeckMap(lam=m.lam, mu=m.mu, pert_h=i.pert_h,
-                    pert_v=i.pert_v.add(lift))
-            for m, i, lift in zip(maps, inner, lifted)]
+    return [DeckMap(lam=m.lam, mu=m.mu, pert_h=sub.pert_h,
+                    pert_v=sub.pert_v.add(lift))
+            for m, sub, lift in zip(maps, inner, lifted)]
 
 
 def conjugate_by_vertical(m, G, H=None):

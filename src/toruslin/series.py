@@ -41,8 +41,9 @@ from math import fsum
 
 import numpy as np
 
-from ._kernels import cauchy_products, evaluate as _kernel_evaluate, \
-    modulus, multiply, segment_sum, table_data, vertical_degrees
+from ._kernels import PASS_LIMIT, cauchy_products, \
+    evaluate as _kernel_evaluate, modulus, multiply, segment_sum, \
+    table_data, vertical_degrees
 
 # values of modulus at most PRUNE are dropped instead of stored
 PRUNE = 1e-300
@@ -773,7 +774,8 @@ def linear_combinations(sums):
     order of the pairs.  Each result has the smallest window among its
     ``s_i``, and ``discarded`` summed in the same order, each
     ``s_i.discarded * |c_i|`` before the mass its own records lose to the
-    window.  All the sums share one segment sum.
+    window.  The sums share one segment sum, as many consecutive sums as
+    have at most ``PASS_LIMIT`` records together (a larger one alone).
 
     A shifted summand is formed on the concatenated records, not as a
     series: its exponents move by ``P_i``; a record of modulus PRUNE or
@@ -782,6 +784,10 @@ def linear_combinations(sums):
     ``c_i``.  Its mark is ``s_i.discarded * |p_i| * |c_i|``, the
     ``discarded`` of ``shift_h`` and ``scale`` times ``|c_i|``.
     """
+    passes = _passes([sum(s.nterms() for s, *_ in pairs) for pairs in sums])
+    if len(passes) > 1:
+        return [out for lo, hi in passes
+                for out in linear_combinations(sums[lo:hi])]
     outs, summands, scales, owner, folds = [], [], [], [], []
     for pairs in sums:
         first = pairs[0][0]
@@ -900,15 +906,34 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
                          else ks[lo:hi], exps[lo:hi], sums[lo:hi])
 
 
+def _passes(sizes):
+    """Consecutive index ranges of ``sizes`` whose items share one summing
+    pass: each range sums to at most ``PASS_LIMIT``, or holds one item."""
+    cuts, total = [0], 0
+    for i, size in enumerate(sizes):
+        if i > cuts[-1] and total + size > PASS_LIMIT:
+            cuts.append(i)
+            total = 0
+        total += size
+    return list(zip(cuts, cuts[1:] + [len(sizes)]))
+
+
 def _scatter_each(outs, records, marks, one_per_key=False):
     """``_scatter`` of each series' own records into the empty ``outs``,
     all in one call.
 
     ``records[o]`` is ``(ks, exps, vals)`` for ``outs[o]`` (``ks`` None for
     component 0 throughout), and ``marks[o]`` its ``(i, amount)`` marks,
-    ``i`` counted in its own records.  A single series' records go to
-    ``_scatter`` as they are.
+    ``i`` counted in its own records.  Consecutive series share a
+    ``_scatter`` while their records number at most ``PASS_LIMIT``
+    together; a single series' records go to it as they are.
     """
+    passes = _passes([len(vals) for _, _, vals in records])
+    if len(passes) > 1:
+        for lo, hi in passes:
+            _scatter_each(outs[lo:hi], records[lo:hi], marks[lo:hi],
+                          one_per_key)
+        return
     if len(outs) == 1:
         _scatter(outs, None, *records[0], marks, one_per_key)
         return

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import toruslin._kernels as kernels_mod
-from toruslin._kernels import _CHUNK, _PAIR_BLOCK, cauchy_product, \
+from toruslin._kernels import _CHUNK, PASS_LIMIT, cauchy_product, \
     cauchy_products, evaluate, modulus, segment_sum, table_data, \
     vertical_degrees
 
@@ -368,13 +368,13 @@ def kernel_job(exps_a, vals_a, exps_b, vals_b, n, vmax):
             table_data(exps_b, vals_b, vertical_degrees(exps_b, n)))
 
 
-@pytest.mark.parametrize("block", [_PAIR_BLOCK, 64])
+@pytest.mark.parametrize("block", [PASS_LIMIT, 64])
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
 def test_batched_products_match_one_at_a_time(monkeypatch, n, d, block):
     # every job of a batch, bit for bit the product it gives alone: empty
     # and one-term operands, jobs that form no pair, a vmax of its own per
     # job, and batches summed in one block or cut into many
-    monkeypatch.setattr(kernels_mod, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(kernels_mod, "PASS_LIMIT", block)
     rng = np.random.default_rng(90 + 10 * n + d)
     tables = [random_table(rng, size, n, d, 3, 5)
               for size in (0, 1, 1, 3, 12, 40, 40, 160, 170)]

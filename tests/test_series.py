@@ -279,6 +279,27 @@ class TestSubstituteVerticals:
             assert exact(out) == exact(substitute_vertical(f, zero))
         assert substitute_verticals([], phi) == []
 
+    def test_passes_change_no_bit(self, monkeypatch):
+        # series that share a pass and series cut into passes of a few
+        # records give the same sums and records, in a scatter of many
+        # series and in sums of many summands
+        import toruslin.series as series_mod
+        rng = np.random.default_rng(140)
+        phi = random_series(rng, 2, 1, vmax=6, pmax=2, nterms=8,
+                            min_vdeg=2, scale=0.1)
+        fs = [random_series(rng, 2, 1, components=c, vmax=6, pmax=3,
+                            nterms=12) for c in (2, 1, 1, 2)]
+        sums = [[(f.component(0), 0.5 - 1j), (fs[1], 2.0, (1, -1), 1j)]
+                for f in fs]
+        want = ([exact(out) for out in substitute_verticals(fs, phi)],
+                [exact(out) for out in linear_combinations(sums)])
+        monkeypatch.setattr(series_mod, "PASS_LIMIT", 5)
+        assert series_mod._passes([3, 2, 4, 9, 1, 1]) == [
+            (0, 2), (2, 3), (3, 4), (4, 6)]
+        got = ([exact(out) for out in substitute_verticals(fs, phi)],
+               [exact(out) for out in linear_combinations(sums)])
+        assert got == want
+
 
 class TestProducts:
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
