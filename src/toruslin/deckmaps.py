@@ -102,8 +102,10 @@ def compose_with_maps(jobs):
     pre-factor ``lam^P``, which the sum applies to its records as
     ``shift_h`` and ``scale`` would.  Each job's group pieces go into its
     output, each piece's ``discarded`` after its records: the sums and
-    ``discarded`` of adding them one group at a time.  All outputs are
-    written by one ``_scatter``.  Where ``u_k`` is exactly zero (no terms,
+    ``discarded`` of adding them one group at a time.  One scatter call
+    writes every output.  A sum or scatter call over many series runs in
+    passes of at most ``PASS_LIMIT`` records (see ``series._passes``).
+    Where ``u_k`` is exactly zero (no terms,
     no truncation record), as when ``pert_h`` is zero, ``(1 + u_k)^p`` is
     the unit and is not formed: multiplying by it would change no bit.
 

@@ -602,7 +602,7 @@ def substitute_vertical(f, phi):
 
 def substitute_verticals(fs, phi):
     """Substitute v <- v + phi(h, v) with ord_v phi >= 2 into each f in
-    ``fs``; all the results are written by one ``_scatter``.
+    ``fs``; one ``_scatter_each`` call writes all the results.
 
     The substitution is filtered by vertical degree: the degree-m part of
     the result only involves parts of phi of degree < m.  Dropping
@@ -675,9 +675,12 @@ def substitute_verticals(fs, phi):
         qkeys = fexps[:, n:] @ (f.vmax + 1) ** np.arange(f.d, dtype=np.int64)
         _, firsts, which = np.unique(qkeys, return_index=True,
                                      return_inverse=True)
-        Qs = [tuple(Q) for Q in fexps[firsts, n:].tolist()]
-        for Q in Qs:
-            if 0 < sum(Q) <= limit:
+        # each Q, and whether its row W_Q is formed: not for a pure
+        # h-monomial term or one past limit, each its own record
+        Qs = [(tuple(Q), 0 < sum(Q) <= limit)
+              for Q in fexps[firsts, n:].tolist()]
+        for Q, formed in Qs:
+            if formed:
                 needed[out.vmax, Q] = None
         plans.append((limit, Qs, which))
     W = _vertical_products(phi, needed)
@@ -694,8 +697,8 @@ def substitute_verticals(fs, phi):
         limit, Qs, which = plan
         fk, fexps, fvals = f._sorted()
         tables, lost = [], []
-        for Q in Qs:
-            if 0 < sum(Q) <= limit:
+        for Q, formed in Qs:
+            if formed:
                 tables.append(W[out.vmax, Q]._arrays(0))
                 lost.append(W[out.vmax, Q].discarded)
                 continue
@@ -736,28 +739,33 @@ def _vertical_products(phi, needed):
     one ``products`` call per power; each W_Q multiplies its factors in
     order of j, the first taken as is, one ``products`` call per factor.
     """
-    rows = phi._shift
     top = {}
     for vmax, Q in needed:
         for j, q in enumerate(Q):
-            if q:
-                top[vmax, j] = max(top.get((vmax, j), 0), q)
+            if q > top.get((vmax, j), 0):
+                top[vmax, j] = q
+    grow = [(phi._shift[vmax][j], q) for (vmax, j), q in top.items()]
     while True:
-        grow = [(vmax, j) for (vmax, j), q in top.items()
-                if len(rows[vmax][j]) <= q]
+        grow = [(row, q) for row, q in grow if len(row) <= q]
         if not grow:
             break
-        for (vmax, j), power in zip(grow, products(
-                [(rows[vmax][j][-1], rows[vmax][j][1]) for vmax, j in grow])):
-            rows[vmax][j].append(power)
-    factors = {(vmax, Q): [rows[vmax][j][q] for j, q in enumerate(Q) if q]
-               for vmax, Q in needed}
-    W = {key: row[0] for key, row in factors.items()}
-    for step in range(1, max(map(len, factors.values()), default=0)):
-        keys = [key for key, row in factors.items() if len(row) > step]
-        for key, prod in zip(keys, products([(W[key], factors[key][step])
-                                             for key in keys])):
+        for (row, _), power in zip(grow, products(
+                [(row[-1], row[1]) for row, _ in grow])):
+            row.append(power)
+    W, pending = {}, []
+    for vmax, Q in needed:
+        factors = [phi._shift[vmax][j][q] for j, q in enumerate(Q) if q]
+        W[vmax, Q] = factors[0]
+        if len(factors) > 1:
+            pending.append(((vmax, Q), factors))
+    step = 1
+    while pending:
+        for (key, _), prod in zip(pending, products(
+                [(W[key], factors[step]) for key, factors in pending])):
             W[key] = prod
+        step += 1
+        pending = [(key, factors) for key, factors in pending
+                   if len(factors) > step]
     return W
 
 
@@ -784,10 +792,6 @@ def linear_combinations(sums):
     ``c_i``.  Its mark is ``s_i.discarded * |p_i| * |c_i|``, the
     ``discarded`` of ``shift_h`` and ``scale`` times ``|c_i|``.
     """
-    passes = _passes([sum(s.nterms() for s, *_ in pairs) for pairs in sums])
-    if len(passes) > 1:
-        return [out for lo, hi in passes
-                for out in linear_combinations(sums[lo:hi])]
     outs, summands, scales, owner, folds = [], [], [], [], []
     for pairs in sums:
         first = pairs[0][0]
@@ -806,6 +810,12 @@ def linear_combinations(sums):
         return outs
     parts = [s._sorted() for s in summands]
     counts = [len(vals) for _, _, vals in parts]
+    if len(outs) > 1 and sum(counts) > PASS_LIMIT:
+        sizes = [0] * len(outs)
+        for o, count in zip(owner, counts):
+            sizes[o] += count
+        return [out for lo, hi in _passes(sizes)
+                for out in linear_combinations(sums[lo:hi])]
     exps = np.concatenate([exps for _, exps, _ in parts])
     vals = np.concatenate([vals for _, _, vals in parts])
     keep = np.ones(len(vals), dtype=bool)
@@ -928,14 +938,14 @@ def _scatter_each(outs, records, marks, one_per_key=False):
     ``_scatter`` while their records number at most ``PASS_LIMIT``
     together; a single series' records go to it as they are.
     """
+    if len(outs) == 1:
+        _scatter(outs, None, *records[0], marks, one_per_key)
+        return
     passes = _passes([len(vals) for _, _, vals in records])
     if len(passes) > 1:
         for lo, hi in passes:
             _scatter_each(outs[lo:hi], records[lo:hi], marks[lo:hi],
                           one_per_key)
-        return
-    if len(outs) == 1:
-        _scatter(outs, None, *records[0], marks, one_per_key)
         return
     counts = [len(vals) for _, _, vals in records]
     ks = None
