@@ -24,7 +24,7 @@ is one pair) and keeps the kernel's output, selections and ``scale`` are
 masks, and every sum or re-truncation is one ``_scatter``: its records
 are tested against ``vmax``, summed per key in record order and pruned,
 keys sorted.  ``substitute_verticals(fs, phi)`` substitutes many series
-into one ``phi`` through one scatter and keeps the powers ``(v_j +
+into one ``phi`` through one scatter call and keeps the powers ``(v_j +
 phi_j)^q`` with ``phi`` for later use.
 
 A coefficient dict exists only as a pending buffer, filled by the
