@@ -163,8 +163,9 @@ def cauchy_products(jobs, prune):
     operands' exponents are below the layout's limit, 2^29, 2^18 and 2^13
     for ``n + d`` = 2, 3 and 4, or ``table_data`` would have raised.  A
     stable sort of each job's pair keys keeps the pairs of a key in
-    row-major order; then the pairs of all jobs, one job after another,
-    are multiplied, summed per (job, key) and pruned together.
+    row-major order; then the pairs of consecutive jobs, one job after
+    another, are multiplied, summed per (job, key) and pruned together, at
+    most ``PASS_LIMIT`` pairs to a pass (a larger job alone).
 
     Products are ``multiply``'s and moduli ``modulus``'s, and every sum
     runs in a fixed order, so each kept value, the prune test and

@@ -644,20 +644,11 @@ class TestExactlyLinearThroughEachBlock:
         run_case("shipped-12")
         assert 0 < sum(pairs) <= 616_016
 
-    @pytest.mark.parametrize("case, counts", [
-        ("shipped-12", {"cauchy_products": 117, "products": 144,
-                        "segment_sum": 120}),
-        ("lattice2-7", {"cauchy_products": 185, "products": 275,
-                        "segment_sum": 172}),
-    ])
-    def test_kernel_calls_per_linearization(self, monkeypatch, case, counts):
-        # the product-kernel calls, the products they form and the segment
-        # sums of a forward linearization: a change that makes each call
-        # cheaper keeps all three, and one that stops batching independent
-        # products raises the first.  Before the batched kernel, one call
-        # formed one product: shipped-12 made 145 calls and 138 segment
-        # sums, lattice2-7 275 calls and 238 segment sums
-        calls = dict.fromkeys(counts, 0)
+    @staticmethod
+    def kernel_calls(monkeypatch, case):
+        """The product-kernel calls, the products they form and the segment
+        sums of a forward linearization of ``case``."""
+        calls = {"cauchy_products": 0, "products": 0, "segment_sum": 0}
 
         def counting(name, real):
             def counted(*args):
@@ -671,7 +662,25 @@ class TestExactlyLinearThroughEachBlock:
             monkeypatch.setattr(series_mod, name,
                                 counting(name, getattr(series_mod, name)))
         run_case(case)
-        assert calls == counts
+        return calls
+
+    def test_kernel_calls_per_linearization(self, monkeypatch):
+        # the product-kernel calls, the products they form and the segment
+        # sums of a forward order-12 shipped linearization: a change that
+        # makes each call cheaper keeps all three, and one that stops
+        # batching independent products raises the first.  Before the
+        # batched kernel, one call formed one product: 145 calls and 138
+        # segment sums
+        assert self.kernel_calls(monkeypatch, "shipped-12") == {
+            "cauchy_products": 117, "products": 144, "segment_sum": 120}
+
+    def test_kernel_calls_per_lattice_linearization(self, monkeypatch):
+        # the same counts for the n = 2 lattice family at order 8, where
+        # every round conjugates two maps and checks their commutation:
+        # 275 one-product calls and 238 segment sums before the batched
+        # kernel
+        assert self.kernel_calls(monkeypatch, "lattice2-7") == {
+            "cauchy_products": 185, "products": 275, "segment_sum": 172}
 
 
 def test_result_digest_is_reproducible():
