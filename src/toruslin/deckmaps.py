@@ -130,18 +130,17 @@ def compose_with_maps(jobs):
     n, d = jobs[0][0].n, jobs[0][0].d
     # per job: its map and horizontal window, the key of its horizontal
     # tables; its (k, Q) groups and the distinct P of its terms, shared by
-    # the jobs of one series and window
+    # the jobs of one series
     plans, seen = [], {}
     for f, m, vmax in jobs:
-        hwin = max(vmax - f.v_order(), 0)
-        if (id(f), hwin) not in seen:
+        if id(f) not in seen:
             terms = list(f.terms())
             groups = {}
             for k, P, Q, c in terms:
                 groups.setdefault((k, Q), []).append((P, c))
             hexps = list(dict.fromkeys(P for _, P, _, _ in terms))
-            seen[id(f), hwin] = (sorted(groups.items()), hexps)
-        plans.append(((id(m), hwin), *seen[id(f), hwin]))
+            seen[id(f)] = (sorted(groups.items()), hexps)
+        plans.append(((id(m), max(vmax - f.v_order(), 0)), *seen[id(f)]))
 
     # u_k = pert_h_k / (lam_k h_k) per (map, window, k), as far as a term
     # reads its powers: (1 + u)^p reads u^s up to smax = window // 2, and
@@ -190,7 +189,7 @@ def compose_with_maps(jobs):
             table.append(power)
 
     ones = {}
-    for _, hwin in (key for key, _, _ in plans):
+    for (_, hwin), _, _ in plans:
         if hwin not in ones:
             ones[hwin] = TruncatedSeries.monomial(
                 n, d, 0, (0,) * n, (0,) * d, 1.0, components=1, vmax=hwin)
