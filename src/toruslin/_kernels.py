@@ -69,6 +69,18 @@ _CHUNK = 2048
 PASS_LIMIT = 1 << 12
 
 
+def _passes(sizes):
+    """Consecutive index ranges of ``sizes`` whose items share one summing
+    pass: each range sums to at most ``PASS_LIMIT``, or holds one item."""
+    cuts, total = [], 0
+    for i, size in enumerate(sizes):
+        if not cuts or total + size > PASS_LIMIT:
+            cuts.append(i)
+            total = 0
+        total += size
+    return list(zip(cuts, cuts[1:] + [len(sizes)]))
+
+
 def modulus(z):
     """``abs`` of a complex array, bit for bit Python's scalar ``abs``."""
     z = np.asarray(z)
@@ -189,6 +201,8 @@ def cauchy_products(jobs, prune):
         if not count:
             out.append(_no_terms(exps_a, bound))
             continue
+        # the cut of ``_passes``, made as the pairs are formed, so that a
+        # pass's pairs are summed before the next job's are formed
         if block and size + count > PASS_LIMIT:
             _sum_block(jobs, out, block, prune)
             block, size = [], 0

@@ -104,7 +104,7 @@ def compose_with_maps(jobs):
     output, each piece's ``discarded`` after its records: the sums and
     ``discarded`` of adding them one group at a time.  One scatter call
     writes every output.  A sum or scatter call over many series runs in
-    passes of at most ``PASS_LIMIT`` records (see ``series._passes``).
+    passes of at most ``PASS_LIMIT`` records (see ``_kernels._passes``).
     Where ``u_k`` is exactly zero (no terms,
     no truncation record), as when ``pert_h`` is zero, ``(1 + u_k)^p`` is
     the unit and is not formed: multiplying by it would change no bit.
@@ -163,7 +163,7 @@ def compose_with_maps(jobs):
                     upow[key] = [None, u.with_window(vmax=hwin).shift_h(ek)
                                  .scale(1.0 / m.lam[k])]
             if upow[key]:
-                tops["u", *key] = max(tops.get(("u", *key), 0), top)
+                tops["u", key] = max(tops.get(("u", key), 0), top)
         for (_, Q), _ in groups:
             for j, q in enumerate(Q):
                 if not q:
@@ -176,10 +176,10 @@ def compose_with_maps(jobs):
                                                  vmax=vmax)
                     vpow[key] = [None, w.add(m.pert_v.component(j)
                                              .with_window(vmax=vmax))]
-                tops["v", *key] = max(tops.get(("v", *key), 0), q)
+                tops["v", key] = max(tops.get(("v", key), 0), q)
     # every chain one power further per products call
-    chains = [((upow if key[0] == "u" else vpow)[key[1:]], top)
-              for key, top in tops.items()]
+    chains = [((upow if kind == "u" else vpow)[key], top)
+              for (kind, key), top in tops.items()]
     while True:
         grow = [table for table, top in chains if len(table) <= top]
         if not grow:

@@ -41,7 +41,7 @@ from math import fsum
 
 import numpy as np
 
-from ._kernels import PASS_LIMIT, cauchy_products, \
+from ._kernels import _passes, cauchy_products, \
     evaluate as _kernel_evaluate, modulus, multiply, segment_sum, \
     table_data, vertical_degrees
 
@@ -783,7 +783,8 @@ def linear_combinations(sums):
     ``s_i``, and ``discarded`` summed in the same order, each
     ``s_i.discarded * |c_i|`` before the mass its own records lose to the
     window.  The sums share one segment sum, as many consecutive sums as
-    have at most ``PASS_LIMIT`` records together (a larger one alone).
+    have at most ``PASS_LIMIT`` records together (a larger one alone),
+    cut by ``_kernels._passes`` before any result is built.
 
     A shifted summand is formed on the concatenated records, not as a
     series: its exponents move by ``P_i``; a record of modulus PRUNE or
@@ -792,6 +793,11 @@ def linear_combinations(sums):
     ``c_i``.  Its mark is ``s_i.discarded * |p_i| * |c_i|``, the
     ``discarded`` of ``shift_h`` and ``scale`` times ``|c_i|``.
     """
+    passes = _passes([sum(len(s._sorted()[2]) for s, *_ in pairs)
+                      for pairs in sums])
+    if len(passes) > 1:
+        return [out for lo, hi in passes
+                for out in linear_combinations(sums[lo:hi])]
     outs, summands, scales, owner, folds = [], [], [], [], []
     for pairs in sums:
         first = pairs[0][0]
@@ -810,12 +816,6 @@ def linear_combinations(sums):
         return outs
     parts = [s._sorted() for s in summands]
     counts = [len(vals) for _, _, vals in parts]
-    if len(outs) > 1 and sum(counts) > PASS_LIMIT:
-        sizes = [0] * len(outs)
-        for o, count in zip(owner, counts):
-            sizes[o] += count
-        return [out for lo, hi in _passes(sizes)
-                for out in linear_combinations(sums[lo:hi])]
     exps = np.concatenate([exps for _, exps, _ in parts])
     vals = np.concatenate([vals for _, _, vals in parts])
     keep = np.ones(len(vals), dtype=bool)
@@ -863,8 +863,12 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
     record i.  The records inside are
     summed per series and key by ``segment_sum``, from 0.0 and in record
     order, and the sums of modulus above PRUNE are kept, in sorted key
-    order, as the series' ``_sorted`` arrays.  Records ``one_per_key``,
-    sorted, have nothing to sum: each is ``0j + c``.
+    order, as the series' ``_sorted`` arrays.  Where the series index and
+    the rows of all the series need more than 63 bits together, each
+    series' records are summed by a ``segment_sum`` of their own, so a
+    scatter of many series packs whatever a scatter of each would.
+    Records ``one_per_key``, sorted, have nothing to sum: each is ``0j +
+    c``.
     """
     n = outs[0].n
     vmax = outs[0].vmax if ids is None else \
@@ -898,7 +902,20 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
     else:
         columns = [col for col in (ids, ks) if col is not None]
         rows = np.column_stack((*columns, exps)) if columns else exps
-        first, sums = segment_sum(rows, vals)
+        try:
+            first, sums = segment_sum(rows, vals)
+        except OverflowError:
+            if ids is None:
+                raise
+            # rows too wide to pack with the series index and the ranges
+            # of all the series: each series' records are one run, summed
+            # alone as a scatter of that series would sum them
+            cuts = np.searchsorted(ids, np.arange(len(outs) + 1)).tolist()
+            parts = [segment_sum(rows[lo:hi, 1:], vals[lo:hi])
+                     for lo, hi in zip(cuts, cuts[1:])]
+            first = np.concatenate([lo + run_first for lo, (run_first, _)
+                                    in zip(cuts, parts)])
+            sums = np.concatenate([run_sums for _, run_sums in parts])
     # a sum starts from +0.0, so it is never -0.0, and adding it to an
     # empty slot (0j + sum) would change no bit
     live = modulus(sums) > PRUNE
@@ -916,18 +933,6 @@ def _scatter(outs, ids, ks, exps, vals, marks, one_per_key=False):
                          else ks[lo:hi], exps[lo:hi], sums[lo:hi])
 
 
-def _passes(sizes):
-    """Consecutive index ranges of ``sizes`` whose items share one summing
-    pass: each range sums to at most ``PASS_LIMIT``, or holds one item."""
-    cuts, total = [0], 0
-    for i, size in enumerate(sizes):
-        if i > cuts[-1] and total + size > PASS_LIMIT:
-            cuts.append(i)
-            total = 0
-        total += size
-    return list(zip(cuts, cuts[1:] + [len(sizes)]))
-
-
 def _scatter_each(outs, records, marks, one_per_key=False):
     """``_scatter`` of each series' own records into the empty ``outs``,
     all in one call.
@@ -936,7 +941,10 @@ def _scatter_each(outs, records, marks, one_per_key=False):
     component 0 throughout), and ``marks[o]`` its ``(i, amount)`` marks,
     ``i`` counted in its own records.  Consecutive series share a
     ``_scatter`` while their records number at most ``PASS_LIMIT``
-    together; a single series' records go to it as they are.
+    together, a series with more alone (``_kernels._passes``).  A single
+    series' records go to ``_scatter`` as they are: a series index and
+    concatenated copies would change no bit, and would cost time on the
+    many one-series substitutions of a one-generator linearization.
     """
     if len(outs) == 1:
         _scatter(outs, None, *records[0], marks, one_per_key)

@@ -283,7 +283,7 @@ class TestSubstituteVerticals:
         # series that share a pass and series cut into passes of a few
         # records give the same sums and records, in a scatter of many
         # series and in sums of many summands
-        import toruslin.series as series_mod
+        import toruslin._kernels as kernels_mod
         rng = np.random.default_rng(140)
         phi = random_series(rng, 2, 1, vmax=6, pmax=2, nterms=8,
                             min_vdeg=2, scale=0.1)
@@ -293,12 +293,37 @@ class TestSubstituteVerticals:
                 for f in fs]
         want = ([exact(out) for out in substitute_verticals(fs, phi)],
                 [exact(out) for out in linear_combinations(sums)])
-        monkeypatch.setattr(series_mod, "PASS_LIMIT", 5)
-        assert series_mod._passes([3, 2, 4, 9, 1, 1]) == [
+        monkeypatch.setattr(kernels_mod, "PASS_LIMIT", 5)
+        assert kernels_mod._passes([3, 2, 4, 9, 1, 1]) == [
             (0, 2), (2, 3), (3, 4), (4, 6)]
         got = ([exact(out) for out in substitute_verticals(fs, phi)],
                [exact(out) for out in linear_combinations(sums)])
         assert got == want
+
+    def test_series_that_pack_alone_pack_together(self):
+        # each series' records need 60 bits for h and 3 for v, 63 in all,
+        # so a series index beside them, and the two series' h ranges
+        # together, cannot pack into one key: each series is summed alone
+        rng = np.random.default_rng(150)
+        phi = random_series(rng, 1, 1, vmax=4, pmax=1, nterms=6,
+                            min_vdeg=2, scale=0.1)
+        far = (1 << 60) - 16
+        fs = [TruncatedSeries(1, 1, 1, 4, coeffs={
+                  (0, (sign * P,), (q,)): 0.5 + q - 1j * sign
+                  for P in (0, far) for q in range(4)})
+              for sign in (1, -1)]
+        for f, out in zip(fs, substitute_verticals(fs, phi)):
+            assert exact(out) == exact(substitute_vertical(f, phi))
+        sums = [[(f, 2.0 - 1j)] for f in fs]
+        for pair, out in zip(sums, linear_combinations(sums)):
+            assert exact(out) == exact(linear_combinations([pair])[0])
+        # one bit more is past what a series alone packs
+        wide = fs[0].add(TruncatedSeries(1, 1, 1, 4, coeffs={
+            (0, (-far,), (0,)): 1.0}))
+        with pytest.raises(OverflowError):
+            substitute_vertical(wide, phi)
+        with pytest.raises(OverflowError):
+            substitute_verticals([wide, fs[1]], phi)
 
 
 class TestProducts:
