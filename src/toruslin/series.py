@@ -793,8 +793,9 @@ def linear_combinations(sums):
     ``c_i``.  Its mark is ``s_i.discarded * |p_i| * |c_i|``, the
     ``discarded`` of ``shift_h`` and ``scale`` times ``|c_i|``.
     """
-    passes = _passes([sum(len(s._sorted()[2]) for s, *_ in pairs)
-                      for pairs in sums])
+    parts = [[s._sorted() for s, *_ in pairs] for pairs in sums]
+    passes = _passes([sum([len(vals) for _, _, vals in mine])
+                      for mine in parts])
     if len(passes) > 1:
         return [out for lo, hi in passes
                 for out in linear_combinations(sums[lo:hi])]
@@ -814,7 +815,7 @@ def linear_combinations(sums):
             folds.append((fold[0], complex(fold[1])) if fold else None)
     if not outs:
         return outs
-    parts = [s._sorted() for s in summands]
+    parts = [part for mine in parts for part in mine]
     counts = [len(vals) for _, _, vals in parts]
     exps = np.concatenate([exps for _, exps, _ in parts])
     vals = np.concatenate([vals for _, _, vals in parts])
