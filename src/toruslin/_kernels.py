@@ -52,7 +52,12 @@ FMA hardware).
 ``exp(P . log|h|)`` per term and point, and a phase gathered from small
 per-variable power tables of ``exp(i arg h_j)`` and ``v_j``.  It does not
 tabulate ``h_j`` itself, whose powers can overflow at an intermediate step
-where the monomial is finite (see its docstring).
+where the monomial is finite (see its docstring).  It forms no matrix
+product: the exponent sums ``P . log|h|`` (``exponent_sums``) and the term
+sums run in a fixed order per point, with ``multiply`` for every complex
+product, so a point's value does not depend on which other points share
+the call, and ``norms`` can evaluate a few points of a sample and get the
+bits that the whole sample would give them.
 """
 
 from itertools import accumulate
@@ -338,18 +343,32 @@ def segment_sum(rows, vals):
 def _power_table(z, lo, hi):
     """Rows z**lo .. z**hi of each point's z, for lo <= 0 <= hi.
 
-    Built by repeated multiplication from the row of ones; negative powers
+    Built by repeated ``multiply`` from the row of ones; negative powers
     are powers of the reciprocal, which is formed only when ``lo < 0``.
     """
     table = np.empty((hi - lo + 1, len(z)), dtype=np.complex128)
     table[-lo] = 1.0
     for k in range(1, hi + 1):
-        np.multiply(table[-lo + k - 1], z, out=table[-lo + k])
+        table[-lo + k] = multiply(table[-lo + k - 1], z)
     if lo < 0:
         inv = 1.0 / z
         for k in range(1, -lo + 1):
-            np.multiply(table[-lo - k + 1], inv, out=table[-lo - k])
+            table[-lo - k] = multiply(table[-lo - k + 1], inv)
     return table
+
+
+def exponent_sums(P, x):
+    """``P @ x.T`` in a fixed order: entry (t, i) is ``P[t, 0] x[i, 0] +
+    P[t, 1] x[i, 1] + ...``, added column by column.
+
+    P: (N, n) float; x: (M, n) float.  Each entry's bits depend on its
+    row of P and its point alone, where a matrix product's depend on the
+    BLAS build and on the shape of the call.
+    """
+    sums = np.multiply.outer(P[:, 0], x[:, 0])
+    for j in range(1, P.shape[1]):
+        sums += np.multiply.outer(P[:, j], x[:, j])
+    return sums
 
 
 def evaluate(exps, vals, logh, v):
@@ -358,16 +377,23 @@ def evaluate(exps, vals, logh, v):
     logh: (M, n) complex log of the h coordinates; v: (M, d) complex.
 
     Each monomial is split into a modulus and a phase.  The modulus
-    ``exp(P_t . Re(logh))`` is one real ``exp`` per term and point.  The
-    phase is a product of gathers from per-variable power tables: one of
-    ``exp(i Im(logh_j))`` for each h variable and one of ``v_j`` for each
-    vertical variable, each built by repeated multiplication.  ``h_j``
-    itself is not tabulated: on a domain far from ``|h| = 1`` a power
-    ``h_j^k`` can overflow (or underflow) at an intermediate step although
-    ``exp(P_t . log|h|)`` is finite, and the table would carry ``inf`` or
-    ``nan`` into the sum.  The unit-modulus phase tables cannot overflow,
-    and the v tables hold powers of ``|v_j| <= r`` with nonnegative
-    exponents in every series this package builds.
+    ``exp(P_t . Re(logh))`` is one real ``exp`` per term and point, of
+    the ``exponent_sums``.  The phase is a product of gathers from
+    per-variable power tables: one of ``exp(i Im(logh_j))`` for each h
+    variable and one of ``v_j`` for each vertical variable, each built by
+    repeated multiplication.  ``h_j`` itself is not tabulated: on a domain
+    far from ``|h| = 1`` a power ``h_j^k`` can overflow (or underflow) at
+    an intermediate step although ``exp(P_t . log|h|)`` is finite, and the
+    table would carry ``inf`` or ``nan`` into the sum.  The unit-modulus
+    phase tables cannot overflow, and the v tables hold powers of ``|v_j|
+    <= r`` with nonnegative exponents in every series this package builds.
+
+    Each term is ``vals[t]`` times its phase factors, one at a time, then
+    times its modulus, so it overflows only where ``|vals[t]| exp(P_t .
+    log|h|) |v^Q_t|`` itself nearly does; the terms are added in table
+    order.  Every step is an elementwise
+    ``multiply``, real product or sum in a fixed order per point, so each
+    point's value has the same bits whatever other points share the call.
     """
     m_pts, n = logh.shape
     out = np.zeros(m_pts, dtype=np.complex128)
@@ -376,15 +402,20 @@ def evaluate(exps, vals, logh, v):
     pexp = exps[:, :n].astype(np.float64)
     lo = np.minimum(exps.min(axis=0), 0)
     hi = np.maximum(exps.max(axis=0), 0)
+    # a column of zero exponents multiplies every term by 1: it is skipped
+    cols = [j for j in range(exps.shape[1]) if lo[j] < hi[j]]
     for start in range(0, m_pts, _CHUNK):
         pts = slice(start, start + _CHUNK)
         lh = logh[pts]
-        mono = np.exp(pexp @ lh.real.T)
-        for j in range(exps.shape[1]):
+        terms = np.repeat(vals[:, None], len(lh), axis=1)
+        for j in cols:
             z = np.exp(1j * lh[:, j].imag) if j < n else v[pts, j - n]
-            # the gather is a fresh array, so the product can go in place
-            factor = _power_table(z, lo[j], hi[j])[exps[:, j] - lo[j]]
-            factor *= mono
-            mono = factor
-        out[pts] = vals @ mono
+            terms = multiply(_power_table(z, lo[j], hi[j])[exps[:, j] - lo[j]],
+                             terms)
+        mono = np.exp(exponent_sums(pexp, lh.real))
+        terms.real *= mono
+        terms.imag *= mono
+        acc = out[pts]
+        for row in terms:
+            acc += row
     return out

@@ -19,6 +19,8 @@ call per ledger entry, where the library shares each degree's domains
 among all of them in one call; ``apply_vertical_operator`` applies
 the operator the solvers invert by division; ``translates_fit`` probes the
 hull that ``max_margin_eta`` answers for in closed form;
+``full_sample`` and ``full_sample_max`` evaluate every point of the
+sample that ``sampled_lower_bound`` prunes by its triangle bound;
 ``compose_power``, ``norm_certificate``, ``identity_map``,
 ``result_digest`` and ``coefficient_digest`` are test helpers.
 """
@@ -176,6 +178,26 @@ def random_series(rng, n, d, components=1, vmax=6, pmax=4, nterms=12,
         c = scale * complex(rng.standard_normal(), rng.standard_normal())
         coeffs[(k, P, Q)] = coeffs.get((k, P, Q), 0.0) + c
     return TruncatedSeries(n, d, components, vmax, coeffs=coeffs)
+
+
+def full_sample(f, domain, points, seed):
+    """``sampled_lower_bound``'s sample, (x, values): the same draws from
+    the same generator, every point evaluated in one call; x holds the
+    points' log-moduli and values their (points, components) values."""
+    rng = np.random.default_rng(seed)
+    x = domain.sample_log_points(rng, points)
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=x.shape)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(points, f.d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f.evaluate(x + 1j * theta, domain.r * np.exp(1j * phases))
+    return x, values
+
+
+def full_sample_max(f, domain, points, seed):
+    """The largest ``abs`` of a value over every point and component of
+    ``full_sample``."""
+    values = full_sample(f, domain, points, seed)[1]
+    return max((abs(c) for c in values.ravel().tolist()), default=0.0)
 
 
 def substitute_per_record(f, phi):

@@ -26,6 +26,7 @@ from toruslin.problem import parse_problem
 from _fixtures import golden_lattice
 from _oracles import in_hull, random_series
 from test_cohomology import compatible_family, dense_lstsq_oracle, setup_2d
+from test_norms import evaluated_points
 
 
 def report_line(num, ok, text):
@@ -114,37 +115,58 @@ def test_criterion_4_uniqueness_gluing():
     assert worst <= 1e-12
 
 
-def test_criterion_5_norm_bound_soundness():
+def criterion_5_pairs():
+    """Criterion 5's 500 (series, domain, seed) inputs: 100 seeded series,
+    on an ``n = 2`` and an ``n = 1`` lattice in turn, each on five
+    domains."""
     lat1 = golden_lattice()
     lat2 = LatticeSpec(2, 1, [[1, 0], [0, 1],
                               [0.3 + 1.0j, 0.5 + 0.2j],
                               [0.7 + 0.1j, 0.2 + 1.0j]])
-    violations = 0
-    checked = 0
     rng = np.random.default_rng(5150)
     for idx in range(100):
         lat = lat1 if idx % 2 else lat2
         n = lat.n
         f = random_series(rng, n, 1, components=1, vmax=5, pmax=3,
                           nterms=15)
-        domains = [
-            DomainSpec(lat, 0.15, 0.45),
-            DomainSpec(lat, 0.1, 0.5, word=((0, 1),)),
-            DomainSpec(lat, 0.2, 0.4, word=((n - 1, -2),)),
-            DomainSpec(lat, 0.1, 0.5, union_ell=2),
-            DomainSpec(lat, 0.12, 0.5, hull=True),
-        ]
-        for dom in domains:
-            upper = sup_norm_bound(f, dom).value
-            lower = sampled_lower_bound(f, dom, points=10_000,
-                                        seed=9000 + idx).value
-            checked += 1
-            if lower > upper * (1 + 1e-12):
-                violations += 1
+        for dom in (DomainSpec(lat, 0.15, 0.45),
+                    DomainSpec(lat, 0.1, 0.5, word=((0, 1),)),
+                    DomainSpec(lat, 0.2, 0.4, word=((n - 1, -2),)),
+                    DomainSpec(lat, 0.1, 0.5, union_ell=2),
+                    DomainSpec(lat, 0.12, 0.5, hull=True)):
+            yield f, dom, 9000 + idx
+
+
+def test_criterion_5_norm_bound_soundness():
+    violations = 0
+    checked = 0
+    for f, dom, seed in criterion_5_pairs():
+        upper = sup_norm_bound(f, dom).value
+        lower = sampled_lower_bound(f, dom, points=10_000, seed=seed).value
+        checked += 1
+        if lower > upper * (1 + 1e-12):
+            violations += 1
     ok = violations == 0 and checked == 500
     report_line(5, ok, "%d series/domain pairs, %d violations"
                 % (checked, violations))
     assert violations == 0
+
+
+def test_criterion_5_samples_are_pruned(monkeypatch):
+    # criterion 5's sampled lower bounds evaluate in full only the points
+    # whose triangle bound can reach the maximum: a return to evaluating
+    # every point fails here, where the benchmark's clock could miss it
+    counts = evaluated_points(monkeypatch)
+    worst = total = 0
+    for f, dom, seed in criterion_5_pairs():
+        counts.clear()
+        sampled_lower_bound(f, dom, points=10_000, seed=seed)
+        worst = max(worst, sum(counts))
+        total += sum(counts)
+    print("criterion 5 evaluates %d of 5,000,000 points, at most %d of "
+          "10,000 per pair" % (total, worst))
+    assert worst < 1_000
+    assert total < 50_000
 
 
 def test_criterion_6_hartogs_geometry():

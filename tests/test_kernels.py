@@ -200,6 +200,30 @@ def test_evaluate_matches_longdouble_reference(n, d, zero_column):
     assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("zero_column", [False, True])
+@pytest.mark.parametrize("n, d", CASES)
+def test_evaluate_does_not_depend_on_the_other_points(n, d, zero_column):
+    # each point's value has the same bits whichever points share the
+    # call, in whatever order: no matrix product, no chunk boundary and no
+    # SIMD loop's tail changes a point's rounding
+    rng = np.random.default_rng(40 + 10 * n + d + 100 * zero_column)
+    exps = rng.integers(-4, 5, size=(25, n + d)).astype(np.int64)
+    if zero_column:
+        exps[:, -1] = 0
+    exps = np.unique(exps, axis=0)
+    vals = rng.standard_normal(len(exps)) + 1j * rng.standard_normal(len(exps))
+    m_pts = 3 * _CHUNK + 11
+    logh = (rng.uniform(-0.4, 0.4, (m_pts, n))
+            + 1j * rng.uniform(0, 2 * np.pi, (m_pts, n)))
+    v = rng.uniform(0.3, 0.6, (m_pts, d)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, (m_pts, d)))
+    full = evaluate(exps, vals, logh, v)
+    for size in (1, 7, 333, 5000):
+        idx = rng.choice(m_pts, size, replace=False)
+        got = evaluate(exps, vals, logh[idx], v[idx])
+        assert bit_pairs(got) == bit_pairs(full[idx])
+
+
 @pytest.mark.parametrize("n, d", CASES)
 def test_evaluate_empty_table(n, d):
     rng = np.random.default_rng(7)

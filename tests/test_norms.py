@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from toruslin import DomainSpec, LatticeSpec, sampled_lower_bound, sup_norm_bound
-from toruslin.norms import sup_norm_bound_union, sup_norm_bounds
+from toruslin.norms import _reach, sup_norm_bound_union, sup_norm_bounds
+import toruslin.series as series_mod
 from toruslin.series import TruncatedSeries
 
-from _oracles import random_series
+from _oracles import full_sample, full_sample_max, random_series
 
 
 def lat1():
@@ -94,6 +95,99 @@ def test_sampled_bound_finite_where_h_powers_overflow():
     lower = sampled_lower_bound(f, dom, points=64).value
     assert lower == pytest.approx(1.8428416968113683, rel=1e-12)
     assert lower <= sup_norm_bound(f, dom).value
+
+
+def evaluated_points(monkeypatch):
+    """A list that counts, per component, the points each ``evaluate`` of
+    a series is called with: ``sampled_lower_bound``'s full evaluations."""
+    counts = []
+    evaluate = series_mod._kernel_evaluate
+
+    def counted(exps, vals, logh, v):
+        counts.append(len(logh))
+        return evaluate(exps, vals, logh, v)
+
+    monkeypatch.setattr(series_mod, "_kernel_evaluate", counted)
+    return counts
+
+
+def check_full_sample(f, dom, points, seed):
+    """``sampled_lower_bound`` is bit for bit the largest ``abs`` over the
+    whole sample, and each component's pruning bound is at least every
+    sampled ``abs`` of that component."""
+    x, values = full_sample(f, dom, points, seed)
+    for k in range(f.components):
+        exps, vals = f._arrays(k)
+        reach = _reach(exps, vals, f.n, x, dom.r) if len(vals) else 0.0
+        assert (np.array([abs(c) for c in values[:, k].tolist()])
+                <= reach).all()
+    got = sampled_lower_bound(f, dom, points=points, seed=seed).value
+    assert got.hex() == full_sample_max(f, dom, points, seed).hex()
+    return got
+
+
+def domain_kinds(lat):
+    """The base domain, two translates, a union and a hull on ``lat``."""
+    n = lat.n
+    return [DomainSpec(lat, 0.15, 0.45),
+            DomainSpec(lat, 0.1, 0.5, word=((0, 1),)),
+            DomainSpec(lat, 0.2, 0.4, word=((n - 1, -2),)),
+            DomainSpec(lat, 0.1, 0.5, union_ell=2),
+            DomainSpec(lat, 0.12, 0.5, hull=True)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_bound_is_the_full_sample_maximum(seed):
+    # the points that the triangle bound prunes cannot hold the maximum:
+    # it is the one over every point, bit for bit, on every domain kind,
+    # for n = 1 and 2 and one to three components
+    rng = np.random.default_rng(300 + seed)
+    lat = lat2() if seed % 2 else lat1()
+    f = random_series(rng, lat.n, 1, components=1 + seed % 3, vmax=5,
+                      pmax=3, nterms=15)
+    for dom in domain_kinds(lat):
+        check_full_sample(f, dom, 3000, seed)
+
+
+def test_sampled_bound_where_every_point_is_a_candidate(monkeypatch):
+    # 54 unit-modulus terms on a domain where |h| is near 1: the triangle
+    # bound, about 54 everywhere, is far above |f|, so no point is pruned
+    rng = np.random.default_rng(7)
+    lat = LatticeSpec(1, 1, [[1.0], [0.3 + 0.01j]])
+    f = TruncatedSeries(1, 1, 1, 5, coeffs={
+        (0, (P,), (Q,)): complex(np.exp(2j * np.pi * rng.uniform()))
+        for P in range(-4, 5) for Q in range(6)})
+    counts = evaluated_points(monkeypatch)
+    for dom in (DomainSpec(lat, 0.1, 1.0), DomainSpec(lat, 0.1, 1.0,
+                                                        hull=True)):
+        counts.clear()
+        got = sampled_lower_bound(f, dom, points=4000, seed=3).value
+        assert got < 54 / 2
+        # the point of largest bound, then all of them
+        assert counts == [1, 4000]
+        assert check_full_sample(f, dom, 4000, 3) == got
+
+
+def test_sampled_bound_without_points_or_terms():
+    dom = DomainSpec(lat2(), 0.2, 0.5)
+    f = random_series(np.random.default_rng(8), 2, 1, components=2)
+    assert sampled_lower_bound(f, dom, points=0).value == 0.0
+    for components in (1, 3):
+        empty = TruncatedSeries(2, 1, components, 5)
+        assert sampled_lower_bound(empty, dom, points=100).value == 0.0
+
+
+def test_minority_of_nonfinite_sample_points_raises():
+    # |h|^-2 overflows only where log|h| < -354.9, on about 8% of this
+    # sample; the rest of the sample is finite, its maximum too
+    lat = LatticeSpec(1, 1, [[1.0], [0.3 + 60j]])
+    dom = DomainSpec(lat, 0.02, 0.5)
+    f = TruncatedSeries(1, 1, 1, 3, coeffs={(0, (-2,), (0,)): 1.0,
+                                            (0, (0,), (1,)): 2.0})
+    x = dom.sample_log_points(np.random.default_rng(20260811), 2048)
+    assert 0 < (-2 * x > 709.8).mean() < 0.1
+    with pytest.raises(ValueError, match="not finite"):
+        sampled_lower_bound(f, dom)
 
 
 def test_certified_bound_finite_where_monomial_sup_overflows():
