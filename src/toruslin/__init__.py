@@ -9,7 +9,7 @@ check.
 
 from ._kernels import BACKEND as kernel_backend
 from .series import TruncatedSeries, compose_diagonal, invert_vertical_map, \
-    partial_h, substitute_vertical
+    substitute_vertical
 from .lattice import DomainSpec, LatticeSpec, log_indicatrix, max_margin_eta, \
     union_and_hull
 from .norms import NormBound, sampled_lower_bound, sup_norm_bound
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TruncatedSeries", "compose_diagonal", "substitute_vertical",
-    "partial_h", "invert_vertical_map",
+    "invert_vertical_map",
     "LatticeSpec", "DomainSpec", "log_indicatrix", "union_and_hull",
     "max_margin_eta",
     "NormBound", "sup_norm_bound", "sampled_lower_bound",

@@ -17,9 +17,10 @@ The degree loop conjugates every deck map of a family and checks every
 pair for commutation, so the calculus works on lists: ``compose_with_maps``
 composes many (series, map, window) jobs in one pass, and
 ``conjugate_maps``, ``substitute_into_maps`` and ``compose_map_pairs``
-hand it, and ``substitute_verticals``, all their maps at once.  The
-one-job forms ``compose_with_map``, ``conjugate_by_vertical`` and
-``compose_maps`` call them with a list of one.
+hand it, and ``substitute_verticals``, all their maps at once.  A single
+job is a list of one; ``conjugate_by_vertical``, ``conjugate_maps`` of one
+map, is kept for the benchmark under ``perfbench/``, which builds its
+``lattice2-o8`` family through it.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ from math import factorial
 
 import numpy as np
 
-from .series import (TruncatedSeries, _scatter_each, invert_vertical_map,
+from .series import (TruncatedSeries, _fold_products, _grow_powers,
+                     _scatter_each, _vertical_row, invert_vertical_map,
                      linear_combinations, products, scale_components,
                      substitute_verticals)
 
@@ -79,12 +81,6 @@ class DeckMap:
         return max(self.pert_h.max_abs(), self.pert_v.max_abs())
 
 
-def compose_with_map(f, m, vmax=None):
-    """The composition f o m for a deck map m, truncated at ``vmax``:
-    ``compose_with_maps`` of this one job."""
-    return compose_with_maps([(f, m, vmax)])[0]
-
-
 def compose_with_maps(jobs):
     """The composition f o m truncated at ``vmax`` (f's own window where it
     is None) for every job (f, m, vmax), in one pass.
@@ -117,9 +113,11 @@ def compose_with_maps(jobs):
     would only have formed pairs above vmax.
 
     The products of all jobs go in lockstep, one ``products`` call per
-    step: per power of the u and the vertical power chains, per factor of
-    the products of binomial series, and per vertical coordinate of the
-    group products.  Jobs that share a map and a window share its u
+    step: per power of the u and the vertical power chains
+    (``_grow_powers``, the rule that grows ``substitute_verticals``'
+    powers), per factor of the products of binomial series
+    (``_fold_products``), and per vertical coordinate of the group
+    products.  Jobs that share a map and a window share its u
     powers, binomial series and vertical powers, and each power is formed
     only as far as some term reads it.  Every series is the same product,
     in the same order, as when each job is composed alone.
@@ -170,23 +168,10 @@ def compose_with_maps(jobs):
                     continue
                 key = (mid, vmax, j)
                 if key not in vpow:
-                    ej = tuple(1 if t == j else 0 for t in range(d))
-                    w = TruncatedSeries.monomial(n, d, 0, (0,) * n, ej,
-                                                 m.mu[j], components=1,
-                                                 vmax=vmax)
-                    vpow[key] = [None, w.add(m.pert_v.component(j)
-                                             .with_window(vmax=vmax))]
+                    vpow[key] = _vertical_row(m.pert_v, j, m.mu[j], vmax)
                 tops["v", key] = max(tops.get(("v", key), 0), q)
-    # every chain one power further per products call
-    chains = [((upow if kind == "u" else vpow)[key], top)
-              for (kind, key), top in tops.items()]
-    while True:
-        grow = [table for table, top in chains if len(table) <= top]
-        if not grow:
-            break
-        for table, power in zip(grow, products(
-                [(table[-1], table[1]) for table in grow])):
-            table.append(power)
+    _grow_powers([((upow if kind == "u" else vpow)[key], top)
+                  for (kind, key), top in tops.items()])
 
     ones = {}
     for (_, hwin), _, _ in plans:
@@ -204,28 +189,25 @@ def compose_with_maps(jobs):
                                 for s in range(1, hwin // 2 + 1)
                                 if _gen_binom(p, s)]
          for mid, hwin, k, p in needed])))
-    del upow, chains
+    del upow
 
-    # prod_k (1 + u_k)^{p_k} and lam^P per (map, window, P), the first
-    # factor taken as is, not multiplied into the unit; one products call
-    # per further factor
-    hcache, factors = {}, {}
+    # prod_k (1 + u_k)^{p_k} and lam^P per (map, window, P); the product
+    # of no binomial series is the unit
+    factors, lam_facs = {}, []
     for (_, m, _), ((mid, hwin), _, hexps) in zip(jobs, plans):
         for P in hexps:
-            if (mid, hwin, P) in hcache:
+            if (mid, hwin, P) in factors:
                 continue
             lam_fac = 1.0 + 0.0j
             for lam, p in zip(m.lam, P):
                 lam_fac *= lam ** int(p)
-            row = [binom[mid, hwin, k, p] for k, p in enumerate(P)
-                   if (mid, hwin, k, p) in binom]
-            factors[mid, hwin, P] = row
-            hcache[mid, hwin, P] = [row[0] if row else ones[hwin], lam_fac]
-    for step in range(1, max(map(len, factors.values()), default=0)):
-        keys = [key for key, row in factors.items() if len(row) > step]
-        for key, prod in zip(keys, products(
-                [(hcache[key][0], factors[key][step]) for key in keys])):
-            hcache[key][0] = prod
+            lam_facs.append(lam_fac)
+            factors[mid, hwin, P] = [binom[mid, hwin, k, p]
+                                     for k, p in enumerate(P)
+                                     if (mid, hwin, k, p) in binom] \
+                or [ones[hwin]]
+    hcache = dict(zip(factors, zip(_fold_products(list(factors.values())),
+                                   lam_facs)))
     del binom, factors
 
     # lam^P h^P prod_k (1 + u_k)^{p_k} per group of every job, shifted and
@@ -316,12 +298,6 @@ def compose_map_pairs(pairs):
         out.append(DeckMap(lam=m1.lam * m2.lam, mu=m1.mu * m2.mu,
                            pert_h=pert_h, pert_v=pert_v))
     return out
-
-
-def compose_maps(m1, m2):
-    """The deck map m1 o m2 (apply m2 first), at m1's vmax:
-    ``compose_map_pairs`` of this one pair."""
-    return compose_map_pairs([(m1, m2)])[0]
 
 
 def invert_map(m):

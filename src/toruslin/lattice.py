@@ -111,13 +111,14 @@ def log_indicatrix(lattice, eps):
                        np.zeros(lattice.n))
 
 
-def union_translates(lattice, eps, reach=2):
-    """The fundamental polytope plus its +-1..+-reach translates, per axis."""
+def union_translates(lattice, eps):
+    """The fundamental polytope, then per axis i its translates by +v_i,
+    -v_i, +2 v_i and -2 v_i."""
     base = log_indicatrix(lattice, eps)
     polys = [base]
     for i in range(lattice.n):
         vi = lattice.log_gens[i]
-        for k in range(1, reach + 1):
+        for k in (1, 2):
             polys.append(base.translate(k * vi))
             polys.append(base.translate(-k * vi))
     return polys
@@ -139,7 +140,7 @@ def union_and_hull(lattice, eps):
     if n > HULL_DIM_LIMIT:
         raise HullLimitError("hull enumeration limited to dimension %d"
                              % HULL_DIM_LIMIT)
-    polys = union_translates(lattice, eps, reach=2)
+    polys = union_translates(lattice, eps)
     # corner r of vertices() sits at t_i = hi iff bit n-1-i of r is set
     at_hi = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
     parts = []
@@ -205,24 +206,27 @@ class DomainSpec:
         return DomainSpec(self.lattice, self.eps, self.r,
                           self.word + ((i, k),), 0, False)
 
-    def log_vertices(self):
-        """Vertex cloud whose max of <x, P> realizes sup log|h^P|."""
-        base = log_indicatrix(self.lattice, self.eps)
-        if self.hull:
-            _, h = union_and_hull(self.lattice, self.eps)
-            return h.vertices
+    def _offsets(self):
+        """The translations of the base polytope whose union is the domain
+        (not the hull): 0, then ``sign(ell) k v_i`` for k = 1..|ell| per
+        generator i under a union tag; else the word's one offset."""
+        n, gens = self.lattice.n, self.lattice.log_gens
         if self.union_ell:
             sign = 1 if self.union_ell > 0 else -1
-            polys = [base]
-            for i in range(self.lattice.n):
-                vi = self.lattice.log_gens[i]
-                for k in range(1, abs(self.union_ell) + 1):
-                    polys.append(base.translate(sign * k * vi))
-            return np.concatenate([p.vertices() for p in polys], axis=0)
-        offset = np.zeros(self.lattice.n)
+            return [np.zeros(n)] + [sign * k * gens[i] for i in range(n)
+                                    for k in range(1, abs(self.union_ell) + 1)]
+        offset = np.zeros(n)
         for i, k in self.word:
-            offset = offset + k * self.lattice.log_gens[i]
-        return base.translate(offset).vertices()
+            offset = offset + k * gens[i]
+        return [offset]
+
+    def log_vertices(self):
+        """Vertex cloud whose max of <x, P> realizes sup log|h^P|."""
+        if self.hull:
+            return union_and_hull(self.lattice, self.eps)[1].vertices
+        base = log_indicatrix(self.lattice, self.eps)
+        return np.concatenate([base.translate(offset).vertices()
+                               for offset in self._offsets()])
 
     def log_sup_monomials(self, Ps):
         """Exact sup of log|h^P| over the domain per row P (vertex max)."""
@@ -250,20 +254,11 @@ class DomainSpec:
         base = log_indicatrix(self.lattice, self.eps)
         t = rng.uniform(-self.eps, 1.0 + self.eps, size=(count, n))
         pts = t @ base.gens
+        offsets = self._offsets()
         if self.union_ell:
-            sign = 1 if self.union_ell > 0 else -1
-            shifts = [np.zeros(n)]
-            for i in range(n):
-                for k in range(1, abs(self.union_ell) + 1):
-                    shifts.append(sign * k * self.lattice.log_gens[i])
-            choice = rng.integers(0, len(shifts), size=count)
-            pts = pts + np.asarray(shifts)[choice]
-        else:
-            offset = np.zeros(n)
-            for i, k in self.word:
-                offset = offset + k * self.lattice.log_gens[i]
-            pts = pts + offset
-        return pts
+            choice = rng.integers(0, len(offsets), size=count)
+            return pts + np.asarray(offsets)[choice]
+        return pts + offsets[0]
 
     def describe(self):
         if self.hull:

@@ -30,24 +30,18 @@ class NormBound:
 
 def sup_norm_bound(f, domain):
     """Triangle-inequality upper bound for sup |f| over the domain."""
-    return NormBound(domain=domain, value=sup_norm_bound_union(f, [domain]),
+    return NormBound(domain=domain, value=sup_norm_bounds(f, [[domain]])[0],
                      kind=TRIANGLE)
 
 
-def sup_norm_bound_union(f, domains):
-    """Triangle bound for sup |f| over a union of domains (same r).
+def sup_norm_bounds(f, unions):
+    """The triangle bound for sup |f| over each of several unions of domains
+    (each union of a common r), as a list.
 
     The per-monomial sup over a union is the max of the per-domain sups, so
-    this is tighter than the max of the per-domain triangle bounds.
-    Multi-component series are bounded in the max norm over components.
-    """
-    return sup_norm_bounds(f, [domains])[0]
-
-
-def sup_norm_bounds(f, unions):
-    """``sup_norm_bound_union`` of f over each of several unions, as a list.
-
-    A domain that appears in several unions (equal ``DomainSpec``s) has its
+    a union's bound is tighter than the max of its domains' bounds.
+    Multi-component series are bounded in the max norm over components.  A
+    domain that appears in several unions (equal ``DomainSpec``s) has its
     monomial sups computed once per component and shared by all of them.
     """
     for domains in unions:

@@ -173,7 +173,6 @@ def parse_problem_text(text, source=""):
                                         lineno)
             mu_rows.append([complex(vals[2 * t], vals[2 * t + 1])
                             for t in range(d)])
-            mu_angles = None
         elif key == "lambda":
             if len(vals) != 2 * n:
                 raise ProblemParseError("lambda row needs %d re/im pairs" % n,
@@ -248,7 +247,8 @@ def parse_problem_text(text, source=""):
                 "perturbation record P=%s Q=%s above vmax %d"
                 % (P, Q, run["vmax"]))
 
-    mu_angle_out = mu_angles if mu_angles else None
+    # the angles stand for the multipliers only where every row is one
+    mu_angle_out = mu_angles if len(mu_angles) == len(mu_rows) else None
     return ProblemFile(lattice=lattice, data=data, mu_angles=mu_angle_out,
                        lam_overridden=bool(lam_rows), pert_records=records,
                        run=run, source=source)

@@ -578,20 +578,41 @@ def compose_diagonal(f, lam, mu, sign=1):
     return out
 
 
-def _vertical_shift_powers(phi, vmax):
-    """A new table of the powers (v_j + phi_j)^q on the window ``vmax``.
+def _vertical_row(p, j, c, vmax):
+    """The power table row ``[None, c v_j + p_j]`` on the window ``vmax``;
+    ``_grow_powers`` extends it.  Terms of ``p_j`` above ``vmax`` are
+    dropped, their moduli added to ``discarded`` after ``p``'s own record."""
+    ej = tuple(1 if t == j else 0 for t in range(p.d))
+    w = TruncatedSeries.monomial(p.n, p.d, 0, (0,) * p.n, ej, c,
+                                 components=1, vmax=vmax)
+    return [None, w.add(p.component(j).with_window(vmax=vmax))]
 
-    Row j holds ``[None, v_j + phi_j]``; ``substitute_vertical`` extends it
-    on demand as ``row[q] = row[q - 1].mul(row[1])``.
-    """
-    rows = []
-    for j in range(phi.d):
-        ej = tuple(1 if l == j else 0 for l in range(phi.d))
-        w = TruncatedSeries.monomial(phi.n, phi.d, 0, (0,) * phi.n, ej,
-                                     components=1, vmax=vmax)
-        w = w.add(phi.component(j).restrict(vmax=vmax))
-        rows.append([None, w])
-    return rows
+
+def _grow_powers(chains):
+    """Extend each power table ``[None, x, x^2, ...]`` of ``chains``, given
+    as ``(table, top)``, through power ``top``: ``table[q] =
+    table[q - 1].mul(table[1])``, the tables in lockstep, one ``products``
+    call per power."""
+    while True:
+        grow = [table for table, top in chains if len(table) <= top]
+        if not grow:
+            return
+        for table, power in zip(grow, products(
+                [(table[-1], table[1]) for table in grow])):
+            table.append(power)
+
+
+def _fold_products(rows):
+    """The product of each list of factors in ``rows``, multiplied in
+    order, the first factor taken as is: one ``products`` call per further
+    factor, over every row that has one."""
+    out = [row[0] for row in rows]
+    for step in range(1, max(map(len, rows), default=0)):
+        at = [i for i, row in enumerate(rows) if len(row) > step]
+        for i, prod in zip(at, products(
+                [(out[i], rows[i][step]) for i in at])):
+            out[i] = prod
+    return out
 
 
 def substitute_vertical(f, phi):
@@ -625,17 +646,18 @@ def substitute_verticals(fs, phi):
     and without a record is exact.
 
     The powers (v_j + phi_j)^q are kept with ``phi``, one table per output
-    ``vmax``, built on the first substitution into ``phi`` and extended as
+    ``vmax``: its rows start as ``_vertical_row(phi, j, 1, vmax)`` on the
+    first substitution into ``phi`` and are extended by ``_grow_powers`` as
     later ones need higher powers.  Every series substituted into the same
     ``phi`` (a deck map's two perturbations and ``phi_v`` at each degree of
     the linearization) reuses them, and each power is the same product in
     the same order as when it was first formed.  The powers and the W_Q
     every series of ``fs`` needs are formed together: one ``products``
-    call per power and one per factor of W_Q after the first, each W_Q
-    once per window for all of ``fs``.  A ``phi`` without terms
-    substitutes v for v: each ``f`` is re-truncated to its output window,
-    its terms in sorted order (the order the scatter reads them in), and no
-    powers are formed.
+    call per power and one per factor of W_Q after the first
+    (``_fold_products``), each W_Q once per window for all of ``fs``.  A
+    ``phi`` without terms substitutes v for v: each ``f`` is re-truncated
+    to its output window, its terms in sorted order (the order the scatter
+    reads them in), and no powers are formed.
     """
     for f in fs:
         if phi.components != f.d:
@@ -661,7 +683,8 @@ def substitute_verticals(fs, phi):
         phi._shift = {}
     for out in outs:
         if out.vmax not in phi._shift:
-            phi._shift[out.vmax] = _vertical_shift_powers(phi, out.vmax)
+            phi._shift[out.vmax] = [_vertical_row(phi, j, 1.0, out.vmax)
+                                    for j in range(phi.d)]
     # each f's distinct Q, and the W_Q they need, per output window
     n = phi.n
     plans, needed = [], {}
@@ -733,40 +756,18 @@ def substitute_verticals(fs, phi):
 
 def _vertical_products(phi, needed):
     """W_Q = prod_j (v_j + phi_j)^q_j for each (vmax, Q) in ``needed``,
-    from the power tables kept with ``phi``.
-
-    The power rows grow in lockstep, ``row[q] = row[q - 1].mul(row[1])``,
-    one ``products`` call per power; each W_Q multiplies its factors in
-    order of j, the first taken as is, one ``products`` call per factor.
-    """
+    from the power tables kept with ``phi``: the rows grow by
+    ``_grow_powers``, and each W_Q multiplies its factors in order of j by
+    ``_fold_products``."""
     top = {}
     for vmax, Q in needed:
         for j, q in enumerate(Q):
             if q > top.get((vmax, j), 0):
                 top[vmax, j] = q
-    grow = [(phi._shift[vmax][j], q) for (vmax, j), q in top.items()]
-    while True:
-        grow = [(row, q) for row, q in grow if len(row) <= q]
-        if not grow:
-            break
-        for (row, _), power in zip(grow, products(
-                [(row[-1], row[1]) for row, _ in grow])):
-            row.append(power)
-    W, pending = {}, []
-    for vmax, Q in needed:
-        factors = [phi._shift[vmax][j][q] for j, q in enumerate(Q) if q]
-        W[vmax, Q] = factors[0]
-        if len(factors) > 1:
-            pending.append(((vmax, Q), factors))
-    step = 1
-    while pending:
-        for (key, _), prod in zip(pending, products(
-                [(W[key], factors[step]) for key, factors in pending])):
-            W[key] = prod
-        step += 1
-        pending = [(key, factors) for key, factors in pending
-                   if len(factors) > step]
-    return W
+    _grow_powers([(phi._shift[vmax][j], q) for (vmax, j), q in top.items()])
+    return dict(zip(needed, _fold_products(
+        [[phi._shift[vmax][j][q] for j, q in enumerate(Q) if q]
+         for vmax, Q in needed])))
 
 
 def linear_combinations(sums):
@@ -966,23 +967,6 @@ def _scatter_each(outs, records, marks, one_per_key=False):
              np.concatenate([vals for _, _, vals in records]),
              [[(start + i, amount) for i, amount in mine] for start, mine
               in zip(accumulate([0] + counts[:-1]), marks)], one_per_key)
-
-
-def partial_h(f, P0):
-    """Derivative d^{P0}/dh^{P0}; falling-factorial weights, exponents shift."""
-    P0 = tuple(int(p) for p in P0)
-    if len(P0) != f.n or any(p < 0 for p in P0):
-        raise SeriesError("P0 must be a nonnegative n-multi-index")
-    coeffs = {}
-    for k, P, Q, c in f.terms():
-        w = 1
-        for j in range(f.n):
-            for i in range(P0[j]):
-                w *= P[j] - i
-        if w:
-            coeffs[k, tuple(p - p0 for p, p0 in zip(P, P0)), Q] = c * w
-    return TruncatedSeries(f.n, f.d, f.components, f.vmax, coeffs=coeffs,
-                           discarded=f.discarded)
 
 
 def invert_vertical_map(G):

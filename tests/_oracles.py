@@ -36,10 +36,9 @@ from toruslin.deckmaps import DeckMap, _gen_binom
 from toruslin.lattice import log_indicatrix, union_and_hull
 from toruslin.linearize import linearize_step
 from toruslin.majorant import _coupling, _g_of, _ser_mul
-from toruslin.norms import sup_norm_bound, sup_norm_bound_union
-from toruslin.series import PRUNE, _vertical_shift_powers, \
-    compose_diagonal, invert_vertical_map, scale_components, \
-    substitute_vertical
+from toruslin.norms import sup_norm_bound, sup_norm_bounds
+from toruslin.series import PRUNE, compose_diagonal, invert_vertical_map, \
+    scale_components, substitute_vertical
 
 
 def term_dict(series):
@@ -203,8 +202,9 @@ def full_sample_max(f, domain, points, seed):
 def substitute_per_record(f, phi):
     """substitute_vertical with its scatter done one record at a time.
 
-    A fresh power table on the same window, each power the same
-    product; f's terms, each followed by the records of its W_Q, both in
+    A fresh power table on the same window, its rows ``v_j`` plus
+    ``phi_j`` re-truncated to the window by ``restrict``, each power the
+    same product; f's terms, each followed by the records of its W_Q, both in
     sorted order, every record added to the output through
     ``accumulate``.  A term with |Q| past
     ``vmax - ord phi + 1``, where W_Q holds v^Q alone inside the window, is
@@ -222,7 +222,12 @@ def substitute_per_record(f, phi):
     out = TruncatedSeries(f.n, f.d, f.components, vmax,
                           discarded=f.discarded + (phi.discarded if reads_phi
                                                    else 0.0))
-    rows = _vertical_shift_powers(phi, vmax)
+    rows = []
+    for j in range(phi.d):
+        ej = tuple(1 if t == j else 0 for t in range(phi.d))
+        w = TruncatedSeries.monomial(phi.n, phi.d, 0, (0,) * phi.n, ej,
+                                     components=1, vmax=vmax)
+        rows.append([None, w.add(phi.component(j).restrict(vmax=vmax))])
     norms = [math.fsum(abs(c) for k, _, _, c in phi.terms() if k == j)
              for j in range(phi.d)]
 
@@ -250,7 +255,8 @@ def substitute_per_record(f, phi):
 
 
 def chained_add_compose(f, m, vmax=None):
-    """compose_with_map with every sum rebuilt by a chain of ``add``.
+    """The composition f o m (``compose_with_maps`` of one job) with every
+    sum rebuilt by a chain of ``add``.
 
     The binomial series and the group sums are formed as
     ``piece = piece.add(term)``, one pairwise sum after another, where
@@ -457,16 +463,17 @@ def per_call_ledger(phi_v, lattice, eps_m, r_m, order, n):
         part = phi_v.homogeneous_part(m)
         eps, r = float(eps_m[m]), float(r_m[m])
         base = DomainSpec(lattice, eps, r)
-        goal = sup_norm_bound_union(
-            part, [DomainSpec(lattice, eps, r, union_ell=1),
-                   DomainSpec(lattice, eps, r, union_ell=-1)])
+        goal = sup_norm_bounds(
+            part, [[DomainSpec(lattice, eps, r, union_ell=1),
+                    DomainSpec(lattice, eps, r, union_ell=-1)]])[0]
         translated = {}
         singles = {}
         for i in range(n):
             for s in (1, -1):
-                translated[(i, s)] = sup_norm_bound_union(
-                    part, [DomainSpec(lattice, eps, r, word=((i, s),)),
-                           DomainSpec(lattice, eps, r, word=((i, 2 * s),))])
+                translated[(i, s)] = sup_norm_bounds(
+                    part, [[DomainSpec(lattice, eps, r, word=((i, s),)),
+                            DomainSpec(lattice, eps, r,
+                                       word=((i, 2 * s),))]])[0]
             for k in (1, 2, -1, -2):
                 singles[(i, k)] = sup_norm_bound(
                     part, DomainSpec(lattice, eps, r, word=((i, k),))).value

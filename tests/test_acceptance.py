@@ -202,7 +202,7 @@ def test_criterion_6_hartogs_geometry():
                                   [0.7 + 0.1j, 0.2 + 1.0j]])
     rng = np.random.default_rng(606)
     hull_dom = DomainSpec(lat_skew, 0.12, 0.5, hull=True)
-    polys = union_translates(lat_skew, 0.12, reach=2)
+    polys = union_translates(lat_skew, 0.12)
     worst_rel = 0.0
     for _ in range(50):
         P = rng.integers(-6, 7, size=2).astype(float)

@@ -120,6 +120,25 @@ class TestParsing:
         with pytest.raises(ProblemParseError, match="order >= 2"):
             parse_problem_text(bad)
 
+    @pytest.mark.parametrize("rows", [("mu 1 0", "mu_angle 0.3"),
+                                      ("mu_angle 0.3", "mu 1 0")])
+    def test_mixed_mu_rows_parse_in_either_order(self, rows):
+        # with any mu row the multipliers are written back as mu rows
+        text = MINIMAL.replace("n 1", "n 2").replace(
+            "e 1.0 0.0\ne 0.3 1.1",
+            "e 1.0 0.0 0.0 0.0\ne 0.0 0.0 1.0 0.0\n"
+            "e 0.31 0.07 0.5 0.02\ne 0.7 0.01 0.2 0.09").replace(
+            "mu_angle 0.6180339887498949", "\n".join(rows))
+        problem = parse_problem_text(text)
+        assert problem.mu_angles is None
+        mu = [[1.0 + 0j], [complex(np.exp(2j * np.pi * 0.3))]]
+        assert problem.data.mu.tolist() == (mu if rows[0] == "mu 1 0"
+                                            else mu[::-1])
+        again = parse_problem_text(problem.to_text())
+        assert again.to_text() == problem.to_text()
+        assert again.mu_angles is None
+        assert np.array_equal(again.data.mu, problem.data.mu)
+
     def test_roundtrip_identity(self):
         problem = parse_problem(toruslin.reference_problem_path())
         text = problem.to_text()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from toruslin import LatticeSpec, TruncatedSeries
-from toruslin.deckmaps import (DeckMap, compose_maps,
-                               compose_with_map, compose_with_maps,
-                               conjugate_by_vertical, invert_map)
+from toruslin.deckmaps import (DeckMap, compose_map_pairs,
+                               compose_with_maps, conjugate_by_vertical,
+                               invert_map)
 from toruslin.divisors import MultiplierData
 from toruslin.linearize import check_commutation, DeckMapFamily
 from toruslin.series import (invert_vertical_map, scale_components,
@@ -47,13 +47,14 @@ class TestComposeWithMap:
         rng = np.random.default_rng(1)
         f = random_series(rng, 1, 1, vmax=5, pmax=3, nterms=10)
         ident = identity_map(1, 1, 5)
-        assert compose_with_map(f, ident).max_coeff_diff(f) < 1e-14
+        got = compose_with_maps([(f, ident, None)])[0]
+        assert got.max_coeff_diff(f) < 1e-14
 
     def test_diagonal_map_scales_coefficients(self):
         rng = np.random.default_rng(2)
         f = random_series(rng, 1, 1, vmax=5, pmax=3, nterms=10)
         m = mild_map()
-        got = compose_with_map(f, m)
+        got = compose_with_maps([(f, m, None)])[0]
         for k, P, Q, c in f.terms():
             want = c * m.lam[0] ** P[0] * m.mu[0] ** Q[0]
             assert got.get(k, P, Q) == pytest.approx(want)
@@ -68,7 +69,7 @@ class TestComposeWithMap:
         m = DeckMap(lam=[lam], mu=[1.0], pert_h=ph, pert_v=pv)
         f = TruncatedSeries.monomial(1, 1, 0, (-1,), (0,), 1.0,
                                      components=1, vmax=6)
-        comp = compose_with_map(f, m)
+        comp = compose_with_maps([(f, m, None)])[0]
         for s in range(4):
             want = (1 / lam) * (-c / lam) ** s
             assert comp.get(0, (-1,), (2 * s,)) == pytest.approx(want)
@@ -82,7 +83,7 @@ class TestComposeWithMap:
         rng = np.random.default_rng(40 + seed)
         f = random_series(rng, 1, 1, vmax=6, pmax=2, nterms=10)
         m = mild_map(rng, vmax=6, scale=1e-5)
-        comp = compose_with_map(f, m)
+        comp = compose_with_maps([(f, m, None)])[0]
         logh = (rng.uniform(-0.2, 0.2, (8, 1))
                 + 1j * rng.uniform(0, 2 * np.pi, (8, 1)))
         v = 0.05 * np.exp(1j * rng.uniform(0, 2 * np.pi, (8, 1)))
@@ -97,8 +98,8 @@ class TestComposeWithMap:
         rng = np.random.default_rng(9)
         f = random_series(rng, 1, 1, vmax=6, pmax=2, nterms=8, min_vdeg=2)
         m = mild_map(rng, vmax=6)
-        full = compose_with_map(f, m)
-        low = compose_with_map(f.restrict(vmax=4), m, vmax=4)
+        full = compose_with_maps([(f, m, None)])[0]
+        low = compose_with_maps([(f.restrict(vmax=4), m, 4)])[0]
         assert full.restrict(vmax=4).max_coeff_diff(low) < 1e-13
 
 
@@ -106,7 +107,7 @@ class TestComposeAndInvert:
     def test_compose_maps_diagonal_parts_multiply(self):
         rng = np.random.default_rng(3)
         m1, m2 = mild_map(rng), mild_map(rng)
-        both = compose_maps(m1, m2)
+        both = compose_map_pairs([(m1, m2)])[0]
         assert both.lam[0] == pytest.approx(m1.lam[0] * m2.lam[0])
         assert both.mu[0] == pytest.approx(m1.mu[0] * m2.mu[0])
 
@@ -114,7 +115,7 @@ class TestComposeAndInvert:
         rng = np.random.default_rng(5)
         m = mild_map(rng, vmax=5)
         minv = invert_map(m)
-        comp = compose_maps(m, minv)
+        comp = compose_map_pairs([(m, minv)])[0]
         scale = max(1.0, minv.pert_scale())
         assert comp.pert_h.max_abs() < 1e-12 * scale
         assert comp.pert_v.max_abs() < 1e-12 * scale
@@ -125,7 +126,7 @@ class TestComposeAndInvert:
         rng = np.random.default_rng(6)
         m = mild_map(rng, vmax=5)
         minv = invert_map(m)
-        comp = compose_maps(minv, m)
+        comp = compose_map_pairs([(minv, m)])[0]
         scale = max(1.0, minv.pert_scale())
         assert comp.pert_h.max_abs() < 1e-12 * scale
         assert comp.pert_v.max_abs() < 1e-12 * scale
@@ -159,8 +160,8 @@ def full_window_invert_map(m):
                   pert_h=TruncatedSeries.zero(n, d, n, vmax),
                   pert_v=TruncatedSeries.zero(n, d, d, vmax))
     for _ in range(vmax + 1):
-        a_of = compose_with_map(m.pert_h, inv, vmax=vmax)
-        b_of = compose_with_map(m.pert_v, inv, vmax=vmax)
+        a_of = compose_with_maps([(m.pert_h, inv, vmax)])[0]
+        b_of = compose_with_maps([(m.pert_v, inv, vmax)])[0]
         new_h = scale_components(a_of, 1.0 / m.lam).scale(-1.0)
         new_v = scale_components(b_of, 1.0 / m.mu).scale(-1.0)
         done = new_h.max_coeff_diff(inv.pert_h) == 0.0 and \
@@ -205,10 +206,10 @@ class TestWindowedInvertMap:
         # sweep from its result moves no coefficient bit and no tailflag
         m = self.case(n, d, vmax)
         inv = invert_map(m)
-        again = (scale_components(compose_with_map(m.pert_h, inv, vmax=vmax),
-                                  1.0 / m.lam).scale(-1.0),
-                 scale_components(compose_with_map(m.pert_v, inv, vmax=vmax),
-                                  1.0 / m.mu).scale(-1.0))
+        a_of, b_of = compose_with_maps([(m.pert_h, inv, vmax),
+                                        (m.pert_v, inv, vmax)])
+        again = (scale_components(a_of, 1.0 / m.lam).scale(-1.0),
+                 scale_components(b_of, 1.0 / m.mu).scale(-1.0))
         for new, old in zip(again, (inv.pert_h, inv.pert_v)):
             assert coeff_bits(new) == coeff_bits(old)
             assert new.tailflag == old.tailflag
@@ -250,7 +251,7 @@ class TestComposeWithMapInPlaceSums:
         f = f.add(TruncatedSeries.monomial(n, d, 1, (-2,) * n, (0,) * d, 0.5,
                                            components=2, vmax=vmax))
         assert (vmax - f.v_order()) // 2 >= 2 and not m.pert_h.is_zero()
-        got = compose_with_map(f, m)
+        got = compose_with_maps([(f, m, None)])[0]
         want = chained_add_compose(f, m)
         assert coeff_bits(got) == coeff_bits(want)
         assert (got.tailflag, got.discarded) == (want.tailflag,
@@ -270,7 +271,7 @@ class TestComposeWithMapInPlaceSums:
         m = DeckMap(lam=lam, mu=mu, pert_h=ph, pert_v=pv)
         f = random_series(rng, 2, 1, components=2, vmax=6, pmax=3,
                           nterms=14)
-        got = compose_with_map(f, m)
+        got = compose_with_maps([(f, m, None)])[0]
         want = chained_add_compose(f, m)
         assert coeff_bits(got) == coeff_bits(want)
         assert (got.tailflag, got.discarded) == (want.tailflag,
@@ -308,7 +309,7 @@ class TestComposeWithMapOneScatter:
         f = TruncatedSeries(n, d, 3, 6, coeffs=term_dict(f),
                             discarded=2.0 ** -40)
         assert len({(k, Q) for k, _, Q, _ in f.terms()}) > 6
-        got = compose_with_map(f, m)
+        got = compose_with_maps([(f, m, None)])[0]
         assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m))
         assert got.discarded > f.discarded
 
@@ -319,7 +320,7 @@ class TestComposeWithMapOneScatter:
             (1, (p, q), (2,)): complex(rng.standard_normal(),
                                        rng.standard_normal())
             for p, q in ((0, 0), (1, -1), (-3, 2), (2, 3))})
-        got = compose_with_map(f, m)
+        got = compose_with_maps([(f, m, None)])[0]
         assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m))
         assert got.tailflag and got.discarded > 0
 
@@ -331,21 +332,21 @@ class TestComposeWithMapOneScatter:
         m = self.mixed_map(rng, n, d)
         f = random_series(rng, n, d, components=3, vmax=6, pmax=3,
                           nterms=24, min_vdeg=2)
-        want = sorted_bits(compose_with_map(f, m))
+        want = sorted_bits(compose_with_maps([(f, m, None)])[0])
         assert want == sorted_bits(chained_add_compose(f, m))
         for seed in range(4):
             order = np.random.default_rng(seed)
-            got = compose_with_map(
-                shuffled_copy(f, order),
-                DeckMap(lam=m.lam, mu=m.mu,
-                        pert_h=shuffled_copy(m.pert_h, order),
-                        pert_v=shuffled_copy(m.pert_v, order)))
+            shuffled = DeckMap(lam=m.lam, mu=m.mu,
+                               pert_h=shuffled_copy(m.pert_h, order),
+                               pert_v=shuffled_copy(m.pert_v, order))
+            got = compose_with_maps(
+                [(shuffled_copy(f, order), shuffled, None)])[0]
             assert sorted_bits(got) == want
 
     def test_no_terms(self):
         m = self.mixed_map(np.random.default_rng(78), 1, 1)
         f = TruncatedSeries(1, 1, 2, 6, discarded=0.25)
-        got = compose_with_map(f, m)
+        got = compose_with_maps([(f, m, None)])[0]
         assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m))
         assert (got.nterms(), got.discarded) == (0, 0.25)
 
@@ -378,7 +379,7 @@ class TestComposeWithMaps:
         assert len(got) == len(jobs)
         for i, ((f, m, vmax), out) in enumerate(zip(jobs, got)):
             assert sorted_bits(out) == sorted_bits(
-                compose_with_map(f, m, vmax=vmax))
+                compose_with_maps([(f, m, vmax)])[0])
             if i < len(jobs) - 1:
                 assert sorted_bits(out) == sorted_bits(
                     chained_add_compose(f, m, vmax))
@@ -429,7 +430,7 @@ class TestComposeWithMapByVerticalOrder:
             (q % 2, (q % 3 - 1,) * n, Q): complex(q, 1 - j)
             for j in range(d) for q in range(1, vmax + 1)
             for Q in [tuple(q if t == j else 0 for t in range(d))]})
-        got = compose_with_map(f, m)
+        got = compose_with_maps([(f, m, None)])[0]
         assert sorted_bits(got) == sorted_bits(chained_add_compose(f, m))
         assert got.tailflag and got.discarded > 0
 
@@ -444,7 +445,7 @@ class TestComposeWithMapEdges:
         for q in (5, 6):
             c = 0.4 - 0.3j
             f = TruncatedSeries.monomial(1, 1, 0, (-2,), (q,), c, vmax=6)
-            got = compose_with_map(f, m)
+            got = compose_with_maps([(f, m, None)])[0]
             # c lam^-2 h^-2 (mu^q v^q + q mu^(q-1) v^(q-1) b_2), cut at 6
             want = TruncatedSeries.monomial(1, 1, 0, (0,), (q,), mu ** q,
                                             vmax=6)
@@ -458,7 +459,7 @@ class TestComposeWithMapEdges:
     def test_zero_series(self):
         m = mild_map(np.random.default_rng(13), vmax=6)
         zero = TruncatedSeries.zero(1, 1, 1, 6)
-        got = compose_with_map(zero, m)
+        got = compose_with_maps([(zero, m, None)])[0]
         assert got.is_zero() and got.nterms() == 0
         assert got.vmax == 6
         assert not got.tailflag and got.discarded == 0.0
@@ -467,7 +468,7 @@ class TestComposeWithMapEdges:
         # mass f already lost bounds the error of f o m as well
         f = TruncatedSeries(1, 1, 1, 4, coeffs={(0, (1,), (2,)): 0.5 - 0.25j},
                             discarded=1.0)
-        got = compose_with_map(f, identity_map(1, 1, 4))
+        got = compose_with_maps([(f, identity_map(1, 1, 4), None)])[0]
         assert got.max_coeff_diff(f) == 0.0
         assert got.tailflag and got.discarded == 1.0
 

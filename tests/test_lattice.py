@@ -309,7 +309,7 @@ class TestSupMonomial:
         lat = lat2_skew()
         rng = np.random.default_rng(41)
         hull_dom = DomainSpec(lat, 0.12, 0.5, hull=True)
-        polys = union_translates(lat, 0.12, reach=2)
+        polys = union_translates(lat, 0.12)
         for _ in range(50):
             P = rng.integers(-6, 7, size=2).astype(float)
             via_hull = hull_dom.sup_monomial(P)

@@ -7,8 +7,8 @@ import toruslin
 import toruslin.deckmaps as deckmaps_mod
 import toruslin.linearize as linearize_mod
 from toruslin import LatticeSpec, TruncatedSeries
-from toruslin.deckmaps import (DeckMap, compose_maps, conjugate_by_vertical,
-                               invert_map)
+from toruslin.deckmaps import (DeckMap, compose_map_pairs,
+                               conjugate_by_vertical, invert_map)
 from toruslin.divisors import MultiplierData, ResonanceError
 from toruslin.linearize import (DeckMapFamily, LinearizeError, build_family,
                                 conjugacy_residual, linearize, linearize_step,
@@ -79,7 +79,7 @@ class TestLinearizeStep:
         fam = golden_family(rng, nterms=8)
         assert len(fam.inv_maps) == 1  # the input's inverses, now cached
         _, _, updated, _, _ = linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45)
-        comp = compose_maps(updated.maps[0], updated.inv_maps[0])
+        comp = compose_map_pairs([(updated.maps[0], updated.inv_maps[0])])[0]
         scale = max(1.0, updated.inv_maps[0].pert_scale())
         assert comp.pert_h.max_abs() < 1e-12 * scale
         assert comp.pert_v.max_abs() < 1e-12 * scale
@@ -193,19 +193,20 @@ class TestLinearize:
     def test_one_shift_table_per_series(self, monkeypatch):
         # each conjugating block substitutes both perturbations of every
         # map and phi_v into its H, and the residual substitutes every
-        # perturbation into phi_v: one (v + H)^q table for each
+        # perturbation into phi_v: one (v + H)^q table for each.  A table
+        # is counted by its row 0, a _vertical_row kept in phi._shift
         import toruslin.series as series_mod
-        built, steps = [], []
+        rows, steps = [], []
 
-        def building(phi, *args, real=series_mod._vertical_shift_powers):
-            built.append(phi)
-            return real(phi, *args)
+        def building(p, j, c, vmax, real=series_mod._vertical_row):
+            rows.append((p, j, vmax, real(p, j, c, vmax)))
+            return rows[-1][-1]
 
         def stepping(*args, real=linearize_mod.linearize_step, **kw):
             steps.append(real(*args, **kw))
             return steps[-1]
 
-        monkeypatch.setattr(series_mod, "_vertical_shift_powers", building)
+        monkeypatch.setattr(series_mod, "_vertical_row", building)
         monkeypatch.setattr(linearize_mod, "linearize_step", stepping)
         p = parse_problem(toruslin.reference_problem_path())
         run = p.run
@@ -213,6 +214,8 @@ class TestLinearize:
                            eps0=run["epsilon"], r0=run["radius"])
         result = linearize(fam, 8, run["epsilon"], run["radius"], pmax=12,
                            qmax=12)
+        built = [p for p, j, vmax, row in rows
+                 if j == 0 and p._shift and p._shift.get(vmax, [0])[0] is row]
         Hs = [H for _, H, _, certs, _ in steps
               if any(c is not None for c in certs)]
         assert len(Hs) == 4

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from toruslin import DomainSpec, LatticeSpec, sampled_lower_bound, sup_norm_bound
-from toruslin.norms import _reach, sup_norm_bound_union, sup_norm_bounds
+from toruslin.norms import _reach, sup_norm_bounds
 import toruslin.series as series_mod
 from toruslin.series import TruncatedSeries
 
@@ -207,7 +207,7 @@ def test_certified_bound_finite_where_monomial_sup_overflows():
 
 
 def test_domains_shared_by_unions_are_computed_once(monkeypatch):
-    # each union's bound is its sup_norm_bound_union bit for bit, and a
+    # each union's bound is its bound alone bit for bit, and a
     # domain in several unions, given twice as equal specs included, has
     # its monomial sups computed once per component
     rng = np.random.default_rng(41)
@@ -217,7 +217,7 @@ def test_domains_shared_by_unions_are_computed_once(monkeypatch):
     unions = [[base], [one, two], [two, back], [one],
               [DomainSpec(lat2(), 0.2, 0.5, union_ell=1), base],
               [DomainSpec(base.lattice, 0.2, 0.5, word=((1, 1),))]]
-    want = [sup_norm_bound_union(f, u).hex() for u in unions]
+    want = [sup_norm_bounds(f, [u])[0].hex() for u in unions]
     calls = []
     sups = DomainSpec.sup_monomials
 

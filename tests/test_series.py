@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 import toruslin
 from toruslin import DomainSpec, LatticeSpec, TruncatedSeries, \
     compose_diagonal, invert_vertical_map, sup_norm_bound, \
-    partial_h, substitute_vertical
+    substitute_vertical
 from toruslin._kernels import table_data, vertical_degrees
-from toruslin.deckmaps import DeckMap, compose_with_map
+from toruslin.deckmaps import DeckMap, compose_with_maps
 from toruslin.series import PRUNE, SeriesError, _scatter, \
     linear_combinations, products, scale_components, substitute_verticals
 
@@ -670,6 +670,31 @@ class TestPowersWithinReach:
         (rows,) = phi._shift.values()
         assert max(len(row) for row in rows) - 1 == limit
 
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 2)])
+    def test_wider_phi_drops_its_terms_above_the_output_window(self, n, d):
+        # phi on vmax 8 with a record of its own, f on vmax 5: each row
+        # v_j + phi_j keeps phi_j's terms through degree 5, and its
+        # discarded is phi's record plus the moduli of the others, in
+        # sorted order
+        rng = np.random.default_rng(640 + 10 * n + d)
+        f = random_series(rng, n, d, components=2, vmax=5, pmax=2,
+                          nterms=16)
+        phi = random_series(rng, n, d, components=d, vmax=8, pmax=2,
+                            nterms=24, min_vdeg=2, scale=0.3)
+        phi = TruncatedSeries(n, d, d, 8, coeffs=term_dict(phi),
+                              discarded=3e-9)
+        above = [[abs(c) for k, _, Q, c in phi.terms()
+                  if k == j and sum(Q) > 5] for j in range(d)]
+        assert all(above)
+        got = substitute_vertical(f, phi)
+        assert exact(got) == exact(substitute_per_record(f, phi))
+        for j, row in enumerate(phi._shift[5]):
+            want = phi.discarded
+            for amount in above[j]:
+                want += amount
+            assert row[1].discarded.hex() == want.hex()
+            assert row[1].v_order() == 1 and row[1].vmax == 5
+
     def test_terms_above_the_output_window_are_discarded(self):
         # f on vmax 6, phi on vmax 5: f's v^6 term is past the output
         # window and leaves its modulus in discarded
@@ -1141,7 +1166,7 @@ class TestKernelArrays:
         self.check_kept(substitute_vertical(f, phi))
 
     def test_composition_keeps_what_a_rebuild_gives(self):
-        # compose_with_map ends with one _scatter of its group pieces, which
+        # compose_with_maps ends with one _scatter of its group pieces, which
         # keeps its arrays
         rng = np.random.default_rng(84)
         zero_h = TruncatedSeries.zero(1, 1, 1, 6)
@@ -1151,7 +1176,7 @@ class TestKernelArrays:
                     pert_v=pv)
         f = random_series(rng, 1, 1, components=3, vmax=6, pmax=3,
                           nterms=20)
-        self.check_kept(compose_with_map(f, m))
+        self.check_kept(compose_with_maps([(f, m, None)])[0])
 
     def test_empty_product_seeds_empty_arrays(self):
         a = TruncatedSeries.monomial(1, 1, 0, (0,), (4,), vmax=6)
@@ -1215,37 +1240,11 @@ class TestKernelArrays:
     def test_constructed_series_start_without_arrays(self):
         f = self.used_series()
         derived = [f._like(), compose_diagonal(f, [0.5], [1j]),
-                   partial_h(f, (1,)),
                    TruncatedSeries.from_text(f.to_text()),
                    TruncatedSeries(1, 1, 2, 5, coeffs=term_dict(f)),
                    TruncatedSeries.zero(1, 1), TruncatedSeries.monomial(
                        1, 1, 0, (0,), (2,))]
         assert [g._store for g in derived] == [None] * len(derived)
-
-
-class TestPartialH:
-    def test_basic(self):
-        assert dense_poly(partial_h(mono(1, 1, (1,), (0,)), (1,))) == \
-            {((0,), (0,)): 1.0 + 0.0j}
-        assert dense_poly(partial_h(mono(1, 1, (-1,), (0,)), (1,))) == \
-            {((-2,), (0,)): -1.0 + 0.0j}
-
-    def test_second_derivative(self):
-        got = partial_h(mono(1, 1, (3,), (2,)), (2,))
-        assert dense_poly(got) == {((1,), (2,)): 6.0 + 0.0j}
-
-    def test_finite_differences(self):
-        rng = np.random.default_rng(29)
-        f = random_series(rng, 1, 1, vmax=3, pmax=3, nterms=10)
-        df = partial_h(f, (1,))
-        v = np.array([[0.2 + 0.1j]])
-        for h0 in (0.9 + 0.2j, 1.1 - 0.3j):
-            step = 1e-6
-            up = f.evaluate(np.log(np.array([[h0 + step]])), v)[0, 0]
-            dn = f.evaluate(np.log(np.array([[h0 - step]])), v)[0, 0]
-            fd = (up - dn) / (2 * step)
-            exact = df.evaluate(np.log(np.array([[h0]])), v)[0, 0]
-            assert abs(fd - exact) < 1e-6 * max(1.0, abs(exact))
 
 
 class TestInvertVerticalMap:
@@ -1642,11 +1641,6 @@ UNREFERENCED_ALLOWED = {
     "conjugate_by_vertical": "the one-map form of conjugate_maps, through "
                              "which the lattice2-o8 benchmark workload "
                              "(perfbench/workloads.py) builds its family",
-    "compose_with_map": "the one-job form of compose_with_maps, which the "
-                        "benchmark's trace names as a span and the "
-                        "deck-map tests compose through",
-    "compose_maps": "the one-pair form of compose_map_pairs, m1 o m2, "
-                    "through which the deck-map tests check inverses",
 }
 
 

@@ -254,3 +254,55 @@ def test_vertical_swap(seed, route):
         scale = max(scale, part.max_abs())
         assert part.max_coeff_diff(back.homogeneous_part(m)) <= \
             1e-15 * scale, m
+
+
+def rebased_series(f, A):
+    """``f`` with every ``P`` replaced by ``P A``."""
+    return TruncatedSeries(f.n, f.d, f.components, f.vmax, coeffs={
+        (k, tuple((np.array(P) @ A).tolist()), Q): c
+        for k, P, Q, c in f.terms()})
+
+
+def rebased_family(family, A):
+    """An ``n = 2`` family without ``h``-perturbations in the coordinates
+    ``z' = z M`` with ``M = A^-T``, so that ``h^P = h'^(P A)``: the lattice
+    rows ``tau_i`` become ``tau_i M`` (``Z^n M = Z^n`` for a unimodular
+    ``A``), ``lam`` is that lattice's (its inverse for the inverse maps),
+    and every ``v``-record's ``P`` is relabelled."""
+    M = np.linalg.inv(A).T
+    tau = family.lattice.generators[2:] @ M
+    lattice = LatticeSpec(2, family.d, np.vstack([np.eye(2), tau]))
+    data = MultiplierData(lattice.lam_matrix(), family.data.mu)
+
+    def rebased(maps, lams):
+        assert all(m.pert_h.nterms() == 0 for m in maps)
+        return [DeckMap(lam=lam, mu=m.mu, pert_h=m.pert_h,
+                        pert_v=rebased_series(m.pert_v, A))
+                for lam, m in zip(lams, maps)]
+    return DeckMapFamily(
+        lattice=lattice, data=data, maps=rebased(family.maps, data.lam),
+        inv_maps=rebased(family.inv_maps, 1 / data.lam), eps0=family.eps0,
+        r0=family.r0)
+
+
+@pytest.mark.parametrize("route", ["forward", "inverse"])
+@pytest.mark.parametrize("seed", [7, 11])
+def test_unimodular_change_of_lattice_basis(seed, route):
+    # a unimodular change of the lattice basis relabels every monomial
+    # h^P as h'^(P A), and so relabels phi_v: with P -> P A it is the same
+    # series up to rounding, since lam' = exp(2 pi i tau M) is not the
+    # product of the old lam's to the last bit (at most 1.1e-15 of
+    # max |phi_m| when measured).  Unlike the generator swap, the shear
+    # does not commute with a transposed lam
+    family, _ = lattice2_family(seed)
+    A = np.array([[1, 1], [0, 1]])
+    rebased = rebased_family(family, A)
+    results = [linearize(fam, 8, 0.2, 0.5, route=route, pmax=6, qmax=6)
+               for fam in (family, rebased)]
+    base, other = (result.phi_v for result in results)
+    want = rebased_series(base, A)
+    assert other.nterms() == want.nterms() > 10
+    for m in range(2, 9):
+        part = want.homogeneous_part(m)
+        assert part.max_coeff_diff(other.homogeneous_part(m)) <= \
+            5e-15 * part.max_abs(), m
