@@ -80,18 +80,21 @@ def _divisors_at(data, keys, form="weak"):
     return div[np.arange(len(keys)), [k for k, _, _ in keys]]
 
 
-def check_compatibility(family, data):
+def check_compatibility(family, data, coefficients=None, div=None):
     """Residuals of the pairwise coefficient identities.
 
     For every generator pair (a, b) and key (k, Q, P), the cross products
     ``divisor_a * F_b - divisor_b * F_a`` must vanish.  ``max_rel``
     normalizes each residual by the size of the crossed terms, which is the
     meaningful gate when Laurent multipliers make coefficient magnitudes
-    span many decades.
+    span many decades.  ``family._coefficients()`` and the divisors at its
+    keys are used as given when passed as ``coefficients`` and ``div``.
     """
     worst_abs, worst_rel, worst_key = 0.0, 0.0, None
-    keys, values = family._coefficients()
-    for key, coeffs, facs in zip(keys, values, _divisors_at(data, keys)):
+    keys, values = coefficients or family._coefficients()
+    if div is None:
+        div = _divisors_at(data, keys)
+    for key, coeffs, facs in zip(keys, values, div):
         for a in range(family.n):
             for b in range(a + 1, family.n):
                 cross_ab = facs[a] * coeffs[b]
@@ -142,14 +145,14 @@ def solve_family(family, data, lattice, eps, r, delta, rho, constants=None):
     the equations of the inverse maps pass ``data.inverse()``.
     """
     dom = _shrunk_domain(lattice, eps, r, delta, rho)
-    report = check_compatibility(family, data)
+    keys, values = coefficients = family._coefficients()
+    div = _divisors_at(data, keys)
+    report = check_compatibility(family, data, coefficients, div)
     if not report.ok():
         raise CompatibilityError(
             "family incompatible: relative residual %.3e exceeds %.3e at %s"
             % (report.max_rel, COMPAT_TOL, (report.worst_key,)))
 
-    keys, values = family._coefficients()
-    div = _divisors_at(data, keys)
     moduli = modulus(div)
     sizes = np.array([sum(map(abs, P)) + sum(Q) for _, P, Q in keys])
     for (k, P, Q), bad in zip(keys, is_resonant(moduli.max(axis=1), sizes)):

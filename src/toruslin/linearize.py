@@ -3,16 +3,17 @@
 At each vertical degree m the family's degree-m vertical perturbations form
 a compatible right-hand side; solving the cohomological system and
 conjugating by Phi = (h, v + G_m) removes that degree without touching
-lower ones.  Conjugating by (h, v + G_m) changes the vertical part only
-from degree min(2m - 1, m + 2) up (``pert_h`` vanishes to order 2 in v),
-so from m = 3 on degrees m and m + 1 are both solved from the same family
-and removed by one conjugation with G = G_m + G_(m+1): the degree loop runs
-over the blocks [2], [3, 4], [5, 6], ..., the last one [order] alone when
-order is odd.  After each block the family is exactly linear through the
-block's last degree, ``(lam h + a, mu v)`` there: what the conjugation
-leaves at those degrees is the rounding residue of the solves, which is
-checked against LINEARIZE_TOL and dropped, so that no later conjugation
-multiplies through it and the intertwining residual below carries it.
+lower ones.  Conjugating the maps (lam h + a, mu v + b) by (h, v + G_m)
+changes the vertical part only from degree min(2m - 1, m + ord_v a) up, so
+degrees m through ``block_top`` = min(2m - 2, m + ord_v a - 1, order) are
+solved from one family and removed by one conjugation with G the sum of
+their corrections: blocks [2], [3, 4], [5, 6], ... where ``pert_h`` starts
+at degree 2, [2], [3, 4], [5..8], [9..16], ... where it vanishes.  After
+each block the family is exactly linear through the block's last degree,
+``(lam h + a, mu v)`` there: what the conjugation leaves at those degrees
+is the rounding residue of the solves, which is checked against
+LINEARIZE_TOL and dropped, so that no later conjugation multiplies through
+it and the intertwining residual below carries it.
 Phi := (Phi_last o ... o Phi_first)^{-1} = id + (0, phi_v) is built from
 the inverses (h, v + H) the conjugations use, Phi <- Phi o Phi_block^{-1}
 or phi_v <- H + phi_v(h, v + H), and satisfies the intertwining relation
@@ -204,15 +205,24 @@ def _solve_degree(family, m, eps_prev, r_prev, eps_m, r_m, constants):
     return cert.G, cert
 
 
+def block_top(family, m, order):
+    """The last degree one conjugation removes from degree m on:
+    min(2m - 2, m + ord_v a - 1, order), with ord_v a the least vertical
+    order of the maps' ``pert_h`` (vmax + 1 where it vanishes)."""
+    ord_a = min(mp.pert_h.v_order() for mp in family.maps)
+    return min(2 * m - 2, m + ord_a - 1, order)
+
+
 def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
                    next_domain=None):
-    """Remove the degree-m vertical perturbation from the family, and with
-    ``next_domain = (eps_(m+1), r_(m+1))`` the degree-(m + 1) one too.
+    """Remove the vertical perturbation of degree m from the family, and
+    with ``next_domain = [(eps_(m+1), r_(m+1)), ...]`` that of each further
+    degree of the block, one domain per degree.
 
     Every degree is solved from the input family, each on its own schedule
     step, and the family is conjugated once by (h, v + G) with G the sum of
-    the corrections.  Two degrees need m >= 3: conjugating by (h, v + G_m)
-    leaves the degree-(m + 1) vertical part alone only from there on.
+    the corrections.  A block past ``block_top(family, m, vmax)`` is
+    refused before anything is solved.
 
     Returns (G, H, updated family, certificates, leftovers), where
     (h, v + H) inverts (h, v + G), and there are one solver certificate
@@ -228,11 +238,12 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
     maps pass ``family.inverse()``.
     """
     steps = [(m, eps_prev, r_prev, eps_m, r_m)]
-    if next_domain is not None:
-        if m < 3:
-            raise ValueError("degree %d cannot share a conjugation with %d"
-                             % (m, m + 1))
-        steps.append((m + 1, eps_m, r_m, *next_domain))
+    for domain in next_domain or ():
+        steps.append((steps[-1][0] + 1, *steps[-1][3:], *domain))
+    top = steps[-1][0]
+    if top > block_top(family, m, family.vmax):
+        raise ValueError("degree %d cannot share a conjugation with degree %d"
+                         % (m, top))
     scale = max(family.pert_scale(), 1e-30)
     below = max(mp.pert_v.up_to_degree(m - 1).max_abs()
                 for mp in family.maps)
@@ -243,12 +254,11 @@ def linearize_step(family, m, eps_prev, r_prev, eps_m, r_m, constants=None,
     certs = [cert for _, cert in solved]
     Gs = [G for G, cert in solved if cert is not None]
     if Gs:
-        G = Gs[0] if len(Gs) == 1 else Gs[0].add(Gs[1])
+        G = sum(Gs[1:], Gs[0])
         H = invert_vertical_map(G)
         family = family.conjugated(G, H)
     else:
         G = H = solved[0][0]
-    top = steps[-1][0]
     lows = [mp.pert_v.up_to_degree(top) for mp in family.maps]
     for i, low in enumerate(lows):
         leftover = low.max_abs()
@@ -314,14 +324,15 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
     phi_v = TruncatedSeries.zero(family.n, family.d, family.d, family.vmax)
     current = family
     step_records = []
-    for m in [2, *range(3, order + 1, 2)]:
-        # degree 2 alone, then two degrees per conjugation
-        top = 2 if m == 2 else min(m + 1, order)
+    m = 2
+    while m <= order:
+        # one conjugation per block of degrees m..top
+        top = block_top(current, m, order)
         G, H, updated, certs, leftovers = linearize_step(
             current, m, float(eps_m[m - 1]), float(r_m[m - 1]),
             float(eps_m[m]), float(r_m[m]), constants=constants,
-            next_domain=((float(eps_m[top]), float(r_m[top]))
-                         if top > m else None))
+            next_domain=[(float(eps_m[q]), float(r_m[q]))
+                         for q in range(m + 1, top + 1)])
         if m == 2:
             # the inverse family must give the same degree-2 correction; it
             # is only solved for, never used to conjugate
@@ -345,6 +356,7 @@ def linearize(family, order, eps1, r1, route="forward", fit=None,
                                     else cert.compat_residual),
                 "leftover": leftover,
             })
+        m = top + 1
 
     # the residual below is the operation's peak memory: let the last
     # block's series go first

@@ -331,8 +331,8 @@ def psi_then_invert(result):
     same schedule and constants but one degree per conjugation, accumulates
     K = Phi_M o ... o Phi_2 as (h, v + psi) through
     psi <- psi + G_m(h, v + psi), and inverts psi once at the end, instead
-    of conjugating two degrees at a time and composing the factor inverses
-    H as ``linearize`` does.
+    of conjugating a block of degrees at a time and composing the factor
+    inverses H as ``linearize`` does.
     """
     family = result.original
     psi = TruncatedSeries.zero(family.n, family.d, family.d, family.vmax)

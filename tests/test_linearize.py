@@ -10,9 +10,9 @@ from toruslin import LatticeSpec, TruncatedSeries
 from toruslin.deckmaps import (DeckMap, compose_map_pairs,
                                conjugate_by_vertical, invert_map)
 from toruslin.divisors import MultiplierData, ResonanceError
-from toruslin.linearize import (DeckMapFamily, LinearizeError, build_family,
-                                conjugacy_residual, linearize, linearize_step,
-                                residual_table)
+from toruslin.linearize import (DeckMapFamily, LinearizeError, block_top,
+                                build_family, conjugacy_residual, linearize,
+                                linearize_step, residual_table)
 from toruslin.majorant import build_state, dominance_and_radius
 from toruslin.problem import parse_problem
 from toruslin.series import substitute_vertical
@@ -397,59 +397,74 @@ class TestSharedLedgerGeometry:
         assert result.per_degree[result.order]["base_norm"] > 0
 
 
-class TestDegreeBlocks:
-    """The degree loop removes degree 2 alone, then two degrees per
-    conjugation: [3, 4], [5, 6], ..., the last one [order] alone when the
-    order is odd."""
+def late_h_family(vmax):
+    """The shipped family without its degree-2 ``pert_h`` records, and its
+    run settings: its ``pert_h`` starts at vertical degree 3."""
+    p = parse_problem(toruslin.reference_problem_path())
+    records = [rec for rec in p.pert_records if rec[1] or sum(rec[3]) > 2]
+    return build_family(p.lattice, p.data, records, vmax,
+                        eps0=p.run["epsilon"], r0=p.run["radius"]), p.run
 
-    @pytest.mark.parametrize("case", ["shipped-12", "lattice2-8"])
+
+class TestDegreeBlocks:
+    """The degree loop conjugates once per block of degrees m..block_top:
+    [2], [3, 4], [5, 6], ... while ``pert_h`` starts at degree 2, and
+    longer blocks when it starts later or vanishes."""
+
+    @staticmethod
+    def linearized(case, order):
+        """A forward linearization at ``order`` of the shipped family, of
+        ``late_h_family`` or of ``lattice2_family(7)``."""
+        if case == "lattice2":
+            fam, _ = lattice2_family(7, vmax=order)
+            return linearize(fam, order, eps1=0.2, r1=0.5, pmax=6, qmax=6)
+        fam, run = (shipped_family if case == "shipped"
+                    else late_h_family)(order)
+        return linearize(fam, order, run["epsilon"], run["radius"],
+                         pmax=run["pmax"], qmax=run["qmax"])
+
+    @pytest.mark.parametrize("case", ["shipped-12", "lattice2-8",
+                                      "lattice2-12", "late-h-12"])
     def test_one_degree_leaves_the_next_alone(self, case):
-        # the premise of the blocks: from m = 3 on, conjugating by
-        # (h, v + G_m) moves the vertical part only from degree
-        # min(2m - 1, m + 2) up, so degree m + 1 is solved from the family
-        # before that conjugation
-        if case == "shipped-12":
-            fam, run = shipped_family(12)
-            result = linearize(fam, 12, run["epsilon"], run["radius"],
-                               pmax=run["pmax"], qmax=run["qmax"])
-        else:
-            fam, _ = lattice2_family(7)
-            result = linearize(fam, order=8, eps1=0.2, r1=0.5, pmax=6,
-                               qmax=6)
+        # the premise of the blocks, and that block_top is tight:
+        # conjugating by (h, v + G_m) alone moves no vertical degree in
+        # (m, block_top], so those are solved from the family before that
+        # conjugation, and it moves degree block_top + 1.  late-h reaches
+        # the m + ord_v a - 1 branch (block [5, 6, 7]), lattice2 the 2m - 2
+        # one (block [5..8])
+        name, order = case.rsplit("-", 1)
+        result = self.linearized(name, int(order))
         family, eps, r = result.original, result.eps_m, result.r_m
         scale = family.pert_scale()
-        moved = {}
         for m in range(2, result.order):
+            top = block_top(family, m, family.vmax)
             G, _, updated, _, _ = linearize_step(
                 family, m, float(eps[m - 1]), float(r[m - 1]),
                 float(eps[m]), float(r[m]), constants=result.constants)
-            for q in (m + 1, m + 2):
-                moved[m, q] = max(
-                    old.pert_v.homogeneous_part(q).max_coeff_diff(
-                        new.pert_v.homogeneous_part(q))
-                    for old, new in zip(family.maps, updated.maps)) / scale
+            moved = [max(old.pert_v.homogeneous_part(q).max_coeff_diff(
+                         new.pert_v.homogeneous_part(q))
+                         for old, new in zip(family.maps, updated.maps))
+                     / scale for q in range(m + 1, top + 2)
+                     if q <= family.vmax]
+            assert max(moved[:top - m], default=0.0) <= 1e-15, (m, moved)
+            if top < family.vmax:
+                assert moved[-1] > 1e-6, (m, top, moved)
             family = updated
-        for m in range(3, result.order):
-            assert moved[m, m + 1] <= 1e-15, (m, moved[m, m + 1])
-        # degree 3 moves with degree 2, and degree 5 with degree 3
-        assert moved[2, 3] > 1e-6 and moved[3, 5] > 1e-6
-        if case == "shipped-12":
-            # pert_h != 0: degree m + 2 moves at every m, so a block of
-            # three degrees would be wrong
-            assert min(moved[m, m + 2]
-                       for m in range(3, result.order - 1)) > 1e-6
 
-    @pytest.mark.parametrize("order, blocks", [
-        (7, [[2], [3, 4], [5, 6], [7]]),
-        (8, [[2], [3, 4], [5, 6], [7, 8]]),
-    ], ids=["odd", "even"])
-    def test_block_schedule(self, monkeypatch, order, blocks):
+    @pytest.mark.parametrize("case, order, blocks", [
+        ("shipped", 7, [[2], [3, 4], [5, 6], [7]]),
+        ("shipped", 8, [[2], [3, 4], [5, 6], [7, 8]]),
+        ("lattice2", 8, [[2], [3, 4], [5, 6, 7, 8]]),
+        ("lattice2", 12, [[2], [3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]),
+        ("late-h", 12, [[2], [3, 4], [5, 6, 7], [8, 9, 10], [11, 12]]),
+    ], ids=["odd", "even", "lattice2-8", "lattice2-12", "late-h-12"])
+    def test_block_schedule(self, monkeypatch, case, order, blocks):
         seen, conjugations = [], []
 
         def stepping(family, m, *args, real=linearize_mod.linearize_step,
                      **kw):
-            seen.append([m] if kw.get("next_domain") is None
-                        else [m, m + 1])
+            seen.append([m + k for k in range(
+                1 + len(kw.get("next_domain") or []))])
             return real(family, m, *args, **kw)
 
         def conjugating(maps, *args, real=linearize_mod.conjugate_maps):
@@ -458,17 +473,38 @@ class TestDegreeBlocks:
 
         monkeypatch.setattr(linearize_mod, "linearize_step", stepping)
         monkeypatch.setattr(linearize_mod, "conjugate_maps", conjugating)
-        fam, run = shipped_family(order)
-        result = linearize(fam, order, run["epsilon"], run["radius"],
-                           pmax=run["pmax"], qmax=run["qmax"])
+        result = self.linearized(case, order)
         assert seen == blocks
         # every block conjugates each map once, all maps in one call
-        assert conjugations == [(k, fam.n)
-                                for k in range(1, len(blocks) + 1)]
+        n = result.original.n
+        assert conjugations == [(k, n) for k in range(1, len(blocks) + 1)]
         assert len(result.step_records) == order - 1
         for k, rec in enumerate(result.step_records):
             assert rec["m"] == k + 2
             assert rec["gain_bound"] is not None
+
+    @pytest.mark.parametrize("m, top", [(2, 3), (3, 5), (5, 9)],
+                             ids=["degree-2", "shipped", "lattice2"])
+    def test_block_past_its_top_is_refused_before_solving(self, monkeypatch,
+                                                          m, top):
+        # one degree past block_top: [2, 3] and [3, 4, 5] on the shipped
+        # family, [5..9] on the lattice family at vmax 12
+        solved = []
+
+        def solving(family, degree, *args, real=linearize_mod._solve_degree):
+            solved.append(degree)
+            return real(family, degree, *args)
+
+        monkeypatch.setattr(linearize_mod, "_solve_degree", solving)
+        fam = (lattice2_family(7, vmax=12)[0] if m == 5
+               else shipped_family(12)[0])
+        assert block_top(fam, m, fam.vmax) == top - 1
+        domains = [(0.2 - 0.01 * k, 0.5 - 0.02 * k) for k in range(top - m)]
+        with pytest.raises(ValueError, match="degree %d cannot share a "
+                           "conjugation with degree %d" % (m, top)):
+            linearize_step(fam, m, 0.21, 0.52, 0.2, 0.5,
+                           next_domain=domains)
+        assert solved == []
 
     def test_block_solves_each_degree_on_its_own_step(self):
         # degrees 3 and 4 of a family linear below 3, from one step: one
@@ -476,8 +512,8 @@ class TestDegreeBlocks:
         # family is vertically linear through degree 4 afterwards
         rng = np.random.default_rng(3)
         fam = golden_family(rng, nterms=10, qrange=(3, 4))
-        G, H, updated, certs, _ = linearize_step(fam, 3, 0.2, 0.5, 0.19,
-                                                 0.45, next_domain=(0.18, 0.4))
+        G, H, updated, certs, _ = linearize_step(
+            fam, 3, 0.2, 0.5, 0.19, 0.45, next_domain=[(0.18, 0.4)])
         assert len(certs) == 2 and None not in certs
         for cert, q in zip(certs, (3, 4)):
             assert cert.G.max_coeff_diff(G.homogeneous_part(q)) == 0.0
@@ -485,9 +521,6 @@ class TestDegreeBlocks:
         for mp in updated.maps:
             assert mp.pert_v.up_to_degree(4).max_abs() < 1e-14
         assert G.add(substitute_vertical(H, G)).max_abs() < 1e-15
-        with pytest.raises(ValueError, match="degree 2"):
-            linearize_step(fam, 2, 0.2, 0.5, 0.19, 0.45,
-                           next_domain=(0.18, 0.4))
 
     def test_leftover_guard_checks_the_whole_block(self, monkeypatch):
         # a block that loses its second correction leaves degree 4 behind
@@ -502,7 +535,25 @@ class TestDegreeBlocks:
                             qrange=(3, 4))
         with pytest.raises(LinearizeError, match="degree-4 cleanup failed"):
             linearize_step(fam, 3, 0.2, 0.5, 0.19, 0.45,
-                           next_domain=(0.18, 0.4))
+                           next_domain=[(0.18, 0.4)])
+
+    def test_leftover_guard_checks_every_degree_of_a_long_block(
+            self, monkeypatch):
+        # in the lattice family's block [5..8], losing the degree-6
+        # correction leaves degree 6 behind: the guard reads the whole block
+        # and fails it, named by its last degree
+        real = linearize_mod._solve_degree
+
+        def losing(family, m, *args):
+            G, cert = real(family, m, *args)
+            return (G.scale(0.0) if m == 6 else G), cert
+
+        fam, _ = lattice2_family(7, vmax=12)
+        fam = linearize(fam, 4, eps1=0.2, r1=0.5, pmax=6, qmax=6).linearized
+        monkeypatch.setattr(linearize_mod, "_solve_degree", losing)
+        with pytest.raises(LinearizeError, match="degree-8 cleanup failed"):
+            linearize_step(fam, 5, 0.2, 0.5, 0.19, 0.45, next_domain=[
+                (0.18, 0.4), (0.17, 0.35), (0.16, 0.3)])
 
     def test_relative_residual_at_order_16(self):
         # every degree keeps at least nine digits relative to the largest
@@ -563,7 +614,7 @@ class TestFanOutSumsInTheLoop:
         # its own call
         assert calls == ({"substitute": 44, "compose": 9}
                          if case == "shipped-12"
-                         else {"substitute": 74, "compose": 18})
+                         else {"substitute": 67, "compose": 16})
 
 
 def run_case(case, route="forward"):
@@ -591,7 +642,7 @@ class TestExactlyLinearThroughEachBlock:
 
         def stepping(family, m, *args, real=linearize_mod.linearize_step,
                      **kw):
-            top = m if kw.get("next_domain") is None else m + 1
+            top = m + len(kw.get("next_domain") or [])
             G, H, updated, certs, leftovers = real(family, m, *args, **kw)
             for mp in updated.maps:
                 assert mp.pert_v.up_to_degree(top).nterms() == 0, (m, top)
@@ -610,7 +661,7 @@ class TestExactlyLinearThroughEachBlock:
         monkeypatch.setattr(DeckMapFamily, "vertically_linear_through",
                             truncating)
         result = run_case(case, route)
-        assert len(dropped) == (6 if case == "shipped-12" else 4)
+        assert len(dropped) == (6 if case == "shipped-12" else 3)
         assert all(mp.pert_v.nterms() == 0 for mp in result.linearized.maps)
         leftovers = [rec["leftover"] for rec in result.step_records]
         assert len(leftovers) == result.order - 1
@@ -680,9 +731,10 @@ class TestExactlyLinearThroughEachBlock:
         # the same counts for the n = 2 lattice family at order 8, where
         # every round conjugates two maps and checks their commutation:
         # 275 one-product calls and 238 segment sums before the batched
-        # kernel
+        # kernel, 185 calls, 275 products and 172 segment sums while the
+        # loop conjugated two degrees at a time, not [5..8] at once
         assert self.kernel_calls(monkeypatch, "lattice2-7") == {
-            "cauchy_products": 185, "products": 275, "segment_sum": 172}
+            "cauchy_products": 178, "products": 264, "segment_sum": 159}
 
 
 def test_result_digest_is_reproducible():
@@ -714,13 +766,13 @@ PINNED_DIGESTS = {
     ("shipped-12", "inverse"):
         "d094c2e5da1cc653825c6b91f3f92b46a06e7b82637df5d8597f56e5c6cda9a5",
     ("lattice2-7", "forward"):
-        "e5e6463955866961c20a0710aeeaa49a9932741db5152de343dd19dfad5d15c4",
+        "d621cccdc886d6d299f5847b44b5c8e9539088bd6ef5766ce40022dedf232a16",
     ("lattice2-7", "inverse"):
-        "103cb61f99d4ece3eb7cfceb4e07771037a49a51a6a34d2265bc5e443645ec3d",
+        "dcfbdfa4e9400944b69defbd744aeca715c6602c9be7a6d4d4e61bd0f449072f",
     ("lattice2-11", "forward"):
-        "67e022e52adfea210e186443f2d27761c11f97e244e87e80f970b667d21faf46",
+        "0fdb71a3acc9a1ddef240788eee88fb9bb62d9cbe31959847ad5ce842356fe03",
     ("lattice2-11", "inverse"):
-        "a56eb1d34498e18240e6bb040823e02363df78af7b76fd0535fc688d187ed208",
+        "ba6af3308f1afb3fe5dd8d338df610c3e3e6f8ac54c44df7fa01ee2e644e6892",
 }
 
 
@@ -738,13 +790,13 @@ PINNED_COEFFICIENT_DIGESTS = {
     ("shipped-12", "inverse"):
         "5a69711e6e62243fbfa2bc07ab2bce756956835670e27bbd7b8c89656558aeae",
     ("lattice2-7", "forward"):
-        "29834edde4d33f5e1bf7a12677be4cc9bc516348c92bfe10de8f3be6356b785e",
+        "15a2a6b43bbc31238eee4c74587ef3b337c59f2c9505e57e426d9857f8e1182f",
     ("lattice2-7", "inverse"):
-        "d0bad8c8fe3917d18b6b7fb01591d8367aba9ca0e76c12a8bd2bd3f3020bee05",
+        "1fab79edc960372fc62927e209de6649726c8c190a5023d069dea56c20843cca",
     ("lattice2-11", "forward"):
-        "2f9cb2d415d2bff747b47ca782e499890b2e08110fdb08da0ceeafcb4ae97070",
+        "92cb21dfd1f22967947a7d391d2daae87f9826caebbe8a46e43f012aaf963c20",
     ("lattice2-11", "inverse"):
-        "999fe34ced25639993b8df23fa8c681ff2c425dde11cbb566a001118d51e420b",
+        "cede9eddbb078a3e7cacd7b40ca26858058457c2dda9e3a9565f2a897814c160",
 }
 
 
