@@ -8,11 +8,12 @@ Verbs map one-to-one onto the library entry points:
     certify             constants, gain sequence, majorant dominance
     report              everything above in one summary
 
-Exit codes: 0 success, 2 resonance, 1 any other error.  Failures print a
-machine-readable ``[error]`` block on stderr.
+Exit codes: 0 success, 2 resonance, 1 any other error, a usage error
+included.  Failures print a machine-readable ``[error]`` block on stderr.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -28,8 +29,19 @@ EXIT_ERROR = 1
 EXIT_RESONANCE = 2
 
 
+class UsageError(Exception):
+    """A command line argparse rejects; ``main`` reports it as an error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+@functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    """The parser, built on first use and shared by every later call."""
+    parser = _Parser(
         prog="toruslin",
         description="vertical linearization of torus-neighborhood deck "
                     "transformations, with convergence certification")

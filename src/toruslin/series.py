@@ -550,7 +550,11 @@ def compose_diagonal(f, lam, mu, sign=1):
 
     Coefficient at (P, Q) picks up the factor (lam^P mu^Q)^sign; exact
     coefficient-wise scaling, no truncation loss.  A product of modulus
-    PRUNE or less is dropped, as ``scale`` drops it.
+    PRUNE or less is dropped, as ``scale`` drops it.  A part ``f`` has lost
+    picks up the same factors at exponents ``f`` does not list, so no finite
+    factor bounds them: a nonzero record becomes inf, and is kept only when
+    every ``|lam_j|`` and ``|mu_j|`` is exactly 1, where every factor has
+    modulus 1 up to rounding.
     """
     if sign not in (1, -1):
         raise SeriesError("sign must be +1 or -1")
@@ -574,7 +578,8 @@ def compose_diagonal(f, lam, mu, sign=1):
         val = c * factor
         if abs(val) > PRUNE:
             out._table[(k, P, Q)] = val
-    out.discarded = f.discarded
+    unit = (modulus(np.concatenate([lam, mu])) == 1.0).all()
+    out.discarded = f.discarded if unit or not f.discarded else np.inf
     return out
 
 

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import filecmp
 import hashlib
 import os
@@ -7,10 +9,12 @@ import pytest
 
 import toruslin
 from toruslin import TruncatedSeries
-from toruslin.cli import EXIT_OK, EXIT_RESONANCE, main
+from toruslin.cli import EXIT_ERROR, EXIT_OK, EXIT_RESONANCE, main
 from toruslin.linearize import build_family, linearize
 from toruslin.problem import ProblemParseError, parse_problem, \
     parse_problem_text
+
+from test_symmetry import conjugate_problem, term_bits
 
 MINIMAL = """
 [lattice]
@@ -302,6 +306,94 @@ class TestVerbs:
                                                    shallow=False)
         assert mismatch == [] and errors == []
         assert "report.txt" in match
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["frobnicate", "x.prob"],
+         "argument verb: invalid choice: 'frobnicate'"),
+        (["check-diophantine", "x.prob", "--pmax", "abc"],
+         "argument --pmax: invalid int value: 'abc'"),
+        (["check-diophantine"],
+         "the following arguments are required: problem"),
+    ])
+    def test_exits_1_with_the_error_block(self, capsys, argv, message):
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("[error]\ncode UsageError\nmessage " + message)
+        assert err.count("\n") == 3
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["report", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_resonance_still_exits_2(self, tmp_path, capsys):
+        prob = write(tmp_path, "resonant.prob", RESONANT)
+        code = main(["linearize", prob, "--out", str(tmp_path / "out")])
+        assert code == EXIT_RESONANCE
+        assert capsys.readouterr().err.startswith("[error]\ncode resonance\n")
+
+
+def test_repeated_calls_share_only_the_parser(tmp_path, monkeypatch, capsys):
+    # flagless runs write to the default directory under the working one
+    monkeypatch.chdir(tmp_path)
+    prob = toruslin.reference_problem_path()
+    out = tmp_path / "toruslin-out"
+
+    def artifacts():
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    assert main(["check-diophantine", prob, "--pmax", "5",
+                 "--qmax", "5"]) == EXIT_OK
+    assert "scan pmax=5 qmax=5" in (out / "fit.txt").read_text().splitlines()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["check-diophantine", prob]) == EXIT_OK
+    first = artifacts()
+    assert main(["check-diophantine", prob, "--pmax", "abc"]) == EXIT_ERROR
+    assert main(["check-diophantine", prob]) == EXIT_OK
+    assert artifacts() == first
+    assert "scan pmax=20 qmax=20" in first["fit.txt"].decode().splitlines()
+    assert built == []
+
+
+def rescaled_problem(problem, c):
+    """The problem in the coordinate ``w = c v``: h-records times
+    ``c^(-|Q|)``, v-records times ``c^(1 - |Q|)``, the radius times ``c``."""
+    n = problem.lattice.n
+    return dataclasses.replace(
+        problem,
+        pert_records=[(i, k, P, Q, x * c ** ((k >= n) - sum(Q)))
+                      for i, k, P, Q, x in problem.pert_records],
+        run=dict(problem.run, radius=problem.run["radius"] * c))
+
+
+def test_symmetries_through_the_cli(tmp_path):
+    # test_symmetry's exact relations, on problem files the writer wrote
+    # and on the phi_v.tls the report wrote and the reader read back
+    p = parse_problem(toruslin.reference_problem_path())
+    phis = []
+    for name, problem in [("base", p), ("conj", conjugate_problem(p)),
+                          ("scaled", rescaled_problem(p, 2.0))]:
+        prob = write(tmp_path, name + ".prob", problem.to_text())
+        out = tmp_path / name
+        assert main(["report", prob, "--out", str(out)]) == EXIT_OK
+        phis.append(TruncatedSeries.from_text(
+            (out / "phi_v.tls").read_text()))
+    base, conj, scaled = phis
+    assert base.nterms() > 10
+    assert term_bits(conj) == term_bits(base, conj=True)
+    assert term_bits(scaled) == term_bits(base, lambda Q: 2.0 ** (1 - sum(Q)))
 
 
 # sha256 of each artifact ``toruslin report`` writes for the shipped problem

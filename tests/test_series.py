@@ -234,6 +234,18 @@ class TestComposeDiagonal:
         kept = compose_diagonal(f, [1e-2], [1.0])
         assert list(kept.terms()) == [(0, (40,), (2,), (1e-200 + 0j) * factor)]
 
+    def test_record_is_kept_only_under_unit_multipliers(self):
+        # a = h v^2 at vmax 3: a^2 drops h^2 v^4 and records 1.0; under
+        # 1/lam = 1e3 that term is 1e6, and a dropped h^P picks up 1e3^P
+        # for any P, so only unit multipliers keep the record
+        a = mono(1, 1, (1,), (2,), vmax=3)
+        p = a.mul(a)
+        assert p.discarded == 1.0
+        assert compose_diagonal(p, [1e-3], [1.0], sign=-1).discarded == np.inf
+        assert compose_diagonal(p, [1.0], [-1.0]).discarded == 1.0
+        assert compose_diagonal(p, [1j], [-1.0], sign=-1).discarded == 1.0
+        assert compose_diagonal(a, [1e-3], [1.0]).discarded == 0.0
+
     def test_ring_homomorphism(self):
         rng = np.random.default_rng(13)
         f = random_series(rng, 1, 1, vmax=5, pmax=3)
@@ -1641,6 +1653,8 @@ UNREFERENCED_ALLOWED = {
     "conjugate_by_vertical": "the one-map form of conjugate_maps, through "
                              "which the lattice2-o8 benchmark workload "
                              "(perfbench/workloads.py) builds its family",
+    "_Parser.error": "argparse's hook for a rejected command line, which "
+                     "argparse calls and cli.main reports as UsageError",
 }
 
 
