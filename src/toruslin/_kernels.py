@@ -8,19 +8,15 @@ shape (N, n+d) holding the h-exponents first and the v-exponents last, and
 ``vals`` a complex128 array of shape (N,).  Outputs are sorted by packed
 exponent key.
 
-``cauchy_products`` forms several independent products in one call, each
-job with its own operands and vertical window; ``cauchy_product`` is the
-call of one job, with the signature the benchmark's trace hooks.  A job
-forms only the pairs that can land inside its vertical window, so the
-``discarded`` it returns is an upper bound on the absolute mass its
-truncation drops, not that mass itself (see the docstring).  It reads,
-besides each operand's (exps, vals), the operand's ``table_data``: vertical
-degrees, moduli, mass at or above each degree and packed keys, which a
-series builds once per component and keeps with its arrays.  Each job's
-pairs are ordered by one stable argsort of their keys; then the pairs of
-the jobs, one job after another, are multiplied, summed per (job, key)
-and pruned in one pass, at most ``PASS_LIMIT`` pairs to a pass, so every
-job's output is bit for bit the one it gives alone.
+``cauchy_product`` forms one product per call, with the signature the
+benchmark's trace hooks.  It forms only the pairs that can land inside its
+vertical window, so the ``discarded`` it returns is an upper bound on the
+absolute mass its truncation drops, not that mass itself (see the
+docstring).  It reads, besides each operand's (exps, vals), the operand's
+``table_data``: vertical degrees, moduli, mass at or above each degree and
+packed keys, which a series builds once per component and keeps with its
+arrays.  The pairs are ordered by one stable argsort of their keys, then
+multiplied, summed per key and pruned.
 
 Product keys have one fixed layout: a row of ``m = n + d`` exponents packs
 into one int64, column j in its own field of ``62 // m`` bits, column 0
@@ -60,30 +56,11 @@ the call, and ``norms`` can evaluate a few points of a sample and get the
 bits that the whole sample would give them.
 """
 
-from itertools import accumulate
-
 import numpy as np
 
 BACKEND = "py"
 
 _CHUNK = 2048
-# the most pairs, or records, that the batched calls (``cauchy_products``
-# and, in ``series``, the sums and scatters of many series) sum in one
-# pass: a larger batch is cut into passes, so that batching saves calls
-# without making a pass's arrays larger than those of its largest part
-PASS_LIMIT = 1 << 12
-
-
-def _passes(sizes):
-    """Consecutive index ranges of ``sizes`` whose items share one summing
-    pass: each range sums to at most ``PASS_LIMIT``, or holds one item."""
-    cuts, total = [], 0
-    for i, size in enumerate(sizes):
-        if not cuts or total + size > PASS_LIMIT:
-            cuts.append(i)
-            total = 0
-        total += size
-    return list(zip(cuts, cuts[1:] + [len(sizes)]))
 
 
 def modulus(z):
@@ -137,7 +114,7 @@ def _product_keys(exps):
 
 
 def table_data(exps, vals, deg):
-    """What ``cauchy_products`` reads of an operand besides (exps, vals).
+    """What ``cauchy_product`` reads of an operand besides (exps, vals).
 
     ``deg`` holds each term's vertical degree (``vertical_degrees``), which
     a series computes once and keeps with its arrays.  Returns (deg, mods,
@@ -159,73 +136,60 @@ def table_data(exps, vals, deg):
     return deg, mods, above, keys
 
 
-def cauchy_products(jobs, prune):
-    """Several independent convolutions of coefficient tables in one pass.
+def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune,
+                   data_a, data_b):
+    """Convolution of two coefficient tables truncated to vertical order
+    ``vmax``; ``data_a`` and ``data_b`` are the operands' ``table_data``.
 
-    Each job is ``(exps_a, vals_a, exps_b, vals_b, vmax, data_a, data_b)``,
-    with ``data_a`` and ``data_b`` the operands' ``table_data``; returns
-    one (exps, vals, discarded) per job, in job order, each bit for bit
-    what ``cauchy_product`` returns for that job alone.
+    Returns (exps, vals, discarded).  ``n`` and ``d`` are not read (the
+    exponent rows have ``n + d`` columns); the parameters stay in this
+    order because the benchmark's trace hooks this function by them.
 
-    Each job forms only the pairs whose vertical degrees sum to at most
-    its ``vmax``, in the row-major order of its full outer product, so
-    every kept coefficient is the same sum of the same products in the
-    same order as in the full convolution.  ``discarded`` is ``sum |a_i|
-    |b_j|`` over the pairs a job does not form: by the triangle inequality
-    an upper bound on the mass those pairs would have put above ``vmax``.
-    Sums of modulus ``prune`` or less are dropped and not counted.
+    Only the pairs whose vertical degrees sum to at most ``vmax`` are
+    formed, in the row-major order of the full outer product, so every
+    kept coefficient is the same sum of the same products in the same
+    order as in the full convolution.  ``discarded`` is ``sum |a_i| |b_j|``
+    over the pairs not formed: by the triangle inequality an upper bound on
+    the mass those pairs would have put above ``vmax``.  Sums of modulus
+    ``prune`` or less are dropped and not counted.
 
     Each pair's key is the sum of its operands' packed keys, which is the
     packed key of its exponent row, so no exponent is packed here.  The
     operands' exponents are below the layout's limit, 2^29, 2^18 and 2^13
     for ``n + d`` = 2, 3 and 4, or ``table_data`` would have raised.  A
-    stable sort of each job's pair keys keeps the pairs of a key in
-    row-major order; then the pairs of consecutive jobs, one job after
-    another, are multiplied, summed per (job, key) and pruned together, at
-    most ``PASS_LIMIT`` pairs to a pass (a larger job alone).
+    stable sort of the pair keys keeps the pairs of a key in row-major
+    order; then the pairs are multiplied, summed per key and pruned.
 
     Products are ``multiply``'s and moduli ``modulus``'s, and every sum
     runs in a fixed order, so each kept value, the prune test and
     ``discarded`` have the same bits on every CPU: each kept value is bit
     for bit a loop of Python scalar products and sums over its pairs.
     """
-    out, block, size = [], [], 0
-    for exps_a, vals_a, exps_b, vals_b, vmax, data_a, data_b in jobs:
-        if len(vals_a) == 0 or len(vals_b) == 0:
-            out.append(_no_terms(exps_a, 0.0))
-            continue
-        deg_a, mods_a, _, keys_a = data_a
-        deg_b, _, above_b, keys_b = data_b
-        # sum |a_i| |b_j| over the pairs not formed, from the mass of b at
-        # or above each vertical degree
-        room = vmax - deg_a
-        out_from = np.minimum(np.maximum(room + 1, 0), len(above_b) - 1)
-        bound = float((mods_a * above_b[out_from]).sum())
-        rows, cols = np.nonzero(deg_b[None, :] <= room[:, None])
-        count = len(rows)
-        if not count:
-            out.append(_no_terms(exps_a, bound))
-            continue
-        # the cut of ``_passes``, made as the pairs are formed, so that a
-        # pass's pairs are summed before the next job's are formed
-        if block and size + count > PASS_LIMIT:
-            _sum_block(jobs, out, block, prune)
-            block, size = [], 0
-        # the fields of two keys add without a carry: the sum is the key
-        # of the pair's exponent row
-        keys = keys_a[rows] + keys_b[cols]
-        # a stable sort keeps each key's pairs in row-major order, the
-        # order in which they are summed
-        order = keys.argsort(kind="stable")
-        # the bound waits here for the block's sums
-        out.append(bound)
-        block.append((len(out) - 1, keys[order], rows[order], cols[order]))
-        size += count
-        # the unsorted pairs are not read again: free them before the sums
-        del keys, order, rows, cols
-    if block:
-        _sum_block(jobs, out, block, prune)
-    return out
+    if len(vals_a) == 0 or len(vals_b) == 0:
+        return _no_terms(exps_a, 0.0)
+    deg_a, mods_a, _, keys_a = data_a
+    deg_b, _, above_b, keys_b = data_b
+    # sum |a_i| |b_j| over the pairs not formed, from the mass of b at or
+    # above each vertical degree
+    room = vmax - deg_a
+    out_from = np.minimum(np.maximum(room + 1, 0), len(above_b) - 1)
+    bound = float((mods_a * above_b[out_from]).sum())
+    rows, cols = np.nonzero(deg_b[None, :] <= room[:, None])
+    if not len(rows):
+        return _no_terms(exps_a, bound)
+    # the fields of two keys add without a carry: the sum is the key of the
+    # pair's exponent row
+    keys = keys_a[rows] + keys_b[cols]
+    # a stable sort keeps each key's pairs in row-major order, the order in
+    # which they are summed
+    order = keys.argsort(kind="stable")
+    keys, rows, cols = keys[order], rows[order], cols[order]
+    del order
+    start, acc = _sum_runs(keys, multiply(vals_a[rows], vals_b[cols]))
+    # each output's exponent row is that of the first pair of its run
+    exps = exps_a[rows[start]] + exps_b[cols[start]]
+    keep = modulus(acc) > prune
+    return exps[keep], acc[keep], bound
 
 
 def _no_terms(exps, discarded):
@@ -235,58 +199,9 @@ def _no_terms(exps, discarded):
             np.zeros(0, dtype=np.complex128), discarded)
 
 
-def _sum_block(jobs, out, block, prune):
-    """Multiply the pairs of the jobs in ``block``, ``(job, keys, rows,
-    cols)`` with the pairs sorted by key, sum them per (job, key) and
-    prune the sums, all the jobs' pairs together, one job after another;
-    ``out[job]``, the job's ``discarded``, becomes (exps, vals,
-    discarded).  The pairs of one job need no concatenation and no cuts.
-    """
-    if len(block) == 1:
-        (job, keys, rows, cols), = block
-        start, acc = _sum_runs(keys, multiply(jobs[job][1][rows],
-                                              jobs[job][3][cols]))
-        # each output's exponent row is that of the first pair of its run
-        exps = jobs[job][0][rows[start]] + jobs[job][2][cols[start]]
-        keep = modulus(acc) > prune
-        out[job] = (exps[keep], acc[keep], out[job])
-        return
-    # a run also starts where a job's pairs start
-    breaks = list(accumulate(len(rows) for _, _, rows, _ in block[:-1]))
-    start, acc = _sum_runs(
-        np.concatenate([keys for _, keys, _, _ in block]),
-        multiply(
-            np.concatenate([jobs[job][1][rows] for job, _, rows, _ in block]),
-            np.concatenate([jobs[job][3][cols] for job, _, _, cols in block])),
-        breaks)
-    keep = modulus(acc) > prune
-    # each job's sums are the runs from that of its first pair on
-    cuts = np.searchsorted(np.flatnonzero(start),
-                           [0, *breaks, len(start)]).tolist()
-    for (job, _, rows, cols), lo, first, last in zip(
-            block, [0, *breaks], cuts, cuts[1:]):
-        mine = start[lo:lo + len(rows)]
-        exps = jobs[job][0][rows[mine]] + jobs[job][2][cols[mine]]
-        kept = keep[first:last]
-        out[job] = (exps[kept], acc[first:last][kept], out[job])
-
-
-def cauchy_product(exps_a, vals_a, exps_b, vals_b, n, d, vmax, prune,
-                   data_a, data_b):
-    """Convolution of two coefficient tables truncated to vertical order
-    vmax: ``cauchy_products`` of this one job.
-
-    Returns (exps, vals, discarded).  ``n`` and ``d`` are not read (the
-    exponent rows have ``n + d`` columns); the parameters stay in this
-    order because the benchmark's trace hooks this function by them.
-    """
-    return cauchy_products([(exps_a, vals_a, exps_b, vals_b, vmax, data_a,
-                             data_b)], prune)[0]
-
-
-def _sum_runs(keys, vals, breaks=None):
+def _sum_runs(keys, vals):
     """Sum the runs of equal values in sorted ``keys``, each run's ``vals``
-    in order; a run also starts at each index in ``breaks``.
+    in order.
 
     Returns (start, sums): ``start`` marks the first entry of each run and
     ``sums`` holds the runs' sums.  ``np.bincount`` adds the real and the
@@ -295,8 +210,6 @@ def _sum_runs(keys, vals, breaks=None):
     start = np.empty(len(keys), dtype=bool)
     start[0] = True
     np.not_equal(keys[1:], keys[:-1], out=start[1:])
-    if breaks is not None:
-        start[breaks] = True
     group = start.cumsum()
     group -= 1
     nkeys = int(group[-1]) + 1

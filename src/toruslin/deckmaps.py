@@ -30,7 +30,7 @@ import numpy as np
 
 from .series import (TruncatedSeries, _fold_products, _grow_powers,
                      _scatter_each, _vertical_row, invert_vertical_map,
-                     linear_combinations, products, scale_components,
+                     linear_combinations, scale_components,
                      substitute_verticals)
 
 COMMUTE_TOL = 1e-10
@@ -100,7 +100,7 @@ def compose_with_maps(jobs):
     output, each piece's ``discarded`` after its records: the sums and
     ``discarded`` of adding them one group at a time.  One scatter call
     writes every output.  A sum or scatter call over many series runs in
-    passes of at most ``PASS_LIMIT`` records (see ``_kernels._passes``).
+    passes of at most ``PASS_LIMIT`` records (see ``series._passes``).
     Where ``u_k`` is exactly zero (no terms,
     no truncation record), as when ``pert_h`` is zero, ``(1 + u_k)^p`` is
     the unit and is not formed: multiplying by it would change no bit.
@@ -112,15 +112,15 @@ def compose_with_maps(jobs):
     before the products with the vertical powers.  The terms left out
     would only have formed pairs above vmax.
 
-    The products of all jobs go in lockstep, one ``products`` call per
-    step: per power of the u and the vertical power chains
-    (``_grow_powers``, the rule that grows ``substitute_verticals``'
-    powers), per factor of the products of binomial series
-    (``_fold_products``), and per vertical coordinate of the group
-    products.  Jobs that share a map and a window share its u
-    powers, binomial series and vertical powers, and each power is formed
-    only as far as some term reads it.  Every series is the same product,
-    in the same order, as when each job is composed alone.
+    Every product is one ``mul``: the powers of the u and the vertical
+    power chains grow by ``_grow_powers``, the rule that grows
+    ``substitute_verticals``' powers, the products of binomial series fold
+    by ``_fold_products``, and each group piece is multiplied by its
+    vertical powers in order of j.  Jobs that share a map and a window
+    share its u powers, binomial series and vertical powers, and each
+    power is formed only as far as some term reads it.  Every series is
+    the same product, in the same order, as when each job is composed
+    alone.
     """
     jobs = [(f, m, f.vmax if vmax is None else vmax) for f, m, vmax in jobs]
     if not jobs:
@@ -212,7 +212,7 @@ def compose_with_maps(jobs):
 
     # lam^P h^P prod_k (1 + u_k)^{p_k} per group of every job, shifted and
     # scaled in one sum call, widened to vmax, then multiplied by each
-    # v_j^q_j, one products call per j
+    # v_j^q_j in order of j
     owners = [(mid, vmax, Q) for (_, _, vmax), ((mid, _), groups, _)
               in zip(jobs, plans) for (_, Q), _ in groups]
     sums = linear_combinations(
@@ -222,12 +222,10 @@ def compose_with_maps(jobs):
     del hcache
     pieces = [hpart.with_window(vmax=vmax)
               for hpart, (_, vmax, _) in zip(sums, owners)]
-    for j in range(d):
-        at = [g for g, (_, _, Q) in enumerate(owners) if Q[j]]
-        powers = [vpow[mid, vmax, j][Q[j]] for mid, vmax, Q in owners if Q[j]]
-        for g, piece in zip(at, products(
-                [(pieces[g], power) for g, power in zip(at, powers)])):
-            pieces[g] = piece
+    for g, (mid, vmax, Q) in enumerate(owners):
+        for j, q in enumerate(Q):
+            if q:
+                pieces[g] = pieces[g].mul(vpow[mid, vmax, j][q])
 
     # each job's pieces into its output, each piece's discarded after its
     # records

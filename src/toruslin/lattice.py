@@ -190,8 +190,9 @@ class DomainSpec:
     hull: bool = False
 
     def __post_init__(self):
-        if self.eps < 0 or self.r <= 0:
-            raise LatticeError("need eps >= 0 and r > 0")
+        # false for nan as for values out of range
+        if not (0 <= self.eps < np.inf and 0 < self.r < np.inf):
+            raise LatticeError("need finite eps >= 0 and r > 0")
         for i, k in self.word:
             if not (0 <= i < self.lattice.n):
                 raise LatticeError("bad generator index in word")

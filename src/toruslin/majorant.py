@@ -168,8 +168,9 @@ def domain_schedule(M, eps1, r1, constants):
 
     Floors eps_m > eps1/2 and r_m > r1/e hold for every m by telescoping.
     """
-    if eps1 <= 0 or r1 <= 0:
-        raise ConstantsError("need positive eps1, r1")
+    # false for nan as for values out of range
+    if not (0 < eps1 < math.inf and 0 < r1 < math.inf):
+        raise ConstantsError("need positive finite eps1, r1")
     ratio = constants.eta / constants.kappa
     if not 0 < ratio < 0.5:
         raise ConstantsError("schedule needs eta/kappa in (0, 1/2), got %r"

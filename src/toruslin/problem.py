@@ -21,6 +21,7 @@ Angles in turns are preferred in unitary mode so |mu| = 1 holds by
 construction.  ``#`` starts a comment.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,10 +96,14 @@ class ProblemFile:
 
 
 def _numbers(fields, lineno, what, kind=float):
+    """The fields as ``kind``; a float must be finite."""
     try:
-        return [kind(x) for x in fields]
+        values = [kind(x) for x in fields]
     except ValueError:
         raise ProblemParseError("bad %s value" % what, lineno)
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ProblemParseError("non-finite %s value" % what, lineno)
+    return values
 
 
 def _value(fields, lineno, kind):

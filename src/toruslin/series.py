@@ -19,11 +19,10 @@ operation has read it.  A series is stored as its kept arrays
 kernels and the bulk sums read a series, sliced per component, with what
 is read of them computed once and kept beside them: the terms' vertical
 degrees, the sum of their moduli, and the ``table_data`` products read.
-``products`` forms the products of many pairs in one kernel call (``mul``
-is one pair) and keeps the kernel's output, selections and ``scale`` are
-masks, and every sum or re-truncation is one ``_scatter``: its records
-are tested against ``vmax``, summed per key in record order and pruned,
-keys sorted.  ``substitute_verticals(fs, phi)`` substitutes many series
+``mul`` forms each component's product by one kernel call and keeps the
+kernel's output, selections and ``scale`` are masks, and every sum or
+re-truncation is one ``_scatter``: its records are tested against
+``vmax``, summed per key in record order and pruned, keys sorted.  ``substitute_verticals(fs, phi)`` substitutes many series
 into one ``phi`` through one scatter call and keeps the powers ``(v_j +
 phi_j)^q`` with ``phi`` for later use.
 
@@ -36,17 +35,21 @@ arrays, and drops the arrays and powers, so a write is seen by every
 later read.
 """
 
+import cmath
 from itertools import accumulate, repeat
 from math import fsum
 
 import numpy as np
 
-from ._kernels import _passes, cauchy_products, \
-    evaluate as _kernel_evaluate, modulus, multiply, segment_sum, \
-    table_data, vertical_degrees
+from ._kernels import cauchy_product, evaluate as _kernel_evaluate, \
+    modulus, multiply, segment_sum, table_data, vertical_degrees
 
 # values of modulus at most PRUNE are dropped instead of stored
 PRUNE = 1e-300
+# the most records that the sums and scatters of many series sum in one
+# pass: a larger batch is cut into passes, so that batching saves calls
+# without making a pass's arrays larger than those of its largest part
+PASS_LIMIT = 1 << 12
 
 
 class SeriesError(ValueError):
@@ -270,7 +273,7 @@ class TruncatedSeries:
         return self._store[k]
 
     def _operand(self, k):
-        """Component k as a ``cauchy_products`` operand: its ``_arrays`` and
+        """Component k as a ``cauchy_product`` operand: its ``_arrays`` and
         their ``table_data``, built once and kept with them."""
         exps, vals = self._arrays(k)
         data = self._store.get(("data", k))
@@ -311,9 +314,45 @@ class TruncatedSeries:
                               vals[cuts[j]:cuts[j + 1]])
 
     def mul(self, other):
-        """Cauchy product on (P, Q); componentwise with scalar broadcast:
-        ``products`` of this one pair."""
-        return products([(self, other)])[0]
+        """Cauchy product on (P, Q); componentwise with scalar broadcast,
+        one ``cauchy_product`` call per component.
+
+        A part dA that self has lost reaches the exact product as ``dA (B +
+        dB)``, and a part dB that other has lost as ``A dB``, so the product
+        records ``dA (|B|_1 + dB) + |A|_1 dB``, with ``|A|_1`` the sum of A's
+        term moduli over all components, and then the bound of the pairs it
+        does not form, component by component.  The kernel output of each
+        component is sorted by packed key, i.e. by (P, Q), and is kept as it
+        is.
+        """
+        self._check_compat(other)
+        ca, cb = self.components, other.components
+        if ca != cb and 1 not in (ca, cb):
+            raise SeriesError("component counts incompatible for product")
+        out = self._like(components=max(ca, cb),
+                         vmax=min(self.vmax, other.vmax))
+        if self.discarded or other.discarded:
+            out.discarded = _carried(self.discarded,
+                                     other._mass() + other.discarded) \
+                + _carried(other.discarded, self._mass())
+        parts = []
+        for k in range(out.components):
+            ea, va, da = self._operand(k if ca > 1 else 0)
+            eb, vb, db = other._operand(k if cb > 1 else 0)
+            exps, vals, dropped = cauchy_product(ea, va, eb, vb, self.n,
+                                                 self.d, out.vmax, PRUNE, da,
+                                                 db)
+            out.discarded += dropped
+            parts.append((exps, vals))
+        if out.components == 1:
+            (exps, vals), ks = parts[0], None
+        else:
+            ks = np.repeat(np.arange(out.components),
+                           [len(vals) for _, vals in parts])
+            exps = np.concatenate([exps for exps, _ in parts])
+            vals = np.concatenate([vals for _, vals in parts])
+        out._keep_sorted(ks, exps, vals)
+        return out
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -428,7 +467,8 @@ class TruncatedSeries:
 
     @classmethod
     def from_text(cls, text):
-        """Read a TLS text, keeping every value exactly as written.
+        """Read a TLS text, keeping every value exactly as written; a
+        record's value must be finite.
 
         The header's fifth field must be a nonnegative int and is otherwise
         ignored: ``to_text`` writes the terms' largest ``|P|_inf`` there,
@@ -453,6 +493,8 @@ class TruncatedSeries:
                 P = tuple(int(x) for x in parts[1:1 + n])
                 Q = tuple(int(x) for x in parts[1 + n:1 + n + d])
                 c = complex(float(parts[-2]), float(parts[-1]))
+                if not cmath.isfinite(c):
+                    raise ValueError
             except ValueError:
                 raise SeriesError("bad TLS record: %r" % ln) from None
             out._check_key(k, P, Q)
@@ -480,49 +522,6 @@ def _carried(lost, factor):
     return lost * factor if lost and factor else 0.0
 
 
-def products(pairs):
-    """``a.mul(b)`` for every pair (a, b), all formed by one
-    ``cauchy_products`` call.
-
-    Each product is componentwise, with a single component broadcast.  A
-    part dA that a has lost reaches the exact product as ``dA (B + dB)``,
-    and a part dB that b has lost as ``A dB``, so the product records
-    ``dA (|B|_1 + dB) + |A|_1 dB``, with ``|A|_1`` the sum of A's term
-    moduli over all components, and then the bound of the pairs it does
-    not form, component by component.  The kernel output of each component
-    is sorted by packed key, i.e. by (P, Q), and is kept as it is.
-    """
-    outs, jobs = [], []
-    for a, b in pairs:
-        a._check_compat(b)
-        ca, cb = a.components, b.components
-        if ca != cb and 1 not in (ca, cb):
-            raise SeriesError("component counts incompatible for product")
-        out = a._like(components=max(ca, cb), vmax=min(a.vmax, b.vmax))
-        if a.discarded or b.discarded:
-            out.discarded = _carried(a.discarded, b._mass() + b.discarded) \
-                + _carried(b.discarded, a._mass())
-        for k in range(out.components):
-            ea, va, da = a._operand(k if ca > 1 else 0)
-            eb, vb, db = b._operand(k if cb > 1 else 0)
-            jobs.append((ea, va, eb, vb, out.vmax, da, db))
-        outs.append(out)
-    parts = iter(cauchy_products(jobs, PRUNE))
-    for out in outs:
-        mine = [next(parts) for _ in range(out.components)]
-        for _, _, dropped in mine:
-            out.discarded += dropped
-        if out.components == 1:
-            (exps, vals, _), ks = mine[0], None
-        else:
-            ks = np.repeat(np.arange(out.components),
-                           [len(vals) for _, vals, _ in mine])
-            exps = np.concatenate([exps for exps, _, _ in mine])
-            vals = np.concatenate([vals for _, vals, _ in mine])
-        out._keep_sorted(ks, exps, vals)
-    return outs
-
-
 def scale_components(f, factors):
     """Multiply component k by factors[k] (diagonal matrix action on values).
 
@@ -538,6 +537,18 @@ def scale_components(f, factors):
              multiply(vals, factors[0] if ks is None else factors[ks]), [[]],
              one_per_key=True)
     return out
+
+
+def _passes(sizes):
+    """Consecutive index ranges of ``sizes`` whose items share one summing
+    pass: each range sums to at most ``PASS_LIMIT``, or holds one item."""
+    cuts, total = [], 0
+    for i, size in enumerate(sizes):
+        if not cuts or total + size > PASS_LIMIT:
+            cuts.append(i)
+            total = 0
+        total += size
+    return list(zip(cuts, cuts[1:] + [len(sizes)]))
 
 
 def _outside(exps, n, vmax):
@@ -596,27 +607,20 @@ def _vertical_row(p, j, c, vmax):
 def _grow_powers(chains):
     """Extend each power table ``[None, x, x^2, ...]`` of ``chains``, given
     as ``(table, top)``, through power ``top``: ``table[q] =
-    table[q - 1].mul(table[1])``, the tables in lockstep, one ``products``
-    call per power."""
-    while True:
-        grow = [table for table, top in chains if len(table) <= top]
-        if not grow:
-            return
-        for table, power in zip(grow, products(
-                [(table[-1], table[1]) for table in grow])):
-            table.append(power)
+    table[q - 1].mul(table[1])``."""
+    for table, top in chains:
+        while len(table) <= top:
+            table.append(table[-1].mul(table[1]))
 
 
 def _fold_products(rows):
     """The product of each list of factors in ``rows``, multiplied in
-    order, the first factor taken as is: one ``products`` call per further
-    factor, over every row that has one."""
-    out = [row[0] for row in rows]
-    for step in range(1, max(map(len, rows), default=0)):
-        at = [i for i, row in enumerate(rows) if len(row) > step]
-        for i, prod in zip(at, products(
-                [(out[i], rows[i][step]) for i in at])):
-            out[i] = prod
+    order by ``mul``, the first factor taken as is."""
+    out = []
+    for first, *rest in rows:
+        for factor in rest:
+            first = first.mul(factor)
+        out.append(first)
     return out
 
 
@@ -657,9 +661,9 @@ def substitute_verticals(fs, phi):
     ``phi`` (a deck map's two perturbations and ``phi_v`` at each degree of
     the linearization) reuses them, and each power is the same product in
     the same order as when it was first formed.  The powers and the W_Q
-    every series of ``fs`` needs are formed together: one ``products``
-    call per power and one per factor of W_Q after the first
-    (``_fold_products``), each W_Q once per window for all of ``fs``.  A
+    every series of ``fs`` needs are formed together, one ``mul`` per
+    power and one per factor of W_Q after the first (``_fold_products``),
+    each W_Q once per window for all of ``fs``.  A
     ``phi`` without terms substitutes v for v: each ``f`` is re-truncated
     to its output window, its terms in sorted order (the order the scatter
     reads them in), and no powers are formed.
@@ -790,7 +794,7 @@ def linear_combinations(sums):
     ``s_i.discarded * |c_i|`` before the mass its own records lose to the
     window.  The sums share one segment sum, as many consecutive sums as
     have at most ``PASS_LIMIT`` records together (a larger one alone),
-    cut by ``_kernels._passes`` before any result is built.
+    cut by ``_passes`` before any result is built.
 
     A shifted summand is formed on the concatenated records, not as a
     series: its exponents move by ``P_i``; a record of modulus PRUNE or
@@ -948,7 +952,7 @@ def _scatter_each(outs, records, marks, one_per_key=False):
     component 0 throughout), and ``marks[o]`` its ``(i, amount)`` marks,
     ``i`` counted in its own records.  Consecutive series share a
     ``_scatter`` while their records number at most ``PASS_LIMIT``
-    together, a series with more alone (``_kernels._passes``).  A single
+    together, a series with more alone (``_passes``).  A single
     series' records go to ``_scatter`` as they are: a series index and
     concatenated copies would change no bit, and would cost time on the
     many one-series substitutions of a one-generator linearization.

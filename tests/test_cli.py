@@ -247,6 +247,27 @@ class TestVerbs:
         err = capsys.readouterr().err
         assert "[error]" in err and "code" in err
 
+    @pytest.mark.parametrize("old, new", [
+        ("p 1 2 0 2 -0.0004376395663731474 -0.0004353734792976885",
+         "p 1 2 0 2 nan 0.0"),
+        ("p 1 2 0 2 -0.0004376395663731474 -0.0004353734792976885",
+         "p 1 2 0 2 inf 0.0"),
+        ("epsilon 0.2", "epsilon nan"),
+        ("radius 0.5", "radius inf"),
+    ], ids=["record-nan", "record-inf", "epsilon-nan", "radius-inf"])
+    def test_non_finite_value_is_refused(self, tmp_path, capsys, old, new):
+        # a nan or inf in the shipped problem is a parse error on its line,
+        # not a record the series drops or a schedule that runs out
+        text = SHIPPED.replace(old, new)
+        assert text != SHIPPED
+        prob = write(tmp_path, "bad.prob", text)
+        out = tmp_path / "out"
+        assert main(["report", prob, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("[error]\ncode ProblemParseError\n")
+        assert "(line %d)" % (text.splitlines().index(new) + 1) in err
+        assert not out.exists()
+
     def test_report_on_resonant_instance(self, tmp_path):
         prob = write(tmp_path, "resonant.prob", RESONANT)
         out = str(tmp_path / "out")

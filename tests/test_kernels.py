@@ -6,10 +6,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-import toruslin._kernels as kernels_mod
-from toruslin._kernels import _CHUNK, PASS_LIMIT, cauchy_product, \
-    cauchy_products, evaluate, modulus, segment_sum, table_data, \
-    vertical_degrees
+from toruslin._kernels import _CHUNK, cauchy_product, evaluate, modulus, \
+    segment_sum, table_data, vertical_degrees
 
 
 def random_table(rng, nterms, n, d, pmax, vmax):
@@ -327,16 +325,22 @@ def test_segment_sum_rows_too_wide_to_pack():
 LIMITS = {(1, 1): 2 ** 29, (2, 1): 2 ** 18, (1, 2): 2 ** 18, (2, 2): 2 ** 13}
 
 
-@pytest.mark.parametrize("n, d", sorted(LIMITS))
-def test_product_with_exponents_just_under_the_limit(n, d):
+@pytest.mark.parametrize("n, d, window", [
+    pytest.param(n, d, window, id="%d-%d%s" % (
+        n, d, "" if window is None else "-vmax%d" % window))
+    for n, d in sorted(LIMITS) for window in (None, 0, 2, 4, 3)])
+def test_product_with_exponents_just_under_the_limit(n, d, window):
     # h exponents of both signs up to one under the limit, and, where the
     # degree table stays small, v exponents up to it too: no field of a
-    # pair's key carries into the next
+    # pair's key carries into the next, on the widest window the tables
+    # reach (None) and on narrow ones
     limit = LIMITS[n, d]
     rng = np.random.default_rng(n + 10 * d)
     hs = [-(limit - 1), -(limit - 2), -1, 0, 1, limit - 2, limit - 1]
     vs = [0, 1, 2, 3] if limit > 2 ** 18 else [0, 1, limit - 2, limit - 1]
     vmax = 4 if limit > 2 ** 18 else limit + 2
+    if window is not None:
+        vmax = window
 
     def table(nterms):
         exps = np.unique(np.column_stack(
@@ -352,7 +356,7 @@ def test_product_with_exponents_just_under_the_limit(n, d):
                                                 1e-300)
     got_e, got_v, discarded = kernel_product(ea, va, eb, vb, n, d, vmax,
                                              1e-300)
-    assert len(want_v) > 50
+    assert len(want_v) > (50 if window is None else 0)
     assert np.array_equal(got_e, want_e)
     assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
     assert discarded >= sum(dropped) * (1 - 1e-12)
@@ -377,80 +381,24 @@ def test_product_key_limit(n, d, sign):
                               vertical_degrees(exps, n)) is not None
 
 
-def same_product(got, want):
-    """Two (exps, vals, discarded) results, bit for bit."""
-    assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1].view(np.float64), want[1].view(np.float64))
-    assert type(got[2]) is float and got[2].hex() == want[2].hex()
-
-
-def kernel_job(exps_a, vals_a, exps_b, vals_b, n, vmax):
-    """A ``cauchy_products`` job with each operand's ``table_data``."""
-    return (exps_a, vals_a, exps_b, vals_b, vmax,
-            table_data(exps_a, vals_a, vertical_degrees(exps_a, n)),
-            table_data(exps_b, vals_b, vertical_degrees(exps_b, n)))
-
-
-@pytest.mark.parametrize("block", [PASS_LIMIT, 64])
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
-def test_batched_products_match_one_at_a_time(monkeypatch, n, d, block):
-    # every job of a batch, bit for bit the product it gives alone: empty
-    # and one-term operands, jobs that form no pair, a vmax of its own per
-    # job, and batches summed in one block or cut into many
-    monkeypatch.setattr(kernels_mod, "PASS_LIMIT", block)
+def test_products_match_all_pairs(n, d):
+    # empty and one-term operands, products that form no pair, and a vmax
+    # of its own per product: bit for bit the sums of the all-pairs loop
     rng = np.random.default_rng(90 + 10 * n + d)
     tables = [random_table(rng, size, n, d, 3, 5)
               for size in (0, 1, 1, 3, 12, 40, 40, 160, 170)]
-    jobs = []
-    for i in range(24):
+    formed = 0
+    for _ in range(24):
         a, b = (tables[int(j)] for j in rng.integers(0, len(tables), 2))
-        jobs.append(kernel_job(*a, *b, n, int(rng.integers(0, 6 * d + 2))))
-    assert sum(len(job[1]) * len(job[3]) for job in jobs) > 4 * 64
-    got = cauchy_products(jobs, 1e-300)
-    assert len(got) == len(jobs)
-    for job, result in zip(jobs, got):
-        exps_a, vals_a, exps_b, vals_b, vmax, data_a, data_b = job
-        same_product(result, cauchy_product(exps_a, vals_a, exps_b, vals_b,
-                                            n, d, vmax, 1e-300, data_a,
-                                            data_b))
-        same_product(result, cauchy_products([job], 1e-300)[0])
-    # a batch in the reverse order gives the same products
-    for result, again in zip(got, cauchy_products(jobs[::-1], 1e-300)[::-1]):
-        same_product(result, again)
-    assert cauchy_products([], 1e-300) == []
-
-
-@pytest.mark.parametrize("n, d", sorted(LIMITS))
-def test_batched_products_just_under_the_limit(n, d):
-    # exponents one under the key layout's limit in several jobs of one
-    # batch: each job's sums are those of the all-pairs loop, and no job's
-    # keys reach into another's
-    limit = LIMITS[n, d]
-    rng = np.random.default_rng(7 * n + d)
-    hs = [-(limit - 1), -1, 0, 1, limit - 1]
-
-    def table(nterms):
-        exps = np.unique(np.column_stack(
-            [rng.choice(hs, size=nterms) for _ in range(n)]
-            + [rng.choice([0, 1, 2], size=nterms) for _ in range(d)]),
-            axis=0)
-        return exps, rng.standard_normal(len(exps)) \
-            + 1j * rng.standard_normal(len(exps))
-
-    pairs = [(table(20), table(15), vmax) for vmax in (0, 2, 4, 3)]
-    jobs = [kernel_job(*a, *b, n, vmax) for a, b, vmax in pairs]
-    for (a, b, vmax), (exps, vals, discarded) in zip(
-            pairs, cauchy_products(jobs, 1e-300)):
-        assert np.abs(a[0]).max() == limit - 1
+        vmax = int(rng.integers(0, 6 * d + 2))
+        got_e, got_v, discarded = kernel_product(*a, *b, n, d, vmax, 1e-300)
         want_e, want_v, dropped = all_pairs_product(*a, *b, n, d, vmax,
                                                     1e-300)
-        assert np.array_equal(exps, want_e)
-        assert np.array_equal(vals.view(np.float64), want_v.view(np.float64))
+        assert got_e.dtype == np.int64 and got_e.shape == (len(got_v), n + d)
+        assert np.array_equal(got_e, want_e)
+        assert np.array_equal(got_v.view(np.float64), want_v.view(np.float64))
+        assert type(discarded) is float
         assert discarded >= sum(dropped) * (1 - 1e-12)
-    # at the limit itself no operand can be packed for any batch
-    exps = np.zeros((2, n + d), dtype=np.int64)
-    exps[1, 0] = limit
-    with pytest.raises(OverflowError):
-        table_data(exps, np.ones(2, dtype=np.complex128),
-                   vertical_degrees(exps, n))
+        formed += len(got_v) > 0
+    assert formed > 4

@@ -60,6 +60,14 @@ def graham_scan(points):
 
 
 class TestLatticeSpec:
+    @pytest.mark.parametrize("eps, r", [(np.nan, 0.5), (0.2, np.nan),
+                                        (np.inf, 0.5), (0.2, np.inf),
+                                        (-0.1, 0.5), (0.2, 0.0)])
+    def test_domain_needs_finite_eps_and_r(self, eps, r):
+        # nan fails every comparison, so a bare range test lets it through
+        with pytest.raises(LatticeError, match="finite"):
+            DomainSpec(lat1(), eps, r)
+
     def test_standard_basis_enforced(self):
         with pytest.raises(LatticeError):
             LatticeSpec(1, 1, [[2.0], [0.3 + 1.1j]])

@@ -685,33 +685,36 @@ class TestExactlyLinearThroughEachBlock:
         # (616,017 while each composition formed every u power up to its
         # window, read or not), 708,202 before the u cut, 1,120,431 while
         # the solves' residue stayed in the family and every later
-        # conjugation multiplied through it
+        # conjugation multiplied through it.  The pairs are read as
+        # perfbench/tracing.py's _count_cauchy reads them, positionally
         pairs = []
-        real = series_mod.cauchy_products
+        real = series_mod.cauchy_product
 
-        def counted(jobs, *args):
-            pairs.extend(len(job[1]) * len(job[3]) for job in jobs)
-            return real(jobs, *args)
+        def counted(*args):
+            pairs.append(len(args[1]) * len(args[3]))
+            return real(*args)
 
-        monkeypatch.setattr(series_mod, "cauchy_products", counted)
+        monkeypatch.setattr(series_mod, "cauchy_product", counted)
         run_case("shipped-12")
         assert 0 < sum(pairs) <= 616_016
 
     @staticmethod
     def kernel_calls(monkeypatch, case):
         """The product-kernel calls, the products they form and the segment
-        sums of a forward linearization of ``case``."""
-        calls = {"cauchy_products": 0, "products": 0, "segment_sum": 0}
+        sums of a forward linearization of ``case``.  A product is a kernel
+        call whose operands, read positionally as perfbench/tracing.py's
+        _count_cauchy reads them, both have terms."""
+        calls = {"cauchy_product": 0, "products": 0, "segment_sum": 0}
 
         def counting(name, real):
             def counted(*args):
                 calls[name] += 1
-                if name == "cauchy_products":
-                    calls["products"] += len(args[0])
+                if name == "cauchy_product" and len(args[1]) * len(args[3]):
+                    calls["products"] += 1
                 return real(*args)
             return counted
 
-        for name in ("cauchy_products", "segment_sum"):
+        for name in ("cauchy_product", "segment_sum"):
             monkeypatch.setattr(series_mod, name,
                                 counting(name, getattr(series_mod, name)))
         run_case(case)
@@ -719,22 +722,24 @@ class TestExactlyLinearThroughEachBlock:
 
     def test_kernel_calls_per_linearization(self, monkeypatch):
         # the product-kernel calls, the products they form and the segment
-        # sums of a forward order-12 shipped linearization: a change that
-        # makes each call cheaper keeps all three, and one that stops
-        # batching independent products raises the first.  Before the
-        # batched kernel, one call formed one product: 145 calls and 138
+        # sums of a forward order-12 shipped linearization: one call per
+        # product, so a change that batches products, or passes the
+        # operands by keyword, fails here instead of hiding the products
+        # from the benchmark's trace.  While a batched kernel formed them,
+        # 117 calls formed the 144 products; before it, 145 calls and 138
         # segment sums
         assert self.kernel_calls(monkeypatch, "shipped-12") == {
-            "cauchy_products": 117, "products": 144, "segment_sum": 120}
+            "cauchy_product": 144, "products": 144, "segment_sum": 120}
 
     def test_kernel_calls_per_lattice_linearization(self, monkeypatch):
         # the same counts for the n = 2 lattice family at order 8, where
         # every round conjugates two maps and checks their commutation:
         # 275 one-product calls and 238 segment sums before the batched
         # kernel, 185 calls, 275 products and 172 segment sums while the
-        # loop conjugated two degrees at a time, not [5..8] at once
+        # loop conjugated two degrees at a time, not [5..8] at once, and
+        # 178 calls for the 264 products while the kernel batched them
         assert self.kernel_calls(monkeypatch, "lattice2-7") == {
-            "cauchy_products": 178, "products": 264, "segment_sum": 159}
+            "cauchy_product": 264, "products": 264, "segment_sum": 159}
 
 
 def test_result_digest_is_reproducible():

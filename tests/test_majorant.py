@@ -141,6 +141,15 @@ class TestDomainSchedule:
         assert eps[-1] == pytest.approx(0.15, abs=1e-12)
         assert r[-1] == pytest.approx(0.5 / np.e, rel=1e-9)
 
+    @pytest.mark.parametrize("eps1, r1", [(np.nan, 0.5), (0.2, np.inf),
+                                          (np.inf, 0.5), (0.2, np.nan),
+                                          (0.0, 0.5), (0.2, -1.0)])
+    def test_non_finite_or_nonpositive_start_rejected(self, eps1, r1):
+        # nan fails every comparison: it must not reach the floors
+        bundle = toy_bundle(eta=0.5, kappa=2.0)
+        with pytest.raises(ConstantsError, match="positive finite"):
+            domain_schedule(8, eps1, r1, bundle)
+
     def test_bad_ratio_rejected(self):
         bundle = toy_bundle(eta=1.2, kappa=2.0)  # ratio 0.6 >= 1/2
         with pytest.raises(ConstantsError):

@@ -12,7 +12,7 @@ from toruslin import DomainSpec, LatticeSpec, TruncatedSeries, \
 from toruslin._kernels import table_data, vertical_degrees
 from toruslin.deckmaps import DeckMap, compose_with_maps
 from toruslin.series import PRUNE, SeriesError, _scatter, \
-    linear_combinations, products, scale_components, substitute_verticals
+    linear_combinations, scale_components, substitute_verticals
 
 from _oracles import (accumulate, dense_diff, dense_mul, dense_poly,
                       dense_substitute, random_series, shuffled_copy,
@@ -295,7 +295,7 @@ class TestSubstituteVerticals:
         # series that share a pass and series cut into passes of a few
         # records give the same sums and records, in a scatter of many
         # series and in sums of many summands
-        import toruslin._kernels as kernels_mod
+        import toruslin.series as series_mod
         rng = np.random.default_rng(140)
         phi = random_series(rng, 2, 1, vmax=6, pmax=2, nterms=8,
                             min_vdeg=2, scale=0.1)
@@ -305,8 +305,8 @@ class TestSubstituteVerticals:
                 for f in fs]
         want = ([exact(out) for out in substitute_verticals(fs, phi)],
                 [exact(out) for out in linear_combinations(sums)])
-        monkeypatch.setattr(kernels_mod, "PASS_LIMIT", 5)
-        assert kernels_mod._passes([3, 2, 4, 9, 1, 1]) == [
+        monkeypatch.setattr(series_mod, "PASS_LIMIT", 5)
+        assert series_mod._passes([3, 2, 4, 9, 1, 1]) == [
             (0, 2), (2, 3), (3, 4), (4, 6)]
         got = ([exact(out) for out in substitute_verticals(fs, phi)],
                [exact(out) for out in linear_combinations(sums)])
@@ -341,9 +341,9 @@ class TestSubstituteVerticals:
 class TestProducts:
     @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_pairs_match_one_at_a_time(self, n, d):
-        # several products in one kernel call, with componentwise and
-        # broadcast pairs, truncation records and windows of their own:
-        # each bit for bit the product formed alone, and the dense product
+        # componentwise and broadcast pairs, truncation records and windows
+        # of their own, one pair at a time: each product sorted as stored,
+        # and the dense product
         rng = np.random.default_rng(150 + 10 * n + d)
 
         def series(components, vmax, record=0.0):
@@ -356,17 +356,14 @@ class TestProducts:
         c, e = series(1, 6), series(1, 4, 2.0 ** -20)
         pairs = [(a, b), (c, a), (b, c), (e, e), (c, c), (a, b),
                  (TruncatedSeries(n, d, 2, 6), a)]
-        got = products(pairs)
-        assert len(got) == len(pairs)
-        for (x, y), out in zip(pairs, got):
-            alone = products([(x, y)])[0]
-            assert exact(out) == exact(alone) and stores_sorted(out)
+        for x, y in pairs:
+            out = x.mul(y)
+            assert stores_sorted(out)
             for k in range(out.components):
                 want = dense_mul(dense_poly(x, k if x.components > 1 else 0),
                                  dense_poly(y, k if y.components > 1 else 0),
                                  n, d, out.vmax)
                 assert dense_diff(dense_poly(out, k), want) < 1e-12
-        assert products([]) == []
 
 
 class TestDegreeMaxima:
@@ -1468,6 +1465,11 @@ class TestSerialization:
             TruncatedSeries.from_text("XLS 1 1 1 4 4\n")
         with pytest.raises(SeriesError, match="record"):
             TruncatedSeries.from_text("TLS 1 1 1 4 4\n0 1 2\n")
+        # a value that is not finite is no coefficient
+        for value in ("nan 0.0", "0.0 -inf", "inf nan"):
+            with pytest.raises(SeriesError, match="record"):
+                TruncatedSeries.from_text("TLS 1 1 1 4 1\n0 1 2 %s\n"
+                                          % value)
 
     def test_component_out_of_range_rejected(self):
         with pytest.raises(SeriesError, match="component index"):
@@ -1648,8 +1650,6 @@ UNREFERENCED_ALLOWED = {
     "solve_single": "criterion 3's second route, the single-generator solve",
     "TruncatedSeries.from_text": "the TLS reader that phi_v.tls round-trips "
                                  "through",
-    "cauchy_product": "the one-product form of cauchy_products, which "
-                      "perfbench/tracing.py hooks by name and signature",
     "conjugate_by_vertical": "the one-map form of conjugate_maps, through "
                              "which the lattice2-o8 benchmark workload "
                              "(perfbench/workloads.py) builds its family",
